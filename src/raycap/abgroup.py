@@ -3,8 +3,11 @@
 Groups are presented by relation matrices over Z. The Smith normal form
 carries all the structure we need: invariant factors, discrete logs of
 ambient elements, and generator representatives for each cyclic factor.
-Everything is exact; unimodular transforms are tracked incrementally so
-no rational arithmetic ever appears.
+Everything is exact: the column transform V and its inverse are updated
+with each column operation, so no rational arithmetic ever appears. The
+row transform U is rows x rows, far larger than a tall relation matrix
+itself, so `snf` builds it only when asked; only `kernel_left` and
+`solve_left` read it.
 """
 from __future__ import annotations
 
@@ -62,10 +65,11 @@ def det_bareiss(m: Sequence[Sequence[int]]) -> int:
 
 @dataclass(frozen=True)
 class SNF:
-    """U @ M @ V == diag(diag), with U, V unimodular and diag[i] | diag[i+1]."""
+    """U @ M @ V == diag(diag), with U, V unimodular and diag[i] | diag[i+1].
+    U is None unless `snf` was asked for it."""
 
     diag: tuple[int, ...]
-    U: tuple[tuple[int, ...], ...]
+    U: tuple[tuple[int, ...], ...] | None
     V: tuple[tuple[int, ...], ...]
     Vinv: tuple[tuple[int, ...], ...]
     nrows: int
@@ -76,22 +80,27 @@ class SNF:
         return sum(1 for d in self.diag if d != 0)
 
 
-def snf(m: Sequence[Sequence[int]]) -> SNF:
+def snf(m: Sequence[Sequence[int]], with_u: bool = False) -> SNF:
     """Smith normal form with transforms. Pivots are chosen as the smallest
     nonzero magnitude in the remaining block, which keeps entries tame at
-    the sizes this library meets."""
+    the sizes this library meets.
+
+    V and Vinv are always built. The row transform U is built only when
+    `with_u` is set; the pivot and column sequence never reads it, so diag,
+    V and Vinv are the same either way."""
     nr = len(m)
     nc = len(m[0]) if nr else 0
     a = [list(row) for row in m]
     if any(len(row) != nc for row in a):
         raise ValueError("ragged matrix")
-    u = _identity(nr)
+    u = _identity(nr) if with_u else None
     v = _identity(nc)
     vinv = _identity(nc)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -103,7 +112,8 @@ def snf(m: Sequence[Sequence[int]]) -> SNF:
     def add_row(src, dst, k):
         # row dst += k * row src
         a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+        if u is not None:
+            u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, k):
         # col dst += k * col src; inverse acts on rows of vinv
@@ -115,7 +125,8 @@ def snf(m: Sequence[Sequence[int]]) -> SNF:
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
     t = 0
     while t < min(nr, nc):
@@ -165,7 +176,7 @@ def snf(m: Sequence[Sequence[int]]) -> SNF:
     diag = tuple(a[i][i] for i in range(min(nr, nc)))
     return SNF(
         diag,
-        tuple(map(tuple, u)),
+        None if u is None else tuple(map(tuple, u)),
         tuple(map(tuple, v)),
         tuple(map(tuple, vinv)),
         nr,
@@ -181,13 +192,13 @@ def kernel_right(m: Sequence[Sequence[int]]) -> list[list[int]]:
 
 def kernel_left(m: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis of the row kernel {y : y @ M = 0}."""
-    s = snf(m)
+    s = snf(m, with_u=True)
     return [list(s.U[i]) for i in range(s.rank, s.nrows)]
 
 
 def solve_left(m: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
     """An integer row x with x @ M = target, or None."""
-    s = snf(m)
+    s = snf(m, with_u=True)
     u = vec_mat(list(target), [list(r) for r in s.V])
     w = [0] * s.nrows
     for j in range(s.ncols):

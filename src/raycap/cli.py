@@ -60,6 +60,13 @@ def _emit(args, report: dict, human_lines) -> None:
 # argument plumbing
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{what} {text!r} is not an integer") from None
+
+
 def _parse_modulus(field, spec: str) -> Modulus:
     """Comma list of "p" (all primes above p) or "p.i" (the i-th, by key)."""
     primes: list[QIdeal] = []
@@ -69,9 +76,9 @@ def _parse_modulus(field, spec: str) -> Modulus:
             continue
         if "." in part:
             raw, idx = part.split(".", 1)
-            p0, i = int(raw), int(idx)
+            p0, i = _int(raw, "modulus entry"), _int(idx, "prime index")
         else:
-            p0, i = int(part), None
+            p0, i = _int(part, "modulus entry"), None
         if not is_prime(p0):
             raise InputError(f"modulus entry {part!r} is not prime")
         _, data = factor_prime(field, p0)
@@ -87,7 +94,7 @@ def _parse_modulus(field, spec: str) -> Modulus:
 
 
 def _parse_rational_modulus(spec: str) -> int:
-    m = int(spec)
+    m = _int(spec, "modulus")
     if m < 1:
         raise InputError("modulus must be a positive integer")
     return m
@@ -100,7 +107,7 @@ def _resolve_target(selector: str, ray) -> tuple[int, ...]:
             if inv[i] % 2 == 0:
                 return tuple(inv[i] // 2 if j == i else 0 for j in range(len(inv)))
         raise InputError("ray class group has odd order: no order-2 class")
-    vec = tuple(int(x) for x in selector.split(","))
+    vec = tuple(_int(x, "class coordinate") for x in selector.split(","))
     if len(vec) != len(inv):
         raise InputError(
             f"class vector needs {len(inv)} entries for invariants {inv}"
@@ -293,9 +300,14 @@ def cmd_ambig(args) -> int:
             raise InputError("the only built-in sweep is 'default'")
         cases = list(DEFAULT_SWEEP)
     elif args.biquad:
-        d, p = (int(x) for x in args.biquad.split(","))
+        dp = [_int(x, "--biquad entry") for x in args.biquad.split(",")]
+        if len(dp) != 2:
+            raise InputError("--biquad wants 'd,p'")
+        d, p = dp
         mods = tuple(
-            int(x) for x in (args.mod or "1").split(",") if x.strip() not in ("", "1")
+            _int(x, "modulus entry")
+            for x in (args.mod or "1").split(",")
+            if x.strip() not in ("", "1")
         )
         cases = [("biquad", d, p, args.base, mods)]
     elif args.L_disc is not None:

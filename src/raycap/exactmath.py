@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+from .errors import InputError
+
 PRIMALITY_LIMIT = 1 << 64
 
 # Exact for all n < 2**64 (Sorenson-Webster verified witness set).
@@ -19,8 +21,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-class PrimalityRangeError(ValueError):
-    """Raised for primality queries at or above 2**64."""
+class PrimalityRangeError(InputError, ValueError):
+    """Raised for primality queries at or above 2**64. The numbers tested
+    derive from the discriminant, modulus and bound the user gives, so the
+    CLI reports this as bad input (exit 2)."""
 
 
 def is_prime(n: int) -> bool:

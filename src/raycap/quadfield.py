@@ -9,6 +9,7 @@ rho-cycles, the imaginary case lands on the unique reduced form.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -528,16 +529,21 @@ def _bfs_closure(
     field: QuadField, gens: Sequence[QIdeal]
 ) -> tuple[dict, list[list[int]]]:
     """Breadth-first closure of the subgroup generated by the given prime
-    classes. Returns (table: key -> exponent vector, relation rows)."""
+    classes. Returns (table: key -> exponent vector, relation rows).
+
+    Only `_ray_ideal_gens` uses this. Its relation rows, in this order, fix
+    the SNF basis of Cl^m, and that basis fixes the coordinates that
+    `--class` targets name and that certificates record; the visiting
+    order and the rows must therefore stay as they are."""
     r = len(gens)
     ident = QIdeal.unit_ideal(field)
     start = class_key(ident)
     table = {start: (0,) * r}
     reps = {start: ident}
-    frontier = [start]
+    frontier = deque([start])
     relations: list[list[int]] = []
     while frontier:
-        key = frontier.pop(0)
+        key = frontier.popleft()
         vec, rep = table[key], reps[key]
         for i, P in enumerate(gens):
             J = rep * P
@@ -555,16 +561,53 @@ def _bfs_closure(
     return table, relations
 
 
+def _key_ideal(field: QuadField, key: tuple[int, int]) -> QIdeal:
+    """The reduced primitive ideal [a, b + w] that a class key names."""
+    a, B = key
+    return QIdeal(field, 1, a, ((B - field.t) // 2) % a)
+
+
+def _coset_closure(
+    field: QuadField, gens: Sequence[QIdeal]
+) -> tuple[dict, list[list[int]]]:
+    """The subgroup generated by the given prime classes, grown one
+    generator at a time (Cohen, GTM 138, 5.4). With H the subgroup of the
+    first i classes, e_i is the least exponent with [P_i]^e_i in H; the one
+    relation e_i*x_i - vec([P_i]^e_i) is kept, and the cosets P_i^k * H for
+    0 < k < e_i join the table. Each new class costs one ideal product.
+    Returns (table: key -> exponent vector, relation rows): r rows forming
+    a lower-triangular matrix whose diagonal multiplies to len(table)."""
+    r = len(gens)
+    table = {class_key(QIdeal.unit_ideal(field)): (0,) * r}
+    relations: list[list[int]] = []
+    for i, P in enumerate(gens):
+        coset = list(table)  # the keys of H, identity first
+        e = 1
+        while (lead := class_key(_key_ideal(field, coset[0]) * P)) not in table:
+            nxt = [lead] + [class_key(_key_ideal(field, c) * P) for c in coset[1:]]
+            for old, new in zip(coset, nxt):
+                vec = list(table[old])
+                vec[i] += 1
+                table[new] = tuple(vec)
+            coset = nxt
+            e += 1
+        rel = [-c for c in table[lead]]
+        rel[i] += e
+        relations.append(rel)
+    return table, relations
+
+
 @lru_cache(maxsize=None)
 def class_group(field: QuadField) -> ClassGroupData:
-    """Wide ideal class group via prime classes below the Minkowski bound."""
+    """Wide ideal class group via prime classes below the Minkowski bound,
+    presented by the r x r relation matrix of `_coset_closure`.
+
+    The SNF basis of this group is seen nowhere outside it: ray class
+    groups, biquadratic unit groups and the CLI read only `h`."""
     gens = tuple(_candidate_primes(field, frozenset()))
-    table, relations = _bfs_closure(field, gens)
+    table, relations = _coset_closure(field, gens)
     labels = tuple(f"P{P.a if P.g == 1 else P.g}_{P.b}" for P in gens)
-    if not gens:
-        group = group_from_relations([], ())
-    else:
-        group = group_from_relations(relations, labels)
+    group = group_from_relations(relations, labels)
     assert group.order() == len(table)
     return ClassGroupData(field, group, gens, table)
 

@@ -43,7 +43,7 @@ def gcd_of_minors(m, k):
 class TestSNF:
     @given(small_matrix)
     def test_transform_identity(self, m):
-        s = snf(m)
+        s = snf(m, with_u=True)
         u, v = [list(r) for r in s.U], [list(r) for r in s.V]
         prod = mat_mul(mat_mul(u, m), v)
         for i in range(len(m)):
@@ -53,12 +53,20 @@ class TestSNF:
 
     @given(small_matrix)
     def test_unimodular_and_inverse(self, m):
-        s = snf(m)
+        s = snf(m, with_u=True)
         assert det_bareiss([list(r) for r in s.U]) in (1, -1)
         assert det_bareiss([list(r) for r in s.V]) in (1, -1)
         prod = mat_mul([list(r) for r in s.V], [list(r) for r in s.Vinv])
         n = len(prod)
         assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+
+    @given(small_matrix)
+    def test_row_transform_does_not_steer(self, m):
+        # U is built on request only; the pivot and column sequence must not
+        # depend on it, so diag, V and Vinv agree bit for bit
+        bare, full = snf(m), snf(m, with_u=True)
+        assert bare.U is None and full.U is not None
+        assert (bare.diag, bare.V, bare.Vinv) == (full.diag, full.V, full.Vinv)
 
     @given(small_matrix)
     def test_divisibility_chain(self, m):

@@ -59,6 +59,21 @@ class TestRayclass:
         code, _, _ = run(capsys, "rayclass", "--d", "3", "--mod", "15")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("rayclass", "--d", "5", "--mod", "1,x"),
+        ("rayclass", "--d", "5", "--mod", "3.x"),
+        ("rayclass", "--d", "18446744073709551629"),
+        ("rayclass", "--field", "Q", "--mod", "x"),
+        ("search", "--d", "34", "--class", "a"),
+        ("ambig", "--biquad", "2,x"),
+        ("ambig", "--biquad", "2"),
+    ])
+    def test_malformed_input_exits_two_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSearchAndVerify:
     def test_flagship_end_to_end(self, capsys, tmp_path):

@@ -15,6 +15,8 @@ from raycap.quadfield import (
     Modulus,
     QElt,
     QIdeal,
+    _candidate_primes,
+    _coset_closure,
     aug_unit_mod_m,
     class_group,
     class_key,
@@ -64,6 +66,49 @@ def brute_pell(d: int) -> tuple[int, int]:
                 if x * x == x2:
                     return x, y
         y += 1
+
+
+def is_fundamental(D: int) -> bool:
+    """Trial division only, so no library code decides the corpus."""
+    if D % 4 == 1:
+        core = D
+    elif D % 16 in (8, 12):
+        core = D // 4
+    else:
+        return False
+    n = abs(core)
+    return all(n % (q * q) for q in range(2, math.isqrt(n) + 1))
+
+
+def smallest_prime_factors(n: int) -> list[int]:
+    spf = list(range(n))
+    for q in range(2, math.isqrt(n) + 1):
+        if spf[q] == q:
+            for k in range(q * q, n, q):
+                if spf[k] == k:
+                    spf[k] = q
+    return spf
+
+
+def analytic_class_number(D: int, spf: list[int]) -> int:
+    """h = -(1/|D|) * sum_{0<a<|D|} (D/a) * a for a fundamental D < -4,
+    with spf a smallest-prime-factor table past |D|. The Kronecker
+    character comes from Euler's criterion on primes, extended
+    multiplicatively, so it shares no code with the library."""
+    n = -D
+    chi = [0, 1] + [0] * (n - 2)
+    for a in range(2, n):
+        p = spf[a]
+        if p != a:
+            chi[a] = chi[p] * chi[a // p]
+        elif p == 2:
+            chi[a] = 0 if D % 2 == 0 else (1 if D % 8 in (1, 7) else -1)
+        else:
+            r = pow(D, (p - 1) // 2, p)
+            chi[a] = 0 if r == 0 else (1 if r == 1 else -1)
+    total = sum(chi[a] * a for a in range(1, n))
+    assert total % n == 0
+    return -total // n
 
 
 FUNDAMENTAL_IMAG = [
@@ -209,6 +254,37 @@ class TestClassGroups:
         _, data = factor_prime(K, 3 if math.gcd(3, K.D) == 1 else 7)
         P = data[0][0]
         assert class_key(P) == class_key(QIdeal.principal(z) * P)
+
+    def test_analytic_class_number_formula(self):
+        spf = smallest_prime_factors(3000)
+        checked = 0
+        for D in range(-5, -3000, -1):
+            if not is_fundamental(D):
+                continue
+            d = D if D % 4 == 1 else D // 4
+            assert class_group(quadratic_field(d)).h == analytic_class_number(D, spf), D
+            checked += 1
+        assert checked > 800
+
+    @pytest.mark.parametrize("d", [-5, -21, -30, -1999, -20011, 10, 82, 145, 3999])
+    def test_relation_matrix_is_square_lower_triangular(self, d):
+        K = quadratic_field(d)
+        gens = list(_candidate_primes(K, frozenset()))
+        table, rels = _coset_closure(K, gens)
+        r = len(gens)
+        assert len(rels) == r and all(len(row) == r for row in rels)
+        assert all(rels[i][j] == 0 for i in range(r) for j in range(i + 1, r))
+        assert all(rels[i][i] >= 1 for i in range(r))
+        diag = math.prod(rels[i][i] for i in range(r))
+        assert diag == class_group(K).h == len(table)
+
+    @pytest.mark.parametrize("d", [-21, -30, -1999, -4199, 82, 145, 3999])
+    def test_dlog_additive_on_generator_products(self, d):
+        cg = class_group(quadratic_field(d))
+        gens = cg.gens[:8]
+        for i, P in enumerate(gens):
+            for Q in gens[i:]:
+                assert cg.dlog(P * Q) == cg.group.add(cg.dlog(P), cg.dlog(Q))
 
     def test_dlog_is_homomorphism(self):
         K = quadratic_field(-21)
