@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .errors import InputError
-from .exactmath import is_prime, primes_in_progression
+from .exactmath import is_prime, primes_1_mod, primes_in_progression
 from .kummerfrob import ConditionChecker, SearchParams
 from .quadfield import Modulus, QuadField, _primitive_root, quadratic_field
 
@@ -159,9 +159,7 @@ def _modulus_descriptor(modulus: Modulus) -> tuple:
 def _candidate_stream(checker: ConditionChecker, lo: int, hi: int):
     params = checker.params
     step = 2 ** (params.n + 1) if params.ell == 2 else params.ell**params.n
-    for p in primes_in_progression(1, step, start=max(lo, 3)):
-        if p > hi:
-            return
+    for p in primes_1_mod(step, max(lo, 3), hi):
         if checker.forbidden(p):
             continue
         yield p

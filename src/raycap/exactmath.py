@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Iterator, Sequence
 
 from .errors import InputError
@@ -171,6 +172,42 @@ def primes_in_progression(a: int, mod: int, start: int = 2) -> Iterator[int]:
         if is_prime(p):
             yield p
         p += mod
+
+
+_SIEVE_SEGMENT = 1 << 16  # progression slots per segment of primes_1_mod
+
+
+def primes_1_mod(step: int, lo: int, hi: int) -> Iterator[int]:
+    """Primes p ≡ 1 (mod step) with lo <= p <= hi, ascending, by a segmented
+    sieve over the progression itself. Slot k stands for first + k*step;
+    each prime q <= sqrt(hi) not dividing step strikes its multiples from
+    q*q on, which lie q slots apart. Memory is O(segment + sqrt(hi))
+    whatever the range: no list of the range's primes is ever built."""
+    if step < 1:
+        raise ValueError(f"modulus must be positive, got {step}")
+    lo = max(lo, 2)
+    first = lo + (1 - lo) % step
+    if first > hi:
+        return
+    count = (hi - first) // step + 1
+    # per sieving prime: the first slot (from slot 0) it strikes
+    strikes = []
+    for q in primes_up_to(math.isqrt(hi)):
+        if step % q == 0:
+            continue  # q never divides 1 + k*step
+        k0 = -first * pow(step, -1, q) % q  # first + k0*step ≡ 0 (mod q)
+        k_sq = max(0, -((first - q * q) // step))  # first slot >= q*q
+        strikes.append((q, k_sq + (k0 - k_sq) % q))
+    segment = _SIEVE_SEGMENT
+    for base in range(0, count, segment):
+        size = min(segment, count - base)
+        flags = bytearray(b"\x01") * size
+        for q, k in strikes:
+            off = k - base if k >= base else (k - base) % q
+            if off < size:
+                flags[off::q] = bytes((size - 1 - off) // q + 1)
+        start = first + base * step
+        yield from compress(range(start, start + size * step, step), flags)
 
 
 def kronecker(a: int, n: int) -> int:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field as dc_field
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .abgroup import FiniteAbelianGroup, group_from_relations, hnf_rows
@@ -30,18 +30,21 @@ from .exactmath import (
 
 @dataclass(frozen=True)
 class QuadField:
+    """Q(sqrt(d)). Equality and hashing look at d alone; D, t and u are
+    computed once per instance (they sit on every arithmetic path)."""
+
     d: int
 
-    @property
+    @cached_property
     def D(self) -> int:
         return self.d if self.d % 4 == 1 else 4 * self.d
 
-    @property
+    @cached_property
     def t(self) -> int:
         # w^2 = t*w + u
         return self.D % 2
 
-    @property
+    @cached_property
     def u(self) -> int:
         return (self.D - self.t) // 4
 
@@ -395,28 +398,32 @@ def _reduce_primitive(field: QuadField, a: int, b: int) -> tuple[int, int, _Mult
             raise ArithmeticError("reduction failed to terminate")
 
 
-def _real_cycle(field: QuadField, a: int, b: int) -> list[tuple[int, int]]:
-    """The rho-cycle of a reduced real ideal, as (a, B_near) pairs."""
-    out = []
+def _class_cycle(
+    field: QuadField, a: int, b: int
+) -> tuple[tuple[int, int], list[tuple[int, int]]]:
+    """Reduce [a, b+w] and walk its cycle of reduced ideals (Cohen, GTM 138,
+    ch. 5). Returns (class key, cycle members as reduced (a, b) pairs), the
+    reduction of the input first. An imaginary class has one reduced ideal,
+    so its cycle is that ideal alone."""
+    a, b, _ = _reduce_primitive(field, a, b)
+    if not field.is_real:
+        return (a, _B_centered(a, 2 * b + field.t)), [(a, b)]
+    members = []
+    keys = []
     a0, b0 = a, b
-    guard = 0
     while True:
-        out.append((a, _B_near_sqrt(field, a, b)))
+        members.append((a, b))
+        keys.append((a, _B_near_sqrt(field, a, b)))
         a, b, _, _ = _rho(field, a, b)
-        guard += 1
         if (a, b) == (a0, b0):
-            return out
-        if guard > 10**6:
+            return min(keys), members
+        if len(members) > 10**6:
             raise ArithmeticError("rho cycle failed to close")
 
 
 def class_key(I: QIdeal) -> tuple[int, int]:
     """Canonical key for the (wide) ideal class of I."""
-    f = I.field
-    a, b, _ = _reduce_primitive(f, I.a, I.b)
-    if f.is_real:
-        return min(_real_cycle(f, a, b))
-    return (a, _B_centered(a, 2 * b + f.t))
+    return _class_cycle(I.field, I.a, I.b)[0]
 
 
 def is_principal_with_generator(I: QIdeal) -> QElt | None:
@@ -443,8 +450,14 @@ def is_principal_with_generator(I: QIdeal) -> QElt | None:
     gen = mult.inverse_elt()
     assert gen is not None, "unit-ideal multiplier must invert integrally"
     gen = gen * I.g
-    assert QIdeal.principal(gen).key() == I.key()
+    assert _generates(I, gen)
     return gen
+
+
+def _generates(I: QIdeal, z: QElt) -> bool:
+    """Whether (z) = I, without building the HNF of (z)."""
+    # (z) inside I has index N((z))/N(I) = |N(z)|/N(I), so equal norms force (z) = I
+    return I.contains(z) and abs(z.norm()) == I.norm()
 
 
 # ---------------------------------------------------------------------------
@@ -871,27 +884,51 @@ class RayClassData:
     residue: ResidueSystem
     ray_table: dict  # class_key -> exponent vector over ideal_gens
     unit_image_order: int
+    # Lookup memos, filled by ambient_vector and dropped with the group.
+    # reduced primitive pair (a, b) -> ray_table vector of its class; a miss
+    # stores every member of the reduced ideal's cycle at once
+    class_vectors: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    # ray_table vector v -> (C_v, correction): C_v = prod conj(P_i)^(v_i) in
+    # ideal_gens order, and the residue dlog of N(C_v) = sum v_i*dlog(N P_i)
+    cofactors: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_ideal(self) -> int:
         return len(self.ideal_gens)
 
     def ambient_vector(self, I: QIdeal) -> tuple[int, ...]:
-        """Exponents over (ideal gens | residue factor gens) for [I]."""
+        """Exponents over (ideal gens | residue factor gens) for [I].
+
+        With v the class vector of [I], I * prod conj(P_i)^(v_i) = (y) is
+        principal, and the residue part is dlog(y) - sum v_i*dlog(N P_i),
+        since P_i * conj(P_i) = (N P_i). Both the class vector (per reduced
+        ideal) and the cofactor with its correction (per v) are memoized;
+        the ideal multiplied out and its generator y are the same as
+        without the memos."""
         if not self.modulus.coprime_to(I):
             raise InputError("ideal is not coprime to the modulus")
-        v = list(self.ray_table[class_key(I)])
-        acc = I
-        for P, e in zip(self.ideal_gens, v):
-            acc = acc * (P.conj() ** e)
-        y = is_principal_with_generator(acc)
+        f = self.field
+        a, b, _ = _reduce_primitive(f, I.a, I.b)
+        v = self.class_vectors.get((a, b))
+        if v is None:
+            key, cycle = _class_cycle(f, a, b)
+            v = self.ray_table[key]
+            self.class_vectors.update(dict.fromkeys(cycle, v))
+        cof = self.cofactors.get(v)
+        if cof is None:
+            C = QIdeal.unit_ideal(f)
+            corr = [0] * len(self.residue.factors)
+            for P, e in zip(self.ideal_gens, v):
+                C = C * (P.conj() ** e)
+                if e:
+                    nrm = self.residue.dlog_int(P.norm())
+                    corr = [c + e * s for c, s in zip(corr, nrm)]
+            cof = self.cofactors[v] = (C, corr)
+        C, corr = cof
+        y = is_principal_with_generator(I * C if any(v) else I)
         assert y is not None, "class vector lookup must leave a principal ideal"
-        res = list(self.residue.dlog(y))
-        for P, e in zip(self.ideal_gens, v):
-            if e:
-                nrm = self.residue.dlog_int(P.norm())
-                res = [r - e * s for r, s in zip(res, nrm)]
-        return tuple(v + res)
+        res = [r - c for r, c in zip(self.residue.dlog(y), corr)]
+        return v + tuple(res)
 
     def dlog(self, I: QIdeal) -> tuple[int, ...]:
         return self.group.dlog_ambient(self.ambient_vector(I))

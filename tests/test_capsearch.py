@@ -230,6 +230,26 @@ class TestSearch:
         parallel = find_principalizing_prime(K, m, (1,), params, jobs=2)
         assert serial.certificate.p == parallel.certificate.p
 
+    @pytest.mark.parametrize(
+        "d,q0,target,n,h,p",
+        [
+            (102, 5, (0, 0), 3, None, 21841),  # hit in the second of three chunks
+            (34, 1, (0,), 1, 0, None),  # no hit: all three chunks run to the end
+        ],
+    )
+    def test_parallel_stats_match_serial(self, d, q0, target, n, h, p):
+        # bound 50000 splits into chunks [3, 20002], [20003, 40002] and
+        # [40003, 50000]; the chunk sums must equal the serial counters
+        K = quadratic_field(d)
+        m = modulus_from_rational(K, q0)
+        params = SearchParams(2, n, h, bound=50000)
+        serial = find_principalizing_prime(K, m, target, params)
+        parallel = find_principalizing_prime(K, m, target, params, jobs=2)
+        assert serial.stats == parallel.stats
+        assert serial.stats["scanned"] > 0
+        got = [res.certificate.p if res.certificate else None for res in (serial, parallel)]
+        assert got == [p, p]
+
 
 class TestEscalation:
     def test_single_attempt_when_found(self):

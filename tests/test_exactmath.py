@@ -1,10 +1,12 @@
 import itertools
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from raycap import exactmath
 from raycap.exactmath import (
     PRIMALITY_LIMIT,
     PolyModP,
@@ -15,6 +17,7 @@ from raycap.exactmath import (
     is_prime,
     kronecker,
     multiplicative_order,
+    primes_1_mod,
     primes_in_progression,
     primes_up_to,
     roots_mod_p,
@@ -109,6 +112,51 @@ class TestPrimesInProgression:
         want = [p for p in brute_primes(2000) if p % 7 == 3]
         got = list(itertools.takewhile(lambda p: p <= 2000, primes_in_progression(3, 7)))
         assert got == want
+
+
+def progression_reference(step, lo, hi):
+    """primes_in_progression (Miller-Rabin on every member) cut to [lo, hi]."""
+    return list(
+        itertools.takewhile(lambda p: p <= hi, primes_in_progression(1, step, start=lo))
+    )
+
+
+class TestProgressionSieve:
+    @given(
+        st.sampled_from([4, 8, 16, 32, 3, 9, 25]),
+        st.integers(-10, 20000),
+        st.integers(-200, 4000),
+        st.sampled_from([1, 2, 7, 64, 1 << 16]),
+    )
+    @example(4, 100, -50, 1 << 16)  # lo > hi
+    @example(8, 17, 0, 1 << 16)  # lo = hi on a prime member
+    @example(4, 41, 400, 7)  # lo on a member, segments of 7 slots
+    @example(4, 2, 995, 1 << 16)  # hi = 997 is a prime member
+    @example(3, 500, 497, 5)  # hi = 997 again, ell = 3
+    @example(3, 1, 9000, 3)  # prime members 7, 13, ..., 79 also sieve
+    def test_matches_progression(self, step, lo, width, segment):
+        hi = lo + width
+        with mock.patch.object(exactmath, "_SIEVE_SEGMENT", segment):
+            got = list(primes_1_mod(step, lo, hi))
+        assert got == progression_reference(step, lo, hi)
+
+    def test_crosses_a_full_segment(self):
+        # first = 5, so the default segment ends after 5 + (2**16 - 1)*4
+        lo, hi = 5, 5 + 4 * (1 << 16) + 2000
+        got = list(primes_1_mod(4, lo, hi))
+        assert got == progression_reference(4, lo, hi)
+        edge = 5 + 4 * (1 << 16)
+        assert any(p < edge for p in got) and any(p >= edge for p in got)
+
+    def test_high_window_is_cheap(self):
+        # a window near 10**8 sieves with the 1229 primes below 10**4 and
+        # one short segment; the reference tests each member
+        lo, hi = 10**8 - 3000, 10**8
+        assert list(primes_1_mod(8, lo, hi)) == progression_reference(8, lo, hi)
+
+    def test_rejects_bad_modulus(self):
+        with pytest.raises(ValueError):
+            list(primes_1_mod(0, 1, 100))
 
 
 class TestKronecker:

@@ -5,6 +5,7 @@ Class numbers are checked against an independent reduced-forms enumeration
 machinery is trusted twice.
 """
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from raycap.quadfield import (
     QIdeal,
     _candidate_primes,
     _coset_closure,
+    _generates,
     aug_unit_mod_m,
     class_group,
     class_key,
@@ -353,6 +355,41 @@ class TestPrincipality:
         assert is_principal_with_generator(P) is None
         assert is_principal_with_generator(P * P) is not None
 
+    @given(
+        st.sampled_from([-5, -23, -14, 2, 10, 34, 79]),
+        st.sampled_from([(), (3,), (3, 3), (3, 7), (7, 11)]),
+        st.integers(-20, 20),
+        st.integers(-20, 20),
+        st.sampled_from(["gen", "unit_gen", "twice", "times_P", "element"]),
+    )
+    def test_generator_check_matches_hnf(self, d, rational, r, s, kind):
+        # _generates(I, z) must say exactly what the HNF comparison
+        # (z) == I says, on generators and on elements that are not
+        K = quadratic_field(d)
+        I = QIdeal.unit_ideal(K)
+        for p in rational:
+            I = I * next(P for P, _, _ in factor_prime(K, p)[1])
+        x1, x2 = I.gen_pair()
+        elt = x1 * r + x2 * s  # a random element of I
+        gen = is_principal_with_generator(I)
+        P = factor_prime(K, 5)[1][0][0]
+        p1, p2 = P.gen_pair()
+        if kind == "element" or gen is None:
+            z = elt
+        elif kind == "gen":
+            z = gen
+        elif kind == "unit_gen":
+            z = gen * unit_gens(K)[-1]
+        elif kind == "twice":
+            z = gen * 2
+        else:  # an element of I*P
+            z = gen * (p1 * r + p2 * s)
+        if z.is_zero():
+            return
+        assert _generates(I, z) == (QIdeal.principal(z).key() == I.key())
+        if kind in ("gen", "unit_gen") and gen is not None:
+            assert _generates(I, z)
+
 
 class TestModuli:
     def test_rational_modulus(self):
@@ -469,6 +506,57 @@ class TestRayClassGroups:
         assert ray.is_ray_principal(P) is None
         g = ray.is_ray_principal(P * P)
         assert g is not None
+
+
+def reference_ambient_vector(ray, I):
+    """RayClassData.ambient_vector without its memos: a class_key table
+    lookup, then the cofactor built from explicit conj(P)**e products."""
+    v = list(ray.ray_table[class_key(I)])
+    acc = I
+    for P, e in zip(ray.ideal_gens, v):
+        acc = acc * (P.conj() ** e)
+    y = is_principal_with_generator(acc)
+    res = list(ray.residue.dlog(y))
+    for P, e in zip(ray.ideal_gens, v):
+        if e:
+            nrm = ray.residue.dlog_int(P.norm())
+            res = [r - e * c for r, c in zip(res, nrm)]
+    return tuple(v + res)
+
+
+def query_ideals(K, m, count):
+    """Primes of degree one away from D and m, products of two, and a scaled
+    copy, so several queries share a class (and, in real fields, a cycle)."""
+    bad = abs(K.D) * m
+    primes = []
+    for p in range(3, 400):
+        if len(primes) == count or math.gcd(p, bad) > 1 or kronecker(K.D, p) != 1:
+            continue
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            primes.extend(P for P, _, _ in factor_prime(K, p)[1])
+    out = primes + [P * Q for P, Q in zip(primes, primes[3:])]
+    return out + [primes[0].scale(2)]
+
+
+@pytest.mark.parametrize(
+    "d,m", [(34, 1), (34, 7), (79, 1), (79, 5), (-5, 1), (-5, 7), (-23, 1),
+            (-14, 11), (142, 1), (142, 3)]
+)
+def test_memoized_ambient_vector_matches_reference(d, m):
+    K = quadratic_field(d)
+    ideals = query_ideals(K, m, 12)
+    rng = random.Random(d * 1000 + m)
+    cold = ray_class_group.__wrapped__(K, modulus_from_rational(K, m))
+    assert cold.cl.h > 1 and not cold.class_vectors and not cold.cofactors
+    want = {I: reference_ambient_vector(cold, I) for I in ideals}
+    for _ in range(2):  # the first pass starts cold, the second is warm
+        rng.shuffle(ideals)
+        for I in ideals:
+            assert cold.ambient_vector(I) == want[I]
+            assert cold.dlog(I) == cold.group.dlog_ambient(want[I])
+    assert cold.class_vectors and cold.cofactors
+    if K.is_real:  # a miss stores whole cycles, not just the reduced ideal
+        assert len(cold.class_vectors) > len({class_key(I) for I in ideals})
 
 
 class TestAugUnit:
