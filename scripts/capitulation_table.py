@@ -17,6 +17,9 @@ import sys
 
 from raycap.biquad import verify_certificate
 from raycap.capsearch import SearchParams, search_with_escalation
+from raycap.cli import _resolve_target
+from raycap.errors import InputError
+from raycap.exactmath import squarefree_part
 from raycap.quadfield import (
     Modulus,
     modulus_from_rational,
@@ -26,21 +29,11 @@ from raycap.quadfield import (
 from raycap.report import canonical_json, stamp
 
 
-def _squarefree(n: int) -> bool:
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return True
-
-
 def order_two_target(ray) -> tuple[int, ...] | None:
-    inv = ray.group.invariants
-    for i in range(len(inv) - 1, -1, -1):
-        if inv[i] % 2 == 0:
-            return tuple((inv[i] // 2 if j == i else 0) for j in range(len(inv)))
-    return None
+    try:
+        return _resolve_target("auto-2", ray)
+    except InputError:
+        return None
 
 
 def run_case(d: int, mod: int, bound: int, n: int, n_max: int) -> dict | None:
@@ -89,7 +82,7 @@ def main(argv=None) -> int:
 
     rows = []
     for d in range(2, args.dmax + 1):
-        if not _squarefree(d):
+        if squarefree_part(d) != d:
             continue
         row = run_case(d, args.mod, args.bound, args.n, args.n_max)
         if row is not None:

@@ -23,29 +23,29 @@ from functools import lru_cache
 from raycap.abgroup import FiniteAbelianGroup, group_from_relations, kernel_left
 from raycap.biquad import (
     BiquadField,
-    LResidueSystem,
     class_number,
     embed,
     extend_ideal,
     extend_modulus,
     intersect_subfield,
     is_principal,
+    l_residue_system,
     primes_above,
     unit_group,
 )
 from raycap.errors import BudgetError, InputError
-from raycap.exactmath import factor, is_prime
+from raycap.exactmath import crt, factor, is_prime, squarefree_part
 from raycap.quadfield import (
     Modulus,
     QElt,
     QuadField,
     QIdeal,
-    ResidueSystem,
     _primitive_root,
     factor_prime,
     fundamental_unit,
     modulus_from_rational,
     ray_class_group,
+    residue_system,
     unit_gens,
 )
 
@@ -94,29 +94,13 @@ def _rational_ray_data(m: int) -> tuple[FiniteAbelianGroup, tuple[int, ...]]:
     orders = [o for _, o, _, _ in local]
     minus = [e for _, _, e, _ in local]
     lifted = [
-        g % m if m == q else _crt(g, q, 1, m // q) for g, _, _, q in local
+        g % m if m == q else crt((g, 1), (q, m // q))[0] for g, _, _, q in local
     ]
     n = len(local)
     rows = [[orders[i] if j == i else 0 for j in range(n)] for i in range(n)]
     rows.append(list(minus))
     group = group_from_relations(rows, tuple(f"g{i}" for i in range(n)))
     return group, tuple(lifted)
-
-
-def _crt(a: int, m1: int, b: int, m2: int) -> int:
-    g, x = _egcd(m1, m2)
-    assert g == 1
-    return (a + (b - a) * x % m2 * m1) % (m1 * m2)
-
-
-def _egcd(a: int, b: int) -> tuple[int, int]:
-    """(gcd, inverse of a mod b) for coprime a, b."""
-    r0, r1, s0, s1 = a, b, 1, 0
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    return r0, s0 % b
 
 
 @lru_cache(maxsize=None)
@@ -138,25 +122,8 @@ def rayclass_Q_generators(m: int) -> tuple[int, ...]:
 # exact discrete logs in real quadratic unit groups
 
 
-def _sign_root_comb(s1: int, s2: int, D: int) -> int:
-    """Exact sign of s1 + s2*sqrt(D) for nonsquare D > 0."""
-    if s1 >= 0 and s2 >= 0:
-        return 1 if (s1 or s2) else 0
-    if s1 <= 0 and s2 <= 0:
-        return -1 if (s1 or s2) else 0
-    big = s1 * s1 > D * s2 * s2
-    if s1 > 0:
-        return 1 if big else -1
-    return -1 if big else 1
-
-
-def _embed_sign(z: QElt) -> int:
-    # sign at the embedding sending omega to (t + sqrt(D))/2
-    return _sign_root_comb(2 * z.x + z.y * z.field.t, z.y, z.field.D)
-
-
 def _embed_ge(a: QElt, b: QElt) -> bool:
-    return _embed_sign(a - b) >= 0
+    return (a - b).sign_real() >= 0
 
 
 def unit_dlog(field: QuadField, w: QElt) -> tuple[int, int]:
@@ -178,13 +145,13 @@ def unit_dlog(field: QuadField, w: QElt) -> tuple[int, int]:
         return 1, 0
     eps = fundamental_unit(field)
     s = 0
-    if _embed_sign(w) < 0:
+    if w.sign_real() < 0:
         s, w = 1, -w
     inv = False
     if not _embed_ge(w, one):  # 0 < w < 1: flip to w^-1 = conj(w)*N(w)
         inv = True
         w = w.conj() * w.norm()
-        if _embed_sign(w) < 0:
+        if w.sign_real() < 0:
             w = -w  # N(w) = -1 flips the sign back
             s ^= 1
     # binary ladder: largest power of eps not exceeding w, then descend
@@ -230,7 +197,7 @@ def _unit_sublattice_mod(field: QuadField, m: Modulus) -> list[list[int]]:
     ug = unit_gens(field)
     if not m.primes:
         return [[1 if j == i else 0 for j in range(len(ug))] for i in range(len(ug))]
-    res = ResidueSystem(field, m)
+    res = residue_system(field, m)
     G = res.group()
     gvecs = [G.dlog_ambient(res.dlog(u)) for u in ug]
     return _kernel_exponents(gvecs, G)
@@ -272,7 +239,7 @@ def _norm_index_biquad(L: BiquadField, K: QuadField, m: Modulus) -> int:
     if not m_L:
         lattice = [[1 if c == i else 0 for c in range(4)] for i in range(4)]
     else:
-        R = LResidueSystem(m_L)
+        R = l_residue_system(m_L)
         G = R.group()
         gvecs = [G.dlog_ambient(R.dlog(u)) for u in lgens]
         lattice = _kernel_exponents(gvecs, G)
@@ -461,7 +428,7 @@ def _direct_biquad(L: BiquadField, K: QuadField, m: Modulus) -> int:
             "direct ambiguous count needs a principal biquadratic field"
         )
     m_L = extend_modulus(L, m)
-    R = LResidueSystem(m_L)
+    R = l_residue_system(m_L)
     k = len(R.factors)
     rows = [[R.orders[i] if c == i else 0 for c in range(k)] for i in range(k)]
     for u in [-L.one()] + list(unit_group(L).units):
@@ -573,14 +540,10 @@ def fundamental_field_params(disc_bound: int) -> list[int]:
     by |disc| then sign."""
     out = []
     for d in range(-disc_bound, disc_bound + 1):
-        if d in (0, 1) or not _squarefree(d):
+        if d in (0, 1) or squarefree_part(d) != d:
             continue
         D = d if d % 4 == 1 else 4 * d
         if abs(D) <= disc_bound:
             out.append((abs(D), -(D > 0), d))
     return [d for _, _, d in sorted(out)]
 
-
-def _squarefree(n: int) -> bool:
-    n = abs(n)
-    return all(k == 1 for k in factor(n).values()) if n > 1 else n == 1

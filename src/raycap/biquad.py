@@ -12,18 +12,19 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import product
 
-from .abgroup import group_from_relations, hnf_rows, kernel_left, solve_left
+from .abgroup import hnf_rows, kernel_left, solve_left
 from .errors import InputError
-from .exactmath import factor, is_prime, kronecker, roots_mod_p
+from .exactmath import factor, is_prime, kronecker, power, roots_mod_p
 from .quadfield import (
     Modulus,
     QElt,
     QIdeal,
     QuadField,
-    _dlog_bsgs,
+    ResidueFactor,
+    ResidueSystem,
     _Fp2,
     _ideal_from_rows,
-    _primitive_root,
+    adjust_by_units,
     factor_prime,
     fundamental_unit,
     is_principal_with_generator,
@@ -117,15 +118,7 @@ class BqElt:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "BqElt":
-        assert k >= 0
-        out = self.L.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.L.one())
 
     def tau(self, j: int) -> "BqElt":
         """The involution fixing k_j."""
@@ -261,15 +254,7 @@ class BqIdeal:
         return BqIdeal(self.L, tuple(tuple(r) for r in h))
 
     def __pow__(self, k: int) -> "BqIdeal":
-        assert k >= 0
-        out = BqIdeal.unit_ideal(self.L)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, BqIdeal.unit_ideal(self.L))
 
     def scale(self, n: int) -> "BqIdeal":
         assert n > 0
@@ -594,121 +579,51 @@ def is_principal(I: BqIdeal) -> BqElt | None:
 # residues mod an extended modulus, for the congruence condition on generators
 
 
-class _LResidueFactor:
+def _scan_root(Q: BqIdeal, j: int, p: int) -> int:
+    """The image of w_j in O_L/Q, for a w_j whose minimal polynomial splits mod p."""
+    L = Q.L
+    k = (L.k1, L.k2, L.k3)[j - 1]
+    w = _w_elt(L, j)
+    for x in roots_mod_p(_minpoly(k), p):
+        if Q.contains(w - BqElt(L, x, 0, 0, 0)):
+            return x
+    raise AssertionError("no residue image found for a subfield generator")
+
+
+def _residue_factor(Q: BqIdeal) -> ResidueFactor:
     """(O_L/Q)^* for one unramified-over-m prime Q; residue field F_p or
     F_{p^2} presented through whichever of w1, w2 stays irreducible."""
-
-    def __init__(self, Q: BqIdeal):
-        self.Q = Q
-        L = Q.L
-        norm = Q.norm()
-        p0 = min(factor(norm))
-        self.p = p0
-        self.f = 1 if norm == p0 else 2
-        assert norm == p0**self.f
-        chis = tuple(kronecker(k.D, p0) for k in (L.k1, L.k2, L.k3))
-        if self.f == 1:
-            x1 = self._scan_root(L, 1, p0)
-            x2 = self._scan_root(L, 2, p0)
-            self.im1, self.im2 = x1, x2
-            self.order = p0 - 1
-            self.gen = _primitive_root(p0)
+    L = Q.L
+    norm = Q.norm()
+    p = min(factor(norm))
+    if norm == p:
+        im1, im2 = _scan_root(Q, 1, p), _scan_root(Q, 2, p)
+        return ResidueFactor(p, 1, None, (1, im1, im2, im1 * im2 % p))
+    assert norm == p * p
+    chis = tuple(kronecker(k.D, p) for k in (L.k1, L.k2, L.k3))
+    if chis[0] == -1:
+        tu = (L.k1.t, L.k1.u)
+        im1 = (0, 1)
+        if chis[1] >= 0:
+            im2 = (_scan_root(Q, 2, p), 0)
         else:
-            if chis[0] == -1:
-                self.fp2 = _Fp2(p0, L.k1.t, L.k1.u)
-                self.im1 = (0, 1)
-                if chis[1] >= 0:
-                    self.im2 = (self._scan_root(L, 2, p0), 0)
-                else:
-                    # both w1 and w2 inert: w3 has an integer image, and
-                    # w2 = (w3 - t1 + w1) / (2 w1 - t1)
-                    x3 = self._scan_root(L, 3, p0)
-                    t1 = L.k1.t
-                    num = self._add((x3 - t1, 0), self.im1)
-                    den = self._add((-t1 % p0, 0), self.fp2.mul((2, 0), self.im1))
-                    self.im2 = self.fp2.mul(num, self._inv(den))
-            else:
-                assert chis[1] == -1, "a degree-2 prime needs an inert generator"
-                self.fp2 = _Fp2(p0, L.k2.t, L.k2.u)
-                self.im2 = (0, 1)
-                self.im1 = (self._scan_root(L, 1, p0), 0)
-            self.order = p0 * p0 - 1
-            self.gen = self._find_generator()
-
-    def _scan_root(self, L: BiquadField, j: int, p0: int) -> int:
-        k = (L.k1, L.k2, L.k3)[j - 1]
-        w = _w_elt(L, j)
-        for x in roots_mod_p(_minpoly(k), p0):
-            if self.Q.contains(w - BqElt(L, x, 0, 0, 0)):
-                return x
-        raise AssertionError("no residue image found for a subfield generator")
-
-    def _add(self, A, B):
-        p = self.p
-        return ((A[0] + B[0]) % p, (A[1] + B[1]) % p)
-
-    def _inv(self, A):
-        return self.fp2.pow(A, self.p * self.p - 2)
-
-    def _find_generator(self):
-        fs = list(factor(self.order))
-        cand_b = 1
-        while True:
-            for a in range(self.p):
-                g = (a, cand_b)
-                if all(self.fp2.pow(g, self.order // f) != (1, 0) for f in fs):
-                    return g
-            cand_b += 1
-            assert cand_b < self.p
-
-    def residue(self, z: BqElt):
-        p = self.p
-        a, b, c, e = z.coords()
-        if self.f == 1:
-            return (a + b * self.im1 + c * self.im2 + e * self.im1 * self.im2) % p
-        m = self.fp2.mul
-        v = ((a % p), 0)
-        v = self._add(v, m((b % p, 0), self.im1))
-        v = self._add(v, m((c % p, 0), self.im2))
-        v = self._add(v, m((e % p, 0), m(self.im1, self.im2)))
-        return v
-
-    def is_unit_residue(self, z: BqElt) -> bool:
-        r = self.residue(z)
-        return r != 0 if self.f == 1 else r != (0, 0)
-
-    def dlog(self, z: BqElt) -> int:
-        r = self.residue(z)
-        if self.f == 1:
-            out = _dlog_bsgs(
-                lambda x, y: x * y % self.p, 1, self.gen, r, self.order
-            )
-        else:
-            out = _dlog_bsgs(self.fp2.mul, (1, 0), self.gen, r, self.order)
-        if out is None:
-            raise ValueError("element is not coprime to the modulus")
-        return out
+            # both w1 and w2 inert: w3 has an integer image, and
+            # w2 = (w3 - t1 + w1) / (2 w1 - t1)
+            fp2 = _Fp2(p, *tu)
+            t1 = L.k1.t
+            num = ((_scan_root(Q, 3, p) - t1) % p, 1)
+            den = (-t1 % p, 2 % p)
+            im2 = fp2.mul(num, power(den, p * p - 2, (1, 0), fp2.mul))
+    else:
+        assert chis[1] == -1, "a degree-2 prime needs an inert generator"
+        tu = (L.k2.t, L.k2.u)
+        im1, im2 = (_scan_root(Q, 1, p), 0), (0, 1)
+    return ResidueFactor(p, 2, tu, ((1, 0), im1, im2, _Fp2(p, *tu).mul(im1, im2)))
 
 
-class LResidueSystem:
+def l_residue_system(primes: tuple[BqIdeal, ...]) -> ResidueSystem:
     """(O_L/m_L)^* as a product of cyclic factors, one per prime."""
-
-    def __init__(self, primes: tuple[BqIdeal, ...]):
-        self.factors = [_LResidueFactor(Q) for Q in primes]
-        self.orders = tuple(f.order for f in self.factors)
-
-    def dlog(self, z: BqElt) -> tuple[int, ...]:
-        return tuple(f.dlog(z) for f in self.factors)
-
-    def is_unit(self, z: BqElt) -> bool:
-        return all(f.is_unit_residue(z) for f in self.factors)
-
-    def group(self):
-        rows = [
-            [self.orders[i] if i == j else 0 for j in range(len(self.orders))]
-            for i in range(len(self.orders))
-        ]
-        return group_from_relations(rows, tuple(f"r{i}" for i in range(len(rows))))
+    return ResidueSystem([_residue_factor(Q) for Q in primes])
 
 
 def adjust_to_congruence(
@@ -718,23 +633,8 @@ def adjust_to_congruence(
     unit image reaches the needed residue class."""
     if not primes:
         return gen
-    L = gen.L
-    res = LResidueSystem(primes)
-    group = res.group()
-    ug = [-L.one()] + list(unit_group(L).units)
-    gvecs = [group.dlog_ambient(res.dlog(u)) for u in ug]
-    target = group.dlog_ambient(
-        [(-r) % o for r, o in zip(res.dlog(gen), res.orders)]
-    )
-    coeffs = group.express(gvecs, target)
-    if coeffs is None:
-        return None
-    out = gen
-    for u, c in zip(ug, coeffs):
-        order = group.element_order(group.dlog_ambient(res.dlog(u)))
-        out = out * u ** (c % order)
-    assert all(f.dlog(out) == 0 for f in res.factors)
-    return out
+    units = [-gen.L.one()] + list(unit_group(gen.L).units)
+    return adjust_by_units(gen, l_residue_system(primes), units)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ that range are rejected instead of being answered probabilistically.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -277,6 +278,20 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return x
 
 
+def power(x, e: int, one, mul=operator.mul):
+    """x**e by square-and-multiply: out*x on each set bit of e, from the
+    lowest, then x*x. `one` is the identity of `mul`."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        x = mul(x, x)
+        e >>= 1
+    return out
+
+
 def crt(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:
     """Solve x ≡ r_i (mod m_i) for pairwise coprime moduli.
     Returns (x, M) with 0 <= x < M = prod(m_i)."""
@@ -413,14 +428,9 @@ class PolyModP:
         return a.monic()
 
     def pow_mod(self, e: int, modulus: "PolyModP") -> "PolyModP":
-        base = self % modulus
-        out = PolyModP((1,), self.p)
-        while e:
-            if e & 1:
-                out = (out * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
-        return out
+        return power(
+            self % modulus, e, PolyModP((1,), self.p), lambda a, b: (a * b) % modulus
+        )
 
     def derivative(self) -> "PolyModP":
         return PolyModP(

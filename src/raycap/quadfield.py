@@ -9,6 +9,7 @@ rho-cycles, the imaginary case lands on the unique reduced form.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
@@ -21,6 +22,7 @@ from .exactmath import (
     factor,
     is_prime,
     kronecker,
+    power,
     primes_in_progression,
     primes_up_to,
     roots_mod_p,
@@ -131,7 +133,7 @@ class QElt:
         """Sign under x + y*w -> x + y*(t + sqrt(d))/2, real fields only."""
         if not self.field.is_real:
             raise ValueError("sign is only defined for real fields")
-        return _sign_plus_root(2 * self.x + self.y * self.field.t, self.y, self.field.d)
+        return _sign_plus_root(2 * self.x + self.y * self.field.t, self.y, self.field.D)
 
     def __gt__(self, o: "QElt") -> bool:
         return (self - o).sign_real() > 0
@@ -147,16 +149,10 @@ class QElt:
         return QElt(self.field, w.x // n, w.y // n)
 
     def __pow__(self, e: int) -> "QElt":
-        if e < 0:
-            raise ValueError("negative powers leave O_K")
-        out = QElt(self.field, 1, 0)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, QElt(self.field, 1, 0))
+
+    def coords(self) -> tuple[int, int]:
+        return (self.x, self.y)
 
     def __repr__(self) -> str:
         return f"({self.x} + {self.y}*w | d={self.field.d})"
@@ -221,16 +217,7 @@ class QIdeal:
         return QIdeal(self.field, self.g * n, self.a, self.b)
 
     def __pow__(self, e: int) -> "QIdeal":
-        if e < 0:
-            raise ValueError("negative ideal powers not supported")
-        out = QIdeal.unit_ideal(self.field)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, QIdeal.unit_ideal(self.field))
 
     def contains(self, z: QElt) -> bool:
         if z.x % self.g or z.y % self.g:
@@ -685,7 +672,7 @@ def modulus_from_rational(field: QuadField, m: int) -> Modulus:
 
 
 class _Fp2:
-    """Tiny F_{p^2} = F_p[w]/(w^2 - t w - u) helper for inert residue fields."""
+    """F_{p^2} = F_p[w]/(w^2 - t w - u); an element x + y*w is the pair (x, y)."""
 
     def __init__(self, p: int, t: int, u: int):
         self.p, self.t, self.u = p, t % p, u % p
@@ -696,17 +683,10 @@ class _Fp2:
         be = b * e
         return ((a * c + be * u) % p, (a * e + b * c + be * t) % p)
 
-    def pow(self, A, k):
-        out = (1, 0)
-        while k:
-            if k & 1:
-                out = self.mul(out, A)
-            A = self.mul(A, A)
-            k >>= 1
-        return out
-
 
 def _dlog_bsgs(mul, ident, base, target, order: int) -> int | None:
+    if order == 1:
+        return 0 if target == ident else None
     m = math.isqrt(order) + 1
     table = {}
     cur = ident
@@ -714,14 +694,7 @@ def _dlog_bsgs(mul, ident, base, target, order: int) -> int | None:
         table.setdefault(cur, j)
         cur = mul(cur, base)
     # giant^-1 = base^(order - m) since base^order = ident
-    ginv = ident
-    b = base
-    k = order - m
-    while k:
-        if k & 1:
-            ginv = mul(ginv, b)
-        b = mul(b, b)
-        k >>= 1
+    ginv = power(base, order - m, ident, mul)
     cur = target
     for i in range(m + 1):
         if cur in table:
@@ -743,90 +716,95 @@ def _primitive_root(p: int) -> int:
 
 
 class ResidueFactor:
-    """One cyclic factor of (O/m)^*, for a single prime ideal q."""
+    """(O/Q)^* for one prime Q of K or of L, as a cyclic group with a
+    generator and discrete logs.
 
-    def __init__(self, field: QuadField, q: QIdeal):
-        self.field = field
-        self.q = q
-        if q.g == 1:
-            self.p = q.a
-            self.f = 1
-            self.order = self.p - 1
-            self.gen_residue = _primitive_root(self.p) % self.p
+    The residue field is F_p (f = 1; residues are ints, tu is None) or
+    F_{p^2} presented as F_p[w]/(w^2 - t*w - u) with (t, u) = tu (f = 2;
+    residues are pairs (x, y) for x + y*w). `images` are the residues of the
+    ring's integral basis, in the order of `coords()`, so an element's
+    residue is the combination of its coordinates with them."""
+
+    def __init__(
+        self, p: int, f: int, tu: tuple[int, int] | None, images: Sequence
+    ):
+        self.p, self.f, self.images = p, f, tuple(images)
+        if f == 1:
+            self.order, self.one, self.zero = p - 1, 1, 0
+            self.mul = lambda A, B: A * B % p
+            self.gen = _primitive_root(p) % p
         else:
-            self.p = q.g
-            self.f = 2
-            self.order = self.p * self.p - 1
-            self.fp2 = _Fp2(self.p, field.t, field.u)
-            self.gen_residue = self._find_generator()
+            self.order, self.one, self.zero = p * p - 1, (1, 0), (0, 0)
+            self.mul = _Fp2(p, *tu).mul
+            self._columns = tuple(zip(*self.images))
+            self.gen = self._find_generator()
 
     def _find_generator(self):
         fs = list(factor(self.order))
-        for ypart in range(1, self.p):
-            for xpart in range(self.p):
-                cand = (xpart, ypart)
+        for y in range(1, self.p):
+            for x in range(self.p):
+                cand = (x, y)
                 if all(
-                    self.fp2.pow(cand, self.order // r) != (1, 0) for r in fs
+                    power(cand, self.order // r, self.one, self.mul) != self.one
+                    for r in fs
                 ):
                     return cand
         raise ArithmeticError("no generator found in F_p^2")
 
-    def residue(self, z: QElt):
+    def residue(self, z):
+        p, c = self.p, z.coords()
         if self.f == 1:
-            return (z.x - z.y * self.q.b) % self.p
-        return (z.x % self.p, z.y % self.p)
+            return sum(map(operator.mul, c, self.images)) % p
+        xs, ys = self._columns
+        return (
+            sum(map(operator.mul, c, xs)) % p, sum(map(operator.mul, c, ys)) % p
+        )
 
-    def is_unit_residue(self, z: QElt) -> bool:
+    def is_unit_residue(self, z) -> bool:
+        return self.residue(z) != self.zero
+
+    def dlog(self, z) -> int:
         r = self.residue(z)
-        return r != 0 if self.f == 1 else r != (0, 0)
+        if r != self.zero:
+            out = _dlog_bsgs(self.mul, self.one, self.gen, r, self.order)
+            if out is not None:
+                return out
+        raise ValueError("element is not coprime to the modulus")
 
-    def dlog(self, z: QElt) -> int:
-        r = self.residue(z)
-        if self.f == 1:
-            if r == 0:
-                raise ValueError("element is not coprime to the modulus")
-            if self.order == 1:
-                return 0
-            out = _dlog_bsgs(
-                lambda A, B: A * B % self.p, 1, self.gen_residue, r, self.order
-            )
-        else:
-            if r == (0, 0):
-                raise ValueError("element is not coprime to the modulus")
-            out = _dlog_bsgs(self.fp2.mul, (1, 0), self.gen_residue, r, self.order)
-        if out is None:
-            raise ValueError("element is not coprime to the modulus")
-        return out
+    def lift_power(self, k: int):
+        """The residue gen^k."""
+        return power(self.gen, k, self.one, self.mul)
 
-    def lift_power(self, k: int) -> tuple[int, int]:
-        """Coordinates (x, y) of a lift of gen^k to O_K, reduced mod p."""
-        if self.f == 1:
-            v = pow(self.gen_residue, k, self.p)
-            # pick x with x - y*b = v, y = 0
-            return (v % self.p, 0)
-        xy = self.fp2.pow(self.gen_residue, k)
-        return xy
+
+def _residue_factor(field: QuadField, q: QIdeal) -> ResidueFactor:
+    """(O_K/q)^*: w maps to -b in F_p when q = [p, b + w], and to itself in
+    F_{p^2} = O_K/(p) when p is inert."""
+    if q.g == 1:
+        return ResidueFactor(q.a, 1, None, (1, -q.b % q.a))
+    return ResidueFactor(q.g, 2, (field.t, field.u), ((1, 0), (0, 1)))
 
 
 class ResidueSystem:
-    """(O/m)^* as a product of cyclic factors with discrete logs."""
+    """(O/m)^* as a product of cyclic factors with discrete logs. `field` is
+    set for a modulus of K, where dlog_int and crt_lift build elements."""
 
-    def __init__(self, field: QuadField, modulus: Modulus):
+    def __init__(
+        self, factors: Sequence[ResidueFactor], field: QuadField | None = None
+    ):
         self.field = field
-        self.modulus = modulus
-        self.factors = [ResidueFactor(field, q) for q in modulus.primes]
+        self.factors = list(factors)
         self.orders = tuple(f.order for f in self.factors)
 
     def order(self) -> int:
         return math.prod(self.orders)
 
-    def dlog(self, z: QElt) -> tuple[int, ...]:
+    def dlog(self, z) -> tuple[int, ...]:
         return tuple(f.dlog(z) for f in self.factors)
 
     def dlog_int(self, n: int) -> tuple[int, ...]:
         return self.dlog(QElt(self.field, n, 0))
 
-    def is_unit(self, z: QElt) -> bool:
+    def is_unit(self, z) -> bool:
         return all(f.is_unit_residue(z) for f in self.factors)
 
     def group(self) -> FiniteAbelianGroup:
@@ -840,24 +818,19 @@ class ResidueSystem:
         """An element of O_K congruent to gen_i^exps[i] at factor i, for all i."""
         by_p: dict[int, list[tuple[ResidueFactor, int]]] = {}
         for f, e in zip(self.factors, exps, strict=True):
-            by_p.setdefault(f.p, []).append((f, e))
+            by_p.setdefault(f.p, []).append((f, f.lift_power(e)))
         xs, ys, mods = [], [], []
         for p, items in sorted(by_p.items()):
             if items[0][0].f == 2:
-                (f, e), = items
-                x, y = f.lift_power(e)
+                (_, (x, y)), = items
             elif len(items) == 1:
-                f, e = items[0]
-                v = pow(f.gen_residue, e, p)
-                x, y = v, 0
+                x, y = items[0][1], 0
             else:
-                (f1, e1), (f2, e2) = items
-                v1 = pow(f1.gen_residue, e1, p)
-                v2 = pow(f2.gen_residue, e2, p)
-                b1, b2 = f1.q.b, f2.q.b
-                inv = pow(b2 - b1, -1, p)
-                y = (v1 - v2) * inv % p
-                x = (v1 + y * b1) % p
+                # two split primes over p: x + y*w1 = v1 and x + y*w2 = v2
+                (f1, v1), (f2, v2) = items
+                w1, w2 = f1.images[1], f2.images[1]
+                y = (v1 - v2) * pow(w1 - w2, -1, p) % p
+                x = (v1 - y * w1) % p
             xs.append(x)
             ys.append(y)
             mods.append(p)
@@ -868,6 +841,31 @@ class ResidueSystem:
         z = QElt(self.field, x, y)
         assert self.is_unit(z)
         return z
+
+
+def residue_system(field: QuadField, modulus: Modulus) -> ResidueSystem:
+    return ResidueSystem([_residue_factor(field, q) for q in modulus.primes], field)
+
+
+def adjust_by_units(y, residue: ResidueSystem, units: Sequence):
+    """y * prod u_i^c_i with residue 1 at every factor, or None when the
+    unit images cannot reach the class of 1/y. Each c_i is reduced mod the
+    order of u_i's image."""
+    if not residue.factors:
+        return y
+    group = residue.group()
+    uvecs = [group.dlog_ambient(residue.dlog(u)) for u in units]
+    target = group.dlog_ambient(
+        [(-r) % o for r, o in zip(residue.dlog(y), residue.orders)]
+    )
+    coeffs = group.express(uvecs, target)
+    if coeffs is None:
+        return None
+    out = y
+    for u, v, c in zip(units, uvecs, coeffs):
+        out = out * u ** (c % group.element_order(v))
+    assert not any(residue.dlog(out))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -947,29 +945,9 @@ class RayClassData:
         assert not any(v)
         y = is_principal_with_generator(I)
         assert y is not None
-        # adjust y by a unit to reach residue 1
-        if self.modulus.is_trivial():
-            return y
-        res_group = self.residue.group()
-        ug = unit_gens(self.field)
-        gvecs = [res_group.dlog_ambient(self.residue.dlog(u)) for u in ug]
-        target = res_group.dlog_ambient(
-            [(-r) % o for r, o in zip(self.residue.dlog(y), self.residue.orders)]
-        )
-        coeffs = res_group.express(gvecs, target)
-        if coeffs is None:
-            return None
-        out = y
-        for u, c in zip(ug, coeffs):
-            out = out * (u ** (c % _unit_residue_order(self, u)))
-        assert all(f.dlog(out) == 0 for f in self.residue.factors)
-        assert QIdeal.principal(out).key() == I.key()
+        out = adjust_by_units(y, self.residue, unit_gens(self.field))
+        assert out is None or QIdeal.principal(out).key() == I.key()
         return out
-
-
-def _unit_residue_order(ray: RayClassData, u: QElt) -> int:
-    res_group = ray.residue.group()
-    return res_group.element_order(res_group.dlog_ambient(ray.residue.dlog(u)))
 
 
 def _ray_ideal_gens(field: QuadField, modulus: Modulus, cl: ClassGroupData):
@@ -999,7 +977,7 @@ def ray_class_group(field: QuadField, modulus: Modulus) -> RayClassData:
     """Cl^m_K presented over prime-ideal generators and residue generators."""
     cl = class_group(field)
     ideal_gens, table, cl_relations = _ray_ideal_gens(field, modulus, cl)
-    residue = ResidueSystem(field, modulus)
+    residue = residue_system(field, modulus)
     r, s = len(ideal_gens), len(residue.factors)
     labels = tuple(f"P{i}" for i in range(r)) + tuple(f"U{i}" for i in range(s))
     rows: list[list[int]] = []
@@ -1046,7 +1024,7 @@ def aug_unit_data(field: QuadField, modulus: Modulus) -> tuple[QElt, int]:
     base = u**k0
     if modulus.is_trivial():
         return base, k0
-    residue = ResidueSystem(field, modulus)
+    residue = residue_system(field, modulus)
     res_group = residue.group()
     e = res_group.element_order(res_group.dlog_ambient(residue.dlog(base)))
     return base**e, k0 * e

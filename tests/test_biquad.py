@@ -21,7 +21,7 @@ from raycap.biquad import (
     extend_modulus,
     intersect_subfield,
     is_principal,
-    LResidueSystem,
+    l_residue_system,
     primes_above,
     relative_norm_ideal,
     sqrt_in_biquad,
@@ -31,16 +31,18 @@ from raycap.biquad import (
 )
 from raycap.capsearch import find_principalizing_prime
 from raycap.errors import InputError
-from raycap.exactmath import is_prime, kronecker
+from raycap.exactmath import factor, is_prime, kronecker
 from raycap.kummerfrob import SearchParams, prime_above_from_root
 from raycap.quadfield import (
     Modulus,
     QElt,
     QIdeal,
     class_group,
+    factor_prime,
     modulus_from_rational,
     quadratic_field,
     is_principal_with_generator,
+    residue_system,
 )
 
 L345 = biquad_field(34, 5)
@@ -394,46 +396,100 @@ class TestPrincipality:
         assert g is not None and BqIdeal.principal(g) == Q
 
 
+def _k_factors(d, p0):
+    K = quadratic_field(d)
+    return [
+        (q, residue_system(K, Modulus(K, (q,))).factors[0], lambda c, K=K: K.elt(*c), 2)
+        for q, _, _ in factor_prime(K, p0)[1]
+    ]
+
+
+def _l_factors(d, p, p0):
+    L = biquad_field(d, p)
+    return [
+        (Q, l_residue_system((Q,)).factors[0], lambda c, L=L: BqElt(L, *c), 4)
+        for Q, _, _ in primes_above(L, p0)
+    ]
+
+
+# (label, residue degree f, factors) for every way a factor is built: K primes
+# that split, stay inert (w = sqrt(d) and w = (1+sqrt(d))/2) or ramify; L
+# primes of degree one and of degree two presented through w1 or through w2,
+# or with both w1 and w2 inert; and p = 2 factors of order 1 on each side.
+RESIDUE_CASES = [
+    ("K split", 1, lambda: _k_factors(2, 7)),
+    ("K inert, w = sqrt(2)", 2, lambda: _k_factors(2, 3)),
+    ("K inert, w = (1+sqrt(13))/2", 2, lambda: _k_factors(13, 5)),
+    ("K ramified", 1, lambda: _k_factors(-5, 5)),
+    ("K order 1 over 2", 1, lambda: _k_factors(17, 2)),
+    ("L degree one", 1, lambda: _l_factors(34, 5, 29)),
+    ("L w1 inert", 2, lambda: _l_factors(3, 109, 5)),
+    ("L w2 inert", 2, lambda: _l_factors(11, 181, 7)),
+    ("L w1 and w2 inert", 2, lambda: _l_factors(6, 2837, 11)),
+    ("L order 1 over 2", 1, lambda: _l_factors(17, 89, 2)),
+]
+
+
+def _residue_factors():
+    for label, f, build in RESIDUE_CASES:
+        facs = build()
+        assert facs and all(fac.f == f for _, fac, _, _ in facs), label
+        for Q, fac, make, n in facs:
+            assert Q.norm() == fac.p**f and fac.order == fac.p**f - 1, label
+            yield label, Q, fac, make, n
+
+
 class TestResidues:
     def test_factors_are_ring_homs_with_kernel(self):
-        # covers the degree-one, split-presenter and both-inert branches
-        cases = [
-            (biquad_field(6, 2837), 11),  # w1, w2 both inert
-            (biquad_field(11, 181), 7),   # w1 split, w2 inert
-            (biquad_field(3, 109), 5),    # w1 inert, w2 split
-            (biquad_field(34, 5), 29),    # totally split, residue degree one
-        ]
+        # the residue map respects + and *, sends 1 to 1, and vanishes
+        # exactly on the prime, for K and L factors alike
         rng = random.Random(5)
-        for L, p0 in cases:
-            for Q, _, _ in primes_above(L, p0):
-                fac = LResidueSystem((Q,)).factors[0]
-                mul = (
-                    (lambda a, b: a * b % p0) if fac.f == 1 else fac.fp2.mul
-                )
-                add = (
-                    (lambda a, b: (a + b) % p0)
-                    if fac.f == 1
-                    else (lambda a, b: tuple((x + y) % p0 for x, y in zip(a, b)))
-                )
-                zero = 0 if fac.f == 1 else (0, 0)
-                for _ in range(40):
-                    x = BqElt(L, *(rng.randint(-30, 30) for _ in range(4)))
-                    y = BqElt(L, *(rng.randint(-30, 30) for _ in range(4)))
-                    assert fac.residue(x * y) == mul(fac.residue(x), fac.residue(y))
-                    assert fac.residue(x + y) == add(fac.residue(x), fac.residue(y))
-                    assert (fac.residue(x) == zero) == Q.contains(x)
+        for label, Q, fac, make, n in _residue_factors():
+            p0 = fac.p
+            if fac.f == 1:
+                add, zero = (lambda a, b: (a + b) % p0), 0
+            else:
+                add = lambda a, b: tuple((x + y) % p0 for x, y in zip(a, b))
+                zero = (0, 0)
+            assert fac.residue(make((1,) + (0,) * (n - 1))) == fac.one, label
+            for _ in range(40):
+                x = make([rng.randint(-30, 30) for _ in range(n)])
+                y = make([rng.randint(-30, 30) for _ in range(n)])
+                rx, ry = fac.residue(x), fac.residue(y)
+                assert fac.residue(x * y) == fac.mul(rx, ry), label
+                assert fac.residue(x + y) == add(rx, ry), label
+                assert (rx == zero) == Q.contains(x), label
+                assert (rx == zero) == (not fac.is_unit_residue(x)), label
 
     def test_dlog_inverts_generator_power(self):
-        L = biquad_field(6, 2837)
-        Q = primes_above(L, 11)[0][0]
-        fac = LResidueSystem((Q,)).factors[0]
         rng = random.Random(8)
-        for _ in range(25):
-            z = BqElt(L, *(rng.randint(-30, 30) for _ in range(4)))
-            if not fac.is_unit_residue(z):
-                continue
-            k = fac.dlog(z)
-            assert fac.fp2.pow(fac.gen, k) == fac.residue(z)
+        for label, Q, fac, make, n in _residue_factors():
+            # gen has exact order `order`, so dlog(gen^k) == k is the same
+            # as dlog landing in [0, order) with gen^dlog(z) = residue(z)
+            assert fac.lift_power(fac.order) == fac.one, label
+            assert all(
+                fac.lift_power(fac.order // r) != fac.one for r in factor(fac.order)
+            ), label
+            for _ in range(25):
+                x = make([rng.randint(-30, 30) for _ in range(n)])
+                y = make([rng.randint(-30, 30) for _ in range(n)])
+                if not (fac.is_unit_residue(x) and fac.is_unit_residue(y)):
+                    with pytest.raises(ValueError):
+                        fac.dlog(x * y)
+                    continue
+                k = fac.dlog(x)
+                assert 0 <= k < fac.order, label
+                assert fac.lift_power(k) == fac.residue(x), label
+                assert fac.dlog(x * y) == (k + fac.dlog(y)) % fac.order, label
+
+    def test_order_one_factor_adjusts_without_hanging(self):
+        # every prime of L over 2 has residue field F_2 here, so each factor
+        # has order 1 and the discrete log must not need a giant step
+        K = quadratic_field(17)
+        L = biquad_field(17, 89)
+        m_L = extend_modulus(L, modulus_from_rational(K, 2))
+        assert len(m_L) == 4
+        assert adjust_to_congruence(L.one(), m_L) == L.one()
 
     def test_adjust_recovers_planted_congruence(self):
         L = biquad_field(6, 53)
@@ -449,7 +505,7 @@ class TestResidues:
             for c, row in zip([rng.randint(-2, 2) for _ in range(4)], inter.rows):
                 v = v + BqElt(L, *row) * c
             alpha = L.one() + v
-            if not LResidueSystem(prs).is_unit(alpha):
+            if not l_residue_system(prs).is_unit(alpha):
                 continue
             g = alpha
             for u in units:

@@ -42,9 +42,26 @@ GOLDEN = [
      3, "75de8c131eacafd238aa90984646deccfc945f4a57492e468a192f754ea1ec50"),
 ]
 
-FLAGSHIP_SEARCH = "9ebb47ed12aba8eef9bc7700144facd26e4943aa50e08e8c411ad9aed6dbd63f"
-FLAGSHIP_VERIFY = "6545ea56dd99d26a3e909e4b542cfc6eaac684d421d866b4c2128642d4cfb5d2"
-
+# Each entry is a `search ... --out cert` run, then `verify cert`, with the
+# exit code and digest of each. The modulus-1 flagship never computes an L
+# residue; the three others adjust the generator to be 1 mod m_L through
+# each way of presenting the residue fields of L: w1 inert (d = 3, the unit
+# adjustment changes the generator), w2 inert (d = 11), and both inert
+# (d = 6, where no unit multiple is 1 mod m_L and verify exits 5).
+SEARCH_VERIFY = [
+    (("--d", "34", "--mod", "1"),
+     0, "9ebb47ed12aba8eef9bc7700144facd26e4943aa50e08e8c411ad9aed6dbd63f",
+     0, "6545ea56dd99d26a3e909e4b542cfc6eaac684d421d866b4c2128642d4cfb5d2"),
+    (("--d", "3", "--mod", "5", "--class", "2", "--bound", "20000"),
+     0, "012770801258bfb5240ff67a8539ce6279a002f77ef892af90004c1504dcb5f8",
+     0, "6dfd79a88b42ed664e072ee93d4480431193a9b0316adcc1f2165cd1983065c7"),
+    (("--d", "11", "--mod", "7", "--class", "3", "--bound", "20000"),
+     0, "f03cc0fd736644df02cfe960dc87d0eaa683d0cdd5eea57bac425335e3e8890e",
+     0, "970bafd6cc91a8a7271f5cec8aa228b8bee60717981889cdb2611bfadb5a4207"),
+    (("--d", "6", "--mod", "11", "--class", "10", "--bound", "20000"),
+     0, "579d74982d4bc344915a33bb672eacca00e4a570ebb346455d961740f4fa7cff",
+     5, "df0eea5d3beaba06e9d825f83ee41a24b6270b1b0f12f82df279a4e7208b6b1f"),
+]
 
 def json_digest(capsys, tmp_path, *argv) -> tuple[int, str]:
     code = main([*argv, "--json", "--cache-dir", str(tmp_path / "cache")])
@@ -62,12 +79,14 @@ def test_report_bytes(capsys, tmp_path, argv, exit_code, digest):
     assert got == digest
 
 
-def test_flagship_search_and_verify_bytes(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "argv,search_code,search_digest,verify_code,verify_digest", SEARCH_VERIFY,
+    ids=[" ".join(a) for a, *_ in SEARCH_VERIFY],
+)
+def test_search_and_verify_bytes(capsys, tmp_path, argv, search_code,
+                                 search_digest, verify_code, verify_digest):
     cert = tmp_path / "cert.json"
-    code, got = json_digest(capsys, tmp_path, "search", "--d", "34", "--mod", "1",
-                            "--out", str(cert))
-    assert code == 0
-    assert got == FLAGSHIP_SEARCH
+    code, got = json_digest(capsys, tmp_path, "search", *argv, "--out", str(cert))
+    assert (code, got) == (search_code, search_digest)
     code, got = json_digest(capsys, tmp_path, "verify", str(cert))
-    assert code == 0
-    assert got == FLAGSHIP_VERIFY
+    assert (code, got) == (verify_code, verify_digest)

@@ -147,6 +147,30 @@ class TestFieldBasics:
         assert (z * w).norm() == z.norm() * w.norm()
         assert z.norm() == (z * z.conj()).x and (z * z.conj()).y == 0
 
+    @given(
+        st.sampled_from([2, 3, 5, 13, 34, 35, 7, 17]),
+        st.integers(1, 10**6),
+        st.integers(1, 10**6),
+        st.booleans(),
+    )
+    def test_sign_real_mixed_signs(self, d, a, b, x_negative):
+        # d = 2, 34 (2 mod 4), 3, 35, 7 (3 mod 4), 5, 13, 17 (1 mod 4).
+        # 2*(x + y*w) = A + y*sqrt(D) with A = 2x + t*y; with x and y of
+        # opposite signs, decide its sign from floor(|y|*sqrt(D)) alone
+        K = quadratic_field(d)
+        x, y = (-a, b) if x_negative else (a, -b)
+        A = 2 * x + K.t * y
+        root = math.isqrt(y * y * K.D)  # floor(|y| sqrt(D)), never exact
+        expected = (1 if root >= -A else -1) if y > 0 else (1 if A > root else -1)
+        assert K.elt(x, y).sign_real() == expected
+
+    def test_sign_real_examples(self):
+        # -1 + sqrt(2) > 0, -2 + sqrt(3) < 0, -5 + sqrt(34) > 0, 1 - w < 0
+        assert quadratic_field(2).elt(-1, 1).sign_real() == 1
+        assert quadratic_field(3).elt(-2, 1).sign_real() == -1
+        assert quadratic_field(34).elt(-5, 1).sign_real() == 1
+        assert quadratic_field(5).elt(1, -1).sign_real() == -1
+
     def test_exact_div(self):
         K = quadratic_field(5)
         z = K.elt(3, 4) * K.elt(-2, 7)
