@@ -25,42 +25,11 @@ def _identity(n: int) -> Matrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch")
-    bt = list(zip(*b)) if b else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def vec_mat(v: Sequence[int], m: Sequence[Sequence[int]]) -> list[int]:
     if len(v) != len(m):
         raise ValueError("shape mismatch")
     cols = len(m[0]) if m else 0
     return [sum(v[i] * m[i][j] for i in range(len(v))) for j in range(cols)]
-
-
-def det_bareiss(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, fraction-free."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 @dataclass(frozen=True)
@@ -184,12 +153,6 @@ def snf(m: Sequence[Sequence[int]], with_u: bool = False) -> SNF:
     )
 
 
-def kernel_right(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of {x : M @ x = 0}, as column vectors (returned as lists)."""
-    s = snf(m)
-    return [[s.V[i][j] for i in range(s.ncols)] for j in range(s.rank, s.ncols)]
-
-
 def kernel_left(m: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis of the row kernel {y : y @ M = 0}."""
     s = snf(m, with_u=True)
@@ -270,20 +233,6 @@ class FiniteAbelianGroup:
     to_canonical: tuple[tuple[int, ...], ...]  # len(labels) x k
     gen_vectors: tuple[tuple[int, ...], ...]  # k x len(labels)
 
-    @staticmethod
-    def from_invariants(ds: Sequence[int]) -> "FiniteAbelianGroup":
-        """Synthetic group with the given invariants as its own ambient."""
-        ds = tuple(int(d) for d in ds if d != 1)
-        if any(d < 1 for d in ds):
-            raise ValueError("invariants must be positive")
-        for a, b in zip(ds, ds[1:]):
-            if b % a != 0:
-                raise ValueError("invariants must form a divisibility chain")
-        k = len(ds)
-        eye = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-        labels = tuple(f"g{i}" for i in range(k))
-        return FiniteAbelianGroup(ds, labels, eye, eye)
-
     @property
     def rank(self) -> int:
         return len(self.invariants)
@@ -322,7 +271,8 @@ class FiniteAbelianGroup:
         """Whether y lies in the subgroup of k-th powers."""
         return all(c % math.gcd(k, d) == 0 for c, d in zip(self.reduce(y), self.invariants))
 
-    def _stacked(self, gens: Sequence[Sequence[int]]) -> Matrix:
+    def stacked(self, gens: Sequence[Sequence[int]]) -> Matrix:
+        """The reduced gens above the group's relations d_i * e_i."""
         rows = [list(self.reduce(g)) for g in gens]
         rows += [
             [d if i == j else 0 for j in range(self.rank)]
@@ -334,7 +284,7 @@ class FiniteAbelianGroup:
         """Order of the subgroup generated by the given elements."""
         if self.rank == 0:
             return 1
-        quotient = math.prod(snf(self._stacked(gens)).diag)
+        quotient = math.prod(snf(self.stacked(gens)).diag)
         return self.order() // quotient
 
     def express(
@@ -344,7 +294,7 @@ class FiniteAbelianGroup:
         the span. Coefficients are not unique; any valid witness is fine."""
         if self.rank == 0:
             return [0] * len(gens)
-        x = solve_left(self._stacked(gens), list(self.reduce(y)))
+        x = solve_left(self.stacked(gens), list(self.reduce(y)))
         if x is None:
             return None
         return x[: len(gens)]

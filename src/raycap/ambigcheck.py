@@ -23,6 +23,7 @@ from functools import lru_cache
 from raycap.abgroup import FiniteAbelianGroup, group_from_relations, kernel_left
 from raycap.biquad import (
     BiquadField,
+    biquad_field,
     class_number,
     embed,
     extend_ideal,
@@ -34,16 +35,16 @@ from raycap.biquad import (
     unit_group,
 )
 from raycap.errors import BudgetError, InputError
-from raycap.exactmath import crt, factor, is_prime, squarefree_part
+from raycap.exactmath import crt, factor, squarefree_part
 from raycap.quadfield import (
     Modulus,
     QElt,
     QuadField,
-    QIdeal,
     _primitive_root,
     factor_prime,
     fundamental_unit,
     modulus_from_rational,
+    quadratic_field,
     ray_class_group,
     residue_system,
     unit_gens,
@@ -180,13 +181,9 @@ def _kernel_exponents(gvecs: list[tuple[int, ...]], group: FiniteAbelianGroup):
     r = len(gvecs)
     if r == 0:
         return []
-    k = len(group.invariants)
-    if k == 0:
+    if group.rank == 0:
         return [[1 if j == i else 0 for j in range(r)] for i in range(r)]
-    stacked = [list(v) for v in gvecs]
-    for i, d in enumerate(group.invariants):
-        stacked.append([d if j == i else 0 for j in range(k)])
-    rows = [list(v[:r]) for v in kernel_left(stacked)]
+    rows = [list(v[:r]) for v in kernel_left(group.stacked(gvecs))]
     rows = [v for v in rows if any(v)]
     assert len(rows) == r, "unit images have finite order, kernel is full rank"
     return rows
@@ -203,16 +200,11 @@ def _unit_sublattice_mod(field: QuadField, m: Modulus) -> list[list[int]]:
     return _kernel_exponents(gvecs, G)
 
 
-def _quotient_order_rank1(sub_rows: list[list[int]]) -> int:
-    """|E_Q / H| for H spanned by 1-column parity rows; E_Q = Z/2."""
-    rows = [[2]] + [list(r) for r in sub_rows]
-    return group_from_relations(rows, ("m",)).order()
-
-
-def _quotient_order_rank2(sub_rows: list[list[int]]) -> int:
-    """|E_K / H| for real quadratic K, H given over the basis (-1, eps)."""
-    rows = [[2, 0]] + [list(r) for r in sub_rows]
-    return group_from_relations(rows, ("m", "e")).order()
+def _quotient_order(sub_rows: list[list[int]], width: int) -> int:
+    """|E / H| for E = <-1> (width 1, E_Q) or <-1, eps> (width 2, a real
+    quadratic E_K), with H given by rows over that basis."""
+    rows = [[2] + [0] * (width - 1)] + [list(r) for r in sub_rows]
+    return group_from_relations(rows, ("m", "e")[:width]).order()
 
 
 def _norm_index_quadratic(L: QuadField, m: int) -> int:
@@ -223,7 +215,7 @@ def _norm_index_quadratic(L: QuadField, m: int) -> int:
     # every unit norm down to Q is +-1; torsion norms are +1
     parities = [1 if (u.norm() == -1 and L.is_real) else 0 for u in ug]
     norm_rows = [[sum(a * p for a, p in zip(row, parities)) % 2] for row in lattice]
-    over_norms = _quotient_order_rank1(norm_rows)
+    over_norms = _quotient_order(norm_rows, 1)
     over_em = 1 if m <= 2 else 2
     assert over_norms % over_em == 0, "norm subgroup must sit inside E^m_Q"
     return over_norms // over_em
@@ -252,8 +244,8 @@ def _norm_index_biquad(L: BiquadField, K: QuadField, m: Modulus) -> int:
         ]
         for row in lattice
     ]
-    over_norms = _quotient_order_rank2(norm_rows)
-    over_em = _quotient_order_rank2(_unit_sublattice_mod(K, m))
+    over_norms = _quotient_order(norm_rows, 2)
+    over_em = _quotient_order(_unit_sublattice_mod(K, m), 2)
     assert over_norms % over_em == 0, "norm subgroup must sit inside E^m_K"
     return over_norms // over_em
 
@@ -384,17 +376,29 @@ def _require_odd(n: int) -> None:
         raise InputError("modulus must have odd norm for a quadratic step")
 
 
+def _is_biquad_step(L, K, m) -> bool:
+    """Check the shape of a degree-2 step L/K and that m has odd norm; True
+    for L biquadratic over a quadratic K, False for L quadratic over Q."""
+    if isinstance(L, QuadField) and K is None:
+        _require_odd(int(m))
+        return False
+    if isinstance(L, BiquadField) and isinstance(K, QuadField):
+        _require_odd(m.norm())
+        return True
+    raise InputError("unsupported extension shape")
+
+
+def _formula_parts(L, K, m):
+    if _is_biquad_step(L, K, m):
+        return _formula_parts_biquad(L, K, m)
+    return _formula_parts_quadratic(L, int(m))
+
+
 def ambiguous_count_formula(L, K, m) -> int:
     """Closed-form order of the ambiguous-ideal class subgroup of Cl^m_L."""
     if _degenerate(L, K):
         return _base_ray_order(K, m)
-    if isinstance(L, QuadField) and K is None:
-        _require_odd(int(m))
-        return _assemble(*_formula_parts_quadratic(L, int(m)))
-    if isinstance(L, BiquadField) and isinstance(K, QuadField):
-        _require_odd(m.norm())
-        return _assemble(*_formula_parts_biquad(L, K, m))
-    raise InputError("unsupported extension shape")
+    return _assemble(*_formula_parts(L, K, m))
 
 
 def _degenerate(L, K) -> bool:
@@ -463,59 +467,13 @@ def ambiguous_count_direct(L, K, m) -> int:
     """
     if _degenerate(L, K):
         return _base_ray_order(K, m)
-    if isinstance(L, QuadField) and K is None:
-        _require_odd(int(m))
-        return _direct_quadratic(L, int(m))
-    if isinstance(L, BiquadField) and isinstance(K, QuadField):
-        _require_odd(m.norm())
+    if _is_biquad_step(L, K, m):
         return _direct_biquad(L, K, m)
-    raise InputError("unsupported extension shape")
+    return _direct_quadratic(L, int(m))
 
 
 # ---------------------------------------------------------------------------
 # cases and sweeps
-
-
-def _case_quadratic(d: int, m: int) -> AmbigReport:
-    from raycap.quadfield import quadratic_field
-
-    L = quadratic_field(d)
-    h, d_inf, es, idx = _formula_parts_quadratic(L, m)
-    formula = _assemble(h, d_inf, es, idx)
-    direct = _direct_quadratic(L, m)
-    return AmbigReport(
-        extension=f"Q(sqrt({d}))/Q",
-        params=("quad", d, m),
-        base_ray_order=h,
-        local_degrees=d_inf,
-        ramified_e=es,
-        degree=2,
-        norm_index=idx,
-        formula=formula,
-        direct=direct,
-    )
-
-
-def _case_biquad(d: int, p: int, j: int, mod_primes: tuple[int, ...]) -> AmbigReport:
-    from raycap.biquad import biquad_field
-
-    L = biquad_field(d, p)
-    K = {1: L.k1, 2: L.k2, 3: L.k3}[j]
-    m = modulus_from_rational(K, math.prod(mod_primes) if mod_primes else 1)
-    h, d_inf, es, idx = _formula_parts_biquad(L, K, m)
-    formula = _assemble(h, d_inf, es, idx)
-    direct = _direct_biquad(L, K, m)
-    return AmbigReport(
-        extension=f"Q(sqrt({d}),sqrt({p}))/Q(sqrt({K.d}))",
-        params=("biquad", d, p, j, tuple(sorted(mod_primes))),
-        base_ray_order=h,
-        local_degrees=d_inf,
-        ramified_e=es,
-        degree=2,
-        norm_index=idx,
-        formula=formula,
-        direct=direct,
-    )
 
 
 def ambig_case(case: tuple) -> AmbigReport:
@@ -523,11 +481,31 @@ def ambig_case(case: tuple) -> AmbigReport:
     kind = case[0]
     if kind == "quad":
         _, d, m = case
-        return _case_quadratic(int(d), int(m))
-    if kind == "biquad":
+        d, m = int(d), int(m)
+        L, K = quadratic_field(d), None
+        extension, params = f"Q(sqrt({d}))/Q", ("quad", d, m)
+    elif kind == "biquad":
         _, d, p, j, mod_primes = case
-        return _case_biquad(int(d), int(p), int(j), tuple(mod_primes))
-    raise InputError(f"unknown case kind {kind!r}")
+        d, p, j, mod_primes = int(d), int(p), int(j), tuple(mod_primes)
+        L = biquad_field(d, p)
+        K = {1: L.k1, 2: L.k2, 3: L.k3}[j]
+        m = modulus_from_rational(K, math.prod(mod_primes))
+        extension = f"Q(sqrt({d}),sqrt({p}))/Q(sqrt({K.d}))"
+        params = ("biquad", d, p, j, tuple(sorted(mod_primes)))
+    else:
+        raise InputError(f"unknown case kind {kind!r}")
+    h, d_inf, es, idx = _formula_parts(L, K, m)
+    return AmbigReport(
+        extension=extension,
+        params=params,
+        base_ray_order=h,
+        local_degrees=d_inf,
+        ramified_e=es,
+        degree=2,
+        norm_index=idx,
+        formula=_assemble(h, d_inf, es, idx),
+        direct=ambiguous_count_direct(L, K, m),
+    )
 
 
 def ambig_sweep(cases) -> list[AmbigReport]:

@@ -164,39 +164,21 @@ class BqElt:
 
 
 def embed(L: BiquadField, z: QElt) -> BqElt:
-    """Image of an element of k1, k2 or k3 under the inclusion into L."""
-    t1 = L.k1.t
-    if z.field == L.k1:
-        return BqElt(L, z.x, z.y, 0, 0)
-    if z.field == L.k2:
-        return BqElt(L, z.x, 0, z.y, 0)
-    if z.field == L.k3:
-        # w3 = t1 - w1 - t1*w2 + 2*w1*w2
-        return BqElt(L, z.x + z.y * t1, -z.y, -z.y * t1, 2 * z.y)
+    """Image x + y*w_j of an element x + y*w of k_j under the inclusion."""
+    for j, k in enumerate((L.k1, L.k2, L.k3), 1):
+        if z.field == k:
+            w = _w_elt(L, j)
+            return BqElt(L, z.x + z.y * w.a, z.y * w.b, z.y * w.c, z.y * w.e)
     raise ValueError("element does not live in a subfield of L")
 
 
 def as_k3(z: BqElt) -> QElt:
     """Read z as x + y*w3, failing if z is not in k3."""
-    t1 = z.L.k1.t
-    if z.e % 2:
+    y, odd = divmod(z.e, 2)
+    x = z - _w_elt(z.L, 3) * y
+    if odd or x.b or x.c:
         raise ValueError("element is not in k3")
-    y = z.e // 2
-    if z.b != -y or z.c != -y * t1:
-        raise ValueError("element is not in k3")
-    return QElt(z.L.k3, z.a - y * t1, y)
-
-
-def as_subfield(z: BqElt, j: int) -> QElt:
-    if j == 1:
-        if z.c or z.e:
-            raise ValueError("element is not in k1")
-        return QElt(z.L.k1, z.a, z.b)
-    if j == 2:
-        if z.b or z.e:
-            raise ValueError("element is not in k2")
-        return QElt(z.L.k2, z.a, z.c)
-    return as_k3(z)
+    return QElt(z.L.k3, x.a, y)
 
 
 _BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -275,6 +257,7 @@ def _minpoly(k: QuadField) -> list[int]:
 
 
 def _w_elt(L: BiquadField, j: int) -> BqElt:
+    """w_j, with O_{k_j} = Z[w_j], in the coordinates of L."""
     if j == 1:
         return BqElt(L, 0, 1, 0, 0)
     if j == 2:
@@ -509,23 +492,10 @@ def class_number(L: BiquadField) -> int:
 # principality
 
 
-_SUBFIELD_ROWS = {
-    1: ((1, 0, 0, 0), (0, 1, 0, 0)),
-    2: ((1, 0, 0, 0), (0, 0, 1, 0)),
-}
-
-
-def _subfield_lattice_rows(L: BiquadField, j: int):
-    if j in _SUBFIELD_ROWS:
-        return _SUBFIELD_ROWS[j]
-    t1 = L.k1.t
-    return ((1, 0, 0, 0), (t1, -1, -t1, 2))
-
-
 def intersect_subfield(P: BqIdeal, j: int) -> QIdeal:
     """P intersected with O_{k_j}, as an ideal of k_j."""
-    V = _subfield_lattice_rows(P.L, j)
-    stack = [list(r) for r in V] + [[-v for v in r] for r in P.rows]
+    V = [[1, 0, 0, 0], list(_w_elt(P.L, j).coords())]
+    stack = V + [[-v for v in r] for r in P.rows]
     ker = kernel_left(stack)
     assert len(ker) == 2
     k = (P.L.k1, P.L.k2, P.L.k3)[j - 1]

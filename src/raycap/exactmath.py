@@ -135,14 +135,6 @@ def squarefree_part(n: int) -> int:
     return s * d
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
-    out = [1]
-    for p, k in factor(n).items():
-        out = [d * p**i for d in out for i in range(k + 1)]
-    return sorted(out)
-
-
 @lru_cache(maxsize=None)
 def _sieve(limit: int) -> tuple[int, ...]:
     flags = bytearray([1]) * (limit + 1)
@@ -305,34 +297,6 @@ def crt(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:
         x += m * t
         m *= mi
     return x % m, m
-
-
-def multiplicative_order(a: int, m: int, group_exponent: int | None = None) -> int:
-    """Order of a in (Z/m)^*. If the caller knows a multiple of the order
-    (e.g. p - 1 for prime p) passing it avoids factoring m."""
-    a %= m
-    if math.gcd(a, m) != 1:
-        raise ValueError(f"{a} is not a unit mod {m}")
-    if group_exponent is None:
-        group_exponent = _carmichael(m)
-    e = group_exponent
-    if pow(a, e, m) != 1:
-        raise ValueError("group_exponent is not a multiple of the order")
-    for p in factor(e):
-        while e % p == 0 and pow(a, e // p, m) == 1:
-            e //= p
-    return e
-
-
-def _carmichael(m: int) -> int:
-    lam = 1
-    for p, k in factor(m).items():
-        if p == 2:
-            piece = 2 ** max(k - 2, 1) if k > 1 else 1
-        else:
-            piece = p ** (k - 1) * (p - 1)
-        lam = lam * piece // math.gcd(lam, piece)
-    return lam
 
 
 # ---------------------------------------------------------------------------

@@ -215,13 +215,3 @@ class ConditionChecker:
             return rep
         rep.ok = True
         return rep
-
-
-def check_conditions(
-    field,
-    modulus: Modulus,
-    target: tuple[int, ...],
-    p: int,
-    params: SearchParams,
-) -> ConditionReport:
-    return ConditionChecker(field, modulus, target, params).check(p)

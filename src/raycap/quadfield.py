@@ -330,82 +330,100 @@ class _Mult:
         return QElt(self.num.field, w.x // n, w.y // n)
 
 
-def _rho(field: QuadField, a: int, b: int) -> tuple[int, int, QElt, int]:
-    """One reduction step on the primitive ideal [a, b+w] (real case).
-    Returns (a', b', gamma_num, gamma_den) with [a',b'+w] = (num/den)*[a,b+w].
-    Far from the reduced strip (a > sqrt(D)) the centered residue of B makes
-    the norms shrink; near it the window (s-2a, s] drives the cycle.
-    """
-    D, t = field.D, field.t
-    s = math.isqrt(D)
-    B0 = 2 * b + t
-    B = _B_centered(a, B0) if a > s else s - ((s - B0) % (2 * a))
-    c = (D - B * B) // (4 * a)
-    assert c != 0
-    a2 = abs(c)
-    b2 = ((-B - t) // 2) % a2
-    # multiplier (B - sqrt(D)) / (2a) = ((B + t) - 2w) / (2a)
-    return a2, b2, QElt(field, B + t, -2), 2 * a
-
-
 def _B_centered(a: int, B0: int) -> int:
     """The representative of B0 mod 2a in (-a, a]."""
     return B0 - 2 * a * ((B0 + a - 1) // (2 * a))
 
 
-def _reduce_primitive(field: QuadField, a: int, b: int) -> tuple[int, int, _Mult]:
-    """Reduce [a, b+w]; returns (a*, b*, mult) with [a*,b*+w] = mult * [a,b+w]."""
-    mult = _Mult(QElt(field, 1, 0), 1)
-    guard_limit = 64 + 4 * (a.bit_length() + abs(field.D).bit_length())
-    if field.is_real:
-        guard = 0
-        while not _is_reduced_real(field, a, b):
-            a, b, num, den = _rho(field, a, b)
-            mult = mult.times(num, den)
-            guard += 1
-            if guard > guard_limit:
-                raise ArithmeticError("reduction failed to terminate")
-        return a, b, mult
+def _rho_orbit(field: QuadField, a: int, b: int, mult: _Mult | None):
+    """[a, b+w] and each ideal the rho steps lead to from it (real case),
+    without end, as (a, b, mult). A step maps [a, b+w] to
+    [a', b'+w] = ((B - sqrt(D)) / (2a)) * [a, b+w], and a multiplier, when
+    one is handed in, takes on each step's factor. Far from the reduced
+    strip (a > sqrt(D)) the centered residue of B makes the norms shrink;
+    near it the window (s-2a, s] drives the cycle."""
     D, t = field.D, field.t
-    guard = 0
+    s = math.isqrt(D)
+    while True:
+        yield a, b, mult
+        B0 = 2 * b + t
+        B = _B_centered(a, B0) if a > s else s - ((s - B0) % (2 * a))
+        c = abs((D - B * B) // (4 * a))
+        assert c != 0
+        if mult is not None:
+            # (B - sqrt(D)) / (2a) = ((B + t) - 2w) / (2a)
+            mult = mult.times(QElt(field, B + t, -2), 2 * a)
+        a, b = c, ((-B - t) // 2) % c
+
+
+def _reduce_primitive(
+    field: QuadField, a: int, b: int, mult: _Mult | None = None
+) -> tuple[int, int, _Mult | None]:
+    """Reduce [a, b+w]; returns (a*, b*, mult*) with [a*,b*+w] equal to
+    (mult*/mult) * [a,b+w]. Without a multiplier none is built, and None
+    comes back in its place."""
+    limit = 64 + 4 * (a.bit_length() + abs(field.D).bit_length())
+    if field.is_real:
+        for steps, (a, b, mult) in enumerate(_rho_orbit(field, a, b, mult)):
+            if _is_reduced_real(field, a, b):
+                return a, b, mult
+            if steps == limit:
+                raise ArithmeticError("reduction failed to terminate")
+    D, t = field.D, field.t
+    steps = 0
     while True:
         B = _B_centered(a, 2 * b + t)
         c = (B * B - D) // (4 * a)
         if a < c or (a == c and B >= 0):
             return a, b, mult
         if a == c:  # B < 0: pass to the conjugate lattice, same class
-            mult = mult.times(QElt(field, (B + t) // 2, -1), a)
+            if mult is not None:
+                mult = mult.times(QElt(field, (B + t) // 2, -1), a)
             b = (-b - t) % a
             continue
         # a > c: descend to the neighbour form
-        mult = mult.times(QElt(field, B + t, -2), 2 * a)
+        if mult is not None:
+            mult = mult.times(QElt(field, B + t, -2), 2 * a)
         a, b = c, ((-B - t) // 2) % c
-        guard += 1
-        if guard > guard_limit:
+        steps += 1
+        if steps > limit:
             raise ArithmeticError("reduction failed to terminate")
+
+
+_CYCLE_BOUND = 10**6  # rho steps before a cycle walk gives up
+
+
+def _cycle(field: QuadField, a: int, b: int, mult: _Mult | None = None):
+    """The reduced ideals of the class of [a, b+w] (Cohen, GTM 138, ch. 5),
+    as (a, b, mult) with mult as in `_reduce_primitive`. The reduction of
+    the input comes first. A real class walks its rho-cycle once and ends
+    on that first ideal again, with the multiplier of the whole period; an
+    imaginary class has one reduced ideal, yielded once."""
+    a, b, mult = _reduce_primitive(field, a, b, mult)
+    if not field.is_real:
+        yield a, b, mult
+        return
+    orbit = _rho_orbit(field, a, b, mult)
+    yield next(orbit)
+    for steps, member in enumerate(orbit, 1):
+        yield member
+        if member[0] == a and member[1] == b:
+            return
+        if steps > _CYCLE_BOUND:
+            raise ArithmeticError("rho cycle failed to close")
 
 
 def _class_cycle(
     field: QuadField, a: int, b: int
 ) -> tuple[tuple[int, int], list[tuple[int, int]]]:
-    """Reduce [a, b+w] and walk its cycle of reduced ideals (Cohen, GTM 138,
-    ch. 5). Returns (class key, cycle members as reduced (a, b) pairs), the
-    reduction of the input first. An imaginary class has one reduced ideal,
-    so its cycle is that ideal alone."""
-    a, b, _ = _reduce_primitive(field, a, b)
+    """(class key, the reduced (a, b) pairs of the class) for [a, b+w],
+    the reduction of the input first."""
+    walk = [(a, b) for a, b, _ in _cycle(field, a, b)]
     if not field.is_real:
-        return (a, _B_centered(a, 2 * b + field.t)), [(a, b)]
-    members = []
-    keys = []
-    a0, b0 = a, b
-    while True:
-        members.append((a, b))
-        keys.append((a, _B_near_sqrt(field, a, b)))
-        a, b, _, _ = _rho(field, a, b)
-        if (a, b) == (a0, b0):
-            return min(keys), members
-        if len(members) > 10**6:
-            raise ArithmeticError("rho cycle failed to close")
+        (a, b), = walk
+        return (a, _B_centered(a, 2 * b + field.t)), walk
+    members = walk[:-1]  # the walk ends where it began
+    return min((a, _B_near_sqrt(field, a, b)) for a, b in members), members
 
 
 def class_key(I: QIdeal) -> tuple[int, int]:
@@ -416,29 +434,14 @@ def class_key(I: QIdeal) -> tuple[int, int]:
 def is_principal_with_generator(I: QIdeal) -> QElt | None:
     """A generator of I when I is principal (wide sense), else None."""
     f = I.field
-    a, b, mult = _reduce_primitive(f, I.a, I.b)
-    target_hit = a == 1
-    if f.is_real and not target_hit:
-        a0, b0 = a, b
-        guard = 0
-        while True:
-            a, b, num, den = _rho(f, a, b)
-            mult = mult.times(num, den)
-            if a == 1:
-                target_hit = True
-                break
-            if (a, b) == (a0, b0):
-                break
-            guard += 1
-            if guard > 10**6:
-                raise ArithmeticError("principality walk failed to close")
-    if not target_hit:
-        return None
-    gen = mult.inverse_elt()
-    assert gen is not None, "unit-ideal multiplier must invert integrally"
-    gen = gen * I.g
-    assert _generates(I, gen)
-    return gen
+    for a, _, mult in _cycle(f, I.a, I.b, _Mult(QElt(f, 1, 0), 1)):
+        if a == 1:
+            gen = mult.inverse_elt()
+            assert gen is not None, "unit-ideal multiplier must invert integrally"
+            gen = gen * I.g
+            assert _generates(I, gen)
+            return gen
+    return None
 
 
 def _generates(I: QIdeal, z: QElt) -> bool:
@@ -456,15 +459,10 @@ def fundamental_unit(field: QuadField) -> QElt:
     """Smallest unit > 1 of a real quadratic field."""
     if not field.is_real:
         raise InputError("fundamental unit requires a real field")
-    a, b = 1, 0
-    a, b, _ = _reduce_primitive(field, a, b)
-    mult = _Mult(QElt(field, 1, 0), 1)
-    a0, b0 = a, b
-    while True:
-        a, b, num, den = _rho(field, a, b)
-        mult = mult.times(num, den)
-        if (a, b) == (a0, b0):
-            break
+    # O_K = [1, w] is reduced, so the walk starts on it with multiplier 1
+    # and ends on it with the multiplier of one period
+    for _, _, mult in _cycle(field, 1, 0, _Mult(QElt(field, 1, 0), 1)):
+        pass
     assert mult.den == 1, "cycle multiplier must be integral up to reduction"
     eps = mult.num
     # |eps| < 1 along the contraction; the fundamental unit is a signed inverse
@@ -1028,7 +1026,3 @@ def aug_unit_data(field: QuadField, modulus: Modulus) -> tuple[QElt, int]:
     res_group = residue.group()
     e = res_group.element_order(res_group.dlog_ambient(residue.dlog(base)))
     return base**e, k0 * e
-
-
-def aug_unit_mod_m(field: QuadField, modulus: Modulus) -> QElt:
-    return aug_unit_data(field, modulus)[0]

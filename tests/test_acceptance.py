@@ -14,6 +14,7 @@ import time
 from itertools import product as iproduct
 from math import gcd, lcm
 
+from oracles import multiplicative_order
 from raycap.abgroup import cyclic_complement
 from raycap.ambigcheck import ambig_case, fundamental_field_params, rayclass_Q
 from raycap.biquad import (
@@ -26,7 +27,7 @@ from raycap.biquad import (
     verify_certificate,
 )
 from raycap.capsearch import SearchParams, gaussian_period_min_poly, search_with_escalation
-from raycap.exactmath import is_prime, multiplicative_order, splitting_degree
+from raycap.exactmath import is_prime, splitting_degree
 from raycap.kummerfrob import prime_above_from_root
 from raycap.quadfield import (
     Modulus,

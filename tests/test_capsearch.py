@@ -1,6 +1,7 @@
 """Tests for Gaussian period polynomials and the principalization search."""
 import pytest
 
+from oracles import det_bareiss
 from raycap.capsearch import (
     CandidateCertificate,
     CyclicFieldDesc,
@@ -10,7 +11,6 @@ from raycap.capsearch import (
     power_adjustment_hint,
     search_with_escalation,
 )
-from raycap.abgroup import det_bareiss
 from raycap.errors import InputError
 from raycap.exactmath import primes_up_to
 from raycap.kummerfrob import SearchParams

@@ -204,6 +204,19 @@ class TestAmbig:
         assert report["payload"]["equal"] is True
         assert report["payload"]["formula"] == 5
 
+    @pytest.mark.parametrize("argv", [
+        ("--L-disc", "8", "--mod", "6"),
+        ("--L-disc", "-20", "--mod", "2"),
+        ("--biquad", "2,5", "--mod", "2"),
+    ])
+    def test_even_norm_modulus_exits_two_with_one_line(self, capsys, argv):
+        """The count identity needs a modulus of odd norm; the single-case
+        front door checks that as the library functions do."""
+        code, out, err = run(capsys, "ambig", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: modulus must have odd norm for a quadratic step\n"
+
     def test_non_fundamental_disc(self, capsys):
         code, _, _ = run(capsys, "ambig", "--L-disc", "10", "--mod", "1")
         assert code == 2

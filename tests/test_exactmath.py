@@ -6,17 +6,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oracles import divisors, multiplicative_order
 from raycap import exactmath
 from raycap.exactmath import (
     PRIMALITY_LIMIT,
     PolyModP,
     PrimalityRangeError,
     crt,
-    divisors,
     factor,
     is_prime,
     kronecker,
-    multiplicative_order,
     primes_1_mod,
     primes_in_progression,
     primes_up_to,

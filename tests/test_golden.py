@@ -14,10 +14,19 @@ d = 543 case has a nontrivial modulus (Cl^m = Z/2 x Z/10), which exercises
 the residue part of the ray discrete log.
 """
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from raycap.cli import main
+from raycap.exactmath import primes_up_to, squarefree_part
+from raycap.quadfield import (
+    QuadField,
+    factor_prime,
+    fundamental_unit,
+    is_principal_with_generator,
+)
 
 GOLDEN = [
     (("rayclass", "--d", "-5", "--mod", "3"),
@@ -90,3 +99,64 @@ def test_search_and_verify_bytes(capsys, tmp_path, argv, search_code,
     assert (code, got) == (search_code, search_digest)
     code, got = json_digest(capsys, tmp_path, "verify", str(cert))
     assert (code, got) == (verify_code, verify_digest)
+
+
+# ---------------------------------------------------------------------------
+# the reduction theory's integers, and two scripts' full outputs
+
+def _sha(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+
+
+def test_fundamental_unit_integers():
+    """Every fundamental unit x + y*w of Q(sqrt d), squarefree 2 <= d < 3000."""
+    lines = [
+        f"{d} {eps.x} {eps.y}"
+        for d in range(2, 3000)
+        if squarefree_part(d) == d
+        for eps in [fundamental_unit(QuadField(d))]
+    ]
+    assert len(lines) == 1823
+    assert _sha(lines) == (
+        "4a814cb75c70f780514d980d32997a3b5d235f6e4cfa2bb87866dab356f83729"
+    )
+
+
+def test_principal_generator_integers():
+    """is_principal_with_generator on P, P^2, P^3 for every prime P above
+    p < 30 in every field with 2 <= |d| < 100: the generator's coordinates,
+    or None. A different walk that still finds a generator of the same
+    ideal but another unit multiple changes the digest."""
+    lines = []
+    for d in [d for n in range(2, 100) for d in (n, -n)]:
+        if squarefree_part(d) != d:
+            continue
+        K = QuadField(d)
+        for p in primes_up_to(29):
+            for P, _, _ in factor_prime(K, p)[1]:
+                for k in (1, 2, 3):
+                    gen = is_principal_with_generator(P**k)
+                    lines.append(f"{d} {P.key()} {k} {gen and gen.coords()}")
+    assert _sha(lines) == (
+        "cd96339ebc631e91d4edefb37ff18d6a400f2182a42c37fad5f49ec3fddd04cc"
+    )
+
+
+def _script_main(name: str):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+@pytest.mark.parametrize("script,argv,digest", [
+    ("run_ambig_sweep", ["--disc-bound", "200", "--json"],
+     "23fd43ceef354ac2e7949e54dd09658c1cd98e9d21b81e21c8fad73116f62503"),
+    ("capitulation_table", ["--dmax", "100", "--json"],
+     "a873443c753e0c89c295e2b80da56f4a4cdf194686e778c67e44d5024382a4a3"),
+])
+def test_script_output_bytes(capsys, script, argv, digest):
+    assert _script_main(script)(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest

@@ -7,7 +7,6 @@ from raycap.exactmath import is_prime, kronecker, primes_up_to
 from raycap.kummerfrob import (
     ConditionChecker,
     SearchParams,
-    check_conditions,
     disc_root_pair,
     h_K_constant,
     is_split_cyclotomic,
@@ -224,7 +223,7 @@ class TestConditionChecker:
         with pytest.raises(InputError):
             ConditionChecker(K, Modulus.trivial(K), (1,), SearchParams(3, 1))
 
-    def test_wrapper_agrees(self):
+    def test_flagship_prime_passes(self):
         K = quadratic_field(34)
-        rep = check_conditions(K, Modulus.trivial(K), (1,), 5, SearchParams(2, 1))
+        rep = ConditionChecker(K, Modulus.trivial(K), (1,), SearchParams(2, 1)).check(5)
         assert rep.ok and rep.p == 5

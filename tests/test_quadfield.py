@@ -10,6 +10,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from raycap import quadfield
 from raycap.errors import InputError
 from raycap.exactmath import kronecker, squarefree_part
 from raycap.quadfield import (
@@ -19,7 +20,7 @@ from raycap.quadfield import (
     _candidate_primes,
     _coset_closure,
     _generates,
-    aug_unit_mod_m,
+    aug_unit_data,
     class_group,
     class_key,
     factor_prime,
@@ -583,18 +584,62 @@ def test_memoized_ambient_vector_matches_reference(d, m):
         assert len(cold.class_vectors) > len({class_key(I) for I in ideals})
 
 
+@pytest.mark.parametrize("d,m", [(34, 7), (79, 5), (-5, 7), (-14, 11)])
+def test_lookups_build_no_multiplier(monkeypatch, d, m):
+    """class_key and the class lookup of ambient_vector reduce without a
+    multiplier; only the generator walk that ambient_vector ends with
+    builds one."""
+    K = quadratic_field(d)
+    ideals = query_ideals(K, m, 12)
+    ray = ray_class_group.__wrapped__(K, modulus_from_rational(K, m))
+    keys = [class_key(I) for I in ideals]
+    want = [reference_ambient_vector(ray, I) for I in ideals]
+    mult, generator = quadfield._Mult, quadfield.is_principal_with_generator
+
+    def forbidden(*args):
+        raise AssertionError("a lookup built a multiplier")
+
+    def generator_with_mult(I):
+        quadfield._Mult = mult
+        try:
+            return generator(I)
+        finally:
+            quadfield._Mult = forbidden
+
+    monkeypatch.setattr(quadfield, "_Mult", forbidden)
+    assert [class_key(I) for I in ideals] == keys
+    monkeypatch.setattr(quadfield, "is_principal_with_generator", generator_with_mult)
+    assert [ray.ambient_vector(I) for I in ideals] == want
+
+
+@pytest.mark.parametrize("walk", [
+    lambda K: class_key(QIdeal.unit_ideal(K)),
+    lambda K: is_principal_with_generator(factor_prime(K, 3)[1][0][0]),
+    lambda K: fundamental_unit.__wrapped__(K),
+], ids=["class_key", "is_principal_with_generator", "fundamental_unit"])
+def test_cycle_walks_are_bounded(monkeypatch, walk):
+    """Q(sqrt 94) has h = 1 and a rho-cycle of 16 reduced ideals, and the
+    walk from a prime above 3 meets [1, w] six steps in; a walk that runs
+    past the bound stops with an error."""
+    K = quadratic_field(94)
+    walk(K)
+    monkeypatch.setattr(quadfield, "_CYCLE_BOUND", 3)
+    with pytest.raises(ArithmeticError, match="rho cycle failed to close"):
+        walk(K)
+
+
 class TestAugUnit:
     def test_trivial_modulus(self):
         K = quadratic_field(2)
-        eps = aug_unit_mod_m(K, Modulus.trivial(K))
+        eps = aug_unit_data(K, Modulus.trivial(K))[0]
         assert eps == K.elt(3, 2)  # (1+sqrt2)^2, norm +1
         K34 = quadratic_field(34)
-        eps34 = aug_unit_mod_m(K34, Modulus.trivial(K34))
+        eps34 = aug_unit_data(K34, Modulus.trivial(K34))[0]
         assert eps34 == K34.elt(35, 6)
 
     def test_mod_7(self):
         K = quadratic_field(2)
-        eps = aug_unit_mod_m(K, modulus_from_rational(K, 7))
+        eps = aug_unit_data(K, modulus_from_rational(K, 7))[0]
         assert eps == (K.elt(3, 2)) ** 3
         assert eps.norm() == 1
         ray = ray_class_group(K, modulus_from_rational(K, 7))
@@ -603,13 +648,13 @@ class TestAugUnit:
     def test_inverted_by_conjugation(self):
         for d, m in [(2, 7), (5, 11), (34, 1)]:
             K = quadratic_field(d)
-            eps = aug_unit_mod_m(K, modulus_from_rational(K, m))
+            eps = aug_unit_data(K, modulus_from_rational(K, m))[0]
             assert eps * eps.conj() == K.elt(1, 0)
 
     def test_minimality(self):
         K = quadratic_field(2)
         m = modulus_from_rational(K, 7)
-        eps = aug_unit_mod_m(K, m)
+        eps = aug_unit_data(K, m)[0]
         # no smaller power of u^2 is 1 mod 7
         ray = ray_class_group(K, m)
         base = K.elt(3, 2)
@@ -624,4 +669,4 @@ class TestAugUnit:
     def test_imaginary_rejected(self):
         K = quadratic_field(-1)
         with pytest.raises(InputError):
-            aug_unit_mod_m(K, Modulus.trivial(K))
+            aug_unit_data(K, Modulus.trivial(K))
