@@ -176,7 +176,7 @@ def solve_left(m: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] |
     return vec_mat(w, [list(r) for r in s.U])
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with g = ax + by and g >= 0."""
     x0, x1, y0, y1 = 1, 0, 0, 1
     while b:
@@ -204,7 +204,7 @@ def hnf_rows(m: Sequence[Sequence[int]]) -> list[list[int]]:
             if h[i][col] == 0:
                 continue
             a, b = h[row][col], h[i][col]
-            g, x, y = _xgcd(a, b)
+            g, x, y = xgcd(a, b)
             r0 = [x * p + y * q for p, q in zip(h[row], h[i])]
             r1 = [(a // g) * q - (b // g) * p for p, q in zip(h[row], h[i])]
             h[row], h[i] = r0, r1

@@ -11,8 +11,12 @@ ramification indices at finite primes of K coprime to m, and the denominator
 index taken on unit groups of elements that are 1 mod the respective moduli.
 `ambiguous_count_formula` evaluates that expression factor by factor;
 `ambiguous_count_direct` computes the order of the subgroup of Cl^m(L)
-generated by ramified primes and extended K-ideals, with no shared code
-between the two routes.  Agreement across a corpus is the regression signal.
+generated by ramified primes and extended K-ideals.  Agreement across a
+corpus is the regression signal.  The two routes share the pieces both rest
+on: the base ray class group (`rayclass_Q` and its generators, or
+`ray_class_group`), the list of ramified primes, and for a biquadratic step
+`extend_modulus`, `unit_group` and the residue system mod m_L.  A fault in
+those would hit both sides alike.
 """
 from __future__ import annotations
 
@@ -488,7 +492,9 @@ def ambig_case(case: tuple) -> AmbigReport:
         _, d, p, j, mod_primes = case
         d, p, j, mod_primes = int(d), int(p), int(j), tuple(mod_primes)
         L = biquad_field(d, p)
-        K = {1: L.k1, 2: L.k2, 3: L.k3}[j]
+        if j not in (1, 2, 3):
+            raise InputError(f"subfield index {j} is not 1, 2 or 3")
+        K = (L.k1, L.k2, L.k3)[j - 1]
         m = modulus_from_rational(K, math.prod(mod_primes))
         extension = f"Q(sqrt({d}),sqrt({p}))/Q(sqrt({K.d}))"
         params = ("biquad", d, p, j, tuple(sorted(mod_primes)))

@@ -410,10 +410,19 @@ class PolyModP:
 
 def roots_mod_p(coeffs: Sequence[int], p: int) -> list[int]:
     """All roots in F_p of the integer polynomial with the given coefficients
-    (low to high), sorted ascending. Deterministic equal-degree splitting."""
+    (low to high), sorted ascending. A quadratic over odd p takes one square
+    root of its discriminant; other degrees use deterministic equal-degree
+    splitting, or trial of every residue for small p."""
     f = PolyModP.make(coeffs, p)
     if f.is_zero():
         raise ValueError("zero polynomial has every root")
+    if f.degree == 2 and p != 2:
+        c0, c1, c2 = f.coeffs
+        r = sqrt_mod(c1 * c1 - 4 * c2 * c0, p)
+        if r is None:
+            return []
+        inv = pow(2 * c2, -1, p)
+        return sorted({(-c1 + r) * inv % p, (-c1 - r) * inv % p})
     if p <= 3000 or f.degree <= 1:
         return [x for x in range(p) if f(x) == 0]
     x = PolyModP.x(p)

@@ -2,9 +2,10 @@
 
 Elements live in the basis (1, w) with w = sqrt(d) or (1+sqrt(d))/2 per
 d mod 4, so w^2 = t*w + u with t = D mod 2 and u = (D - t)/4. Ideals are
-kept in standard form g*[a, b + w]. Reduction theory runs on the pair
-(a, B) with B = 2b + t, entirely in integers; the real case walks
-rho-cycles, the imaginary case lands on the unique reduced form.
+kept in standard form g*[a, b + w]. Products (by composition) and
+reduction theory run on the pair (a, B) with B = 2b + t, entirely in
+integers; the real case walks rho-cycles, the imaginary case lands on the
+unique reduced form.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
-from .abgroup import FiniteAbelianGroup, group_from_relations, hnf_rows
+from .abgroup import FiniteAbelianGroup, group_from_relations, hnf_rows, xgcd
 from .errors import InputError
 from .exactmath import (
     crt,
@@ -56,9 +57,6 @@ class QuadField:
 
     def elt(self, a: int, b: int = 0) -> "QElt":
         return QElt(self, a, b)
-
-    def omega_str(self) -> str:
-        return f"(1+sqrt({self.d}))/2" if self.d % 4 == 1 else f"sqrt({self.d})"
 
     def __repr__(self) -> str:
         return f"Q(sqrt({self.d}))"
@@ -171,29 +169,12 @@ class QIdeal:
         f = self.field
         if self.g < 1 or self.a < 1 or not 0 <= self.b < self.a:
             raise ValueError("ideal not in normal form")
-        if QElt(f, self.b, 1).norm() % self.a != 0:
+        if (self.b * (self.b + f.t) - f.u) % self.a != 0:  # N(b + w)
             raise ValueError("lattice is not an ideal (a must divide N(b+w))")
 
     @staticmethod
     def unit_ideal(field: QuadField) -> "QIdeal":
         return QIdeal(field, 1, 1, 0)
-
-    @staticmethod
-    def from_generators(field: QuadField, gens: Sequence[QElt]) -> "QIdeal":
-        t, u = field.t, field.u
-        rows = []
-        for z in gens:
-            # rows are (coefficient of w, coefficient of 1) so the HNF pivot
-            # structure is [[p, q], [0, r]] with r the least rational integer
-            rows.append([z.y, z.x])
-            rows.append([z.x + z.y * t, z.y * u])  # z * w
-        return _ideal_from_rows(field, rows)
-
-    @staticmethod
-    def principal(z: QElt) -> "QIdeal":
-        if z.is_zero():
-            raise ValueError("zero element generates no ideal")
-        return QIdeal.from_generators(z.field, [z])
 
     def norm(self) -> int:
         return self.g * self.g * self.a
@@ -207,9 +188,20 @@ class QIdeal:
         return QIdeal(self.field, self.g, self.a, bb)
 
     def __mul__(self, o: "QIdeal") -> "QIdeal":
-        a1, b1 = self.gen_pair()
-        a2, b2 = o.gen_pair()
-        return QIdeal.from_generators(self.field, [a1 * a2, a1 * b2, b1 * a2, b1 * b2])
+        """Dirichlet composition on (a, B) with B = 2b + t, so that b + w
+        is (B + sqrt D)/2. With d1 = gcd(a1, a2) = x1*a1 + y1*a2 and
+        d = gcd(d1, s) = x2*d1 + z*s for s = (B1 + B2)/2, the primitive
+        parts multiply to d * [a1*a2/d^2, (B3 + sqrt D)/2] (Cohen, GTM 138,
+        section 5.4)."""
+        f = self.field
+        t = f.t
+        a1, a2 = self.a, o.a
+        B1, B2 = 2 * self.b + t, 2 * o.b + t
+        d1, x1, y1 = xgcd(a1, a2)
+        d, x2, z = xgcd(d1, (B1 + B2) // 2)
+        A = a1 * a2 // (d * d)
+        B3 = (x2 * (x1 * a1 * B2 + y1 * a2 * B1) + z * ((B1 * B2 + f.D) // 2)) // d
+        return QIdeal(f, self.g * o.g * d, A, ((B3 - t) // 2) % A)
 
     def scale(self, n: int) -> "QIdeal":
         if n < 1:
@@ -224,17 +216,6 @@ class QIdeal:
             return False
         x, y = z.x // self.g, z.y // self.g
         return (x - y * self.b) % self.a == 0
-
-    def divide_exact(self, o: "QIdeal") -> "QIdeal":
-        """self / o when o divides self."""
-        prod = self * o.conj()
-        n = o.norm()
-        if prod.g % n:
-            raise ValueError("ideal does not divide")
-        return QIdeal(self.field, prod.g // n, prod.a, prod.b)
-
-    def is_coprime_to(self, n: int) -> bool:
-        return math.gcd(self.norm(), n) == 1
 
     def primitive_part(self) -> "QIdeal":
         return QIdeal(self.field, 1, self.a, self.b)
@@ -933,19 +914,6 @@ class RayClassData:
         """Ray class of the principal ideal (z), z coprime to m."""
         vec = (0,) * self.n_ideal + self.residue.dlog(z)
         return self.group.dlog_ambient(vec)
-
-    def is_ray_principal(self, I: QIdeal) -> QElt | None:
-        """A generator x of I with x = 1 mod^x m, when the class is trivial."""
-        if any(self.dlog(I)):
-            return None
-        # a trivial ray class is principal outright, so the table vector is 0
-        v = self.ray_table[class_key(I)]
-        assert not any(v)
-        y = is_principal_with_generator(I)
-        assert y is not None
-        out = adjust_by_units(y, self.residue, unit_gens(self.field))
-        assert out is None or QIdeal.principal(out).key() == I.key()
-        return out
 
 
 def _ray_ideal_gens(field: QuadField, modulus: Modulus, cl: ClassGroupData):

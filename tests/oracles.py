@@ -1,7 +1,10 @@
 """Reference implementations that only the tests use: a fraction-free
-determinant, matrix products, multiplicative orders, divisor lists, and
-synthetic abelian groups given by their invariants. The library never calls
-them, so a test that checks it against one of these shares no code with it.
+determinant, matrix products, multiplicative orders, divisor lists,
+synthetic abelian groups given by their invariants, ideals of K as the HNF
+of their generators' lattice, exact ideal division and ray-principal
+generators. The library never calls them. The ideal oracles stand on the
+library's `QIdeal` and its HNF, and division and ray principality also on
+its ideal product and generator search; the rest share no code with it.
 """
 from __future__ import annotations
 
@@ -10,6 +13,17 @@ from typing import Sequence
 
 from raycap.abgroup import FiniteAbelianGroup
 from raycap.exactmath import factor
+from raycap.quadfield import (
+    QElt,
+    QIdeal,
+    QuadField,
+    RayClassData,
+    _ideal_from_rows,
+    adjust_by_units,
+    class_key,
+    is_principal_with_generator,
+    unit_gens,
+)
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -91,3 +105,47 @@ def _carmichael(m: int) -> int:
             piece = p ** (k - 1) * (p - 1)
         lam = lam * piece // math.gcd(lam, piece)
     return lam
+
+
+# ---------------------------------------------------------------------------
+# ideals of K by lattice HNF, the product the library had before composition
+
+
+def hnf_ideal(field: QuadField, gens: Sequence[QElt]) -> QIdeal:
+    """The ideal generated by gens: the HNF of the lattice spanned by each
+    z and z*w, as rows (coefficient of w, coefficient of 1), so the pivots
+    are [[p, q], [0, r]] with r the least rational integer."""
+    t, u = field.t, field.u
+    rows = []
+    for z in gens:
+        rows.append([z.y, z.x])
+        rows.append([z.x + z.y * t, z.y * u])  # z * w
+    return _ideal_from_rows(field, rows)
+
+
+def principal_ideal(z: QElt) -> QIdeal:
+    if z.is_zero():
+        raise ValueError("zero element generates no ideal")
+    return hnf_ideal(z.field, [z])
+
+
+def divide_exact(I: QIdeal, J: QIdeal) -> QIdeal:
+    """I / J when J divides I, from I * conj(J) = (N J) * (I / J)."""
+    prod = I * J.conj()
+    n = J.norm()
+    if prod.g % n:
+        raise ValueError("ideal does not divide")
+    return QIdeal(I.field, prod.g // n, prod.a, prod.b)
+
+
+def is_ray_principal(ray: RayClassData, I: QIdeal) -> QElt | None:
+    """A generator x of I with x = 1 mod^x m, when I's ray class is trivial."""
+    if any(ray.dlog(I)):
+        return None
+    # a trivial ray class is principal outright, so the table vector is 0
+    assert not any(ray.ray_table[class_key(I)])
+    y = is_principal_with_generator(I)
+    assert y is not None
+    out = adjust_by_units(y, ray.residue, unit_gens(ray.field))
+    assert out is None or principal_ideal(out).key() == I.key()
+    return out

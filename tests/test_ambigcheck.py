@@ -300,6 +300,18 @@ class TestAmbiguousCounts:
         with pytest.raises(BudgetError):
             ambiguous_count_direct(L, L.k1, modulus_from_rational(L.k1, 1))
 
+    @pytest.mark.parametrize("j", [0, 4, -1])
+    def test_bad_subfield_index_is_an_input_error(self, j):
+        with pytest.raises(InputError, match="subfield index"):
+            ambig_case(("biquad", 2, 5, j, ()))
+
+    def test_base_outside_the_biquad_field_rejected(self):
+        L, other = biquad_field(2, 5), quadratic_field(7)
+        m = modulus_from_rational(other, 1)
+        for count in (ambiguous_count_formula, ambiguous_count_direct):
+            with pytest.raises(InputError, match="not a quadratic subfield"):
+                count(L, other, m)
+
     def test_even_modulus_rejected(self):
         with pytest.raises(InputError):
             ambiguous_count_formula(quadratic_field(2), None, 2)

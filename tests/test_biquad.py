@@ -8,6 +8,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import principal_ideal
+
 from raycap.biquad import (
     BqElt,
     BqIdeal,
@@ -36,7 +38,6 @@ from raycap.kummerfrob import SearchParams, prime_above_from_root
 from raycap.quadfield import (
     Modulus,
     QElt,
-    QIdeal,
     class_group,
     factor_prime,
     modulus_from_rational,
@@ -249,7 +250,7 @@ class TestPrimeDecomposition:
 class TestExtensions:
     def test_extend_principal_matches_embedding(self):
         z = QElt(L345.k1, 7, 2)
-        I = QIdeal.from_generators(L345.k1, [z])
+        I = principal_ideal(z)
         assert extend_ideal(L345, I) == BqIdeal.principal(embed(L345, z))
 
     def test_extend_then_intersect_is_identity(self):
@@ -266,7 +267,7 @@ class TestExtensions:
         I = BqIdeal.principal(z)
         for j in (1, 2, 3):
             k = (L345.k1, L345.k2, L345.k3)[j - 1]
-            assert relative_norm_ideal(I, j) == QIdeal.from_generators(k, [z.rel_norm(j)])
+            assert relative_norm_ideal(I, j) == principal_ideal(z.rel_norm(j))
 
     def test_extend_modulus_covers_generators(self):
         K = quadratic_field(6)

@@ -287,11 +287,66 @@ class TestRootsModP:
         assert roots_mod_p(prod, p) == sorted(want)
 
     def test_brute_agreement_midsize_p(self):
-        p = 3001  # still on the brute path
+        p = 3001  # just past the brute cutoff, so equal-degree splitting
         f = [1, 5, 0, 2, 1]
         got = roots_mod_p(f, p)
         want = [x for x in range(p) if (((x + 2) * x * x + 5) * x + 1) % p == 0]
         assert got == want
+
+
+def brute_roots(coeffs, p):
+    return [x for x in range(p) if sum(c * x**i for i, c in enumerate(coeffs)) % p == 0]
+
+
+# odd primes on both sides of the p <= 3000 brute cutoff of the other degrees
+QUAD_PRIMES = [3, 5, 7, 13, 97, 2999, 3001, 3011, 7919, 10007]
+
+
+class TestQuadraticRoots:
+    """The closed form (one sqrt_mod of the discriminant) against trying
+    every residue."""
+
+    @given(
+        st.sampled_from(QUAD_PRIMES),
+        st.sampled_from(["any", "monic", "double", "none", "split"]),
+        st.integers(-10**6, 10**6),
+        st.integers(-10**6, 10**6),
+        st.integers(1, 10**6),
+    )
+    @example(3, "double", 0, 0, 1)
+    @example(10007, "none", 5, 0, 3)
+    @example(2999, "split", 1, 2, 2998)
+    def test_matches_brute(self, p, kind, r, s, lead):
+        lead = lead if lead % p else lead + 1  # keep degree 2 mod p
+        if kind == "any":
+            coeffs = [r, s, lead]
+        elif kind == "monic":
+            coeffs = [r, s, 1]
+        elif kind == "double":  # lead*(x - r)^2
+            coeffs = [lead * r * r, -2 * lead * r, lead]
+        elif kind == "none":  # lead*((x - r)^2 - nonresidue)
+            n = next(a for a in range(2, p) if kronecker(a, p) == -1)
+            coeffs = [lead * (r * r - n), -2 * lead * r, lead]
+        else:  # lead*(x - r)*(x - s)
+            coeffs = [lead * r * s, -lead * (r + s), lead]
+        want = brute_roots(coeffs, p)
+        assert roots_mod_p(coeffs, p) == want
+        if kind == "double":
+            assert want == [r % p]
+        elif kind == "none":
+            assert want == []
+        elif kind == "split":
+            assert want == sorted({r % p, s % p})
+
+    def test_p2_stays_on_trial(self):
+        # every quadratic mod 2, with sqrt_mod unreachable
+        with mock.patch.object(exactmath, "sqrt_mod", side_effect=AssertionError):
+            for coeffs in itertools.product(range(2), range(2), [1, 3]):
+                assert roots_mod_p(list(coeffs), 2) == brute_roots(coeffs, 2)
+
+    def test_leading_coefficient_vanishing_mod_p(self):
+        # 7x^2 + 3x + 1 is linear mod 7
+        assert roots_mod_p([1, 3, 7], 7) == brute_roots([1, 3, 7], 7) == [2]
 
 
 class TestSplittingDegree:

@@ -102,7 +102,8 @@ def test_search_and_verify_bytes(capsys, tmp_path, argv, search_code,
 
 
 # ---------------------------------------------------------------------------
-# the reduction theory's integers, and two scripts' full outputs
+# the reduction theory's integers, ideal products, and two scripts' full
+# outputs
 
 def _sha(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
@@ -142,6 +143,31 @@ def test_principal_generator_integers():
     )
 
 
+def test_ideal_product_keys():
+    """(P**i * Q**j).key() for every pair of primes P, Q above p < 30 in
+    every field with 2 <= |d| < 100, 0 <= i, j <= 3. The pairs take in
+    squares of ramified primes, P * conj(P) and products whose norms share
+    a prime, so a product that picks another (g, a, b) for any of them
+    changes the digest."""
+    lines = []
+    for d in [d for n in range(2, 100) for d in (n, -n)]:
+        if squarefree_part(d) != d:
+            continue
+        K = QuadField(d)
+        primes = [P for p in primes_up_to(29) for P, _, _ in factor_prime(K, p)[1]]
+        powers = [[P**i for i in range(4)] for P in primes]
+        for x, P in enumerate(primes):
+            for y in range(x, len(primes)):
+                for i in range(4):
+                    for j in range(4):
+                        key = (powers[x][i] * powers[y][j]).key()
+                        lines.append(f"{d} {P.key()} {primes[y].key()} {i} {j} {key}")
+    assert len(lines) == 205968
+    assert _sha(lines) == (
+        "210d03a44d91c4db7f7de9b3a7a98650d35b8c3fff30a682d0a9d49f514b12a4"
+    )
+
+
 def _script_main(name: str):
     path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
@@ -155,6 +181,8 @@ def _script_main(name: str):
      "23fd43ceef354ac2e7949e54dd09658c1cd98e9d21b81e21c8fad73116f62503"),
     ("capitulation_table", ["--dmax", "100", "--json"],
      "a873443c753e0c89c295e2b80da56f4a4cdf194686e778c67e44d5024382a4a3"),
+    ("run_ambig_sweep", ["--disc-bound", "1000", "--json"],
+     "c424e09adcd90a9aaa44dd429840cf6f30fb2de0df6af591bbe68e026996a431"),
 ])
 def test_script_output_bytes(capsys, script, argv, digest):
     assert _script_main(script)(argv) == 0

@@ -10,6 +10,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import divide_exact, hnf_ideal, is_ray_principal, principal_ideal
 from raycap import quadfield
 from raycap.errors import InputError
 from raycap.exactmath import kronecker, squarefree_part
@@ -179,11 +180,18 @@ class TestFieldBasics:
         assert K.elt(1, 0).exact_div(K.elt(2, 0)) is None
 
 
+def hnf_product(I, J):
+    """I * J as the HNF of the four products of their generator pairs."""
+    x1, y1 = I.gen_pair()
+    x2, y2 = J.gen_pair()
+    return hnf_ideal(I.field, [x1 * x2, x1 * y2, y1 * x2, y1 * y2])
+
+
 class TestIdeals:
     def test_principal_norm(self):
         K = quadratic_field(-5)
         z = K.elt(1, 1)  # 1 + sqrt(-5), norm 6
-        I = QIdeal.principal(z)
+        I = principal_ideal(z)
         assert I.norm() == abs(z.norm()) == 6
 
     @given(
@@ -198,9 +206,48 @@ class TestIdeals:
         z, w = K.elt(a, b), K.elt(c, e)
         if z.is_zero() or w.is_zero():
             return
-        I, J = QIdeal.principal(z), QIdeal.principal(w)
+        I, J = principal_ideal(z), principal_ideal(w)
         assert (I * J).norm() == I.norm() * J.norm()
-        assert (I * J).key() == QIdeal.principal(z * w).key()
+        assert (I * J).key() == principal_ideal(z * w).key()
+
+    @given(
+        # d = 1, 2, 3 (mod 4), each with both signs
+        st.sampled_from([-3, -7, 5, 13, -2, -6, 2, 10, -1, -5, 3, 7]),
+        st.lists(st.integers(-30, 30), min_size=8, max_size=8),
+        st.integers(1, 6),
+        st.integers(1, 6),
+    )
+    def test_product_matches_hnf(self, d, cs, g1, g2):
+        # composition against the HNF of the four generator products; the
+        # ideals come from two random elements each, so contents and shared
+        # norm primes occur, and scale() puts g > 1 on either side
+        K = quadratic_field(d)
+        z1, z2, w1, w2 = (K.elt(x, y) for x, y in zip(cs[::2], cs[1::2]))
+        if z1.is_zero() or w1.is_zero():
+            return
+        I = hnf_ideal(K, [z1, z2]).scale(g1)
+        J = hnf_ideal(K, [w1, w2]).scale(g2)
+        assert I * J == hnf_product(I, J)
+
+    @pytest.mark.parametrize("d", [-23, -5, -1, 2, 5, 13])
+    def test_product_matches_hnf_small_norms(self, d):
+        # every pair of primitive ideals of norm at most 40
+        K = quadratic_field(d)
+        ideals = [
+            QIdeal(K, 1, a, b)
+            for a in range(1, 41)
+            for b in range(a)
+            if (b * (b + K.t) - K.u) % a == 0
+        ]
+        for I in ideals:
+            for J in ideals:
+                assert I * J == hnf_product(I, J)
+
+    def test_normal_form_check(self):
+        K = quadratic_field(-5)  # w^2 = -5: N(b + w) = b^2 + 5
+        assert QIdeal(K, 1, 3, 1).norm() == 3
+        with pytest.raises(ValueError, match="not an ideal"):
+            QIdeal(K, 1, 3, 0)
 
     def test_conj_product_is_norm(self):
         K = quadratic_field(-14)
@@ -214,7 +261,7 @@ class TestIdeals:
         _, data = factor_prime(K, 3)
         P = data[0][0]
         I = P * P * P.conj()
-        assert I.divide_exact(P).key() == (P * P.conj()).key()
+        assert divide_exact(I, P).key() == (P * P.conj()).key()
 
     def test_contains(self):
         K = quadratic_field(-5)
@@ -280,7 +327,7 @@ class TestClassGroups:
             return
         _, data = factor_prime(K, 3 if math.gcd(3, K.D) == 1 else 7)
         P = data[0][0]
-        assert class_key(P) == class_key(QIdeal.principal(z) * P)
+        assert class_key(P) == class_key(principal_ideal(z) * P)
 
     def test_analytic_class_number_formula(self):
         spf = smallest_prime_factors(3000)
@@ -360,7 +407,7 @@ class TestPrincipality:
         z = K.elt(a, b)
         if z.is_zero():
             return
-        g = is_principal_with_generator(QIdeal.principal(z))
+        g = is_principal_with_generator(principal_ideal(z))
         assert g is not None
         q = z.exact_div(g)
         assert q is not None and abs(q.norm()) == 1
@@ -411,7 +458,7 @@ class TestPrincipality:
             z = gen * (p1 * r + p2 * s)
         if z.is_zero():
             return
-        assert _generates(I, z) == (QIdeal.principal(z).key() == I.key())
+        assert _generates(I, z) == (principal_ideal(z).key() == I.key())
         if kind in ("gen", "unit_gen") and gen is not None:
             assert _generates(I, z)
 
@@ -510,26 +557,26 @@ class TestRayClassGroups:
             z = K.elt(a, b)
             if z.is_zero() or z.norm() % 3 == 0:
                 continue
-            assert ray.dlog(QIdeal.principal(z)) == ray.class_of_principal(z)
+            assert ray.dlog(principal_ideal(z)) == ray.class_of_principal(z)
 
     def test_ray_principal_generator(self):
         K = quadratic_field(2)
         ray = ray_class_group(K, modulus_from_rational(K, 7))
         z = K.elt(8, 7)  # 1 mod both primes over 7
-        g = ray.is_ray_principal(QIdeal.principal(z))
+        g = is_ray_principal(ray, principal_ideal(z))
         assert g is not None
         assert all(v == 0 for v in ray.residue.dlog(g))
         # a principal ideal whose ray class is nontrivial has no such generator
         w = K.elt(5, 1)
-        assert any(ray.dlog(QIdeal.principal(w)))
-        assert ray.is_ray_principal(QIdeal.principal(w)) is None
+        assert any(ray.dlog(principal_ideal(w)))
+        assert is_ray_principal(ray, principal_ideal(w)) is None
 
     def test_nontrivial_class_blocks(self):
         K = quadratic_field(34)
         ray = ray_class_group(K, Modulus.trivial(K))
         P = factor_prime(K, 3)[1][0][0]
-        assert ray.is_ray_principal(P) is None
-        g = ray.is_ray_principal(P * P)
+        assert is_ray_principal(ray, P) is None
+        g = is_ray_principal(ray, P * P)
         assert g is not None
 
 
