@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .exactmath import valuation
-
 Matrix = list[list[int]]
 
 
@@ -322,31 +320,3 @@ def group_from_relations(
     gen_vecs = tuple(tuple(s.Vinv[j]) for j in kept)
     return FiniteAbelianGroup(invariants, labels, to_canon, gen_vecs)
 
-
-def cyclic_complement(
-    invariants: Sequence[int], c: Sequence[int], ell: int
-) -> tuple[int, list[tuple[int, ...]]]:
-    """For an ell-group A = prod Z/d_i and an element c, pick the coordinate
-    i0 where d_i/gcd(c_i, d_i) peaks and return (i0, basis of B) where
-    B = <e_i : i != i0>. Then A/B is cyclic and c keeps its full order in
-    the quotient; dropping any other coordinate can shrink the image order.
-    """
-    k = len(invariants)
-    if k == 0:
-        raise ValueError("trivial group has no distinguished coordinate")
-    if len(c) != k:
-        raise ValueError("element length disagrees with the group rank")
-    n = []
-    for d in invariants:
-        v = valuation(d, ell)
-        if ell**v != d:
-            raise ValueError(f"invariant {d} is not a power of {ell}")
-        n.append(v)
-    gaps = []
-    for ci, di, ni in zip(c, invariants, n):
-        ci %= di
-        gaps.append(0 if ci == 0 else ni - min(valuation(ci, ell), ni))
-    best = max(gaps)
-    i0 = gaps.index(best)
-    basis = [tuple(int(i == j) for j in range(k)) for i in range(k) if i != i0]
-    return i0, basis

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from raycap.abgroup import FiniteAbelianGroup, group_from_relations, kernel_left
+from raycap.abgroup import FiniteAbelianGroup, group_from_relations, hnf_rows
 from raycap.biquad import (
     BiquadField,
     biquad_field,
@@ -44,6 +44,7 @@ from raycap.quadfield import (
     Modulus,
     QElt,
     QuadField,
+    ResidueSystem,
     _primitive_root,
     factor_prime,
     fundamental_unit,
@@ -180,49 +181,58 @@ def unit_dlog(field: QuadField, w: QElt) -> tuple[int, int]:
 # congruence-unit lattices and the norm index
 
 
-def _kernel_exponents(gvecs: list[tuple[int, ...]], group: FiniteAbelianGroup):
-    """Basis of {a : sum a_i * g_i = 0 in group}, as rows over Z^len(gvecs)."""
-    r = len(gvecs)
-    if r == 0:
-        return []
-    if group.rank == 0:
+def _unit_lattice(residue: ResidueSystem, units) -> list[list[int]]:
+    """Exponent lattice, over `units`, of the units that are 1 mod the
+    modulus of `residue`: the kernel of their classes in (O/m)^*.
+
+    The HNF of [classes | I] above [relations | 0] ends in the rows whose
+    class part is zero, and those span the kernel. An SNF with its row
+    transform finds the same lattice, but on some small unit matrices its
+    entries grow to thousands of digits."""
+    r = len(units)
+    if not residue.factors:  # trivial modulus: every unit is 1 mod m
         return [[1 if j == i else 0 for j in range(r)] for i in range(r)]
-    rows = [list(v[:r]) for v in kernel_left(group.stacked(gvecs))]
-    rows = [v for v in rows if any(v)]
-    assert len(rows) == r, "unit images have finite order, kernel is full rank"
-    return rows
-
-
-def _unit_sublattice_mod(field: QuadField, m: Modulus) -> list[list[int]]:
-    """Exponent lattice of E^m over unit_gens(field)."""
-    ug = unit_gens(field)
-    if not m.primes:
-        return [[1 if j == i else 0 for j in range(len(ug))] for i in range(len(ug))]
-    res = residue_system(field, m)
-    G = res.group()
-    gvecs = [G.dlog_ambient(res.dlog(u)) for u in ug]
-    return _kernel_exponents(gvecs, G)
+    s = residue.group.rank
+    stacked = residue.group.stacked([residue.vector(u) for u in units])
+    rows = [row + [int(i == j) for j in range(r)] for i, row in enumerate(stacked)]
+    kernel = [h[s:] for h in hnf_rows(rows) if not any(h[:s])]
+    assert len(kernel) == r, "unit images have finite order, kernel is full rank"
+    return kernel
 
 
 def _quotient_order(sub_rows: list[list[int]], width: int) -> int:
     """|E / H| for E = <-1> (width 1, E_Q) or <-1, eps> (width 2, a real
-    quadratic E_K), with H given by rows over that basis."""
-    rows = [[2] + [0] * (width - 1)] + [list(r) for r in sub_rows]
-    return group_from_relations(rows, ("m", "e")[:width]).order()
+    quadratic E_K), with H given by rows over that basis: the product of
+    the pivots of the HNF of H and the relation (-1)^2 = 1."""
+    h = hnf_rows([[2] + [0] * (width - 1)] + [list(r) for r in sub_rows])
+    if len(h) != width:
+        raise ArithmeticError("unit subgroup has infinite index")
+    return math.prod(row[i] for i, row in enumerate(h))
+
+
+def _norm_index(lattice, norm_logs, base_lattice, width: int) -> int:
+    """(E^m_k : N(E^{m_L}_L)) for k = Q (width 1) or a real quadratic K
+    (width 2), over the basis (-1) or (-1, eps_K) of E_k. `lattice` is
+    E^{m_L}_L over the generators of E_L, `norm_logs` holds the norms of
+    those generators over the basis, and `base_lattice` is E^m_k over it."""
+    norm_rows = [
+        [sum(a * v[c] for a, v in zip(row, norm_logs)) for c in range(width)]
+        for row in lattice
+    ]
+    over_norms = _quotient_order(norm_rows, width)
+    over_em = _quotient_order(base_lattice, width)
+    assert over_norms % over_em == 0, "norm subgroup must sit inside E^m_k"
+    return over_norms // over_em
 
 
 def _norm_index_quadratic(L: QuadField, m: int) -> int:
     """(E^m_Q : N_{L/Q}(E^{m_L}_L)) with m_L the extension of m to L."""
-    m_L = modulus_from_rational(L, m)
-    lattice = _unit_sublattice_mod(L, m_L)
     ug = unit_gens(L)
-    # every unit norm down to Q is +-1; torsion norms are +1
-    parities = [1 if (u.norm() == -1 and L.is_real) else 0 for u in ug]
-    norm_rows = [[sum(a * p for a, p in zip(row, parities)) % 2] for row in lattice]
-    over_norms = _quotient_order(norm_rows, 1)
-    over_em = 1 if m <= 2 else 2
-    assert over_norms % over_em == 0, "norm subgroup must sit inside E^m_Q"
-    return over_norms // over_em
+    lattice = _unit_lattice(residue_system(L, modulus_from_rational(L, m)), ug)
+    # a unit's norm down to Q is (-1)^s, whose log over <-1> is s
+    norm_logs = [(0 if u.norm() == 1 else 1,) for u in ug]
+    # -1 is 1 mod m exactly when m <= 2
+    return _norm_index(lattice, norm_logs, [[1]] if m <= 2 else [], 1)
 
 
 def _norm_index_biquad(L: BiquadField, K: QuadField, m: Modulus) -> int:
@@ -231,27 +241,11 @@ def _norm_index_biquad(L: BiquadField, K: QuadField, m: Modulus) -> int:
         raise InputError("modulus lives over the wrong base field")
     U = unit_group(L)
     lgens = [-L.one()] + list(U.units)
-    m_L = extend_modulus(L, m)
-    if not m_L:
-        lattice = [[1 if c == i else 0 for c in range(4)] for i in range(4)]
-    else:
-        R = l_residue_system(m_L)
-        G = R.group()
-        gvecs = [G.dlog_ambient(R.dlog(u)) for u in lgens]
-        lattice = _kernel_exponents(gvecs, G)
+    lattice = _unit_lattice(l_residue_system(extend_modulus(L, m)), lgens)
     # relative norms of the generators, expressed over (-1, eps_K)
-    norm_dlogs = [(0, 0)] + [unit_dlog(K, v.rel_norm(j)) for v in U.units]
-    norm_rows = [
-        [
-            sum(a * s for a, (s, _) in zip(row, norm_dlogs)) % 2,
-            sum(a * e for a, (_, e) in zip(row, norm_dlogs)),
-        ]
-        for row in lattice
-    ]
-    over_norms = _quotient_order(norm_rows, 2)
-    over_em = _quotient_order(_unit_sublattice_mod(K, m), 2)
-    assert over_norms % over_em == 0, "norm subgroup must sit inside E^m_K"
-    return over_norms // over_em
+    norm_logs = [(0, 0)] + [unit_dlog(K, v.rel_norm(j)) for v in U.units]
+    base = _unit_lattice(ray_class_group(K, m).residue, unit_gens(K))
+    return _norm_index(lattice, norm_logs, base, 2)
 
 
 def norm_index_units(L, K, m) -> int:

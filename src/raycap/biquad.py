@@ -192,17 +192,18 @@ class BqIdeal:
     rows: tuple[tuple[int, int, int, int], ...]
 
     @staticmethod
-    def from_generators(L: BiquadField, gens) -> "BqIdeal":
-        rows = []
-        for g in gens:
-            if isinstance(g, int):
-                g = BqElt(L, g, 0, 0, 0)
-            for m in _BASIS:
-                rows.append(list((g * BqElt(L, *m)).coords()))
-        h = hnf_rows(rows)
+    def _from_span(L: BiquadField, elts) -> "BqIdeal":
+        """The ideal whose lattice the elements span over Z; the span must
+        already be an ideal."""
+        h = hnf_rows([list(z.coords()) for z in elts])
         if len(h) != 4:
             raise ValueError("generators span a rank-deficient lattice")
         return BqIdeal(L, tuple(tuple(r) for r in h))
+
+    @staticmethod
+    def from_generators(L: BiquadField, gens) -> "BqIdeal":
+        gens = [BqElt(L, g, 0, 0, 0) if isinstance(g, int) else g for g in gens]
+        return BqIdeal._from_span(L, [g * BqElt(L, *m) for g in gens for m in _BASIS])
 
     @staticmethod
     def principal(z: BqElt) -> "BqIdeal":
@@ -227,13 +228,9 @@ class BqIdeal:
         return solve_left([list(r) for r in self.rows], list(z.coords())) is not None
 
     def __mul__(self, o: "BqIdeal") -> "BqIdeal":
-        rows = []
-        for x in self.elements():
-            for y in o.elements():
-                rows.append(list((x * y).coords()))
-        h = hnf_rows(rows)
-        assert len(h) == 4
-        return BqIdeal(self.L, tuple(tuple(r) for r in h))
+        return BqIdeal._from_span(
+            self.L, [x * y for x in self.elements() for y in o.elements()]
+        )
 
     def __pow__(self, k: int) -> "BqIdeal":
         return power(self, k, BqIdeal.unit_ideal(self.L))
@@ -243,10 +240,7 @@ class BqIdeal:
         return BqIdeal(self.L, tuple(tuple(n * v for v in r) for r in self.rows))
 
     def conj(self, j: int) -> "BqIdeal":
-        rows = [list(z.tau(j).coords()) for z in self.elements()]
-        h = hnf_rows(rows)
-        assert len(h) == 4
-        return BqIdeal(self.L, tuple(tuple(r) for r in h))
+        return BqIdeal._from_span(self.L, [z.tau(j) for z in self.elements()])
 
     def __repr__(self) -> str:
         return f"BqIdeal(norm={self.norm()})@{self.L!r}"
@@ -337,16 +331,19 @@ def extend_ideal(L: BiquadField, I: QIdeal) -> BqIdeal:
     return ext
 
 
+def _primes_over(L: BiquadField, q: QIdeal) -> list[tuple[BqIdeal, int, int]]:
+    """The (ideal, e, f) triples of `primes_above` for the primes of L above
+    the prime q of a quadratic subfield, in that order."""
+    gens = [embed(L, g) for g in q.gen_pair()]
+    return [
+        t for t in primes_above(L, q.entry()[0]) if all(t[0].contains(g) for g in gens)
+    ]
+
+
 def extend_modulus(L: BiquadField, m: Modulus) -> tuple[BqIdeal, ...]:
     """All primes of L above the primes of m, each with multiplicity one."""
-    seen: dict[tuple, tuple[BqIdeal, int, int]] = {}
-    for q in m.primes:
-        p0 = min(factor(q.norm()))
-        gens = [embed(L, g) for g in q.gen_pair()]
-        for Q, e, f in primes_above(L, p0):
-            if all(Q.contains(g) for g in gens):
-                seen[Q.rows] = (Q, e, f)
-    return tuple(t[0] for t in sorted(seen.values(), key=lambda t: (t[0].norm(), t[0].rows)))
+    seen = {Q.rows: Q for q in m.primes for Q, _, _ in _primes_over(L, q)}
+    return tuple(sorted(seen.values(), key=lambda Q: (Q.norm(), Q.rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +451,18 @@ class UnitGroupData:
     class_number: int
 
 
+def _sign_unit_classes(L: BiquadField, units):
+    """((m1, m2, m3), (-1)^s * u1^m1 * u2^m2 * u3^m3) for the 16 patterns
+    in {0, 1}^4, s slowest: one representative of each class of
+    <-1, u1, u2, u3> modulo squares."""
+    for s, *ms in product((0, 1), repeat=4):
+        eta = -L.one() if s else L.one()
+        for m, u in zip(ms, units):
+            if m:
+                eta = eta * u
+        yield ms, eta
+
+
 @lru_cache(maxsize=None)
 def unit_group(L: BiquadField) -> UnitGroupData:
     from .quadfield import class_group
@@ -463,17 +472,12 @@ def unit_group(L: BiquadField) -> UnitGroupData:
     changed = True
     while changed:
         changed = False
-        for s, m1, m2, m3 in product((0, 1), repeat=4):
-            if not (m1 or m2 or m3):
+        for ms, eta in _sign_unit_classes(L, tuple(basis)):
+            if not any(ms):
                 continue
-            eta = L.one() if s == 0 else -L.one()
-            for m, u in zip((m1, m2, m3), basis):
-                if m:
-                    eta = eta * u
             xi = sqrt_in_biquad(eta)
             if xi is not None:
-                pick = max(i for i, m in enumerate((m1, m2, m3)) if m)
-                basis[pick] = xi
+                basis[max(i for i, m in enumerate(ms) if m)] = xi
                 q *= 2
                 changed = True
                 break
@@ -528,14 +532,8 @@ def is_principal(I: BqIdeal) -> BqElt | None:
         betas.append(beta)
     b = embed(L, betas[0]) * embed(L, betas[1]) * embed(L, betas[2])
     assert BqIdeal.principal(b) == (I * I).scale(n)
-    units = unit_group(L).units
-    for s, m1, m2, m3 in product((0, 1), repeat=4):
-        w = L.one() if s == 0 else -L.one()
-        for m, u in zip((m1, m2, m3), units):
-            if m:
-                w = w * u
-        w = w * b
-        eta = sqrt_in_biquad(w * n)
+    for _, w in _sign_unit_classes(L, unit_group(L).units):
+        eta = sqrt_in_biquad(w * b * n)
         if eta is None:
             continue
         gamma = eta.divide_int(n)
@@ -638,10 +636,9 @@ def verify_certificate(cert) -> CapitulationReport:
     from .kummerfrob import ConditionChecker, SearchParams, prime_above_from_root
 
     K = quadratic_field(cert.d)
-    primes = tuple(QIdeal(K, g, a, b) for (p0, a, b, g) in cert.modulus)
-    modulus = Modulus(K, primes)
     rep = CapitulationReport(status="", d=cert.d, p=cert.p)
     try:
+        modulus = Modulus.from_entries(K, cert.modulus)
         checker = ConditionChecker(
             K, modulus, cert.target,
             SearchParams(cert.ell, cert.n, cert.h, cert.bound),
@@ -674,8 +671,7 @@ def verify_certificate(cert) -> CapitulationReport:
     L = biquad_field(cert.d, cert.p)
     p_K = prime_above_from_root(K, cert.p, cert.root)
     ext = extend_ideal(L, p_K)
-    rams = [Q for Q, e, f in primes_above(L, cert.p) if e == 2]
-    q_L = next(Q for Q in rams if all(Q.contains(embed(L, g)) for g in p_K.gen_pair()))
+    q_L = next(Q for Q, e, _ in _primes_over(L, p_K) if e == 2)
     rep.checks["ramified_square"] = q_L**2 == ext
     assert rep.checks["ramified_square"]
 

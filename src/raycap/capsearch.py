@@ -103,7 +103,7 @@ def power_adjustment_hint(field: QuadField, ell: int, h: int) -> dict:
 @dataclass(frozen=True)
 class CandidateCertificate:
     d: int
-    modulus: tuple  # descriptor tuples (p, a, b, g)
+    modulus: tuple  # Modulus.entries(): (p, a, b, g) per prime
     target: tuple[int, ...]
     ell: int
     n: int
@@ -152,10 +152,6 @@ class SearchResult:
         }
 
 
-def _modulus_descriptor(modulus: Modulus) -> tuple:
-    return tuple((d["p"], d["a"], d["b"], d["g"]) for d in modulus.descriptor())
-
-
 def _candidate_stream(checker: ConditionChecker, lo: int, hi: int):
     params = checker.params
     step = 2 ** (params.n + 1) if params.ell == 2 else params.ell**params.n
@@ -192,11 +188,9 @@ def _checker_cached(d, mod_desc, target, ell, n, h, bound) -> ConditionChecker:
     key = (d, mod_desc, target, ell, n, h)
     if key not in _CHECKER_CACHE:
         field = quadratic_field(d)
-        from .quadfield import QIdeal
-
-        primes = tuple(QIdeal(field, g, a, b) for (p0, a, b, g) in mod_desc)
         _CHECKER_CACHE[key] = ConditionChecker(
-            field, Modulus(field, primes), target, SearchParams(ell, n, h, bound)
+            field, Modulus.from_entries(field, mod_desc), target,
+            SearchParams(ell, n, h, bound),
         )
     return _CHECKER_CACHE[key]
 
@@ -239,7 +233,7 @@ def find_principalizing_prime(
     degree = params.ell**params.n
     cert = CandidateCertificate(
         d=field.d,
-        modulus=_modulus_descriptor(modulus),
+        modulus=modulus.entries(),
         target=checker.target,
         ell=params.ell,
         n=params.n,
@@ -260,7 +254,7 @@ def find_principalizing_prime(
 def _parallel_scan(field, modulus, target, params, jobs, checker):
     """Deterministic chunked scan: ranges are examined in ascending order and
     the first hit in the earliest hitting chunk wins."""
-    mod_desc = _modulus_descriptor(modulus)
+    mod_desc = modulus.entries()
     chunk = max(20000, params.bound // (8 * jobs))
     ranges = [
         (lo, min(lo + chunk - 1, params.bound))

@@ -26,6 +26,7 @@ from raycap.kummerfrob import SearchParams
 from raycap.quadfield import (
     Modulus,
     QIdeal,
+    descriptor,
     factor_prime,
     quadratic_field,
     ray_class_group,
@@ -115,10 +116,6 @@ def _resolve_target(selector: str, ray) -> tuple[int, ...]:
     return tuple(v % n for v, n in zip(vec, inv))
 
 
-def _ideal_desc(I: QIdeal) -> dict:
-    return {"p": I.a if I.g == 1 else I.g, "a": I.a, "b": I.b, "g": I.g}
-
-
 def _d_from_disc(D: int) -> int:
     if D % 4 == 1:
         d = D
@@ -167,10 +164,10 @@ def cmd_rayclass(args) -> int:
         order = ray.group.order()
         payload = {
             "field": {"d": field.d, "disc": field.D},
-            "modulus": modulus.descriptor(),
+            "modulus": descriptor(modulus.primes),
             "invariants": list(ray.group.invariants),
             "order": order,
-            "ideal_generators": [_ideal_desc(I) for I in ray.ideal_gens],
+            "ideal_generators": descriptor(ray.ideal_gens),
             "components": {
                 "class_number": ray.cl.h,
                 "residue_order": ray.residue.order(),
@@ -201,7 +198,7 @@ def cmd_search(args) -> int:
     key = {
         "op": "search",
         "d": field.d,
-        "modulus": modulus.descriptor(),
+        "modulus": descriptor(modulus.primes),
         "target": list(target),
         "ell": args.l,
         "n": args.n,

@@ -409,13 +409,15 @@ class PolyModP:
 
 
 def roots_mod_p(coeffs: Sequence[int], p: int) -> list[int]:
-    """All roots in F_p of the integer polynomial with the given coefficients
-    (low to high), sorted ascending. A quadratic over odd p takes one square
-    root of its discriminant; other degrees use deterministic equal-degree
-    splitting, or trial of every residue for small p."""
+    """All roots in F_p of an integer polynomial of degree at most 2 over
+    F_p, coefficients low to high, sorted ascending. A quadratic over odd p
+    takes one square root of its discriminant; p = 2 and lower degrees try
+    every residue."""
     f = PolyModP.make(coeffs, p)
     if f.is_zero():
         raise ValueError("zero polynomial has every root")
+    if f.degree > 2:
+        raise ValueError(f"degree {f.degree} mod {p}: only degree <= 2 is solved")
     if f.degree == 2 and p != 2:
         c0, c1, c2 = f.coeffs
         r = sqrt_mod(c1 * c1 - 4 * c2 * c0, p)
@@ -423,36 +425,7 @@ def roots_mod_p(coeffs: Sequence[int], p: int) -> list[int]:
             return []
         inv = pow(2 * c2, -1, p)
         return sorted({(-c1 + r) * inv % p, (-c1 - r) * inv % p})
-    if p <= 3000 or f.degree <= 1:
-        return [x for x in range(p) if f(x) == 0]
-    x = PolyModP.x(p)
-    # isolate the split part: gcd(x^p - x, f)
-    g = (x.pow_mod(p, f) - (x % f)).gcd(f)
-    roots: list[int] = []
-    # peel off a possible root at 0, then split by gcd with (x+a)^((p-1)/2) - 1
-    if g(0) == 0:
-        roots.append(0)
-        g = g.divmod(PolyModP.make((0, 1), p))[0]
-    stack = [g]
-    shift = 0
-    one = PolyModP((1,), p)
-    while stack:
-        h = stack.pop()
-        if h.degree == 0:
-            continue
-        if h.degree == 1:
-            roots.append(-h.coeffs[0] * pow(h.coeffs[1], -1, p) % p)
-            continue
-        while True:
-            base = PolyModP.make((shift, 1), p)
-            shift += 1
-            w = base.pow_mod((p - 1) // 2, h) - one
-            d = w.gcd(h)
-            if 0 < d.degree < h.degree:
-                stack.append(d)
-                stack.append(h.divmod(d)[0])
-                break
-    return sorted(roots)
+    return [x for x in range(p) if f(x) == 0]
 
 
 def splitting_degree(coeffs: Sequence[int], q: int) -> int:

@@ -153,6 +153,11 @@ class ConditionChecker:
         self.modulus = modulus
         self.params = params
         self.ray: RayClassData = ray_class_group(field, modulus)
+        if len(target) != self.ray.group.rank:
+            raise InputError(
+                f"target {tuple(target)} does not match the ray class group's"
+                f" invariants {self.ray.group.invariants}"
+            )
         self.target = self.ray.group.reduce(target)
         t_order = self.ray.group.element_order(self.target)
         lv = valuation(t_order, params.ell) if t_order > 1 else 0

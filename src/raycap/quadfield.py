@@ -223,6 +223,11 @@ class QIdeal:
     def key(self) -> tuple[int, int, int]:
         return (self.g, self.a, self.b)
 
+    def entry(self) -> tuple[int, int, int, int]:
+        """(p, a, b, g) with p the rational prime below a prime ideal: the
+        form in which moduli and ideal generators are written out."""
+        return (self.a if self.g == 1 else self.g, self.a, self.b, self.g)
+
     def __repr__(self) -> str:
         return f"{self.g}*[{self.a}, {self.b}+w | d={self.field.d}]"
 
@@ -301,14 +306,6 @@ class _Mult:
 
     def times(self, num: QElt, den: int) -> "_Mult":
         return _Mult(self.num * num, self.den * den)
-
-    def inverse_elt(self) -> QElt | None:
-        """den/num as an element of O_K, if integral."""
-        n = self.num.norm()
-        w = self.num.conj() * self.den
-        if n == 0 or w.x % n or w.y % n:
-            return None
-        return QElt(self.num.field, w.x // n, w.y // n)
 
 
 def _B_centered(a: int, B0: int) -> int:
@@ -417,7 +414,7 @@ def is_principal_with_generator(I: QIdeal) -> QElt | None:
     f = I.field
     for a, _, mult in _cycle(f, I.a, I.b, _Mult(QElt(f, 1, 0), 1)):
         if a == 1:
-            gen = mult.inverse_elt()
+            gen = QElt(f, mult.den, 0).exact_div(mult.num)
             assert gen is not None, "unit-ideal multiplier must invert integrally"
             gen = gen * I.g
             assert _generates(I, gen)
@@ -585,7 +582,7 @@ def class_group(field: QuadField) -> ClassGroupData:
     groups, biquadratic unit groups and the CLI read only `h`."""
     gens = tuple(_candidate_primes(field, frozenset()))
     table, relations = _coset_closure(field, gens)
-    labels = tuple(f"P{P.a if P.g == 1 else P.g}_{P.b}" for P in gens)
+    labels = tuple(f"P{P.entry()[0]}_{P.b}" for P in gens)
     group = group_from_relations(relations, labels)
     assert group.order() == len(table)
     return ClassGroupData(field, group, gens, table)
@@ -613,14 +610,29 @@ class Modulus:
     def trivial(field: QuadField) -> "Modulus":
         return Modulus(field, ())
 
+    @staticmethod
+    def from_entries(field: QuadField, entries) -> "Modulus":
+        """The modulus that `entries()` wrote, checked: each entry must be
+        (p, a, b, g) for a prime g*[a, b + w] in normal form, p the rational
+        prime below it."""
+        try:
+            entries = tuple(map(tuple, entries))
+            primes = tuple(QIdeal(field, g, a, b) for _, a, b, g in entries)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed modulus entry: {exc}") from None
+        modulus = Modulus(field, primes)
+        if modulus.entries() != entries:
+            raise InputError("a modulus entry names the wrong prime below its ideal")
+        return modulus
+
+    def entries(self) -> tuple[tuple[int, int, int, int], ...]:
+        return tuple(q.entry() for q in self.primes)
+
     def norm(self) -> int:
         return math.prod(q.norm() for q in self.primes)
 
-    def is_trivial(self) -> bool:
-        return not self.primes
-
     def residue_chars(self) -> set[int]:
-        return {q.a if q.g == 1 else q.g for q in self.primes}
+        return {q.entry()[0] for q in self.primes}
 
     def is_conj_stable(self) -> bool:
         keys = {q.key() for q in self.primes}
@@ -629,11 +641,10 @@ class Modulus:
     def coprime_to(self, I: QIdeal) -> bool:
         return math.gcd(I.norm(), self.norm()) == 1
 
-    def descriptor(self) -> list[dict]:
-        return [
-            {"p": (q.a if q.g == 1 else q.g), "a": q.a, "b": q.b, "g": q.g}
-            for q in self.primes
-        ]
+
+def descriptor(ideals: Sequence[QIdeal]) -> list[dict]:
+    """The entries of `ideals` as the {p, a, b, g} dicts that reports print."""
+    return [dict(zip("pabg", I.entry())) for I in ideals]
 
 
 def modulus_from_rational(field: QuadField, m: int) -> Modulus:
@@ -764,8 +775,10 @@ def _residue_factor(field: QuadField, q: QIdeal) -> ResidueFactor:
 
 
 class ResidueSystem:
-    """(O/m)^* as a product of cyclic factors with discrete logs. `field` is
-    set for a modulus of K, where dlog_int and crt_lift build elements."""
+    """(O/m)^* as a product of cyclic factors with discrete logs. `dlog`
+    gives the exponents over the factors' generators, and `vector` the
+    coordinates in `group`, the product in invariant-factor form. `field`
+    is set for a modulus of K, where dlog_int and crt_lift build elements."""
 
     def __init__(
         self, factors: Sequence[ResidueFactor], field: QuadField | None = None
@@ -786,12 +799,17 @@ class ResidueSystem:
     def is_unit(self, z) -> bool:
         return all(f.is_unit_residue(z) for f in self.factors)
 
+    @cached_property
     def group(self) -> FiniteAbelianGroup:
+        n = len(self.orders)
         rows = [
-            [self.orders[i] if i == j else 0 for j in range(len(self.orders))]
-            for i in range(len(self.orders))
+            [o if i == j else 0 for j in range(n)] for i, o in enumerate(self.orders)
         ]
-        return group_from_relations(rows, tuple(f"r{i}" for i in range(len(rows))))
+        return group_from_relations(rows, tuple(f"r{i}" for i in range(n)))
+
+    def vector(self, z) -> tuple[int, ...]:
+        """The class of z, a unit mod m, in `group`."""
+        return self.group.dlog_ambient(self.dlog(z))
 
     def crt_lift(self, exps: Sequence[int]) -> QElt:
         """An element of O_K congruent to gen_i^exps[i] at factor i, for all i."""
@@ -832,12 +850,9 @@ def adjust_by_units(y, residue: ResidueSystem, units: Sequence):
     order of u_i's image."""
     if not residue.factors:
         return y
-    group = residue.group()
-    uvecs = [group.dlog_ambient(residue.dlog(u)) for u in units]
-    target = group.dlog_ambient(
-        [(-r) % o for r, o in zip(residue.dlog(y), residue.orders)]
-    )
-    coeffs = group.express(uvecs, target)
+    group = residue.group
+    uvecs = [residue.vector(u) for u in units]
+    coeffs = group.express(uvecs, group.scale(-1, residue.vector(y)))
     if coeffs is None:
         return None
     out = y
@@ -969,9 +984,9 @@ def ray_class_group(field: QuadField, modulus: Modulus) -> RayClassData:
         rows = []
     group = group_from_relations(rows, labels)
     # unit image inside (O/m)^*, for the exact-sequence order identity
-    res_group = residue.group()
-    uvecs = [res_group.dlog_ambient(residue.dlog(u)) for u in unit_gens(field)]
-    unit_image = res_group.subgroup_order(uvecs) if s else 1
+    unit_image = residue.group.subgroup_order(
+        [residue.vector(u) for u in unit_gens(field)]
+    )
     data = RayClassData(
         field, modulus, group, cl, ideal_gens, residue, table, unit_image
     )
@@ -988,9 +1003,6 @@ def aug_unit_data(field: QuadField, modulus: Modulus) -> tuple[QElt, int]:
     u = fundamental_unit(field)
     k0 = 1 if u.norm() == 1 else 2
     base = u**k0
-    if modulus.is_trivial():
-        return base, k0
-    residue = residue_system(field, modulus)
-    res_group = residue.group()
-    e = res_group.element_order(res_group.dlog_ambient(residue.dlog(base)))
+    residue = ray_class_group(field, modulus).residue
+    e = residue.group.element_order(residue.vector(base))
     return base**e, k0 * e

@@ -1,10 +1,11 @@
 """Reference implementations that only the tests use: a fraction-free
 determinant, matrix products, multiplicative orders, divisor lists,
-synthetic abelian groups given by their invariants, ideals of K as the HNF
-of their generators' lattice, exact ideal division and ray-principal
-generators. The library never calls them. The ideal oracles stand on the
-library's `QIdeal` and its HNF, and division and ray principality also on
-its ideal product and generator search; the rest share no code with it.
+synthetic abelian groups given by their invariants, the cyclic complement
+of an element of an ell-group, ideals of K as the HNF of their generators'
+lattice, exact ideal division and ray-principal generators. The library
+never calls them. The ideal oracles stand on the library's `QIdeal` and its
+HNF, and division and ray principality also on its ideal product and
+generator search; the rest share no code with it.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import math
 from typing import Sequence
 
 from raycap.abgroup import FiniteAbelianGroup
-from raycap.exactmath import factor
+from raycap.exactmath import factor, valuation
 from raycap.quadfield import (
     QElt,
     QIdeal,
@@ -69,6 +70,35 @@ def group_from_invariants(ds: Sequence[int]) -> FiniteAbelianGroup:
     eye = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
     labels = tuple(f"g{i}" for i in range(k))
     return FiniteAbelianGroup(ds, labels, eye, eye)
+
+
+def cyclic_complement(
+    invariants: Sequence[int], c: Sequence[int], ell: int
+) -> tuple[int, list[tuple[int, ...]]]:
+    """For an ell-group A = prod Z/d_i and an element c, pick the coordinate
+    i0 where d_i/gcd(c_i, d_i) peaks and return (i0, basis of B) where
+    B = <e_i : i != i0>. Then A/B is cyclic and c keeps its full order in
+    the quotient; dropping any other coordinate can shrink the image order.
+    """
+    k = len(invariants)
+    if k == 0:
+        raise ValueError("trivial group has no distinguished coordinate")
+    if len(c) != k:
+        raise ValueError("element length disagrees with the group rank")
+    n = []
+    for d in invariants:
+        v = valuation(d, ell)
+        if ell**v != d:
+            raise ValueError(f"invariant {d} is not a power of {ell}")
+        n.append(v)
+    gaps = []
+    for ci, di, ni in zip(c, invariants, n):
+        ci %= di
+        gaps.append(0 if ci == 0 else ni - min(valuation(ci, ell), ni))
+    best = max(gaps)
+    i0 = gaps.index(best)
+    basis = [tuple(int(i == j) for j in range(k)) for i in range(k) if i != i0]
+    return i0, basis
 
 
 def divisors(n: int) -> list[int]:

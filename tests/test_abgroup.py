@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import det_bareiss, group_from_invariants, mat_mul
+from oracles import cyclic_complement, det_bareiss, group_from_invariants, mat_mul
 from raycap.abgroup import (
-    cyclic_complement,
     group_from_relations,
     hnf_rows,
     snf,

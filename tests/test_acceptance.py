@@ -14,8 +14,7 @@ import time
 from itertools import product as iproduct
 from math import gcd, lcm
 
-from oracles import multiplicative_order
-from raycap.abgroup import cyclic_complement
+from oracles import cyclic_complement, multiplicative_order
 from raycap.ambigcheck import ambig_case, fundamental_field_params, rayclass_Q
 from raycap.biquad import (
     BqIdeal,
@@ -137,7 +136,7 @@ def _run_ray_order_identity():
         K = quadratic_field(d)
         ray = ray_class_group(K, modulus_from_rational(K, m))
         res = ray.residue
-        img = res.group().subgroup_order([res.dlog(u) for u in unit_gens(K)])
+        img = res.group.subgroup_order([res.vector(u) for u in unit_gens(K)])
         if ray.group.order() * img != ray.cl.h * res.order():
             quad_fail.append((d, m))
         if img != ray.unit_image_order:

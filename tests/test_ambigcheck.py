@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import det_bareiss
 from raycap.ambigcheck import (
     AmbigReport,
+    _unit_lattice,
     ambig_case,
     ambig_sweep,
     ambiguous_count_direct,
@@ -21,7 +23,13 @@ from raycap.ambigcheck import (
     rayclass_Q_generators,
     unit_dlog,
 )
-from raycap.biquad import biquad_field, class_number
+from raycap.biquad import (
+    biquad_field,
+    class_number,
+    extend_modulus,
+    l_residue_system,
+    unit_group,
+)
 from raycap.errors import BudgetError, InputError
 from raycap.exactmath import factor
 from raycap.quadfield import (
@@ -189,6 +197,34 @@ class TestNormIndexUnits:
         assert norm_index_units(L, L.k1, modulus_from_rational(L.k1, 1)) == 1
         L = biquad_field(6, 5)
         assert norm_index_units(L, L.k1, modulus_from_rational(L.k1, 1)) == 2
+
+    def test_unit_lattice_is_the_kernel_of_the_unit_classes(self):
+        # (O_L/m_L)^* = (Z/12)^4 x (Z/120)^2 for the primes of
+        # Q(sqrt 10, sqrt 29) over 11 and 13; an SNF of these unit classes
+        # above their relations grows its entries to thousands of digits
+        L = biquad_field(10, 29)
+        res = l_residue_system(extend_modulus(L, modulus_from_rational(L.k1, 143)))
+        G = res.group
+        units = [-L.one()] + list(unit_group(L).units)
+        vecs = [res.vector(u) for u in units]
+        lattice = _unit_lattice(res, units)
+        for row in lattice:
+            image = [sum(a * v[c] for a, v in zip(row, vecs)) for c in range(G.rank)]
+            assert G.reduce(image) == G.identity()
+        # the index of the kernel is the order of the image, found by brute force
+        seen, frontier = {G.identity()}, [G.identity()]
+        while frontier:
+            x = frontier.pop()
+            for v in vecs:
+                y = G.add(x, v)
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        assert abs(det_bareiss(lattice)) == len(seen)
+        # the formula side now ends, and the direct side needs h(L) = 1
+        assert class_number(L) != 1
+        with pytest.raises(BudgetError):
+            ambig_case(("biquad", 10, 29, 1, (11, 13)))
 
     def test_shape_errors(self):
         L = biquad_field(2, 5)

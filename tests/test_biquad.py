@@ -483,6 +483,38 @@ class TestResidues:
                 assert fac.lift_power(k) == fac.residue(x), label
                 assert fac.dlog(x * y) == (k + fac.dlog(y)) % fac.order, label
 
+    def test_vector_is_a_homomorphism_onto_group(self):
+        # factor orders 4, 4, 6, 6 (5 and 7 split) are not in Smith form, so
+        # the factor exponents of dlog are not coordinates in `group`
+        rng = random.Random(11)
+        K, Ki, L = quadratic_field(29), quadratic_field(-6), biquad_field(11, 29)
+        cases = [
+            (residue_system(K, modulus_from_rational(K, 35)), K.elt, 2),
+            (residue_system(Ki, modulus_from_rational(Ki, 35)), Ki.elt, 2),
+            (l_residue_system(extend_modulus(L, modulus_from_rational(L.k1, 35))),
+             lambda *c: BqElt(L, *c), 4),
+        ]
+        for res, make, n in cases:
+            G = res.group
+            assert res.group is G
+            assert any(b % a for a, b in zip(res.orders, res.orders[1:]))
+            assert G.order() == res.order()
+            images = []
+            while len(images) < 30:
+                x = make(*[rng.randint(-40, 40) for _ in range(n)])
+                y = make(*[rng.randint(-40, 40) for _ in range(n)])
+                if not (res.is_unit(x) and res.is_unit(y)):
+                    continue
+                vx, vy = res.vector(x), res.vector(y)
+                assert vx == G.reduce(vx) and len(vx) == G.rank
+                assert res.vector(x * y) == G.add(vx, vy)
+                images.append(vx)
+            if res.field is not None:  # the factor generators lift into K
+                k = len(res.orders)
+                images = [res.vector(res.crt_lift([int(i == j) for j in range(k)]))
+                          for i in range(k)]
+            assert G.subgroup_order(images) == G.order()
+
     def test_order_one_factor_adjusts_without_hanging(self):
         # every prime of L over 2 has residue field F_2 here, so each factor
         # has order 1 and the discrete log must not need a giant step

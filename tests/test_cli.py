@@ -5,7 +5,7 @@ import json
 import pytest
 
 from raycap.cli import main
-from raycap.report import check_stamp
+from raycap.report import certificate_from_dict, check_stamp, save_certificate
 
 
 @pytest.fixture(autouse=True)
@@ -175,6 +175,25 @@ class TestSearchAndVerify:
         code, _, err = run(capsys, "verify", str(cert_path))
         assert code == 2
         assert "integrity" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("modulus", [[5, 4, 7, 1]]),  # b outside [0, a)
+        ("modulus", [[5, 5, 0, 1]]),  # a does not divide N(b + w)
+        ("modulus", [[5, 5, 1]]),  # not a (p, a, b, g) entry
+        ("modulus", [[5, 3, 1, 1], [5, 3, 2, 1]]),  # 3 is the prime below
+        ("target", [1, 0]),  # Cl^m of Q(sqrt 34) mod 1 is Z/2
+        ("target", []),
+    ])
+    def test_crafted_certificate_is_invalid(self, capsys, tmp_path, key, value):
+        # a well-formed, freshly stamped file whose contents do not fit
+        cert_path = tmp_path / "c.json"
+        run(capsys, "search", "--d", "34", "--mod", "1", "--out", str(cert_path))
+        data = json.loads(cert_path.read_text())["payload"]["certificate"]
+        data[key] = value
+        save_certificate(cert_path, certificate_from_dict(data))
+        code, out, _ = run(capsys, "verify", "--json", str(cert_path))
+        assert code == 2
+        assert json.loads(out)["payload"]["status"] == "invalid_certificate"
 
     def test_cached_search_is_byte_identical(self, capsys, tmp_path):
         argv = ["search", "--d", "34", "--mod", "1", "--json",

@@ -267,38 +267,18 @@ class TestRootsModP:
         assert roots_mod_p([1, 0, 1], 5) == [2, 3]  # x^2 + 1
         assert roots_mod_p([1, 0, 1], 7) == []
 
-    def test_constructed_roots_large_p(self):
-        # product of known linear factors times an irreducible quadratic,
-        # so the answer is forced without a brute oracle
-        p = 10007
-        want = [3, 17, 2024]
-        coeffs = [1]
-        for r in want:
-            coeffs = [
-                (c1 - r * c0) % p
-                for c0, c1 in zip(coeffs + [0], [0] + coeffs)
-            ]
-        nonres = next(a for a in range(2, p) if kronecker(a, p) == -1)
-        quad = [(-nonres) % p, 0, 1]
-        prod = [0] * (len(coeffs) + 2)
-        for i, c in enumerate(coeffs):
-            for j, d in enumerate(quad):
-                prod[i + j] = (prod[i + j] + c * d) % p
-        assert roots_mod_p(prod, p) == sorted(want)
-
-    def test_brute_agreement_midsize_p(self):
-        p = 3001  # just past the brute cutoff, so equal-degree splitting
-        f = [1, 5, 0, 2, 1]
-        got = roots_mod_p(f, p)
-        want = [x for x in range(p) if (((x + 2) * x * x + 5) * x + 1) % p == 0]
-        assert got == want
+    def test_degree_above_two_raises(self):
+        with pytest.raises(ValueError):
+            roots_mod_p([1, 0, 0, 1], 7)  # x^3 + 1
+        # a cubic whose leading coefficient vanishes mod p is a quadratic
+        assert roots_mod_p([6, 0, 1, 7], 7) == [1, 6]
 
 
 def brute_roots(coeffs, p):
     return [x for x in range(p) if sum(c * x**i for i, c in enumerate(coeffs)) % p == 0]
 
 
-# odd primes on both sides of the p <= 3000 brute cutoff of the other degrees
+# odd primes, small and large
 QUAD_PRIMES = [3, 5, 7, 13, 97, 2999, 3001, 3011, 7919, 10007]
 
 

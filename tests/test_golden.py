@@ -19,8 +19,10 @@ from pathlib import Path
 
 import pytest
 
+from raycap.ambigcheck import ambig_case
 from raycap.cli import main
 from raycap.exactmath import primes_up_to, squarefree_part
+from raycap.report import canonical_json
 from raycap.quadfield import (
     QuadField,
     factor_prime,
@@ -165,6 +167,24 @@ def test_ideal_product_keys():
     assert len(lines) == 205968
     assert _sha(lines) == (
         "210d03a44d91c4db7f7de9b3a7a98650d35b8c3fff30a682d0a9d49f514b12a4"
+    )
+
+
+def test_biquad_ambig_grid():
+    """ambig_case for every biquadratic step over d in {2, 3, 7, 11},
+    p in {5, 13, 29}, each subfield j and moduli (), (3,), (3, 7), (7, 11):
+    the unit lattices mod m_K and mod m_L, the norm index and both routes'
+    counts, where the CLI pins only a few steps."""
+    lines = [
+        canonical_json(ambig_case(("biquad", d, p, j, mod)).as_dict())
+        for d in (2, 3, 7, 11)
+        for p in (5, 13, 29)
+        for j in (1, 2, 3)
+        for mod in ((), (3,), (3, 7), (7, 11))
+    ]
+    assert len(lines) == 144
+    assert _sha(lines) == (
+        "9f009309e05fa70ab2e580b91ed4b77ad380f9b4c64842cd6c70b20a0da24ef9"
     )
 
 

@@ -223,6 +223,12 @@ class TestConditionChecker:
         with pytest.raises(InputError):
             ConditionChecker(K, Modulus.trivial(K), (1,), SearchParams(3, 1))
 
+    @pytest.mark.parametrize("target", [(), (1, 0)])
+    def test_target_length_must_match_the_group(self, target):
+        K = quadratic_field(34)  # Cl^m = Z/2 for the trivial modulus
+        with pytest.raises(InputError):
+            ConditionChecker(K, Modulus.trivial(K), target, SearchParams(2, 1))
+
     def test_flagship_prime_passes(self):
         K = quadratic_field(34)
         rep = ConditionChecker(K, Modulus.trivial(K), (1,), SearchParams(2, 1)).check(5)

@@ -477,6 +477,32 @@ class TestModuli:
         with pytest.raises(InputError):
             modulus_from_rational(K, 9)
 
+    @pytest.mark.parametrize(
+        "d,m", [(34, 3 * 5 * 13), (-5, 2 * 3 * 5 * 7), (13, 13 * 17)]
+    )
+    def test_entries_round_trip(self, d, m):
+        # split, inert and ramified primes: p is the rational prime below
+        K = quadratic_field(d)
+        mod = modulus_from_rational(K, m)
+        for (p, a, b, g), q in zip(mod.entries(), mod.primes, strict=True):
+            assert (g, a, b) == q.key() and m % p == 0 and q.norm() in (p, p * p)
+        assert Modulus.from_entries(K, mod.entries()) == mod
+        assert Modulus.from_entries(K, [list(e) for e in mod.entries()]) == mod
+
+    @pytest.mark.parametrize("entries", [
+        [(5, 4, 7, 1)],  # b outside [0, a)
+        [(5, 5, 0, 1)],  # a does not divide N(b + w)
+        [(5, 5, 1)],  # not four numbers
+        [5],  # not a sequence
+        [(3, 3, 1, 1), (5, 3, 2, 1)],  # 5 is not the prime below [3, 2 + w]
+        [(15, 15, 7, 1)],  # an ideal, but not prime
+        [(3, 3, 1, 1), (3, 3, 1, 1)],  # not squarefree
+    ])
+    def test_from_entries_rejects(self, entries):
+        K = quadratic_field(34)
+        with pytest.raises(InputError):
+            Modulus.from_entries(K, entries)
+
     def test_single_prime_modulus_not_stable(self):
         K = quadratic_field(-1)
         _, data = factor_prime(K, 5)
