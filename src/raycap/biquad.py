@@ -25,6 +25,7 @@ from .quadfield import (
     _Fp2,
     _ideal_from_rows,
     adjust_by_units,
+    class_group,
     factor_prime,
     fundamental_unit,
     is_principal_with_generator,
@@ -440,15 +441,11 @@ def sqrt_in_biquad(w: BqElt) -> BqElt | None:
 @dataclass(frozen=True)
 class UnitGroupData:
     """A fundamental system for E_L: the subfield units corrected by the
-    square roots that exist in L (index q over the naive product), plus the
-    resulting class number through the V4 class number relation
-    h(L) = q * h1 * h2 * h3 / 4."""
+    square roots that exist in L (index q over the naive product)."""
 
     L: BiquadField
     units: tuple[BqElt, BqElt, BqElt]
     index_q: int
-    subfield_class_numbers: tuple[int, int, int]
-    class_number: int
 
 
 def _sign_unit_classes(L: BiquadField, units):
@@ -465,8 +462,6 @@ def _sign_unit_classes(L: BiquadField, units):
 
 @lru_cache(maxsize=None)
 def unit_group(L: BiquadField) -> UnitGroupData:
-    from .quadfield import class_group
-
     basis = [embed(L, fundamental_unit(k)) for k in (L.k1, L.k2, L.k3)]
     q = 1
     changed = True
@@ -482,14 +477,17 @@ def unit_group(L: BiquadField) -> UnitGroupData:
                 changed = True
                 break
     assert all(u.is_unit() for u in basis)
-    hs = tuple(class_group(k).h for k in (L.k1, L.k2, L.k3))
-    num = q * hs[0] * hs[1] * hs[2]
-    assert num % 4 == 0, "class number relation must give an integer"
-    return UnitGroupData(L, tuple(basis), q, hs, num // 4)
+    return UnitGroupData(L, tuple(basis), q)
 
 
 def class_number(L: BiquadField) -> int:
-    return unit_group(L).class_number
+    """h(L) = q * h1 * h2 * h3 / 4, the V4 class number relation, with q
+    the unit index of `unit_group` and h_j the class numbers of k1, k2, k3."""
+    num = unit_group(L).index_q * math.prod(
+        class_group(k).h for k in (L.k1, L.k2, L.k3)
+    )
+    assert num % 4 == 0, "class number relation must give an integer"
+    return num // 4
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,8 @@ class SearchResult:
 
 
 def _candidate_stream(checker: ConditionChecker, lo: int, hi: int):
+    """The primes in [lo, hi] that condition (i') can pass, sieved (so
+    proved prime) and not `forbidden`."""
     params = checker.params
     step = 2 ** (params.n + 1) if params.ell == 2 else params.ell**params.n
     for p in primes_1_mod(step, max(lo, 3), hi):
@@ -166,7 +168,7 @@ def _scan_range(checker: ConditionChecker, lo: int, hi: int):
     stats = {"scanned": 0, "rejected_i": 0, "rejected_ii": 0, "rejected_iii": 0}
     for p in _candidate_stream(checker, lo, hi):
         stats["scanned"] += 1
-        rep = checker.check(p)
+        rep = checker.check(p, sieved=True)
         if rep.ok:
             return p, rep, stats
         key = f"rejected_{rep.failed_at}"
@@ -224,7 +226,7 @@ def find_principalizing_prime(
         )
     if jobs > 1:
         found_p, stats = _parallel_scan(field, modulus, target, params, jobs, checker)
-        rep = checker.check(found_p) if found_p else None
+        rep = checker.check(found_p, sieved=True) if found_p else None
     else:
         found_p, rep, stats = _scan_range(checker, 3, params.bound)
     if found_p is None:

@@ -271,15 +271,23 @@ def sqrt_mod(a: int, p: int) -> int | None:
 
 
 def power(x, e: int, one, mul=operator.mul):
-    """x**e by square-and-multiply: out*x on each set bit of e, from the
-    lowest, then x*x. `one` is the identity of `mul`."""
+    """x**e by square-and-multiply from the lowest set bit of e: out starts
+    as x to that bit, then takes one square per higher bit and one product
+    per higher set bit, popcount(e) + bit_length(e) - 2 calls of `mul` in
+    all. `one` is the identity of `mul`, the answer for e = 0."""
     if e < 0:
         raise ValueError("negative exponent")
-    out = one
+    if e == 0:
+        return one
+    while not e & 1:
+        x = mul(x, x)
+        e >>= 1
+    out = x
+    e >>= 1
     while e:
+        x = mul(x, x)
         if e & 1:
             out = mul(out, x)
-        x = mul(x, x)
         e >>= 1
     return out
 

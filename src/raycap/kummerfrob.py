@@ -25,13 +25,18 @@ def is_split_cyclotomic(p: int, ell: int, n: int, includes_sqrt_units: bool) -> 
     ell^n-th roots of -1 (the rational unit radical). Splitting is the
     congruence p = 1 mod ell^n; adjoining sqrt[ell^n]{-1} sharpens the 2-part
     to p = 1 mod 2^(n+1)."""
-    if not is_prime(p) or p == ell:
-        return False
+    return is_prime(p) and p != ell and _cyclotomic_congruence(
+        p, ell, n, includes_sqrt_units
+    )
+
+
+def _cyclotomic_congruence(
+    p: int, ell: int, n: int, includes_sqrt_units: bool
+) -> bool:
+    """The congruence of `is_split_cyclotomic` alone, for a prime p != ell."""
     if (p - 1) % ell**n:
         return False
-    if includes_sqrt_units and ell == 2 and (p - 1) % 2 ** (n + 1):
-        return False
-    return True
+    return not (includes_sqrt_units and ell == 2 and (p - 1) % 2 ** (n + 1))
 
 
 def disc_root_pair(D: int, p: int) -> tuple[int, int]:
@@ -182,14 +187,18 @@ class ConditionChecker:
             or self.modulus.norm() % p == 0
         )
 
-    def check(self, p: int) -> ConditionReport:
-        if self.forbidden(p):
+    def check(self, p: int, sieved: bool = False) -> ConditionReport:
+        """Conditions (i')-(iv) at p. A `sieved` p comes from the scan's
+        sieve, which has proved it prime and passed it through `forbidden`;
+        any other p is tested for both here."""
+        if not sieved and self.forbidden(p):
             raise InputError(f"candidate {p} violates the coprimality precondition")
         params = self.params
         rep = ConditionReport(p=p, root=None, ok=False, failed_at=None)
         rep.checks["iv"] = self.iv_ok
         # (i'): split in the cyclotomic-with-unit-radical field and in K
-        if not is_split_cyclotomic(p, params.ell, params.n, True) or (
+        split = _cyclotomic_congruence if sieved else is_split_cyclotomic
+        if not split(p, params.ell, params.n, True) or (
             kronecker(self.field.D, p) != 1
         ):
             rep.failed_at = "i"

@@ -392,16 +392,16 @@ def _cycle(field: QuadField, a: int, b: int, mult: _Mult | None = None):
 
 
 def _class_cycle(
-    field: QuadField, a: int, b: int
-) -> tuple[tuple[int, int], list[tuple[int, int]]]:
-    """(class key, the reduced (a, b) pairs of the class) for [a, b+w],
-    the reduction of the input first."""
-    walk = [(a, b) for a, b, _ in _cycle(field, a, b)]
+    field: QuadField, a: int, b: int, mult: _Mult | None = None
+) -> tuple[tuple[int, int], list[tuple[int, int, _Mult | None]]]:
+    """(class key, the reduced ideals of the class as (a, b, mult)) for
+    [a, b+w], the reduction of the input first; mult as in `_cycle`."""
+    walk = list(_cycle(field, a, b, mult))
     if not field.is_real:
-        (a, b), = walk
+        (a, b, _), = walk
         return (a, _B_centered(a, 2 * b + field.t)), walk
     members = walk[:-1]  # the walk ends where it began
-    return min((a, _B_near_sqrt(field, a, b)) for a, b in members), members
+    return min((a, _B_near_sqrt(field, a, b)) for a, b, _ in members), members
 
 
 def class_key(I: QIdeal) -> tuple[int, int]:
@@ -629,6 +629,10 @@ class Modulus:
         return tuple(q.entry() for q in self.primes)
 
     def norm(self) -> int:
+        return self._norm
+
+    @cached_property
+    def _norm(self) -> int:
         return math.prod(q.norm() for q in self.primes)
 
     def residue_chars(self) -> set[int]:
@@ -672,26 +676,6 @@ class _Fp2:
         p, t, u = self.p, self.t, self.u
         be = b * e
         return ((a * c + be * u) % p, (a * e + b * c + be * t) % p)
-
-
-def _dlog_bsgs(mul, ident, base, target, order: int) -> int | None:
-    if order == 1:
-        return 0 if target == ident else None
-    m = math.isqrt(order) + 1
-    table = {}
-    cur = ident
-    for j in range(m):
-        table.setdefault(cur, j)
-        cur = mul(cur, base)
-    # giant^-1 = base^(order - m) since base^order = ident
-    ginv = power(base, order - m, ident, mul)
-    cur = target
-    for i in range(m + 1):
-        if cur in table:
-            val = (i * m + table[cur]) % order
-            return val
-        cur = mul(cur, ginv)
-    return None
 
 
 def _primitive_root(p: int) -> int:
@@ -753,12 +737,27 @@ class ResidueFactor:
     def is_unit_residue(self, z) -> bool:
         return self.residue(z) != self.zero
 
+    @cached_property
+    def _steps(self):
+        """(s, {gen^j: j for j < s}, gen^-s) with s = isqrt(order) + 1: the
+        baby steps and the giant step of every discrete log here."""
+        s = math.isqrt(self.order) + 1
+        baby = {}
+        cur = self.one
+        for j in range(s):
+            baby.setdefault(cur, j)
+            cur = self.mul(cur, self.gen)
+        return s, baby, power(self.gen, -s % self.order, self.one, self.mul)
+
     def dlog(self, z) -> int:
         r = self.residue(z)
         if r != self.zero:
-            out = _dlog_bsgs(self.mul, self.one, self.gen, r, self.order)
-            if out is not None:
-                return out
+            s, baby, giant = self._steps
+            for i in range(s + 1):
+                j = baby.get(r)
+                if j is not None:
+                    return (i * s + j) % self.order
+                r = self.mul(r, giant)
         raise ValueError("element is not coprime to the modulus")
 
     def lift_power(self, k: int):
@@ -876,51 +875,85 @@ class RayClassData:
     residue: ResidueSystem
     ray_table: dict  # class_key -> exponent vector over ideal_gens
     unit_image_order: int
-    # Lookup memos, filled by ambient_vector and dropped with the group.
-    # reduced primitive pair (a, b) -> ray_table vector of its class; a miss
-    # stores every member of the reduced ideal's cycle at once
-    class_vectors: dict = dc_field(default_factory=dict, compare=False, repr=False)
-    # ray_table vector v -> (C_v, correction): C_v = prod conj(P_i)^(v_i) in
-    # ideal_gens order, and the residue dlog of N(C_v) = sum v_i*dlog(N P_i)
-    cofactors: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    # The lookup memo, filled by ambient_vector and dropped with the group:
+    # reduced primitive pair (a, b) -> ambient vector of [a, b + w]. A miss
+    # fills the whole rho-cycle of the reduced ideal at once.
+    vectors: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_ideal(self) -> int:
         return len(self.ideal_gens)
 
     def ambient_vector(self, I: QIdeal) -> tuple[int, ...]:
-        """Exponents over (ideal gens | residue factor gens) for [I].
+        """Exponents over (ideal gens | residue factor gens) for [I], one
+        representative of its class in `group`.
 
-        With v the class vector of [I], I * prod conj(P_i)^(v_i) = (y) is
-        principal, and the residue part is dlog(y) - sum v_i*dlog(N P_i),
-        since P_i * conj(P_i) = (N P_i). Both the class vector (per reduced
-        ideal) and the cofactor with its correction (per v) are memoized;
-        the ideal multiplied out and its generator y are the same as
-        without the memos."""
+        I = g*J with J primitive reduces to R = mu*J, mu = num/den, so
+        [I] = [R] + dlog(g*den) - dlog(num) with [R] from the memo. Without
+        residue factors no multiplier is built and [I] = [R]. When den or
+        N(R) shares a prime with N(m), [I] comes from a generator of
+        I*C_v instead (see `_generator_vector`)."""
         if not self.modulus.coprime_to(I):
             raise InputError("ideal is not coprime to the modulus")
         f = self.field
-        a, b, _ = _reduce_primitive(f, I.a, I.b)
-        v = self.class_vectors.get((a, b))
-        if v is None:
-            key, cycle = _class_cycle(f, a, b)
-            v = self.ray_table[key]
-            self.class_vectors.update(dict.fromkeys(cycle, v))
-        cof = self.cofactors.get(v)
-        if cof is None:
-            C = QIdeal.unit_ideal(f)
-            corr = [0] * len(self.residue.factors)
-            for P, e in zip(self.ideal_gens, v):
-                C = C * (P.conj() ** e)
-                if e:
-                    nrm = self.residue.dlog_int(P.norm())
-                    corr = [c + e * s for c, s in zip(corr, nrm)]
-            cof = self.cofactors[v] = (C, corr)
-        C, corr = cof
+        if not self.residue.factors:
+            a, b, _ = _reduce_primitive(f, I.a, I.b)
+            vec = self.vectors.get((a, b))
+            return self._fill(a, b) if vec is None else vec
+        a, b, mu = _reduce_primitive(f, I.a, I.b, _Mult(QElt(f, 1, 0), 1))
+        if math.gcd(mu.den * a, self.modulus.norm()) > 1:
+            return self._generator_vector(I, self.ray_table[class_key(I)])
+        vec = self.vectors.get((a, b))
+        if vec is None:
+            vec = self._fill(a, b)
+        return self._moved(vec, QElt(f, I.g * mu.den, 0), mu.num)
+
+    def _generator_vector(self, I: QIdeal, v: tuple[int, ...]) -> tuple[int, ...]:
+        """[I] from its class vector v through one generator: with
+        C_v = prod conj(P_i)^(v_i), I * C_v = (y) is principal, and the
+        residue part is dlog(y) - sum v_i*dlog(N P_i), since
+        P_i * conj(P_i) = (N P_i)."""
+        C = QIdeal.unit_ideal(self.field)
+        corr = [0] * len(self.residue.factors)
+        for P, e in zip(self.ideal_gens, v):
+            if e:
+                C = C * P.conj() ** e
+                nrm = self.residue.dlog_int(P.norm())
+                corr = [c + e * s for c, s in zip(corr, nrm)]
         y = is_principal_with_generator(I * C if any(v) else I)
         assert y is not None, "class vector lookup must leave a principal ideal"
-        res = [r - c for r, c in zip(self.residue.dlog(y), corr)]
-        return v + tuple(res)
+        res = self.residue
+        return v + tuple(
+            (r - c) % o for r, c, o in zip(res.dlog(y), corr, res.orders)
+        )
+
+    def _moved(self, vec: tuple[int, ...], up: QElt, down: QElt) -> tuple[int, ...]:
+        """vec + dlog(up) - dlog(down) in the residue part."""
+        r, res = self.n_ideal, self.residue
+        moved = [
+            (x + u - w) % o
+            for x, u, w, o in zip(vec[r:], res.dlog(up), res.dlog(down), res.orders)
+        ]
+        return vec[:r] + tuple(moved)
+
+    def _fill(self, a: int, b: int) -> tuple[int, ...]:
+        """Memoize the vector of each ideal in the cycle of the reduced
+        R0 = [a, b + w], coprime to m, and return R0's. R0's comes through
+        one generator; each member R_k = mu_k*R0 of the cycle then gets
+        [R0] + dlog(num_k) - dlog(den_k), unless den_k or N(R_k) shares a
+        prime with N(m)."""
+        f = self.field
+        trivial = not self.residue.factors
+        mult = None if trivial else _Mult(QElt(f, 1, 0), 1)
+        key, members = _class_cycle(f, a, b, mult)
+        vec = self._generator_vector(QIdeal(f, 1, a, b), self.ray_table[key])
+        nm = self.modulus.norm()
+        for ak, bk, mu in members:  # R0 itself first
+            if trivial:
+                self.vectors[ak, bk] = vec
+            elif math.gcd(mu.den * ak, nm) == 1:
+                self.vectors[ak, bk] = self._moved(vec, mu.num, QElt(f, mu.den, 0))
+        return vec
 
     def dlog(self, I: QIdeal) -> tuple[int, ...]:
         return self.group.dlog_ambient(self.ambient_vector(I))

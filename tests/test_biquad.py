@@ -330,9 +330,7 @@ class TestUnits:
     )
     def test_kubota_index_and_class_number(self, d, p, q, h):
         L = biquad_field(d, p)
-        ug = unit_group(L)
-        assert ug.index_q == q
-        assert ug.class_number == h
+        assert unit_group(L).index_q == q
         assert class_number(L) == h
 
     def test_units_are_units_and_terminal(self):
@@ -356,9 +354,9 @@ class TestUnits:
         # in Q(sqrt 2, sqrt 5) the product of all three fundamental units
         # is a square, so q = 2 and some basis element is a proper root
         L = biquad_field(2, 5)
-        ug = unit_group(L)
-        assert ug.index_q == 2
-        assert ug.subfield_class_numbers == (1, 1, 2)
+        assert unit_group(L).index_q == 2
+        assert tuple(class_group(k).h for k in (L.k1, L.k2, L.k3)) == (1, 1, 2)
+        assert class_number(L) == 2 * 1 * 1 * 2 // 4
 
 
 class TestPrincipality:

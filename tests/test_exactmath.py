@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from unittest import mock
 
 import pytest
@@ -16,6 +17,7 @@ from raycap.exactmath import (
     factor,
     is_prime,
     kronecker,
+    power,
     primes_1_mod,
     primes_in_progression,
     primes_up_to,
@@ -25,6 +27,7 @@ from raycap.exactmath import (
     squarefree_part,
     valuation,
 )
+from raycap.quadfield import QIdeal, _Fp2, factor_prime, quadratic_field
 
 
 def brute_primes(limit):
@@ -356,3 +359,55 @@ class TestSplittingDegree:
 def test_primes_up_to():
     assert list(primes_up_to(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_up_to(1) == ()
+
+
+def ladder_power(x, e, one, mul):
+    """The plain ladder: out*x on each set bit of e, then x*x, every bit."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        x = mul(x, x)
+        e >>= 1
+    return out
+
+
+class TestPower:
+    @given(st.integers(1, 10**6))
+    @example(1)
+    @example(2**20)
+    @example(2**20 - 1)
+    def test_product_count(self, e):
+        calls = []
+
+        def mul(a, b):
+            calls.append(1)
+            return a * b % 1000003
+
+        assert power(3, e, 1, mul) == pow(3, e, 1000003)
+        assert len(calls) == bin(e).count("1") + e.bit_length() - 2
+
+    def test_zero_exponent_is_one(self):
+        assert power(7, 0, 1) == 1
+        assert power((2, 5), 0, (1, 0), lambda a, b: None) == (1, 0)
+        with pytest.raises(ValueError):
+            power(7, -1, 1)
+
+    @given(st.integers(-50, 50), st.integers(0, 200))
+    def test_ints_match_ladder(self, x, e):
+        assert power(x, e, 1) == ladder_power(x, e, 1, operator.mul) == x**e
+
+    @pytest.mark.parametrize("d,p", [(34, 5), (34, 7), (-5, 3), (-23, 2), (79, 3)])
+    def test_ideals_match_ladder(self, d, p):
+        K = quadratic_field(d)
+        one = QIdeal.unit_ideal(K)
+        for P, _, _ in factor_prime(K, p)[1]:
+            for e in range(13):
+                assert power(P, e, one) == ladder_power(P, e, one, operator.mul)
+
+    @pytest.mark.parametrize("p,t,u", [(3, 0, 2), (7, 1, 1), (11, 0, 7)])
+    def test_fp2_matches_ladder(self, p, t, u):
+        mul = _Fp2(p, t, u).mul
+        for x in itertools.product(range(p), repeat=2):
+            for e in (0, 1, 2, 5, p, p * p - 2, p * p - 1):
+                assert power(x, e, (1, 0), mul) == ladder_power(x, e, (1, 0), mul)

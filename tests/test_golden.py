@@ -11,10 +11,15 @@ The two searches that use up their bound (exit 3) pin the scan counters:
 every candidate's rejection stage is counted in the stamped `stats`, so a
 faster scan that decides any candidate differently changes the digest. The
 d = 543 case has a nontrivial modulus (Cl^m = Z/2 x Z/10), which exercises
-the residue part of the ray discrete log.
+the residue part of the ray discrete log; the three after it scan with an
+inert modulus prime (d = 70, m = 13), two inert primes (d = 551, m = 3*7)
+and two split primes (d = 595, m = 3*11), each with h > 1, so the residue
+part meets F_{p^2} residue fields, several factors at once and reduced
+ideals whose norms share a prime with the modulus.
 """
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -22,7 +27,7 @@ import pytest
 from raycap.ambigcheck import ambig_case
 from raycap.cli import main
 from raycap.exactmath import primes_up_to, squarefree_part
-from raycap.report import canonical_json
+from raycap.report import canonical_json, certificate_from_dict, save_certificate
 from raycap.quadfield import (
     QuadField,
     factor_prime,
@@ -51,6 +56,15 @@ GOLDEN = [
     (("search", "--d", "543", "--mod", "11", "--class", "0,0", "--h", "0",
       "--bound", "20000"),
      3, "75de8c131eacafd238aa90984646deccfc945f4a57492e468a192f754ea1ec50"),
+    (("search", "--d", "70", "--mod", "13", "--class", "0,0", "--h", "0",
+      "--bound", "20000"),
+     3, "d218dc2fe172cef3cca0eeb9cef821ded2927e6ce753e6da3931acc09710ff54"),
+    (("search", "--d", "551", "--mod", "3,7", "--class", "0,0,0", "--h", "0",
+      "--bound", "20000"),
+     3, "07a8bb2d16ea315257edfdb619bbb46b0fe634310a229179954b395a72c42c79"),
+    (("search", "--d", "595", "--mod", "3,11", "--class", "0,0,0,0", "--h", "0",
+      "--bound", "20000"),
+     3, "a78e4d6188f512b73fdf74ec06173f84d6f1e9bcf141f1561411c1f22b387900"),
 ]
 
 # Each entry is a `search ... --out cert` run, then `verify cert`, with the
@@ -100,6 +114,31 @@ def test_search_and_verify_bytes(capsys, tmp_path, argv, search_code,
     code, got = json_digest(capsys, tmp_path, "search", *argv, "--out", str(cert))
     assert (code, got) == (search_code, search_digest)
     code, got = json_digest(capsys, tmp_path, "verify", str(cert))
+    assert (code, got) == (verify_code, verify_digest)
+
+
+# A certificate whose p was swapped for a composite (25 passes every
+# congruence of condition (i') but not primality) or for a forbidden prime
+# (17 divides D, 2 is below the scan). `verify` must reject each with the
+# same bytes, however the scan itself decides primality.
+CRAFTED_P = [
+    (25, 2, "b6a0385fe7e35e31a28928860638202663be359b6dd5516b878f1208a332782f"),
+    (17, 2, "a83e036c3bd3d09233717b03b45e1e5e632fbc688ce027596568f7e37ce7ee14"),
+    (2, 2, "d1503c6ac605fe5a04c7f6369495a6fdbd37732ce8a737427c677297f0d360a9"),
+]
+
+
+@pytest.mark.parametrize("p,verify_code,verify_digest", CRAFTED_P,
+                         ids=[f"p={p}" for p, *_ in CRAFTED_P])
+def test_crafted_p_verify_bytes(capsys, tmp_path, p, verify_code, verify_digest):
+    cert_path = tmp_path / "cert.json"
+    code, _ = json_digest(capsys, tmp_path, "search", "--d", "34", "--mod", "1",
+                          "--out", str(cert_path))
+    assert code == 0
+    data = json.loads(cert_path.read_text())["payload"]["certificate"]
+    data["p"] = p
+    save_certificate(cert_path, certificate_from_dict(data))
+    code, got = json_digest(capsys, tmp_path, "verify", str(cert_path))
     assert (code, got) == (verify_code, verify_digest)
 
 

@@ -8,7 +8,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import divide_exact, hnf_ideal, is_ray_principal, principal_ideal
 from raycap import quadfield
@@ -641,38 +641,84 @@ def query_ideals(K, m, count):
             (-14, 11), (142, 1), (142, 3)]
 )
 def test_memoized_ambient_vector_matches_reference(d, m):
+    """The memo's vector may differ from the reference's by a relation of
+    the group (another generator, another unit), never in the class."""
     K = quadratic_field(d)
     ideals = query_ideals(K, m, 12)
     rng = random.Random(d * 1000 + m)
     cold = ray_class_group.__wrapped__(K, modulus_from_rational(K, m))
-    assert cold.cl.h > 1 and not cold.class_vectors and not cold.cofactors
+    assert cold.cl.h > 1 and not cold.vectors
     want = {I: reference_ambient_vector(cold, I) for I in ideals}
+    group = cold.group
     for _ in range(2):  # the first pass starts cold, the second is warm
         rng.shuffle(ideals)
         for I in ideals:
-            assert cold.ambient_vector(I) == want[I]
-            assert cold.dlog(I) == cold.group.dlog_ambient(want[I])
-    assert cold.class_vectors and cold.cofactors
+            got = cold.ambient_vector(I)
+            assert cold.dlog(I) == group.dlog_ambient(want[I])
+            diff = [x - y for x, y in zip(got, want[I], strict=True)]
+            assert group.dlog_ambient(diff) == group.identity()
+    assert cold.vectors
     if K.is_real:  # a miss stores whole cycles, not just the reduced ideal
-        assert len(cold.class_vectors) > len({class_key(I) for I in ideals})
+        assert len(cold.vectors) > len({class_key(I) for I in ideals})
 
 
-@pytest.mark.parametrize("d,m", [(34, 7), (79, 5), (-5, 7), (-14, 11)])
-def test_lookups_build_no_multiplier(monkeypatch, d, m):
-    """class_key and the class lookup of ambient_vector reduce without a
-    multiplier; only the generator walk that ambient_vector ends with
-    builds one."""
+def count_generator_walks(monkeypatch):
+    """Count is_principal_with_generator calls from quadfield from now on."""
+    calls = []
+    generator = quadfield.is_principal_with_generator
+
+    def counted(I):
+        calls.append(I)
+        return generator(I)
+
+    monkeypatch.setattr(quadfield, "is_principal_with_generator", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "d,m", [(34, 7), (79, 5), (-5, 7), (-14, 11), (70, 13), (-23, 35)]
+)
+def test_warm_queries_walk_no_generator(monkeypatch, d, m):
+    """Once the memo holds a query's reduced ideal, its ray class costs no
+    generator: the walks are one self-check per memo miss, and one per
+    query whose reduced ideal has a norm that meets m (in Q(sqrt 79) mod 5
+    a class has only a reduced ideal of norm 15), which the memo cannot
+    hold."""
     K = quadratic_field(d)
     ideals = query_ideals(K, m, 12)
+    ideals += [I.scale(g) for I in ideals[:4] for g in (2, 9)]
     ray = ray_class_group.__wrapped__(K, modulus_from_rational(K, m))
-    keys = [class_key(I) for I in ideals]
-    want = [reference_ambient_vector(ray, I) for I in ideals]
+    want = [ray.group.dlog_ambient(reference_ambient_vector(ray, I)) for I in ideals]
+    blocked = [
+        I for I in ideals
+        if math.gcd(quadfield._reduce_primitive(K, I.a, I.b)[0], m) > 1
+    ]
+    calls = count_generator_walks(monkeypatch)
+    assert [ray.dlog(I) for I in ideals] == want
+    assert len(blocked) < len(calls) <= len(blocked) + ray.cl.h
+    calls.clear()
+    assert [ray.dlog(I) for I in reversed(ideals)] == want[::-1]
+    assert len(calls) == len(blocked)
+    assert (len(blocked) > 0) == ((d, m) == (79, 5))
+
+
+@pytest.mark.parametrize("d", [34, 79, 142, -5, -23])
+def test_trivial_modulus_builds_no_multiplier(monkeypatch, d):
+    """With m = 1 the residue part is empty: no query reduces or walks
+    with a multiplier. The one generator self-check per memo miss is the
+    only place a multiplier is built."""
+    K = quadratic_field(d)
+    ideals = query_ideals(K, 1, 12)
+    ray = ray_class_group.__wrapped__(K, Modulus.trivial(K))
+    want = [ray.group.dlog_ambient(reference_ambient_vector(ray, I)) for I in ideals]
     mult, generator = quadfield._Mult, quadfield.is_principal_with_generator
+    walks = []
 
     def forbidden(*args):
-        raise AssertionError("a lookup built a multiplier")
+        raise AssertionError("a query built a multiplier")
 
     def generator_with_mult(I):
+        walks.append(I)
         quadfield._Mult = mult
         try:
             return generator(I)
@@ -680,9 +726,55 @@ def test_lookups_build_no_multiplier(monkeypatch, d, m):
             quadfield._Mult = forbidden
 
     monkeypatch.setattr(quadfield, "_Mult", forbidden)
-    assert [class_key(I) for I in ideals] == keys
     monkeypatch.setattr(quadfield, "is_principal_with_generator", generator_with_mult)
-    assert [ray.ambient_vector(I) for I in ideals] == want
+    for _ in range(2):
+        assert [ray.dlog(I) for I in ideals] == want
+    assert len(walks) <= ray.cl.h
+
+
+def test_modulus_prime_in_the_reduced_ideal_takes_a_generator(monkeypatch):
+    """In Q(sqrt -14) mod 3 the reduced ideal of the class of a prime above
+    3 has norm 3, so the memo cannot hold it: ideals of that class coprime
+    to 3 get their ray class through a generator on every query."""
+    K = quadratic_field(-14)
+    ray = ray_class_group.__wrapped__(K, modulus_from_rational(K, 3))
+    above_3 = {class_key(P) for P, _, _ in factor_prime(K, 3)[1]}
+    ideals = [I for I in query_ideals(K, 3, 12) if class_key(I) in above_3]
+    assert ideals
+    want = [ray.group.dlog_ambient(reference_ambient_vector(ray, I)) for I in ideals]
+    calls = count_generator_walks(monkeypatch)
+    for _ in range(2):
+        assert [ray.dlog(I) for I in ideals] == want
+    assert len(calls) == 2 * len(ideals)
+    assert all(a % 3 for a, _ in ray.vectors)
+
+
+# real and imaginary fields; inert modulus primes, two rational primes
+# (split, inert or mixed) and fields where reduced ideals meet the modulus
+RAY_DLOG_CASES = [(34, 7), (70, 13), (79, 21), (142, 3), (-14, 11), (-14, 3),
+                  (-23, 35), (-47, 15)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from(RAY_DLOG_CASES),
+    picks=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 3)),
+                   min_size=1, max_size=3),
+    g=st.integers(1, 12),
+)
+def test_ray_dlog_matches_reference(case, picks, g):
+    """ray.dlog of g * prod P_i^e_i, P_i primes above small p coprime to
+    D*m, against the reference vector's class."""
+    d, m = case
+    K = quadratic_field(d)
+    ray = ray_class_group(K, modulus_from_rational(K, m))
+    primes = query_ideals(K, m, 16)[:16]
+    I = QIdeal.unit_ideal(K)
+    for i, e in picks:
+        I = I * primes[i % len(primes)] ** e
+    if math.gcd(g, m) == 1:
+        I = I.scale(g)
+    assert ray.dlog(I) == ray.group.dlog_ambient(reference_ambient_vector(ray, I))
 
 
 @pytest.mark.parametrize("walk", [
