@@ -6,8 +6,7 @@ ambient elements, and generator representatives for each cyclic factor.
 Everything is exact: the column transform V and its inverse are updated
 with each column operation, so no rational arithmetic ever appears. The
 row transform U is rows x rows, far larger than a tall relation matrix
-itself, so `snf` builds it only when asked; only `kernel_left` and
-`solve_left` read it.
+itself, so `snf` builds it only when asked; only `solve_left` reads it.
 """
 from __future__ import annotations
 
@@ -41,10 +40,6 @@ class SNF:
     Vinv: tuple[tuple[int, ...], ...]
     nrows: int
     ncols: int
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diag if d != 0)
 
 
 def snf(m: Sequence[Sequence[int]], with_u: bool = False) -> SNF:
@@ -151,12 +146,6 @@ def snf(m: Sequence[Sequence[int]], with_u: bool = False) -> SNF:
     )
 
 
-def kernel_left(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of the row kernel {y : y @ M = 0}."""
-    s = snf(m, with_u=True)
-    return [list(s.U[i]) for i in range(s.rank, s.nrows)]
-
-
 def solve_left(m: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
     """An integer row x with x @ M = target, or None."""
     s = snf(m, with_u=True)
@@ -199,9 +188,12 @@ def hnf_rows(m: Sequence[Sequence[int]]) -> list[list[int]]:
             continue
         h[row], h[piv] = h[piv], h[row]
         for i in range(row + 1, len(h)):
-            if h[i][col] == 0:
-                continue
             a, b = h[row][col], h[i][col]
+            if b % a == 0:  # the pivot stays; no extended gcd needed
+                if b:
+                    q = b // a
+                    h[i] = [y - q * x for x, y in zip(h[row], h[i])]
+                continue
             g, x, y = xgcd(a, b)
             r0 = [x * p + y * q for p, q in zip(h[row], h[i])]
             r1 = [(a // g) * q - (b // g) * p for p, q in zip(h[row], h[i])]

@@ -435,7 +435,9 @@ def _direct_biquad(L: BiquadField, K: QuadField, m: Modulus) -> int:
     rows = [[R.orders[i] if c == i else 0 for c in range(k)] for i in range(k)]
     for u in [-L.one()] + list(unit_group(L).units):
         rows.append(list(R.dlog(u)))
-    quo = group_from_relations(rows, tuple(f"r{i}" for i in range(k)))
+    # the HNF spans the same lattice; unreduced unit rows make snf's entries
+    # grow to thousands of digits
+    quo = group_from_relations(hnf_rows(rows), tuple(f"r{i}" for i in range(k)))
 
     def class_vec(gamma):
         return quo.dlog_ambient(R.dlog(gamma))

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import product
 
-from .abgroup import hnf_rows, kernel_left, solve_left
-from .errors import InputError
+from .abgroup import hnf_rows
+from .errors import InputError, InvariantError
 from .exactmath import factor, is_prime, kronecker, power, roots_mod_p
 from .quadfield import (
     Modulus,
@@ -73,6 +73,22 @@ def biquad_field(d: int, p: int) -> BiquadField:
     return BiquadField(k1, k2, k3)
 
 
+def _mul4(L: BiquadField, x, y) -> tuple[int, int, int, int]:
+    """The product of two coordinate 4-tuples: (A + B*w2)(C + E*w2) with
+    A, B, C, E in k1 = Z[w1], w1^2 = t1*w1 + u1 and w2^2 = t2*w2 + u2."""
+    t1, u1, t2, u2 = L.k1.t, L.k1.u, L.k2.t, L.k2.u
+    a, b, c, e = x
+    f, g, h, k = y
+    bg, bk, eg, ek = b * g, b * k, e * g, e * k
+    be0, be1 = c * h + u1 * ek, c * k + e * h + t1 * ek  # B*E
+    return (
+        a * f + u1 * bg + u2 * be0,
+        a * g + b * f + t1 * bg + u2 * be1,
+        a * h + u1 * bk + c * f + u1 * eg + t2 * be0,
+        a * k + b * h + t1 * bk + c * g + e * f + t1 * eg + t2 * be1,
+    )
+
+
 @dataclass(frozen=True)
 class BqElt:
     """a + b*w1 + c*w2 + e*w1*w2; internally (A, B) with z = A + B*w2 and
@@ -110,11 +126,7 @@ class BqElt:
     def __mul__(self, o: "BqElt | int") -> "BqElt":
         if isinstance(o, int):
             return BqElt(self.L, self.a * o, self.b * o, self.c * o, self.e * o)
-        t2, u2 = self.L.k2.t, self.L.k2.u
-        A, B = self._split()
-        C, E = o._split()
-        BE = B * E
-        return BqElt._join(self.L, A * C + BE * u2, A * E + B * C + BE * t2)
+        return BqElt(self.L, *_mul4(self.L, self.coords(), o.coords()))
 
     __rmul__ = __mul__
 
@@ -193,10 +205,10 @@ class BqIdeal:
     rows: tuple[tuple[int, int, int, int], ...]
 
     @staticmethod
-    def _from_span(L: BiquadField, elts) -> "BqIdeal":
-        """The ideal whose lattice the elements span over Z; the span must
-        already be an ideal."""
-        h = hnf_rows([list(z.coords()) for z in elts])
+    def _from_span(L: BiquadField, rows) -> "BqIdeal":
+        """The ideal whose lattice the coordinate rows span over Z; the span
+        must already be an ideal."""
+        h = hnf_rows(rows)
         if len(h) != 4:
             raise ValueError("generators span a rank-deficient lattice")
         return BqIdeal(L, tuple(tuple(r) for r in h))
@@ -204,7 +216,7 @@ class BqIdeal:
     @staticmethod
     def from_generators(L: BiquadField, gens) -> "BqIdeal":
         gens = [BqElt(L, g, 0, 0, 0) if isinstance(g, int) else g for g in gens]
-        return BqIdeal._from_span(L, [g * BqElt(L, *m) for g in gens for m in _BASIS])
+        return BqIdeal._from_span(L, [_mul4(L, g.coords(), m) for g in gens for m in _BASIS])
 
     @staticmethod
     def principal(z: BqElt) -> "BqIdeal":
@@ -226,12 +238,20 @@ class BqIdeal:
         return self.rows[0][0] * self.rows[1][1] * self.rows[2][2] * self.rows[3][3]
 
     def contains(self, z: BqElt) -> bool:
-        return solve_left([list(r) for r in self.rows], list(z.coords())) is not None
+        """Back-substitution down the upper-triangular basis, one pivot per
+        coordinate."""
+        v = list(z.coords())
+        for i, r in enumerate(self.rows):
+            q, rem = divmod(v[i], r[i])
+            if rem:
+                return False
+            for j in range(i + 1, 4):
+                v[j] -= q * r[j]
+        return True
 
     def __mul__(self, o: "BqIdeal") -> "BqIdeal":
-        return BqIdeal._from_span(
-            self.L, [x * y for x in self.elements() for y in o.elements()]
-        )
+        L = self.L
+        return BqIdeal._from_span(L, [_mul4(L, x, y) for x in self.rows for y in o.rows])
 
     def __pow__(self, k: int) -> "BqIdeal":
         return power(self, k, BqIdeal.unit_ideal(self.L))
@@ -241,7 +261,7 @@ class BqIdeal:
         return BqIdeal(self.L, tuple(tuple(n * v for v in r) for r in self.rows))
 
     def conj(self, j: int) -> "BqIdeal":
-        return BqIdeal._from_span(self.L, [z.tau(j) for z in self.elements()])
+        return BqIdeal._from_span(self.L, [z.tau(j).coords() for z in self.elements()])
 
     def __repr__(self) -> str:
         return f"BqIdeal(norm={self.norm()})@{self.L!r}"
@@ -332,18 +352,20 @@ def extend_ideal(L: BiquadField, I: QIdeal) -> BqIdeal:
     return ext
 
 
-def _primes_over(L: BiquadField, q: QIdeal) -> list[tuple[BqIdeal, int, int]]:
-    """The (ideal, e, f) triples of `primes_above` for the primes of L above
-    the prime q of a quadratic subfield, in that order."""
+def _primes_over(L: BiquadField, q: QIdeal, above) -> list[tuple[BqIdeal, int, int]]:
+    """The (ideal, e, f) triples of `above`, the `primes_above` of the
+    rational prime below the prime q of a quadratic subfield, that lie over q."""
     gens = [embed(L, g) for g in q.gen_pair()]
-    return [
-        t for t in primes_above(L, q.entry()[0]) if all(t[0].contains(g) for g in gens)
-    ]
+    return [t for t in above if all(t[0].contains(g) for g in gens)]
 
 
 def extend_modulus(L: BiquadField, m: Modulus) -> tuple[BqIdeal, ...]:
-    """All primes of L above the primes of m, each with multiplicity one."""
-    seen = {Q.rows: Q for q in m.primes for Q, _, _ in _primes_over(L, q)}
+    """All primes of L above the primes of m, each with multiplicity one;
+    one `primes_above` per rational prime below m."""
+    above = {p0: primes_above(L, p0) for p0 in {q.entry()[0] for q in m.primes}}
+    seen = {
+        Q.rows: Q for q in m.primes for Q, _, _ in _primes_over(L, q, above[q.entry()[0]])
+    }
     return tuple(sorted(seen.values(), key=lambda Q: (Q.norm(), Q.rows)))
 
 
@@ -495,19 +517,27 @@ def class_number(L: BiquadField) -> int:
 
 
 def intersect_subfield(P: BqIdeal, j: int) -> QIdeal:
-    """P intersected with O_{k_j}, as an ideal of k_j."""
-    V = [[1, 0, 0, 0], list(_w_elt(P.L, j).coords())]
-    stack = V + [[-v for v in r] for r in P.rows]
-    ker = kernel_left(stack)
-    assert len(ker) == 2
+    """P intersected with O_{k_j}, as an ideal of k_j: the last two rows of
+    the HNF of P in the coordinates of a Z-basis of O_L ending in 1, w_j."""
+    t1 = P.L.k1.t
+    to_basis = {
+        1: lambda a, b, c, e: (c, e, a, b),
+        2: lambda a, b, c, e: (b, e, a, c),
+        3: lambda a, b, c, e: (c - b * t1, e + 2 * b, a + b * t1, -b),
+    }[j]
+    h = hnf_rows([to_basis(*r) for r in P.rows])
     k = (P.L.k1, P.L.k2, P.L.k3)[j - 1]
-    rows = [[v[1], v[0]] for v in ker]  # to (coef_w, coef_1) order
-    return _ideal_from_rows(k, rows)
+    return _ideal_from_rows(k, [[r[3], r[2]] for r in h[2:]])  # (coef_w, coef_1)
 
 
 def relative_norm_ideal(I: BqIdeal, j: int) -> QIdeal:
     """N_{L/k_j}(I) computed as (I * tau_j I) intersect k_j."""
     return intersect_subfield(I * I.conj(j), j)
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise InvariantError(f"verification invariant failed: {what}")
 
 
 def is_principal(I: BqIdeal) -> BqElt | None:
@@ -529,14 +559,14 @@ def is_principal(I: BqIdeal) -> BqElt | None:
             return None
         betas.append(beta)
     b = embed(L, betas[0]) * embed(L, betas[1]) * embed(L, betas[2])
-    assert BqIdeal.principal(b) == (I * I).scale(n)
+    _require(BqIdeal.principal(b) == (I * I).scale(n), "(beta1 beta2 beta3) != I^2 (N I)")
     for _, w in _sign_unit_classes(L, unit_group(L).units):
         eta = sqrt_in_biquad(w * b * n)
         if eta is None:
             continue
         gamma = eta.divide_int(n)
-        assert gamma is not None
-        assert BqIdeal.principal(gamma) == I
+        _require(gamma is not None and BqIdeal.principal(gamma) == I,
+                 "the norm-descent root does not generate I")
         return gamma
     return None
 
@@ -669,9 +699,9 @@ def verify_certificate(cert) -> CapitulationReport:
     L = biquad_field(cert.d, cert.p)
     p_K = prime_above_from_root(K, cert.p, cert.root)
     ext = extend_ideal(L, p_K)
-    q_L = next(Q for Q, e, _ in _primes_over(L, p_K) if e == 2)
+    q_L = next(Q for Q, e, _ in _primes_over(L, p_K, primes_above(L, cert.p)) if e == 2)
     rep.checks["ramified_square"] = q_L**2 == ext
-    assert rep.checks["ramified_square"]
+    _require(rep.checks["ramified_square"], "q_L^2 != p_K O_L")
 
     gamma = is_principal(ext)
     if gamma is None:
@@ -688,7 +718,8 @@ def verify_certificate(cert) -> CapitulationReport:
     rep.checks["congruent_to_one"] = all(
         Q.contains(alpha - L.one()) for Q in m_L
     )
-    assert rep.checks["generates"] and rep.checks["congruent_to_one"]
+    _require(rep.checks["generates"], "the adjusted generator does not generate p_K O_L")
+    _require(rep.checks["congruent_to_one"], "the adjusted generator is not 1 mod m_L")
     rep.status = "capitulates"
     rep.generator = alpha.coords()
     return rep

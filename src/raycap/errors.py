@@ -18,3 +18,10 @@ class BudgetError(RaycapError):
     """A configured search or enumeration budget was exhausted."""
 
     exit_code = 6
+
+
+class InvariantError(RaycapError):
+    """An exact re-check of a computed answer failed; raised, not asserted,
+    so that `python -O` keeps it."""
+
+    exit_code = 8

@@ -2,17 +2,19 @@
 determinant, matrix products, multiplicative orders, divisor lists,
 synthetic abelian groups given by their invariants, the cyclic complement
 of an element of an ell-group, ideals of K as the HNF of their generators'
-lattice, exact ideal division and ray-principal generators. The library
-never calls them. The ideal oracles stand on the library's `QIdeal` and its
-HNF, and division and ray principality also on its ideal product and
-generator search; the rest share no code with it.
+lattice, exact ideal division, ray-principal generators, and ideals of
+L = Q(sqrt d, sqrt p) as the HNF of all products of basis elements. The
+library never calls them. The ideal oracles stand on the library's `QIdeal`,
+`BqIdeal` and its HNF, and division and ray principality also on its ideal
+product and generator search; the rest share no code with it.
 """
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
-from raycap.abgroup import FiniteAbelianGroup
+from raycap.abgroup import FiniteAbelianGroup, hnf_rows, solve_left
+from raycap.biquad import BqElt, BqIdeal
 from raycap.exactmath import factor, valuation
 from raycap.quadfield import (
     QElt,
@@ -179,3 +181,40 @@ def is_ray_principal(ray: RayClassData, I: QIdeal) -> QElt | None:
     out = adjust_by_units(y, ray.residue, unit_gens(ray.field))
     assert out is None or principal_ideal(out).key() == I.key()
     return out
+
+
+# ---------------------------------------------------------------------------
+# ideals of L = Q(sqrt d, sqrt p) by lattice HNF, the product the library had
+# before its multiplication table: every element split into k1 coordinates
+
+
+def bq_elt_product(x: BqElt, y: BqElt) -> BqElt:
+    """(A + B*w2)(C + E*w2) with A, B, C, E in k1 = Z[w1] multiplied as
+    `QElt`s and w2^2 = t2*w2 + u2."""
+    k1, k2 = x.L.k1, x.L.k2
+    A, B = QElt(k1, x.a, x.b), QElt(k1, x.c, x.e)
+    C, E = QElt(k1, y.a, y.b), QElt(k1, y.c, y.e)
+    BE = B * E
+    lo, hi = A * C + BE * k2.u, A * E + B * C + BE * k2.t
+    return BqElt(x.L, lo.x, lo.y, hi.x, hi.y)
+
+
+def _bq_span(L, elts) -> BqIdeal:
+    h = hnf_rows([list(z.coords()) for z in elts])
+    assert len(h) == 4
+    return BqIdeal(L, tuple(tuple(r) for r in h))
+
+
+def bq_ideal_product(I: BqIdeal, J: BqIdeal) -> BqIdeal:
+    """I*J as the HNF of the 16 products of their basis elements."""
+    return _bq_span(I.L, [bq_elt_product(x, y) for x in I.elements() for y in J.elements()])
+
+
+def bq_ideal_conj(I: BqIdeal, j: int) -> BqIdeal:
+    """tau_j(I) as the HNF of the images of its basis elements."""
+    return _bq_span(I.L, [z.tau(j) for z in I.elements()])
+
+
+def bq_contains(I: BqIdeal, z: BqElt) -> bool:
+    """Whether z is an integer combination of I's basis, by a Smith form."""
+    return solve_left([list(r) for r in I.rows], list(z.coords())) is not None

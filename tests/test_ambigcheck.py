@@ -330,6 +330,13 @@ class TestAmbiguousCounts:
         assert report.degree == 2
         assert report.formula >= 1
 
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_biquad_unit_relations_stay_small(self, j):
+        """Q(sqrt 3, sqrt 5) mod 11*13: with the raw unit rows the quotient's
+        Smith form grew entries past 4,000 digits and did not return."""
+        report = ambig_case(("biquad", 3, 5, j, (11, 13)))
+        assert report.equal and report.direct == report.formula == 120
+
     def test_nonprincipal_biquad_is_a_budget_error(self):
         L = biquad_field(5, 29)
         assert class_number(L) != 1

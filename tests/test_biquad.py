@@ -8,7 +8,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import principal_ideal
+from oracles import (
+    bq_contains,
+    bq_elt_product,
+    bq_ideal_conj,
+    bq_ideal_product,
+    principal_ideal,
+)
 
 from raycap.biquad import (
     BqElt,
@@ -32,8 +38,8 @@ from raycap.biquad import (
     verify_certificate,
 )
 from raycap.capsearch import find_principalizing_prime
-from raycap.errors import InputError
-from raycap.exactmath import factor, is_prime, kronecker
+from raycap.errors import InputError, InvariantError
+from raycap.exactmath import factor, is_prime, kronecker, primes_up_to
 from raycap.kummerfrob import SearchParams, prime_above_from_root
 from raycap.quadfield import (
     Modulus,
@@ -215,6 +221,40 @@ class TestIdeals:
         assert I**0 == BqIdeal.unit_ideal(L345)
         with pytest.raises(ValueError):
             BqIdeal.from_generators(L345, [BqElt(L345, 0, 0, 0, 0)])
+
+
+# t1 = 0 and t1 = 1 for k1, and every splitting pattern among p0 < 60
+ORACLE_FIELDS = [(2, 5), (3, 13), (34, 5), (5, 29), (21, 17), (6, 53)]
+
+
+class TestIdealOracle:
+    """`BqIdeal` arithmetic against the HNF of all basis products, with
+    elements multiplied through k1 (`tests/oracles.py`)."""
+
+    @given(st.sampled_from(ORACLE_FIELDS), st.data())
+    @settings(max_examples=40)
+    def test_element_product(self, dp, data):
+        L = biquad_field(*dp)
+        x, y = data.draw(belt(L)), data.draw(belt(L))
+        assert x * y == bq_elt_product(x, y)
+
+    @pytest.mark.parametrize("d,p", ORACLE_FIELDS)
+    def test_primes_below_60(self, d, p):
+        L = biquad_field(d, p)
+        primes = [Q for p0 in primes_up_to(59) for Q, _, _ in primes_above(L, p0)]
+        for x, Q in enumerate(primes):
+            assert Q**2 == bq_ideal_product(Q, Q)
+            for j in (1, 2, 3):
+                assert Q.conj(j) == bq_ideal_conj(Q, j)
+            for R in primes[x + 1:]:
+                assert Q * R == bq_ideal_product(Q, R)
+            n = Q.norm()
+            near = primes[max(x - 1, 0):x + 2]
+            zs = [z for R in near for z in (R * R).elements() + R.elements()]
+            zs += [L.elt(n, 0, 0, 0), L.elt(1, n, 0, 0), L.elt(0, 0, n, 1)]
+            zs += [z + L.one() for z in Q.elements()]
+            for z in zs:
+                assert Q.contains(z) == bq_contains(Q, z), (Q.rows, z)
 
 
 class TestPrimeDecomposition:
@@ -645,6 +685,28 @@ class TestVerifyCertificate:
         ):
             rep = verify_certificate(bad)
             assert rep.status == "invalid_certificate"
+
+    def test_wrong_generator_raises_under_any_optimisation(self, monkeypatch):
+        """The final re-checks are raised, not asserted: `python -O` keeps
+        them, so a generator of the wrong ideal never reports `capitulates`."""
+        import raycap.biquad as bq
+
+        cert = _certificate(34, None, (1,))
+        monkeypatch.setattr(bq, "adjust_to_congruence", lambda gen, primes: gen * 2)
+        with pytest.raises(InvariantError, match="does not generate") as err:
+            verify_certificate(cert)
+        assert err.value.exit_code == 8
+
+    def test_wrong_subfield_generator_raises(self, monkeypatch):
+        import raycap.biquad as bq
+
+        cert = _certificate(34, None, (1,))
+        real = bq.is_principal_with_generator
+        monkeypatch.setattr(
+            bq, "is_principal_with_generator", lambda A: real(A) * 3
+        )
+        with pytest.raises(InvariantError, match="beta"):
+            verify_certificate(cert)
 
     def test_report_round_trips_to_dict(self):
         cert = _certificate(34, None, (1,))

@@ -162,6 +162,20 @@ class TestSearchAndVerify:
         assert code == 7
         assert "unverified" in out
 
+    def test_broken_invariant_exits_eight(self, capsys, tmp_path, monkeypatch):
+        import raycap.biquad as bq
+
+        cert_path = tmp_path / "cert.json"
+        code, _, _ = run(
+            capsys, "search", "--d", "34", "--mod", "1", "--bound", "1000",
+            "--out", str(cert_path),
+        )
+        assert code == 0
+        monkeypatch.setattr(bq, "adjust_to_congruence", lambda gen, primes: gen * 2)
+        code, out, err = run(capsys, "verify", str(cert_path))
+        assert code == 8
+        assert out == "" and "does not generate" in err
+
     def test_verify_missing_file(self, capsys):
         code, _, _ = run(capsys, "verify", "/nonexistent/cert.json")
         assert code == 2

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from raycap.ambigcheck import ambig_case
+from raycap.biquad import biquad_field, primes_above
 from raycap.cli import main
 from raycap.exactmath import primes_up_to, squarefree_part
 from raycap.report import canonical_json, certificate_from_dict, save_certificate
@@ -224,6 +225,25 @@ def test_biquad_ambig_grid():
     assert len(lines) == 144
     assert _sha(lines) == (
         "9f009309e05fa70ab2e580b91ed4b77ad380f9b4c64842cd6c70b20a0da24ef9"
+    )
+
+
+def test_biquad_ideal_rows():
+    """Q * R, Q**2 and tau_j(Q) as HNF rows for every pair of primes of L
+    above p0 < 60 in six fields L = Q(sqrt d, sqrt p): the canonical lattice
+    bases that every `BqIdeal` comparison and stamped generator rests on."""
+    lines = []
+    for d, p in ((2, 5), (3, 13), (34, 5), (5, 29), (21, 17), (6, 53)):
+        L = biquad_field(d, p)
+        primes = [Q for p0 in primes_up_to(59) for Q, _, _ in primes_above(L, p0)]
+        for x, Q in enumerate(primes):
+            lines.append(f"{d} {p} {x} {Q.rows} {(Q**2).rows}")
+            lines += [f"{d} {p} {x} tau{j} {Q.conj(j).rows}" for j in (1, 2, 3)]
+            for y in range(x + 1, len(primes)):
+                lines.append(f"{d} {p} {x} {y} {(Q * primes[y]).rows}")
+    assert len(lines) == 4767
+    assert _sha(lines) == (
+        "e460d2fd5245fd0680fac47d955e5b4451f9c1cc2a157c5a99f96773b69b0660"
     )
 
 
