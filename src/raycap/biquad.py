@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import product
 
 from .abgroup import hnf_rows
-from .errors import InputError, InvariantError
+from .errors import InputError, require
 from .exactmath import factor, is_prime, kronecker, power, roots_mod_p
 from .quadfield import (
     Modulus,
@@ -535,11 +535,6 @@ def relative_norm_ideal(I: BqIdeal, j: int) -> QIdeal:
     return intersect_subfield(I * I.conj(j), j)
 
 
-def _require(ok: bool, what: str) -> None:
-    if not ok:
-        raise InvariantError(f"verification invariant failed: {what}")
-
-
 def is_principal(I: BqIdeal) -> BqElt | None:
     """A generator of I, or None with certainty.
 
@@ -559,14 +554,14 @@ def is_principal(I: BqIdeal) -> BqElt | None:
             return None
         betas.append(beta)
     b = embed(L, betas[0]) * embed(L, betas[1]) * embed(L, betas[2])
-    _require(BqIdeal.principal(b) == (I * I).scale(n), "(beta1 beta2 beta3) != I^2 (N I)")
+    require(BqIdeal.principal(b) == (I * I).scale(n), "(beta1 beta2 beta3) != I^2 (N I)")
     for _, w in _sign_unit_classes(L, unit_group(L).units):
         eta = sqrt_in_biquad(w * b * n)
         if eta is None:
             continue
         gamma = eta.divide_int(n)
-        _require(gamma is not None and BqIdeal.principal(gamma) == I,
-                 "the norm-descent root does not generate I")
+        require(gamma is not None and BqIdeal.principal(gamma) == I,
+                "the norm-descent root does not generate I")
         return gamma
     return None
 
@@ -701,7 +696,7 @@ def verify_certificate(cert) -> CapitulationReport:
     ext = extend_ideal(L, p_K)
     q_L = next(Q for Q, e, _ in _primes_over(L, p_K, primes_above(L, cert.p)) if e == 2)
     rep.checks["ramified_square"] = q_L**2 == ext
-    _require(rep.checks["ramified_square"], "q_L^2 != p_K O_L")
+    require(rep.checks["ramified_square"], "q_L^2 != p_K O_L")
 
     gamma = is_principal(ext)
     if gamma is None:
@@ -718,8 +713,8 @@ def verify_certificate(cert) -> CapitulationReport:
     rep.checks["congruent_to_one"] = all(
         Q.contains(alpha - L.one()) for Q in m_L
     )
-    _require(rep.checks["generates"], "the adjusted generator does not generate p_K O_L")
-    _require(rep.checks["congruent_to_one"], "the adjusted generator is not 1 mod m_L")
+    require(rep.checks["generates"], "the adjusted generator does not generate p_K O_L")
+    require(rep.checks["congruent_to_one"], "the adjusted generator is not 1 mod m_L")
     rep.status = "capitulates"
     rep.generator = alpha.coords()
     return rep

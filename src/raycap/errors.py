@@ -25,3 +25,9 @@ class InvariantError(RaycapError):
     so that `python -O` keeps it."""
 
     exit_code = 8
+
+
+def require(ok: bool, what: str) -> None:
+    """Raise InvariantError naming `what` unless the re-check `ok` holds."""
+    if not ok:
+        raise InvariantError(f"invariant failed: {what}")

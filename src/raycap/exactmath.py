@@ -234,28 +234,41 @@ def kronecker(a: int, n: int) -> int:
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo an odd prime p, or None if a is a nonresidue.
-    Tonelli-Shanks with the first nonresidue found by linear scan, so the
-    answer is deterministic. Returns r with 0 <= r < p."""
+    """A square root of a modulo a prime p, or None if a is a nonresidue.
+    Returns r with 0 <= r < p. For p = 3 (mod 4), and for p = 5 (mod 8) by
+    Atkin's closed form, one exponentiation gives a candidate root, and it
+    squares to a exactly when a is a residue. For p = 1 (mod 8) the same
+    power a^((q-1)/2), p - 1 = q*2^s, gives the Euler test and the start of
+    Tonelli-Shanks, whose nonresidue is the first found by linear scan, so
+    the answer is deterministic."""
     a %= p
     if a == 0:
         return 0
     if p == 2:
         return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
     if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
+        r = pow(a, (p + 1) // 4, p)
+        return r if r * r % p == a else None
+    if p % 8 == 5:
+        v = pow(2 * a, (p - 5) // 8, p)
+        r = a * v * (2 * a * v * v - 1) % p
+        return r if r * r % p == a else None
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
+    h = pow(a, (q - 1) // 2, p)
+    x = a * h % p  # a^((q+1)/2)
+    t = x * h % p  # a^q, of order dividing 2^(s-1) exactly when a is a square
+    tt = t
+    for _ in range(s - 1):
+        tt = tt * tt % p
+    if tt != 1:
+        return None
+    z = 3  # 2 is a square mod p = 1 (mod 8)
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
     c = pow(z, q, p)
-    x = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
     m = s
     while t != 1:
         i, tt = 0, t

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import InputError
-from .exactmath import is_prime, kronecker, sqrt_mod, squarefree_part, valuation
+from .exactmath import is_prime, sqrt_mod, squarefree_part, valuation
 from .quadfield import (
     Modulus,
     QElt,
@@ -37,15 +37,6 @@ def _cyclotomic_congruence(
     if (p - 1) % ell**n:
         return False
     return not (includes_sqrt_units and ell == 2 and (p - 1) % 2 ** (n + 1))
-
-
-def disc_root_pair(D: int, p: int) -> tuple[int, int]:
-    """The two square roots of D mod p as (smaller, larger), requiring that
-    p split: kronecker(D, p) = 1."""
-    r = sqrt_mod(D % p, p)
-    if r is None or r == 0:
-        raise InputError(f"{p} does not split (D = {D} is not a unit square)")
-    return min(r, p - r), max(r, p - r)
 
 
 def prime_above_from_root(field, p: int, root: int) -> QIdeal:
@@ -196,17 +187,17 @@ class ConditionChecker:
         params = self.params
         rep = ConditionReport(p=p, root=None, ok=False, failed_at=None)
         rep.checks["iv"] = self.iv_ok
-        # (i'): split in the cyclotomic-with-unit-radical field and in K
+        # (i'): split in the cyclotomic-with-unit-radical field and in K;
+        # p is prime to D, so D has a square root mod p exactly when p
+        # splits in K, and the root is the one (ii) and (iii) need
         split = _cyclotomic_congruence if sieved else is_split_cyclotomic
-        if not split(p, params.ell, params.n, True) or (
-            kronecker(self.field.D, p) != 1
-        ):
+        r = sqrt_mod(self.field.D, p) if split(p, params.ell, params.n, True) else None
+        if r is None:
             rep.failed_at = "i"
             rep.checks["i"] = False
             return rep
         rep.checks["i"] = True
-        root, _ = disc_root_pair(self.field.D, p)
-        rep.root = root
+        root = rep.root = min(r, p - r)
         # (ii): the prime above p sits in the target ray class
         p_K = prime_above_from_root(self.field, p, root)
         rep.checks["ii"] = self.ray.dlog(p_K) == self.target

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .abgroup import FiniteAbelianGroup, group_from_relations, hnf_rows, xgcd
-from .errors import InputError
+from .errors import InputError, InvariantError, require
 from .exactmath import (
     crt,
     factor,
@@ -290,7 +290,9 @@ def _is_reduced_real(field: QuadField, a: int, b: int) -> bool:
 
 
 class _Mult:
-    """A running multiplier num/den with num in O_K, den a positive integer."""
+    """A running multiplier num/den with num in O_K, den a positive integer:
+    the exact element, for generators and units. The ray class lookup
+    carries `_LocalMult` in its place."""
 
     __slots__ = ("num", "den")
 
@@ -304,8 +306,9 @@ class _Mult:
             self.num = QElt(self.num.field, self.num.x // g, self.num.y // g)
             self.den //= g
 
-    def times(self, num: QElt, den: int) -> "_Mult":
-        return _Mult(self.num * num, self.den * den)
+    def times(self, x: int, y: int, den: int) -> "_Mult":
+        """This multiplier times (x + y*w) / den."""
+        return _Mult(self.num * QElt(self.num.field, x, y), self.den * den)
 
 
 def _B_centered(a: int, B0: int) -> int:
@@ -313,11 +316,12 @@ def _B_centered(a: int, B0: int) -> int:
     return B0 - 2 * a * ((B0 + a - 1) // (2 * a))
 
 
-def _rho_orbit(field: QuadField, a: int, b: int, mult: _Mult | None):
+def _rho_orbit(field: QuadField, a: int, b: int, mult):
     """[a, b+w] and each ideal the rho steps lead to from it (real case),
     without end, as (a, b, mult). A step maps [a, b+w] to
-    [a', b'+w] = ((B - sqrt(D)) / (2a)) * [a, b+w], and a multiplier, when
-    one is handed in, takes on each step's factor. Far from the reduced
+    [a', b'+w] = ((B - sqrt(D)) / (2a)) * [a, b+w], and a multiplier (a
+    `_Mult` or a `_LocalMult`), when one is handed in, takes on each step's
+    factor through `times(x, y, den)`. Far from the reduced
     strip (a > sqrt(D)) the centered residue of B makes the norms shrink;
     near it the window (s-2a, s] drives the cycle."""
     D, t = field.D, field.t
@@ -327,16 +331,15 @@ def _rho_orbit(field: QuadField, a: int, b: int, mult: _Mult | None):
         B0 = 2 * b + t
         B = _B_centered(a, B0) if a > s else s - ((s - B0) % (2 * a))
         c = abs((D - B * B) // (4 * a))
-        assert c != 0
+        if c == 0:  # the hot loop of every walk: no call when the check passes
+            raise InvariantError("invariant failed: a rho step met a norm-zero form")
         if mult is not None:
             # (B - sqrt(D)) / (2a) = ((B + t) - 2w) / (2a)
-            mult = mult.times(QElt(field, B + t, -2), 2 * a)
+            mult = mult.times(B + t, -2, 2 * a)
         a, b = c, ((-B - t) // 2) % c
 
 
-def _reduce_primitive(
-    field: QuadField, a: int, b: int, mult: _Mult | None = None
-) -> tuple[int, int, _Mult | None]:
+def _reduce_primitive(field: QuadField, a: int, b: int, mult=None):
     """Reduce [a, b+w]; returns (a*, b*, mult*) with [a*,b*+w] equal to
     (mult*/mult) * [a,b+w]. Without a multiplier none is built, and None
     comes back in its place."""
@@ -356,12 +359,12 @@ def _reduce_primitive(
             return a, b, mult
         if a == c:  # B < 0: pass to the conjugate lattice, same class
             if mult is not None:
-                mult = mult.times(QElt(field, (B + t) // 2, -1), a)
+                mult = mult.times((B + t) // 2, -1, a)
             b = (-b - t) % a
             continue
         # a > c: descend to the neighbour form
         if mult is not None:
-            mult = mult.times(QElt(field, B + t, -2), 2 * a)
+            mult = mult.times(B + t, -2, 2 * a)
         a, b = c, ((-B - t) // 2) % c
         steps += 1
         if steps > limit:
@@ -371,7 +374,7 @@ def _reduce_primitive(
 _CYCLE_BOUND = 10**6  # rho steps before a cycle walk gives up
 
 
-def _cycle(field: QuadField, a: int, b: int, mult: _Mult | None = None):
+def _cycle(field: QuadField, a: int, b: int, mult=None):
     """The reduced ideals of the class of [a, b+w] (Cohen, GTM 138, ch. 5),
     as (a, b, mult) with mult as in `_reduce_primitive`. The reduction of
     the input comes first. A real class walks its rho-cycle once and ends
@@ -392,8 +395,8 @@ def _cycle(field: QuadField, a: int, b: int, mult: _Mult | None = None):
 
 
 def _class_cycle(
-    field: QuadField, a: int, b: int, mult: _Mult | None = None
-) -> tuple[tuple[int, int], list[tuple[int, int, _Mult | None]]]:
+    field: QuadField, a: int, b: int, mult=None
+) -> tuple[tuple[int, int], list[tuple]]:
     """(class key, the reduced ideals of the class as (a, b, mult)) for
     [a, b+w], the reduction of the input first; mult as in `_cycle`."""
     walk = list(_cycle(field, a, b, mult))
@@ -415,9 +418,9 @@ def is_principal_with_generator(I: QIdeal) -> QElt | None:
     for a, _, mult in _cycle(f, I.a, I.b, _Mult(QElt(f, 1, 0), 1)):
         if a == 1:
             gen = QElt(f, mult.den, 0).exact_div(mult.num)
-            assert gen is not None, "unit-ideal multiplier must invert integrally"
+            require(gen is not None, "the unit-ideal multiplier does not invert integrally")
             gen = gen * I.g
-            assert _generates(I, gen)
+            require(_generates(I, gen), "the generator found does not generate the ideal")
             return gen
     return None
 
@@ -441,13 +444,14 @@ def fundamental_unit(field: QuadField) -> QElt:
     # and ends on it with the multiplier of one period
     for _, _, mult in _cycle(field, 1, 0, _Mult(QElt(field, 1, 0), 1)):
         pass
-    assert mult.den == 1, "cycle multiplier must be integral up to reduction"
+    require(mult.den == 1, "the period multiplier is not integral")
     eps = mult.num
     # |eps| < 1 along the contraction; the fundamental unit is a signed inverse
     inv = QElt.exact_div(QElt(field, 1, 0), eps)
-    assert inv is not None
+    require(inv is not None, "the period multiplier is not a unit")
     eps = inv if inv.sign_real() > 0 else -inv
-    assert abs(eps.norm()) == 1 and eps > QElt(field, 1, 0)
+    require(abs(eps.norm()) == 1 and eps > QElt(field, 1, 0),
+            "the fundamental unit is not a unit greater than 1")
     return eps
 
 
@@ -584,7 +588,7 @@ def class_group(field: QuadField) -> ClassGroupData:
     table, relations = _coset_closure(field, gens)
     labels = tuple(f"P{P.entry()[0]}_{P.b}" for P in gens)
     group = group_from_relations(relations, labels)
-    assert group.order() == len(table)
+    require(group.order() == len(table), "the relations do not present the closure")
     return ClassGroupData(field, group, gens, table)
 
 
@@ -750,7 +754,11 @@ class ResidueFactor:
         return s, baby, power(self.gen, -s % self.order, self.one, self.mul)
 
     def dlog(self, z) -> int:
-        r = self.residue(z)
+        return self.dlog_residue(self.residue(z))
+
+    def dlog_residue(self, r) -> int:
+        """The exponent k with gen^k = r, for a residue r in the form
+        `residue` gives."""
         if r != self.zero:
             s, baby, giant = self._steps
             for i in range(s + 1):
@@ -835,12 +843,104 @@ class ResidueSystem:
         x, _ = crt(xs, mods)
         y, _ = crt(ys, mods)
         z = QElt(self.field, x, y)
-        assert self.is_unit(z)
+        require(self.is_unit(z), "a CRT lift of units is not a unit")
         return z
 
 
 def residue_system(field: QuadField, modulus: Modulus) -> ResidueSystem:
     return ResidueSystem([_residue_factor(field, q) for q in modulus.primes], field)
+
+
+class _LocalPrime:
+    """Q-adic valuation and unit-part residue at one prime Q of K, in the
+    residue form of `_residue_factor(field, Q)`.
+
+    With v = v_Q(x), `unit` reads the residue of x / p^v for Q = (p) inert,
+    and of x * s^v / p^v for Q = [p, b + w], s = conj(b + w): s lies
+    outside Q when p splits and has v_Q(s) = 1 when (p) = Q^2, so for x in
+    Q, x * s / p is integral with one less Q-valuation. The map is
+    multiplicative and is the residue on Q-units; in a multiplier of
+    Q-valuation 0, the only kind whose residue is read (by `quotient`),
+    the factors s^v / p^v of numerator and denominator cancel."""
+
+    __slots__ = ("p", "b", "t", "u", "mul")
+
+    def __init__(self, field: QuadField, q: QIdeal):
+        self.t, self.u = field.t, field.u
+        if q.g > 1:  # inert: residues are pairs (x, y) in F_p^2
+            self.p, self.b = q.g, None
+            self.mul = _Fp2(q.g, field.t, field.u).mul
+            return
+        p = self.p = q.a
+        self.b = q.b
+        self.mul = lambda r, s: r * s % p
+
+    def unit(self, x: int, y: int):
+        """(v_Q(x + y*w), residue of its unit part), for x + y*w != 0."""
+        p, v = self.p, 0
+        if self.b is None:
+            while x % p == 0 and y % p == 0:
+                x, y, v = x // p, y // p, v + 1
+            return v, (x % p, y % p)
+        b = self.b
+        while (r := (x - y * b) % p) == 0:
+            # (x + y*w) * s with s = (b + t) - w, and w^2 = t*w + u
+            x, y = (x * (b + self.t) - y * self.u) // p, (y * b - x) // p
+            v += 1
+        return v, r
+
+    def times(self, state, x: int, y: int, den: int):
+        """`state` = (v, num, den) of a multiplier, times (x + y*w) / den;
+        num is the unit residue of the numerators, den that of the
+        denominators (always in F_p: the unit part of an integer)."""
+        v, num, dr = state
+        p = self.p
+        if self.b is not None and (rx := (x - y * self.b) % p):
+            vx = 0  # the common case, x + y*w a Q-unit, without a call
+        else:
+            vx, rx = self.unit(x, y)
+        r = den % p
+        if r == 0:
+            vd, r = self.unit(den, 0)
+            if self.b is None:
+                r = r[0]
+            vx -= vd
+        return v + vx, self.mul(num, rx), dr * r % p
+
+    def quotient(self, g: int, state):
+        """The residue of g * den / num, a unit of F_Q."""
+        v, num, dr = state
+        require(v == 0, "the multiplier is not a unit at a prime of m")
+        p, k = self.p, g * dr
+        if self.b is not None:
+            return k * pow(num, -1, p) % p
+        x, y = num
+        k = k * pow(x * x + self.t * x * y - self.u * y * y, -1, p)
+        return (x + y * self.t) * k % p, -y * k % p
+
+
+class _LocalMult:
+    """A multiplier mu = num/den known only through its local data at the
+    primes of m (`_LocalPrime`), which is all a ray class needs of it: the
+    lookup of `RayClassData.dlog` carries it through the rho walk instead
+    of the element."""
+
+    __slots__ = ("primes", "state")
+
+    def __init__(self, primes: Sequence[_LocalPrime], state: tuple):
+        self.primes, self.state = primes, state
+
+    @staticmethod
+    def one(field: QuadField, modulus: Modulus) -> "_LocalMult":
+        primes = tuple(_LocalPrime(field, q) for q in modulus.primes)
+        return _LocalMult(
+            primes, tuple((0, (1, 0) if P.b is None else 1, 1) for P in primes)
+        )
+
+    def times(self, x: int, y: int, den: int) -> "_LocalMult":
+        return _LocalMult(self.primes, tuple(
+            [P.times(s, x, y, den) for P, s in zip(self.primes, self.state)]
+        ))
 
 
 def adjust_by_units(y, residue: ResidueSystem, units: Sequence):
@@ -857,7 +957,7 @@ def adjust_by_units(y, residue: ResidueSystem, units: Sequence):
     out = y
     for u, v, c in zip(units, uvecs, coeffs):
         out = out * u ** (c % group.element_order(v))
-    assert not any(residue.dlog(out))
+    require(not any(residue.dlog(out)), "the unit adjustment is not 1 mod m")
     return out
 
 
@@ -875,44 +975,55 @@ class RayClassData:
     residue: ResidueSystem
     ray_table: dict  # class_key -> exponent vector over ideal_gens
     unit_image_order: int
-    # The lookup memo, filled by ambient_vector and dropped with the group:
-    # reduced primitive pair (a, b) -> ambient vector of [a, b + w]. A miss
-    # fills the whole rho-cycle of the reduced ideal at once.
+    # The lookup memo, filled by dlog and dropped with the group: reduced
+    # primitive pair (a, b), coprime to m -> coordinates in `group` of
+    # [a, b + w]. A miss fills the whole rho-cycle of the reduced ideal.
     vectors: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_ideal(self) -> int:
         return len(self.ideal_gens)
 
-    def ambient_vector(self, I: QIdeal) -> tuple[int, ...]:
-        """Exponents over (ideal gens | residue factor gens) for [I], one
-        representative of its class in `group`.
+    @cached_property
+    def _one(self) -> _LocalMult | None:
+        """The multiplier 1 that each lookup walk starts from, or None when
+        there are no residue factors, so that no multiplier is built."""
+        return _LocalMult.one(self.field, self.modulus) if self.residue.factors else None
 
-        I = g*J with J primitive reduces to R = mu*J, mu = num/den, so
-        [I] = [R] + dlog(g*den) - dlog(num) with [R] from the memo. Without
-        residue factors no multiplier is built and [I] = [R]. When den or
-        N(R) shares a prime with N(m), [I] comes from a generator of
-        I*C_v instead (see `_generator_vector`)."""
+    def dlog(self, I: QIdeal) -> tuple[int, ...]:
+        """The coordinates of [I] in `group`, I coprime to m.
+
+        I = g*J with J primitive reduces to R = mu*J, so
+        [I] = [R] + [(g / mu)]. [R] comes from the memo; [(g / mu)] is the
+        class of the residue of g/mu, read off the local data of mu at the
+        primes of m (`_LocalMult`). Without residue factors no multiplier
+        is built and [I] = [R]. When R meets m, the walk goes on along R's
+        rho-cycle to the first member coprime to m; only a class with no
+        reduced ideal coprime to m takes a generator of I*C_v (see
+        `_generator_vector`). Cohen, GTM 193, section 4.2, computes ray
+        class logs through (O/m)^* in the same way."""
         if not self.modulus.coprime_to(I):
             raise InputError("ideal is not coprime to the modulus")
-        f = self.field
-        if not self.residue.factors:
-            a, b, _ = _reduce_primitive(f, I.a, I.b)
-            vec = self.vectors.get((a, b))
-            return self._fill(a, b) if vec is None else vec
-        a, b, mu = _reduce_primitive(f, I.a, I.b, _Mult(QElt(f, 1, 0), 1))
-        if math.gcd(mu.den * a, self.modulus.norm()) > 1:
-            return self._generator_vector(I, self.ray_table[class_key(I)])
+        f, nm = self.field, self.modulus.norm()
+        a, b, mu = _reduce_primitive(f, I.a, I.b, self._one)
+        if math.gcd(a, nm) > 1:
+            member = next(
+                (R for R in _cycle(f, a, b, mu) if math.gcd(R[0], nm) == 1), None
+            )
+            if member is None:
+                vec = self._generator_vector(I, self.ray_table[class_key(I)])
+                return self.group.dlog_ambient(vec)
+            a, b, mu = member
         vec = self.vectors.get((a, b))
         if vec is None:
             vec = self._fill(a, b)
-        return self._moved(vec, QElt(f, I.g * mu.den, 0), mu.num)
+        return vec if mu is None else self._moved(vec, mu, I.g, 1)
 
     def _generator_vector(self, I: QIdeal, v: tuple[int, ...]) -> tuple[int, ...]:
-        """[I] from its class vector v through one generator: with
-        C_v = prod conj(P_i)^(v_i), I * C_v = (y) is principal, and the
-        residue part is dlog(y) - sum v_i*dlog(N P_i), since
-        P_i * conj(P_i) = (N P_i)."""
+        """The ambient vector of [I] from its class vector v through one
+        generator: with C_v = prod conj(P_i)^(v_i), I * C_v = (y) is
+        principal, and the residue part is dlog(y) - sum v_i*dlog(N P_i),
+        since P_i * conj(P_i) = (N P_i)."""
         C = QIdeal.unit_ideal(self.field)
         corr = [0] * len(self.residue.factors)
         for P, e in zip(self.ideal_gens, v):
@@ -921,42 +1032,43 @@ class RayClassData:
                 nrm = self.residue.dlog_int(P.norm())
                 corr = [c + e * s for c, s in zip(corr, nrm)]
         y = is_principal_with_generator(I * C if any(v) else I)
-        assert y is not None, "class vector lookup must leave a principal ideal"
+        require(y is not None, "the class vector's cofactor leaves a non-principal ideal")
         res = self.residue
         return v + tuple(
             (r - c) % o for r, c, o in zip(res.dlog(y), corr, res.orders)
         )
 
-    def _moved(self, vec: tuple[int, ...], up: QElt, down: QElt) -> tuple[int, ...]:
-        """vec + dlog(up) - dlog(down) in the residue part."""
-        r, res = self.n_ideal, self.residue
-        moved = [
-            (x + u - w) % o
-            for x, u, w, o in zip(vec[r:], res.dlog(up), res.dlog(down), res.orders)
+    @cached_property
+    def _residue_rows(self) -> tuple[tuple[int, ...], ...]:
+        """`group.to_canonical` rows of the residue factor generators."""
+        return self.group.to_canonical[self.n_ideal:]
+
+    def _moved(self, vec: tuple[int, ...], mu: _LocalMult, g: int, sign: int):
+        """vec + sign * [(g / mu)], with one discrete log per residue factor."""
+        exps = [
+            F.dlog_residue(P.quotient(g, st)) * sign
+            for F, P, st in zip(self.residue.factors, mu.primes, mu.state)
         ]
-        return vec[:r] + tuple(moved)
+        return tuple(
+            (c + sum(e * row[j] for e, row in zip(exps, self._residue_rows))) % n
+            for j, (c, n) in enumerate(zip(vec, self.group.invariants))
+        )
 
     def _fill(self, a: int, b: int) -> tuple[int, ...]:
-        """Memoize the vector of each ideal in the cycle of the reduced
-        R0 = [a, b + w], coprime to m, and return R0's. R0's comes through
-        one generator; each member R_k = mu_k*R0 of the cycle then gets
-        [R0] + dlog(num_k) - dlog(den_k), unless den_k or N(R_k) shares a
-        prime with N(m)."""
+        """Memoize the coordinates of each ideal coprime to m in the cycle
+        of the reduced R0 = [a, b + w], itself coprime to m, and return
+        R0's. R0's come through one generator; each member R_k = mu_k*R0
+        then gets [R0] + [(mu_k)]."""
         f = self.field
-        trivial = not self.residue.factors
-        mult = None if trivial else _Mult(QElt(f, 1, 0), 1)
-        key, members = _class_cycle(f, a, b, mult)
-        vec = self._generator_vector(QIdeal(f, 1, a, b), self.ray_table[key])
+        key, members = _class_cycle(f, a, b, self._one)
+        vec = self.group.dlog_ambient(
+            self._generator_vector(QIdeal(f, 1, a, b), self.ray_table[key])
+        )
         nm = self.modulus.norm()
         for ak, bk, mu in members:  # R0 itself first
-            if trivial:
-                self.vectors[ak, bk] = vec
-            elif math.gcd(mu.den * ak, nm) == 1:
-                self.vectors[ak, bk] = self._moved(vec, mu.num, QElt(f, mu.den, 0))
+            if math.gcd(ak, nm) == 1:
+                self.vectors[ak, bk] = vec if mu is None else self._moved(vec, mu, 1, -1)
         return vec
-
-    def dlog(self, I: QIdeal) -> tuple[int, ...]:
-        return self.group.dlog_ambient(self.ambient_vector(I))
 
     def class_of_principal(self, z: QElt) -> tuple[int, ...]:
         """Ray class of the principal ideal (z), z coprime to m."""
@@ -1004,7 +1116,7 @@ def ray_class_group(field: QuadField, modulus: Modulus) -> RayClassData:
             Jp = Jp * (P**ep)
             Jm = Jm * (P**em)
         alpha = is_principal_with_generator(Jp * Jm.conj())
-        assert alpha is not None, "harvested relation must be principal"
+        require(alpha is not None, "a harvested relation is not principal")
         res = list(residue.dlog(alpha))
         nm = residue.dlog_int(Jm.norm())
         res = [a - b for a, b in zip(res, nm)]
@@ -1024,7 +1136,7 @@ def ray_class_group(field: QuadField, modulus: Modulus) -> RayClassData:
         field, modulus, group, cl, ideal_gens, residue, table, unit_image
     )
     expected = cl.h * residue.order() // unit_image
-    assert group.order() == expected, "exact-sequence order identity failed"
+    require(group.order() == expected, "the exact-sequence order identity fails")
     return data
 
 

@@ -12,6 +12,7 @@ import json
 import os
 import platform
 import tempfile
+from functools import cache
 from pathlib import Path
 
 from raycap import __version__
@@ -49,6 +50,15 @@ def toolchain_fingerprint() -> dict:
         "version": __version__,
         "python": platform.python_version(),
     }
+
+
+@cache
+def source_digest() -> str:
+    """sha256 over the library's own source files, name and bytes."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +143,10 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 class ReportCache:
-    """Content-addressed store: key dict -> stamped report, one file each."""
+    """Content-addressed store: key dict -> stamped report, one file each.
+    The file name hashes the request together with the toolchain and the
+    library's source digest, so a report that other code wrote is a miss,
+    never a replay."""
 
     def __init__(self, root: str | Path | None = None):
         if root is None:
@@ -141,7 +154,9 @@ class ReportCache:
         self.root = Path(root)
 
     def path_for(self, key: dict) -> Path:
-        return self.root / f"{hashlib.sha256(canonical_json(key).encode()).hexdigest()}.json"
+        full = {"request": key, "toolchain": toolchain_fingerprint(),
+                "source": source_digest()}
+        return self.root / f"{_digest(full)}.json"
 
     def get(self, key: dict) -> dict | None:
         try:

@@ -203,6 +203,20 @@ class TestSqrtMod:
         assert sqrt_mod(2, 7) == sqrt_mod(2, 7)
         assert sqrt_mod(0, 13) == 0
 
+    def test_every_residue_below_3000(self):
+        """Every a mod every prime 3 <= p < 3000, so each branch (p = 3 mod 4,
+        Atkin's p = 5 mod 8, Tonelli-Shanks for p = 1 mod 8 with s up to 8)
+        meets every residue and nonresidue: the root squares to a, and None
+        comes back exactly for the nonresidues."""
+        for p in primes_up_to(3000)[1:]:
+            squares = {x * x % p for x in range(p)}
+            for a in range(p):
+                r = sqrt_mod(a, p)
+                if a in squares:
+                    assert r is not None and 0 <= r < p and r * r % p == a, (a, p)
+                else:
+                    assert r is None, (a, p)
+
 
 class TestCrt:
     def test_basic(self):

@@ -2,12 +2,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from raycap.capsearch import _candidate_stream
 from raycap.errors import InputError
-from raycap.exactmath import is_prime, kronecker, primes_up_to
+from raycap.exactmath import kronecker, primes_up_to, sqrt_mod
 from raycap.kummerfrob import (
     ConditionChecker,
     SearchParams,
-    disc_root_pair,
     h_K_constant,
     is_split_cyclotomic,
     prime_above_from_root,
@@ -19,7 +19,15 @@ from raycap.quadfield import (
     is_prime_ideal,
     modulus_from_rational,
     quadratic_field,
+    ray_class_group,
 )
+
+
+def disc_root_pair(D: int, p: int) -> tuple[int, int]:
+    """The two square roots of D mod p, (smaller, larger), for p split in K."""
+    r = sqrt_mod(D, p)
+    assert r, f"{p} does not split"
+    return min(r, p - r), max(r, p - r)
 
 
 def count_roots_of_unity(p: int, k: int) -> int:
@@ -228,6 +236,23 @@ class TestConditionChecker:
         K = quadratic_field(34)  # Cl^m = Z/2 for the trivial modulus
         with pytest.raises(InputError):
             ConditionChecker(K, Modulus.trivial(K), target, SearchParams(2, 1))
+
+    @pytest.mark.parametrize("d,m", [(34, 1), (543, 11), (70, 13), (595, 33)])
+    def test_sieved_check_matches_full_check(self, d, m):
+        """check(p, sieved=True) skips the primality and forbidden tests and
+        takes condition (i) and the root from one square root; on every
+        sieved candidate p <= 2*10^4 its report equals the full check's in
+        every field (ok, failed_at, root, checks)."""
+        K = quadratic_field(d)
+        modulus = modulus_from_rational(K, m)
+        target = (0,) * ray_class_group(K, modulus).group.rank
+        chk = ConditionChecker(K, modulus, target, SearchParams(2, 1, 0, 2 * 10**4))
+        seen = set()
+        for p in _candidate_stream(chk, 3, 2 * 10**4):
+            sieved = chk.check(p, sieved=True)
+            assert sieved == chk.check(p)
+            seen.add(sieved.failed_at)
+        assert {"i", "ii"} <= seen
 
     def test_flagship_prime_passes(self):
         K = quadratic_field(34)

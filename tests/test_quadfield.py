@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import divide_exact, hnf_ideal, is_ray_principal, principal_ideal
 from raycap import quadfield
-from raycap.errors import InputError
+from raycap.errors import InputError, InvariantError
 from raycap.exactmath import kronecker, squarefree_part
 from raycap.quadfield import (
     Modulus,
@@ -638,11 +638,12 @@ def query_ideals(K, m, count):
 
 @pytest.mark.parametrize(
     "d,m", [(34, 1), (34, 7), (79, 1), (79, 5), (-5, 1), (-5, 7), (-23, 1),
-            (-14, 11), (142, 1), (142, 3)]
+            (-14, 11), (142, 1), (142, 3), (65, 7), (-23, 3)]
 )
 def test_memoized_ambient_vector_matches_reference(d, m):
-    """The memo's vector may differ from the reference's by a relation of
-    the group (another generator, another unit), never in the class."""
+    """Cold and warm lookups give the class of the reference's ambient
+    vector, and the memo holds, for each reduced ideal in it, the group
+    coordinates of that ideal's reference vector."""
     K = quadratic_field(d)
     ideals = query_ideals(K, m, 12)
     rng = random.Random(d * 1000 + m)
@@ -653,11 +654,11 @@ def test_memoized_ambient_vector_matches_reference(d, m):
     for _ in range(2):  # the first pass starts cold, the second is warm
         rng.shuffle(ideals)
         for I in ideals:
-            got = cold.ambient_vector(I)
             assert cold.dlog(I) == group.dlog_ambient(want[I])
-            diff = [x - y for x, y in zip(got, want[I], strict=True)]
-            assert group.dlog_ambient(diff) == group.identity()
     assert cold.vectors
+    for (a, b), vec in cold.vectors.items():
+        R = QIdeal(K, 1, a, b)
+        assert vec == group.dlog_ambient(reference_ambient_vector(cold, R))
     if K.is_real:  # a miss stores whole cycles, not just the reduced ideal
         assert len(cold.vectors) > len({class_key(I) for I in ideals})
 
@@ -676,22 +677,28 @@ def count_generator_walks(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "d,m", [(34, 7), (79, 5), (-5, 7), (-14, 11), (70, 13), (-23, 35)]
+    "d,m", [(34, 7), (79, 5), (-5, 7), (-14, 11), (70, 13), (-23, 35),
+            (543, 11), (595, 33), (70, 3), (-14, 3), (34, 15)]
 )
 def test_warm_queries_walk_no_generator(monkeypatch, d, m):
     """Once the memo holds a query's reduced ideal, its ray class costs no
     generator: the walks are one self-check per memo miss, and one per
-    query whose reduced ideal has a norm that meets m (in Q(sqrt 79) mod 5
-    a class has only a reduced ideal of norm 15), which the memo cannot
-    hold."""
+    query in a blocked class, one with no reduced ideal coprime to m, which
+    the memo cannot hold. In Q(sqrt -14) mod 3 the class of a prime above 3
+    has one reduced ideal, of norm 3; in Q(sqrt 34) mod 15 one class has
+    the rho-cycle of norms 3, 6, 5, 5, 6, 3. A query whose reduced ideal
+    meets m but whose rho-cycle has a member coprime to m is not blocked:
+    in Q(sqrt 79) mod 5 (reduced norm 15 in the cycle 1, 15, 2, 15),
+    Q(sqrt 543) mod 11, Q(sqrt 595) mod 33 and Q(sqrt 70) mod 3 no warm
+    query walks a generator."""
     K = quadratic_field(d)
     ideals = query_ideals(K, m, 12)
-    ideals += [I.scale(g) for I in ideals[:4] for g in (2, 9)]
+    ideals += [I.scale(g) for I in ideals[:4] for g in (2, 9) if math.gcd(g, m) == 1]
     ray = ray_class_group.__wrapped__(K, modulus_from_rational(K, m))
     want = [ray.group.dlog_ambient(reference_ambient_vector(ray, I)) for I in ideals]
     blocked = [
         I for I in ideals
-        if math.gcd(quadfield._reduce_primitive(K, I.a, I.b)[0], m) > 1
+        if all(math.gcd(a, m) > 1 for a, _, _ in quadfield._class_cycle(K, I.a, I.b)[1])
     ]
     calls = count_generator_walks(monkeypatch)
     assert [ray.dlog(I) for I in ideals] == want
@@ -699,7 +706,12 @@ def test_warm_queries_walk_no_generator(monkeypatch, d, m):
     calls.clear()
     assert [ray.dlog(I) for I in reversed(ideals)] == want[::-1]
     assert len(calls) == len(blocked)
-    assert (len(blocked) > 0) == ((d, m) == (79, 5))
+    assert (len(blocked) > 0) == ((d, m) in {(-14, 3), (34, 15)})
+    walk_on = [
+        I for I in ideals if I not in blocked
+        and math.gcd(quadfield._reduce_primitive(K, I.a, I.b)[0], m) > 1
+    ]
+    assert (len(walk_on) > 0) == ((d, m) in {(79, 5), (543, 11), (595, 33), (70, 3), (34, 15)})
 
 
 @pytest.mark.parametrize("d", [34, 79, 142, -5, -23])
@@ -749,10 +761,37 @@ def test_modulus_prime_in_the_reduced_ideal_takes_a_generator(monkeypatch):
     assert all(a % 3 for a, _ in ray.vectors)
 
 
-# real and imaginary fields; inert modulus primes, two rational primes
-# (split, inert or mixed) and fields where reduced ideals meet the modulus
+def test_wrong_generator_raises_under_any_optimisation(monkeypatch):
+    """The generator checks are raised, not asserted, so `python -O` keeps
+    them: a generator of the wrong ideal, or none where the class says the
+    ideal is principal, stops with InvariantError (exit 8)."""
+    K = quadratic_field(34)
+    P = factor_prime(K, 3)[1][0][0]
+    real = QElt.exact_div
+
+    def doubled(z, o):
+        q = real(z, o)
+        return None if q is None else q * 2
+
+    with monkeypatch.context() as m:
+        m.setattr(QElt, "exact_div", doubled)
+        with pytest.raises(InvariantError, match="does not generate") as err:
+            is_principal_with_generator(P * P)
+    assert err.value.exit_code == 8
+    ray = ray_class_group.__wrapped__(K, modulus_from_rational(K, 7))
+    monkeypatch.setattr(quadfield, "is_principal_with_generator", lambda I: None)
+    with pytest.raises(InvariantError, match="non-principal"):
+        ray.dlog(P)
+    with pytest.raises(InvariantError, match="harvested relation"):
+        L = quadratic_field(79)
+        ray_class_group.__wrapped__(L, Modulus.trivial(L))
+
+
+# real and imaginary fields (w^2 = w + u too); inert modulus primes, two
+# rational primes (split, inert or mixed) and fields where reduced ideals
+# meet the modulus
 RAY_DLOG_CASES = [(34, 7), (70, 13), (79, 21), (142, 3), (-14, 11), (-14, 3),
-                  (-23, 35), (-47, 15)]
+                  (-23, 35), (-47, 15), (85, 3), (-23, 3)]
 
 
 @settings(max_examples=80, deadline=None)

@@ -131,6 +131,25 @@ class TestCache:
         cache.path_for(key).write_text("garbage")
         assert cache.get(key) is None
 
+    @pytest.mark.parametrize("stale", [
+        ("source_digest", lambda: "0" * 64),
+        ("toolchain_fingerprint", lambda: {"package": "raycap", "version": "0.0.0",
+                                           "python": "3.0.0"}),
+    ], ids=["source", "toolchain"])
+    def test_entry_from_other_code_is_a_miss(self, tmp_path, monkeypatch, stale):
+        """A report written under another source digest or toolchain is not
+        replayed, whichever side is the current one."""
+        import raycap.report as report_mod
+
+        key = {"op": "demo", "x": 1}
+        report = stamp("demo", {"val": 7})
+        ReportCache(tmp_path).put(key, report)
+        with monkeypatch.context() as m:
+            m.setattr(report_mod, *stale)
+            assert ReportCache(tmp_path).get(key) is None
+            ReportCache(tmp_path).put(key, stamp("demo", {"val": 8}))
+        assert ReportCache(tmp_path).get(key) == report
+
     def test_env_var_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RAYCAP_CACHE_DIR", str(tmp_path / "envcache"))
         cache = ReportCache()
