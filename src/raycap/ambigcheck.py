@@ -38,7 +38,7 @@ from raycap.biquad import (
     primes_above,
     unit_group,
 )
-from raycap.errors import BudgetError, InputError
+from raycap.errors import BudgetError, InputError, require
 from raycap.exactmath import crt, factor, squarefree_part
 from raycap.quadfield import (
     Modulus,
@@ -196,7 +196,7 @@ def _unit_lattice(residue: ResidueSystem, units) -> list[list[int]]:
     stacked = residue.group.stacked([residue.vector(u) for u in units])
     rows = [row + [int(i == j) for j in range(r)] for i, row in enumerate(stacked)]
     kernel = [h[s:] for h in hnf_rows(rows) if not any(h[:s])]
-    assert len(kernel) == r, "unit images have finite order, kernel is full rank"
+    require(len(kernel) == r, "the unit kernel is not of full rank")
     return kernel
 
 
@@ -221,7 +221,7 @@ def _norm_index(lattice, norm_logs, base_lattice, width: int) -> int:
     ]
     over_norms = _quotient_order(norm_rows, width)
     over_em = _quotient_order(base_lattice, width)
-    assert over_norms % over_em == 0, "norm subgroup must sit inside E^m_k"
+    require(over_norms % over_em == 0, "the norm subgroup is not inside E^m_k")
     return over_norms // over_em
 
 
@@ -294,10 +294,10 @@ def _ramified_biquad(L: BiquadField, K: QuadField, m: Modulus):
                 for Q, e, _ in facs_L
                 if intersect_subfield(Q, j).key() == P.key()
             ]
-            assert above, "every K-prime has a prime of L over it"
+            require(bool(above), "a prime of K has no prime of L over it")
             e_rel = above[0][1] // eK
-            assert all(e // eK == e_rel for _, e in above)
-            assert above[0][1] % eK == 0 and e_rel in (1, 2)
+            require(all(e // eK == e_rel for _, e in above) and above[0][1] % eK == 0
+                    and e_rel in (1, 2), "the ramification indices over P disagree")
             if e_rel == 2 and m.coprime_to(P):
                 out.append((P, above[0][0], e_rel))
     return out
@@ -364,7 +364,7 @@ def _assemble(h: int, d_inf, es, idx: int) -> int:
             f"ambiguous count {num}/{den} is not integral; factor bug"
         )
     value = num // den
-    assert value > 0
+    require(value > 0, "the ambiguous count is not positive")
     return value
 
 
@@ -417,7 +417,7 @@ def _direct_quadratic(L: QuadField, m: int) -> int:
     vecs = []
     for p0 in _ramified_quad(L, m):
         kind, data = factor_prime(L, p0)
-        assert kind == "ramified"
+        require(kind == "ramified", "a prime dividing D_L is not ramified")
         vecs.append(ray.dlog(data[0][0]))
     for a in rayclass_Q_generators(m):
         vecs.append(ray.class_of_principal(QElt(L, a, 0)))
@@ -445,12 +445,12 @@ def _direct_biquad(L: BiquadField, K: QuadField, m: Modulus) -> int:
     vecs = []
     for _, Q, _ in _ramified_biquad(L, K, m):
         gamma = is_principal(Q)
-        assert gamma is not None, "class number one"
+        require(gamma is not None, "a ramified prime is not principal at h(L) = 1")
         vecs.append(class_vec(gamma))
     ray_K = ray_class_group(K, m)
     for P in ray_K.ideal_gens:
         gamma = is_principal(extend_ideal(L, P))
-        assert gamma is not None, "class number one"
+        require(gamma is not None, "an extended ideal is not principal at h(L) = 1")
         vecs.append(class_vec(gamma))
     for i in range(len(ray_K.residue.factors)):
         e_i = [1 if c == i else 0 for c in range(len(ray_K.residue.factors))]

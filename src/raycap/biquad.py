@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import product
 
 from .abgroup import hnf_rows
-from .errors import InputError, require
+from .errors import InputError, InvariantError, require
 from .exactmath import factor, is_prime, kronecker, power, roots_mod_p
 from .quadfield import (
     Modulus,
@@ -69,7 +69,8 @@ def biquad_field(d: int, p: int) -> BiquadField:
     k3 = quadratic_field(d * p)
     # coprime discriminants make the product basis integral, and the third
     # discriminant factors through the first two
-    assert k3.D == k1.D * p and k3.t == k1.t and k2.t == 1
+    require(k3.D == k1.D * p and k3.t == k1.t and k2.t == 1,
+            "the subfield discriminants do not factor as D3 = D1 * p")
     return BiquadField(k1, k2, k3)
 
 
@@ -224,7 +225,8 @@ class BqIdeal:
 
     @staticmethod
     def from_int(L: BiquadField, n: int) -> "BqIdeal":
-        assert n > 0
+        if n < 1:
+            raise ValueError("from_int wants a positive integer")
         return BqIdeal(L, tuple(tuple(n if i == j else 0 for j in range(4)) for i in range(4)))
 
     @staticmethod
@@ -257,7 +259,8 @@ class BqIdeal:
         return power(self, k, BqIdeal.unit_ideal(self.L))
 
     def scale(self, n: int) -> "BqIdeal":
-        assert n > 0
+        if n < 1:
+            raise ValueError("scale wants a positive integer")
         return BqIdeal(self.L, tuple(tuple(n * v for v in r) for r in self.rows))
 
     def conj(self, j: int) -> "BqIdeal":
@@ -300,27 +303,27 @@ def primes_above(L: BiquadField, p0: int) -> list[tuple[BqIdeal, int, int]]:
                         L, [p0, _w_elt(L, 1) - BqElt(L, x1, 0, 0, 0),
                             _w_elt(L, 2) - BqElt(L, x2, 0, 0, 0)]
                     )
-                    assert Q.norm() == p0
+                    require(Q.norm() == p0, "a totally split prime has norm != p")
                     out.append((Q, 1, 1))
         else:
             # the product of the three characters is +1, so exactly one splits
-            assert len(split) == 1
+            require(len(split) == 1, "the characters at p do not multiply to 1")
             j = split[0]
             for x in roots_mod_p(_minpoly(ks[j - 1]), p0):
                 Q = BqIdeal.from_generators(
                     L, [p0, _w_elt(L, j) - BqElt(L, x, 0, 0, 0)]
                 )
-                assert Q.norm() == p0 * p0
+                require(Q.norm() == p0 * p0, "a degree-2 prime has norm != p^2")
                 out.append((Q, 1, 2))
     else:
         # ramification: p0 divides exactly two of the three discriminants,
         # always including D3
         zs = [j for j in (1, 2, 3) if chis[j - 1] == 0]
-        assert len(zs) == 2 and 3 in zs
+        require(len(zs) == 2 and 3 in zs, "p divides D3 and not one other D_j")
         a = zs[0] if zs[0] != 3 else zs[1]
         c = 2 if a == 1 else 1
         kind, facs = factor_prime(ks[a - 1], p0)
-        assert kind == "ramified"
+        require(kind == "ramified", "p divides D_a but does not ramify in k_a")
         P_a = facs[0][0]
         gens = [embed(L, g) for g in P_a.gen_pair()]
         if chis[c - 1] == 1:
@@ -328,17 +331,17 @@ def primes_above(L: BiquadField, p0: int) -> list[tuple[BqIdeal, int, int]]:
                 Q = BqIdeal.from_generators(
                     L, gens + [_w_elt(L, c) - BqElt(L, x, 0, 0, 0)]
                 )
-                assert Q.norm() == p0
+                require(Q.norm() == p0, "a ramified degree-1 prime has norm != p")
                 out.append((Q, 2, 1))
         else:
             Q = BqIdeal.from_generators(L, gens)
-            assert Q.norm() == p0 * p0
+            require(Q.norm() == p0 * p0, "a ramified degree-2 prime has norm != p^2")
             out.append((Q, 2, 2))
-    assert sum(e * f for _, e, f in out) == 4
+    require(sum(e * f for _, e, f in out) == 4, "the primes above p have sum e*f != 4")
     prod = BqIdeal.unit_ideal(L)
     for Q, e, _ in out:
         prod = prod * Q**e
-    assert prod == BqIdeal.from_int(L, p0)
+    require(prod == BqIdeal.from_int(L, p0), "the product of Q^e over p is not p*O_L")
     out.sort(key=lambda t: (t[0].norm(), t[0].rows))
     return out
 
@@ -348,7 +351,7 @@ def extend_ideal(L: BiquadField, I: QIdeal) -> BqIdeal:
     if I.field not in (L.k1, L.k2, L.k3):
         raise ValueError("ideal does not live in a subfield of L")
     ext = BqIdeal.from_generators(L, [embed(L, g) for g in I.gen_pair()])
-    assert ext.norm() == I.norm() ** 2
+    require(ext.norm() == I.norm() ** 2, "N(I*O_L) is not N(I)^2")
     return ext
 
 
@@ -498,7 +501,7 @@ def unit_group(L: BiquadField) -> UnitGroupData:
                 q *= 2
                 changed = True
                 break
-    assert all(u.is_unit() for u in basis)
+    require(all(u.is_unit() for u in basis), "a unit group generator is not a unit")
     return UnitGroupData(L, tuple(basis), q)
 
 
@@ -508,7 +511,7 @@ def class_number(L: BiquadField) -> int:
     num = unit_group(L).index_q * math.prod(
         class_group(k).h for k in (L.k1, L.k2, L.k3)
     )
-    assert num % 4 == 0, "class number relation must give an integer"
+    require(num % 4 == 0, "the class number relation does not give an integer")
     return num // 4
 
 
@@ -578,7 +581,7 @@ def _scan_root(Q: BqIdeal, j: int, p: int) -> int:
     for x in roots_mod_p(_minpoly(k), p):
         if Q.contains(w - BqElt(L, x, 0, 0, 0)):
             return x
-    raise AssertionError("no residue image found for a subfield generator")
+    raise InvariantError("invariant failed: a subfield generator has no residue image")
 
 
 def _residue_factor(Q: BqIdeal) -> ResidueFactor:
@@ -590,7 +593,7 @@ def _residue_factor(Q: BqIdeal) -> ResidueFactor:
     if norm == p:
         im1, im2 = _scan_root(Q, 1, p), _scan_root(Q, 2, p)
         return ResidueFactor(p, 1, None, (1, im1, im2, im1 * im2 % p))
-    assert norm == p * p
+    require(norm == p * p, "a residue prime's norm is neither p nor p^2")
     chis = tuple(kronecker(k.D, p) for k in (L.k1, L.k2, L.k3))
     if chis[0] == -1:
         tu = (L.k1.t, L.k1.u)
@@ -606,7 +609,7 @@ def _residue_factor(Q: BqIdeal) -> ResidueFactor:
             den = (-t1 % p, 2 % p)
             im2 = fp2.mul(num, power(den, p * p - 2, (1, 0), fp2.mul))
     else:
-        assert chis[1] == -1, "a degree-2 prime needs an inert generator"
+        require(chis[1] == -1, "a degree-2 prime has neither w1 nor w2 inert")
         tu = (L.k2.t, L.k2.u)
         im1, im2 = (_scan_root(Q, 1, p), 0), (0, 1)
     return ResidueFactor(p, 2, tu, ((1, 0), im1, im2, _Fp2(p, *tu).mul(im1, im2)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
-from .errors import InputError
+from .errors import InputError, require
 from .exactmath import is_prime, primes_1_mod, primes_in_progression
 from .kummerfrob import ConditionChecker, SearchParams
 from .quadfield import Modulus, QuadField, _primitive_root, quadratic_field
@@ -59,8 +59,8 @@ def gaussian_period_min_poly(p: int, m: int) -> tuple[int, ...]:
         if c > M // 2:
             c -= M
         coeffs.append(c)
-    assert coeffs[m] == 1, "period polynomial must be monic"
-    assert coeffs[m - 1] == 1, "periods must sum to -1"
+    require(coeffs[m] == 1, "the period polynomial is not monic")
+    require(coeffs[m - 1] == 1, "the periods do not sum to -1")
     return tuple(coeffs)
 
 

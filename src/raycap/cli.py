@@ -381,20 +381,22 @@ def cmd_selftest(args) -> int:
         == ray.cl.h * ray.residue.order() // ray.unit_image_order,
     )
 
-    # period polynomial splitting vs the residue character prediction
+    # period polynomial splitting vs the residue character prediction: a
+    # quadratic splits mod an odd q prime to its discriminant exactly when
+    # the discriminant is a square mod q
     from itertools import takewhile
 
     from raycap.capsearch import gaussian_period_min_poly
-    from raycap.exactmath import primes_in_progression, splitting_degree
+    from raycap.exactmath import kronecker, primes_in_progression
 
     ok, tried = True, 0
     small = list(takewhile(lambda p: p < 300, primes_in_progression(1, 4, start=5)))
     while tried < 8:
         p = rng.choice(small)
         q = rng.choice([q0 for q0 in range(3, 200) if is_prime(q0) and q0 != p])
-        poly = gaussian_period_min_poly(p, 2)
-        want = 1 if pow(q, (p - 1) // 2, p) == 1 else 2
-        ok = ok and splitting_degree(poly, q) == want
+        c0, c1, c2 = gaussian_period_min_poly(p, 2)
+        splits = pow(q, (p - 1) // 2, p) == 1
+        ok = ok and (kronecker(c1 * c1 - 4 * c2 * c0, q) == 1) == splits
         tried += 1
     record("period-splitting", ok)
 

@@ -1,4 +1,5 @@
-"""Exact integer, modular, and polynomial arithmetic over prime fields.
+"""Exact integer and modular arithmetic: primality, factoring, sieves,
+Kronecker symbols, square roots and quadratic roots mod p, and CRT.
 
 Everything here is deterministic: primality is decided by a fixed
 Miller-Rabin witness set that is exact below 2**64, and inputs outside
@@ -8,7 +9,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from typing import Iterator, Sequence
@@ -320,152 +320,27 @@ def crt(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:
     return x % m, m
 
 
-# ---------------------------------------------------------------------------
-# univariate polynomials over F_p
-
-
-def _trim(coeffs: Sequence[int], p: int) -> tuple[int, ...]:
+def roots_mod_p(coeffs: Sequence[int], p: int) -> list[int]:
+    """All roots in F_p of an integer polynomial of degree at most 2 over
+    F_p, coefficients low to high, sorted ascending. A linear polynomial
+    takes one inverse, a quadratic over odd p one square root of its
+    discriminant; a quadratic mod 2 tries 0 and 1."""
     c = [x % p for x in coeffs]
     while c and c[-1] == 0:
         c.pop()
-    return tuple(c)
-
-
-@dataclass(frozen=True)
-class PolyModP:
-    """Dense polynomial over F_p, coefficients low to high, no leading zeros."""
-
-    coeffs: tuple[int, ...]
-    p: int
-
-    @staticmethod
-    def make(coeffs: Sequence[int], p: int) -> "PolyModP":
-        return PolyModP(_trim(coeffs, p), p)
-
-    @staticmethod
-    def x(p: int) -> "PolyModP":
-        return PolyModP((0, 1), p)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "PolyModP") -> "PolyModP":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return PolyModP(_trim(out, self.p), self.p)
-
-    def __sub__(self, other: "PolyModP") -> "PolyModP":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] = (out[i] - c) % self.p
-        return PolyModP(_trim(out, self.p), self.p)
-
-    def __mul__(self, other: "PolyModP") -> "PolyModP":
-        a, b, p = self.coeffs, other.coeffs, self.p
-        if not a or not b:
-            return PolyModP((), p)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return PolyModP(_trim(out, p), p)
-
-    def scale(self, k: int) -> "PolyModP":
-        return PolyModP(_trim([c * k for c in self.coeffs], self.p), self.p)
-
-    def divmod(self, other: "PolyModP") -> tuple["PolyModP", "PolyModP"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        r = list(self.coeffs)
-        d = other.coeffs
-        inv_lead = pow(d[-1], -1, p)
-        q = [0] * max(0, len(r) - len(d) + 1)
-        for i in range(len(r) - len(d), -1, -1):
-            c = r[i + len(d) - 1] * inv_lead % p
-            if c:
-                q[i] = c
-                for j, dj in enumerate(d):
-                    r[i + j] = (r[i + j] - c * dj) % p
-        return PolyModP(_trim(q, p), p), PolyModP(_trim(r[: len(d) - 1], p), p)
-
-    def __mod__(self, other: "PolyModP") -> "PolyModP":
-        return self.divmod(other)[1]
-
-    def monic(self) -> "PolyModP":
-        if self.is_zero() or self.coeffs[-1] == 1:
-            return self
-        return self.scale(pow(self.coeffs[-1], -1, self.p))
-
-    def gcd(self, other: "PolyModP") -> "PolyModP":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def pow_mod(self, e: int, modulus: "PolyModP") -> "PolyModP":
-        return power(
-            self % modulus, e, PolyModP((1,), self.p), lambda a, b: (a * b) % modulus
-        )
-
-    def derivative(self) -> "PolyModP":
-        return PolyModP(
-            _trim([i * c for i, c in enumerate(self.coeffs)][1:], self.p), self.p
-        )
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
-
-def roots_mod_p(coeffs: Sequence[int], p: int) -> list[int]:
-    """All roots in F_p of an integer polynomial of degree at most 2 over
-    F_p, coefficients low to high, sorted ascending. A quadratic over odd p
-    takes one square root of its discriminant; p = 2 and lower degrees try
-    every residue."""
-    f = PolyModP.make(coeffs, p)
-    if f.is_zero():
+    if not c:
         raise ValueError("zero polynomial has every root")
-    if f.degree > 2:
-        raise ValueError(f"degree {f.degree} mod {p}: only degree <= 2 is solved")
-    if f.degree == 2 and p != 2:
-        c0, c1, c2 = f.coeffs
-        r = sqrt_mod(c1 * c1 - 4 * c2 * c0, p)
-        if r is None:
-            return []
-        inv = pow(2 * c2, -1, p)
-        return sorted({(-c1 + r) * inv % p, (-c1 - r) * inv % p})
-    return [x for x in range(p) if f(x) == 0]
-
-
-def splitting_degree(coeffs: Sequence[int], q: int) -> int:
-    """Common degree of the irreducible factors of f mod q, for squarefree f
-    mod q whose factors all share one degree (the Frobenius orbit length).
-    Computed as the least j >= 1 with x^(q^j) ≡ x (mod f, q)."""
-    f = PolyModP.make(coeffs, q).monic()
-    if f.degree < 1:
-        raise ValueError("need a nonconstant polynomial")
-    if f.gcd(f.derivative()).degree != 0:
-        raise ValueError(f"polynomial is not squarefree mod {q}")
-    xr = PolyModP.x(q) % f
-    w = xr
-    for j in range(1, f.degree + 1):
-        w = w.pow_mod(q, f)
-        g = (w - xr).gcd(f)
-        if g.degree == f.degree:
-            return j
-        if g.degree > 0:
-            # some factor has degree exactly j while another does not
-            raise ValueError(f"factor degrees are not uniform mod {q}")
-    raise ArithmeticError("Frobenius order exceeded the degree")  # unreachable
+    if len(c) > 3:
+        raise ValueError(f"degree {len(c) - 1} mod {p}: only degree <= 2 is solved")
+    if len(c) == 1:
+        return []
+    if len(c) == 2:
+        return [-c[0] * pow(c[1], -1, p) % p]
+    if p == 2:  # f(0) = c0, f(1) = c0 + c1 + c2
+        return [x for x, v in ((0, c[0]), (1, sum(c))) if v % 2 == 0]
+    c0, c1, c2 = c
+    r = sqrt_mod(c1 * c1 - 4 * c2 * c0, p)
+    if r is None:
+        return []
+    inv = pow(2 * c2, -1, p)
+    return sorted({(-c1 + r) * inv % p, (-c1 - r) * inv % p})

@@ -33,8 +33,9 @@ from .exactmath import (
 
 @dataclass(frozen=True)
 class QuadField:
-    """Q(sqrt(d)). Equality and hashing look at d alone; D, t and u are
-    computed once per instance (they sit on every arithmetic path)."""
+    """Q(sqrt(d)). Equality and hashing look at d alone; D, t, u and
+    isqrt_D are computed once per instance (they sit on every arithmetic
+    path, isqrt_D on every rho step)."""
 
     d: int
 
@@ -50,6 +51,11 @@ class QuadField:
     @cached_property
     def u(self) -> int:
         return (self.D - self.t) // 4
+
+    @cached_property
+    def isqrt_D(self) -> int:
+        """floor(sqrt(|D|))."""
+        return math.isqrt(abs(self.D))
 
     @property
     def is_real(self) -> bool:
@@ -277,7 +283,7 @@ def factor_prime(field: QuadField, p: int) -> tuple[str, list[tuple[QIdeal, int,
 
 def _B_near_sqrt(field: QuadField, a: int, b: int) -> int:
     """The representative of B mod 2a in (s - 2a, s], s = floor(sqrt(D))."""
-    s = math.isqrt(field.D)
+    s = field.isqrt_D
     B0 = 2 * b + field.t
     return s - ((s - B0) % (2 * a))
 
@@ -324,8 +330,7 @@ def _rho_orbit(field: QuadField, a: int, b: int, mult):
     factor through `times(x, y, den)`. Far from the reduced
     strip (a > sqrt(D)) the centered residue of B makes the norms shrink;
     near it the window (s-2a, s] drives the cycle."""
-    D, t = field.D, field.t
-    s = math.isqrt(D)
+    D, t, s = field.D, field.t, field.isqrt_D
     while True:
         yield a, b, mult
         B0 = 2 * b + t
@@ -492,10 +497,7 @@ class ClassGroupData:
 def _candidate_primes(field: QuadField, skip: frozenset[int]) -> Iterator[QIdeal]:
     """Non-inert primes in ascending rational order, one per split pair.
     The bound comfortably dominates the Minkowski constant."""
-    if field.is_real:
-        bound = math.isqrt(field.D) // 2 + 2
-    else:
-        bound = math.isqrt(abs(field.D)) + 2
+    bound = (field.isqrt_D // 2 if field.is_real else field.isqrt_D) + 2
     for p in primes_up_to(bound):
         if p in skip:
             continue
@@ -647,7 +649,13 @@ class Modulus:
         return all(q.conj().key() in keys for q in self.primes)
 
     def coprime_to(self, I: QIdeal) -> bool:
-        return math.gcd(I.norm(), self.norm()) == 1
+        """Whether no prime of m divides I. Coprime norms settle it; when
+        they share a prime, each prime q of m is tested for I inside q (one
+        prime of a split pair in m leaves its conjugate coprime to m)."""
+        if math.gcd(I.norm(), self.norm()) == 1:
+            return True
+        x, y = I.gen_pair()
+        return not any(q.contains(x) and q.contains(y) for q in self.primes)
 
 
 def descriptor(ideals: Sequence[QIdeal]) -> list[dict]:
@@ -1004,12 +1012,10 @@ class RayClassData:
         class logs through (O/m)^* in the same way."""
         if not self.modulus.coprime_to(I):
             raise InputError("ideal is not coprime to the modulus")
-        f, nm = self.field, self.modulus.norm()
+        f = self.field
         a, b, mu = _reduce_primitive(f, I.a, I.b, self._one)
-        if math.gcd(a, nm) > 1:
-            member = next(
-                (R for R in _cycle(f, a, b, mu) if math.gcd(R[0], nm) == 1), None
-            )
+        if not self._coprime(a, b):
+            member = next((R for R in _cycle(f, a, b, mu) if self._coprime(*R[:2])), None)
             if member is None:
                 vec = self._generator_vector(I, self.ray_table[class_key(I)])
                 return self.group.dlog_ambient(vec)
@@ -1018,6 +1024,11 @@ class RayClassData:
         if vec is None:
             vec = self._fill(a, b)
         return vec if mu is None else self._moved(vec, mu, I.g, 1)
+
+    def _coprime(self, a: int, b: int) -> bool:
+        """Whether the primitive [a, b + w] is coprime to m."""
+        m = self.modulus
+        return math.gcd(a, m.norm()) == 1 or m.coprime_to(QIdeal(self.field, 1, a, b))
 
     def _generator_vector(self, I: QIdeal, v: tuple[int, ...]) -> tuple[int, ...]:
         """The ambient vector of [I] from its class vector v through one
@@ -1064,9 +1075,8 @@ class RayClassData:
         vec = self.group.dlog_ambient(
             self._generator_vector(QIdeal(f, 1, a, b), self.ray_table[key])
         )
-        nm = self.modulus.norm()
         for ak, bk, mu in members:  # R0 itself first
-            if math.gcd(ak, nm) == 1:
+            if self._coprime(ak, bk):
                 self.vectors[ak, bk] = vec if mu is None else self._moved(vec, mu, 1, -1)
         return vec
 

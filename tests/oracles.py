@@ -1,5 +1,6 @@
 """Reference implementations that only the tests use: a fraction-free
 determinant, matrix products, multiplicative orders, divisor lists,
+splitting degrees of polynomials mod q,
 synthetic abelian groups given by their invariants, the cyclic complement
 of an element of an ell-group, ideals of K as the HNF of their generators'
 lattice, exact ideal division, ray-principal generators, and ideals of
@@ -11,11 +12,12 @@ product and generator search; the rest share no code with it.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 from typing import Sequence
 
 from raycap.abgroup import FiniteAbelianGroup, hnf_rows, solve_left
 from raycap.biquad import BqElt, BqIdeal
-from raycap.exactmath import factor, valuation
+from raycap.exactmath import factor, power, valuation
 from raycap.quadfield import (
     QElt,
     QIdeal,
@@ -137,6 +139,70 @@ def _carmichael(m: int) -> int:
             piece = p ** (k - 1) * (p - 1)
         lam = lam * piece // math.gcd(lam, piece)
     return lam
+
+
+# ---------------------------------------------------------------------------
+# splitting degrees mod q on coefficient lists (low to high), the reference
+# for the Gaussian period check; the library solves only quadratics
+
+
+def _poly_trim(f: Sequence[int], q: int) -> list[int]:
+    out = [c % q for c in f]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_mod(f: Sequence[int], g: list[int], q: int) -> list[int]:
+    """f mod g over F_q, for g trimmed and nonzero."""
+    f = _poly_trim(f, q)
+    inv = pow(g[-1], -1, q)
+    while len(f) >= len(g):
+        c, shift = f[-1] * inv % q, len(f) - len(g)
+        for i, gi in enumerate(g):
+            f[shift + i] -= c * gi
+        f = _poly_trim(f, q)
+    return f
+
+
+def _poly_mulmod(f: list[int], g: list[int], h: list[int], q: int) -> list[int]:
+    """f*g mod h over F_q."""
+    out = [0] * (len(f) + len(g))
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return _poly_mod(out, h, q)
+
+
+def _gcd_degree(f: Sequence[int], g: Sequence[int], q: int) -> int:
+    """The degree of gcd(f, g) over F_q, -1 when both are zero."""
+    f, g = _poly_trim(f, q), _poly_trim(g, q)
+    while g:
+        f, g = g, _poly_mod(f, g, q)
+    return len(f) - 1
+
+
+def splitting_degree(coeffs: Sequence[int], q: int) -> int:
+    """Common degree of the irreducible factors of f mod q, for squarefree f
+    mod q whose factors all share one degree (the Frobenius orbit length):
+    the least j >= 1 with x^(q^j) = x mod (f, q). Raises ValueError when f
+    is constant, not squarefree, or has factors of different degrees."""
+    f = _poly_trim(coeffs, q)
+    n = len(f) - 1
+    if n < 1:
+        raise ValueError("need a nonconstant polynomial")
+    if _gcd_degree(f, [i * c for i, c in enumerate(f)][1:], q) != 0:
+        raise ValueError(f"polynomial is not squarefree mod {q}")
+    x = _poly_mod([0, 1], f, q)
+    w = x
+    for j in range(1, n + 1):
+        w = power(w, q, [1], lambda a, b: _poly_mulmod(a, b, f, q))
+        g = _gcd_degree([a - b for a, b in zip_longest(w, x, fillvalue=0)], f, q)
+        if g == n:
+            return j
+        if g > 0:  # some factor has degree exactly j while another does not
+            raise ValueError(f"factor degrees are not uniform mod {q}")
+    raise ArithmeticError("Frobenius order exceeded the degree")  # unreachable
 
 
 # ---------------------------------------------------------------------------

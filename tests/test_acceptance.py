@@ -14,7 +14,7 @@ import time
 from itertools import product as iproduct
 from math import gcd, lcm
 
-from oracles import cyclic_complement, multiplicative_order
+from oracles import cyclic_complement, multiplicative_order, splitting_degree
 from raycap.ambigcheck import ambig_case, fundamental_field_params, rayclass_Q
 from raycap.biquad import (
     BqIdeal,
@@ -26,7 +26,7 @@ from raycap.biquad import (
     verify_certificate,
 )
 from raycap.capsearch import SearchParams, gaussian_period_min_poly, search_with_escalation
-from raycap.exactmath import is_prime, splitting_degree
+from raycap.exactmath import is_prime
 from raycap.kummerfrob import prime_above_from_root
 from raycap.quadfield import (
     Modulus,

@@ -30,7 +30,7 @@ from raycap.biquad import (
     l_residue_system,
     unit_group,
 )
-from raycap.errors import BudgetError, InputError
+from raycap.errors import BudgetError, InputError, InvariantError
 from raycap.exactmath import factor
 from raycap.quadfield import (
     QElt,
@@ -342,6 +342,17 @@ class TestAmbiguousCounts:
         assert class_number(L) != 1
         with pytest.raises(BudgetError):
             ambiguous_count_direct(L, L.k1, modulus_from_rational(L.k1, 1))
+
+    def test_invariants_raise_under_any_optimisation(self, monkeypatch):
+        """At h(L) = 1 every ramified prime is principal; that check is
+        raised, not asserted, so `python -O` keeps it (exit 8)."""
+        import raycap.ambigcheck as ac
+
+        monkeypatch.setattr(ac, "is_principal", lambda I: None)
+        L = biquad_field(3, 5)
+        with pytest.raises(InvariantError, match="not principal") as err:
+            ambiguous_count_direct(L, L.k1, modulus_from_rational(L.k1, 7))
+        assert err.value.exit_code == 8
 
     @pytest.mark.parametrize("j", [0, 4, -1])
     def test_bad_subfield_index_is_an_input_error(self, j):

@@ -222,6 +222,14 @@ class TestIdeals:
         with pytest.raises(ValueError):
             BqIdeal.from_generators(L345, [BqElt(L345, 0, 0, 0, 0)])
 
+    def test_nonpositive_integers_rejected(self):
+        I = BqIdeal.principal(BqElt(L345, 1, 1, 0, 1))
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="positive"):
+                BqIdeal.from_int(L345, n)
+            with pytest.raises(ValueError, match="positive"):
+                I.scale(n)
+
 
 # t1 = 0 and t1 = 1 for k1, and every splitting pattern among p0 < 60
 ORACLE_FIELDS = [(2, 5), (3, 13), (34, 5), (5, 29), (21, 17), (6, 53)]
@@ -285,6 +293,20 @@ class TestPrimeDecomposition:
     def test_rejects_composite(self):
         with pytest.raises(InputError):
             primes_above(L345, 15)
+
+    @pytest.mark.parametrize("p0", [3, 11, 5])
+    def test_wrong_roots_raise_under_any_optimisation(self, monkeypatch, p0):
+        """The decomposition's checks are raised, not asserted, so `python -O`
+        keeps them: residues that are not roots give ideals of the wrong
+        norm (3 has one split subfield in L = Q(sqrt 34, sqrt 5), 11 three,
+        and 5 ramifies with k1 split), and the decomposition stops."""
+        import raycap.biquad as bq
+
+        real = bq.roots_mod_p
+        monkeypatch.setattr(bq, "roots_mod_p", lambda f, p: [(r + 1) % p for r in real(f, p)])
+        with pytest.raises(InvariantError, match="norm") as err:
+            primes_above(L345, p0)
+        assert err.value.exit_code == 8
 
 
 class TestExtensions:

@@ -11,7 +11,7 @@ from raycap.capsearch import (
     power_adjustment_hint,
     search_with_escalation,
 )
-from raycap.errors import InputError
+from raycap.errors import InputError, InvariantError
 from raycap.exactmath import primes_up_to
 from raycap.kummerfrob import SearchParams
 from raycap.quadfield import Modulus, modulus_from_rational, quadratic_field
@@ -130,6 +130,22 @@ class TestPeriodPolynomials:
             gaussian_period_min_poly(8, 2)
         with pytest.raises(InputError):
             gaussian_period_min_poly(13, 5)
+
+    def test_wrong_coefficients_raise_under_any_optimisation(self, monkeypatch):
+        """The monic and trace checks are raised, not asserted, so `python -O`
+        keeps them: a CRT that lands one off stops with exit 8."""
+        from raycap import exactmath
+
+        real = exactmath.crt
+
+        def off_by_one(residues, moduli):
+            x, M = real(residues, moduli)
+            return (x + 1) % M, M
+
+        monkeypatch.setattr(exactmath, "crt", off_by_one)
+        with pytest.raises(InvariantError, match="monic") as err:
+            gaussian_period_min_poly(13, 4)
+        assert err.value.exit_code == 8
 
 
 class TestCyclicFieldDesc:

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import divisors, multiplicative_order
+from oracles import divisors, multiplicative_order, splitting_degree
 from raycap import exactmath
 from raycap.exactmath import (
     PRIMALITY_LIMIT,
-    PolyModP,
     PrimalityRangeError,
     crt,
     factor,
@@ -22,7 +21,6 @@ from raycap.exactmath import (
     primes_in_progression,
     primes_up_to,
     roots_mod_p,
-    splitting_degree,
     sqrt_mod,
     squarefree_part,
     valuation,
@@ -250,35 +248,6 @@ class TestMultiplicativeOrder:
         assert all(pow(a, e, p) != 1 for e in divisors(d)[:-1])
 
 
-class TestPolyModP:
-    def test_divmod(self):
-        p = 13
-        f = PolyModP.make([1, 0, 0, 1], p)  # x^3 + 1
-        g = PolyModP.make([1, 1], p)  # x + 1
-        q, r = f.divmod(g)
-        assert r.is_zero()
-        assert q * g == f
-
-    def test_gcd(self):
-        p = 7
-        f = PolyModP.make([-1, 0, 1], p)  # x^2 - 1
-        g = PolyModP.make([1, 1], p)
-        assert f.gcd(g) == g.monic()
-
-    @given(
-        st.lists(st.integers(0, 12), min_size=1, max_size=6),
-        st.lists(st.integers(0, 12), min_size=2, max_size=5),
-    )
-    def test_divmod_identity(self, a, b):
-        p = 13
-        f, g = PolyModP.make(a, p), PolyModP.make(b, p)
-        if g.is_zero():
-            return
-        q, r = f.divmod(g)
-        assert q * g + r == f
-        assert r.degree < g.degree
-
-
 class TestRootsModP:
     def test_known(self):
         assert roots_mod_p([1, 0, 1], 5) == [2, 3]  # x^2 + 1
@@ -289,6 +258,24 @@ class TestRootsModP:
             roots_mod_p([1, 0, 0, 1], 7)  # x^3 + 1
         # a cubic whose leading coefficient vanishes mod p is a quadratic
         assert roots_mod_p([6, 0, 1, 7], 7) == [1, 6]
+
+    def test_linear_at_a_large_prime(self):
+        # one inverse, not a trial of every residue
+        p = 1_000_000_007
+        (r,) = roots_mod_p([3, 5], p)
+        assert (3 + 5 * r) % p == 0
+        assert roots_mod_p([-4, 2 * p + 2], p) == [2]
+
+    def test_low_degrees_match_brute(self):
+        # every constant and linear polynomial mod small p, given with a
+        # leading coefficient that vanishes mod p
+        for p in (2, 3, 7):
+            for c0, c1 in itertools.product(range(p), repeat=2):
+                if c0 or c1:
+                    coeffs = [c0, c1, 2 * p]
+                    assert roots_mod_p(coeffs, p) == brute_roots(coeffs, p)
+        with pytest.raises(ValueError):
+            roots_mod_p([7, 14, 21], 7)
 
 
 def brute_roots(coeffs, p):
@@ -347,6 +334,8 @@ class TestQuadraticRoots:
 
 
 class TestSplittingDegree:
+    """The test oracle that criterion 5 of the acceptance gate stands on."""
+
     def test_quadratics(self):
         assert splitting_degree([1, 0, 1], 5) == 1
         assert splitting_degree([1, 0, 1], 7) == 2

@@ -15,7 +15,9 @@ the residue part of the ray discrete log; the three after it scan with an
 inert modulus prime (d = 70, m = 13), two inert primes (d = 551, m = 3*7)
 and two split primes (d = 595, m = 3*11), each with h > 1, so the residue
 part meets F_{p^2} residue fields, several factors at once and reduced
-ideals whose norms share a prime with the modulus.
+ideals whose norms share a prime with the modulus. The two `selftest` runs
+pin the consistency battery at two seeds, whose period-splitting check
+draws its (p, q) pairs from the seed.
 """
 import hashlib
 import importlib.util
@@ -66,6 +68,10 @@ GOLDEN = [
     (("search", "--d", "595", "--mod", "3,11", "--class", "0,0,0,0", "--h", "0",
       "--bound", "20000"),
      3, "a78e4d6188f512b73fdf74ec06173f84d6f1e9bcf141f1561411c1f22b387900"),
+    (("selftest", "--seed", "0"),
+     0, "81c4c7ebfa414069d0c619bb3ab4358f2ebf842e5397ce2018dd1eacc5e2722f"),
+    (("selftest", "--seed", "7"),
+     0, "81c4c7ebfa414069d0c619bb3ab4358f2ebf842e5397ce2018dd1eacc5e2722f"),
 ]
 
 # Each entry is a `search ... --out cert` run, then `verify cert`, with the

@@ -761,6 +761,28 @@ def test_modulus_prime_in_the_reduced_ideal_takes_a_generator(monkeypatch):
     assert all(a % 3 for a, _ in ray.vectors)
 
 
+@pytest.mark.parametrize("d,p", [(-5, 3), (-14, 3), (79, 3), (-5, 7), (79, 5)])
+def test_one_prime_of_a_split_pair_in_the_modulus(d, p):
+    """With m = Q, one prime above the split p, the conjugate Q' shares
+    Q's norm but is coprime to m: its powers and multiples get their ray
+    class, which the reference confirms, and Q itself is refused. In
+    Q(sqrt -14) and Q(sqrt 79) the memo then holds reduced ideals of norm
+    divisible by p, each with its reference class."""
+    K = quadratic_field(d)
+    Q, Qc = (P for P, _, _ in factor_prime(K, p)[1])
+    m = Modulus(K, (Q,))
+    assert m.coprime_to(Qc) and not m.coprime_to(Q) and not m.coprime_to(Q * Qc)
+    ray = ray_class_group.__wrapped__(K, m)
+    for I in (Qc, Qc**2, Qc**3, Qc.scale(2)):
+        assert ray.dlog(I) == ray.group.dlog_ambient(reference_ambient_vector(ray, I))
+    with pytest.raises(InputError, match="not coprime"):
+        ray.dlog(Q)
+    for (a, b), vec in ray.vectors.items():
+        R = QIdeal(K, 1, a, b)
+        assert vec == ray.group.dlog_ambient(reference_ambient_vector(ray, R))
+    assert any(a % p == 0 for a, _ in ray.vectors) == (d != -5)
+
+
 def test_wrong_generator_raises_under_any_optimisation(monkeypatch):
     """The generator checks are raised, not asserted, so `python -O` keeps
     them: a generator of the wrong ideal, or none where the class says the
