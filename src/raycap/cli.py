@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -66,6 +67,14 @@ def _int(text: str, what: str) -> int:
         return int(text)
     except ValueError:
         raise InputError(f"{what} {text!r} is not an integer") from None
+
+
+def _jobs(n: int) -> int:
+    """Worker count for --jobs: at least 1, capped at the CPU count, since a
+    process pool forks every worker at once."""
+    if n < 1:
+        raise InputError(f"--jobs must be at least 1, not {n}")
+    return min(n, os.cpu_count() or 1)
 
 
 def _parse_modulus(field, spec: str) -> Modulus:
@@ -188,6 +197,7 @@ def cmd_rayclass(args) -> int:
 
 
 def cmd_search(args) -> int:
+    jobs = _jobs(args.jobs)
     field = quadratic_field(args.d)
     modulus = _parse_modulus(field, args.mod)
     ray = ray_class_group(field, modulus)
@@ -210,7 +220,7 @@ def cmd_search(args) -> int:
         payload = cached["payload"]
         report = cached
     else:
-        res = find_principalizing_prime(field, modulus, target, params, jobs=args.jobs)
+        res = find_principalizing_prime(field, modulus, target, params, jobs=jobs)
         payload = res.as_dict()
         report = stamp("search", payload)
         cache.put(key, report)
@@ -292,6 +302,7 @@ def _ambig_report_for(case: tuple) -> dict:
 
 
 def cmd_ambig(args) -> int:
+    jobs = _jobs(args.jobs)
     if args.sweep:
         if args.sweep != "default":
             raise InputError("the only built-in sweep is 'default'")
@@ -323,8 +334,8 @@ def cmd_ambig(args) -> int:
         else:
             misses.append((i, case))
     if misses:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 fresh = list(pool.map(_ambig_report_for, [c for _, c in misses]))
         else:
             fresh = [_ambig_report_for(c) for _, c in misses]

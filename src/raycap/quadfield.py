@@ -14,7 +14,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .abgroup import FiniteAbelianGroup, group_from_relations, hnf_rows, xgcd
 from .errors import InputError, InvariantError, require
@@ -222,9 +222,6 @@ class QIdeal:
             return False
         x, y = z.x // self.g, z.y // self.g
         return (x - y * self.b) % self.a == 0
-
-    def primitive_part(self) -> "QIdeal":
-        return QIdeal(self.field, 1, self.a, self.b)
 
     def key(self) -> tuple[int, int, int]:
         return (self.g, self.a, self.b)
@@ -480,27 +477,17 @@ def unit_gens(field: QuadField) -> list[QElt]:
 class ClassGroupData:
     field: QuadField
     group: FiniteAbelianGroup
-    gens: tuple[QIdeal, ...]
-    table: dict  # class_key -> ambient exponent vector over gens
 
     @property
     def h(self) -> int:
         return self.group.order()
 
-    def ambient_vector(self, I: QIdeal) -> tuple[int, ...]:
-        return self.table[class_key(I)]
 
-    def dlog(self, I: QIdeal) -> tuple[int, ...]:
-        return self.group.dlog_ambient(self.ambient_vector(I))
-
-
-def _candidate_primes(field: QuadField, skip: frozenset[int]) -> Iterator[QIdeal]:
+def _candidate_primes(field: QuadField) -> Iterator[QIdeal]:
     """Non-inert primes in ascending rational order, one per split pair.
     The bound comfortably dominates the Minkowski constant."""
     bound = (field.isqrt_D // 2 if field.is_real else field.isqrt_D) + 2
     for p in primes_up_to(bound):
-        if p in skip:
-            continue
         kind, data = factor_prime(field, p)
         if kind == "inert":
             continue
@@ -511,22 +498,22 @@ def _bfs_closure(
     field: QuadField, gens: Sequence[QIdeal]
 ) -> tuple[dict, list[list[int]]]:
     """Breadth-first closure of the subgroup generated by the given prime
-    classes. Returns (table: key -> exponent vector, relation rows).
+    classes. Returns (table: key -> exponent vector, relation rows). Each
+    class is walked from the reduced ideal its key names (`_key_ideal`),
+    so each product is a reduced ideal times one prime, never a power.
 
     Only `_ray_ideal_gens` uses this. Its relation rows, in this order, fix
     the SNF basis of Cl^m, and that basis fixes the coordinates that
     `--class` targets name and that certificates record; the visiting
     order and the rows must therefore stay as they are."""
     r = len(gens)
-    ident = QIdeal.unit_ideal(field)
-    start = class_key(ident)
+    start = class_key(QIdeal.unit_ideal(field))
     table = {start: (0,) * r}
-    reps = {start: ident}
     frontier = deque([start])
     relations: list[list[int]] = []
     while frontier:
         key = frontier.popleft()
-        vec, rep = table[key], reps[key]
+        vec, rep = table[key], _key_ideal(field, key)
         for i, P in enumerate(gens):
             J = rep * P
             jk = class_key(J)
@@ -538,7 +525,6 @@ def _bfs_closure(
                     relations.append(rel)
             else:
                 table[jk] = tuple(nvec)
-                reps[jk] = J.primitive_part()
                 frontier.append(jk)
     return table, relations
 
@@ -550,48 +536,47 @@ def _key_ideal(field: QuadField, key: tuple[int, int]) -> QIdeal:
 
 
 def _coset_closure(
-    field: QuadField, gens: Sequence[QIdeal]
-) -> tuple[dict, list[list[int]]]:
-    """The subgroup generated by the given prime classes, grown one
-    generator at a time (Cohen, GTM 138, 5.4). With H the subgroup of the
-    first i classes, e_i is the least exponent with [P_i]^e_i in H; the one
-    relation e_i*x_i - vec([P_i]^e_i) is kept, and the cosets P_i^k * H for
-    0 < k < e_i join the table. Each new class costs one ideal product.
-    Returns (table: key -> exponent vector, relation rows): r rows forming
-    a lower-triangular matrix whose diagonal multiplies to len(table)."""
-    r = len(gens)
-    table = {class_key(QIdeal.unit_ideal(field)): (0,) * r}
+    field: QuadField, primes: Iterable[QIdeal]
+) -> tuple[list[QIdeal], dict, list[list[int]]]:
+    """The subgroup generated by the given prime classes, grown one prime
+    at a time (Cohen, GTM 138, 5.4). With H the subgroup so far, e is the
+    least exponent with [P]^e in H. A prime with e = 1 adds no class and is
+    dropped; otherwise it becomes generator x_i, the cosets P^k * H for
+    0 < k < e join the table, and the relation e*x_i - vec([P]^e) is kept.
+    Each new class costs one ideal product of reduced representatives.
+    Returns (generators, table: key -> exponent vector without trailing
+    zeros, relation rows): a k x k lower-triangular matrix, every diagonal
+    entry > 1, whose diagonal multiplies to len(table)."""
+    gens: list[QIdeal] = []
+    table = {class_key(QIdeal.unit_ideal(field)): ()}
     relations: list[list[int]] = []
-    for i, P in enumerate(gens):
-        coset = list(table)  # the keys of H, identity first
-        e = 1
+    for P in primes:
+        i, base = len(gens), list(table)  # the keys of H, identity first
+        coset, e = base, 1
         while (lead := class_key(_key_ideal(field, coset[0]) * P)) not in table:
-            nxt = [lead] + [class_key(_key_ideal(field, c) * P) for c in coset[1:]]
-            for old, new in zip(coset, nxt):
-                vec = list(table[old])
-                vec[i] += 1
-                table[new] = tuple(vec)
-            coset = nxt
+            coset = [lead] + [class_key(_key_ideal(field, c) * P) for c in coset[1:]]
+            table.update((new, (*table[old], *[0] * (i - len(table[old])), e))
+                         for old, new in zip(base, coset))
             e += 1
-        rel = [-c for c in table[lead]]
-        rel[i] += e
-        relations.append(rel)
-    return table, relations
+        if e > 1:
+            gens.append(P)
+            relations.append([-c for c in table[lead]] + [0] * (i - len(table[lead])) + [e])
+    return gens, table, [row + [0] * (len(gens) - len(row)) for row in relations]
 
 
 @lru_cache(maxsize=None)
 def class_group(field: QuadField) -> ClassGroupData:
     """Wide ideal class group via prime classes below the Minkowski bound,
-    presented by the r x r relation matrix of `_coset_closure`.
+    presented by the k x k relation matrix of `_coset_closure` on the k
+    primes that each enlarge the subgroup before them.
 
     The SNF basis of this group is seen nowhere outside it: ray class
     groups, biquadratic unit groups and the CLI read only `h`."""
-    gens = tuple(_candidate_primes(field, frozenset()))
-    table, relations = _coset_closure(field, gens)
+    gens, table, relations = _coset_closure(field, _candidate_primes(field))
     labels = tuple(f"P{P.entry()[0]}_{P.b}" for P in gens)
     group = group_from_relations(relations, labels)
     require(group.order() == len(table), "the relations do not present the closure")
-    return ClassGroupData(field, group, gens, table)
+    return ClassGroupData(field, group)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """End-to-end runs of every subcommand through main(), checking exit codes
 against the documented table and output against independent expectations."""
 import json
+import os
 
 import pytest
 
+from raycap import capsearch, cli
 from raycap.cli import main
 from raycap.report import certificate_from_dict, check_stamp, save_certificate
 
@@ -267,6 +269,60 @@ class TestAmbig:
         code2, out2, _ = run(capsys, "ambig", "--L-disc", "-20", "--mod", "3", "--json")
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestJobs:
+    """--jobs on `search` and `ambig`: below 1 exits 2, above the CPU count
+    is capped. The pool is an in-process stand-in that records its size,
+    so no test starts a worker process."""
+
+    @staticmethod
+    def argv(command, tmp_path, *extra):
+        if command == "search":
+            return ("search", "--d", "34", "--mod", "1", "--bound", "20000",
+                    "--out", str(tmp_path / "cert.json"), *extra)
+        return ("ambig", "--L-disc", "-20", "--mod", "3", *extra)
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(capsearch, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        return sizes
+
+    @pytest.mark.parametrize("command", ["search", "ambig"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_below_one_exits_two(self, capsys, tmp_path, pool_sizes, command, jobs):
+        code, out, err = run(capsys, *self.argv(command, tmp_path, "--jobs", jobs))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --jobs must be at least 1, not {jobs}\n"
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("command", ["search", "ambig"])
+    def test_capped_at_cpu_count(self, capsys, tmp_path, pool_sizes, command):
+        serial = run(capsys, *self.argv(command, tmp_path, "--json",
+                                        "--cache-dir", str(tmp_path / "serial")))
+        capped = run(capsys, *self.argv(command, tmp_path, "--json", "--jobs", "100000",
+                                        "--cache-dir", str(tmp_path / "capped")))
+        assert serial[0] == capped[0] == 0
+        assert serial[1] == capped[1]
+        assert pool_sizes == [2]
 
 
 class TestSelftest:

@@ -22,6 +22,7 @@ draws its (p, q) pairs from the seed.
 import hashlib
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,9 @@ from raycap.quadfield import (
     factor_prime,
     fundamental_unit,
     is_principal_with_generator,
+    modulus_from_rational,
+    quadratic_field,
+    ray_class_group,
 )
 
 GOLDEN = [
@@ -250,6 +254,49 @@ def test_biquad_ideal_rows():
     assert len(lines) == 4767
     assert _sha(lines) == (
         "e460d2fd5245fd0680fac47d955e5b4451f9c1cc2a157c5a99f96773b69b0660"
+    )
+
+
+def _ray_coordinates(d: int, m: int) -> dict:
+    """The SNF basis of Cl^m as the rest of the program sees it: the ray
+    table over the ideal generators, the map to coordinates, and the
+    coordinates of both primes above each split p <= 53 prime to m."""
+    K = quadratic_field(d)
+    ray = ray_class_group(K, modulus_from_rational(K, m))
+    dlogs = [
+        [P.key(), ray.dlog(P)]
+        for p in primes_up_to(53)
+        if m % p
+        for kind, data in [factor_prime(K, p)]
+        if kind == "split"
+        for P, _, _ in data
+    ]
+    return {
+        "d": d,
+        "m": m,
+        "invariants": ray.group.invariants,
+        "to_canonical": ray.group.to_canonical,
+        "ideal_gens": [P.entry() for P in ray.ideal_gens],
+        "ray_table": sorted(ray.ray_table.items()),
+        "dlogs": dlogs,
+    }
+
+
+def test_ray_class_coordinates():
+    """`rayclass --json` prints no coordinates, so the byte pins above see
+    a change of SNF basis only where a search target or a certificate
+    names one. This pins the basis directly: every fundamental |D| <= 500
+    with each m in {1, 3, 5, 7, 15, 21} prime to D, and two large fields."""
+    cases = []
+    for d in range(-500, 501):
+        D = d if d % 4 == 1 else 4 * d
+        if d not in (0, 1) and squarefree_part(d) == d and abs(D) <= 500:
+            cases += [(d, m) for m in (1, 3, 5, 7, 15, 21) if math.gcd(m, D) == 1]
+    assert len(cases) == 1444
+    cases += [(-2000003, 21), (-20000003, 3)]
+    body = canonical_json([_ray_coordinates(d, m) for d, m in cases])
+    assert hashlib.sha256(body.encode("ascii")).hexdigest() == (
+        "b61b0e4871b05a5a3e1f405dd21bca9f491ba7c596c348d0afec21396134ada8"
     )
 
 

@@ -4,6 +4,7 @@ Class numbers are checked against an independent reduced-forms enumeration
 (imaginary case) and a brute Pell solver (units), so none of the reduction
 machinery is trusted twice.
 """
+import itertools
 import math
 import random
 
@@ -342,32 +343,34 @@ class TestClassGroups:
 
     @pytest.mark.parametrize("d", [-5, -21, -30, -1999, -20011, 10, 82, 145, 3999])
     def test_relation_matrix_is_square_lower_triangular(self, d):
+        """k x k on the primes that enlarge the closure: each diagonal entry
+        is the index it adds, so none is 1."""
         K = quadratic_field(d)
-        gens = list(_candidate_primes(K, frozenset()))
-        table, rels = _coset_closure(K, gens)
-        r = len(gens)
-        assert len(rels) == r and all(len(row) == r for row in rels)
-        assert all(rels[i][j] == 0 for i in range(r) for j in range(i + 1, r))
-        assert all(rels[i][i] >= 1 for i in range(r))
-        diag = math.prod(rels[i][i] for i in range(r))
+        gens, table, rels = _coset_closure(K, _candidate_primes(K))
+        k = len(gens)
+        assert len(rels) == k and all(len(row) == k for row in rels)
+        assert all(rels[i][j] == 0 for i in range(k) for j in range(i + 1, k))
+        assert all(rels[i][i] > 1 for i in range(k))
+        diag = math.prod(rels[i][i] for i in range(k))
         assert diag == class_group(K).h == len(table)
 
     @pytest.mark.parametrize("d", [-21, -30, -1999, -4199, 82, 145, 3999])
     def test_dlog_additive_on_generator_products(self, d):
-        cg = class_group(quadratic_field(d))
-        gens = cg.gens[:8]
+        K = quadratic_field(d)
+        cl = ray_class_group(K, Modulus.trivial(K))
+        gens = list(itertools.islice(_candidate_primes(K), 8))
         for i, P in enumerate(gens):
             for Q in gens[i:]:
-                assert cg.dlog(P * Q) == cg.group.add(cg.dlog(P), cg.dlog(Q))
+                assert cl.dlog(P * Q) == cl.group.add(cl.dlog(P), cl.dlog(Q))
 
     def test_dlog_is_homomorphism(self):
         K = quadratic_field(-21)
-        cg = class_group(K)
+        cl = ray_class_group(K, Modulus.trivial(K))
         ps = [factor_prime(K, p)[1][0][0] for p in (5, 11, 13)]
         for P in ps:
             for Q in ps:
-                lhs = cg.dlog(P * Q)
-                rhs = cg.group.add(cg.dlog(P), cg.dlog(Q))
+                lhs = cl.dlog(P * Q)
+                rhs = cl.group.add(cl.dlog(P), cl.dlog(Q))
                 assert lhs == rhs
 
 
@@ -561,7 +564,7 @@ class TestRayClassGroups:
         assert pairs >= 50
 
     def test_trivial_modulus_recovers_class_group(self):
-        for d in (-23, 34, 79):
+        for d in (-23, 34, 79, -21, -30, -1999, -4199, 82, 145, 3999):
             K = quadratic_field(d)
             ray = ray_class_group(K, Modulus.trivial(K))
             assert ray.group.invariants == class_group(K).group.invariants
