@@ -164,23 +164,23 @@ def _candidate_stream(checker: ConditionChecker, lo: int, hi: int):
 
 
 def _scan_range(checker: ConditionChecker, lo: int, hi: int):
-    """First passing prime in [lo, hi] plus rejection statistics."""
+    """(first passing prime in [lo, hi] or None, rejection statistics),
+    each candidate decided by `ConditionChecker.decide` alone."""
     stats = {"scanned": 0, "rejected_i": 0, "rejected_ii": 0, "rejected_iii": 0}
+    decide = checker.decide
     for p in _candidate_stream(checker, lo, hi):
         stats["scanned"] += 1
-        rep = checker.check(p, sieved=True)
-        if rep.ok:
-            return p, rep, stats
-        key = f"rejected_{rep.failed_at}"
+        failed_at, _ = decide(p, True)
+        if failed_at is None:
+            return p, stats
+        key = f"rejected_{failed_at}"
         stats[key] = stats.get(key, 0) + 1
-    return None, None, stats
+    return None, stats
 
 
 def _chunk_worker(args) -> tuple[int | None, dict]:
     d, mod_desc, target, ell, n, h, bound, lo, hi = args
-    checker = _checker_cached(d, mod_desc, target, ell, n, h, bound)
-    p, _, stats = _scan_range(checker, lo, hi)
-    return p, stats
+    return _scan_range(_checker_cached(d, mod_desc, target, ell, n, h, bound), lo, hi)
 
 
 _CHECKER_CACHE: dict = {}
@@ -226,12 +226,12 @@ def find_principalizing_prime(
         )
     if jobs > 1:
         found_p, stats = _parallel_scan(field, modulus, target, params, jobs, checker)
-        rep = checker.check(found_p, sieved=True) if found_p else None
     else:
-        found_p, rep, stats = _scan_range(checker, 3, params.bound)
+        found_p, stats = _scan_range(checker, 3, params.bound)
     if found_p is None:
         stats["reason"] = f"no prime below {params.bound} passed all conditions"
         return SearchResult(status="not_found", stats=stats, params=params)
+    rep = checker.check(found_p, sieved=True)  # the report of the hit alone
     degree = params.ell**params.n
     cert = CandidateCertificate(
         d=field.d,

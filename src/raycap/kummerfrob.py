@@ -178,45 +178,48 @@ class ConditionChecker:
             or self.modulus.norm() % p == 0
         )
 
-    def check(self, p: int, sieved: bool = False) -> ConditionReport:
-        """Conditions (i')-(iv) at p. A `sieved` p comes from the scan's
-        sieve, which has proved it prime and passed it through `forbidden`;
-        any other p is tested for both here."""
-        if not sieved and self.forbidden(p):
-            raise InputError(f"candidate {p} violates the coprimality precondition")
+    def decide(self, p: int, sieved: bool = False) -> tuple[str | None, int | None]:
+        """(failed_at, root) at p: conditions (i')-(iv) in turn up to the
+        first that fails, failed_at None when all pass, and root None when
+        (i') fails. No report is built; the scan decides each candidate
+        here. A `sieved` p is prime and not `forbidden`; any other p must
+        have passed `forbidden`, and its primality is tested here."""
         params = self.params
-        rep = ConditionReport(p=p, root=None, ok=False, failed_at=None)
-        rep.checks["iv"] = self.iv_ok
         # (i'): split in the cyclotomic-with-unit-radical field and in K;
         # p is prime to D, so D has a square root mod p exactly when p
         # splits in K, and the root is the one (ii) and (iii) need
         split = _cyclotomic_congruence if sieved else is_split_cyclotomic
         r = sqrt_mod(self.field.D, p) if split(p, params.ell, params.n, True) else None
         if r is None:
-            rep.failed_at = "i"
-            rep.checks["i"] = False
-            return rep
-        rep.checks["i"] = True
-        root = rep.root = min(r, p - r)
+            return "i", None
+        root = min(r, p - r)
         # (ii): the prime above p sits in the target ray class
-        p_K = prime_above_from_root(self.field, p, root)
-        rep.checks["ii"] = self.ray.dlog(p_K) == self.target
-        if not rep.checks["ii"]:
-            rep.failed_at = "ii"
-            return rep
+        if self.ray.dlog_prime(p, root) != self.target:
+            return "ii", root
         # (iii): the eps-character has exact order ell^(n-h)
-        c_eps, ord_eps = residue_character(self.eps, p, params.ell, params.n, root)
-        rep.checks["eps_character"] = {"value": c_eps, "order": ord_eps}
-        c_m1, ord_m1 = residue_character(
-            self.field.elt(-1, 0), p, params.ell, params.n, root
-        )
-        rep.checks["minus_one_character"] = {"value": c_m1, "order": ord_m1}
-        rep.checks["iii"] = ord_eps == params.ell ** (params.n - self.h)
-        if not rep.checks["iii"]:
-            rep.failed_at = "iii"
-            return rep
-        if not self.iv_ok:
-            rep.failed_at = "iv"
-            return rep
-        rep.ok = True
+        _, ord_eps = residue_character(self.eps, p, params.ell, params.n, root)
+        if ord_eps != params.ell ** (params.n - self.h):
+            return "iii", root
+        return (None if self.iv_ok else "iv"), root
+
+    def check(self, p: int, sieved: bool = False) -> ConditionReport:
+        """Conditions (i')-(iv) at p as a report: `decide`'s verdict and
+        root, each condition's outcome up to the first failure, and, once
+        (ii) passes, the eps and -1 characters. A `sieved` p comes from the
+        scan's sieve, which has proved it prime and passed it through
+        `forbidden`; any other p is tested for both here."""
+        if not sieved and self.forbidden(p):
+            raise InputError(f"candidate {p} violates the coprimality precondition")
+        failed_at, root = self.decide(p, sieved)
+        rep = ConditionReport(p=p, root=root, ok=failed_at is None, failed_at=failed_at)
+        rep.checks["iv"] = self.iv_ok
+        for cond in ("i", "ii"):
+            rep.checks[cond] = failed_at != cond
+            if failed_at == cond:
+                return rep
+        params = self.params
+        for name, eta in (("eps", self.eps), ("minus_one", self.field.elt(-1, 0))):
+            c, order = residue_character(eta, p, params.ell, params.n, root)
+            rep.checks[f"{name}_character"] = {"value": c, "order": order}
+        rep.checks["iii"] = failed_at != "iii"
         return rep

@@ -285,13 +285,6 @@ def _B_near_sqrt(field: QuadField, a: int, b: int) -> int:
     return s - ((s - B0) % (2 * a))
 
 
-def _is_reduced_real(field: QuadField, a: int, b: int) -> bool:
-    B = _B_near_sqrt(field, a, b)
-    if B <= 0:
-        return False
-    return 2 * a <= B or (2 * a - B) ** 2 < field.D
-
-
 class _Mult:
     """A running multiplier num/den with num in O_K, den a positive integer:
     the exact element, for generators and units. The ray class lookup
@@ -309,9 +302,12 @@ class _Mult:
             self.num = QElt(self.num.field, self.num.x // g, self.num.y // g)
             self.den //= g
 
-    def times(self, x: int, y: int, den: int) -> "_Mult":
-        """This multiplier times (x + y*w) / den."""
-        return _Mult(self.num * QElt(self.num.field, x, y), self.den * den)
+    def fold(self, factors) -> "_Mult":
+        """This multiplier times each (x + y*w) / den of `factors` in turn."""
+        mult = self
+        for x, y, den in factors:
+            mult = _Mult(mult.num * QElt(mult.num.field, x, y), mult.den * den)
+        return mult
 
 
 def _B_centered(a: int, B0: int) -> int:
@@ -321,12 +317,12 @@ def _B_centered(a: int, B0: int) -> int:
 
 def _rho_orbit(field: QuadField, a: int, b: int, mult):
     """[a, b+w] and each ideal the rho steps lead to from it (real case),
-    without end, as (a, b, mult). A step maps [a, b+w] to
+    without end, as (a, b, mult), for `_cycle`. A step maps [a, b+w] to
     [a', b'+w] = ((B - sqrt(D)) / (2a)) * [a, b+w], and a multiplier (a
     `_Mult` or a `_LocalMult`), when one is handed in, takes on each step's
-    factor through `times(x, y, den)`. Far from the reduced
-    strip (a > sqrt(D)) the centered residue of B makes the norms shrink;
-    near it the window (s-2a, s] drives the cycle."""
+    factor (x + y*w) / den through `fold`. Far from the reduced strip
+    (a > sqrt(D)) the centered residue of B makes the norms shrink; near it
+    the window (s-2a, s] drives the cycle."""
     D, t, s = field.D, field.t, field.isqrt_D
     while True:
         yield a, b, mult
@@ -337,22 +333,37 @@ def _rho_orbit(field: QuadField, a: int, b: int, mult):
             raise InvariantError("invariant failed: a rho step met a norm-zero form")
         if mult is not None:
             # (B - sqrt(D)) / (2a) = ((B + t) - 2w) / (2a)
-            mult = mult.times(B + t, -2, 2 * a)
+            mult = mult.fold(((B + t, -2, 2 * a),))
         a, b = c, ((-B - t) // 2) % c
 
 
 def _reduce_primitive(field: QuadField, a: int, b: int, mult=None):
     """Reduce [a, b+w]; returns (a*, b*, mult*) with [a*,b*+w] equal to
     (mult*/mult) * [a,b+w]. Without a multiplier none is built, and None
-    comes back in its place."""
+    comes back in its place. A real ideal takes `_rho_orbit`'s steps in one
+    loop until B in (s-2a, s] is positive with 2a <= B or (2a - B)^2 < D;
+    the multiplier takes on the recorded step factors once, in step order
+    (`fold`). An imaginary ideal descends to the unique reduced form."""
     limit = 64 + 4 * (a.bit_length() + abs(field.D).bit_length())
-    if field.is_real:
-        for steps, (a, b, mult) in enumerate(_rho_orbit(field, a, b, mult)):
-            if _is_reduced_real(field, a, b):
-                return a, b, mult
-            if steps == limit:
-                raise ArithmeticError("reduction failed to terminate")
     D, t = field.D, field.t
+    if field.is_real:
+        s = field.isqrt_D
+        factors = []  # (x, y, den): the step's factor (x + y*w) / den
+        while True:
+            B0 = 2 * b + t
+            if a > s:  # then 2a - B > s + 1 > sqrt(D): never reduced
+                B = B0 - 2 * a * ((B0 + a - 1) // (2 * a))  # _B_centered
+            else:
+                B = s - ((s - B0) % (2 * a))
+                if B > 0 and (2 * a <= B or (2 * a - B) ** 2 < D):
+                    return a, b, mult if mult is None or not factors else mult.fold(factors)
+            if len(factors) == limit:
+                raise ArithmeticError("reduction failed to terminate")
+            c = abs((D - B * B) // (4 * a))
+            if c == 0:
+                raise InvariantError("invariant failed: a rho step met a norm-zero form")
+            factors.append((B + t, -2, 2 * a))  # (B - sqrt(D)) / (2a)
+            a, b = c, ((-B - t) // 2) % c
     steps = 0
     while True:
         B = _B_centered(a, 2 * b + t)
@@ -361,12 +372,12 @@ def _reduce_primitive(field: QuadField, a: int, b: int, mult=None):
             return a, b, mult
         if a == c:  # B < 0: pass to the conjugate lattice, same class
             if mult is not None:
-                mult = mult.times((B + t) // 2, -1, a)
+                mult = mult.fold((((B + t) // 2, -1, a),))
             b = (-b - t) % a
             continue
         # a > c: descend to the neighbour form
         if mult is not None:
-            mult = mult.times(B + t, -2, 2 * a)
+            mult = mult.fold(((B + t, -2, 2 * a),))
         a, b = c, ((-B - t) // 2) % c
         steps += 1
         if steps > limit:
@@ -882,23 +893,24 @@ class _LocalPrime:
             v += 1
         return v, r
 
-    def times(self, state, x: int, y: int, den: int):
-        """`state` = (v, num, den) of a multiplier, times (x + y*w) / den;
-        num is the unit residue of the numerators, den that of the
-        denominators (always in F_p: the unit part of an integer)."""
+    def fold(self, state, factors):
+        """`state` = (v, num, den) of a multiplier, times each (x + y*w) / den
+        of `factors`; num is the unit residue of the numerators, den that of
+        the denominators (in F_p: the unit part of an integer)."""
         v, num, dr = state
-        p = self.p
-        if self.b is not None and (rx := (x - y * self.b) % p):
-            vx = 0  # the common case, x + y*w a Q-unit, without a call
-        else:
-            vx, rx = self.unit(x, y)
-        r = den % p
-        if r == 0:
-            vd, r = self.unit(den, 0)
-            if self.b is None:
-                r = r[0]
-            vx -= vd
-        return v + vx, self.mul(num, rx), dr * r % p
+        p, b, mul = self.p, self.b, self.mul
+        for x, y, den in factors:
+            if b is None or not (rx := (x - y * b) % p):
+                vx, rx = self.unit(x, y)  # not in the common case, a Q-unit
+                v += vx
+            num = mul(num, rx)
+            if not (r := den % p):
+                vd, r = self.unit(den, 0)
+                if b is None:
+                    r = r[0]
+                v -= vd
+            dr = dr * r % p
+        return v, num, dr
 
     def quotient(self, g: int, state):
         """The residue of g * den / num, a unit of F_Q."""
@@ -930,9 +942,10 @@ class _LocalMult:
             primes, tuple((0, (1, 0) if P.b is None else 1, 1) for P in primes)
         )
 
-    def times(self, x: int, y: int, den: int) -> "_LocalMult":
+    def fold(self, factors) -> "_LocalMult":
+        """This multiplier times each (x + y*w) / den of `factors`."""
         return _LocalMult(self.primes, tuple(
-            [P.times(s, x, y, den) for P, s in zip(self.primes, self.state)]
+            [P.fold(s, factors) for P, s in zip(self.primes, self.state)]
         ))
 
 
@@ -984,7 +997,23 @@ class RayClassData:
         return _LocalMult.one(self.field, self.modulus) if self.residue.factors else None
 
     def dlog(self, I: QIdeal) -> tuple[int, ...]:
-        """The coordinates of [I] in `group`, I coprime to m.
+        """The coordinates of [I] in `group`, I coprime to m: the shared
+        lookup `_lookup` on I = g*[a, b + w]."""
+        if not self.modulus.coprime_to(I):
+            raise InputError("ideal is not coprime to the modulus")
+        return self._lookup(I.g, I.a, I.b)
+
+    def dlog_prime(self, p: int, root: int) -> tuple[int, ...]:
+        """`dlog` of the prime over p, prime to N(m), on which w maps to
+        (t + root)/2 for a root of D mod p (`prime_above_from_root`): the
+        scan's entry to the same lookup, which builds no ideal."""
+        if math.gcd(p, self.modulus.norm()) != 1:
+            raise InputError("prime is not coprime to the modulus")
+        x = self.field.t + root  # (t + root)/2 mod p, p odd
+        return self._lookup(1, p, -((x if x % 2 == 0 else x + p) // 2) % p)
+
+    def _lookup(self, g: int, a0: int, b0: int) -> tuple[int, ...]:
+        """The coordinates of I = g*[a0, b0 + w], coprime to m.
 
         I = g*J with J primitive reduces to R = mu*J, so
         [I] = [R] + [(g / mu)]. [R] comes from the memo; [(g / mu)] is the
@@ -992,28 +1021,31 @@ class RayClassData:
         primes of m (`_LocalMult`). Without residue factors no multiplier
         is built and [I] = [R]. When R meets m, the walk goes on along R's
         rho-cycle to the first member coprime to m; only a class with no
-        reduced ideal coprime to m takes a generator of I*C_v (see
-        `_generator_vector`). Cohen, GTM 193, section 4.2, computes ray
-        class logs through (O/m)^* in the same way."""
-        if not self.modulus.coprime_to(I):
-            raise InputError("ideal is not coprime to the modulus")
+        reduced ideal coprime to m builds I and takes a generator of I*C_v
+        (see `_generator_vector`). Cohen, GTM 193, section 4.2, computes
+        ray class logs through (O/m)^* in the same way."""
         f = self.field
-        a, b, mu = _reduce_primitive(f, I.a, I.b, self._one)
+        a, b, mu = _reduce_primitive(f, a0, b0, self._one)
         if not self._coprime(a, b):
             member = next((R for R in _cycle(f, a, b, mu) if self._coprime(*R[:2])), None)
             if member is None:
+                I = QIdeal(f, g, a0, b0)
                 vec = self._generator_vector(I, self.ray_table[class_key(I)])
                 return self.group.dlog_ambient(vec)
             a, b, mu = member
         vec = self.vectors.get((a, b))
         if vec is None:
             vec = self._fill(a, b)
-        return vec if mu is None else self._moved(vec, mu, I.g, 1)
+        return vec if mu is None else self._moved(vec, mu, g, 1)
 
     def _coprime(self, a: int, b: int) -> bool:
-        """Whether the primitive [a, b + w] is coprime to m."""
+        """Whether the primitive [a, b + w] is coprime to m. A prime
+        [p, c + w] of m holds it exactly when p | a and p | b - c; an inert
+        (p) holds no primitive ideal."""
         m = self.modulus
-        return math.gcd(a, m.norm()) == 1 or m.coprime_to(QIdeal(self.field, 1, a, b))
+        return math.gcd(a, m.norm()) == 1 or not any(
+            q.g == 1 and a % q.a == 0 and (b - q.b) % q.a == 0 for q in m.primes
+        )
 
     def _generator_vector(self, I: QIdeal, v: tuple[int, ...]) -> tuple[int, ...]:
         """The ambient vector of [I] from its class vector v through one

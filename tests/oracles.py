@@ -3,11 +3,13 @@ determinant, matrix products, multiplicative orders, divisor lists,
 splitting degrees of polynomials mod q,
 synthetic abelian groups given by their invariants, the cyclic complement
 of an element of an ell-group, ideals of K as the HNF of their generators'
-lattice, exact ideal division, ray-principal generators, and ideals of
+lattice, exact ideal division, ray-principal generators, real reduction by
+a rho walk that moves its multiplier at every step, and ideals of
 L = Q(sqrt d, sqrt p) as the HNF of all products of basis elements. The
 library never calls them. The ideal oracles stand on the library's `QIdeal`,
-`BqIdeal` and its HNF, and division and ray principality also on its ideal
-product and generator search; the rest share no code with it.
+`BqIdeal` and its HNF, division and ray principality also on its ideal
+product and generator search, and the rho walk on its multiplier classes;
+the rest share no code with it.
 """
 from __future__ import annotations
 
@@ -18,11 +20,14 @@ from typing import Sequence
 from raycap.abgroup import FiniteAbelianGroup, hnf_rows, solve_left
 from raycap.biquad import BqElt, BqIdeal
 from raycap.exactmath import factor, power, valuation
+from raycap.errors import InvariantError
 from raycap.quadfield import (
     QElt,
     QIdeal,
     QuadField,
     RayClassData,
+    _LocalMult,
+    _Mult,
     _ideal_from_rows,
     adjust_by_units,
     class_key,
@@ -247,6 +252,76 @@ def is_ray_principal(ray: RayClassData, I: QIdeal) -> QElt | None:
     out = adjust_by_units(y, ray.residue, unit_gens(ray.field))
     assert out is None or principal_ideal(out).key() == I.key()
     return out
+
+
+# ---------------------------------------------------------------------------
+# real reduction along the rho orbit, as the library walked it before its
+# reduction became one loop that folds the steps' factors in once
+
+
+def _local_times(P, state, x: int, y: int, den: int):
+    """One step of a `_LocalMult`'s data at the `_LocalPrime` P: the
+    (v, num, den) of the multiplier times (x + y*w) / den."""
+    v, num, dr = state
+    if P.b is not None and (rx := (x - y * P.b) % P.p):
+        vx = 0
+    else:
+        vx, rx = P.unit(x, y)
+    r = den % P.p
+    if r == 0:
+        vd, r = P.unit(den, 0)
+        if P.b is None:
+            r = r[0]
+        vx -= vd
+    return v + vx, P.mul(num, rx), dr * r % P.p
+
+
+def _step_times(mult, x: int, y: int, den: int):
+    """mult times (x + y*w) / den, for a `_Mult` as an element of K, for a
+    `_LocalMult` by `_local_times` at each prime."""
+    if isinstance(mult, _LocalMult):
+        return _LocalMult(mult.primes, tuple(
+            _local_times(P, st, x, y, den) for P, st in zip(mult.primes, mult.state)
+        ))
+    return _Mult(mult.num * QElt(mult.num.field, x, y), mult.den * den)
+
+
+def rho_orbit(field: QuadField, a: int, b: int, mult=None):
+    """[a, b+w] and the ideals the rho steps lead to from it, without end,
+    as (a, b, mult): B centered in (-a, a] while a > sqrt(D), in the window
+    (s-2a, s] after, and the multiplier moved at every step."""
+    D, t, s = field.D, field.t, field.isqrt_D
+    while True:
+        yield a, b, mult
+        B0 = 2 * b + t
+        if a > s:
+            B = B0 - 2 * a * ((B0 + a - 1) // (2 * a))
+        else:
+            B = s - ((s - B0) % (2 * a))
+        c = abs((D - B * B) // (4 * a))
+        if c == 0:
+            raise InvariantError("a rho step met a norm-zero form")
+        if mult is not None:
+            mult = _step_times(mult, B + t, -2, 2 * a)
+        a, b = c, ((-B - t) // 2) % c
+
+
+def is_reduced_real(field: QuadField, a: int, b: int) -> bool:
+    """|sqrt(D) - 2a| < B < sqrt(D) for B = 2b + t taken in (s-2a, s]."""
+    s = field.isqrt_D
+    B = s - ((s - 2 * b - field.t) % (2 * a))
+    return B > 0 and (2 * a <= B or (2 * a - B) ** 2 < field.D)
+
+
+def reduce_real_by_orbit(field: QuadField, a: int, b: int, mult=None):
+    """(a*, b*, mult*): the first reduced ideal on the rho orbit of
+    [a, b+w], with the same step limit as the library's reduction."""
+    limit = 64 + 4 * (a.bit_length() + abs(field.D).bit_length())
+    for steps, (a, b, mult) in enumerate(rho_orbit(field, a, b, mult)):
+        if is_reduced_real(field, a, b):
+            return a, b, mult
+        if steps == limit:
+            raise ArithmeticError("reduction failed to terminate")
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,10 @@ import pytest
 
 from raycap.ambigcheck import ambig_case
 from raycap.biquad import biquad_field, primes_above
+from raycap.capsearch import find_principalizing_prime
 from raycap.cli import main
 from raycap.exactmath import primes_up_to, squarefree_part
+from raycap.kummerfrob import SearchParams
 from raycap.report import canonical_json, certificate_from_dict, save_certificate
 from raycap.quadfield import (
     QuadField,
@@ -297,6 +299,42 @@ def test_ray_class_coordinates():
     body = canonical_json([_ray_coordinates(d, m) for d, m in cases])
     assert hashlib.sha256(body.encode("ascii")).hexdigest() == (
         "b61b0e4871b05a5a3e1f405dd21bca9f491ba7c596c348d0afec21396134ada8"
+    )
+
+
+SCAN_STATS = [
+    (34, 1, "1cb13cb6a31ff74c494bc76661887dab1c9d3ae1648a5cba065ed6d5bb66671f"),
+    (543, 11, "c4a5a1d772cc597694e2195a2a8f8de4d4ac3be8c2018070d387298c850740b0"),
+    (7315, 3, "b1eff410bbe4bdc678ded83370357ebf0f9bdaea1ae032cdb50d90a4ae875ffb"),
+    (70, 13, "d1bc44a120342c05c642905d5b9c4e124117438cd3daf37f101485cb7eb07cc3"),
+    (595, 33, "f5227dc6306388a58316ad3597264cd44aeeeed2a44c7ea64127e9db10dc11ac"),
+]
+
+
+@pytest.mark.parametrize("d,m,digest", SCAN_STATS, ids=[f"{d}-{m}" for d, m, _ in SCAN_STATS])
+def test_scan_stats(d, m, digest):
+    """The rejection counters of a scan that uses up its bound (class 0,
+    n = 1, h = 0, p <= 2*10^4), straight from the library rather than
+    through the CLI: a scan kernel that decides any candidate at another
+    stage changes the digest."""
+    K = quadratic_field(d)
+    modulus = modulus_from_rational(K, m)
+    target = (0,) * ray_class_group(K, modulus).group.rank
+    res = find_principalizing_prime(K, modulus, target, SearchParams(2, 1, 0, 2 * 10**4))
+    assert res.status == "not_found"
+    assert hashlib.sha256(canonical_json(res.stats).encode("ascii")).hexdigest() == digest
+
+
+def test_scan_found_certificate():
+    """A hit after 131 rejections in Q(sqrt 7315) mod 3, n = 2: the counters,
+    the root and both characters that the hit's report carries."""
+    K = quadratic_field(7315)
+    res = find_principalizing_prime(
+        K, modulus_from_rational(K, 3), (0, 1, 0, 2), SearchParams(2, 2, 0, 2 * 10**4)
+    )
+    assert (res.status, res.certificate.p, res.stats["scanned"]) == ("found", 4057, 132)
+    assert hashlib.sha256(canonical_json(res.as_dict()).encode("ascii")).hexdigest() == (
+        "d7c66ef09a233e724376b6c6537c6e2f955240dd044552ec4252cea369203fe2"
     )
 
 

@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from raycap.capsearch import _candidate_stream
+from raycap.capsearch import _candidate_stream, _scan_range
 from raycap.errors import InputError
 from raycap.exactmath import kronecker, primes_up_to, sqrt_mod
 from raycap.kummerfrob import (
@@ -237,22 +237,29 @@ class TestConditionChecker:
         with pytest.raises(InputError):
             ConditionChecker(K, Modulus.trivial(K), target, SearchParams(2, 1))
 
-    @pytest.mark.parametrize("d,m", [(34, 1), (543, 11), (70, 13), (595, 33)])
+    @pytest.mark.parametrize("d,m", [(34, 1), (543, 11), (70, 13), (595, 33), (7315, 3)])
     def test_sieved_check_matches_full_check(self, d, m):
         """check(p, sieved=True) skips the primality and forbidden tests and
         takes condition (i) and the root from one square root; on every
         sieved candidate p <= 2*10^4 its report equals the full check's in
-        every field (ok, failed_at, root, checks)."""
+        every field (ok, failed_at, root, checks), and `decide`, which the
+        scan calls alone, gives the report's (failed_at, root). The scan's
+        counters equal those of a loop over `check`."""
         K = quadratic_field(d)
         modulus = modulus_from_rational(K, m)
         target = (0,) * ray_class_group(K, modulus).group.rank
         chk = ConditionChecker(K, modulus, target, SearchParams(2, 1, 0, 2 * 10**4))
         seen = set()
+        want = {"scanned": 0, "rejected_i": 0, "rejected_ii": 0, "rejected_iii": 0}
         for p in _candidate_stream(chk, 3, 2 * 10**4):
             sieved = chk.check(p, sieved=True)
             assert sieved == chk.check(p)
+            assert chk.decide(p, True) == chk.decide(p) == (sieved.failed_at, sieved.root)
             seen.add(sieved.failed_at)
+            want["scanned"] += 1
+            want[f"rejected_{sieved.failed_at}"] += 1
         assert {"i", "ii"} <= seen
+        assert _scan_range(chk, 3, 2 * 10**4) == (None, want)
 
     def test_flagship_prime_passes(self):
         K = quadratic_field(34)

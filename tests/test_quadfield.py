@@ -11,14 +11,25 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import divide_exact, hnf_ideal, is_ray_principal, principal_ideal
+from oracles import (
+    divide_exact,
+    hnf_ideal,
+    is_ray_principal,
+    principal_ideal,
+    reduce_real_by_orbit,
+)
 from raycap import quadfield
 from raycap.errors import InputError, InvariantError
-from raycap.exactmath import kronecker, squarefree_part
+from raycap.exactmath import kronecker, primes_up_to, sqrt_mod, squarefree_part
+from raycap.kummerfrob import prime_above_from_root
 from raycap.quadfield import (
     Modulus,
     QElt,
     QIdeal,
+    QuadField,
+    _LocalMult,
+    _Mult,
+    _reduce_primitive,
     _candidate_primes,
     _coset_closure,
     _generates,
@@ -855,6 +866,84 @@ def test_cycle_walks_are_bounded(monkeypatch, walk):
     monkeypatch.setattr(quadfield, "_CYCLE_BOUND", 3)
     with pytest.raises(ArithmeticError, match="rho cycle failed to close"):
         walk(K)
+
+
+def _mult_value(mult):
+    """What a multiplier stands for: the exact num/den of a `_Mult`, the
+    local data of a `_LocalMult`."""
+    if mult is None:
+        return None
+    return (mult.num, mult.den) if isinstance(mult, _Mult) else mult.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.sampled_from([2, 34, 79, 94, 543, 7315, 13, 21, 85, 1001, 4277]),
+    region=st.sampled_from(["below", "above", "far"]),
+    picks=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+    kind=st.sampled_from(["none", "exact", "local"]),
+    m=st.sampled_from([3, 7, 15, 21]),
+)
+def test_real_reduction_matches_orbit_reference(d, region, picks, kind, m):
+    """`_reduce_primitive`'s one loop, which folds the steps' factors into
+    the multiplier at the end, against the rho walk that moves it at every
+    step: the same reduced (a, b) and an equal multiplier, in fields with
+    D = 4d and D = d. The ideal is a prime of norm below sqrt(D), or a
+    product of split primes (one above each p) grown just past sqrt(D) or
+    past D^2, so the walk takes from one to a dozen steps."""
+    K = quadratic_field(d)
+    primes = [(kind_p, data[0][0]) for p in primes_up_to(300)
+              for kind_p, data in [factor_prime(K, p)] if kind_p != "inert"]
+    if region == "below":
+        small = [P for _, P in primes if P.a**2 < K.D]
+        I = small[picks[0] % len(small)]
+    else:
+        split = [P for kind_p, P in primes if kind_p == "split"]
+        I, i = QIdeal.unit_ideal(K), 0
+        while I.a**2 <= K.D or (region == "far" and I.a <= K.D**2):
+            I, i = I * split[picks[i % len(picks)] % len(split)], i + 1
+    mult = {
+        "none": None,
+        "exact": _Mult(K.elt(1 + picks[0] % 7, picks[-1] % 3), 1 + len(picks)),
+        "local": _LocalMult.one(K, modulus_from_rational(K, m)),
+    }[kind]
+    got = _reduce_primitive(K, I.a, I.b, mult)
+    want = reduce_real_by_orbit(K, I.a, I.b, mult)
+    assert got[:2] == want[:2]
+    assert _mult_value(got[2]) == _mult_value(want[2])
+
+
+def test_reduction_keeps_the_norm_zero_check():
+    """A "field" with square D = 16 (built past `quadratic_field`'s check)
+    meets c = 0 at [5, 2 + w]: the rho step raises rather than divide."""
+    K = QuadField(4)
+    for reduce in (_reduce_primitive, reduce_real_by_orbit):
+        with pytest.raises(InvariantError, match="norm-zero"):
+            reduce(K, 5, 2)
+
+
+@pytest.mark.parametrize("d,m", [(34, 1), (543, 11), (7315, 3), (70, 13), (595, 33)])
+def test_prime_entry_matches_dlog_and_reference(d, m):
+    """The scan's entry `dlog_prime(p, root)`, `dlog` of the ideal that
+    `prime_above_from_root` builds, and the reference vector's class agree
+    on both primes above every split p <= 2*10^4 prime to m; a p that
+    divides N(m) is refused."""
+    K = quadratic_field(d)
+    ray = ray_class_group.__wrapped__(K, modulus_from_rational(K, m))
+    count = 0
+    for p in primes_up_to(2 * 10**4):
+        if p == 2 or m % p == 0 or kronecker(K.D, p) != 1:
+            continue
+        r = sqrt_mod(K.D, p)
+        for root in (r, p - r):
+            P = prime_above_from_root(K, p, root)
+            want = ray.group.dlog_ambient(reference_ambient_vector(ray, P))
+            assert ray.dlog_prime(p, root) == ray.dlog(P) == want
+            count += 1
+    assert count > 2000
+    for p in {q.entry()[0] for q in ray.modulus.primes}:
+        with pytest.raises(InputError, match="not coprime"):
+            ray.dlog_prime(p, sqrt_mod(K.D, p) or 0)
 
 
 class TestAugUnit:
