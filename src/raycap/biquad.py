@@ -16,6 +16,7 @@ from .abgroup import hnf_rows
 from .errors import InputError, InvariantError, require
 from .exactmath import factor, is_prime, kronecker, power, roots_mod_p
 from .quadfield import (
+    FIELD_CACHE_SIZE,
     Modulus,
     QElt,
     QIdeal,
@@ -485,7 +486,7 @@ def _sign_unit_classes(L: BiquadField, units):
         yield ms, eta
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
 def unit_group(L: BiquadField) -> UnitGroupData:
     basis = [embed(L, fundamental_unit(k)) for k in (L.k1, L.k2, L.k3)]
     q = 1

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from .errors import InputError, require
 from .exactmath import is_prime, primes_1_mod, primes_in_progression
 from .kummerfrob import ConditionChecker, SearchParams
-from .quadfield import Modulus, QuadField, _primitive_root, quadratic_field
+from .quadfield import FIELD_CACHE_SIZE, Modulus, QuadField, _primitive_root, quadratic_field
 
 
 def gaussian_period_min_poly(p: int, m: int) -> tuple[int, ...]:
@@ -183,18 +184,11 @@ def _chunk_worker(args) -> tuple[int | None, dict]:
     return _scan_range(_checker_cached(d, mod_desc, target, ell, n, h, bound), lo, hi)
 
 
-_CHECKER_CACHE: dict = {}
-
-
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
 def _checker_cached(d, mod_desc, target, ell, n, h, bound) -> ConditionChecker:
-    key = (d, mod_desc, target, ell, n, h)
-    if key not in _CHECKER_CACHE:
-        field = quadratic_field(d)
-        _CHECKER_CACHE[key] = ConditionChecker(
-            field, Modulus.from_entries(field, mod_desc), target,
-            SearchParams(ell, n, h, bound),
-        )
-    return _CHECKER_CACHE[key]
+    field = quadratic_field(d)
+    modulus = Modulus.from_entries(field, mod_desc)
+    return ConditionChecker(field, modulus, target, SearchParams(ell, n, h, bound))
 
 
 def find_principalizing_prime(

@@ -7,6 +7,7 @@ that range are rejected instead of being answered probabilistically.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from functools import lru_cache
@@ -146,10 +147,9 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 def primes_up_to(limit: int) -> tuple[int, ...]:
-    """All primes <= limit. Cached; round the limit up to keep the cache warm."""
-    if limit < 2:
-        return ()
-    return tuple(p for p in _sieve(max(limit, 1 << 10)) if p <= limit)
+    """All primes <= limit, cut from the sieve cached at the next power of two >= 2^10."""
+    primes = _sieve(1 << max((limit - 1).bit_length(), 10))
+    return primes[:bisect.bisect_right(primes, limit)]
 
 
 def primes_in_progression(a: int, mod: int, start: int = 2) -> Iterator[int]:

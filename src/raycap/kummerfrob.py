@@ -41,9 +41,7 @@ def _cyclotomic_congruence(
 
 def prime_above_from_root(field, p: int, root: int) -> QIdeal:
     """The degree-one prime over p on which w maps to (t + root)/2 mod p."""
-    inv2 = pow(2, -1, p)
-    phi_w = (field.t + root) * inv2 % p
-    return QIdeal(field, 1, p, (-phi_w) % p)
+    return QIdeal(field, 1, p, -field.w_mod(p, root) % p)
 
 
 def residue_character(
@@ -53,9 +51,7 @@ def residue_character(
     power), where phi sends w to (t + root)/2."""
     if (p - 1) % ell**n:
         raise InputError("p does not satisfy the cyclotomic congruence")
-    inv2 = pow(2, -1, p)
-    phi_w = (eta.field.t + root) * inv2 % p
-    val = (eta.x + eta.y * phi_w) % p
+    val = (eta.x + eta.y * eta.field.w_mod(p, root)) % p
     if val == 0:
         raise InputError("eta is not coprime to p")
     c = pow(val, (p - 1) // ell**n, p)

@@ -30,6 +30,10 @@ from .exactmath import (
     squarefree_part,
 )
 
+# Entries kept by each per-field LRU cache (class and ray class groups with
+# their lookup memos, units, the scan's checkers); an evicted entry rebuilds equal.
+FIELD_CACHE_SIZE = 256
+
 
 @dataclass(frozen=True)
 class QuadField:
@@ -60,6 +64,12 @@ class QuadField:
     @property
     def is_real(self) -> bool:
         return self.d > 0
+
+    def w_mod(self, p: int, root: int) -> int:
+        """(t + root)/2 mod an odd p, halved by parity: the image of w at
+        the degree-one prime over p that a root of D mod p picks."""
+        x = self.t + root
+        return (x if x % 2 == 0 else x + p) // 2 % p
 
     def elt(self, a: int, b: int = 0) -> "QElt":
         return QElt(self, a, b)
@@ -278,13 +288,6 @@ def factor_prime(field: QuadField, p: int) -> tuple[str, list[tuple[QIdeal, int,
 # reduction theory on (a, B) pairs, B = 2b + t
 
 
-def _B_near_sqrt(field: QuadField, a: int, b: int) -> int:
-    """The representative of B mod 2a in (s - 2a, s], s = floor(sqrt(D))."""
-    s = field.isqrt_D
-    B0 = 2 * b + field.t
-    return s - ((s - B0) % (2 * a))
-
-
 class _Mult:
     """A running multiplier num/den with num in O_K, den a positive integer:
     the exact element, for generators and units. The ray class lookup
@@ -315,33 +318,33 @@ def _B_centered(a: int, B0: int) -> int:
     return B0 - 2 * a * ((B0 + a - 1) // (2 * a))
 
 
-def _rho_orbit(field: QuadField, a: int, b: int, mult):
-    """[a, b+w] and each ideal the rho steps lead to from it (real case),
-    without end, as (a, b, mult), for `_cycle`. A step maps [a, b+w] to
-    [a', b'+w] = ((B - sqrt(D)) / (2a)) * [a, b+w], and a multiplier (a
-    `_Mult` or a `_LocalMult`), when one is handed in, takes on each step's
-    factor (x + y*w) / den through `fold`. Far from the reduced strip
-    (a > sqrt(D)) the centered residue of B makes the norms shrink; near it
-    the window (s-2a, s] drives the cycle."""
+def _rho_cycle(field: QuadField, a: int, b: int):
+    """The rho-cycle of the reduced real [a, b+w] (Cohen, GTM 138, ch. 5),
+    once around and back to [a, b+w], as (a_k, b_k, B_k): B_k, the
+    representative of 2b_k + t mod 2a_k in (s - 2a_k, s], s = floor(sqrt(D)),
+    gives the step out of [a_k, b_k+w], by the factor (B_k - sqrt(D))/(2a_k),
+    that is (x + y*w)/den = ((B_k + t) - 2w)/(2a_k)."""
     D, t, s = field.D, field.t, field.isqrt_D
+    a0, b0, steps = a, b, 0
     while True:
-        yield a, b, mult
-        B0 = 2 * b + t
-        B = _B_centered(a, B0) if a > s else s - ((s - B0) % (2 * a))
+        B = s - ((s - 2 * b - t) % (2 * a))
+        yield a, b, B
+        if steps and a == a0 and b == b0:
+            return
+        steps += 1
+        if steps > _CYCLE_BOUND:
+            raise ArithmeticError("rho cycle failed to close")
         c = abs((D - B * B) // (4 * a))
         if c == 0:  # the hot loop of every walk: no call when the check passes
             raise InvariantError("invariant failed: a rho step met a norm-zero form")
-        if mult is not None:
-            # (B - sqrt(D)) / (2a) = ((B + t) - 2w) / (2a)
-            mult = mult.fold(((B + t, -2, 2 * a),))
         a, b = c, ((-B - t) // 2) % c
 
 
 def _reduce_primitive(field: QuadField, a: int, b: int, mult=None):
     """Reduce [a, b+w]; returns (a*, b*, mult*) with [a*,b*+w] equal to
     (mult*/mult) * [a,b+w]. Without a multiplier none is built, and None
-    comes back in its place. A real ideal takes `_rho_orbit`'s steps in one
-    loop until B in (s-2a, s] is positive with 2a <= B or (2a - B)^2 < D;
+    comes back in its place. A real ideal takes rho steps in one loop
+    until B in (s-2a, s] is positive with 2a <= B or (2a - B)^2 < D;
     the multiplier takes on the recorded step factors once, in step order
     (`fold`). An imaginary ideal descends to the unique reduced form."""
     limit = 64 + 4 * (a.bit_length() + abs(field.D).bit_length())
@@ -388,36 +391,33 @@ _CYCLE_BOUND = 10**6  # rho steps before a cycle walk gives up
 
 
 def _cycle(field: QuadField, a: int, b: int, mult=None):
-    """The reduced ideals of the class of [a, b+w] (Cohen, GTM 138, ch. 5),
-    as (a, b, mult) with mult as in `_reduce_primitive`. The reduction of
-    the input comes first. A real class walks its rho-cycle once and ends
-    on that first ideal again, with the multiplier of the whole period; an
+    """The reduced ideals of the class of [a, b+w] as (a, b, B, mult): B as
+    in `_rho_cycle` (centered in (-a, a] in an imaginary field), mult as in
+    `_reduce_primitive`. The reduction of the input comes first. A real
+    class walks its rho-cycle once, mult taking on each step, and ends on
+    that first ideal again, with the multiplier of the whole period; an
     imaginary class has one reduced ideal, yielded once."""
     a, b, mult = _reduce_primitive(field, a, b, mult)
     if not field.is_real:
-        yield a, b, mult
+        yield a, b, _B_centered(a, 2 * b + field.t), mult
         return
-    orbit = _rho_orbit(field, a, b, mult)
-    yield next(orbit)
-    for steps, member in enumerate(orbit, 1):
-        yield member
-        if member[0] == a and member[1] == b:
-            return
-        if steps > _CYCLE_BOUND:
-            raise ArithmeticError("rho cycle failed to close")
+    step = None
+    for ak, bk, B in _rho_cycle(field, a, b):
+        if step is not None:
+            mult = mult.fold((step,))
+        yield ak, bk, B, mult
+        if mult is not None:
+            step = (B + field.t, -2, 2 * ak)
 
 
 def _class_cycle(
     field: QuadField, a: int, b: int, mult=None
 ) -> tuple[tuple[int, int], list[tuple]]:
-    """(class key, the reduced ideals of the class as (a, b, mult)) for
+    """(class key, the reduced ideals of the class as (a, b, B, mult)) for
     [a, b+w], the reduction of the input first; mult as in `_cycle`."""
     walk = list(_cycle(field, a, b, mult))
-    if not field.is_real:
-        (a, b, _), = walk
-        return (a, _B_centered(a, 2 * b + field.t)), walk
-    members = walk[:-1]  # the walk ends where it began
-    return min((a, _B_near_sqrt(field, a, b)) for a, b, _ in members), members
+    members = walk[:-1] if field.is_real else walk  # a real walk ends where it began
+    return min((a, B) for a, _, B, _ in members), members
 
 
 def class_key(I: QIdeal) -> tuple[int, int]:
@@ -428,7 +428,7 @@ def class_key(I: QIdeal) -> tuple[int, int]:
 def is_principal_with_generator(I: QIdeal) -> QElt | None:
     """A generator of I when I is principal (wide sense), else None."""
     f = I.field
-    for a, _, mult in _cycle(f, I.a, I.b, _Mult(QElt(f, 1, 0), 1)):
+    for a, _, _, mult in _cycle(f, I.a, I.b, _Mult(QElt(f, 1, 0), 1)):
         if a == 1:
             gen = QElt(f, mult.den, 0).exact_div(mult.num)
             require(gen is not None, "the unit-ideal multiplier does not invert integrally")
@@ -448,14 +448,14 @@ def _generates(I: QIdeal, z: QElt) -> bool:
 # fundamental unit and class group
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
 def fundamental_unit(field: QuadField) -> QElt:
     """Smallest unit > 1 of a real quadratic field."""
     if not field.is_real:
         raise InputError("fundamental unit requires a real field")
     # O_K = [1, w] is reduced, so the walk starts on it with multiplier 1
     # and ends on it with the multiplier of one period
-    for _, _, mult in _cycle(field, 1, 0, _Mult(QElt(field, 1, 0), 1)):
+    for *_, mult in _cycle(field, 1, 0, _Mult(QElt(field, 1, 0), 1)):
         pass
     require(mult.den == 1, "the period multiplier is not integral")
     eps = mult.num
@@ -575,7 +575,7 @@ def _coset_closure(
     return gens, table, [row + [0] * (len(gens) - len(row)) for row in relations]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
 def class_group(field: QuadField) -> ClassGroupData:
     """Wide ideal class group via prime classes below the Minkowski bound,
     presented by the k x k relation matrix of `_coset_closure` on the k
@@ -1005,12 +1005,11 @@ class RayClassData:
 
     def dlog_prime(self, p: int, root: int) -> tuple[int, ...]:
         """`dlog` of the prime over p, prime to N(m), on which w maps to
-        (t + root)/2 for a root of D mod p (`prime_above_from_root`): the
+        `w_mod(p, root)` for a root of D mod p (`prime_above_from_root`): the
         scan's entry to the same lookup, which builds no ideal."""
         if math.gcd(p, self.modulus.norm()) != 1:
             raise InputError("prime is not coprime to the modulus")
-        x = self.field.t + root  # (t + root)/2 mod p, p odd
-        return self._lookup(1, p, -((x if x % 2 == 0 else x + p) // 2) % p)
+        return self._lookup(1, p, -self.field.w_mod(p, root) % p)
 
     def _lookup(self, g: int, a0: int, b0: int) -> tuple[int, ...]:
         """The coordinates of I = g*[a0, b0 + w], coprime to m.
@@ -1020,19 +1019,24 @@ class RayClassData:
         class of the residue of g/mu, read off the local data of mu at the
         primes of m (`_LocalMult`). Without residue factors no multiplier
         is built and [I] = [R]. When R meets m, the walk goes on along R's
-        rho-cycle to the first member coprime to m; only a class with no
-        reduced ideal coprime to m builds I and takes a generator of I*C_v
-        (see `_generator_vector`). Cohen, GTM 193, section 4.2, computes
+        rho-cycle to the first member coprime to m, where mu takes on the
+        walk's step factors at once; only a class with no reduced ideal
+        coprime to m builds I and takes a generator of I*C_v (see
+        `_generator_vector`). Cohen, GTM 193, section 4.2, computes
         ray class logs through (O/m)^* in the same way."""
         f = self.field
         a, b, mu = _reduce_primitive(f, a0, b0, self._one)
         if not self._coprime(a, b):
-            member = next((R for R in _cycle(f, a, b, mu) if self._coprime(*R[:2])), None)
-            if member is None:
+            factors = []
+            for a, b, B in _rho_cycle(f, a, b) if f.is_real else ():
+                if self._coprime(a, b):
+                    break
+                factors.append((B + f.t, -2, 2 * a))
+            else:
                 I = QIdeal(f, g, a0, b0)
                 vec = self._generator_vector(I, self.ray_table[class_key(I)])
                 return self.group.dlog_ambient(vec)
-            a, b, mu = member
+            mu = mu if mu is None else mu.fold(factors)
         vec = self.vectors.get((a, b))
         if vec is None:
             vec = self._fill(a, b)
@@ -1092,7 +1096,7 @@ class RayClassData:
         vec = self.group.dlog_ambient(
             self._generator_vector(QIdeal(f, 1, a, b), self.ray_table[key])
         )
-        for ak, bk, mu in members:  # R0 itself first
+        for ak, bk, _, mu in members:  # R0 itself first
             if self._coprime(ak, bk):
                 self.vectors[ak, bk] = vec if mu is None else self._moved(vec, mu, 1, -1)
         return vec
@@ -1125,7 +1129,7 @@ def _ray_ideal_gens(field: QuadField, modulus: Modulus, cl: ClassGroupData):
     raise ArithmeticError("failed to generate the class group away from m")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
 def ray_class_group(field: QuadField, modulus: Modulus) -> RayClassData:
     """Cl^m_K presented over prime-ideal generators and residue generators."""
     cl = class_group(field)

@@ -1,15 +1,15 @@
 """Reference implementations that only the tests use: a fraction-free
 determinant, matrix products, multiplicative orders, divisor lists,
-splitting degrees of polynomials mod q,
-synthetic abelian groups given by their invariants, the cyclic complement
-of an element of an ell-group, ideals of K as the HNF of their generators'
-lattice, exact ideal division, ray-principal generators, real reduction by
-a rho walk that moves its multiplier at every step, and ideals of
-L = Q(sqrt d, sqrt p) as the HNF of all products of basis elements. The
-library never calls them. The ideal oracles stand on the library's `QIdeal`,
-`BqIdeal` and its HNF, division and ray principality also on its ideal
-product and generator search, and the rho walk on its multiplier classes;
-the rest share no code with it.
+splitting degrees of polynomials mod q, analytic class numbers of
+imaginary fields, synthetic abelian groups given by their invariants, the
+cyclic complement of an element of an ell-group, ideals of K as the HNF of
+their generators' lattice, exact ideal division, ray-principal generators,
+real reduction by a rho walk that moves its multiplier at every step, and
+ideals of L = Q(sqrt d, sqrt p) as the HNF of all products of basis
+elements. The library never calls them. The ideal oracles stand on the
+library's `QIdeal`, `BqIdeal` and its HNF, division and ray principality
+also on its ideal product and generator search, and the rho walk on its
+multiplier classes; the rest share no code with it.
 """
 from __future__ import annotations
 
@@ -208,6 +208,44 @@ def splitting_degree(coeffs: Sequence[int], q: int) -> int:
         if g > 0:  # some factor has degree exactly j while another does not
             raise ValueError(f"factor degrees are not uniform mod {q}")
     raise ArithmeticError("Frobenius order exceeded the degree")  # unreachable
+
+
+# ---------------------------------------------------------------------------
+# class numbers of imaginary fields by the analytic formula
+
+
+def smallest_prime_factors(n: int) -> list[int]:
+    """spf[k] for 0 <= k < n: the least prime factor of k >= 2."""
+    spf = list(range(n))
+    for q in range(2, math.isqrt(n) + 1):
+        if spf[q] == q:
+            for k in range(q * q, n, q):
+                if spf[k] == k:
+                    spf[k] = q
+    return spf
+
+
+def analytic_class_number(D: int, spf: list[int]) -> int:
+    """h = -(w/(2|D|)) * sum_{0<a<|D|} (D/a) * a for a fundamental D < 0,
+    w the number of roots of unity (6 at D = -3, 4 at D = -4, else 2), with
+    spf a smallest-prime-factor table past |D|. The Kronecker character
+    comes from Euler's criterion on primes, extended multiplicatively, so
+    it shares no code with the library."""
+    n = -D
+    chi = [0, 1] + [0] * (n - 2)
+    for a in range(2, n):
+        p = spf[a]
+        if p != a:
+            chi[a] = chi[p] * chi[a // p]
+        elif p == 2:
+            chi[a] = 0 if D % 2 == 0 else (1 if D % 8 in (1, 7) else -1)
+        else:
+            r = pow(D, (p - 1) // 2, p)
+            chi[a] = 0 if r == 0 else (1 if r == 1 else -1)
+    total = sum(chi[a] * a for a in range(1, n)) * {-3: 3, -4: 2}.get(D, 1)
+    if total % n:
+        raise ArithmeticError(f"the class number sum is not divisible by |D| = {n}")
+    return -total // n
 
 
 # ---------------------------------------------------------------------------

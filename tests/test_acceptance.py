@@ -14,7 +14,13 @@ import time
 from itertools import product as iproduct
 from math import gcd, lcm
 
-from oracles import cyclic_complement, multiplicative_order, splitting_degree
+from oracles import (
+    analytic_class_number,
+    cyclic_complement,
+    multiplicative_order,
+    smallest_prime_factors,
+    splitting_degree,
+)
 from raycap.ambigcheck import ambig_case, fundamental_field_params, rayclass_Q
 from raycap.biquad import (
     BqIdeal,
@@ -30,6 +36,7 @@ from raycap.exactmath import is_prime
 from raycap.kummerfrob import prime_above_from_root
 from raycap.quadfield import (
     Modulus,
+    class_group,
     modulus_from_rational,
     quadratic_field,
     ray_class_group,
@@ -83,16 +90,25 @@ def _run_ambig_identity():
     layer_a = [("quad", d, 1) for d in fundamental_field_params(200)]
     layer_b = [c for c in _quad_corpus() if c[2] != 1]
     reports = [ambig_case(c) for c in layer_a + layer_b + BIQUAD_CASES]
+    # both routes take h from class_group; the analytic formula is the
+    # independent third check of it, on every imaginary field of the corpus
+    spf = smallest_prime_factors(201)
+    imaginary = sorted({quadratic_field(c[1]) for c in layer_a + layer_b if c[1] < 0},
+                       key=lambda K: K.d)
+    bad_h = [K.d for K in imaginary if class_group(K).h != analytic_class_number(K.D, spf)]
     elapsed = time.monotonic() - t0
     bad = [r.params for r in reports if not r.equal]
     ok = (not bad
+          and not bad_h
           and len(layer_a) >= 100
           and len(layer_b) >= 50
           and len(BIQUAD_CASES) >= 5
+          and len(imaginary) >= 50
           and elapsed < 600)
     detail = (f"{len(reports)} cases = {len(layer_a)} fields + {len(layer_b)} "
               f"modulus pairs + {len(BIQUAD_CASES)} biquadratic, "
-              f"{len(bad)} mismatches, {elapsed:.1f}s")
+              f"{len(bad)} mismatches, h of {len(imaginary)} imaginary fields "
+              f"against the analytic formula, {len(bad_h)} mismatches, {elapsed:.1f}s")
     payload = {
         "layers": [len(layer_a), len(layer_b), len(BIQUAD_CASES)],
         "values": [[list(r.params), r.formula, r.direct] for r in reports],

@@ -1,0 +1,96 @@
+"""The per-field caches are bounded LRUs, and eviction changes no answer.
+
+Class groups, ray class groups (with their lookup memos), fundamental units,
+biquadratic unit groups and the parallel scan's checkers are each cached
+for at most `FIELD_CACHE_SIZE` keys. An evicted entry is rebuilt with the
+same SNF basis, and a `ConditionChecker` keeps its own reference to its ray
+class group, so a checker whose group left the cache decides every
+candidate as a fresh one does.
+"""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from raycap import biquad, capsearch, quadfield
+from raycap.ambigcheck import ambig_case
+from raycap.capsearch import _scan_range
+from raycap.exactmath import squarefree_part
+from raycap.kummerfrob import ConditionChecker, SearchParams
+from raycap.quadfield import (
+    FIELD_CACHE_SIZE,
+    Modulus,
+    modulus_from_rational,
+    quadratic_field,
+    ray_class_group,
+)
+
+BOUNDED = [
+    quadfield.class_group,
+    quadfield.ray_class_group,
+    quadfield.fundamental_unit,
+    biquad.unit_group,
+    capsearch._checker_cached,
+]
+
+
+def _sweep_corpus(disc_bound: int) -> list[tuple]:
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_ambig_sweep.py"
+    spec = importlib.util.spec_from_file_location("run_ambig_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.build_corpus(disc_bound, (3, 5, 7))
+
+
+def test_caches_stay_within_the_bound_over_a_sweep():
+    """The disc-bound-1000 sweep corpus touches more than FIELD_CACHE_SIZE
+    fields (607, 302 of them real) and (field, modulus) pairs: from empty
+    caches, each field-level cache evicts instead of growing, and every
+    case still balances."""
+    corpus = _sweep_corpus(1000)
+    real = {c[1] for c in corpus if c[0] == "quad" and c[1] > 0}
+    assert len(real) > FIELD_CACHE_SIZE
+    for cache in BOUNDED:
+        cache.cache_clear()
+    assert all(ambig_case(c).equal for c in corpus)
+    for cache in BOUNDED:
+        info = cache.cache_info()
+        assert info.maxsize == FIELD_CACHE_SIZE
+        assert info.currsize <= FIELD_CACHE_SIZE
+    for cache in BOUNDED[:3]:
+        assert cache.cache_info().misses > FIELD_CACHE_SIZE
+
+
+def _evict_ray_groups() -> None:
+    """Build FIELD_CACHE_SIZE ray class groups of other fields, so every
+    entry cached before them is evicted."""
+    built, d = 0, -1
+    while built < FIELD_CACHE_SIZE:
+        if squarefree_part(d) == d:
+            K = quadratic_field(d)
+            ray_class_group(K, Modulus.trivial(K))
+            built += 1
+        d -= 1
+
+
+@pytest.mark.parametrize("d,m", [(543, 11), (595, 33)])
+def test_checker_whose_ray_group_was_evicted_decides_as_a_fresh_one(d, m):
+    """A warm checker, its ray group evicted and rebuilt, against a checker
+    built on the rebuilt group: the same decision at every candidate, the
+    same scan result and counters, and the same coordinates."""
+    K = quadratic_field(d)
+    modulus = modulus_from_rational(K, m)
+    params = SearchParams(2, 1, 0, 20000)
+    rank = ray_class_group(K, modulus).group.rank
+    old = ConditionChecker(K, modulus, (0,) * rank, params)
+    old_scan = _scan_range(old, 3, params.bound)
+    assert old.ray.vectors
+    _evict_ray_groups()
+    rebuilt = ray_class_group(K, modulus)
+    assert rebuilt is not old.ray and not rebuilt.vectors
+    fresh = ConditionChecker(K, modulus, (0,) * rank, params)
+    assert fresh.ray is rebuilt
+    assert fresh.ray.group.to_canonical == old.ray.group.to_canonical
+    assert _scan_range(fresh, 3, params.bound) == old_scan == _scan_range(old, 3, params.bound)
+    candidates = [p for p in range(3, 3000) if not old.forbidden(p)]
+    assert [old.decide(p) for p in candidates] == [fresh.decide(p) for p in candidates]

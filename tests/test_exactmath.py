@@ -361,7 +361,26 @@ class TestSplittingDegree:
 
 def test_primes_up_to():
     assert list(primes_up_to(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert primes_up_to(1) == ()
+    assert primes_up_to(1) == primes_up_to(0) == primes_up_to(-7) == ()
+
+
+@pytest.mark.parametrize("centre", [1024, 2048, 4096])
+def test_primes_up_to_matches_brute_force_at_powers_of_two(centre):
+    """Limits on either side of a sieve size cut the same primes as a
+    sieve of their own."""
+    for limit in range(centre - 12, centre + 13):
+        assert list(primes_up_to(limit)) == brute_primes(limit), limit
+
+
+def test_primes_up_to_caches_one_sieve_per_power_of_two():
+    """Limits up to 2^k share at most k - 9 cached sieves, whatever their
+    number: 400 distinct limits below 2^16 leave at most 7."""
+    exactmath._sieve.cache_clear()
+    limits = [1025 + 157 * i for i in range(400)]
+    assert max(limits) < 1 << 16
+    for limit in limits:
+        assert primes_up_to(limit)[-1] <= limit
+    assert exactmath._sieve.cache_info().currsize <= 16 - 9
 
 
 def ladder_power(x, e, one, mul):

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    analytic_class_number,
     divide_exact,
     hnf_ideal,
     is_ray_principal,
     principal_ideal,
     reduce_real_by_orbit,
+    smallest_prime_factors,
 )
 from raycap import quadfield
 from raycap.errors import InputError, InvariantError
@@ -94,37 +96,6 @@ def is_fundamental(D: int) -> bool:
         return False
     n = abs(core)
     return all(n % (q * q) for q in range(2, math.isqrt(n) + 1))
-
-
-def smallest_prime_factors(n: int) -> list[int]:
-    spf = list(range(n))
-    for q in range(2, math.isqrt(n) + 1):
-        if spf[q] == q:
-            for k in range(q * q, n, q):
-                if spf[k] == k:
-                    spf[k] = q
-    return spf
-
-
-def analytic_class_number(D: int, spf: list[int]) -> int:
-    """h = -(1/|D|) * sum_{0<a<|D|} (D/a) * a for a fundamental D < -4,
-    with spf a smallest-prime-factor table past |D|. The Kronecker
-    character comes from Euler's criterion on primes, extended
-    multiplicatively, so it shares no code with the library."""
-    n = -D
-    chi = [0, 1] + [0] * (n - 2)
-    for a in range(2, n):
-        p = spf[a]
-        if p != a:
-            chi[a] = chi[p] * chi[a // p]
-        elif p == 2:
-            chi[a] = 0 if D % 2 == 0 else (1 if D % 8 in (1, 7) else -1)
-        else:
-            r = pow(D, (p - 1) // 2, p)
-            chi[a] = 0 if r == 0 else (1 if r == 1 else -1)
-    total = sum(chi[a] * a for a in range(1, n))
-    assert total % n == 0
-    return -total // n
 
 
 FUNDAMENTAL_IMAG = [
@@ -344,7 +315,7 @@ class TestClassGroups:
     def test_analytic_class_number_formula(self):
         spf = smallest_prime_factors(3000)
         checked = 0
-        for D in range(-5, -3000, -1):
+        for D in range(-3, -3000, -1):
             if not is_fundamental(D):
                 continue
             d = D if D % 4 == 1 else D // 4
@@ -712,7 +683,7 @@ def test_warm_queries_walk_no_generator(monkeypatch, d, m):
     want = [ray.group.dlog_ambient(reference_ambient_vector(ray, I)) for I in ideals]
     blocked = [
         I for I in ideals
-        if all(math.gcd(a, m) > 1 for a, _, _ in quadfield._class_cycle(K, I.a, I.b)[1])
+        if all(math.gcd(a, m) > 1 for a, *_ in quadfield._class_cycle(K, I.a, I.b)[1])
     ]
     calls = count_generator_walks(monkeypatch)
     assert [ray.dlog(I) for I in ideals] == want
