@@ -9,14 +9,14 @@ inside Cl^m(L) form a subgroup whose order has a closed formula:
 with d_inf the local degrees at the infinite places of K, e_P the
 ramification indices at finite primes of K coprime to m, and the denominator
 index taken on unit groups of elements that are 1 mod the respective moduli.
-`ambiguous_count_formula` evaluates that expression factor by factor;
-`ambiguous_count_direct` computes the order of the subgroup of Cl^m(L)
-generated by ramified primes and extended K-ideals.  Agreement across a
-corpus is the regression signal.  The two routes share the pieces both rest
-on: the base ray class group (`rayclass_Q` and its generators, or
-`ray_class_group`), the list of ramified primes, and for a biquadratic step
-`extend_modulus`, `unit_group` and the residue system mod m_L.  A fault in
-those would hit both sides alike.
+`ambiguous_count_formula` evaluates that expression factor by factor, from
+discriminants and unit norms: it builds no prime of L, and over Q no
+residue system. `ambiguous_count_direct` computes the order of the subgroup
+of Cl^m(L) generated by ramified primes and extended K-ideals. Agreement
+across a corpus is the regression signal. The two routes share the base ray
+class group (`rayclass_Q` and its generators, or `ray_class_group`), and for
+a biquadratic step `unit_group`, `extend_modulus` and the residue system
+mod m_L inside the unit index. A fault in those would hit both sides alike.
 """
 from __future__ import annotations
 
@@ -27,12 +27,12 @@ from functools import lru_cache
 from raycap.abgroup import FiniteAbelianGroup, group_from_relations, hnf_rows
 from raycap.biquad import (
     BiquadField,
+    _primes_over,
     biquad_field,
     class_number,
     embed,
     extend_ideal,
     extend_modulus,
-    intersect_subfield,
     is_principal,
     l_residue_system,
     primes_above,
@@ -41,6 +41,7 @@ from raycap.biquad import (
 from raycap.errors import BudgetError, InputError, require
 from raycap.exactmath import crt, factor, squarefree_part
 from raycap.quadfield import (
+    FIELD_CACHE_SIZE,
     Modulus,
     QElt,
     QuadField,
@@ -51,7 +52,6 @@ from raycap.quadfield import (
     modulus_from_rational,
     quadratic_field,
     ray_class_group,
-    residue_system,
     unit_gens,
 )
 
@@ -73,8 +73,10 @@ __all__ = [
 # ray class group of Q
 
 
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
 def _rational_ray_data(m: int) -> tuple[FiniteAbelianGroup, tuple[int, ...]]:
-    """((Z/m)^* mod <-1>, generator residues coprime to m)."""
+    """((Z/m)^* mod <-1>, generator residues coprime to m), one cached
+    entry per m for both `rayclass_Q` and `rayclass_Q_generators`."""
     if m < 1:
         raise InputError("modulus integer must be positive")
     if m <= 2:
@@ -109,13 +111,11 @@ def _rational_ray_data(m: int) -> tuple[FiniteAbelianGroup, tuple[int, ...]]:
     return group, tuple(lifted)
 
 
-@lru_cache(maxsize=None)
 def rayclass_Q(m: int) -> FiniteAbelianGroup:
     """Ray class group of Q for conductor m: (Z/m)^* modulo {+-1}."""
     return _rational_ray_data(m)[0]
 
 
-@lru_cache(maxsize=None)
 def rayclass_Q_generators(m: int) -> tuple[int, ...]:
     """Positive residues whose ideal classes generate rayclass_Q(m).
 
@@ -200,106 +200,64 @@ def _unit_lattice(residue: ResidueSystem, units) -> list[list[int]]:
     return kernel
 
 
-def _quotient_order(sub_rows: list[list[int]], width: int) -> int:
-    """|E / H| for E = <-1> (width 1, E_Q) or <-1, eps> (width 2, a real
-    quadratic E_K), with H given by rows over that basis: the product of
-    the pivots of the HNF of H and the relation (-1)^2 = 1."""
-    h = hnf_rows([[2] + [0] * (width - 1)] + [list(r) for r in sub_rows])
-    if len(h) != width:
+def _quotient_order(sub_rows: list[list[int]]) -> int:
+    """|E_K / H| for E_K = <-1, eps> of a real quadratic K, with H given by
+    rows over that basis: the product of the pivots of the HNF of H and the
+    relation (-1)^2 = 1."""
+    h = hnf_rows([[2, 0]] + [list(r) for r in sub_rows])
+    if len(h) != 2:
         raise ArithmeticError("unit subgroup has infinite index")
-    return math.prod(row[i] for i, row in enumerate(h))
-
-
-def _norm_index(lattice, norm_logs, base_lattice, width: int) -> int:
-    """(E^m_k : N(E^{m_L}_L)) for k = Q (width 1) or a real quadratic K
-    (width 2), over the basis (-1) or (-1, eps_K) of E_k. `lattice` is
-    E^{m_L}_L over the generators of E_L, `norm_logs` holds the norms of
-    those generators over the basis, and `base_lattice` is E^m_k over it."""
-    norm_rows = [
-        [sum(a * v[c] for a, v in zip(row, norm_logs)) for c in range(width)]
-        for row in lattice
-    ]
-    over_norms = _quotient_order(norm_rows, width)
-    over_em = _quotient_order(base_lattice, width)
-    require(over_norms % over_em == 0, "the norm subgroup is not inside E^m_k")
-    return over_norms // over_em
-
-
-def _norm_index_quadratic(L: QuadField, m: int) -> int:
-    """(E^m_Q : N_{L/Q}(E^{m_L}_L)) with m_L the extension of m to L."""
-    ug = unit_gens(L)
-    lattice = _unit_lattice(residue_system(L, modulus_from_rational(L, m)), ug)
-    # a unit's norm down to Q is (-1)^s, whose log over <-1> is s
-    norm_logs = [(0 if u.norm() == 1 else 1,) for u in ug]
-    # -1 is 1 mod m exactly when m <= 2
-    return _norm_index(lattice, norm_logs, [[1]] if m <= 2 else [], 1)
-
-
-def _norm_index_biquad(L: BiquadField, K: QuadField, m: Modulus) -> int:
-    j = _subfield_index(L, K)
-    if not isinstance(m, Modulus) or m.field != K:
-        raise InputError("modulus lives over the wrong base field")
-    U = unit_group(L)
-    lgens = [-L.one()] + list(U.units)
-    lattice = _unit_lattice(l_residue_system(extend_modulus(L, m)), lgens)
-    # relative norms of the generators, expressed over (-1, eps_K)
-    norm_logs = [(0, 0)] + [unit_dlog(K, v.rel_norm(j)) for v in U.units]
-    base = _unit_lattice(ray_class_group(K, m).residue, unit_gens(K))
-    return _norm_index(lattice, norm_logs, base, 2)
+    return h[0][0] * h[1][1]
 
 
 def norm_index_units(L, K, m) -> int:
     """Index (E^m_K : N_{L/K}(E^{m_L}_L)) for a degree-2 step L/K.
 
-    Shapes: L quadratic with K None (meaning Q) and m a squarefree integer,
-    or L biquadratic with K one of its quadratic subfields and m a Modulus.
+    Shapes: L quadratic with K None (meaning Q) and m an odd integer, or L
+    biquadratic with K one of its quadratic subfields and m a Modulus of K.
+    Over Q the index is read off the unit norms: E^m_Q = {+-1} only for
+    m = 1, and a unit that is 1 mod m_L has norm 1 mod m, so the index is 1
+    for m > 1; for m = 1 it is 1 when L is real with N(eps) = -1, else 2.
+    Over K it is |E_K / N| / |E_K / E^m_K| on the basis (-1, eps_K), with N
+    the norms of the exponent lattice of E^{m_L}_L over (-1, units of L).
     """
-    if isinstance(L, QuadField):
-        if K is not None:
-            raise InputError("a quadratic L sits over K = Q (pass None)")
-        return _norm_index_quadratic(L, int(m))
-    if isinstance(L, BiquadField):
-        if not isinstance(K, QuadField) or not isinstance(m, Modulus):
-            raise InputError("biquadratic L needs a quadratic K and a Modulus")
-        return _norm_index_biquad(L, K, m)
-    raise InputError("unsupported extension shape")
+    if not _is_biquad_step(L, K, m):
+        if m > 1:
+            return 1
+        return 1 if L.is_real and fundamental_unit(L).norm() == -1 else 2
+    j = (L.k1, L.k2, L.k3).index(K) + 1
+    U = unit_group(L)
+    lgens = [-L.one()] + list(U.units)
+    lattice = _unit_lattice(l_residue_system(extend_modulus(L, m)), lgens)
+    # relative norms of the generators, expressed over (-1, eps_K)
+    norm_logs = [(0, 0)] + [unit_dlog(K, v.rel_norm(j)) for v in U.units]
+    norm_rows = [
+        [sum(a * v[c] for a, v in zip(row, norm_logs)) for c in range(2)]
+        for row in lattice
+    ]
+    over_norms = _quotient_order(norm_rows)
+    over_em = _quotient_order(_unit_lattice(ray_class_group(K, m).residue, unit_gens(K)))
+    require(over_norms % over_em == 0, "the norm subgroup is not inside E^m_K")
+    return over_norms // over_em
 
 
 # ---------------------------------------------------------------------------
-# ramification bookkeeping
-
-
-def _subfield_index(L: BiquadField, K: QuadField) -> int:
-    for j, k in ((1, L.k1), (2, L.k2), (3, L.k3)):
-        if K == k:
-            return j
-    raise InputError("K is not a quadratic subfield of L")
-
-
-def _ramified_quad(L: QuadField, m: int) -> list[int]:
-    """Rational primes ramified in L/Q and coprime to m, ascending."""
-    return [p for p in sorted(factor(abs(L.D))) if m % p != 0]
+# ramified primes of the direct side
 
 
 def _ramified_biquad(L: BiquadField, K: QuadField, m: Modulus):
-    """(P, Q, e_rel) for K-primes P coprime to m with e_P(L/K) = 2."""
-    j = _subfield_index(L, K)
+    """A prime Q of L over each prime P of K coprime to m with e_P(L/K) = 2,
+    read off the primes of L."""
     out = []
     for p0 in sorted(factor(L.k3.D)):
-        facs_L = primes_above(L, p0)
-        _, facs_K = factor_prime(K, p0)
-        for P, eK, _ in facs_K:
-            above = [
-                (Q, e)
-                for Q, e, _ in facs_L
-                if intersect_subfield(Q, j).key() == P.key()
-            ]
-            require(bool(above), "a prime of K has no prime of L over it")
-            e_rel = above[0][1] // eK
-            require(all(e // eK == e_rel for _, e in above) and above[0][1] % eK == 0
-                    and e_rel in (1, 2), "the ramification indices over P disagree")
-            if e_rel == 2 and m.coprime_to(P):
-                out.append((P, above[0][0], e_rel))
+        above = primes_above(L, p0)
+        for P, eK, _ in factor_prime(K, p0)[1]:
+            over = _primes_over(L, P, above)
+            es = {e for _, e, _ in over}
+            require(len(es) == 1 and min(es) in (eK, 2 * eK),
+                    "the ramification indices over P disagree")
+            if min(es) == 2 * eK and m.coprime_to(P):
+                out.append(over[0][0])
     return out
 
 
@@ -340,20 +298,46 @@ class AmbigReport:
         }
 
 
-def _formula_parts_quadratic(L: QuadField, m: int):
-    h = rayclass_Q(m).order()
-    d_inf = (1,) if L.is_real else (2,)
-    es = tuple(2 for _ in _ramified_quad(L, m))
-    idx = _norm_index_quadratic(L, m)
-    return h, d_inf, es, idx
+def _is_biquad_step(L, K, m) -> bool:
+    """The one check of a degree-2 step L/K with modulus m: True for L
+    biquadratic over one of its quadratic subfields K with m a Modulus of
+    K, False for L quadratic over K = None (meaning Q) with m an integer.
+    The step has ell = 2, so the count identity needs m of odd norm."""
+    if isinstance(L, QuadField) and K is None and isinstance(m, int):
+        if m < 1:
+            raise InputError("modulus integer must be positive")
+        biquad, norm = False, m
+    elif isinstance(L, BiquadField) and isinstance(K, QuadField) and isinstance(m, Modulus):
+        if K not in (L.k1, L.k2, L.k3):
+            raise InputError("K is not a quadratic subfield of L")
+        if m.field != K:
+            raise InputError("modulus lives over the wrong base field")
+        biquad, norm = True, m.norm()
+    else:
+        raise InputError("unsupported extension shape")
+    if norm % 2 == 0:
+        raise InputError("modulus must have odd norm for a quadratic step")
+    return biquad
 
 
-def _formula_parts_biquad(L: BiquadField, K: QuadField, m: Modulus):
-    h = ray_class_group(K, m).group.order()
-    d_inf = (1, 1)  # K real, L totally real: both places stay real
-    es = tuple(e for _, _, e in _ramified_biquad(L, K, m))
-    idx = _norm_index_biquad(L, K, m)
-    return h, d_inf, es, idx
+def _formula_parts(L, K, m):
+    """(|Cl^m_K|, the local degrees d_inf, the indices e_P, the unit index).
+
+    A prime p0 | D3 ramifies in L with e = 2, and no other prime does, so
+    e_P(L/K) = 2 exactly for the primes P of K over a p0 | D3 with p0 not
+    dividing D_K (for L quadratic over Q, D3 = D_L and D_K = 1)."""
+    if _is_biquad_step(L, K, m):
+        h = ray_class_group(K, m).group.order()
+        d_inf = (1, 1)  # K real, L totally real: both places stay real
+        es = tuple(
+            2 for p0 in factor(L.k3.D) if K.D % p0
+            for P, _, _ in factor_prime(K, p0)[1] if m.coprime_to(P)
+        )
+    else:
+        h = rayclass_Q(m).order()
+        d_inf = (1,) if L.is_real else (2,)
+        es = tuple(2 for p0 in factor(abs(L.D)) if m % p0)
+    return h, d_inf, es, norm_index_units(L, K, m)
 
 
 def _assemble(h: int, d_inf, es, idx: int) -> int:
@@ -368,54 +352,18 @@ def _assemble(h: int, d_inf, es, idx: int) -> int:
     return value
 
 
-def _require_odd(n: int) -> None:
-    # the degree-2 step has ell = 2; the count identity needs m away from 2
-    if n % 2 == 0:
-        raise InputError("modulus must have odd norm for a quadratic step")
-
-
-def _is_biquad_step(L, K, m) -> bool:
-    """Check the shape of a degree-2 step L/K and that m has odd norm; True
-    for L biquadratic over a quadratic K, False for L quadratic over Q."""
-    if isinstance(L, QuadField) and K is None:
-        _require_odd(int(m))
-        return False
-    if isinstance(L, BiquadField) and isinstance(K, QuadField):
-        _require_odd(m.norm())
-        return True
-    raise InputError("unsupported extension shape")
-
-
-def _formula_parts(L, K, m):
-    if _is_biquad_step(L, K, m):
-        return _formula_parts_biquad(L, K, m)
-    return _formula_parts_quadratic(L, int(m))
-
-
 def ambiguous_count_formula(L, K, m) -> int:
     """Closed-form order of the ambiguous-ideal class subgroup of Cl^m_L."""
-    if _degenerate(L, K):
-        return _base_ray_order(K, m)
     return _assemble(*_formula_parts(L, K, m))
-
-
-def _degenerate(L, K) -> bool:
-    if L is None and K is None:
-        return True
-    return isinstance(L, QuadField) and isinstance(K, QuadField) and L == K
-
-
-def _base_ray_order(K, m) -> int:
-    if K is None:
-        return rayclass_Q(int(m)).order()
-    return ray_class_group(K, m).group.order()
 
 
 def _direct_quadratic(L: QuadField, m: int) -> int:
     m_L = modulus_from_rational(L, m)
     ray = ray_class_group(L, m_L)
     vecs = []
-    for p0 in _ramified_quad(L, m):
+    for p0 in sorted(factor(abs(L.D))):
+        if m % p0 == 0:
+            continue
         kind, data = factor_prime(L, p0)
         require(kind == "ramified", "a prime dividing D_L is not ramified")
         vecs.append(ray.dlog(data[0][0]))
@@ -443,7 +391,7 @@ def _direct_biquad(L: BiquadField, K: QuadField, m: Modulus) -> int:
         return quo.dlog_ambient(R.dlog(gamma))
 
     vecs = []
-    for _, Q, _ in _ramified_biquad(L, K, m):
+    for Q in _ramified_biquad(L, K, m):
         gamma = is_principal(Q)
         require(gamma is not None, "a ramified prime is not principal at h(L) = 1")
         vecs.append(class_vec(gamma))
@@ -465,11 +413,9 @@ def ambiguous_count_direct(L, K, m) -> int:
     Generators: ramified primes of L/K coprime to m, plus extensions of
     ideals representing every class of Cl^m_K.
     """
-    if _degenerate(L, K):
-        return _base_ray_order(K, m)
     if _is_biquad_step(L, K, m):
         return _direct_biquad(L, K, m)
-    return _direct_quadratic(L, int(m))
+    return _direct_quadratic(L, m)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +468,7 @@ def fundamental_field_params(disc_bound: int) -> list[int]:
     for d in range(-disc_bound, disc_bound + 1):
         if d in (0, 1) or squarefree_part(d) != d:
             continue
-        D = d if d % 4 == 1 else 4 * d
+        D = QuadField(d).D
         if abs(D) <= disc_bound:
             out.append((abs(D), -(D > 0), d))
     return [d for _, _, d in sorted(out)]

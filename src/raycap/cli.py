@@ -328,7 +328,7 @@ def cmd_ambig(args) -> int:
     reports: list[dict | None] = [None] * len(cases)
     misses: list[tuple[int, tuple]] = []
     for i, case in enumerate(cases):
-        hit = cache.get({"op": "ambig", "case": list(map(list, [case]))[0]})
+        hit = cache.get({"op": "ambig", "case": list(case)})
         if hit is not None:
             reports[i] = hit
         else:
@@ -340,7 +340,7 @@ def cmd_ambig(args) -> int:
         else:
             fresh = [_ambig_report_for(c) for _, c in misses]
         for (i, case), rep in zip(misses, fresh):
-            cache.put({"op": "ambig", "case": list(map(list, [case]))[0]}, rep)
+            cache.put({"op": "ambig", "case": list(case)}, rep)
             reports[i] = rep
 
     all_equal = True

@@ -14,6 +14,7 @@ from .quadfield import (
     Modulus,
     QElt,
     QIdeal,
+    QuadField,
     RayClassData,
     aug_unit_data,
     ray_class_group,
@@ -82,9 +83,7 @@ def h_K_constant(field, ell: int) -> dict:
     if ell == 2 and d != 2:
         # K(sqrt 2)/K is unramified everywhere iff the biquadratic field
         # Q(sqrt d, sqrt 2) has discriminant D_d^2
-        e = squarefree_part(2 * d)
-        D_e = e if e % 4 == 1 else 4 * e
-        if 8 * D_e == field.D:
+        if 8 * QuadField(squarefree_part(2 * d)).D == field.D:
             layer_exp = 1
     return {
         "ell": ell,

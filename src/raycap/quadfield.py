@@ -645,13 +645,18 @@ class Modulus:
         return all(q.conj().key() in keys for q in self.primes)
 
     def coprime_to(self, I: QIdeal) -> bool:
-        """Whether no prime of m divides I. Coprime norms settle it; when
-        they share a prime, each prime q of m is tested for I inside q (one
-        prime of a split pair in m leaves its conjugate coprime to m)."""
-        if math.gcd(I.norm(), self.norm()) == 1:
-            return True
-        x, y = I.gen_pair()
-        return not any(q.contains(x) and q.contains(y) for q in self.primes)
+        """Whether no prime of m divides I = g*[a, b + w]: every prime of m
+        over a p | g divides I, so g must be prime to N(m), and then the
+        primitive part decides (`coprime_to_primitive`)."""
+        return math.gcd(I.g, self.norm()) == 1 and self.coprime_to_primitive(I.a, I.b)
+
+    def coprime_to_primitive(self, a: int, b: int) -> bool:
+        """Whether no prime of m divides the primitive [a, b + w]. A prime
+        [p, c + w] of m holds it exactly when p | a and p | b - c; an inert
+        (p) holds no primitive ideal."""
+        return math.gcd(a, self.norm()) == 1 or not any(
+            q.g == 1 and a % q.a == 0 and (b - q.b) % q.a == 0 for q in self.primes
+        )
 
 
 def descriptor(ideals: Sequence[QIdeal]) -> list[dict]:
@@ -1026,10 +1031,10 @@ class RayClassData:
         ray class logs through (O/m)^* in the same way."""
         f = self.field
         a, b, mu = _reduce_primitive(f, a0, b0, self._one)
-        if not self._coprime(a, b):
+        if not self.modulus.coprime_to_primitive(a, b):
             factors = []
             for a, b, B in _rho_cycle(f, a, b) if f.is_real else ():
-                if self._coprime(a, b):
+                if self.modulus.coprime_to_primitive(a, b):
                     break
                 factors.append((B + f.t, -2, 2 * a))
             else:
@@ -1041,15 +1046,6 @@ class RayClassData:
         if vec is None:
             vec = self._fill(a, b)
         return vec if mu is None else self._moved(vec, mu, g, 1)
-
-    def _coprime(self, a: int, b: int) -> bool:
-        """Whether the primitive [a, b + w] is coprime to m. A prime
-        [p, c + w] of m holds it exactly when p | a and p | b - c; an inert
-        (p) holds no primitive ideal."""
-        m = self.modulus
-        return math.gcd(a, m.norm()) == 1 or not any(
-            q.g == 1 and a % q.a == 0 and (b - q.b) % q.a == 0 for q in m.primes
-        )
 
     def _generator_vector(self, I: QIdeal, v: tuple[int, ...]) -> tuple[int, ...]:
         """The ambient vector of [I] from its class vector v through one
@@ -1097,7 +1093,7 @@ class RayClassData:
             self._generator_vector(QIdeal(f, 1, a, b), self.ray_table[key])
         )
         for ak, bk, _, mu in members:  # R0 itself first
-            if self._coprime(ak, bk):
+            if self.modulus.coprime_to_primitive(ak, bk):
                 self.vectors[ak, bk] = vec if mu is None else self._moved(vec, mu, 1, -1)
         return vec
 

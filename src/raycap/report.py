@@ -119,8 +119,10 @@ def load_certificate(path: str | Path) -> tuple[CandidateCertificate, dict]:
         raise InputError(f"certificate file is not JSON: {exc}") from exc
     if not check_stamp(data) or data.get("kind") != "certificate":
         raise InputError("certificate file failed its integrity stamp")
-    cert = certificate_from_dict(data["payload"]["certificate"])
-    return cert, data
+    payload = data["payload"]
+    if not isinstance(payload, dict) or not isinstance(payload.get("certificate"), dict):
+        raise InputError("certificate file holds no certificate object")
+    return certificate_from_dict(payload["certificate"]), data
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ splitting degrees of polynomials mod q, analytic class numbers of
 imaginary fields, synthetic abelian groups given by their invariants, the
 cyclic complement of an element of an ell-group, ideals of K as the HNF of
 their generators' lattice, exact ideal division, ray-principal generators,
-real reduction by a rho walk that moves its multiplier at every step, and
+real reduction by a rho walk that moves its multiplier at every step,
 ideals of L = Q(sqrt d, sqrt p) as the HNF of all products of basis
-elements. The library never calls them. The ideal oracles stand on the
+elements, and the unit norm index of a quadratic field over Q by exponent
+lattices. The library never calls them. The ideal oracles stand on the
 library's `QIdeal`, `BqIdeal` and its HNF, division and ray principality
-also on its ideal product and generator search, and the rho walk on its
-multiplier classes; the rest share no code with it.
+also on its ideal product and generator search, the rho walk on its
+multiplier classes, and the norm index on its residue systems and unit
+lattice; the rest share no code with it.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from itertools import zip_longest
 from typing import Sequence
 
 from raycap.abgroup import FiniteAbelianGroup, hnf_rows, solve_left
+from raycap.ambigcheck import _unit_lattice
 from raycap.biquad import BqElt, BqIdeal
 from raycap.exactmath import factor, power, valuation
 from raycap.errors import InvariantError
@@ -32,6 +35,8 @@ from raycap.quadfield import (
     adjust_by_units,
     class_key,
     is_principal_with_generator,
+    modulus_from_rational,
+    residue_system,
     unit_gens,
 )
 
@@ -397,3 +402,22 @@ def bq_ideal_conj(I: BqIdeal, j: int) -> BqIdeal:
 def bq_contains(I: BqIdeal, z: BqElt) -> bool:
     """Whether z is an integer combination of I's basis, by a Smith form."""
     return solve_left([list(r) for r in I.rows], list(z.coords())) is not None
+
+
+# ---------------------------------------------------------------------------
+# the unit norm index over Q by lattices
+
+
+def quadratic_norm_index(L: QuadField, m: int) -> int:
+    """(E^m_Q : N_{L/Q}(E^{m_L}_L)) over E_Q = <-1>: the exponent lattice of
+    the units of L that are 1 mod m_L (the kernel of their classes in
+    (O_L/m_L)^*), pushed down by the unit norms (-1)^s, against E^m_Q,
+    which is E_Q when -1 = 1 mod m (m <= 2) and trivial otherwise."""
+    ug = unit_gens(L)
+    lattice = _unit_lattice(residue_system(L, modulus_from_rational(L, m)), ug)
+    signs = [0 if u.norm() == 1 else 1 for u in ug]
+    norm_rows = [[sum(a * s for a, s in zip(row, signs))] for row in lattice]
+    over_norms = hnf_rows([[2]] + norm_rows)[0][0]
+    over_em = 1 if m <= 2 else 2
+    assert over_norms % over_em == 0
+    return over_norms // over_em

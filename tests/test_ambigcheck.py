@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import det_bareiss
+from oracles import det_bareiss, quadratic_norm_index
+from raycap import ambigcheck
 from raycap.ambigcheck import (
     AmbigReport,
+    _formula_parts,
+    _ramified_biquad,
     _unit_lattice,
     ambig_case,
     ambig_sweep,
@@ -38,7 +41,6 @@ from raycap.quadfield import (
     fundamental_unit,
     modulus_from_rational,
     quadratic_field,
-    ray_class_group,
 )
 
 
@@ -191,6 +193,13 @@ class TestNormIndexUnits:
         # norms of roots of unity are +1, and E^1_Q = {+-1}
         assert norm_index_units(quadratic_field(d), None, 1) == 2
 
+    @pytest.mark.parametrize("m", [1, 3, 5, 7, 15, 21, 105])
+    def test_closed_form_equals_the_lattice_reference(self, m):
+        # every field with |D| <= 1000, so m shares primes with D in many
+        for d in fundamental_field_params(1000):
+            L = quadratic_field(d)
+            assert norm_index_units(L, None, m) == quadratic_norm_index(L, m), d
+
     def test_biquad_values(self):
         # pinned by the count identity on class-number-one fields
         L = biquad_field(2, 5)
@@ -226,6 +235,20 @@ class TestNormIndexUnits:
         with pytest.raises(BudgetError):
             ambig_case(("biquad", 10, 29, 1, (11, 13)))
 
+    def test_ambig_case_computes_it_once(self, monkeypatch):
+        real, calls = norm_index_units, []
+
+        def counting(L, K, m):
+            calls.append((L, K, m))
+            return real(L, K, m)
+
+        monkeypatch.setattr(ambigcheck, "norm_index_units", counting)
+        for case in [("quad", -5, 1), ("quad", 2, 7), ("quad", 21, 7),
+                     ("biquad", 2, 5, 1, (11,)), ("biquad", 7, 5, 3, ())]:
+            calls.clear()
+            report = ambig_case(case)
+            assert len(calls) == 1 and report.norm_index == real(*calls[0])
+
     def test_shape_errors(self):
         L = biquad_field(2, 5)
         other = quadratic_field(7)
@@ -237,6 +260,10 @@ class TestNormIndexUnits:
             norm_index_units(quadratic_field(2), quadratic_field(2), 1)
         with pytest.raises(InputError):
             norm_index_units("Q", None, 1)
+        with pytest.raises(InputError, match="positive"):
+            norm_index_units(quadratic_field(2), None, -3)
+        with pytest.raises(InputError, match="odd norm"):
+            norm_index_units(L, L.k1, modulus_from_rational(L.k1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +299,13 @@ class TestAmbiguousCounts:
         assert ambiguous_count_formula(field, None, 1) == 2
         assert ambiguous_count_direct(field, None, 1) == 2
 
-    def test_degenerate_rational(self):
-        assert ambiguous_count_formula(None, None, 7) == rayclass_Q(7).order() == 3
-        assert ambiguous_count_direct(None, None, 7) == 3
-
-    def test_degenerate_quadratic(self):
+    def test_degenerate_steps_rejected(self):
+        # L = K and the empty step over Q are not degree-2 steps
         K = quadratic_field(-5)
-        m = modulus_from_rational(K, 3)
-        want = ray_class_group(K, m).group.order()
-        assert ambiguous_count_formula(K, K, m) == want
-        assert ambiguous_count_direct(K, K, m) == want
+        for L, base, m in ((None, None, 7), (K, K, modulus_from_rational(K, 3))):
+            for count in (ambiguous_count_formula, ambiguous_count_direct):
+                with pytest.raises(InputError, match="unsupported extension shape"):
+                    count(L, base, m)
 
     def test_ambiguous_ideals_versus_ambiguous_classes(self):
         # h(Q(sqrt 34)) = 2, yet both ramified primes are principal
@@ -329,6 +353,21 @@ class TestAmbiguousCounts:
         assert report.equal, report.as_dict()
         assert report.degree == 2
         assert report.formula >= 1
+
+    @pytest.mark.parametrize("p", [5, 13, 17])
+    def test_biquad_ramification_from_discriminants(self, p):
+        """The formula side's e_P, read off D3 and D_K, equal the direct
+        side's, read off the primes of L: over k1, k2 and k3, with 2 | D1
+        for d = 2, 3 (mod 4), and with moduli through p and through D1."""
+        for d in (2, 3, 6, 7, 10, 11, 14, 15, 21, 33, 35):
+            if d % p == 0:
+                continue
+            L = biquad_field(d, p)
+            for j, K in enumerate((L.k1, L.k2, L.k3), 1):
+                for q in (1, 3, 7, p, 3 * p, 21):
+                    m = modulus_from_rational(K, q)
+                    want = (2,) * len(_ramified_biquad(L, K, m))
+                    assert _formula_parts(L, K, m)[2] == want, (d, p, j, q)
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_biquad_unit_relations_stay_small(self, j):

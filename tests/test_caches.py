@@ -1,8 +1,8 @@
 """The per-field caches are bounded LRUs, and eviction changes no answer.
 
 Class groups, ray class groups (with their lookup memos), fundamental units,
-biquadratic unit groups and the parallel scan's checkers are each cached
-for at most `FIELD_CACHE_SIZE` keys. An evicted entry is rebuilt with the
+biquadratic unit groups, the parallel scan's checkers and the rational ray
+class groups are each cached for at most `FIELD_CACHE_SIZE` keys. An evicted entry is rebuilt with the
 same SNF basis, and a `ConditionChecker` keeps its own reference to its ray
 class group, so a checker whose group left the cache decides every
 candidate as a fresh one does.
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from raycap import biquad, capsearch, quadfield
+from raycap import ambigcheck, biquad, capsearch, quadfield
 from raycap.ambigcheck import ambig_case
 from raycap.capsearch import _scan_range
 from raycap.exactmath import squarefree_part
@@ -31,6 +31,7 @@ BOUNDED = [
     quadfield.fundamental_unit,
     biquad.unit_group,
     capsearch._checker_cached,
+    ambigcheck._rational_ray_data,
 ]
 
 
@@ -59,6 +60,19 @@ def test_caches_stay_within_the_bound_over_a_sweep():
         assert info.currsize <= FIELD_CACHE_SIZE
     for cache in BOUNDED[:3]:
         assert cache.cache_info().misses > FIELD_CACHE_SIZE
+
+
+def test_rational_ray_data_runs_once_per_modulus():
+    """The formula side's `rayclass_Q` and the direct side's
+    `rayclass_Q_generators` read one cached entry per m."""
+    ambigcheck._rational_ray_data.cache_clear()
+    moduli = (1, 3, 5, 7, 15, 21, 105)
+    for m in moduli:
+        for d in (-5, 2, 21):
+            assert ambig_case(("quad", d, m)).equal
+    info = ambigcheck._rational_ray_data.cache_info()
+    assert info.misses == len(moduli)
+    assert info.hits == 2 * 3 * len(moduli) - len(moduli)
 
 
 def _evict_ray_groups() -> None:

@@ -4,10 +4,23 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from raycap import capsearch, cli
+from raycap.capsearch import find_principalizing_prime
 from raycap.cli import main
-from raycap.report import certificate_from_dict, check_stamp, save_certificate
+from raycap.kummerfrob import SearchParams
+from raycap.quadfield import Modulus, quadratic_field
+from raycap.report import (
+    canonical_json,
+    certificate_from_dict,
+    check_stamp,
+    save_certificate,
+    stamp,
+)
+
+README_EXIT_CODES = {0, 2, 3, 4, 5, 6, 7, 8}
 
 
 @pytest.fixture(autouse=True)
@@ -211,6 +224,16 @@ class TestSearchAndVerify:
         assert code == 2
         assert json.loads(out)["payload"]["status"] == "invalid_certificate"
 
+    @pytest.mark.parametrize("payload", [{"verification": None}, {"certificate": [34]}, ["x"]],
+                             ids=["no-certificate-key", "certificate-not-object", "payload-list"])
+    def test_envelope_without_a_certificate_object(self, capsys, tmp_path, payload):
+        # a valid stamp of kind certificate around a payload with no certificate
+        path = tmp_path / "c.json"
+        path.write_text(canonical_json(stamp("certificate", payload)))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == "" and "no certificate object" in err
+
     def test_cached_search_is_byte_identical(self, capsys, tmp_path):
         argv = ["search", "--d", "34", "--mod", "1", "--json",
                 "--out", str(tmp_path / "c.json")]
@@ -331,3 +354,58 @@ class TestSelftest:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") == 6
+
+
+# ---------------------------------------------------------------------------
+# verify on freshly stamped certificates whose fields hold arbitrary JSON
+
+
+def _json_values(bound: int):
+    """JSON values whose numbers stay within bound (no digits in strings)."""
+    leaves = (
+        st.none() | st.booleans() | st.integers(-bound, bound)
+        | st.floats(-bound, bound, allow_nan=False) | st.text("xyz", max_size=3)
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text("abcdp", max_size=3), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+# per-field integer bounds that keep every draw cheap to verify
+_FIELD_BOUNDS = {"d": 2000, "p": 10**6 - 1, "n": 64}
+
+
+@pytest.fixture(scope="module")
+def certificate_fields():
+    field = quadratic_field(34)
+    res = find_principalizing_prime(
+        field, Modulus(field, ()), (1,), SearchParams(2, 1, None, 10**6)
+    )
+    return res.certificate.as_dict()
+
+
+@st.composite
+def _mangled(draw, fields):
+    data = dict(fields)
+    keys = draw(st.lists(st.sampled_from(sorted(fields)), min_size=1, max_size=4, unique=True))
+    for key in keys:
+        data[key] = draw(_json_values(_FIELD_BOUNDS.get(key, 64)))
+    return data
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_verify_of_arbitrary_fields_exits_with_a_documented_code(
+    certificate_fields, tmp_path, data
+):
+    """Each field of a valid certificate replaced by an arbitrary JSON
+    value, the result stamped afresh: `verify` returns a code from the
+    README's table and raises nothing."""
+    cert = data.draw(_mangled(certificate_fields))
+    path = tmp_path / "c.json"
+    path.write_text(canonical_json(stamp("certificate", {"certificate": cert})))
+    assert main(["verify", str(path), "--json"]) in README_EXIT_CODES

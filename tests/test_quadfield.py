@@ -768,6 +768,32 @@ def test_one_prime_of_a_split_pair_in_the_modulus(d, p):
     assert any(a % p == 0 for a, _ in ray.vectors) == (d != -5)
 
 
+@pytest.mark.parametrize("d", [-14, -5, 79])
+def test_coprime_to_agrees_with_containment(d):
+    """`Modulus.coprime_to` against containment in each prime of m, on every
+    g*[a, b + w] with a < 400 and g in {1, 2, p_split, p_inert, p_ram} whose
+    norm shares a prime with N(m). m holds one prime of a split pair, an
+    inert prime and an odd ramified prime."""
+    K = quadratic_field(d)
+    first = lambda chi: next(p for p in primes_up_to(100)[1:] if kronecker(K.D, p) == chi)
+    ps = (first(1), first(-1), first(0))
+    m = Modulus(K, tuple(factor_prime(K, p)[1][0][0] for p in ps))
+    seen = set()
+    for a in range(1, 400):
+        for b in range(a):
+            if (b * (b + K.t) - K.u) % a:
+                continue
+            for g in (1, 2) + ps:
+                I = QIdeal(K, g, a, b)
+                if math.gcd(I.norm(), m.norm()) == 1:
+                    continue
+                x, y = I.gen_pair()
+                want = not any(q.contains(x) and q.contains(y) for q in m.primes)
+                assert m.coprime_to(I) == want, (g, a, b)
+                seen.add((want, g > 1))
+    assert seen == {(True, False), (True, True), (False, False), (False, True)}
+
+
 def test_wrong_generator_raises_under_any_optimisation(monkeypatch):
     """The generator checks are raised, not asserted, so `python -O` keeps
     them: a generator of the wrong ideal, or none where the class says the
