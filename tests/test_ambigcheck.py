@@ -299,13 +299,19 @@ class TestAmbiguousCounts:
         assert ambiguous_count_formula(field, None, 1) == 2
         assert ambiguous_count_direct(field, None, 1) == 2
 
-    def test_degenerate_steps_rejected(self):
-        # L = K and the empty step over Q are not degree-2 steps
+    def test_degenerate_rational(self):
+        # the empty step over Q is not a degree-2 step
+        for count in (ambiguous_count_formula, ambiguous_count_direct):
+            with pytest.raises(InputError, match="unsupported extension shape"):
+                count(None, None, 7)
+
+    def test_degenerate_quadratic(self):
+        # L = K is not a degree-2 step
         K = quadratic_field(-5)
-        for L, base, m in ((None, None, 7), (K, K, modulus_from_rational(K, 3))):
-            for count in (ambiguous_count_formula, ambiguous_count_direct):
-                with pytest.raises(InputError, match="unsupported extension shape"):
-                    count(L, base, m)
+        m = modulus_from_rational(K, 3)
+        for count in (ambiguous_count_formula, ambiguous_count_direct):
+            with pytest.raises(InputError, match="unsupported extension shape"):
+                count(K, K, m)
 
     def test_ambiguous_ideals_versus_ambiguous_classes(self):
         # h(Q(sqrt 34)) = 2, yet both ramified primes are principal
