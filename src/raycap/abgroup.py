@@ -10,10 +10,9 @@ itself, so `snf` builds it only when asked; only `solve_left` reads it.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Matrix = list[list[int]]
 
@@ -233,12 +232,6 @@ class FiniteAbelianGroup:
     def reduce(self, y: Sequence[int]) -> tuple[int, ...]:
         return tuple(c % d for c, d in zip(y, self.invariants, strict=True))
 
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * self.rank
-
-    def add(self, y1: Sequence[int], y2: Sequence[int]) -> tuple[int, ...]:
-        return self.reduce([a + b for a, b in zip(y1, y2, strict=True)])
-
     def scale(self, k: int, y: Sequence[int]) -> tuple[int, ...]:
         return self.reduce([k * c for c in y])
 
@@ -253,9 +246,6 @@ class FiniteAbelianGroup:
         for c, d in zip(self.reduce(y), self.invariants):
             out = math.lcm(out, d // math.gcd(c, d))
         return out
-
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*(range(d) for d in self.invariants))
 
     def contains_power(self, k: int, y: Sequence[int]) -> bool:
         """Whether y lies in the subgroup of k-th powers."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from .errors import InputError, require
-from .exactmath import is_prime, primes_1_mod, primes_in_progression
+from .exactmath import crt, is_prime, primes_1_mod, primes_in_progression
 from .kummerfrob import ConditionChecker, SearchParams
 from .quadfield import FIELD_CACHE_SIZE, Modulus, QuadField, _primitive_root, quadratic_field
 
@@ -52,8 +52,6 @@ def gaussian_period_min_poly(p: int, m: int) -> tuple[int, ...]:
         prod *= Q
         if prod > 2 * bound:
             break
-    from .exactmath import crt
-
     coeffs = []
     for k in range(m + 1):
         c, M = crt([r[k] for r in residues], moduli)

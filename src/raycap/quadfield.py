@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .abgroup import FiniteAbelianGroup, group_from_relations, hnf_rows, xgcd
-from .errors import InputError, InvariantError, require
+from .errors import BudgetError, InputError, InvariantError, require
 from .exactmath import (
     crt,
     factor,
@@ -290,7 +290,7 @@ def factor_prime(field: QuadField, p: int) -> tuple[str, list[tuple[QIdeal, int,
 
 class _Mult:
     """A running multiplier num/den with num in O_K, den a positive integer:
-    the exact element, for generators and units. The ray class lookup
+    the exact element, for generators and units. The ray class layer
     carries `_LocalMult` in its place."""
 
     __slots__ = ("num", "den")
@@ -333,7 +333,7 @@ def _rho_cycle(field: QuadField, a: int, b: int):
             return
         steps += 1
         if steps > _CYCLE_BOUND:
-            raise ArithmeticError("rho cycle failed to close")
+            raise BudgetError("rho cycle failed to close")
         c = abs((D - B * B) // (4 * a))
         if c == 0:  # the hot loop of every walk: no call when the check passes
             raise InvariantError("invariant failed: a rho step met a norm-zero form")
@@ -932,8 +932,8 @@ class _LocalPrime:
 class _LocalMult:
     """A multiplier mu = num/den known only through its local data at the
     primes of m (`_LocalPrime`), which is all a ray class needs of it: the
-    lookup of `RayClassData.dlog` carries it through the rho walk instead
-    of the element."""
+    ray class layer carries it through the rho walks instead of the
+    element."""
 
     __slots__ = ("primes", "state")
 
@@ -952,6 +952,13 @@ class _LocalMult:
         return _LocalMult(self.primes, tuple(
             [P.fold(s, factors) for P, s in zip(self.primes, self.state)]
         ))
+
+    def dlogs(self, residue: ResidueSystem, g: int) -> tuple[int, ...]:
+        """The discrete logs of g / mu at the residue factors of m, g prime to m."""
+        return tuple(
+            F.dlog_residue(P.quotient(g, st))
+            for F, P, st in zip(residue.factors, self.primes, self.state, strict=True)
+        )
 
 
 def adjust_by_units(y, residue: ResidueSystem, units: Sequence):
@@ -976,6 +983,26 @@ def adjust_by_units(y, residue: ResidueSystem, units: Sequence):
 # ray class groups
 
 
+def _cofactor_residue(I: QIdeal, gens: Sequence[QIdeal], v: Sequence[int],
+                      residue: ResidueSystem, one: _LocalMult | None):
+    """The residue part of I against the primes P_i of `gens`: with
+    C = prod conj(P_i)^(v_i) and I*C = (y) principal, dlog(y) - dlog_int(N C),
+    unreduced, since P_i * conj(P_i) = (N P_i); None when I*C is not
+    principal. y is never built: the walk of I*C = g*J to [1, w] = mu*J
+    carries the local data of mu from `one` (None for m = 1, whose part is
+    empty), and y = g/mu."""
+    C = QIdeal.unit_ideal(I.field)
+    for P, e in zip(gens, v):
+        if e:
+            C = C * P.conj() ** e
+    J = I * C
+    for a, _, _, mu in _cycle(J.field, J.a, J.b, one):
+        if a == 1:
+            logs = () if mu is None else mu.dlogs(residue, J.g)  # those of y = g/mu
+            return tuple(map(operator.sub, logs, residue.dlog_int(C.norm())))
+    return None
+
+
 @dataclass(frozen=True)
 class RayClassData:
     field: QuadField
@@ -986,6 +1013,7 @@ class RayClassData:
     residue: ResidueSystem
     ray_table: dict  # class_key -> exponent vector over ideal_gens
     unit_image_order: int
+    one: _LocalMult | None = dc_field(compare=False, repr=False)  # None for m = 1
     # The lookup memo, filled by dlog and dropped with the group: reduced
     # primitive pair (a, b), coprime to m -> coordinates in `group` of
     # [a, b + w]. A miss fills the whole rho-cycle of the reduced ideal.
@@ -994,12 +1022,6 @@ class RayClassData:
     @property
     def n_ideal(self) -> int:
         return len(self.ideal_gens)
-
-    @cached_property
-    def _one(self) -> _LocalMult | None:
-        """The multiplier 1 that each lookup walk starts from, or None when
-        there are no residue factors, so that no multiplier is built."""
-        return _LocalMult.one(self.field, self.modulus) if self.residue.factors else None
 
     def dlog(self, I: QIdeal) -> tuple[int, ...]:
         """The coordinates of [I] in `group`, I coprime to m: the shared
@@ -1026,11 +1048,11 @@ class RayClassData:
         is built and [I] = [R]. When R meets m, the walk goes on along R's
         rho-cycle to the first member coprime to m, where mu takes on the
         walk's step factors at once; only a class with no reduced ideal
-        coprime to m builds I and takes a generator of I*C_v (see
+        coprime to m builds I and walks I*C_v to [1, w] (see
         `_generator_vector`). Cohen, GTM 193, section 4.2, computes
         ray class logs through (O/m)^* in the same way."""
         f = self.field
-        a, b, mu = _reduce_primitive(f, a0, b0, self._one)
+        a, b, mu = _reduce_primitive(f, a0, b0, self.one)
         if not self.modulus.coprime_to_primitive(a, b):
             factors = []
             for a, b, B in _rho_cycle(f, a, b) if f.is_real else ():
@@ -1048,23 +1070,12 @@ class RayClassData:
         return vec if mu is None else self._moved(vec, mu, g, 1)
 
     def _generator_vector(self, I: QIdeal, v: tuple[int, ...]) -> tuple[int, ...]:
-        """The ambient vector of [I] from its class vector v through one
-        generator: with C_v = prod conj(P_i)^(v_i), I * C_v = (y) is
-        principal, and the residue part is dlog(y) - sum v_i*dlog(N P_i),
-        since P_i * conj(P_i) = (N P_i)."""
-        C = QIdeal.unit_ideal(self.field)
-        corr = [0] * len(self.residue.factors)
-        for P, e in zip(self.ideal_gens, v):
-            if e:
-                C = C * P.conj() ** e
-                nrm = self.residue.dlog_int(P.norm())
-                corr = [c + e * s for c, s in zip(corr, nrm)]
-        y = is_principal_with_generator(I * C if any(v) else I)
-        require(y is not None, "the class vector's cofactor leaves a non-principal ideal")
-        res = self.residue
-        return v + tuple(
-            (r - c) % o for r, c, o in zip(res.dlog(y), corr, res.orders)
-        )
+        """The ambient vector of [I] from its class vector v: v, then the
+        residue part of I against C_v = prod conj(P_i)^(v_i)
+        (`_cofactor_residue`) mod the factor orders."""
+        res = _cofactor_residue(I, self.ideal_gens, v, self.residue, self.one)
+        require(res is not None, "the class vector's cofactor leaves a non-principal ideal")
+        return v + tuple(r % o for r, o in zip(res, self.residue.orders))
 
     @cached_property
     def _residue_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -1073,10 +1084,7 @@ class RayClassData:
 
     def _moved(self, vec: tuple[int, ...], mu: _LocalMult, g: int, sign: int):
         """vec + sign * [(g / mu)], with one discrete log per residue factor."""
-        exps = [
-            F.dlog_residue(P.quotient(g, st)) * sign
-            for F, P, st in zip(self.residue.factors, mu.primes, mu.state)
-        ]
+        exps = [e * sign for e in mu.dlogs(self.residue, g)]
         return tuple(
             (c + sum(e * row[j] for e, row in zip(exps, self._residue_rows))) % n
             for j, (c, n) in enumerate(zip(vec, self.group.invariants))
@@ -1085,10 +1093,10 @@ class RayClassData:
     def _fill(self, a: int, b: int) -> tuple[int, ...]:
         """Memoize the coordinates of each ideal coprime to m in the cycle
         of the reduced R0 = [a, b + w], itself coprime to m, and return
-        R0's. R0's come through one generator; each member R_k = mu_k*R0
+        R0's. R0's come through one cofactor walk; each member R_k = mu_k*R0
         then gets [R0] + [(mu_k)]."""
         f = self.field
-        key, members = _class_cycle(f, a, b, self._one)
+        key, members = _class_cycle(f, a, b, self.one)
         vec = self.group.dlog_ambient(
             self._generator_vector(QIdeal(f, 1, a, b), self.ray_table[key])
         )
@@ -1133,20 +1141,16 @@ def ray_class_group(field: QuadField, modulus: Modulus) -> RayClassData:
     residue = residue_system(field, modulus)
     r, s = len(ideal_gens), len(residue.factors)
     labels = tuple(f"P{i}" for i in range(r)) + tuple(f"U{i}" for i in range(s))
+    one = _LocalMult.one(field, modulus) if s else None  # every walk of the group starts here
     rows: list[list[int]] = []
     for rel in cl_relations:
-        pos = [max(e, 0) for e in rel]
-        neg = [max(-e, 0) for e in rel]
+        # rel = pos - neg, and Jp * C = (alpha) for Jp = prod P_i^pos_i and
+        # C = prod conj(P_i)^neg_i: rel less Jp's residue part is a relation
         Jp = QIdeal.unit_ideal(field)
-        Jm = QIdeal.unit_ideal(field)
-        for P, ep, em in zip(ideal_gens, pos, neg):
-            Jp = Jp * (P**ep)
-            Jm = Jm * (P**em)
-        alpha = is_principal_with_generator(Jp * Jm.conj())
-        require(alpha is not None, "a harvested relation is not principal")
-        res = list(residue.dlog(alpha))
-        nm = residue.dlog_int(Jm.norm())
-        res = [a - b for a, b in zip(res, nm)]
+        for P, e in zip(ideal_gens, rel):
+            Jp = Jp * (P ** max(e, 0))
+        res = _cofactor_residue(Jp, ideal_gens, [max(-e, 0) for e in rel], residue, one)
+        require(res is not None, "a harvested relation is not principal")
         rows.append(list(rel) + [-c for c in res])
     for u in unit_gens(field):
         rows.append([0] * r + list(residue.dlog(u)))
@@ -1160,7 +1164,7 @@ def ray_class_group(field: QuadField, modulus: Modulus) -> RayClassData:
         [residue.vector(u) for u in unit_gens(field)]
     )
     data = RayClassData(
-        field, modulus, group, cl, ideal_gens, residue, table, unit_image
+        field, modulus, group, cl, ideal_gens, residue, table, unit_image, one
     )
     expected = cl.h * residue.order() // unit_image
     require(group.order() == expected, "the exact-sequence order identity fails")

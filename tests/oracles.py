@@ -2,6 +2,7 @@
 determinant, matrix products, multiplicative orders, divisor lists,
 splitting degrees of polynomials mod q, analytic class numbers of
 imaginary fields, synthetic abelian groups given by their invariants, the
+identity, sums and element list of a group in invariant-factor form, the
 cyclic complement of an element of an ell-group, ideals of K as the HNF of
 their generators' lattice, exact ideal division, ray-principal generators,
 real reduction by a rho walk that moves its multiplier at every step,
@@ -15,9 +16,10 @@ lattice; the rest share no code with it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from itertools import zip_longest
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from raycap.abgroup import FiniteAbelianGroup, hnf_rows, solve_left
 from raycap.ambigcheck import _unit_lattice
@@ -70,6 +72,18 @@ def det_bareiss(m: Sequence[Sequence[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[-1][-1]
+
+
+def group_identity(G: FiniteAbelianGroup) -> tuple[int, ...]:
+    return (0,) * G.rank
+
+
+def group_add(G: FiniteAbelianGroup, y1: Sequence[int], y2: Sequence[int]) -> tuple[int, ...]:
+    return G.reduce([a + b for a, b in zip(y1, y2, strict=True)])
+
+
+def group_elements(G: FiniteAbelianGroup) -> Iterator[tuple[int, ...]]:
+    return itertools.product(*(range(d) for d in G.invariants))
 
 
 def group_from_invariants(ds: Sequence[int]) -> FiniteAbelianGroup:

@@ -134,15 +134,15 @@ class TestPeriodPolynomials:
     def test_wrong_coefficients_raise_under_any_optimisation(self, monkeypatch):
         """The monic and trace checks are raised, not asserted, so `python -O`
         keeps them: a CRT that lands one off stops with exit 8."""
-        from raycap import exactmath
+        from raycap import capsearch
 
-        real = exactmath.crt
+        real = capsearch.crt
 
         def off_by_one(residues, moduli):
             x, M = real(residues, moduli)
             return (x + 1) % M, M
 
-        monkeypatch.setattr(exactmath, "crt", off_by_one)
+        monkeypatch.setattr(capsearch, "crt", off_by_one)
         with pytest.raises(InvariantError, match="monic") as err:
             gaussian_period_min_poly(13, 4)
         assert err.value.exit_code == 8

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from raycap import capsearch, cli
+from raycap import capsearch, cli, quadfield
 from raycap.capsearch import find_principalizing_prime
 from raycap.cli import main
 from raycap.kummerfrob import SearchParams
@@ -69,6 +69,18 @@ class TestRayclass:
         code, _, err = run(capsys, "rayclass", "--d", "12", "--mod", "1")
         assert code == 2
         assert "squarefree" in err
+
+    def test_cycle_budget_exits_six_with_one_line(self, capsys, monkeypatch):
+        # Q(sqrt 94) has a rho-cycle of 16 reduced ideals: with the walk
+        # bound at 3 steps, its class group cannot be built
+        for cached in (quadfield.class_group, quadfield.ray_class_group,
+                       quadfield.fundamental_unit):
+            cached.cache_clear()
+        monkeypatch.setattr(quadfield, "_CYCLE_BOUND", 3)
+        code, out, err = run(capsys, "rayclass", "--d", "94", "--json")
+        assert code == 6
+        assert out == ""
+        assert err == "budget exceeded: rho cycle failed to close\n"
 
     def test_bad_modulus_entry(self, capsys):
         code, _, _ = run(capsys, "rayclass", "--d", "3", "--mod", "15")

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     analytic_class_number,
     divide_exact,
+    group_add,
     hnf_ideal,
     is_ray_principal,
     principal_ideal,
@@ -21,7 +22,7 @@ from oracles import (
     smallest_prime_factors,
 )
 from raycap import quadfield
-from raycap.errors import InputError, InvariantError
+from raycap.errors import BudgetError, InputError, InvariantError
 from raycap.exactmath import kronecker, primes_up_to, sqrt_mod, squarefree_part
 from raycap.kummerfrob import prime_above_from_root
 from raycap.quadfield import (
@@ -31,6 +32,7 @@ from raycap.quadfield import (
     QuadField,
     _LocalMult,
     _Mult,
+    _ray_ideal_gens,
     _reduce_primitive,
     _candidate_primes,
     _coset_closure,
@@ -343,7 +345,7 @@ class TestClassGroups:
         gens = list(itertools.islice(_candidate_primes(K), 8))
         for i, P in enumerate(gens):
             for Q in gens[i:]:
-                assert cl.dlog(P * Q) == cl.group.add(cl.dlog(P), cl.dlog(Q))
+                assert cl.dlog(P * Q) == group_add(cl.group, cl.dlog(P), cl.dlog(Q))
 
     def test_dlog_is_homomorphism(self):
         K = quadratic_field(-21)
@@ -352,7 +354,7 @@ class TestClassGroups:
         for P in ps:
             for Q in ps:
                 lhs = cl.dlog(P * Q)
-                rhs = cl.group.add(cl.dlog(P), cl.dlog(Q))
+                rhs = group_add(cl.group, cl.dlog(P), cl.dlog(Q))
                 assert lhs == rhs
 
 
@@ -559,7 +561,7 @@ class TestRayClassGroups:
             ideals.append(factor_prime(K, p)[1][0][0])
         for I in ideals:
             for J in ideals:
-                assert ray.dlog(I * J) == ray.group.add(ray.dlog(I), ray.dlog(J))
+                assert ray.dlog(I * J) == group_add(ray.group, ray.dlog(I), ray.dlog(J))
 
     def test_principal_class_matches_residue_route(self):
         K = quadratic_field(34)
@@ -592,8 +594,9 @@ class TestRayClassGroups:
 
 
 def reference_ambient_vector(ray, I):
-    """RayClassData.ambient_vector without its memos: a class_key table
-    lookup, then the cofactor built from explicit conj(P)**e products."""
+    """The ambient vector behind RayClassData.dlog, without its memos: a
+    class_key table lookup, then the cofactor built from explicit
+    conj(P)**e products and a generator element of the product."""
     v = list(ray.ray_table[class_key(I)])
     acc = I
     for P, e in zip(ray.ideal_gens, v):
@@ -648,16 +651,16 @@ def test_memoized_ambient_vector_matches_reference(d, m):
         assert len(cold.vectors) > len({class_key(I) for I in ideals})
 
 
-def count_generator_walks(monkeypatch):
-    """Count is_principal_with_generator calls from quadfield from now on."""
+def count_cofactor_walks(monkeypatch):
+    """Count the cofactor walks (`_cofactor_residue`) from now on."""
     calls = []
-    generator = quadfield.is_principal_with_generator
+    walk = quadfield._cofactor_residue
 
-    def counted(I):
+    def counted(I, *args):
         calls.append(I)
-        return generator(I)
+        return walk(I, *args)
 
-    monkeypatch.setattr(quadfield, "is_principal_with_generator", counted)
+    monkeypatch.setattr(quadfield, "_cofactor_residue", counted)
     return calls
 
 
@@ -667,7 +670,7 @@ def count_generator_walks(monkeypatch):
 )
 def test_warm_queries_walk_no_generator(monkeypatch, d, m):
     """Once the memo holds a query's reduced ideal, its ray class costs no
-    generator: the walks are one self-check per memo miss, and one per
+    cofactor walk to [1, w]: the walks are one per memo miss, and one per
     query in a blocked class, one with no reduced ideal coprime to m, which
     the memo cannot hold. In Q(sqrt -14) mod 3 the class of a prime above 3
     has one reduced ideal, of norm 3; in Q(sqrt 34) mod 15 one class has
@@ -675,7 +678,7 @@ def test_warm_queries_walk_no_generator(monkeypatch, d, m):
     meets m but whose rho-cycle has a member coprime to m is not blocked:
     in Q(sqrt 79) mod 5 (reduced norm 15 in the cycle 1, 15, 2, 15),
     Q(sqrt 543) mod 11, Q(sqrt 595) mod 33 and Q(sqrt 70) mod 3 no warm
-    query walks a generator."""
+    query walks a cofactor."""
     K = quadratic_field(d)
     ideals = query_ideals(K, m, 12)
     ideals += [I.scale(g) for I in ideals[:4] for g in (2, 9) if math.gcd(g, m) == 1]
@@ -685,7 +688,7 @@ def test_warm_queries_walk_no_generator(monkeypatch, d, m):
         I for I in ideals
         if all(math.gcd(a, m) > 1 for a, *_ in quadfield._class_cycle(K, I.a, I.b)[1])
     ]
-    calls = count_generator_walks(monkeypatch)
+    calls = count_cofactor_walks(monkeypatch)
     assert [ray.dlog(I) for I in ideals] == want
     assert len(blocked) < len(calls) <= len(blocked) + ray.cl.h
     calls.clear()
@@ -702,44 +705,35 @@ def test_warm_queries_walk_no_generator(monkeypatch, d, m):
 @pytest.mark.parametrize("d", [34, 79, 142, -5, -23])
 def test_trivial_modulus_builds_no_multiplier(monkeypatch, d):
     """With m = 1 the residue part is empty: no query reduces or walks
-    with a multiplier. The one generator self-check per memo miss is the
-    only place a multiplier is built."""
+    with a multiplier, not even the cofactor walk of a memo miss."""
     K = quadratic_field(d)
     ideals = query_ideals(K, 1, 12)
     ray = ray_class_group.__wrapped__(K, Modulus.trivial(K))
     want = [ray.group.dlog_ambient(reference_ambient_vector(ray, I)) for I in ideals]
-    mult, generator = quadfield._Mult, quadfield.is_principal_with_generator
-    walks = []
+    assert ray.one is None
 
     def forbidden(*args):
         raise AssertionError("a query built a multiplier")
 
-    def generator_with_mult(I):
-        walks.append(I)
-        quadfield._Mult = mult
-        try:
-            return generator(I)
-        finally:
-            quadfield._Mult = forbidden
-
     monkeypatch.setattr(quadfield, "_Mult", forbidden)
-    monkeypatch.setattr(quadfield, "is_principal_with_generator", generator_with_mult)
+    monkeypatch.setattr(quadfield, "_LocalMult", forbidden)
+    walks = count_cofactor_walks(monkeypatch)
     for _ in range(2):
         assert [ray.dlog(I) for I in ideals] == want
-    assert len(walks) <= ray.cl.h
+    assert 0 < len(walks) <= ray.cl.h
 
 
 def test_modulus_prime_in_the_reduced_ideal_takes_a_generator(monkeypatch):
     """In Q(sqrt -14) mod 3 the reduced ideal of the class of a prime above
     3 has norm 3, so the memo cannot hold it: ideals of that class coprime
-    to 3 get their ray class through a generator on every query."""
+    to 3 get their ray class through a cofactor walk on every query."""
     K = quadratic_field(-14)
     ray = ray_class_group.__wrapped__(K, modulus_from_rational(K, 3))
     above_3 = {class_key(P) for P, _, _ in factor_prime(K, 3)[1]}
     ideals = [I for I in query_ideals(K, 3, 12) if class_key(I) in above_3]
     assert ideals
     want = [ray.group.dlog_ambient(reference_ambient_vector(ray, I)) for I in ideals]
-    calls = count_generator_walks(monkeypatch)
+    calls = count_cofactor_walks(monkeypatch)
     for _ in range(2):
         assert [ray.dlog(I) for I in ideals] == want
     assert len(calls) == 2 * len(ideals)
@@ -796,8 +790,9 @@ def test_coprime_to_agrees_with_containment(d):
 
 def test_wrong_generator_raises_under_any_optimisation(monkeypatch):
     """The generator checks are raised, not asserted, so `python -O` keeps
-    them: a generator of the wrong ideal, or none where the class says the
-    ideal is principal, stops with InvariantError (exit 8)."""
+    them: a generator of the wrong ideal, or a cofactor walk that never
+    meets [1, w] where the class says the ideal is principal, stops with
+    InvariantError (exit 8)."""
     K = quadratic_field(34)
     P = factor_prime(K, 3)[1][0][0]
     real = QElt.exact_div
@@ -812,7 +807,10 @@ def test_wrong_generator_raises_under_any_optimisation(monkeypatch):
             is_principal_with_generator(P * P)
     assert err.value.exit_code == 8
     ray = ray_class_group.__wrapped__(K, modulus_from_rational(K, 7))
-    monkeypatch.setattr(quadfield, "is_principal_with_generator", lambda I: None)
+    cycle = quadfield._cycle
+    monkeypatch.setattr(quadfield, "_cycle", lambda *args: (
+        member for member in cycle(*args) if member[0] != 1
+    ))  # both fields are real, so every class keeps members to key it by
     with pytest.raises(InvariantError, match="non-principal"):
         ray.dlog(P)
     with pytest.raises(InvariantError, match="harvested relation"):
@@ -849,6 +847,64 @@ def test_ray_dlog_matches_reference(case, picks, g):
     assert ray.dlog(I) == ray.group.dlog_ambient(reference_ambient_vector(ray, I))
 
 
+def element_residue_part(I, gens, v, residue):
+    """The residue part of I against C = prod conj(P_i)^(v_i) on the
+    element path, a generator y of I*C, then dlog(y) - dlog_int(N C); and
+    the content g of I*C."""
+    C = QIdeal.unit_ideal(I.field)
+    for P, e in zip(gens, v):
+        C = C * P.conj() ** e
+    y = is_principal_with_generator(I * C)
+    part = tuple(r - c for r, c in zip(residue.dlog(y), residue.dlog_int(C.norm())))
+    return part, (I * C).g
+
+
+@pytest.mark.parametrize("d,m", RAY_DLOG_CASES)
+def test_cofactor_walk_matches_element_path(monkeypatch, d, m):
+    """Every relation row of `ray_class_group`, and the residue part of
+    every memo miss and blocked query, equal the element path's: the
+    local walk to [1, w] reads the same dlog(g/mu) that a generator g/mu
+    of I*C gives, unreduced, with no sign or factor g lost. Scaled queries
+    and ramified generators give cofactors with g > 1."""
+    K = quadratic_field(d)
+    modulus = modulus_from_rational(K, m)
+    built, walks = [], []
+    make_group, walk = quadfield.group_from_relations, quadfield._cofactor_residue
+
+    def recorded_group(rows, labels):
+        built.append((rows, labels))
+        return make_group(rows, labels)
+
+    def recorded_walk(*args):
+        walks.append((args, walk(*args)))
+        return walks[-1][1]
+
+    monkeypatch.setattr(quadfield, "group_from_relations", recorded_group)
+    monkeypatch.setattr(quadfield, "_cofactor_residue", recorded_walk)
+    ray = ray_class_group.__wrapped__(K, modulus)
+    rows = next(rows for rows, labels in built if labels == ray.group.labels)
+    relations = _ray_ideal_gens(K, modulus, ray.cl)[2]
+    assert relations and len(walks) == len(relations)
+    for rel, row in zip(relations, rows):
+        Jp = Jm = QIdeal.unit_ideal(K)
+        for P, e in zip(ray.ideal_gens, rel):
+            Jp, Jm = Jp * P ** max(e, 0), Jm * P ** max(-e, 0)
+        alpha = is_principal_with_generator(Jp * Jm.conj())
+        res = [r - c for r, c in zip(ray.residue.dlog(alpha), ray.residue.dlog_int(Jm.norm()))]
+        assert row == list(rel) + [-c for c in res]
+    ideals = query_ideals(K, m, 12)
+    ideals += [I.scale(g) for I in ideals[:4] for g in (2, 9) if math.gcd(g, m) == 1]
+    for I in ideals:
+        ray.dlog(I)
+    assert len(walks) > len(relations)
+    contents = set()
+    for (I, gens, v, residue, _), got in walks:
+        want, g = element_residue_part(I, gens, v, residue)
+        assert got == want
+        contents.add(g > 1)
+    assert contents == {False, True}
+
+
 @pytest.mark.parametrize("walk", [
     lambda K: class_key(QIdeal.unit_ideal(K)),
     lambda K: is_principal_with_generator(factor_prime(K, 3)[1][0][0]),
@@ -857,11 +913,11 @@ def test_ray_dlog_matches_reference(case, picks, g):
 def test_cycle_walks_are_bounded(monkeypatch, walk):
     """Q(sqrt 94) has h = 1 and a rho-cycle of 16 reduced ideals, and the
     walk from a prime above 3 meets [1, w] six steps in; a walk that runs
-    past the bound stops with an error."""
+    past the bound stops with BudgetError (exit 6)."""
     K = quadratic_field(94)
     walk(K)
     monkeypatch.setattr(quadfield, "_CYCLE_BOUND", 3)
-    with pytest.raises(ArithmeticError, match="rho cycle failed to close"):
+    with pytest.raises(BudgetError, match="rho cycle failed to close"):
         walk(K)
 
 
