@@ -1,9 +1,8 @@
 """Integer matrix normal forms and finitely generated abelian groups.
 
 Groups are presented by relation matrices over Z. The Smith normal form
-carries all the structure we need: invariant factors, discrete logs of
-ambient elements, and generator representatives for each cyclic factor.
-Everything is exact: the column transform V and its inverse are updated
+carries all the structure we need: invariant factors and discrete logs of
+ambient elements. Everything is exact: the column transform V is updated
 with each column operation, so no rational arithmetic ever appears. The
 row transform U is rows x rows, far larger than a tall relation matrix
 itself, so `snf` builds it only when asked; only `solve_left` reads it.
@@ -36,7 +35,6 @@ class SNF:
     diag: tuple[int, ...]
     U: tuple[tuple[int, ...], ...] | None
     V: tuple[tuple[int, ...], ...]
-    Vinv: tuple[tuple[int, ...], ...]
     nrows: int
     ncols: int
 
@@ -46,9 +44,9 @@ def snf(m: Sequence[Sequence[int]], with_u: bool = False) -> SNF:
     nonzero magnitude in the remaining block, which keeps entries tame at
     the sizes this library meets.
 
-    V and Vinv are always built. The row transform U is built only when
-    `with_u` is set; the pivot and column sequence never reads it, so diag,
-    V and Vinv are the same either way."""
+    V is always built. The row transform U is built only when `with_u` is
+    set; the pivot and column sequence never reads it, so diag and V are
+    the same either way."""
     nr = len(m)
     nc = len(m[0]) if nr else 0
     a = [list(row) for row in m]
@@ -56,7 +54,6 @@ def snf(m: Sequence[Sequence[int]], with_u: bool = False) -> SNF:
         raise ValueError("ragged matrix")
     u = _identity(nr) if with_u else None
     v = _identity(nc)
-    vinv = _identity(nc)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -68,7 +65,6 @@ def snf(m: Sequence[Sequence[int]], with_u: bool = False) -> SNF:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(src, dst, k):
         # row dst += k * row src
@@ -77,12 +73,11 @@ def snf(m: Sequence[Sequence[int]], with_u: bool = False) -> SNF:
             u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, k):
-        # col dst += k * col src; inverse acts on rows of vinv
+        # col dst += k * col src
         for row in a:
             row[dst] += k * row[src]
         for row in v:
             row[dst] += k * row[src]
-        vinv[src] = [x - k * y for x, y in zip(vinv[src], vinv[dst])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -139,7 +134,6 @@ def snf(m: Sequence[Sequence[int]], with_u: bool = False) -> SNF:
         diag,
         None if u is None else tuple(map(tuple, u)),
         tuple(map(tuple, v)),
-        tuple(map(tuple, vinv)),
         nr,
         nc,
     )
@@ -213,14 +207,12 @@ class FiniteAbelianGroup:
 
     invariants: d_1 | d_2 | ... | d_k, all > 1. Elements are int tuples of
     length k, component i taken mod d_i. `to_canonical` maps an exponent
-    vector on the ambient generators to coordinates; `gen_vectors` expresses
-    each cyclic factor generator back as an ambient exponent vector.
+    vector on the ambient generators to coordinates.
     """
 
     invariants: tuple[int, ...]
     labels: tuple[str, ...]
     to_canonical: tuple[tuple[int, ...], ...]  # len(labels) x k
-    gen_vectors: tuple[tuple[int, ...], ...]  # k x len(labels)
 
     @property
     def rank(self) -> int:
@@ -299,6 +291,5 @@ def group_from_relations(
     kept = [i for i in range(n) if diag[i] != 1]
     invariants = tuple(diag[i] for i in kept)
     to_canon = tuple(tuple(s.V[i][j] % diag[j] for j in kept) for i in range(n))
-    gen_vecs = tuple(tuple(s.Vinv[j]) for j in kept)
-    return FiniteAbelianGroup(invariants, labels, to_canon, gen_vecs)
+    return FiniteAbelianGroup(invariants, labels, to_canon)
 

@@ -205,8 +205,7 @@ def _quotient_order(sub_rows: list[list[int]]) -> int:
     rows over that basis: the product of the pivots of the HNF of H and the
     relation (-1)^2 = 1."""
     h = hnf_rows([[2, 0]] + [list(r) for r in sub_rows])
-    if len(h) != 2:
-        raise ArithmeticError("unit subgroup has infinite index")
+    require(len(h) == 2, "the unit subgroup has infinite index")
     return h[0][0] * h[1][1]
 
 
@@ -343,10 +342,7 @@ def _formula_parts(L, K, m):
 def _assemble(h: int, d_inf, es, idx: int) -> int:
     num = h * math.prod(d_inf) * math.prod(es)
     den = 2 * idx
-    if num % den:
-        raise ArithmeticError(
-            f"ambiguous count {num}/{den} is not integral; factor bug"
-        )
+    require(num % den == 0, f"the ambiguous count {num}/{den} is not integral")
     value = num // den
     require(value > 0, "the ambiguous count is not positive")
     return value

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Iterator, Sequence
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 
 PRIMALITY_LIMIT = 1 << 64
 
@@ -84,7 +84,7 @@ def _pollard_rho(n: int) -> int:
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise ArithmeticError(f"rho failed on {n}")  # unreachable for composite n
+    raise InvariantError(f"invariant failed: rho failed on {n}")  # unreachable for composite n
 
 
 def factor(n: int) -> dict[int, int]:

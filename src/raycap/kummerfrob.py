@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .exactmath import is_prime, sqrt_mod, squarefree_part, valuation
 from .quadfield import (
     Modulus,
@@ -62,7 +62,7 @@ def residue_character(
         cur = pow(cur, ell, p)
         order *= ell
         if order > ell**n * ell:
-            raise ArithmeticError("character order escaped its ell-part")
+            raise InvariantError("invariant failed: the character order escaped its ell-part")
     return c, order
 
 

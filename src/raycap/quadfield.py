@@ -288,31 +288,6 @@ def factor_prime(field: QuadField, p: int) -> tuple[str, list[tuple[QIdeal, int,
 # reduction theory on (a, B) pairs, B = 2b + t
 
 
-class _Mult:
-    """A running multiplier num/den with num in O_K, den a positive integer:
-    the exact element, for generators and units. The ray class layer
-    carries `_LocalMult` in its place."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: QElt, den: int):
-        self.num, self.den = num, den
-        self._reduce()
-
-    def _reduce(self):
-        g = math.gcd(math.gcd(abs(self.num.x), abs(self.num.y)), self.den)
-        if g > 1:
-            self.num = QElt(self.num.field, self.num.x // g, self.num.y // g)
-            self.den //= g
-
-    def fold(self, factors) -> "_Mult":
-        """This multiplier times each (x + y*w) / den of `factors` in turn."""
-        mult = self
-        for x, y, den in factors:
-            mult = _Mult(mult.num * QElt(mult.num.field, x, y), mult.den * den)
-        return mult
-
-
 def _B_centered(a: int, B0: int) -> int:
     """The representative of B0 mod 2a in (-a, a]."""
     return B0 - 2 * a * ((B0 + a - 1) // (2 * a))
@@ -340,18 +315,17 @@ def _rho_cycle(field: QuadField, a: int, b: int):
         a, b = c, ((-B - t) // 2) % c
 
 
-def _reduce_primitive(field: QuadField, a: int, b: int, mult=None):
-    """Reduce [a, b+w]; returns (a*, b*, mult*) with [a*,b*+w] equal to
-    (mult*/mult) * [a,b+w]. Without a multiplier none is built, and None
-    comes back in its place. A real ideal takes rho steps in one loop
-    until B in (s-2a, s] is positive with 2a <= B or (2a - B)^2 < D;
-    the multiplier takes on the recorded step factors once, in step order
-    (`fold`). An imaginary ideal descends to the unique reduced form."""
+def _reduce_primitive(field: QuadField, a: int, b: int):
+    """Reduce [a, b+w]; returns (a*, b*, steps) with [a*, b*+w] equal to
+    mu * [a, b+w], mu the product of the factors (x + y*w) / den of the
+    (x, y, den) in `steps`. A real ideal takes rho steps in one loop until
+    B in (s-2a, s] is positive with 2a <= B or (2a - B)^2 < D. An imaginary
+    ideal descends to the unique reduced form."""
     limit = 64 + 4 * (a.bit_length() + abs(field.D).bit_length())
     D, t = field.D, field.t
+    steps = []
     if field.is_real:
         s = field.isqrt_D
-        factors = []  # (x, y, den): the step's factor (x + y*w) / den
         while True:
             B0 = 2 * b + t
             if a > s:  # then 2a - B > s + 1 > sqrt(D): never reduced
@@ -359,83 +333,85 @@ def _reduce_primitive(field: QuadField, a: int, b: int, mult=None):
             else:
                 B = s - ((s - B0) % (2 * a))
                 if B > 0 and (2 * a <= B or (2 * a - B) ** 2 < D):
-                    return a, b, mult if mult is None or not factors else mult.fold(factors)
-            if len(factors) == limit:
-                raise ArithmeticError("reduction failed to terminate")
+                    return a, b, steps
+            if len(steps) == limit:
+                raise InvariantError("invariant failed: reduction failed to terminate")
             c = abs((D - B * B) // (4 * a))
             if c == 0:
                 raise InvariantError("invariant failed: a rho step met a norm-zero form")
-            factors.append((B + t, -2, 2 * a))  # (B - sqrt(D)) / (2a)
+            steps.append((B + t, -2, 2 * a))  # (B - sqrt(D)) / (2a)
             a, b = c, ((-B - t) // 2) % c
-    steps = 0
     while True:
         B = _B_centered(a, 2 * b + t)
         c = (B * B - D) // (4 * a)
         if a < c or (a == c and B >= 0):
-            return a, b, mult
+            return a, b, steps
         if a == c:  # B < 0: pass to the conjugate lattice, same class
-            if mult is not None:
-                mult = mult.fold((((B + t) // 2, -1, a),))
+            steps.append(((B + t) // 2, -1, a))
             b = (-b - t) % a
             continue
         # a > c: descend to the neighbour form
-        if mult is not None:
-            mult = mult.fold(((B + t, -2, 2 * a),))
+        steps.append((B + t, -2, 2 * a))
         a, b = c, ((-B - t) // 2) % c
-        steps += 1
-        if steps > limit:
-            raise ArithmeticError("reduction failed to terminate")
+        if len(steps) > limit:
+            raise InvariantError("invariant failed: reduction failed to terminate")
 
 
 _CYCLE_BOUND = 10**6  # rho steps before a cycle walk gives up
 
 
-def _cycle(field: QuadField, a: int, b: int, mult=None):
-    """The reduced ideals of the class of [a, b+w] as (a, b, B, mult): B as
-    in `_rho_cycle` (centered in (-a, a] in an imaginary field), mult as in
-    `_reduce_primitive`. The reduction of the input comes first. A real
-    class walks its rho-cycle once, mult taking on each step, and ends on
-    that first ideal again, with the multiplier of the whole period; an
-    imaginary class has one reduced ideal, yielded once."""
-    a, b, mult = _reduce_primitive(field, a, b, mult)
+def _walk_to(field: QuadField, a: int, b: int, steps: list, meets):
+    """The first (a_k, b_k) with meets(a_k, b_k) on the rho-cycle of the
+    reduced [a, b+w], itself first, the factors of the steps to it appended
+    to `steps`; None if none does. An imaginary class has one member."""
     if not field.is_real:
-        yield a, b, _B_centered(a, 2 * b + field.t), mult
-        return
-    step = None
+        return (a, b) if meets(a, b) else None
+    t = field.t
     for ak, bk, B in _rho_cycle(field, a, b):
-        if step is not None:
-            mult = mult.fold((step,))
-        yield ak, bk, B, mult
-        if mult is not None:
-            step = (B + field.t, -2, 2 * ak)
+        if meets(ak, bk):
+            return ak, bk
+        steps.append((B + t, -2, 2 * ak))
+    return None
 
 
-def _class_cycle(
-    field: QuadField, a: int, b: int, mult=None
-) -> tuple[tuple[int, int], list[tuple]]:
-    """(class key, the reduced ideals of the class as (a, b, B, mult)) for
-    [a, b+w], the reduction of the input first; mult as in `_cycle`."""
-    walk = list(_cycle(field, a, b, mult))
-    members = walk[:-1] if field.is_real else walk  # a real walk ends where it began
-    return min((a, B) for a, _, B, _ in members), members
+def _class_cycle(field: QuadField, a: int, b: int) -> tuple[tuple[int, int], list[tuple]]:
+    """(class key, the reduced ideals of the class as (a, b, B)) for the
+    reduced [a, b+w], itself first: B as in `_rho_cycle` in a real field,
+    centered in (-a, a] in an imaginary one, whose class has one reduced
+    ideal."""
+    if field.is_real:
+        members = list(_rho_cycle(field, a, b))[:-1]  # the walk ends where it began
+    else:
+        members = [(a, b, _B_centered(a, 2 * b + field.t))]
+    return min((a, B) for a, _, B in members), members
+
+
+def _steps_product(field: QuadField, steps) -> tuple[QElt, int]:
+    """(num, den), unreduced, with num / den the product of the factors
+    (x + y*w) / den of `steps`: the exact multiplier of a walk."""
+    num, den = QElt(field, 1, 0), 1
+    for x, y, e in steps:
+        num, den = num * QElt(field, x, y), den * e
+    return num, den
 
 
 def class_key(I: QIdeal) -> tuple[int, int]:
     """Canonical key for the (wide) ideal class of I."""
-    return _class_cycle(I.field, I.a, I.b)[0]
+    return _class_cycle(I.field, *_reduce_primitive(I.field, I.a, I.b)[:2])[0]
 
 
 def is_principal_with_generator(I: QIdeal) -> QElt | None:
     """A generator of I when I is principal (wide sense), else None."""
     f = I.field
-    for a, _, _, mult in _cycle(f, I.a, I.b, _Mult(QElt(f, 1, 0), 1)):
-        if a == 1:
-            gen = QElt(f, mult.den, 0).exact_div(mult.num)
-            require(gen is not None, "the unit-ideal multiplier does not invert integrally")
-            gen = gen * I.g
-            require(_generates(I, gen), "the generator found does not generate the ideal")
-            return gen
-    return None
+    a, b, steps = _reduce_primitive(f, I.a, I.b)
+    if _walk_to(f, a, b, steps, lambda a, _: a == 1) is None:  # to [1, w]
+        return None
+    num, den = _steps_product(f, steps)  # [1, w] = (num / den) * [a, b + w]
+    gen = QElt(f, den, 0).exact_div(num)
+    require(gen is not None, "the unit-ideal multiplier does not invert integrally")
+    gen = gen * I.g
+    require(_generates(I, gen), "the generator found does not generate the ideal")
+    return gen
 
 
 def _generates(I: QIdeal, z: QElt) -> bool:
@@ -453,12 +429,12 @@ def fundamental_unit(field: QuadField) -> QElt:
     """Smallest unit > 1 of a real quadratic field."""
     if not field.is_real:
         raise InputError("fundamental unit requires a real field")
-    # O_K = [1, w] is reduced, so the walk starts on it with multiplier 1
-    # and ends on it with the multiplier of one period
-    for *_, mult in _cycle(field, 1, 0, _Mult(QElt(field, 1, 0), 1)):
-        pass
-    require(mult.den == 1, "the period multiplier is not integral")
-    eps = mult.num
+    # O_K = [1, w] is reduced, and the steps once around its rho-cycle
+    # multiply to the multiplier of one period
+    steps = [(B + field.t, -2, 2 * a) for a, _, B in _class_cycle(field, 1, 0)[1]]
+    num, den = _steps_product(field, steps)
+    require(num.x % den == 0 and num.y % den == 0, "the period multiplier is not integral")
+    eps = QElt(field, num.x // den, num.y // den)
     # |eps| < 1 along the contraction; the fundamental unit is a signed inverse
     inv = QElt.exact_div(QElt(field, 1, 0), eps)
     require(inv is not None, "the period multiplier is not a unit")
@@ -736,7 +712,7 @@ class ResidueFactor:
                     for r in fs
                 ):
                     return cand
-        raise ArithmeticError("no generator found in F_p^2")
+        raise InvariantError("invariant failed: no generator found in F_p^2")
 
     def residue(self, z):
         p, c = self.p, z.coords()
@@ -931,9 +907,10 @@ class _LocalPrime:
 
 class _LocalMult:
     """A multiplier mu = num/den known only through its local data at the
-    primes of m (`_LocalPrime`), which is all a ray class needs of it: the
-    ray class layer carries it through the rho walks instead of the
-    element."""
+    primes of m (`_LocalPrime`), which is all a ray class needs of it. The
+    walks hand back their step factors, and the ray class layer folds them
+    in here; only generators and units form the element
+    (`_steps_product`)."""
 
     __slots__ = ("primes", "state")
 
@@ -949,6 +926,8 @@ class _LocalMult:
 
     def fold(self, factors) -> "_LocalMult":
         """This multiplier times each (x + y*w) / den of `factors`."""
+        if not factors:
+            return self
         return _LocalMult(self.primes, tuple(
             [P.fold(s, factors) for P, s in zip(self.primes, self.state)]
         ))
@@ -988,19 +967,19 @@ def _cofactor_residue(I: QIdeal, gens: Sequence[QIdeal], v: Sequence[int],
     """The residue part of I against the primes P_i of `gens`: with
     C = prod conj(P_i)^(v_i) and I*C = (y) principal, dlog(y) - dlog_int(N C),
     unreduced, since P_i * conj(P_i) = (N P_i); None when I*C is not
-    principal. y is never built: the walk of I*C = g*J to [1, w] = mu*J
-    carries the local data of mu from `one` (None for m = 1, whose part is
-    empty), and y = g/mu."""
+    principal. y is never built: the steps of the walk of I*C = g*J to
+    [1, w] = mu*J fold into `one` (None for m = 1, whose part is empty), the
+    local data of mu, and y = g/mu."""
     C = QIdeal.unit_ideal(I.field)
     for P, e in zip(gens, v):
         if e:
             C = C * P.conj() ** e
     J = I * C
-    for a, _, _, mu in _cycle(J.field, J.a, J.b, one):
-        if a == 1:
-            logs = () if mu is None else mu.dlogs(residue, J.g)  # those of y = g/mu
-            return tuple(map(operator.sub, logs, residue.dlog_int(C.norm())))
-    return None
+    a, b, steps = _reduce_primitive(J.field, J.a, J.b)
+    if _walk_to(J.field, a, b, steps, lambda a, _: a == 1) is None:
+        return None
+    logs = () if one is None else one.fold(steps).dlogs(residue, J.g)  # those of y = g/mu
+    return tuple(map(operator.sub, logs, residue.dlog_int(C.norm())))
 
 
 @dataclass(frozen=True)
@@ -1044,30 +1023,27 @@ class RayClassData:
         I = g*J with J primitive reduces to R = mu*J, so
         [I] = [R] + [(g / mu)]. [R] comes from the memo; [(g / mu)] is the
         class of the residue of g/mu, read off the local data of mu at the
-        primes of m (`_LocalMult`). Without residue factors no multiplier
-        is built and [I] = [R]. When R meets m, the walk goes on along R's
-        rho-cycle to the first member coprime to m, where mu takes on the
-        walk's step factors at once; only a class with no reduced ideal
+        primes of m (`_LocalMult`), which takes on the walks' step factors
+        in one fold. Without residue factors no multiplier is built and
+        [I] = [R]. When R meets m, the walk goes on along R's rho-cycle to
+        the first member coprime to m; only a class with no reduced ideal
         coprime to m builds I and walks I*C_v to [1, w] (see
-        `_generator_vector`). Cohen, GTM 193, section 4.2, computes
-        ray class logs through (O/m)^* in the same way."""
+        `_generator_vector`). Cohen, GTM 193, section 4.2, computes ray
+        class logs through (O/m)^* in the same way."""
         f = self.field
-        a, b, mu = _reduce_primitive(f, a0, b0, self.one)
-        if not self.modulus.coprime_to_primitive(a, b):
-            factors = []
-            for a, b, B in _rho_cycle(f, a, b) if f.is_real else ():
-                if self.modulus.coprime_to_primitive(a, b):
-                    break
-                factors.append((B + f.t, -2, 2 * a))
-            else:
+        a, b, steps = _reduce_primitive(f, a0, b0)
+        coprime = self.modulus.coprime_to_primitive
+        if not coprime(a, b):
+            member = _walk_to(f, a, b, steps, coprime)
+            if member is None:
                 I = QIdeal(f, g, a0, b0)
                 vec = self._generator_vector(I, self.ray_table[class_key(I)])
                 return self.group.dlog_ambient(vec)
-            mu = mu if mu is None else mu.fold(factors)
+            a, b = member
         vec = self.vectors.get((a, b))
         if vec is None:
             vec = self._fill(a, b)
-        return vec if mu is None else self._moved(vec, mu, g, 1)
+        return vec if self.one is None else self._moved(vec, self.one.fold(steps), g, 1)
 
     def _generator_vector(self, I: QIdeal, v: tuple[int, ...]) -> tuple[int, ...]:
         """The ambient vector of [I] from its class vector v: v, then the
@@ -1096,13 +1072,16 @@ class RayClassData:
         R0's. R0's come through one cofactor walk; each member R_k = mu_k*R0
         then gets [R0] + [(mu_k)]."""
         f = self.field
-        key, members = _class_cycle(f, a, b, self.one)
+        key, members = _class_cycle(f, a, b)
         vec = self.group.dlog_ambient(
             self._generator_vector(QIdeal(f, 1, a, b), self.ray_table[key])
         )
-        for ak, bk, _, mu in members:  # R0 itself first
+        mu = self.one
+        for ak, bk, B in members:  # R0 itself first, with mu_0 = 1
             if self.modulus.coprime_to_primitive(ak, bk):
                 self.vectors[ak, bk] = vec if mu is None else self._moved(vec, mu, 1, -1)
+            if mu is not None:
+                mu = mu.fold(((B + f.t, -2, 2 * ak),))
         return vec
 
     def class_of_principal(self, z: QElt) -> tuple[int, ...]:
@@ -1130,7 +1109,7 @@ def _ray_ideal_gens(field: QuadField, modulus: Modulus, cl: ClassGroupData):
         table, relations = _bfs_closure(field, gens)
         if len(table) == cl.h:
             return tuple(gens), table, relations
-    raise ArithmeticError("failed to generate the class group away from m")
+    raise BudgetError(f"no primes below {limit} generate the class group away from m")
 
 
 @lru_cache(maxsize=FIELD_CACHE_SIZE)
@@ -1141,7 +1120,7 @@ def ray_class_group(field: QuadField, modulus: Modulus) -> RayClassData:
     residue = residue_system(field, modulus)
     r, s = len(ideal_gens), len(residue.factors)
     labels = tuple(f"P{i}" for i in range(r)) + tuple(f"U{i}" for i in range(s))
-    one = _LocalMult.one(field, modulus) if s else None  # every walk of the group starts here
+    one = _LocalMult.one(field, modulus) if s else None  # every fold of the group starts here
     rows: list[list[int]] = []
     for rel in cl_relations:
         # rel = pos - neg, and Jp * C = (alpha) for Jp = prod P_i^pos_i and

@@ -6,12 +6,13 @@ identity, sums and element list of a group in invariant-factor form, the
 cyclic complement of an element of an ell-group, ideals of K as the HNF of
 their generators' lattice, exact ideal division, ray-principal generators,
 real reduction by a rho walk that moves its multiplier at every step,
+with an exact multiplier num/den kept in lowest terms as a reference,
 ideals of L = Q(sqrt d, sqrt p) as the HNF of all products of basis
 elements, and the unit norm index of a quadratic field over Q by exponent
 lattices. The library never calls them. The ideal oracles stand on the
 library's `QIdeal`, `BqIdeal` and its HNF, division and ray principality
 also on its ideal product and generator search, the rho walk on its
-multiplier classes, and the norm index on its residue systems and unit
+local multiplier class, and the norm index on its residue systems and unit
 lattice; the rest share no code with it.
 """
 from __future__ import annotations
@@ -32,7 +33,6 @@ from raycap.quadfield import (
     QuadField,
     RayClassData,
     _LocalMult,
-    _Mult,
     _ideal_from_rows,
     adjust_by_units,
     class_key,
@@ -97,7 +97,7 @@ def group_from_invariants(ds: Sequence[int]) -> FiniteAbelianGroup:
     k = len(ds)
     eye = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
     labels = tuple(f"g{i}" for i in range(k))
-    return FiniteAbelianGroup(ds, labels, eye, eye)
+    return FiniteAbelianGroup(ds, labels, eye)
 
 
 def cyclic_complement(
@@ -316,6 +316,25 @@ def is_ray_principal(ray: RayClassData, I: QIdeal) -> QElt | None:
 # reduction became one loop that folds the steps' factors in once
 
 
+class Mult:
+    """A running multiplier num/den with num in O_K, den a positive integer,
+    kept in lowest terms: the exact element, moved one factor at a time."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: QElt, den: int):
+        g = math.gcd(math.gcd(abs(num.x), abs(num.y)), den)
+        self.num = QElt(num.field, num.x // g, num.y // g) if g > 1 else num
+        self.den = den // g
+
+    def fold(self, factors) -> "Mult":
+        """This multiplier times each (x + y*w) / den of `factors` in turn."""
+        mult = self
+        for x, y, den in factors:
+            mult = Mult(mult.num * QElt(mult.num.field, x, y), mult.den * den)
+        return mult
+
+
 def _local_times(P, state, x: int, y: int, den: int):
     """One step of a `_LocalMult`'s data at the `_LocalPrime` P: the
     (v, num, den) of the multiplier times (x + y*w) / den."""
@@ -334,13 +353,13 @@ def _local_times(P, state, x: int, y: int, den: int):
 
 
 def _step_times(mult, x: int, y: int, den: int):
-    """mult times (x + y*w) / den, for a `_Mult` as an element of K, for a
+    """mult times (x + y*w) / den, for a `Mult` as an element of K, for a
     `_LocalMult` by `_local_times` at each prime."""
     if isinstance(mult, _LocalMult):
         return _LocalMult(mult.primes, tuple(
             _local_times(P, st, x, y, den) for P, st in zip(mult.primes, mult.state)
         ))
-    return _Mult(mult.num * QElt(mult.num.field, x, y), mult.den * den)
+    return mult.fold(((x, y, den),))
 
 
 def rho_orbit(field: QuadField, a: int, b: int, mult=None):

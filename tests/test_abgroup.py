@@ -60,17 +60,14 @@ class TestSNF:
         s = snf(m, with_u=True)
         assert det_bareiss([list(r) for r in s.U]) in (1, -1)
         assert det_bareiss([list(r) for r in s.V]) in (1, -1)
-        prod = mat_mul([list(r) for r in s.V], [list(r) for r in s.Vinv])
-        n = len(prod)
-        assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
 
     @given(small_matrix)
     def test_row_transform_does_not_steer(self, m):
         # U is built on request only; the pivot and column sequence must not
-        # depend on it, so diag, V and Vinv agree bit for bit
+        # depend on it, so diag and V agree bit for bit
         bare, full = snf(m), snf(m, with_u=True)
         assert bare.U is None and full.U is not None
-        assert (bare.diag, bare.V, bare.Vinv) == (full.diag, full.V, full.Vinv)
+        assert (bare.diag, bare.V) == (full.diag, full.V)
 
     @given(small_matrix)
     def test_divisibility_chain(self, m):
@@ -158,10 +155,6 @@ class TestGroupFromRelations:
         # dlog kills every relation row
         for row in m:
             assert g.dlog_ambient(row) == group_identity(g)
-        # each stored generator really hits its own coordinate
-        for j, vec in enumerate(g.gen_vectors):
-            want = tuple(int(i == j) for i in range(g.rank))
-            assert g.dlog_ambient(vec) == want
 
     @given(
         st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=2), min_size=2, max_size=2),

@@ -82,6 +82,18 @@ class TestRayclass:
         assert out == ""
         assert err == "budget exceeded: rho cycle failed to close\n"
 
+    def test_generator_prime_bound_exits_six_with_one_line(self, capsys, monkeypatch):
+        # Q(sqrt -5) has h = 2; the ray generators are searched among the
+        # primes below 1000*max(|D|, 100) = 10^5, and the only prime offered
+        # lies past that bound
+        for cached in (quadfield.class_group, quadfield.ray_class_group):
+            cached.cache_clear()
+        monkeypatch.setattr(quadfield, "primes_in_progression", lambda *a, **k: iter([100003]))
+        code, out, err = run(capsys, "rayclass", "--d", "-5", "--mod", "3")
+        assert code == 6
+        assert out == ""
+        assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+
     def test_bad_modulus_entry(self, capsys):
         code, _, _ = run(capsys, "rayclass", "--d", "3", "--mod", "15")
         assert code == 2

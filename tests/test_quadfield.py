@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    Mult,
     analytic_class_number,
     divide_exact,
     group_add,
@@ -31,7 +32,6 @@ from raycap.quadfield import (
     QIdeal,
     QuadField,
     _LocalMult,
-    _Mult,
     _ray_ideal_gens,
     _reduce_primitive,
     _candidate_primes,
@@ -686,7 +686,8 @@ def test_warm_queries_walk_no_generator(monkeypatch, d, m):
     want = [ray.group.dlog_ambient(reference_ambient_vector(ray, I)) for I in ideals]
     blocked = [
         I for I in ideals
-        if all(math.gcd(a, m) > 1 for a, *_ in quadfield._class_cycle(K, I.a, I.b)[1])
+        if all(math.gcd(a, m) > 1 for a, *_ in quadfield._class_cycle(
+            K, *quadfield._reduce_primitive(K, I.a, I.b)[:2])[1])
     ]
     calls = count_cofactor_walks(monkeypatch)
     assert [ray.dlog(I) for I in ideals] == want
@@ -704,8 +705,9 @@ def test_warm_queries_walk_no_generator(monkeypatch, d, m):
 
 @pytest.mark.parametrize("d", [34, 79, 142, -5, -23])
 def test_trivial_modulus_builds_no_multiplier(monkeypatch, d):
-    """With m = 1 the residue part is empty: no query reduces or walks
-    with a multiplier, not even the cofactor walk of a memo miss."""
+    """With m = 1 the residue part is empty: no query folds its steps
+    into a multiplier or forms the exact product, not even the cofactor
+    walk of a memo miss."""
     K = quadratic_field(d)
     ideals = query_ideals(K, 1, 12)
     ray = ray_class_group.__wrapped__(K, Modulus.trivial(K))
@@ -715,7 +717,7 @@ def test_trivial_modulus_builds_no_multiplier(monkeypatch, d):
     def forbidden(*args):
         raise AssertionError("a query built a multiplier")
 
-    monkeypatch.setattr(quadfield, "_Mult", forbidden)
+    monkeypatch.setattr(quadfield, "_steps_product", forbidden)
     monkeypatch.setattr(quadfield, "_LocalMult", forbidden)
     walks = count_cofactor_walks(monkeypatch)
     for _ in range(2):
@@ -807,10 +809,10 @@ def test_wrong_generator_raises_under_any_optimisation(monkeypatch):
             is_principal_with_generator(P * P)
     assert err.value.exit_code == 8
     ray = ray_class_group.__wrapped__(K, modulus_from_rational(K, 7))
-    cycle = quadfield._cycle
-    monkeypatch.setattr(quadfield, "_cycle", lambda *args: (
-        member for member in cycle(*args) if member[0] != 1
-    ))  # both fields are real, so every class keeps members to key it by
+    walk_to = quadfield._walk_to
+    monkeypatch.setattr(quadfield, "_walk_to", lambda f, a, b, steps, meets: walk_to(
+        f, a, b, steps, lambda a, b: a != 1 and meets(a, b)
+    ))  # the walks to [1, w] never arrive; class keys do not use them
     with pytest.raises(InvariantError, match="non-principal"):
         ray.dlog(P)
     with pytest.raises(InvariantError, match="harvested relation"):
@@ -922,11 +924,11 @@ def test_cycle_walks_are_bounded(monkeypatch, walk):
 
 
 def _mult_value(mult):
-    """What a multiplier stands for: the exact num/den of a `_Mult`, the
+    """What a multiplier stands for: the exact num/den of a `Mult`, the
     local data of a `_LocalMult`."""
     if mult is None:
         return None
-    return (mult.num, mult.den) if isinstance(mult, _Mult) else mult.state
+    return (mult.num, mult.den) if isinstance(mult, Mult) else mult.state
 
 
 @settings(max_examples=150, deadline=None)
@@ -938,10 +940,10 @@ def _mult_value(mult):
     m=st.sampled_from([3, 7, 15, 21]),
 )
 def test_real_reduction_matches_orbit_reference(d, region, picks, kind, m):
-    """`_reduce_primitive`'s one loop, which folds the steps' factors into
-    the multiplier at the end, against the rho walk that moves it at every
-    step: the same reduced (a, b) and an equal multiplier, in fields with
-    D = 4d and D = d. The ideal is a prime of norm below sqrt(D), or a
+    """`_reduce_primitive`'s one loop, whose returned step factors fold
+    into each kind of multiplier at once, against the rho walk that moves
+    it at every step: the same reduced (a, b) and an equal multiplier, in
+    fields with D = 4d and D = d. The ideal is a prime of norm below sqrt(D), or a
     product of split primes (one above each p) grown just past sqrt(D) or
     past D^2, so the walk takes from one to a dozen steps."""
     K = quadratic_field(d)
@@ -957,13 +959,13 @@ def test_real_reduction_matches_orbit_reference(d, region, picks, kind, m):
             I, i = I * split[picks[i % len(picks)] % len(split)], i + 1
     mult = {
         "none": None,
-        "exact": _Mult(K.elt(1 + picks[0] % 7, picks[-1] % 3), 1 + len(picks)),
+        "exact": Mult(K.elt(1 + picks[0] % 7, picks[-1] % 3), 1 + len(picks)),
         "local": _LocalMult.one(K, modulus_from_rational(K, m)),
     }[kind]
-    got = _reduce_primitive(K, I.a, I.b, mult)
+    a, b, steps = _reduce_primitive(K, I.a, I.b)
     want = reduce_real_by_orbit(K, I.a, I.b, mult)
-    assert got[:2] == want[:2]
-    assert _mult_value(got[2]) == _mult_value(want[2])
+    assert (a, b) == want[:2]
+    assert _mult_value(None if mult is None else mult.fold(steps)) == _mult_value(want[2])
 
 
 def test_reduction_keeps_the_norm_zero_check():
