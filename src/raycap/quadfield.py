@@ -388,11 +388,18 @@ def _class_cycle(field: QuadField, a: int, b: int) -> tuple[tuple[int, int], lis
 
 def _steps_product(field: QuadField, steps) -> tuple[QElt, int]:
     """(num, den), unreduced, with num / den the product of the factors
-    (x + y*w) / den of `steps`: the exact multiplier of a walk."""
-    num, den = QElt(field, 1, 0), 1
-    for x, y, e in steps:
-        num, den = num * QElt(field, x, y), den * e
-    return num, den
+    (x + y*w) / den of `steps`: the exact multiplier of a walk. Both
+    products are taken as balanced trees, so a period of n steps costs
+    O(M(n) log n) instead of the n^2 of a running product."""
+    return (_tree_product([QElt(field, x, y) for x, y, _ in steps], QElt(field, 1, 0)),
+            _tree_product([e for *_, e in steps], 1))
+
+
+def _tree_product(xs: list, one):
+    """The product of `xs`, multiplied pairwise level by level."""
+    while len(xs) > 1:
+        xs = [x * y for x, y in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1:]
+    return xs[0] if xs else one
 
 
 def class_key(I: QIdeal) -> tuple[int, int]:
@@ -462,12 +469,33 @@ def unit_gens(field: QuadField) -> list[QElt]:
 
 @dataclass(frozen=True)
 class ClassGroupData:
+    """Cl_K with the closure that built it: `table` maps each class key to
+    its exponent vector over the k generator primes, coordinate i in
+    [0, e_i), and `relations` are the k x k lower-triangular rows, row i
+    ending in e_i on the diagonal, that present the group on those vectors.
+    `normal_form` reads any exponent vector back into the table's range, so
+    the class of a sum of vectors needs no ideal product."""
+
     field: QuadField
     group: FiniteAbelianGroup
+    table: dict = dc_field(compare=False, repr=False)  # class key -> vector
+    relations: tuple = dc_field(compare=False, repr=False)
 
     @property
     def h(self) -> int:
         return self.group.order()
+
+    def normal_form(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """The table vector of the class of `vec`: coordinate i reduced into
+        [0, e_i) by row i, from the last coordinate down (row i touches no
+        later coordinate)."""
+        v = list(vec)
+        for i in range(len(v) - 1, -1, -1):
+            row = self.relations[i]
+            if q := v[i] // row[i]:
+                for j in range(i + 1):
+                    v[j] -= q * row[j]
+        return tuple(v)
 
 
 def _candidate_primes(field: QuadField) -> Iterator[QIdeal]:
@@ -479,41 +507,6 @@ def _candidate_primes(field: QuadField) -> Iterator[QIdeal]:
         if kind == "inert":
             continue
         yield data[0][0]
-
-
-def _bfs_closure(
-    field: QuadField, gens: Sequence[QIdeal]
-) -> tuple[dict, list[list[int]]]:
-    """Breadth-first closure of the subgroup generated by the given prime
-    classes. Returns (table: key -> exponent vector, relation rows). Each
-    class is walked from the reduced ideal its key names (`_key_ideal`),
-    so each product is a reduced ideal times one prime, never a power.
-
-    Only `_ray_ideal_gens` uses this. Its relation rows, in this order, fix
-    the SNF basis of Cl^m, and that basis fixes the coordinates that
-    `--class` targets name and that certificates record; the visiting
-    order and the rows must therefore stay as they are."""
-    r = len(gens)
-    start = class_key(QIdeal.unit_ideal(field))
-    table = {start: (0,) * r}
-    frontier = deque([start])
-    relations: list[list[int]] = []
-    while frontier:
-        key = frontier.popleft()
-        vec, rep = table[key], _key_ideal(field, key)
-        for i, P in enumerate(gens):
-            J = rep * P
-            jk = class_key(J)
-            nvec = list(vec)
-            nvec[i] += 1
-            if jk in table:
-                rel = [a - b for a, b in zip(nvec, table[jk])]
-                if any(rel):
-                    relations.append(rel)
-            else:
-                table[jk] = tuple(nvec)
-                frontier.append(jk)
-    return table, relations
 
 
 def _key_ideal(field: QuadField, key: tuple[int, int]) -> QIdeal:
@@ -530,40 +523,60 @@ def _coset_closure(
     least exponent with [P]^e in H. A prime with e = 1 adds no class and is
     dropped; otherwise it becomes generator x_i, the cosets P^k * H for
     0 < k < e join the table, and the relation e*x_i - vec([P]^e) is kept.
-    Each new class costs one ideal product of reduced representatives.
-    Returns (generators, table: key -> exponent vector without trailing
-    zeros, relation rows): a k x k lower-triangular matrix, every diagonal
-    entry > 1, whose diagonal multiplies to len(table)."""
+    Each new class costs one ideal product of reduced representatives and
+    one reduction. The key of a real class comes from a memo, reduced
+    (a, b) -> key, that `_class_cycle` fills a whole cycle at a time, so
+    each class's rho-cycle is walked once however many products land on
+    it; an imaginary class has one reduced ideal, its key.
+    Returns (generators, table: key -> exponent vector of length k, relation
+    rows): a k x k lower-triangular matrix, every diagonal entry > 1, whose
+    diagonal multiplies to len(table)."""
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def key_of(I: QIdeal) -> tuple[int, int]:
+        a, b, _ = _reduce_primitive(field, I.a, I.b)
+        key = memo.get((a, b))
+        if key is None:
+            key, members = _class_cycle(field, a, b)
+            if field.is_real:
+                memo.update(((ak, bk), key) for ak, bk, _ in members)
+        return key
+
     gens: list[QIdeal] = []
-    table = {class_key(QIdeal.unit_ideal(field)): ()}
+    table = {key_of(QIdeal.unit_ideal(field)): ()}
     relations: list[list[int]] = []
     for P in primes:
         i, base = len(gens), list(table)  # the keys of H, identity first
         coset, e = base, 1
-        while (lead := class_key(_key_ideal(field, coset[0]) * P)) not in table:
-            coset = [lead] + [class_key(_key_ideal(field, c) * P) for c in coset[1:]]
+        while (lead := key_of(_key_ideal(field, coset[0]) * P)) not in table:
+            coset = [lead] + [key_of(_key_ideal(field, c) * P) for c in coset[1:]]
             table.update((new, (*table[old], *[0] * (i - len(table[old])), e))
                          for old, new in zip(base, coset))
             e += 1
         if e > 1:
             gens.append(P)
             relations.append([-c for c in table[lead]] + [0] * (i - len(table[lead])) + [e])
-    return gens, table, [row + [0] * (len(gens) - len(row)) for row in relations]
+    k = len(gens)
+    table = {key: vec + (0,) * (k - len(vec)) for key, vec in table.items()}
+    return gens, table, [row + [0] * (k - len(row)) for row in relations]
 
 
 @lru_cache(maxsize=FIELD_CACHE_SIZE)
 def class_group(field: QuadField) -> ClassGroupData:
     """Wide ideal class group via prime classes below the Minkowski bound,
     presented by the k x k relation matrix of `_coset_closure` on the k
-    primes that each enlarge the subgroup before them.
+    primes that each enlarge the subgroup before them. Each class's
+    rho-cycle is walked once, and the closure's table and rows are kept,
+    so ray class groups read class sums off them instead of walking again.
 
     The SNF basis of this group is seen nowhere outside it: ray class
-    groups, biquadratic unit groups and the CLI read only `h`."""
+    groups, biquadratic unit groups and the CLI read only `h`, and ray
+    class groups read the table and rows besides."""
     gens, table, relations = _coset_closure(field, _candidate_primes(field))
     labels = tuple(f"P{P.entry()[0]}_{P.b}" for P in gens)
     group = group_from_relations(relations, labels)
     require(group.order() == len(table), "the relations do not present the closure")
-    return ClassGroupData(field, group)
+    return ClassGroupData(field, group, table, tuple(map(tuple, relations)))
 
 
 # ---------------------------------------------------------------------------
@@ -1091,11 +1104,16 @@ class RayClassData:
 
 
 def _ray_ideal_gens(field: QuadField, modulus: Modulus, cl: ClassGroupData):
-    """Prime-ideal generators of Cl avoiding the modulus support."""
+    """Prime-ideal generators of Cl avoiding the modulus support: every
+    non-inert prime in ascending order, one per split pair, until their
+    classes generate Cl. Returns them with (table: key -> exponent vector
+    over them, relation rows) of their breadth-first closure
+    (`_vector_closure`)."""
     if cl.h == 1:
-        return (), {class_key(QIdeal.unit_ideal(field)): ()}, []
+        return (), dict(cl.table), []
     skip = frozenset(modulus.residue_chars())
     gens: list[QIdeal] = []
+    vecs: list[tuple[int, ...]] = []
     limit = 1000 * max(abs(field.D), 100)
     for p in primes_in_progression(1, 1, start=2):
         if p > limit:
@@ -1106,10 +1124,47 @@ def _ray_ideal_gens(field: QuadField, modulus: Modulus, cl: ClassGroupData):
         if kind == "inert":
             continue
         gens.append(data[0][0])
-        table, relations = _bfs_closure(field, gens)
+        vecs.append(cl.table[class_key(data[0][0])])
+        table, relations = _vector_closure(cl, vecs)
         if len(table) == cl.h:
             return tuple(gens), table, relations
     raise BudgetError(f"no primes below {limit} generate the class group away from m")
+
+
+def _vector_closure(
+    cl: ClassGroupData, vecs: Sequence[tuple[int, ...]]
+) -> tuple[dict, list[list[int]]]:
+    """Breadth-first closure of the classes whose table vectors are `vecs`.
+    Returns (table: key -> exponent vector over `vecs`, relation rows). A
+    class times generator i is the normal form of the sum of their table
+    vectors, named by the inverted table, so no ideal is multiplied.
+
+    Its relation rows, in this order, fix the SNF basis of Cl^m, and that
+    basis fixes the coordinates that `--class` targets name and that
+    certificates record. The visiting order and the rows must therefore
+    stay those of the closure that multiplies each class's reduced ideal
+    by each prime and keys the product (`tests/oracles.py` keeps it)."""
+    key_of = {vec: key for key, vec in cl.table.items()}
+    r = len(vecs)
+    start = key_of[(0,) * len(cl.relations)]
+    table = {start: (0,) * r}
+    frontier = deque([start])
+    relations: list[list[int]] = []
+    while frontier:
+        key = frontier.popleft()
+        vec, c = table[key], cl.table[key]
+        for i, v in enumerate(vecs):
+            jk = key_of[cl.normal_form(map(operator.add, c, v))]
+            nvec = list(vec)
+            nvec[i] += 1
+            if jk in table:
+                rel = [a - b for a, b in zip(nvec, table[jk])]
+                if any(rel):
+                    relations.append(rel)
+            else:
+                table[jk] = tuple(nvec)
+                frontier.append(jk)
+    return table, relations
 
 
 @lru_cache(maxsize=FIELD_CACHE_SIZE)

@@ -21,6 +21,8 @@ from raycap.errors import InputError
 
 SCHEMA = "rc-1"
 CACHE_ENV = "RAYCAP_CACHE_DIR"
+# Reports a ReportCache keeps on disk; past it the oldest by mtime go first.
+CACHE_MAX_ENTRIES = 4096
 
 
 def canonical_json(obj) -> str:
@@ -148,12 +150,15 @@ class ReportCache:
     """Content-addressed store: key dict -> stamped report, one file each.
     The file name hashes the request together with the toolchain and the
     library's source digest, so a report that other code wrote is a miss,
-    never a replay."""
+    never a replay. At most CACHE_MAX_ENTRIES reports stay on disk: the
+    first `put` lists the directory by mtime, later ones extend that list,
+    and the oldest entries are deleted past the bound."""
 
     def __init__(self, root: str | Path | None = None):
         if root is None:
             root = os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "raycap"
         self.root = Path(root)
+        self._entries: dict[Path, None] | None = None  # oldest first, once listed
 
     def path_for(self, key: dict) -> Path:
         full = {"request": key, "toolchain": toolchain_fingerprint(),
@@ -170,4 +175,19 @@ class ReportCache:
         return data
 
     def put(self, key: dict, report: dict) -> None:
-        atomic_write_text(self.path_for(key), canonical_json(report) + "\n")
+        path = self.path_for(key)
+        atomic_write_text(path, canonical_json(report) + "\n")
+        if self._entries is None:
+            listed = []
+            for entry in self.root.glob("*.json"):
+                try:
+                    listed.append((entry.stat().st_mtime_ns, entry))
+                except OSError:
+                    pass  # removed meanwhile
+            self._entries = dict.fromkeys(entry for _, entry in sorted(listed))
+        self._entries.pop(path, None)
+        self._entries[path] = None
+        while len(self._entries) > CACHE_MAX_ENTRIES:
+            oldest = next(iter(self._entries))
+            del self._entries[oldest]
+            oldest.unlink(missing_ok=True)

@@ -5,13 +5,14 @@ imaginary fields, synthetic abelian groups given by their invariants, the
 identity, sums and element list of a group in invariant-factor form, the
 cyclic complement of an element of an ell-group, ideals of K as the HNF of
 their generators' lattice, exact ideal division, ray-principal generators,
-real reduction by a rho walk that moves its multiplier at every step,
-with an exact multiplier num/den kept in lowest terms as a reference,
-ideals of L = Q(sqrt d, sqrt p) as the HNF of all products of basis
-elements, and the unit norm index of a quadratic field over Q by exponent
-lattices. The library never calls them. The ideal oracles stand on the
+ray generators closed by ideal products, real reduction by a rho walk that
+moves its multiplier at every step, with an exact multiplier num/den kept
+in lowest terms as a reference, ideals of L = Q(sqrt d, sqrt p) as the HNF
+of all products of basis elements, and the unit norm index of a quadratic
+field over Q by exponent lattices. The library never calls them. The ideal oracles stand on the
 library's `QIdeal`, `BqIdeal` and its HNF, division and ray principality
-also on its ideal product and generator search, the rho walk on its
+also on its ideal product and generator search, the ray generators on its
+ideal product, prime splitting and `class_key`, the rho walk on its
 local multiplier class, and the norm index on its residue systems and unit
 lattice; the rest share no code with it.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from itertools import zip_longest
 from typing import Iterator, Sequence
 
@@ -34,8 +36,10 @@ from raycap.quadfield import (
     RayClassData,
     _LocalMult,
     _ideal_from_rows,
+    _key_ideal,
     adjust_by_units,
     class_key,
+    factor_prime,
     is_principal_with_generator,
     modulus_from_rational,
     residue_system,
@@ -309,6 +313,56 @@ def is_ray_principal(ray: RayClassData, I: QIdeal) -> QElt | None:
     out = adjust_by_units(y, ray.residue, unit_gens(ray.field))
     assert out is None or principal_ideal(out).key() == I.key()
     return out
+
+
+# ---------------------------------------------------------------------------
+# ray generators by ideal products, as the library chose them before its
+# closure read class sums off the class group's table
+
+
+def bfs_closure(field: QuadField, gens: Sequence[QIdeal]) -> tuple[dict, list[list[int]]]:
+    """Breadth-first closure of the subgroup generated by the given prime
+    classes: (table: key -> exponent vector, relation rows). Each class is
+    walked from the reduced ideal its key names, times one prime, and the
+    product is keyed by `class_key`."""
+    start = class_key(QIdeal.unit_ideal(field))
+    table = {start: (0,) * len(gens)}
+    frontier = deque([start])
+    relations: list[list[int]] = []
+    while frontier:
+        key = frontier.popleft()
+        vec, rep = table[key], _key_ideal(field, key)
+        for i, P in enumerate(gens):
+            jk = class_key(rep * P)
+            nvec = list(vec)
+            nvec[i] += 1
+            if jk in table:
+                rel = [a - b for a, b in zip(nvec, table[jk])]
+                if any(rel):
+                    relations.append(rel)
+            else:
+                table[jk] = tuple(nvec)
+                frontier.append(jk)
+    return table, relations
+
+
+def ray_ideal_gens_by_products(field: QuadField, modulus, h: int):
+    """(gens, table, relations): the non-inert primes off the modulus, one
+    per split pair, appended in ascending order and closed by `bfs_closure`
+    after each until the closure has h classes."""
+    if h == 1:
+        return (), {class_key(QIdeal.unit_ideal(field)): ()}, []
+    skip = {q.entry()[0] for q in modulus.primes}
+    gens: list[QIdeal] = []
+    for p in itertools.count(2):
+        if p in skip or not all(p % q for q in range(2, math.isqrt(p) + 1)):
+            continue
+        kind, data = factor_prime(field, p)
+        if kind != "inert":
+            gens.append(data[0][0])
+            table, relations = bfs_closure(field, gens)
+            if len(table) == h:
+                return tuple(gens), table, relations
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ every answer but moves a basis, a generator choice or a field order shows
 up here. The `search` case names its target by explicit coordinates in a
 non-cyclic ray class group (Z/6 x Z/6), so a different SNF basis for the
 ray class group would pick a different class and a different prime.
+The real field d = 10^8 + 7 (h = 1, one principal cycle of about 6,500
+reduced ideals that hundreds of candidate primes land on) pins the class
+group's closure where every cycle is long.
 
 The two searches that use up their bound (exit 3) pin the scan counters:
 every candidate's rejection stage is counted in the stamped `stats`, so a
@@ -51,6 +54,8 @@ GOLDEN = [
      0, "98b427940cdef630be0b9fb0c79ff27fd29ce2cdb5e59a3e34d54a44c031d3be"),
     (("rayclass", "--d", "-20011", "--mod", "3,7,11"),
      0, "9d9aefee48e423b7917f38c115a0cf4cd04ab75d2ef3cec1451d44d9fb3c2b08"),
+    (("rayclass", "--d", "100000007", "--mod", "3"),
+     0, "ced7e7720156a52601207946d5028d5f60cf7d33dec9eddea09a72575d1b90b7"),
     (("search", "--d", "51", "--mod", "7", "--class", "3,0", "--bound", "20000"),
      0, "42805b63c05a6f9479f12c203e68fc0a43be65a226d9bb2ffb8e3e6891564fe6"),
     (("ambig", "--L-disc", "-84", "--mod", "5"),

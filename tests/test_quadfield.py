@@ -4,6 +4,7 @@ Class numbers are checked against an independent reduced-forms enumeration
 (imaginary case) and a brute Pell solver (units), so none of the reduction
 machinery is trusted twice.
 """
+import collections
 import itertools
 import math
 import random
@@ -19,6 +20,7 @@ from oracles import (
     hnf_ideal,
     is_ray_principal,
     principal_ideal,
+    ray_ideal_gens_by_products,
     reduce_real_by_orbit,
     smallest_prime_factors,
 )
@@ -337,6 +339,40 @@ class TestClassGroups:
         assert all(rels[i][i] > 1 for i in range(k))
         diag = math.prod(rels[i][i] for i in range(k))
         assert diag == class_group(K).h == len(table)
+
+    @pytest.mark.parametrize("d,h", [(10**8 + 7, 1), (10**7 + 19, 7), (3999, 8)])
+    def test_each_class_cycle_is_walked_once(self, monkeypatch, d, h):
+        """The closure keys its products through a memo that a whole
+        rho-cycle fills at once, so it walks h cycles however many
+        candidate primes land on each class (hundreds on the principal
+        cycle of 10^8 + 7, about 6,500 reduced ideals long)."""
+        walks = []
+        rho_cycle = quadfield._rho_cycle
+
+        def counted(*args):
+            walks.append(args)
+            return rho_cycle(*args)
+
+        monkeypatch.setattr(quadfield, "_rho_cycle", counted)
+        assert class_group.__wrapped__(quadratic_field(d)).h == h
+        assert len(walks) == h
+
+    @pytest.mark.parametrize("d", [-5, -21, -1365, -4199, -5565, -30030, 145, 1365, 3999])
+    def test_normal_form_is_the_table_representative(self, d):
+        """Idempotent on the table's vectors, blind to any multiple of a
+        relation row, and onto the table from any integer vector."""
+        cl = class_group(quadratic_field(d))
+        rng = random.Random(d)
+        vectors = set(cl.table.values())
+        assert len(vectors) == cl.h
+        for vec in vectors:
+            assert cl.normal_form(vec) == vec
+            for row in cl.relations:
+                k = rng.choice([-3, -1, 1, 2])
+                assert cl.normal_form([c + k * r for c, r in zip(vec, row)]) == vec
+        for _ in range(50):
+            vec = [rng.randint(-40, 40) for _ in cl.relations]
+            assert cl.normal_form(vec) in vectors
 
     @pytest.mark.parametrize("d", [-21, -30, -1999, -4199, 82, 145, 3999])
     def test_dlog_additive_on_generator_products(self, d):
@@ -905,6 +941,42 @@ def test_cofactor_walk_matches_element_path(monkeypatch, d, m):
         assert got == want
         contents.add(g > 1)
     assert contents == {False, True}
+
+
+def _same_ray_generators(K, m):
+    """The library's ray generators, closure table (in visiting order) and
+    rows against the closure by ideal products; the generator count."""
+    modulus = modulus_from_rational(K, m)
+    cl = class_group(K)
+    gens, table, rows = _ray_ideal_gens(K, modulus, cl)
+    want_gens, want_table, want_rows = ray_ideal_gens_by_products(K, modulus, cl.h)
+    assert gens == want_gens
+    assert list(table.items()) == list(want_table.items())
+    assert rows == want_rows
+    return len(gens)
+
+
+def test_ray_generators_match_product_closure_on_corpus():
+    """Every fundamental |D| <= 3000 with each m in {1, 3, 5, 7, 15, 21}
+    prime to D: the closure on class-group vectors picks the generators,
+    visits the classes and harvests the rows that ideal products do."""
+    counts = collections.Counter()
+    for D in itertools.chain(range(-3, -3001, -1), range(5, 3001)):
+        if is_fundamental(D):
+            K = quadratic_field(D if D % 4 == 1 else D // 4)
+            for m in (1, 3, 5, 7, 15, 21):
+                if math.gcd(m, D) == 1:
+                    counts[_same_ray_generators(K, m)] += 1
+    assert sum(counts.values()) > 8000
+    assert counts[2] > 1000 and counts[3] > 500 and max(counts) >= 5
+
+
+@pytest.mark.parametrize("d,m", [(-1365, 11), (-5565, 1), (-15015, 1), (-30030, 1),
+                                 (1365, 13), (15015, 1), (-4199, 13), (3999, 13)])
+def test_ray_generators_match_product_closure_noncyclic(d, m):
+    """Class groups of 2-rank 2 to 5 beyond the corpus, which take two to
+    seven primes."""
+    assert _same_ray_generators(quadratic_field(d), m) >= 2
 
 
 @pytest.mark.parametrize("walk", [

@@ -1,5 +1,6 @@
 """Stamped JSON envelopes, certificate files, and the content cache."""
 import json
+import os
 
 import pytest
 
@@ -149,6 +150,29 @@ class TestCache:
             assert ReportCache(tmp_path).get(key) is None
             ReportCache(tmp_path).put(key, stamp("demo", {"val": 8}))
         assert ReportCache(tmp_path).get(key) == report
+
+    def test_bounded_by_entry_count_oldest_first(self, tmp_path, monkeypatch):
+        """Past CACHE_MAX_ENTRIES the oldest reports by mtime are deleted:
+        those already on disk when the cache is opened, whatever their file
+        names, and then those it wrote itself."""
+        import raycap.report as report_mod
+
+        monkeypatch.setattr(report_mod, "CACHE_MAX_ENTRIES", 3)
+        keys = [{"op": "demo", "x": i} for i in range(6)]
+        old = ReportCache(tmp_path)
+        for i, key in enumerate(keys[:3]):
+            old.put(key, stamp("demo", {"v": i}))
+            os.utime(old.path_for(key), ns=(10**18 - i, 10**18 - i))  # keys[2] oldest
+        cache = ReportCache(tmp_path)
+        cache.put(keys[3], stamp("demo", {"v": 3}))
+        assert cache.get(keys[2]) is None
+        assert all(cache.get(k) is not None for k in (keys[0], keys[1], keys[3]))
+        cache.put(keys[0], stamp("demo", {"v": 0}))  # rewritten: now the newest
+        cache.put(keys[4], stamp("demo", {"v": 4}))
+        cache.put(keys[5], stamp("demo", {"v": 5}))
+        assert [cache.get(k) is not None for k in keys] == [
+            True, False, False, False, True, True]
+        assert len(list(tmp_path.glob("*.json"))) == 3
 
     def test_env_var_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RAYCAP_CACHE_DIR", str(tmp_path / "envcache"))
