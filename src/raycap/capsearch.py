@@ -153,7 +153,8 @@ class SearchResult:
 
 def _candidate_stream(checker: ConditionChecker, lo: int, hi: int):
     """The primes in [lo, hi] that condition (i') can pass, sieved (so
-    proved prime) and not `forbidden`."""
+    proved prime) in the progression of its cyclotomic congruence, and not
+    `forbidden`."""
     params = checker.params
     step = 2 ** (params.n + 1) if params.ell == 2 else params.ell**params.n
     for p in primes_1_mod(step, max(lo, 3), hi):
@@ -164,12 +165,12 @@ def _candidate_stream(checker: ConditionChecker, lo: int, hi: int):
 
 def _scan_range(checker: ConditionChecker, lo: int, hi: int):
     """(first passing prime in [lo, hi] or None, rejection statistics),
-    each candidate decided by `ConditionChecker.decide` alone."""
+    each candidate decided by `ConditionChecker.verdict` alone."""
     stats = {"scanned": 0, "rejected_i": 0, "rejected_ii": 0, "rejected_iii": 0}
-    decide = checker.decide
+    verdict = checker.verdict
     for p in _candidate_stream(checker, lo, hi):
         stats["scanned"] += 1
-        failed_at, _ = decide(p, True)
+        failed_at, _ = verdict(p, True)
         if failed_at is None:
             return p, stats
         key = f"rejected_{failed_at}"

@@ -6,10 +6,11 @@ chi(x) = x^((p-1)/ell^n) computed through a chosen square root of D mod p.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import InputError, InvariantError
-from .exactmath import is_prime, sqrt_mod, squarefree_part, valuation
+from .exactmath import factor, is_prime, kronecker, sqrt_mod, squarefree_part, valuation
 from .quadfield import (
     Modulus,
     QElt,
@@ -26,16 +27,7 @@ def is_split_cyclotomic(p: int, ell: int, n: int, includes_sqrt_units: bool) -> 
     ell^n-th roots of -1 (the rational unit radical). Splitting is the
     congruence p = 1 mod ell^n; adjoining sqrt[ell^n]{-1} sharpens the 2-part
     to p = 1 mod 2^(n+1)."""
-    return is_prime(p) and p != ell and _cyclotomic_congruence(
-        p, ell, n, includes_sqrt_units
-    )
-
-
-def _cyclotomic_congruence(
-    p: int, ell: int, n: int, includes_sqrt_units: bool
-) -> bool:
-    """The congruence of `is_split_cyclotomic` alone, for a prime p != ell."""
-    if (p - 1) % ell**n:
+    if not is_prime(p) or p == ell or (p - 1) % ell**n:
         return False
     return not (includes_sqrt_units and ell == 2 and (p - 1) % 2 ** (n + 1))
 
@@ -91,6 +83,94 @@ def h_K_constant(field, ell: int) -> dict:
         "layer_exponent": layer_exp,
         "h_K": mu_exp + layer_exp,
     }
+
+
+# Genus characters whose conductor exceeds this stay out of the prefilter,
+# which bounds each residue table it keeps.
+GENUS_TABLE_LIMIT = 1 << 16
+
+
+def prime_discriminants(D: int) -> list[int]:
+    """The prime discriminants d_1, ..., d_t with D = d_1 * ... * d_t, by
+    ascending |d_i|: q* = +-q = 1 mod 4 for each odd q | D, and D over
+    their product (-4, 8 or -8) when D is even."""
+    ds = [q if q % 4 == 1 else -q for q in factor(abs(D)) if q != 2]
+    two = D // math.prod(ds)
+    return sorted(ds + [two] * (two != 1), key=abs)
+
+
+def _genus_signature(ds: list[int], q: int) -> int:
+    """The genus signature of a prime ideal of norm q as a bit mask over
+    the prime discriminants ds, bit i set when its i-th genus character is
+    -1: the Kronecker symbol (d_i / q), and for a ramified prime, q | d_j,
+    the product of the others at coordinate j."""
+    chars = [kronecker(d, q) for d in ds]
+    if 0 in chars:
+        j = chars.index(0)
+        chars[j] = math.prod(chars[:j] + chars[j + 1:])
+    return sum(1 << i for i, c in enumerate(chars) if c == -1)
+
+
+@dataclass(frozen=True)
+class GenusFilter:
+    """Which split primes can lie in a ray class, read off genus characters.
+
+    With D = d_1 * ... * d_t, the genus signature sigma = ((d_i / N P))_i
+    is a homomorphism on the narrow class group (Cox, Primes of the Form
+    x^2 + ny^2, ch. 1). A principal (alpha) has sigma = 1 when N alpha > 0
+    and s = (sign d_i)_i when N alpha < 0, so a P in the ray class c has
+    sigma(P) in sigma(c) * {1, s}, where sigma(c) comes from the ideal
+    generators in an ambient word for c; the residue generators are
+    principal. On a split prime all coordinates multiply to 1, so the last
+    (largest) is dropped, and so is every coordinate whose conductor
+    exceeds GENUS_TABLE_LIMIT. `chars` holds (i, |d_i|, table) per kept
+    coordinate, table[x] = 1 when (d_i / x) = -1 for an odd prime x, and
+    `allowed` the kept bits of sigma(c) * {1, s}."""
+
+    chars: tuple[tuple[int, int, bytes], ...] = dc_field(repr=False)
+    allowed: frozenset
+
+    @staticmethod
+    def build(ray: RayClassData, target: tuple[int, ...]) -> "GenusFilter | None":
+        """The filter for primes in the class `target` of `ray`, or None when
+        it would pass every split prime."""
+        ds = prime_discriminants(ray.field.D)
+        kept = [i for i, d in enumerate(ds[:-1]) if abs(d) <= GENUS_TABLE_LIMIT]
+        group = ray.group
+        word = group.express(group.to_canonical, target)
+        sigma = 0
+        for P, e in zip(ray.ideal_gens, word):
+            if e % 2:
+                sigma ^= _genus_signature(ds, P.norm())
+        s = sum(1 << i for i, d in enumerate(ds) if d < 0)
+        mask = sum(1 << i for i in kept)
+        allowed = frozenset({sigma & mask, (sigma ^ s) & mask})
+        if len(allowed) == 2 ** len(kept):
+            return None
+        return GenusFilter(
+            tuple((i, abs(ds[i]), _character_table(ds[i])) for i in kept), allowed
+        )
+
+    def allows(self, p: int) -> bool:
+        """Whether the split odd prime p, prime to D, has a signature in the
+        allowed set."""
+        mask = 0
+        for i, m, table in self.chars:
+            mask |= table[p % m] << i
+        return mask in self.allowed
+
+
+def _character_table(d: int) -> bytes:
+    """table[x] = 1 when (d / x) = -1 and 0 otherwise, for x mod |d| the
+    residue of an odd prime prime to d: the Kronecker character of the
+    prime discriminant d, which for d = q* is (x / q)."""
+    m = abs(d)
+    if m in (4, 8):
+        return bytes(kronecker(d, x) == -1 for x in range(m))
+    table = bytearray([1]) * m
+    for x in range(1, m // 2 + 1):
+        table[x * x % m] = 0
+    return bytes(table)
 
 
 @dataclass(frozen=True)
@@ -163,6 +243,7 @@ class ConditionChecker:
         # its order never exceeds ell^{n - v_ell(k)} at any p; (iii) needs
         # order ell^{n-h}, which is attainable only when h >= v_ell(k)
         self.iii_attainable = self.h >= valuation(self.eps_unit_exponent, params.ell)
+        self.genus = GenusFilter.build(self.ray, self.target)
 
     def forbidden(self, p: int) -> bool:
         """Primes excluded by the preconditions: p | 2 * ell * D * N(m)."""
@@ -173,21 +254,25 @@ class ConditionChecker:
             or self.modulus.norm() % p == 0
         )
 
-    def decide(self, p: int, sieved: bool = False) -> tuple[str | None, int | None]:
-        """(failed_at, root) at p: conditions (i')-(iv) in turn up to the
-        first that fails, failed_at None when all pass, and root None when
-        (i') fails. No report is built; the scan decides each candidate
-        here. A `sieved` p is prime and not `forbidden`; any other p must
-        have passed `forbidden`, and its primality is tested here."""
+    def verdict(self, p: int, sieved: bool = False) -> tuple[str | None, int | None]:
+        """(failed_at, root) at p as the scan needs it: conditions (i')-(iv)
+        in turn up to the first that fails, failed_at None when all pass.
+        root is None when (i') fails or when the genus prefilter proves
+        that (ii) fails; then no square root is taken and no ray class
+        looked up. A `sieved` p comes from the scan's sieve: prime, not
+        `forbidden`, and in the progression that is the cyclotomic part of
+        (i'). Any other p must have passed `forbidden`, and its primality
+        and congruence are tested here."""
         params = self.params
         # (i'): split in the cyclotomic-with-unit-radical field and in K;
-        # p is prime to D, so D has a square root mod p exactly when p
-        # splits in K, and the root is the one (ii) and (iii) need
-        split = _cyclotomic_congruence if sieved else is_split_cyclotomic
-        r = sqrt_mod(self.field.D, p) if split(p, params.ell, params.n, True) else None
-        if r is None:
+        # p is prime to D, so Euler's criterion decides the split in K
+        cyclotomic = sieved or is_split_cyclotomic(p, params.ell, params.n, True)
+        if not cyclotomic or pow(self.field.D, (p - 1) >> 1, p) != 1:
             return "i", None
-        root = min(r, p - r)
+        # (ii), necessary part: the genus signature of the prime above p
+        if self.genus is not None and not self.genus.allows(p):
+            return "ii", None
+        root = self._root(p)
         # (ii): the prime above p sits in the target ray class
         if self.ray.dlog_prime(p, root) != self.target:
             return "ii", root
@@ -197,12 +282,25 @@ class ConditionChecker:
             return "iii", root
         return (None if self.iv_ok else "iv"), root
 
+    def decide(self, p: int, sieved: bool = False) -> tuple[str | None, int | None]:
+        """`verdict`'s (failed_at, root), with the root of a prefilter
+        rejection taken here: root is None only when (i') fails."""
+        failed_at, root = self.verdict(p, sieved)
+        if root is None and failed_at == "ii":
+            root = self._root(p)
+        return failed_at, root
+
+    def _root(self, p: int) -> int:
+        """The smaller square root of D mod a prime p that splits in K; the
+        root that (ii) and (iii) use."""
+        r = sqrt_mod(self.field.D, p)
+        return min(r, p - r)
+
     def check(self, p: int, sieved: bool = False) -> ConditionReport:
         """Conditions (i')-(iv) at p as a report: `decide`'s verdict and
         root, each condition's outcome up to the first failure, and, once
         (ii) passes, the eps and -1 characters. A `sieved` p comes from the
-        scan's sieve, which has proved it prime and passed it through
-        `forbidden`; any other p is tested for both here."""
+        scan's sieve (see `verdict`); any other p is tested here."""
         if not sieved and self.forbidden(p):
             raise InputError(f"candidate {p} violates the coprimality precondition")
         failed_at, root = self.decide(p, sieved)

@@ -9,12 +9,14 @@ ray generators closed by ideal products, real reduction by a rho walk that
 moves its multiplier at every step, with an exact multiplier num/den kept
 in lowest terms as a reference, ideals of L = Q(sqrt d, sqrt p) as the HNF
 of all products of basis elements, and the unit norm index of a quadratic
-field over Q by exponent lattices. The library never calls them. The ideal oracles stand on the
+field over Q by exponent lattices, and a scan candidate's conditions
+decided without genus characters. The library never calls them. The ideal oracles stand on the
 library's `QIdeal`, `BqIdeal` and its HNF, division and ray principality
 also on its ideal product and generator search, the ray generators on its
 ideal product, prime splitting and `class_key`, the rho walk on its
 local multiplier class, and the norm index on its residue systems and unit
-lattice; the rest share no code with it.
+lattice, and the scan's reference decision on the checker's ray class
+group, unit and square root; the rest share no code with it.
 """
 from __future__ import annotations
 
@@ -27,8 +29,9 @@ from typing import Iterator, Sequence
 from raycap.abgroup import FiniteAbelianGroup, hnf_rows, solve_left
 from raycap.ambigcheck import _unit_lattice
 from raycap.biquad import BqElt, BqIdeal
-from raycap.exactmath import factor, power, valuation
+from raycap.exactmath import factor, power, sqrt_mod, valuation
 from raycap.errors import InvariantError
+from raycap.kummerfrob import residue_character
 from raycap.quadfield import (
     QElt,
     QIdeal,
@@ -363,6 +366,33 @@ def ray_ideal_gens_by_products(field: QuadField, modulus, h: int):
             table, relations = bfs_closure(field, gens)
             if len(table) == h:
                 return tuple(gens), table, relations
+
+
+# ---------------------------------------------------------------------------
+# a scan candidate's conditions as the checker decided them before its genus
+# prefilter
+
+
+def reference_decide(checker, p: int) -> tuple[str | None, int | None]:
+    """(failed_at, root) at a prime p that passed `checker.forbidden`: (i')
+    from the congruence p = 1 mod ell^n (mod 2^(n+1) for ell = 2) and one
+    square root of D mod p, (ii) from the ray class of the prime above p,
+    (iii) from the order of the eps-character, then (iv); no genus
+    character is read."""
+    params = checker.params
+    ell, n = params.ell, params.n
+    r = None
+    if (p - 1) % (2 ** (n + 1) if ell == 2 else ell**n) == 0:
+        r = sqrt_mod(checker.field.D, p)
+    if r is None:
+        return "i", None
+    root = min(r, p - r)
+    if checker.ray.dlog_prime(p, root) != checker.target:
+        return "ii", root
+    _, order = residue_character(checker.eps, p, ell, n, root)
+    if order != ell ** (n - checker.h):
+        return "iii", root
+    return (None if checker.iv_ok else "iv"), root
 
 
 # ---------------------------------------------------------------------------

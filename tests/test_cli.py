@@ -4,12 +4,13 @@ import json
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from raycap import capsearch, cli, quadfield
 from raycap.capsearch import find_principalizing_prime
 from raycap.cli import main
+from raycap.exactmath import squarefree_part
 from raycap.kummerfrob import SearchParams
 from raycap.quadfield import Modulus, quadratic_field
 from raycap.report import (
@@ -433,3 +434,106 @@ def test_verify_of_arbitrary_fields_exits_with_a_documented_code(
     path = tmp_path / "c.json"
     path.write_text(canonical_json(stamp("certificate", {"certificate": cert})))
     assert main(["verify", str(path), "--json"]) in README_EXIT_CODES
+
+
+# ---------------------------------------------------------------------------
+# rayclass, search and ambig on arbitrary argv
+
+
+_SQUAREFREE = [d for d in range(-10**4, 10**4 + 1) if d not in (0, 1) and squarefree_part(d) == d]
+
+
+def _squarefree(lo: int, hi: int):
+    return st.sampled_from([d for d in _SQUAREFREE if lo <= d <= hi])
+
+
+def _fundamental_disc(d: int) -> str:
+    return str(d if d % 4 == 1 else 4 * d)
+
+
+_MODULUS = st.sampled_from(["1", "3", "5", "7", "11", "13", "15", "3.0", "13.1", "5,7"])
+_REJECTED = st.sampled_from(
+    ["", "x", "1.5", "-", "3,", ",", "1e3", "0", "1", "-7", "4", "12", "2,3", "3.9", " 7 "]
+) | st.integers(-10**4, 10**4).map(str)
+
+
+@st.composite
+def _argv(draw, tmp_path):
+    """An argv for rayclass, search or ambig: valid options, then now and
+    then one mutation (a value the command must reject or junk, a dropped
+    option, or an unknown one). |d| and --bound stay <= 10^4 and ell^n <=
+    3^2, so no draw runs long; --jobs is -1, 0 or 1, so no draw starts a
+    process pool; biquadratic fields stay small."""
+    command = draw(st.sampled_from(["rayclass", "search", "ambig"]))
+    if command == "rayclass":
+        if draw(st.booleans()):
+            opts = {"--field": "Q", "--mod": str(draw(st.integers(1, 60)))}
+        else:
+            opts = {"--d": str(draw(_squarefree(-10**4, 10**4))), "--mod": draw(_MODULUS)}
+    elif command == "search":
+        opts = {
+            "--d": str(draw(_squarefree(2, 10**4) | _squarefree(2, 300))),
+            "--mod": draw(_MODULUS),
+            "--class": draw(st.sampled_from(["auto-2", "auto-2", "0", "1"])),
+            "--bound": str(draw(st.integers(3, 10**4))),
+        }
+        if draw(st.integers(0, 3)) == 0:
+            opts["--l"] = "3"
+            opts["--class"] = "0"
+        if draw(st.booleans()):
+            opts["--n"] = "2"
+            opts["--h"] = draw(st.sampled_from(["0", "1"]))
+    elif draw(st.booleans()):
+        opts = {
+            "--L-disc": _fundamental_disc(draw(_squarefree(-2500, 2500))),
+            "--mod": draw(st.sampled_from(["1", "3", "5", "7", "15"])),
+        }
+    else:
+        d, p = draw(_squarefree(-30, 30)), draw(st.sampled_from([3, 5, 7, 11, 13, 17]))
+        opts = {
+            "--biquad": f"{d},{p}",
+            "--base": draw(st.sampled_from(["1", "2", "3"])),
+            "--mod": draw(st.sampled_from(["1", "3", "7", "11"])),
+        }
+    if command != "rayclass" and draw(st.booleans()):
+        opts["--jobs"] = "1"
+    mutation = draw(st.sampled_from(["none", "value", "drop", "unknown"]))
+    name = draw(st.sampled_from(sorted(opts)))
+    if mutation == "value":
+        opts[name] = draw(st.sampled_from(["-1", "0"]) if name == "--jobs" else _REJECTED)
+    elif mutation == "drop":
+        del opts[name]
+    # a value like "-5,7" would read as an option, so it takes the "=" form
+    argv = [command] + [
+        x for name, value in opts.items()
+        for x in ([f"{name}={value}"] if value.startswith("-") else [name, value])
+    ]
+    if command == "search":  # out of the mutations' reach, so a hit never lands in the cwd
+        argv += ["--out", str(tmp_path / "cert.json")]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if mutation == "unknown":
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "--json=1", "--sweep"])))
+    return argv
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the argv itself
+        return exc.code
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_rayclass_search_and_ambig_argv_exit_with_a_documented_code(
+    tmp_path, monkeypatch, data
+):
+    """Any argv of rayclass, search or ambig, valid or not, exits with a
+    code from the README's table and raises nothing."""
+    monkeypatch.chdir(tmp_path)
+    argv = data.draw(_argv(tmp_path))
+    code = _exit_code(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in README_EXIT_CODES, argv

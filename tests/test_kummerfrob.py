@@ -1,26 +1,35 @@
-"""Tests for split criteria, residue characters, and the condition checker."""
+"""Tests for split criteria, residue characters, the genus prefilter and
+the condition checker."""
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+from raycap import kummerfrob
 from raycap.capsearch import _candidate_stream, _scan_range
 from raycap.errors import InputError
-from raycap.exactmath import kronecker, primes_up_to, sqrt_mod
+from raycap.exactmath import kronecker, primes_up_to, sqrt_mod, squarefree_part
 from raycap.kummerfrob import (
     ConditionChecker,
     SearchParams,
     h_K_constant,
     is_split_cyclotomic,
     prime_above_from_root,
+    prime_discriminants,
     residue_character,
 )
 from raycap.quadfield import (
     Modulus,
     QElt,
+    RayClassData,
+    fundamental_unit,
     is_prime_ideal,
     modulus_from_rational,
     quadratic_field,
     ray_class_group,
 )
+
+from oracles import group_elements, reference_decide
 
 
 def disc_root_pair(D: int, p: int) -> tuple[int, int]:
@@ -265,3 +274,196 @@ class TestConditionChecker:
         K = quadratic_field(34)
         rep = ConditionChecker(K, Modulus.trivial(K), (1,), SearchParams(2, 1)).check(5)
         assert rep.ok and rep.p == 5
+
+
+def ell_power_targets(group, ell: int):
+    """Every element of `group` whose order is a power of ell."""
+    for t in group_elements(group):
+        o = group.element_order(t)
+        while o % ell == 0:
+            o //= ell
+        if o == 1:
+            yield t
+
+
+def assert_decides_as_reference(
+    chk: ConditionChecker, bound: int, every_decide: bool = True
+) -> tuple[int, int]:
+    """`verdict` and `decide` against `reference_decide` on every scan
+    candidate up to bound: `verdict` gives the same verdict and either the
+    same root or, for a prefilter rejection of (ii), None; `decide` gives
+    the same verdict and root, on every candidate or only on the prefilter
+    rejections. Returns (candidates, prefilter rejections)."""
+    seen = rejected = 0
+    for p in _candidate_stream(chk, 3, bound):
+        want = reference_decide(chk, p)
+        failed_at, root = chk.verdict(p, True)
+        assert failed_at == want[0], p
+        prefiltered = root is None and failed_at == "ii"
+        assert prefiltered or root == want[1], p
+        if prefiltered or every_decide:
+            assert chk.decide(p, True) == want, p
+        rejected += prefiltered
+        seen += 1
+    return seen, rejected
+
+
+class TestGenusPrefilter:
+    """The genus prefilter decides (ii) for split candidates whose genus
+    signature no prime of the target ray class can have. Every verdict and
+    every root stays that of `reference_decide`, which reads no genus
+    character."""
+
+    @pytest.mark.parametrize("D,expect", [
+        (5, [5]),
+        (12, [-3, -4]),
+        (24, [-3, -8]),
+        (40, [5, 8]),
+        (60, [-3, -4, 5]),
+        (105, [-3, 5, -7]),
+        (120, [-3, 5, -8]),
+        (136, [8, 17]),
+    ])
+    def test_prime_discriminants(self, D, expect):
+        assert prime_discriminants(D) == expect
+
+    def test_prime_discriminants_multiply_to_the_discriminant(self):
+        for d in range(2, 3000):
+            if squarefree_part(d) != d:
+                continue
+            D = quadratic_field(d).D
+            ds = prime_discriminants(D)
+            assert math.prod(ds) == D
+            for x in ds:
+                assert x in (-4, 8, -8) or (x % 4 == 1 and squarefree_part(abs(x)) == abs(x))
+            assert all(math.gcd(x, y) == 1 for i, x in enumerate(ds) for y in ds[i + 1:])
+
+    def test_corpus_matches_reference(self):
+        """Real squarefree d < 300, moduli 1, 3, 7 and 15 where prime to
+        D, ell = 2 and 3 (ell = 3 only off 3 | m), n = 1 and 2, every
+        ell-power target, candidates up to 400."""
+        cases = active = candidates = rejected = 0
+        for d in range(2, 300):
+            if squarefree_part(d) != d:
+                continue
+            K = quadratic_field(d)
+            for m in (1, 3, 7, 15):
+                if math.gcd(m, K.D) != 1:
+                    continue
+                modulus = modulus_from_rational(K, m)
+                group = ray_class_group(K, modulus).group
+                for ell in (2, 3):
+                    if m % ell == 0:
+                        continue
+                    for target in ell_power_targets(group, ell):
+                        for n in (1, 2):
+                            chk = ConditionChecker(K, modulus, target, SearchParams(ell, n, 0, 400))
+                            seen, dropped = assert_decides_as_reference(chk, 400, False)
+                            cases += 1
+                            active += chk.genus is not None
+                            candidates += seen
+                            rejected += dropped
+        # the prefilter takes part: it is built for 3,828 of the 7,646
+        # cases and decides 24,967 of the 190,758 candidates
+        assert active > cases // 3
+        assert rejected > candidates // 10
+
+    @pytest.mark.parametrize("d,m,what", [
+        (105, 1, "norm_two_generator"),
+        (105, 11, "norm_two_generator"),
+        (165, 1, "ramified_generator"),
+        (15, 7, "ramified_generator"),
+        (130, 1, "unit_norm_minus_one"),
+        (10, 3, "unit_norm_minus_one"),
+        (15, 1, -4),
+        (34, 1, 8),
+        (30, 7, -8),
+    ])
+    def test_edge_fields_match_reference(self, d, m, what):
+        """Named fields for the prefilter's edge conditions: D = 1 mod 8
+        with a generator prime of norm 2, a ramified generator prime, a
+        fundamental unit of norm -1, and the even prime discriminants -4, 8
+        and -8; candidates up to 2*10^4 for every 2-power target, n = 1
+        and 2."""
+        K = quadratic_field(d)
+        modulus = modulus_from_rational(K, m)
+        ray = ray_class_group(K, modulus)
+        norms = [P.norm() for P in ray.ideal_gens]
+        holds = {
+            "norm_two_generator": K.D % 8 == 1 and 2 in norms,
+            "ramified_generator": any(K.D % q == 0 for q in norms),
+            "unit_norm_minus_one": fundamental_unit(K).norm() == -1,
+        }
+        assert holds[what] if isinstance(what, str) else what in prime_discriminants(K.D)
+        rejected = 0
+        for target in ell_power_targets(ray.group, 2):
+            for n in (1, 2):
+                chk = ConditionChecker(K, modulus, target, SearchParams(2, n, 0, 2 * 10**4))
+                rejected += assert_decides_as_reference(chk, 2 * 10**4)[1]
+        assert rejected > 0
+
+    def test_characters_past_the_table_limit_stay_out(self, monkeypatch):
+        """d = 7315 mod 3: D = -4 * 5 * -7 * -11 * -19. With the table limit
+        at 5 only the characters of -4 and 5 are kept; the filter is
+        weaker and every decision still that of the reference."""
+        monkeypatch.setattr(kummerfrob, "GENUS_TABLE_LIMIT", 5)
+        K = quadratic_field(7315)
+        modulus = modulus_from_rational(K, 3)
+        target = (0,) * ray_class_group(K, modulus).group.rank
+        chk = ConditionChecker(K, modulus, target, SearchParams(2, 1, 0, 2 * 10**4))
+        assert [(i, m) for i, m, _ in chk.genus.chars] == [(0, 4), (1, 5)]
+        assert assert_decides_as_reference(chk, 2 * 10**4)[1] > 0
+
+    def test_scan_takes_roots_and_ray_classes_only_past_the_prefilter(self, monkeypatch):
+        """d = 34, trivial modulus, class 0, bound 2*10^5: D = 8 * 17, and a
+        split p lies in a principal class only if (8 / p) = 1. The scan
+        takes a square root and a ray class lookup for exactly the split
+        candidates with (8 / p) = 1, under half of the 8,976; its counters
+        are unchanged."""
+        bound = 2 * 10**5
+        K = quadratic_field(34)
+        chk = ConditionChecker(K, Modulus.trivial(K), (0,), SearchParams(2, 1, 0, bound))
+        stream = list(_candidate_stream(chk, 3, bound))
+        want = [reference_decide(chk, p) for p in stream]
+        allowed = [p for p, (f, _) in zip(stream, want) if f != "i" and kronecker(8, p) == 1]
+        # the class group has order 2 and the genus character is exact on it
+        assert allowed == [p for p, (f, _) in zip(stream, want) if f not in ("i", "ii")]
+        calls = {"sqrt_mod": 0, "dlog_prime": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(kummerfrob, "sqrt_mod", counted("sqrt_mod", sqrt_mod))
+        monkeypatch.setattr(
+            RayClassData, "dlog_prime", counted("dlog_prime", RayClassData.dlog_prime)
+        )
+        stats = {"scanned": 8976, "rejected_i": 4496, "rejected_ii": 2257, "rejected_iii": 2223}
+        assert _scan_range(chk, 3, bound) == (None, stats)
+        assert calls == {"sqrt_mod": len(allowed), "dlog_prime": len(allowed)}
+        assert len(allowed) < len(stream) // 2
+
+    @pytest.mark.parametrize("d,m,pinned", [
+        (34, 1, [(5, 1), (29, 7), (37, 5), (61, 21), (109, 38), (173, 84)]),
+        (105, 1, [(13, 1), (53, 23), (73, 18), (97, 28), (113, 52), (137, 67)]),
+        (30, 7, [(13, 4), (17, 1), (37, 3), (113, 32)]),
+    ])
+    def test_check_reports_prefilter_rejections_in_full(self, d, m, pinned):
+        """check(p) for primes the prefilter rejects reports as it did
+        before the prefilter: failed_at "ii", the root min(r, p - r) of the
+        square root r of D, and the checks {iv, i, ii}. Roots recorded from
+        the checker without the prefilter, class 0."""
+        K = quadratic_field(d)
+        modulus = modulus_from_rational(K, m)
+        target = (0,) * ray_class_group(K, modulus).group.rank
+        chk = ConditionChecker(K, modulus, target, SearchParams(2, 1, 0))
+        for p, root in pinned:
+            assert chk.verdict(p) == ("ii", None)
+            r = sqrt_mod(K.D, p)
+            assert root == min(r, p - r)
+            assert chk.check(p) == kummerfrob.ConditionReport(
+                p=p, root=root, ok=False, failed_at="ii",
+                checks={"iv": True, "i": True, "ii": False},
+            )
