@@ -8,13 +8,14 @@ integer arithmetic on those four coordinates; nothing is floating point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 from .abgroup import hnf_rows
 from .errors import InputError, InvariantError, require
-from .exactmath import factor, is_prime, kronecker, power, roots_mod_p
+from .exactmath import factor, is_prime, kronecker, power, primes_up_to, roots_mod_p
 from .quadfield import (
     FIELD_CACHE_SIZE,
     Modulus,
@@ -24,6 +25,7 @@ from .quadfield import (
     ResidueFactor,
     ResidueSystem,
     _Fp2,
+    _generates,
     _ideal_from_rows,
     adjust_by_units,
     class_group,
@@ -198,27 +200,34 @@ def as_k3(z: BqElt) -> QElt:
 
 _BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
+# A product keeps the pairwise products of its factors' generators up to this
+# many; past the rank of O_L the four rows of the HNF serve as well.
+_MAX_GENS = 4
+
 
 @dataclass(frozen=True)
 class BqIdeal:
-    """Integral ideal as the canonical HNF basis of its coordinate lattice."""
+    """Integral ideal as the canonical HNF basis of its coordinate lattice.
+    `gens`, when not empty, are coordinate 4-tuples that generate the ideal
+    over O_L; they shorten products and take no part in equality."""
 
     L: BiquadField
     rows: tuple[tuple[int, int, int, int], ...]
+    gens: tuple[tuple[int, int, int, int], ...] = dc_field(default=(), compare=False)
 
     @staticmethod
-    def _from_span(L: BiquadField, rows) -> "BqIdeal":
+    def _from_span(L: BiquadField, rows, gens=()) -> "BqIdeal":
         """The ideal whose lattice the coordinate rows span over Z; the span
         must already be an ideal."""
         h = hnf_rows(rows)
         if len(h) != 4:
             raise ValueError("generators span a rank-deficient lattice")
-        return BqIdeal(L, tuple(tuple(r) for r in h))
+        return BqIdeal(L, tuple(tuple(r) for r in h), tuple(gens))
 
     @staticmethod
     def from_generators(L: BiquadField, gens) -> "BqIdeal":
-        gens = [BqElt(L, g, 0, 0, 0) if isinstance(g, int) else g for g in gens]
-        return BqIdeal._from_span(L, [_mul4(L, g.coords(), m) for g in gens for m in _BASIS])
+        gens = [(g, 0, 0, 0) if isinstance(g, int) else g.coords() for g in gens]
+        return BqIdeal._from_span(L, [_mul4(L, g, m) for g in gens for m in _BASIS], gens)
 
     @staticmethod
     def principal(z: BqElt) -> "BqIdeal":
@@ -253,8 +262,17 @@ class BqIdeal:
         return True
 
     def __mul__(self, o: "BqIdeal") -> "BqIdeal":
+        """I*J is the sum of g*I over generators g of J, so the Z-span of
+        the rows of one factor times the generators of the other is the
+        product; the factor with fewer generators (its four rows when it
+        keeps none) supplies them."""
         L = self.L
-        return BqIdeal._from_span(L, [_mul4(L, x, y) for x in self.rows for y in o.rows])
+        a, b = (self, o) if len(o.gens or o.rows) <= len(self.gens or self.rows) else (o, self)
+        rows = [_mul4(L, x, g) for x in a.rows for g in b.gens or b.rows]
+        gens = ()
+        if 0 < len(self.gens) * len(o.gens) <= _MAX_GENS:
+            gens = [_mul4(L, x, y) for x in self.gens for y in o.gens]
+        return BqIdeal._from_span(L, rows, gens)
 
     def __pow__(self, k: int) -> "BqIdeal":
         return power(self, k, BqIdeal.unit_ideal(self.L))
@@ -265,7 +283,11 @@ class BqIdeal:
         return BqIdeal(self.L, tuple(tuple(n * v for v in r) for r in self.rows))
 
     def conj(self, j: int) -> "BqIdeal":
-        return BqIdeal._from_span(self.L, [z.tau(j).coords() for z in self.elements()])
+        L = self.L
+        return BqIdeal._from_span(
+            L, [z.tau(j).coords() for z in self.elements()],
+            [BqElt(L, *g).tau(j).coords() for g in self.gens],
+        )
 
     def __repr__(self) -> str:
         return f"BqIdeal(norm={self.norm()})@{self.L!r}"
@@ -339,9 +361,7 @@ def primes_above(L: BiquadField, p0: int) -> list[tuple[BqIdeal, int, int]]:
             require(Q.norm() == p0 * p0, "a ramified degree-2 prime has norm != p^2")
             out.append((Q, 2, 2))
     require(sum(e * f for _, e, f in out) == 4, "the primes above p have sum e*f != 4")
-    prod = BqIdeal.unit_ideal(L)
-    for Q, e, _ in out:
-        prod = prod * Q**e
+    prod = reduce(operator.mul, (Q**e for Q, e, _ in out))
     require(prod == BqIdeal.from_int(L, p0), "the product of Q^e over p is not p*O_L")
     out.sort(key=lambda t: (t[0].norm(), t[0].rows))
     return out
@@ -418,15 +438,54 @@ def sqrt_in_quadratic(theta: QElt) -> QElt | None:
     return None
 
 
+# Degree-one primes of L that `sqrt_in_biquad` tests a candidate at before any
+# integer square root; a non-square passes each with chance about one half.
+_SQUARE_TEST_PRIMES = 8
+
+
+# The square roots of one field come in a run (a unit group, a norm descent),
+# so only the field in hand is kept: 256 fields' primes were 0.2 MB.
+@lru_cache(maxsize=1)
+def _square_test_primes(L: BiquadField) -> tuple[tuple[int, int, int, int], ...]:
+    """(q, r1, r2, r1*r2 mod q) for the first _SQUARE_TEST_PRIMES odd primes q
+    that split completely in L, with r1, r2 the images of w1, w2 at one prime
+    of L above q (O_L = Z[w1, w2], so any pair of roots names one). About a
+    quarter of all primes split completely; a field with fewer such q below
+    1024 keeps fewer, which weakens the test but never makes it wrong."""
+    out = []
+    for q in primes_up_to(1024)[1:]:
+        if kronecker(L.k1.D, q) == 1 and kronecker(L.p, q) == 1:
+            r1 = roots_mod_p(_minpoly(L.k1), q)[0]
+            r2 = roots_mod_p(_minpoly(L.k2), q)[0]
+            out.append((q, r1, r2, r1 * r2 % q))
+            if len(out) == _SQUARE_TEST_PRIMES:
+                break
+    return tuple(out)
+
+
+def _is_nonsquare_somewhere(w: BqElt) -> bool:
+    """Whether w is a nonzero non-residue at one of the square-test primes,
+    which proves it is not a square in L: a square maps to a square in every
+    residue field F_q."""
+    for q, r1, r2, r12 in _square_test_primes(w.L):
+        x = (w.a + w.b * r1 + w.c * r2 + w.e * r12) % q
+        if x and pow(x, q >> 1, q) != 1:
+            return True
+    return False
+
+
 def sqrt_in_biquad(w: BqElt) -> BqElt | None:
     """xi in O_L with xi^2 = w, or None. Complete: the k1-norm of a square is
     a square in k1, which pins down X^2 and p Y^2 for xi = (X + Y sqrt p)/2
-    up to the two root assignments tried below."""
+    up to the two root assignments tried below. A non-residue at a
+    square-test prime rejects w before any integer square root."""
     L = w.L
     k1, p = L.k1, L.k2.D
     t2 = L.k2.t
     if w.is_zero():
         return BqElt(L, 0, 0, 0, 0)
+    if _is_nonsquare_somewhere(w):
+        return None
     A, B = w._split()
     U = A + A + B * t2
     V = B
@@ -558,13 +617,13 @@ def is_principal(I: BqIdeal) -> BqElt | None:
             return None
         betas.append(beta)
     b = embed(L, betas[0]) * embed(L, betas[1]) * embed(L, betas[2])
-    require(BqIdeal.principal(b) == (I * I).scale(n), "(beta1 beta2 beta3) != I^2 (N I)")
+    require(_generates((I * I).scale(n), b), "(beta1 beta2 beta3) != I^2 (N I)")
     for _, w in _sign_unit_classes(L, unit_group(L).units):
         eta = sqrt_in_biquad(w * b * n)
         if eta is None:
             continue
         gamma = eta.divide_int(n)
-        require(gamma is not None and BqIdeal.principal(gamma) == I,
+        require(gamma is not None and _generates(I, gamma),
                 "the norm-descent root does not generate I")
         return gamma
     return None
@@ -713,7 +772,7 @@ def verify_certificate(cert) -> CapitulationReport:
         rep.status = "failed_congruence"
         rep.detail = "no unit multiple of the generator is 1 mod the modulus"
         return rep
-    rep.checks["generates"] = BqIdeal.principal(alpha) == ext
+    rep.checks["generates"] = _generates(ext, alpha)
     rep.checks["congruent_to_one"] = all(
         Q.contains(alpha - L.one()) for Q in m_L
     )

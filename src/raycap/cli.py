@@ -117,10 +117,11 @@ def _resolve_target(selector: str, ray) -> tuple[int, ...]:
             if inv[i] % 2 == 0:
                 return tuple(inv[i] // 2 if j == i else 0 for j in range(len(inv)))
         raise InputError("ray class group has odd order: no order-2 class")
-    vec = tuple(_int(x, "class coordinate") for x in selector.split(","))
+    vec = tuple(_int(x, "class coordinate") for x in selector.split(",")) if selector else ()
     if len(vec) != len(inv):
         raise InputError(
             f"class vector needs {len(inv)} entries for invariants {inv}"
+            + ("; the trivial group's class is the empty vector, --class=" if not inv else "")
         )
     return tuple(v % n for v, n in zip(vec, inv))
 
@@ -470,7 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mod", default="1")
     p.add_argument("--class", dest="cls", default="auto-2",
-                   help="'auto-2' or comma exponent vector")
+                   help="'auto-2' or comma exponent vector; a vector that starts "
+                   "with '-' needs the '=' form (--class=-1,0), and --class= "
+                   "names the class of a trivial group")
     p.add_argument("--l", type=int, default=2, help="the prime ell")
     p.add_argument("--n", type=int, default=1, help="cyclic degree exponent")
     p.add_argument("--h", type=int, default=None, help="power height (default: h_K)")
@@ -488,7 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ambig", parents=[common], help="ambiguous count identity")
     p.add_argument("--L-disc", type=int, default=None,
                    help="fundamental discriminant of quadratic L")
-    p.add_argument("--biquad", default=None, help="'d,p' for Q(sqrt d, sqrt p)")
+    p.add_argument("--biquad", default=None,
+                   help="'d,p' for Q(sqrt d, sqrt p); a negative d needs the "
+                   "'=' form, --biquad=-5,7")
     p.add_argument("--base", type=int, default=1, choices=[1, 2, 3],
                    help="which quadratic subfield is K (biquad only)")
     p.add_argument("--mod", default="1", help="modulus integer (rational primes)")

@@ -421,8 +421,9 @@ def is_principal_with_generator(I: QIdeal) -> QElt | None:
     return gen
 
 
-def _generates(I: QIdeal, z: QElt) -> bool:
-    """Whether (z) = I, without building the HNF of (z)."""
+def _generates(I, z) -> bool:
+    """Whether (z) = I, without building the HNF of (z); for ideals of K
+    and of the biquadratic fields in `biquad` alike."""
     # (z) inside I has index N((z))/N(I) = |N(z)|/N(I), so equal norms force (z) = I
     return I.contains(z) and abs(z.norm()) == I.norm()
 

@@ -8,10 +8,13 @@ their generators' lattice, exact ideal division, ray-principal generators,
 ray generators closed by ideal products, real reduction by a rho walk that
 moves its multiplier at every step, with an exact multiplier num/den kept
 in lowest terms as a reference, ideals of L = Q(sqrt d, sqrt p) as the HNF
-of all products of basis elements, and the unit norm index of a quadratic
-field over Q by exponent lattices, and a scan candidate's conditions
-decided without genus characters. The library never calls them. The ideal oracles stand on the
-library's `QIdeal`, `BqIdeal` and its HNF, division and ray principality
+of all products of basis elements, square roots in L by the integer square
+root chain alone, with no residue test first, and the unit norm index of a
+quadratic field over Q by exponent lattices, and a scan candidate's
+conditions decided without genus characters. The library never calls them.
+The square root stands on the library's quadratic square root. The ideal
+oracles stand on the library's `QIdeal`, `BqIdeal` and its HNF, division
+and ray principality
 also on its ideal product and generator search, the ray generators on its
 ideal product, prime splitting and `class_key`, the rho walk on its
 local multiplier class, and the norm index on its residue systems and unit
@@ -28,7 +31,7 @@ from typing import Iterator, Sequence
 
 from raycap.abgroup import FiniteAbelianGroup, hnf_rows, solve_left
 from raycap.ambigcheck import _unit_lattice
-from raycap.biquad import BqElt, BqIdeal
+from raycap.biquad import BqElt, BqIdeal, sqrt_in_quadratic
 from raycap.exactmath import factor, power, sqrt_mod, valuation
 from raycap.errors import InvariantError
 from raycap.kummerfrob import residue_character
@@ -519,6 +522,44 @@ def bq_ideal_conj(I: BqIdeal, j: int) -> BqIdeal:
 def bq_contains(I: BqIdeal, z: BqElt) -> bool:
     """Whether z is an integer combination of I's basis, by a Smith form."""
     return solve_left([list(r) for r in I.rows], list(z.coords())) is not None
+
+
+def sqrt_in_biquad_unfiltered(w: BqElt) -> BqElt | None:
+    """xi in O_L with xi^2 = w, or None, by the k1-norm descent alone: the
+    library's square root before it tested residues at split primes first,
+    so it tries the same roots in the same order."""
+    L = w.L
+    k1, p = L.k1, L.k2.D
+    t2 = L.k2.t
+    if w.is_zero():
+        return BqElt(L, 0, 0, 0, 0)
+    A, B = QElt(k1, w.a, w.b), QElt(k1, w.c, w.e)
+    U = A + A + B * t2
+    V = B
+    R = sqrt_in_quadratic(U * U - V * V * p)
+    if R is None:
+        return None
+    for Rs in (R, -R):
+        X = sqrt_in_quadratic(U + Rs)
+        if X is None:
+            continue
+        rem = U - Rs
+        if rem.x % p or rem.y % p:
+            continue
+        Y = sqrt_in_quadratic(QElt(k1, rem.x // p, rem.y // p))
+        if Y is None:
+            continue
+        for sx in (X, -X):
+            for sy in (Y, -Y):
+                if sx * sy != V:
+                    continue
+                diff = sx - sy * t2
+                if diff.x % 2 or diff.y % 2:
+                    continue
+                xi = BqElt(L, diff.x // 2, diff.y // 2, sy.x, sy.y)
+                if xi * xi == w:
+                    return xi
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ from oracles import (
     bq_ideal_product,
     group_add,
     principal_ideal,
+    sqrt_in_biquad_unfiltered,
 )
 
 from raycap.biquad import (
+    _is_nonsquare_somewhere,
     BqElt,
     BqIdeal,
     BiquadField,
@@ -49,6 +51,7 @@ from raycap.quadfield import (
     factor_prime,
     modulus_from_rational,
     quadratic_field,
+    _generates,
     is_principal_with_generator,
     residue_system,
 )
@@ -234,6 +237,8 @@ class TestIdeals:
 
 # t1 = 0 and t1 = 1 for k1, and every splitting pattern among p0 < 60
 ORACLE_FIELDS = [(2, 5), (3, 13), (34, 5), (5, 29), (21, 17), (6, 53)]
+# and 2 totally split, and ramified with a split residue degree
+GENERATOR_FIELDS = ORACLE_FIELDS + [(17, 89), (2, 17)]
 
 
 class TestIdealOracle:
@@ -264,6 +269,83 @@ class TestIdealOracle:
             zs += [z + L.one() for z in Q.elements()]
             for z in zs:
                 assert Q.contains(z) == bq_contains(Q, z), (Q.rows, z)
+
+    @pytest.mark.parametrize("d,p", GENERATOR_FIELDS)
+    def test_products_over_generators(self, d, p):
+        """Ideals that keep O_L-generators multiply through them (8 or 12
+        rows, not 16); squares, products with conjugates, cross products,
+        scaled and integer ideals all equal the HNF of the 16 basis products."""
+        L = biquad_field(d, p)
+        primes = [Q for p0 in (2, 3, 5, 7, 11, 13, p) for Q, _, _ in primes_above(L, p0)]
+        assert all(Q.gens for Q in primes)
+        for x, Q in enumerate(primes):
+            sq = Q * Q
+            assert sq == bq_ideal_product(Q, Q)
+            for j in (1, 2, 3):
+                Qj = Q.conj(j)
+                assert Q * Qj == bq_ideal_product(Q, bq_ideal_conj(Q, j))
+            assert Q.scale(3) * Q == bq_ideal_product(Q.scale(3), Q)
+            assert BqIdeal.from_int(L, 6) * Q == Q.scale(6)
+            for R in primes[x + 1:x + 4]:
+                assert Q * R == bq_ideal_product(Q, R)
+                assert sq * R == bq_ideal_product(sq, R)
+                assert (sq * R) * R == bq_ideal_product(bq_ideal_product(sq, R), R)
+
+    def test_generator_fields_cover_every_splitting_shape(self):
+        """The fields and rational primes above take every (e, f) shape of a
+        prime of L, with p0 = 2 in each of them."""
+        shapes, over_two = set(), set()
+        for d, p in GENERATOR_FIELDS:
+            L = biquad_field(d, p)
+            for p0 in (2, 3, 5, 7, 11, 13, p):
+                got = tuple(sorted((e, f) for _, e, f in primes_above(L, p0)))
+                shapes.add(got)
+                if p0 == 2:
+                    over_two.add(got)
+        want = {((1, 1),) * 4, ((1, 2),) * 2, ((2, 1),) * 2, ((2, 2),)}
+        assert shapes == over_two == want
+
+
+def _generates_by_hnf(I, z):
+    return not z.is_zero() and BqIdeal.principal(z) == I
+
+
+class TestGenerationByNorm:
+    """z generates I exactly when z lies in I and |N(z)| = N(I): the test
+    the verifier runs agrees with equality of HNFs."""
+
+    @given(st.sampled_from([(34, 5), (2, 5), (21, 17)]), st.data())
+    @settings(max_examples=30)
+    def test_agrees_with_hnf_equality(self, dp, data):
+        L = biquad_field(*dp)
+        z = data.draw(belt(L))
+        if z.norm() == 0:
+            return
+        I = BqIdeal.principal(z)
+        units = [-L.one()] + list(unit_group(L).units)
+        cases = [(z, True)]
+        cases += [(z * u, True) for u in units]  # unit multiples
+        cases += [(z * 2, False), (z * z, abs(z.norm()) == 1)]  # inside I, wrong norm
+        cases += [(z + L.one(), None), (L.elt(1, 1, 0, 0), None)]  # mostly outside I
+        for x, want in cases:
+            got = _generates(I, x)
+            assert got == _generates_by_hnf(I, x)
+            if want is not None:
+                assert got == want
+
+    @pytest.mark.parametrize("d,p", ORACLE_FIELDS)
+    def test_primes_and_their_elements(self, d, p):
+        L = biquad_field(d, p)
+        for p0 in (2, 3, 5, 7, p):
+            for Q, _, _ in primes_above(L, p0):
+                zs = list(Q.elements()) + [BqElt(L, *g) for g in Q.gens]
+                zs += [z + L.one() for z in zs] + [z * 2 for z in zs]
+                g = is_principal(Q)
+                if g is not None:
+                    zs += [g, g * unit_group(L).units[0], g * 2, -g]
+                for z in zs:
+                    if not z.is_zero():
+                        assert _generates(Q, z) == _generates_by_hnf(Q, z), (Q.rows, z)
 
 
 class TestPrimeDecomposition:
@@ -364,10 +446,11 @@ class TestSquareRoots:
         if r is not None:
             assert r * r == w
 
-    @given(belt(L345))
-    def test_biquad_round_trip(self, z):
-        r = sqrt_in_biquad(z * z)
-        assert r is not None and r * r == z * z
+    @given(st.sampled_from(ORACLE_FIELDS), st.data())
+    def test_biquad_round_trip(self, dp, data):
+        # the residue test at split primes never rejects a square
+        z = data.draw(belt(biquad_field(*dp)))
+        assert sqrt_in_biquad(z * z) in (z, -z)
 
     @given(belt(L345))
     @settings(max_examples=40)
@@ -382,6 +465,45 @@ class TestSquareRoots:
         assert sqrt_in_biquad(BqElt(L345, 0, 0, 0, 0)) == BqElt(L345, 0, 0, 0, 0)
         r = sqrt_in_biquad(L345.one())
         assert r is not None and r * r == L345.one()
+
+
+# real fields with t1 = 0 and 1, unit index q = 1 and 2, class numbers 1 and 2
+SQUARE_CORPUS = [(2, 5), (3, 5), (2, 13), (3, 13), (34, 5), (5, 29), (21, 17), (6, 53)]
+
+
+class TestSquareTestPrefilter:
+    """The residue test in front of `sqrt_in_biquad` changes no answer: the
+    unit groups and generators match the ones built on the square root
+    without it (`tests/oracles.py`), and it rejects most non-squares."""
+
+    @pytest.mark.parametrize("d,p", SQUARE_CORPUS)
+    def test_units_and_generators_match_the_unfiltered_root(self, monkeypatch, d, p):
+        import raycap.biquad as bq
+
+        L = biquad_field(d, p)
+        ideals = [Q for p0 in (2, 3, 7, 11, p) for Q, _, _ in primes_above(L, p0)]
+        ideals += [Q * R for Q, R in zip(ideals, ideals[1:])]
+        with monkeypatch.context() as m:
+            m.setattr(bq, "sqrt_in_biquad", sqrt_in_biquad_unfiltered)
+            ref_units = bq.unit_group.__wrapped__(L)
+            m.setattr(bq, "unit_group", lambda L: ref_units)
+            ref = [is_principal(I) for I in ideals]
+        assert unit_group(L) == ref_units
+        assert [is_principal(I) for I in ideals] == ref
+        assert any(g is not None for g in ref)
+
+    def test_non_squares_are_rejected_by_residues(self):
+        rng = random.Random(20)
+        L = biquad_field(21, 17)
+        rejected = trials = 0
+        for _ in range(300):
+            w = BqElt(L, *[rng.randint(-10**6, 10**6) for _ in range(4)])
+            if sqrt_in_biquad_unfiltered(w) is not None:
+                continue
+            trials += 1
+            rejected += _is_nonsquare_somewhere(w)
+            assert sqrt_in_biquad(w) is None
+        assert trials > 250 and rejected >= 0.95 * trials
 
 
 class TestUnits:
@@ -730,6 +852,32 @@ class TestVerifyCertificate:
         )
         with pytest.raises(InvariantError, match="beta"):
             verify_certificate(cert)
+
+    def test_verify_builds_no_principal_ideal(self, monkeypatch):
+        """Generation is decided by membership and norm, and products run
+        over generators: verifying the p = 853 certificate of 2543 mod 7
+        builds no HNF of a principal ideal and hands at most 164 rows to
+        `hnf_rows` (260 when each check compared HNFs of 16-row products)."""
+        import raycap.biquad as bq
+
+        cert = _certificate(2543, 7, (0, 0, 3), bound=10**5)
+        assert cert.p == 853
+        calls = {"principal": 0, "rows": 0}
+        real_principal, real_hnf = BqIdeal.principal, bq.hnf_rows
+
+        def principal(z):
+            calls["principal"] += 1
+            return real_principal(z)
+
+        def hnf(rows):
+            calls["rows"] += len(rows)
+            return real_hnf(rows)
+
+        monkeypatch.setattr(BqIdeal, "principal", staticmethod(principal))
+        monkeypatch.setattr(bq, "hnf_rows", hnf)
+        assert verify_certificate(cert).status == "capitulates"
+        assert calls["principal"] == 0
+        assert 0 < calls["rows"] <= 164
 
     def test_report_round_trips_to_dict(self):
         cert = _certificate(34, None, (1,))

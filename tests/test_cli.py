@@ -180,6 +180,19 @@ class TestSearchAndVerify:
         )
         assert code == 2
 
+    def test_trivial_group_is_named_by_the_empty_vector(self, capsys, tmp_path):
+        """Q(sqrt 2) has a trivial ray class group mod 1: --class= names its
+        one class and reaches the scan, while --class 0 is told the form."""
+        out = str(tmp_path / "c.json")
+        code, _, err = run(capsys, "search", "--d", "2", "--mod", "1", "--class=",
+                           "--bound", "1000", "--out", out)
+        assert code == 3 and "not an integer" not in err
+        code, out_text, err = run(capsys, "search", "--d", "2", "--mod", "1",
+                                  "--class", "0", "--bound", "1000", "--out", out)
+        assert code == 2 and out_text == ""
+        assert err == ("error: class vector needs 0 entries for invariants (); "
+                       "the trivial group's class is the empty vector, --class=\n")
+
     def test_failed_congruence_exits_five(self, capsys, tmp_path):
         cert_path = tmp_path / "fc.json"
         code, _, _ = run(
@@ -299,6 +312,13 @@ class TestAmbig:
         assert code == 2
         assert out == ""
         assert err == "error: modulus must have odd norm for a quadratic step\n"
+
+    def test_negative_biquad_entry_takes_the_equals_form(self, capsys):
+        """--biquad -5,7 reads as an option; the '=' form the help gives
+        reaches the field check."""
+        code, out, err = run(capsys, "ambig", "--biquad=-5,7")
+        assert code == 2 and out == ""
+        assert err == "error: the base field must be real\n"
 
     def test_non_fundamental_disc(self, capsys):
         code, _, _ = run(capsys, "ambig", "--L-disc", "10", "--mod", "1")
