@@ -230,10 +230,6 @@ class BqIdeal:
         return BqIdeal._from_span(L, [_mul4(L, g, m) for g in gens for m in _BASIS], gens)
 
     @staticmethod
-    def principal(z: BqElt) -> "BqIdeal":
-        return BqIdeal.from_generators(z.L, [z])
-
-    @staticmethod
     def from_int(L: BiquadField, n: int) -> "BqIdeal":
         if n < 1:
             raise ValueError("from_int wants a positive integer")

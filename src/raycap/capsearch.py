@@ -12,9 +12,13 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from .errors import InputError, require
-from .exactmath import crt, is_prime, primes_1_mod, primes_in_progression
+from .exactmath import crt, is_prime, primes_in_progression
 from .kummerfrob import ConditionChecker, SearchParams
 from .quadfield import FIELD_CACHE_SIZE, Modulus, QuadField, _primitive_root, quadratic_field
+
+# The scan's counters in the order its reports stamp them; "rejected_iv"
+# joins after them when first counted.
+_SCAN_COUNTERS = ("scanned", "rejected_i", "rejected_ii", "rejected_iii")
 
 
 def gaussian_period_min_poly(p: int, m: int) -> tuple[int, ...]:
@@ -151,26 +155,14 @@ class SearchResult:
         }
 
 
-def _candidate_stream(checker: ConditionChecker, lo: int, hi: int):
-    """The primes in [lo, hi] that condition (i') can pass, sieved (so
-    proved prime) in the progression of its cyclotomic congruence, and not
-    `forbidden`."""
-    params = checker.params
-    step = 2 ** (params.n + 1) if params.ell == 2 else params.ell**params.n
-    for p in primes_1_mod(step, max(lo, 3), hi):
-        if checker.forbidden(p):
-            continue
-        yield p
-
-
 def _scan_range(checker: ConditionChecker, lo: int, hi: int):
     """(first passing prime in [lo, hi] or None, rejection statistics),
     each candidate decided by `ConditionChecker.verdict` alone."""
-    stats = {"scanned": 0, "rejected_i": 0, "rejected_ii": 0, "rejected_iii": 0}
+    stats = dict.fromkeys(_SCAN_COUNTERS, 0)
     verdict = checker.verdict
-    for p in _candidate_stream(checker, lo, hi):
+    for p in checker.candidates(lo, hi):
         stats["scanned"] += 1
-        failed_at, _ = verdict(p, True)
+        failed_at, _ = verdict(p)
         if failed_at is None:
             return p, stats
         key = f"rejected_{failed_at}"
@@ -224,7 +216,7 @@ def find_principalizing_prime(
     if found_p is None:
         stats["reason"] = f"no prime below {params.bound} passed all conditions"
         return SearchResult(status="not_found", stats=stats, params=params)
-    rep = checker.check(found_p, sieved=True)  # the report of the hit alone
+    rep = checker.check(found_p)  # the report of the hit alone
     degree = params.ell**params.n
     cert = CandidateCertificate(
         d=field.d,
@@ -260,7 +252,7 @@ def _parallel_scan(field, modulus, target, params, jobs, checker):
          params.h, params.bound, lo, hi)
         for lo, hi in ranges
     ]
-    total = {"scanned": 0, "rejected_i": 0, "rejected_ii": 0, "rejected_iii": 0}
+    total = dict.fromkeys(_SCAN_COUNTERS, 0)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for (p, stats) in pool.map(_chunk_worker, args):
             for k, v in stats.items():

@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import InputError, InvariantError
-from .exactmath import factor, is_prime, kronecker, sqrt_mod, squarefree_part, valuation
+from .exactmath import (factor, is_prime, kronecker, primes_1_mod, sqrt_mod, squarefree_part,
+                        valuation)
 from .quadfield import (
     Modulus,
     QElt,
@@ -22,14 +23,17 @@ from .quadfield import (
 )
 
 
-def is_split_cyclotomic(p: int, ell: int, n: int, includes_sqrt_units: bool) -> bool:
-    """Whether p splits completely in Q(zeta_{ell^n}), optionally extended by
-    ell^n-th roots of -1 (the rational unit radical). Splitting is the
-    congruence p = 1 mod ell^n; adjoining sqrt[ell^n]{-1} sharpens the 2-part
-    to p = 1 mod 2^(n+1)."""
-    if not is_prime(p) or p == ell or (p - 1) % ell**n:
-        return False
-    return not (includes_sqrt_units and ell == 2 and (p - 1) % 2 ** (n + 1))
+def cyclotomic_step(ell: int, n: int) -> int:
+    """The modulus of (i')'s congruence: p splits completely in Q(zeta_{ell^n})
+    when p = 1 mod ell^n, and the ell^n-th roots of -1 (the rational unit
+    radical) sharpen the 2-part to p = 1 mod 2^(n+1)."""
+    return 2 ** (n + 1) if ell == 2 else ell**n
+
+
+def is_split_cyclotomic(p: int, ell: int, n: int) -> bool:
+    """Whether p is a prime that splits completely in Q(zeta_{ell^n}) with
+    the ell^n-th roots of -1 adjoined (`cyclotomic_step`)."""
+    return is_prime(p) and p != ell and (p - 1) % cyclotomic_step(ell, n) == 0
 
 
 def prime_above_from_root(field, p: int, root: int) -> QIdeal:
@@ -254,20 +258,22 @@ class ConditionChecker:
             or self.modulus.norm() % p == 0
         )
 
-    def verdict(self, p: int, sieved: bool = False) -> tuple[str | None, int | None]:
-        """(failed_at, root) at p as the scan needs it: conditions (i')-(iv)
-        in turn up to the first that fails, failed_at None when all pass.
-        root is None when (i') fails or when the genus prefilter proves
-        that (ii) fails; then no square root is taken and no ray class
-        looked up. A `sieved` p comes from the scan's sieve: prime, not
-        `forbidden`, and in the progression that is the cyclotomic part of
-        (i'). Any other p must have passed `forbidden`, and its primality
-        and congruence are tested here."""
-        params = self.params
-        # (i'): split in the cyclotomic-with-unit-radical field and in K;
-        # p is prime to D, so Euler's criterion decides the split in K
-        cyclotomic = sieved or is_split_cyclotomic(p, params.ell, params.n, True)
-        if not cyclotomic or pow(self.field.D, (p - 1) >> 1, p) != 1:
+    def candidates(self, lo: int, hi: int):
+        """The primes in [lo, hi] that condition (i') can pass, ascending:
+        proved prime by a sieve over the progression of its cyclotomic
+        congruence, and not `forbidden`."""
+        step = cyclotomic_step(self.params.ell, self.params.n)
+        return (p for p in primes_1_mod(step, max(lo, 3), hi) if not self.forbidden(p))
+
+    def verdict(self, p: int) -> tuple[str | None, int | None]:
+        """(failed_at, root) at a candidate p (`candidates`) as the scan
+        needs it: conditions (i')-(iv) in turn up to the first that fails,
+        failed_at None when all pass. root is None when (i') fails or when
+        the genus prefilter proves that (ii) fails; then no square root is
+        taken and no ray class looked up."""
+        # (i'): p is in the cyclotomic progression and prime to D, so
+        # Euler's criterion decides its split in K
+        if pow(self.field.D, (p - 1) >> 1, p) != 1:
             return "i", None
         # (ii), necessary part: the genus signature of the prime above p
         if self.genus is not None and not self.genus.allows(p):
@@ -277,18 +283,11 @@ class ConditionChecker:
         if self.ray.dlog_prime(p, root) != self.target:
             return "ii", root
         # (iii): the eps-character has exact order ell^(n-h)
+        params = self.params
         _, ord_eps = residue_character(self.eps, p, params.ell, params.n, root)
         if ord_eps != params.ell ** (params.n - self.h):
             return "iii", root
         return (None if self.iv_ok else "iv"), root
-
-    def decide(self, p: int, sieved: bool = False) -> tuple[str | None, int | None]:
-        """`verdict`'s (failed_at, root), with the root of a prefilter
-        rejection taken here: root is None only when (i') fails."""
-        failed_at, root = self.verdict(p, sieved)
-        if root is None and failed_at == "ii":
-            root = self._root(p)
-        return failed_at, root
 
     def _root(self, p: int) -> int:
         """The smaller square root of D mod a prime p that splits in K; the
@@ -296,21 +295,27 @@ class ConditionChecker:
         r = sqrt_mod(self.field.D, p)
         return min(r, p - r)
 
-    def check(self, p: int, sieved: bool = False) -> ConditionReport:
-        """Conditions (i')-(iv) at p as a report: `decide`'s verdict and
-        root, each condition's outcome up to the first failure, and, once
-        (ii) passes, the eps and -1 characters. A `sieved` p comes from the
-        scan's sieve (see `verdict`); any other p is tested here."""
-        if not sieved and self.forbidden(p):
+    def check(self, p: int) -> ConditionReport:
+        """Conditions (i')-(iv) at any integer p as a report. A `forbidden` p
+        raises InputError, a p that is not prime or misses the cyclotomic
+        congruence fails (i'), and a candidate gets `verdict`'s verdict and
+        root, taking the root of a prefilter rejection here. The report holds
+        each outcome up to the first failure and, past (ii), the eps and -1
+        characters."""
+        if self.forbidden(p):
             raise InputError(f"candidate {p} violates the coprimality precondition")
-        failed_at, root = self.decide(p, sieved)
+        params = self.params
+        failed_at, root = "i", None
+        if is_split_cyclotomic(p, params.ell, params.n):
+            failed_at, root = self.verdict(p)
+            if root is None and failed_at == "ii":
+                root = self._root(p)
         rep = ConditionReport(p=p, root=root, ok=failed_at is None, failed_at=failed_at)
         rep.checks["iv"] = self.iv_ok
         for cond in ("i", "ii"):
             rep.checks[cond] = failed_at != cond
             if failed_at == cond:
                 return rep
-        params = self.params
         for name, eta in (("eps", self.eps), ("minus_one", self.field.elt(-1, 0))):
             c, order = residue_character(eta, p, params.ell, params.n, root)
             rep.checks[f"{name}_character"] = {"value": c, "order": order}

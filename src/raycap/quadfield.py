@@ -772,19 +772,78 @@ class ResidueFactor:
         return power(self.gen, k, self.one, self.mul)
 
 
-def _residue_factor(field: QuadField, q: QIdeal) -> ResidueFactor:
-    """(O_K/q)^*: w maps to -b in F_p when q = [p, b + w], and to itself in
-    F_{p^2} = O_K/(p) when p is inert."""
-    if q.g == 1:
-        return ResidueFactor(q.a, 1, None, (1, -q.b % q.a))
-    return ResidueFactor(q.g, 2, (field.t, field.u), ((1, 0), (0, 1)))
+class QuadResidueFactor(ResidueFactor):
+    """(O_K/Q)^* at one prime Q of K, with the Q-adic valuation and the
+    unit-part residue of a multiplier, which is all a ray class needs of it:
+    w maps to -b in F_p when Q = [p, b + w], and to itself in
+    F_{p^2} = O_K/(p) when p is inert (b is None). With v = v_Q(x), `unit`
+    reads the residue of x / p^v for Q = (p) inert, and of x * s^v / p^v for
+    Q = [p, b + w], s = conj(b + w): s lies outside Q when p splits and has
+    v_Q(s) = 1 when (p) = Q^2, so for x in Q, x * s / p is integral with one
+    less Q-valuation. The map is multiplicative and is the residue on
+    Q-units; in a multiplier of Q-valuation 0, the only kind whose residue
+    is read (by `quotient`), the factors s^v / p^v of numerator and
+    denominator cancel."""
+
+    def __init__(self, field: QuadField, q: QIdeal):
+        self.t, self.u, self.b = field.t, field.u, None if q.g > 1 else q.b
+        if q.g > 1:
+            super().__init__(q.g, 2, (field.t, field.u), ((1, 0), (0, 1)))
+        else:
+            super().__init__(q.a, 1, None, (1, -q.b % q.a))
+
+    def unit(self, x: int, y: int):
+        """(v_Q(x + y*w), residue of its unit part), for x + y*w != 0."""
+        p, v = self.p, 0
+        if self.b is None:
+            while x % p == 0 and y % p == 0:
+                x, y, v = x // p, y // p, v + 1
+            return v, (x % p, y % p)
+        b = self.b
+        while (r := (x - y * b) % p) == 0:
+            # (x + y*w) * s with s = (b + t) - w, and w^2 = t*w + u
+            x, y = (x * (b + self.t) - y * self.u) // p, (y * b - x) // p
+            v += 1
+        return v, r
+
+    def fold(self, state, factors):
+        """`state` = (v, num, den) of a multiplier, times each (x + y*w) / den
+        of `factors`; num is the unit residue of the numerators, den that of
+        the denominators (in F_p: the unit part of an integer)."""
+        v, num, dr = state
+        p, b, mul = self.p, self.b, self.mul
+        for x, y, den in factors:
+            if b is None or not (rx := (x - y * b) % p):
+                vx, rx = self.unit(x, y)  # not in the common case, a Q-unit
+                v += vx
+            num = mul(num, rx)
+            if not (r := den % p):
+                vd, r = self.unit(den, 0)
+                if b is None:
+                    r = r[0]
+                v -= vd
+            dr = dr * r % p
+        return v, num, dr
+
+    def quotient(self, g: int, state):
+        """The residue of g * den / num, a unit of F_Q."""
+        v, num, dr = state
+        require(v == 0, "the multiplier is not a unit at a prime of m")
+        p, k = self.p, g * dr
+        if self.b is not None:
+            return k * pow(num, -1, p) % p
+        x, y = num
+        k = k * pow(x * x + self.t * x * y - self.u * y * y, -1, p)
+        return (x + y * self.t) * k % p, -y * k % p
 
 
 class ResidueSystem:
     """(O/m)^* as a product of cyclic factors with discrete logs. `dlog`
     gives the exponents over the factors' generators, and `vector` the
     coordinates in `group`, the product in invariant-factor form. `field`
-    is set for a modulus of K, where dlog_int and crt_lift build elements."""
+    is set for a modulus of K, where dlog_int and crt_lift build elements
+    and a multiplier is known by its local state at each factor (`one`,
+    `fold`, `dlogs`)."""
 
     def __init__(
         self, factors: Sequence[ResidueFactor], field: QuadField | None = None
@@ -792,6 +851,21 @@ class ResidueSystem:
         self.field = field
         self.factors = list(factors)
         self.orders = tuple(f.order for f in self.factors)
+        self.one = tuple((0, f.one, 1) for f in self.factors)  # the state of 1
+
+    def fold(self, state, steps):
+        """The local state of a multiplier times each (x + y*w) / den of the
+        walks' `steps` (`QuadResidueFactor.fold`); only generators and units
+        form the element (`_steps_product`)."""
+        if not steps:
+            return state
+        return tuple([f.fold(s, steps) for f, s in zip(self.factors, state)])
+
+    def dlogs(self, state, g: int) -> tuple[int, ...]:
+        """The discrete logs of g / mu at each factor, for g prime to m and
+        the multiplier mu whose local state is `state`."""
+        return tuple(f.dlog_residue(f.quotient(g, s))
+                     for f, s in zip(self.factors, state, strict=True))
 
     def order(self) -> int:
         return math.prod(self.orders)
@@ -847,111 +921,7 @@ class ResidueSystem:
 
 
 def residue_system(field: QuadField, modulus: Modulus) -> ResidueSystem:
-    return ResidueSystem([_residue_factor(field, q) for q in modulus.primes], field)
-
-
-class _LocalPrime:
-    """Q-adic valuation and unit-part residue at one prime Q of K, in the
-    residue form of `_residue_factor(field, Q)`.
-
-    With v = v_Q(x), `unit` reads the residue of x / p^v for Q = (p) inert,
-    and of x * s^v / p^v for Q = [p, b + w], s = conj(b + w): s lies
-    outside Q when p splits and has v_Q(s) = 1 when (p) = Q^2, so for x in
-    Q, x * s / p is integral with one less Q-valuation. The map is
-    multiplicative and is the residue on Q-units; in a multiplier of
-    Q-valuation 0, the only kind whose residue is read (by `quotient`),
-    the factors s^v / p^v of numerator and denominator cancel."""
-
-    __slots__ = ("p", "b", "t", "u", "mul")
-
-    def __init__(self, field: QuadField, q: QIdeal):
-        self.t, self.u = field.t, field.u
-        if q.g > 1:  # inert: residues are pairs (x, y) in F_p^2
-            self.p, self.b = q.g, None
-            self.mul = _Fp2(q.g, field.t, field.u).mul
-            return
-        p = self.p = q.a
-        self.b = q.b
-        self.mul = lambda r, s: r * s % p
-
-    def unit(self, x: int, y: int):
-        """(v_Q(x + y*w), residue of its unit part), for x + y*w != 0."""
-        p, v = self.p, 0
-        if self.b is None:
-            while x % p == 0 and y % p == 0:
-                x, y, v = x // p, y // p, v + 1
-            return v, (x % p, y % p)
-        b = self.b
-        while (r := (x - y * b) % p) == 0:
-            # (x + y*w) * s with s = (b + t) - w, and w^2 = t*w + u
-            x, y = (x * (b + self.t) - y * self.u) // p, (y * b - x) // p
-            v += 1
-        return v, r
-
-    def fold(self, state, factors):
-        """`state` = (v, num, den) of a multiplier, times each (x + y*w) / den
-        of `factors`; num is the unit residue of the numerators, den that of
-        the denominators (in F_p: the unit part of an integer)."""
-        v, num, dr = state
-        p, b, mul = self.p, self.b, self.mul
-        for x, y, den in factors:
-            if b is None or not (rx := (x - y * b) % p):
-                vx, rx = self.unit(x, y)  # not in the common case, a Q-unit
-                v += vx
-            num = mul(num, rx)
-            if not (r := den % p):
-                vd, r = self.unit(den, 0)
-                if b is None:
-                    r = r[0]
-                v -= vd
-            dr = dr * r % p
-        return v, num, dr
-
-    def quotient(self, g: int, state):
-        """The residue of g * den / num, a unit of F_Q."""
-        v, num, dr = state
-        require(v == 0, "the multiplier is not a unit at a prime of m")
-        p, k = self.p, g * dr
-        if self.b is not None:
-            return k * pow(num, -1, p) % p
-        x, y = num
-        k = k * pow(x * x + self.t * x * y - self.u * y * y, -1, p)
-        return (x + y * self.t) * k % p, -y * k % p
-
-
-class _LocalMult:
-    """A multiplier mu = num/den known only through its local data at the
-    primes of m (`_LocalPrime`), which is all a ray class needs of it. The
-    walks hand back their step factors, and the ray class layer folds them
-    in here; only generators and units form the element
-    (`_steps_product`)."""
-
-    __slots__ = ("primes", "state")
-
-    def __init__(self, primes: Sequence[_LocalPrime], state: tuple):
-        self.primes, self.state = primes, state
-
-    @staticmethod
-    def one(field: QuadField, modulus: Modulus) -> "_LocalMult":
-        primes = tuple(_LocalPrime(field, q) for q in modulus.primes)
-        return _LocalMult(
-            primes, tuple((0, (1, 0) if P.b is None else 1, 1) for P in primes)
-        )
-
-    def fold(self, factors) -> "_LocalMult":
-        """This multiplier times each (x + y*w) / den of `factors`."""
-        if not factors:
-            return self
-        return _LocalMult(self.primes, tuple(
-            [P.fold(s, factors) for P, s in zip(self.primes, self.state)]
-        ))
-
-    def dlogs(self, residue: ResidueSystem, g: int) -> tuple[int, ...]:
-        """The discrete logs of g / mu at the residue factors of m, g prime to m."""
-        return tuple(
-            F.dlog_residue(P.quotient(g, st))
-            for F, P, st in zip(residue.factors, self.primes, self.state, strict=True)
-        )
+    return ResidueSystem([QuadResidueFactor(field, q) for q in modulus.primes], field)
 
 
 def adjust_by_units(y, residue: ResidueSystem, units: Sequence):
@@ -977,13 +947,13 @@ def adjust_by_units(y, residue: ResidueSystem, units: Sequence):
 
 
 def _cofactor_residue(I: QIdeal, gens: Sequence[QIdeal], v: Sequence[int],
-                      residue: ResidueSystem, one: _LocalMult | None):
+                      residue: ResidueSystem):
     """The residue part of I against the primes P_i of `gens`: with
     C = prod conj(P_i)^(v_i) and I*C = (y) principal, dlog(y) - dlog_int(N C),
     unreduced, since P_i * conj(P_i) = (N P_i); None when I*C is not
     principal. y is never built: the steps of the walk of I*C = g*J to
-    [1, w] = mu*J fold into `one` (None for m = 1, whose part is empty), the
-    local data of mu, and y = g/mu."""
+    [1, w] = mu*J fold into the local state of mu (`ResidueSystem.fold`;
+    nothing is folded for m = 1, whose part is empty), and y = g/mu."""
     C = QIdeal.unit_ideal(I.field)
     for P, e in zip(gens, v):
         if e:
@@ -992,7 +962,7 @@ def _cofactor_residue(I: QIdeal, gens: Sequence[QIdeal], v: Sequence[int],
     a, b, steps = _reduce_primitive(J.field, J.a, J.b)
     if _walk_to(J.field, a, b, steps, lambda a, _: a == 1) is None:
         return None
-    logs = () if one is None else one.fold(steps).dlogs(residue, J.g)  # those of y = g/mu
+    logs = residue.dlogs(residue.fold(residue.one, steps), J.g) if residue.factors else ()
     return tuple(map(operator.sub, logs, residue.dlog_int(C.norm())))
 
 
@@ -1006,7 +976,6 @@ class RayClassData:
     residue: ResidueSystem
     ray_table: dict  # class_key -> exponent vector over ideal_gens
     unit_image_order: int
-    one: _LocalMult | None = dc_field(compare=False, repr=False)  # None for m = 1
     # The lookup memo, filled by dlog and dropped with the group: reduced
     # primitive pair (a, b), coprime to m -> coordinates in `group` of
     # [a, b + w]. A miss fills the whole rho-cycle of the reduced ideal.
@@ -1036,9 +1005,9 @@ class RayClassData:
 
         I = g*J with J primitive reduces to R = mu*J, so
         [I] = [R] + [(g / mu)]. [R] comes from the memo; [(g / mu)] is the
-        class of the residue of g/mu, read off the local data of mu at the
-        primes of m (`_LocalMult`), which takes on the walks' step factors
-        in one fold. Without residue factors no multiplier is built and
+        class of the residue of g/mu, read off the local state of mu at the
+        primes of m (`ResidueSystem.fold`), which takes on the walks' step
+        factors in one fold. Without residue factors no multiplier is built and
         [I] = [R]. When R meets m, the walk goes on along R's rho-cycle to
         the first member coprime to m; only a class with no reduced ideal
         coprime to m builds I and walks I*C_v to [1, w] (see
@@ -1057,13 +1026,14 @@ class RayClassData:
         vec = self.vectors.get((a, b))
         if vec is None:
             vec = self._fill(a, b)
-        return vec if self.one is None else self._moved(vec, self.one.fold(steps), g, 1)
+        res = self.residue
+        return self._moved(vec, res.fold(res.one, steps), g, 1) if res.factors else vec
 
     def _generator_vector(self, I: QIdeal, v: tuple[int, ...]) -> tuple[int, ...]:
         """The ambient vector of [I] from its class vector v: v, then the
         residue part of I against C_v = prod conj(P_i)^(v_i)
         (`_cofactor_residue`) mod the factor orders."""
-        res = _cofactor_residue(I, self.ideal_gens, v, self.residue, self.one)
+        res = _cofactor_residue(I, self.ideal_gens, v, self.residue)
         require(res is not None, "the class vector's cofactor leaves a non-principal ideal")
         return v + tuple(r % o for r, o in zip(res, self.residue.orders))
 
@@ -1072,9 +1042,10 @@ class RayClassData:
         """`group.to_canonical` rows of the residue factor generators."""
         return self.group.to_canonical[self.n_ideal:]
 
-    def _moved(self, vec: tuple[int, ...], mu: _LocalMult, g: int, sign: int):
-        """vec + sign * [(g / mu)], with one discrete log per residue factor."""
-        exps = [e * sign for e in mu.dlogs(self.residue, g)]
+    def _moved(self, vec: tuple[int, ...], mu: tuple, g: int, sign: int):
+        """vec + sign * [(g / mu)] for the multiplier of local state mu, with
+        one discrete log per residue factor."""
+        exps = [e * sign for e in self.residue.dlogs(mu, g)]
         return tuple(
             (c + sum(e * row[j] for e, row in zip(exps, self._residue_rows))) % n
             for j, (c, n) in enumerate(zip(vec, self.group.invariants))
@@ -1090,12 +1061,13 @@ class RayClassData:
         vec = self.group.dlog_ambient(
             self._generator_vector(QIdeal(f, 1, a, b), self.ray_table[key])
         )
-        mu = self.one
+        res = self.residue
+        mu = res.one if res.factors else None  # nothing is folded for m = 1
         for ak, bk, B in members:  # R0 itself first, with mu_0 = 1
             if self.modulus.coprime_to_primitive(ak, bk):
                 self.vectors[ak, bk] = vec if mu is None else self._moved(vec, mu, 1, -1)
             if mu is not None:
-                mu = mu.fold(((B + f.t, -2, 2 * ak),))
+                mu = res.fold(mu, ((B + f.t, -2, 2 * ak),))
         return vec
 
     def class_of_principal(self, z: QElt) -> tuple[int, ...]:
@@ -1176,7 +1148,6 @@ def ray_class_group(field: QuadField, modulus: Modulus) -> RayClassData:
     residue = residue_system(field, modulus)
     r, s = len(ideal_gens), len(residue.factors)
     labels = tuple(f"P{i}" for i in range(r)) + tuple(f"U{i}" for i in range(s))
-    one = _LocalMult.one(field, modulus) if s else None  # every fold of the group starts here
     rows: list[list[int]] = []
     for rel in cl_relations:
         # rel = pos - neg, and Jp * C = (alpha) for Jp = prod P_i^pos_i and
@@ -1184,7 +1155,7 @@ def ray_class_group(field: QuadField, modulus: Modulus) -> RayClassData:
         Jp = QIdeal.unit_ideal(field)
         for P, e in zip(ideal_gens, rel):
             Jp = Jp * (P ** max(e, 0))
-        res = _cofactor_residue(Jp, ideal_gens, [max(-e, 0) for e in rel], residue, one)
+        res = _cofactor_residue(Jp, ideal_gens, [max(-e, 0) for e in rel], residue)
         require(res is not None, "a harvested relation is not principal")
         rows.append(list(rel) + [-c for c in res])
     for u in unit_gens(field):
@@ -1198,9 +1169,7 @@ def ray_class_group(field: QuadField, modulus: Modulus) -> RayClassData:
     unit_image = residue.group.subgroup_order(
         [residue.vector(u) for u in unit_gens(field)]
     )
-    data = RayClassData(
-        field, modulus, group, cl, ideal_gens, residue, table, unit_image, one
-    )
+    data = RayClassData(field, modulus, group, cl, ideal_gens, residue, table, unit_image)
     expected = cl.h * residue.order() // unit_image
     require(group.order() == expected, "the exact-sequence order identity fails")
     return data

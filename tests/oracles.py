@@ -7,17 +7,21 @@ cyclic complement of an element of an ell-group, ideals of K as the HNF of
 their generators' lattice, exact ideal division, ray-principal generators,
 ray generators closed by ideal products, real reduction by a rho walk that
 moves its multiplier at every step, with an exact multiplier num/den kept
-in lowest terms as a reference, ideals of L = Q(sqrt d, sqrt p) as the HNF
-of all products of basis elements, square roots in L by the integer square
-root chain alone, with no residue test first, and the unit norm index of a
-quadratic field over Q by exponent lattices, and a scan candidate's
+in lowest terms as a reference and a multiplier's local value read off the
+exact element, ideals of L = Q(sqrt d, sqrt p) as the HNF of all products
+of basis elements, principal ideals of L as the HNF of one generator,
+square roots in L by the integer square root chain alone, with no residue
+test first, and the unit norm index of a quadratic field over Q by
+exponent lattices, and a scan candidate's
 conditions decided without genus characters. The library never calls them.
 The square root stands on the library's quadratic square root. The ideal
 oracles stand on the library's `QIdeal`, `BqIdeal` and its HNF, division
 and ray principality
 also on its ideal product and generator search, the ray generators on its
 ideal product, prime splitting and `class_key`, the rho walk on its
-local multiplier class, and the norm index on its residue systems and unit
+residue factors' valuation and unit-part residue, the local value on their
+residues and discrete logs, the principal ideal of L on
+`BqIdeal.from_generators`, and the norm index on its residue systems and unit
 lattice, and the scan's reference decision on the checker's ray class
 group, unit and square root; the rest share no code with it.
 """
@@ -40,7 +44,6 @@ from raycap.quadfield import (
     QIdeal,
     QuadField,
     RayClassData,
-    _LocalMult,
     _ideal_from_rows,
     _key_ideal,
     adjust_by_units,
@@ -422,31 +425,68 @@ class Mult:
         return mult
 
 
-def _local_times(P, state, x: int, y: int, den: int):
-    """One step of a `_LocalMult`'s data at the `_LocalPrime` P: the
-    (v, num, den) of the multiplier times (x + y*w) / den."""
+def _local_times(F, state, x: int, y: int, den: int):
+    """One step of a local state (v, num, den) at the residue factor F of
+    a prime of K: that of the multiplier times (x + y*w) / den."""
     v, num, dr = state
-    if P.b is not None and (rx := (x - y * P.b) % P.p):
+    if F.b is not None and (rx := (x - y * F.b) % F.p):
         vx = 0
     else:
-        vx, rx = P.unit(x, y)
-    r = den % P.p
+        vx, rx = F.unit(x, y)
+    r = den % F.p
     if r == 0:
-        vd, r = P.unit(den, 0)
-        if P.b is None:
+        vd, r = F.unit(den, 0)
+        if F.b is None:
             r = r[0]
         vx -= vd
-    return v + vx, P.mul(num, rx), dr * r % P.p
+    return v + vx, F.mul(num, rx), dr * r % F.p
 
 
-def _step_times(mult, x: int, y: int, den: int):
-    """mult times (x + y*w) / den, for a `Mult` as an element of K, for a
-    `_LocalMult` by `_local_times` at each prime."""
-    if isinstance(mult, _LocalMult):
-        return _LocalMult(mult.primes, tuple(
-            _local_times(P, st, x, y, den) for P, st in zip(mult.primes, mult.state)
-        ))
-    return mult.fold(((x, y, den),))
+class LocalMult:
+    """A multiplier known by its local state at each factor of a residue
+    system of K (`ResidueSystem.one`), moved one factor at a time by
+    `_local_times`."""
+
+    __slots__ = ("residue", "state")
+
+    def __init__(self, residue, state=None):
+        self.residue = residue
+        self.state = residue.one if state is None else state
+
+    def fold(self, factors) -> "LocalMult":
+        state = self.state
+        for x, y, den in factors:
+            state = tuple(_local_times(F, st, x, y, den)
+                          for F, st in zip(self.residue.factors, state, strict=True))
+        return LocalMult(self.residue, state)
+
+
+def local_value(F, state) -> tuple[int, int]:
+    """What a local state (v, num, den) at the residue factor F says of its
+    multiplier: its Q-valuation v and the discrete log of num/den."""
+    v, num, dr = state
+    den = dr if F.f == 1 else (dr, 0)
+    return v, (F.dlog_residue(num) - F.dlog_residue(den)) % F.order
+
+
+def exact_local_value(F, mult: Mult) -> tuple[int, int]:
+    """`local_value` of the exact multiplier num/den at the prime Q of F,
+    read off the element: for each of num and den, z * s^v / p^v with v =
+    v_Q(z) found by dividing while z lies in Q, s = conj(b + w) for
+    Q = [p, b + w] and s = 1 for Q = (p) inert."""
+    K, p = mult.num.field, F.p
+    s = K.elt(1, 0) if F.b is None else K.elt(F.b + K.t, -1)
+
+    def unit_part(z: QElt) -> tuple[int, int]:
+        v = 0
+        while F.residue(z) == F.zero:
+            z = z * s
+            assert z.x % p == 0 and z.y % p == 0
+            z, v = QElt(K, z.x // p, z.y // p), v + 1
+        return v, F.dlog(z)
+
+    (vn, ln), (vd, ld) = unit_part(mult.num), unit_part(K.elt(mult.den, 0))
+    return vn - vd, (ln - ld) % F.order
 
 
 def rho_orbit(field: QuadField, a: int, b: int, mult=None):
@@ -465,7 +505,7 @@ def rho_orbit(field: QuadField, a: int, b: int, mult=None):
         if c == 0:
             raise InvariantError("a rho step met a norm-zero form")
         if mult is not None:
-            mult = _step_times(mult, B + t, -2, 2 * a)
+            mult = mult.fold(((B + t, -2, 2 * a),))
         a, b = c, ((-B - t) // 2) % c
 
 
@@ -507,6 +547,11 @@ def _bq_span(L, elts) -> BqIdeal:
     h = hnf_rows([list(z.coords()) for z in elts])
     assert len(h) == 4
     return BqIdeal(L, tuple(tuple(r) for r in h))
+
+
+def bq_principal(z: BqElt) -> BqIdeal:
+    """(z) = z*O_L, the ideal of the one generator z."""
+    return BqIdeal.from_generators(z.L, [z])
 
 
 def bq_ideal_product(I: BqIdeal, J: BqIdeal) -> BqIdeal:

@@ -16,6 +16,7 @@ from math import gcd, lcm
 
 from oracles import (
     analytic_class_number,
+    bq_principal,
     cyclic_complement,
     multiplicative_order,
     smallest_prime_factors,
@@ -23,7 +24,6 @@ from oracles import (
 )
 from raycap.ambigcheck import ambig_case, fundamental_field_params, rayclass_Q
 from raycap.biquad import (
-    BqIdeal,
     biquad_field,
     extend_ideal,
     extend_modulus,
@@ -233,7 +233,7 @@ def _capitulation_case(d: int, mod: int) -> dict:
             m_L = extend_modulus(L, m)
             row["generator"] = list(rep.generator)
             row["ideal_equality"] = (
-                BqIdeal.principal(gamma) == extend_ideal(L, p_K))
+                bq_principal(gamma) == extend_ideal(L, p_K))
             row["congruent_to_one"] = all(
                 Q.contains(gamma - L.one()) for Q in m_L)
     row["seconds"] = round(time.monotonic() - t0, 3)
@@ -385,11 +385,11 @@ def _run_principality_roundtrip(seed: int = 20260815):
                 z = L.elt(*(rng.randint(-9, 9) for _ in range(4)))
                 if z.norm() != 0:
                     break
-            ideal = BqIdeal.principal(z)
+            ideal = bq_principal(z)
             g = is_principal(ideal)
             if g is None:
                 false_neg += 1
-            elif BqIdeal.principal(g) != ideal:
+            elif bq_principal(g) != ideal:
                 false_pos += 1
             done += 1
     # known nonprincipal inputs must come back empty: the primes above 17 in

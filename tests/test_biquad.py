@@ -13,6 +13,7 @@ from oracles import (
     bq_elt_product,
     bq_ideal_conj,
     bq_ideal_product,
+    bq_principal,
     group_add,
     principal_ideal,
     sqrt_in_biquad_unfiltered,
@@ -195,16 +196,16 @@ class TestIdeals:
     def test_norm_multiplicative(self, x, y):
         if x.norm() == 0 or y.norm() == 0:
             return
-        I, J = BqIdeal.principal(x), BqIdeal.principal(y)
+        I, J = bq_principal(x), bq_principal(y)
         assert (I * J).norm() == I.norm() * J.norm()
-        assert I * J == BqIdeal.principal(x * y)
+        assert I * J == bq_principal(x * y)
 
     @given(belt(L345))
     @settings(max_examples=30)
     def test_principal_norm_and_membership(self, z):
         if z.norm() == 0:
             return
-        I = BqIdeal.principal(z)
+        I = bq_principal(z)
         assert I.norm() == abs(z.norm())
         assert I.contains(z) and I.contains(z * BqElt(L345, 1, 1, 1, 1))
         if abs(z.norm()) > 1:
@@ -216,18 +217,18 @@ class TestIdeals:
         if z.norm() == 0:
             return
         for j in (1, 2, 3):
-            assert BqIdeal.principal(z).conj(j) == BqIdeal.principal(z.tau(j))
+            assert bq_principal(z).conj(j) == bq_principal(z.tau(j))
 
     def test_pow_and_rank_errors(self):
         z = BqElt(L345, 1, 1, 0, 1)
-        I = BqIdeal.principal(z)
+        I = bq_principal(z)
         assert I**3 == I * I * I
         assert I**0 == BqIdeal.unit_ideal(L345)
         with pytest.raises(ValueError):
             BqIdeal.from_generators(L345, [BqElt(L345, 0, 0, 0, 0)])
 
     def test_nonpositive_integers_rejected(self):
-        I = BqIdeal.principal(BqElt(L345, 1, 1, 0, 1))
+        I = bq_principal(BqElt(L345, 1, 1, 0, 1))
         for n in (0, -3):
             with pytest.raises(ValueError, match="positive"):
                 BqIdeal.from_int(L345, n)
@@ -307,7 +308,7 @@ class TestIdealOracle:
 
 
 def _generates_by_hnf(I, z):
-    return not z.is_zero() and BqIdeal.principal(z) == I
+    return not z.is_zero() and bq_principal(z) == I
 
 
 class TestGenerationByNorm:
@@ -321,7 +322,7 @@ class TestGenerationByNorm:
         z = data.draw(belt(L))
         if z.norm() == 0:
             return
-        I = BqIdeal.principal(z)
+        I = bq_principal(z)
         units = [-L.one()] + list(unit_group(L).units)
         cases = [(z, True)]
         cases += [(z * u, True) for u in units]  # unit multiples
@@ -396,7 +397,7 @@ class TestExtensions:
     def test_extend_principal_matches_embedding(self):
         z = QElt(L345.k1, 7, 2)
         I = principal_ideal(z)
-        assert extend_ideal(L345, I) == BqIdeal.principal(embed(L345, z))
+        assert extend_ideal(L345, I) == bq_principal(embed(L345, z))
 
     def test_extend_then_intersect_is_identity(self):
         from raycap.quadfield import factor_prime
@@ -409,7 +410,7 @@ class TestExtensions:
 
     def test_relative_norm_of_principal(self):
         z = BqElt(L345, 3, 1, -2, 1)
-        I = BqIdeal.principal(z)
+        I = bq_principal(z)
         for j in (1, 2, 3):
             k = (L345.k1, L345.k2, L345.k3)[j - 1]
             assert relative_norm_ideal(I, j) == principal_ideal(z.rel_norm(j))
@@ -550,10 +551,10 @@ class TestPrincipality:
     def test_round_trip(self, z):
         if z.norm() == 0:
             return
-        I = BqIdeal.principal(z)
+        I = bq_principal(z)
         g = is_principal(I)
         assert g is not None
-        assert BqIdeal.principal(g) == I
+        assert bq_principal(g) == I
 
     def test_unit_ideal(self):
         assert is_principal(BqIdeal.unit_ideal(L345)) == L345.one()
@@ -577,7 +578,7 @@ class TestPrincipality:
     def test_ramified_prime_over_2_is_principal(self):
         Q = primes_above(L345, 2)[0][0]
         g = is_principal(Q)
-        assert g is not None and BqIdeal.principal(g) == Q
+        assert g is not None and bq_principal(g) == Q
 
 
 def _k_factors(d, p0):
@@ -729,7 +730,7 @@ class TestResidues:
             out = adjust_to_congruence(g, prs)
             assert out is not None
             assert all(Q.contains(out - L.one()) for Q in prs)
-            assert BqIdeal.principal(out) == BqIdeal.principal(g)
+            assert bq_principal(out) == bq_principal(g)
             recovered += 1
         assert recovered >= 8
 
@@ -764,7 +765,7 @@ class TestVerifyCertificate:
         p_K = prime_above_from_root(K, 5, cert.root)
         assert is_principal_with_generator(p_K) is None
         alpha = BqElt(L, *rep.generator)
-        assert BqIdeal.principal(alpha) == extend_ideal(L, p_K)
+        assert bq_principal(alpha) == extend_ideal(L, p_K)
 
     @pytest.mark.parametrize("d", [15, 39, 51, 95])
     def test_scan_fields_capitulate(self, d):
@@ -775,7 +776,7 @@ class TestVerifyCertificate:
         K = quadratic_field(d)
         alpha = BqElt(L, *rep.generator)
         p_K = prime_above_from_root(K, cert.p, cert.root)
-        assert BqIdeal.principal(alpha) == extend_ideal(L, p_K)
+        assert bq_principal(alpha) == extend_ideal(L, p_K)
 
     @pytest.mark.parametrize("d,q0,target", [(3, 5, (2,)), (11, 3, (2,)), (6, 13, (6,))])
     def test_ray_class_cases_with_modulus(self, d, q0, target):
@@ -856,25 +857,29 @@ class TestVerifyCertificate:
     def test_verify_builds_no_principal_ideal(self, monkeypatch):
         """Generation is decided by membership and norm, and products run
         over generators: verifying the p = 853 certificate of 2543 mod 7
-        builds no HNF of a principal ideal and hands at most 164 rows to
-        `hnf_rows` (260 when each check compared HNFs of 16-row products)."""
+        builds no HNF of a principal ideal (no one-generator
+        `from_generators`) and hands at most 164 rows to `hnf_rows` (260
+        when each check compared HNFs of 16-row products)."""
         import raycap.biquad as bq
 
         cert = _certificate(2543, 7, (0, 0, 3), bound=10**5)
         assert cert.p == 853
         calls = {"principal": 0, "rows": 0}
-        real_principal, real_hnf = BqIdeal.principal, bq.hnf_rows
+        real_from_generators, real_hnf = BqIdeal.from_generators, bq.hnf_rows
 
-        def principal(z):
-            calls["principal"] += 1
-            return real_principal(z)
+        def from_generators(L, gens):
+            calls["principal"] += len(gens) == 1
+            return real_from_generators(L, gens)
 
         def hnf(rows):
             calls["rows"] += len(rows)
             return real_hnf(rows)
 
-        monkeypatch.setattr(BqIdeal, "principal", staticmethod(principal))
+        monkeypatch.setattr(BqIdeal, "from_generators", staticmethod(from_generators))
         monkeypatch.setattr(bq, "hnf_rows", hnf)
+        bq_principal(BqElt(biquad_field(cert.d, cert.p), 1, 1, 0, 0))
+        assert calls["principal"] == 1  # the counter sees the oracle's (z)
+        calls.update(principal=0, rows=0)
         assert verify_certificate(cert).status == "capitulates"
         assert calls["principal"] == 0
         assert 0 < calls["rows"] <= 164

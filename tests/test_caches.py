@@ -107,4 +107,4 @@ def test_checker_whose_ray_group_was_evicted_decides_as_a_fresh_one(d, m):
     assert fresh.ray.group.to_canonical == old.ray.group.to_canonical
     assert _scan_range(fresh, 3, params.bound) == old_scan == _scan_range(old, 3, params.bound)
     candidates = [p for p in range(3, 3000) if not old.forbidden(p)]
-    assert [old.decide(p) for p in candidates] == [fresh.decide(p) for p in candidates]
+    assert [old.check(p) for p in candidates] == [fresh.check(p) for p in candidates]

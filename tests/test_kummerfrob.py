@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from raycap import kummerfrob
-from raycap.capsearch import _candidate_stream, _scan_range
+from raycap.capsearch import _scan_range
 from raycap.errors import InputError
 from raycap.exactmath import kronecker, primes_up_to, sqrt_mod, squarefree_part
 from raycap.kummerfrob import (
@@ -47,20 +47,23 @@ def count_roots_of_unity(p: int, k: int) -> int:
 class TestSplitCyclotomic:
     def test_examples(self):
         # 3 has order 16 mod 17, so 17 = 1 mod 16 and the sqrt-units layer splits
-        assert is_split_cyclotomic(17, 2, 3, includes_sqrt_units=True) is True
-        assert is_split_cyclotomic(41, 2, 3, includes_sqrt_units=True) is False
-        assert is_split_cyclotomic(41, 2, 3, includes_sqrt_units=False) is True
-        assert is_split_cyclotomic(13, 2, 3, includes_sqrt_units=False) is False
-        assert is_split_cyclotomic(13, 3, 1, includes_sqrt_units=False) is True
+        assert is_split_cyclotomic(17, 2, 3) is True
+        # 41 = 1 mod 8 splits Q(zeta_8) but not the 8th roots of -1
+        assert is_split_cyclotomic(41, 2, 3) is False
+        assert is_split_cyclotomic(41, 2, 2) is True
+        assert is_split_cyclotomic(13, 3, 1) is True
+        assert is_split_cyclotomic(13, 3, 2) is False
+        assert is_split_cyclotomic(3, 3, 1) is False
 
     def test_against_root_count(self):
-        # split in the cyclotomic layer iff x^(l^n) - 1 has the full root count
+        # for odd ell, -1 is its own ell^n-th root, so the layer is
+        # Q(zeta_{ell^n}): split iff x^(l^n) - 1 has the full root count
         for p in primes_up_to(400):
-            for ell, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)):
+            for ell, n in ((3, 1), (3, 2), (5, 1), (7, 1)):
                 if p == ell:
                     continue
                 expect = count_roots_of_unity(p, ell**n) == ell**n
-                assert is_split_cyclotomic(p, ell, n, includes_sqrt_units=False) == expect
+                assert is_split_cyclotomic(p, ell, n) == expect
 
     def test_sqrt_units_layer_is_root_count_one_level_up(self):
         for p in primes_up_to(400):
@@ -68,10 +71,12 @@ class TestSplitCyclotomic:
                 if p == 2:
                     continue
                 expect = count_roots_of_unity(p, 2 ** (n + 1)) == 2 ** (n + 1)
-                assert is_split_cyclotomic(p, 2, n, includes_sqrt_units=True) == expect
+                assert is_split_cyclotomic(p, 2, n) == expect
 
     def test_nonprime_rejected(self):
-        assert is_split_cyclotomic(15, 2, 1, includes_sqrt_units=False) is False
+        # 25 = 1 mod 4 and 49 = 1 mod 3 meet the congruence but are not prime
+        for p, ell in ((15, 2), (25, 2), (49, 3), (1, 2), (0, 3), (-3, 2)):
+            assert is_split_cyclotomic(p, ell, 1) is False
 
 
 class TestDiscRoots:
@@ -248,27 +253,83 @@ class TestConditionChecker:
 
     @pytest.mark.parametrize("d,m", [(34, 1), (543, 11), (70, 13), (595, 33), (7315, 3)])
     def test_sieved_check_matches_full_check(self, d, m):
-        """check(p, sieved=True) skips the primality and forbidden tests and
-        takes condition (i) and the root from one square root; on every
-        sieved candidate p <= 2*10^4 its report equals the full check's in
-        every field (ok, failed_at, root, checks), and `decide`, which the
-        scan calls alone, gives the report's (failed_at, root). The scan's
-        counters equal those of a loop over `check`."""
+        """On every candidate p <= 2*10^4 of the checker's sieve, check(p),
+        which tests primality and the congruence itself, reports the
+        verdict that the scan takes from `verdict` alone, and the root of
+        `verdict` or, for a prefilter rejection, the smaller square root of
+        D; both are those of `reference_decide`. The scan's counters equal
+        those of a loop over `check`."""
         K = quadratic_field(d)
         modulus = modulus_from_rational(K, m)
         target = (0,) * ray_class_group(K, modulus).group.rank
         chk = ConditionChecker(K, modulus, target, SearchParams(2, 1, 0, 2 * 10**4))
         seen = set()
         want = {"scanned": 0, "rejected_i": 0, "rejected_ii": 0, "rejected_iii": 0}
-        for p in _candidate_stream(chk, 3, 2 * 10**4):
-            sieved = chk.check(p, sieved=True)
-            assert sieved == chk.check(p)
-            assert chk.decide(p, True) == chk.decide(p) == (sieved.failed_at, sieved.root)
-            seen.add(sieved.failed_at)
+        for p in chk.candidates(3, 2 * 10**4):
+            rep = chk.check(p)
+            failed_at, root = chk.verdict(p)
+            assert failed_at == rep.failed_at and root in (rep.root, None)
+            assert (rep.failed_at, rep.root) == reference_decide(chk, p)
+            seen.add(rep.failed_at)
             want["scanned"] += 1
-            want[f"rejected_{sieved.failed_at}"] += 1
+            want[f"rejected_{rep.failed_at}"] += 1
         assert {"i", "ii"} <= seen
         assert _scan_range(chk, 3, 2 * 10**4) == (None, want)
+
+    @pytest.mark.parametrize("d,m", [(34, 1), (543, 11), (70, 13)])
+    @pytest.mark.parametrize("ell,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_candidates_match_trial_division(self, d, m, ell, n):
+        """candidates(lo, hi) is every p in [lo, hi] that trial division
+        proves prime, with p = 1 mod 2^(n+1) for ell = 2 and mod ell^n
+        otherwise, and p prime to 2 * ell * D * N(m); in ascending order,
+        from lo below 3, above 3 or past hi (empty) alike."""
+        K = quadratic_field(d)
+        modulus = modulus_from_rational(K, m)
+        target = (0,) * ray_class_group(K, modulus).group.rank
+        chk = ConditionChecker(K, modulus, target, SearchParams(ell, n, 0, 3000))
+        step = 2 ** (n + 1) if ell == 2 else ell**n
+        bad = 2 * ell * K.D * modulus.norm()
+
+        def reference(lo, hi):
+            return [
+                p for p in range(max(lo, 2), hi + 1)
+                if all(p % q for q in range(2, math.isqrt(p) + 1))
+                and (p - 1) % step == 0 and bad % p
+            ]
+
+        for lo, hi in [(-3, 3000), (3, 3000), (4, 2000), (1000, 3000), (1201, 1201),
+                       (2000, 1000), (3000, 3)]:
+            assert list(chk.candidates(lo, hi)) == reference(lo, hi), (lo, hi)
+
+    @pytest.mark.parametrize("d,m,ell", [(34, 1, 2), (543, 11, 2), (70, 13, 2), (595, 1, 3)])
+    def test_check_takes_every_integer(self, d, m, ell):
+        """check(p) on every integer in [-3, 3000]: InputError exactly when
+        `forbidden` (p < 3, p = ell, or p dividing D or N(m)); else, for
+        a prime, `reference_decide`'s verdict and root, and for 0 < p not
+        prime, a failure of (i') with no root."""
+        K = quadratic_field(d)
+        modulus = modulus_from_rational(K, m)
+        target = (0,) * ray_class_group(K, modulus).group.rank
+        chk = ConditionChecker(K, modulus, target, SearchParams(ell, 1, 0, 3000))
+        refused = verdicts = 0
+        for p in range(-3, 3001):
+            if chk.forbidden(p):
+                with pytest.raises(InputError, match="coprimality"):
+                    chk.check(p)
+                refused += 1
+                continue
+            rep = chk.check(p)
+            if all(p % q for q in range(2, math.isqrt(p) + 1)):
+                assert (rep.failed_at, rep.root) == reference_decide(chk, p), p
+                verdicts += rep.failed_at != "i"
+            else:
+                assert rep == kummerfrob.ConditionReport(
+                    p=p, root=None, ok=False, failed_at="i",
+                    checks={"iv": chk.iv_ok, "i": False},
+                ), p
+        divisors = {q for q in range(3, 3001) if K.D % q == 0 or modulus.norm() % q == 0}
+        assert refused == 6 + len(divisors | {ell} - {2})
+        assert verdicts > 0
 
     def test_flagship_prime_passes(self):
         K = quadratic_field(34)
@@ -287,22 +348,23 @@ def ell_power_targets(group, ell: int):
 
 
 def assert_decides_as_reference(
-    chk: ConditionChecker, bound: int, every_decide: bool = True
+    chk: ConditionChecker, bound: int, every_check: bool = True
 ) -> tuple[int, int]:
-    """`verdict` and `decide` against `reference_decide` on every scan
+    """`verdict` and `check` against `reference_decide` on every scan
     candidate up to bound: `verdict` gives the same verdict and either the
-    same root or, for a prefilter rejection of (ii), None; `decide` gives
+    same root or, for a prefilter rejection of (ii), None; `check` reports
     the same verdict and root, on every candidate or only on the prefilter
     rejections. Returns (candidates, prefilter rejections)."""
     seen = rejected = 0
-    for p in _candidate_stream(chk, 3, bound):
+    for p in chk.candidates(3, bound):
         want = reference_decide(chk, p)
-        failed_at, root = chk.verdict(p, True)
+        failed_at, root = chk.verdict(p)
         assert failed_at == want[0], p
         prefiltered = root is None and failed_at == "ii"
         assert prefiltered or root == want[1], p
-        if prefiltered or every_decide:
-            assert chk.decide(p, True) == want, p
+        if prefiltered or every_check:
+            rep = chk.check(p)
+            assert (rep.failed_at, rep.root) == want, p
         rejected += prefiltered
         seen += 1
     return seen, rejected
@@ -423,7 +485,7 @@ class TestGenusPrefilter:
         bound = 2 * 10**5
         K = quadratic_field(34)
         chk = ConditionChecker(K, Modulus.trivial(K), (0,), SearchParams(2, 1, 0, bound))
-        stream = list(_candidate_stream(chk, 3, bound))
+        stream = list(chk.candidates(3, bound))
         want = [reference_decide(chk, p) for p in stream]
         allowed = [p for p, (f, _) in zip(stream, want) if f != "i" and kronecker(8, p) == 1]
         # the class group has order 2 and the genus character is exact on it

@@ -13,12 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    LocalMult,
     Mult,
     analytic_class_number,
     divide_exact,
+    exact_local_value,
     group_add,
     hnf_ideal,
     is_ray_principal,
+    local_value,
     principal_ideal,
     ray_ideal_gens_by_products,
     reduce_real_by_orbit,
@@ -33,7 +36,6 @@ from raycap.quadfield import (
     QElt,
     QIdeal,
     QuadField,
-    _LocalMult,
     _ray_ideal_gens,
     _reduce_primitive,
     _candidate_primes,
@@ -49,6 +51,7 @@ from raycap.quadfield import (
     modulus_from_rational,
     quadratic_field,
     ray_class_group,
+    residue_system,
     torsion_unit,
     unit_gens,
 )
@@ -742,19 +745,20 @@ def test_warm_queries_walk_no_generator(monkeypatch, d, m):
 @pytest.mark.parametrize("d", [34, 79, 142, -5, -23])
 def test_trivial_modulus_builds_no_multiplier(monkeypatch, d):
     """With m = 1 the residue part is empty: no query folds its steps
-    into a multiplier or forms the exact product, not even the cofactor
-    walk of a memo miss."""
+    into a multiplier's local state, reads a discrete log off one, or forms
+    the exact product, not even the cofactor walk of a memo miss."""
     K = quadratic_field(d)
     ideals = query_ideals(K, 1, 12)
     ray = ray_class_group.__wrapped__(K, Modulus.trivial(K))
     want = [ray.group.dlog_ambient(reference_ambient_vector(ray, I)) for I in ideals]
-    assert ray.one is None
+    assert ray.residue.factors == [] and ray.residue.one == ()
 
     def forbidden(*args):
         raise AssertionError("a query built a multiplier")
 
     monkeypatch.setattr(quadfield, "_steps_product", forbidden)
-    monkeypatch.setattr(quadfield, "_LocalMult", forbidden)
+    monkeypatch.setattr(quadfield.ResidueSystem, "fold", forbidden)
+    monkeypatch.setattr(quadfield.ResidueSystem, "dlogs", forbidden)
     walks = count_cofactor_walks(monkeypatch)
     for _ in range(2):
         assert [ray.dlog(I) for I in ideals] == want
@@ -936,7 +940,7 @@ def test_cofactor_walk_matches_element_path(monkeypatch, d, m):
         ray.dlog(I)
     assert len(walks) > len(relations)
     contents = set()
-    for (I, gens, v, residue, _), got in walks:
+    for (I, gens, v, residue), got in walks:
         want, g = element_residue_part(I, gens, v, residue)
         assert got == want
         contents.add(g > 1)
@@ -995,14 +999,6 @@ def test_cycle_walks_are_bounded(monkeypatch, walk):
         walk(K)
 
 
-def _mult_value(mult):
-    """What a multiplier stands for: the exact num/den of a `Mult`, the
-    local data of a `_LocalMult`."""
-    if mult is None:
-        return None
-    return (mult.num, mult.den) if isinstance(mult, Mult) else mult.state
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     d=st.sampled_from([2, 34, 79, 94, 543, 7315, 13, 21, 85, 1001, 4277]),
@@ -1015,7 +1011,11 @@ def test_real_reduction_matches_orbit_reference(d, region, picks, kind, m):
     """`_reduce_primitive`'s one loop, whose returned step factors fold
     into each kind of multiplier at once, against the rho walk that moves
     it at every step: the same reduced (a, b) and an equal multiplier, in
-    fields with D = 4d and D = d. The ideal is a prime of norm below sqrt(D), or a
+    fields with D = 4d and D = d. A local multiplier is the residue
+    system's state at the primes of m; the library's fold and the walk's
+    `_local_times` give the same state, and the valuation and unit-part
+    log that it holds at each prime are those of the exact `Mult` of the
+    walk. The ideal is a prime of norm below sqrt(D), or a
     product of split primes (one above each p) grown just past sqrt(D) or
     past D^2, so the walk takes from one to a dozen steps."""
     K = quadratic_field(d)
@@ -1029,15 +1029,26 @@ def test_real_reduction_matches_orbit_reference(d, region, picks, kind, m):
         I, i = QIdeal.unit_ideal(K), 0
         while I.a**2 <= K.D or (region == "far" and I.a <= K.D**2):
             I, i = I * split[picks[i % len(picks)] % len(split)], i + 1
+    residue = residue_system(K, modulus_from_rational(K, m))
     mult = {
         "none": None,
         "exact": Mult(K.elt(1 + picks[0] % 7, picks[-1] % 3), 1 + len(picks)),
-        "local": _LocalMult.one(K, modulus_from_rational(K, m)),
+        "local": LocalMult(residue),
     }[kind]
     a, b, steps = _reduce_primitive(K, I.a, I.b)
     want = reduce_real_by_orbit(K, I.a, I.b, mult)
     assert (a, b) == want[:2]
-    assert _mult_value(None if mult is None else mult.fold(steps)) == _mult_value(want[2])
+    if kind == "none":
+        assert want[2] is None
+    elif kind == "exact":
+        got = mult.fold(steps)
+        assert (got.num, got.den) == (want[2].num, want[2].den)
+    else:
+        got = residue.fold(residue.one, steps)
+        exact = reduce_real_by_orbit(K, I.a, I.b, Mult(K.elt(1, 0), 1))[2]
+        for F, st, ref in zip(residue.factors, got, want[2].state, strict=True):
+            assert local_value(F, st) == local_value(F, ref) == exact_local_value(F, exact)
+        assert got == want[2].state
 
 
 def test_reduction_keeps_the_norm_zero_check():
