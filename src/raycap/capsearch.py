@@ -10,6 +10,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import islice
 
 from .errors import InputError, require
 from .exactmath import crt, is_prime, primes_in_progression
@@ -156,18 +157,47 @@ class SearchResult:
 
 
 def _scan_range(checker: ConditionChecker, lo: int, hi: int):
-    """(first passing prime in [lo, hi] or None, rejection statistics),
-    each candidate decided by `ConditionChecker.verdict` alone."""
+    """(first passing prime in [lo, hi] or None, rejection statistics).
+    Until the checker has a split table, candidates are decided by
+    `ConditionChecker.verdict`; once the scan has decided its
+    `table_break_even` of them, it builds the table, and each later
+    candidate costs one lookup, with only code 2 going on to `ray_verdict`.
+    Both paths give the same verdicts; a checker without a break-even
+    (None) decides every candidate by `verdict`."""
     stats = dict.fromkeys(_SCAN_COUNTERS, 0)
-    verdict = checker.verdict
-    for p in checker.candidates(lo, hi):
-        stats["scanned"] += 1
-        failed_at, _ = verdict(p)
-        if failed_at is None:
-            return p, stats
-        key = f"rejected_{failed_at}"
-        stats[key] = stats.get(key, 0) + 1
-    return None, stats
+    candidates = checker.candidates(lo, hi)
+    if checker.codes is None:
+        verdict = checker.verdict
+        for p in islice(candidates, checker.table_break_even):
+            stats["scanned"] += 1
+            failed_at, _ = verdict(p)
+            if failed_at is None:
+                return p, stats
+            _reject(stats, failed_at)
+        if stats["scanned"] != checker.table_break_even:
+            return None, stats
+    codes = checker.build_codes()
+    size, ray_verdict = len(codes), checker.ray_verdict
+    tally = [0, 0, 0]  # candidates by code
+    found = None
+    for p in candidates:
+        code = codes[p % size]
+        tally[code] += 1
+        if code == 2:
+            failed_at, _ = ray_verdict(p)
+            if failed_at is None:
+                found = p
+                break
+            _reject(stats, failed_at)
+    stats["scanned"] += sum(tally)
+    stats["rejected_i"] += tally[0]
+    stats["rejected_ii"] += tally[1]
+    return found, stats
+
+
+def _reject(stats: dict, failed_at: str) -> None:
+    key = f"rejected_{failed_at}"
+    stats[key] = stats.get(key, 0) + 1
 
 
 def _chunk_worker(args) -> tuple[int | None, dict]:

@@ -239,8 +239,8 @@ def sqrt_mod(a: int, p: int) -> int | None:
     Atkin's closed form, one exponentiation gives a candidate root, and it
     squares to a exactly when a is a residue. For p = 1 (mod 8) the same
     power a^((q-1)/2), p - 1 = q*2^s, gives the Euler test and the start of
-    Tonelli-Shanks, whose nonresidue is the first found by linear scan, so
-    the answer is deterministic."""
+    Tonelli-Shanks, whose nonresidue is the least one (`_least_nonresidue`),
+    so the answer is deterministic."""
     a %= p
     if a == 0:
         return 0
@@ -265,10 +265,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
         tt = tt * tt % p
     if tt != 1:
         return None
-    z = 3  # 2 is a square mod p = 1 (mod 8)
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
+    c = pow(_least_nonresidue(p), q, p)
     m = s
     while t != 1:
         i, tt = 0, t
@@ -281,6 +278,19 @@ def sqrt_mod(a: int, p: int) -> int | None:
         t = t * c % p
         m = i
     return x
+
+
+def _least_nonresidue(p: int) -> int:
+    """The least quadratic nonresidue z mod a prime p = 1 (mod 8). It is
+    prime, as a product of residues is a residue, and at least 3, as 2 is a
+    residue; for odd prime z, (z / p) = (p / z) by reciprocity since
+    p = 1 (mod 4), so each test is a power of the small residue p mod z."""
+    limit = 1 << 10
+    while True:
+        for z in _sieve(limit):
+            if z > 2 and pow(p % z, z >> 1, z) == z - 1:
+                return z
+        limit <<= 1
 
 
 def power(x, e: int, one, mul=operator.mul):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import filterfalse
 
 from .errors import InputError, InvariantError
 from .exactmath import (factor, is_prime, kronecker, primes_1_mod, sqrt_mod, squarefree_part,
@@ -135,10 +136,12 @@ class GenusFilter:
     allowed: frozenset
 
     @staticmethod
-    def build(ray: RayClassData, target: tuple[int, ...]) -> "GenusFilter | None":
-        """The filter for primes in the class `target` of `ray`, or None when
-        it would pass every split prime."""
-        ds = prime_discriminants(ray.field.D)
+    def build(
+        ray: RayClassData, target: tuple[int, ...], ds: list[int]
+    ) -> "GenusFilter | None":
+        """The filter for primes in the class `target` of `ray`, whose field
+        has the prime discriminants ds, or None when it would pass every
+        split prime."""
         kept = [i for i, d in enumerate(ds[:-1]) if abs(d) <= GENUS_TABLE_LIMIT]
         group = ray.group
         word = group.express(group.to_canonical, target)
@@ -175,6 +178,48 @@ def _character_table(d: int) -> bytes:
     for x in range(1, m // 2 + 1):
         table[x * x % m] = 0
     return bytes(table)
+
+
+# The split table's break-even, in bytes written at C speed. On a shared
+# 2-CPU x86-64 VM with Python 3.11 one byte took 2.5-3.6 ns, marking one
+# residue of a character table in Python about 117 ns (~32 bytes), and the
+# (i') power, genus loop and `forbidden` call that one lookup replaces
+# 1.7-2.0 us (~512 bytes).
+_MARK_BYTES = 32
+_CANDIDATE_BYTES = 512
+
+
+def _table_break_even(ds: list[int]) -> int | None:
+    """How many candidates a scan decides one by one before the split table
+    of the prime discriminants ds pays for itself: the table marks
+    sum |d_i| / 2 residues and writes t * |D| bytes, so it is never larger
+    than _CANDIDATE_BYTES bytes per candidate already decided. None when
+    t > 8 characters do not fit in a byte."""
+    if len(ds) > 8:
+        return None
+    cost = _MARK_BYTES * sum(abs(d) // 2 for d in ds) + len(ds) * abs(math.prod(ds))
+    return -(-cost // _CANDIDATE_BYTES)
+
+
+def _split_codes(ds: list[int], genus: "GenusFilter | None") -> bytes:
+    """codes[x] for x mod |D|, D = prod ds, at the residue x of an odd prime
+    p prime to D: 0 when p is inert in K, 1 when p splits but `genus` rejects
+    it, 2 when it splits and passes. Byte x first packs the t characters at
+    x, bit i from the i-th one's table (`_character_table`) repeated to
+    length |D|. (D / p) is their product, so an odd number of set bits means
+    inert, and `translate` maps each bit pattern to its code."""
+    size = abs(math.prod(ds))
+    packed = 0
+    for i, d in enumerate(ds):
+        packed |= int.from_bytes(_character_table(d) * (size // abs(d)), "little") << i
+    kept = 0 if genus is None else sum(1 << i for i, _, _ in genus.chars)
+    code = bytes(
+        0 if bin(bits).count("1") % 2
+        else 1 if genus is not None and (bits & kept) not in genus.allowed
+        else 2
+        for bits in range(256)
+    )
+    return packed.to_bytes(size, "little").translate(code)
 
 
 @dataclass(frozen=True)
@@ -247,7 +292,16 @@ class ConditionChecker:
         # its order never exceeds ell^{n - v_ell(k)} at any p; (iii) needs
         # order ell^{n-h}, which is attainable only when h >= v_ell(k)
         self.iii_attainable = self.h >= valuation(self.eps_unit_exponent, params.ell)
-        self.genus = GenusFilter.build(self.ray, self.target)
+        ds = prime_discriminants(field.D)
+        self.genus = GenusFilter.build(self.ray, self.target, ds)
+        # the split table (`build_codes`), built only by a long scan
+        self.prime_discs = ds
+        self.table_break_even = _table_break_even(ds)
+        self.codes: bytes | None = None
+        # the primes of 2 * ell * D * N(m): `forbidden` on the sieve's primes
+        self.excluded = frozenset(
+            {2, params.ell, *modulus.residue_chars(), *(abs(d) for d in ds if d % 2)}
+        )
 
     def forbidden(self, p: int) -> bool:
         """Primes excluded by the preconditions: p | 2 * ell * D * N(m)."""
@@ -263,7 +317,15 @@ class ConditionChecker:
         proved prime by a sieve over the progression of its cyclotomic
         congruence, and not `forbidden`."""
         step = cyclotomic_step(self.params.ell, self.params.n)
-        return (p for p in primes_1_mod(step, max(lo, 3), hi) if not self.forbidden(p))
+        return filterfalse(self.excluded.__contains__, primes_1_mod(step, max(lo, 3), hi))
+
+    def build_codes(self) -> bytes:
+        """The split table, built once: codes[p % |D|] at a candidate p is 0
+        when `verdict` fails (i'), 1 when its genus prefilter fails (ii), and
+        2 when `ray_verdict` decides (`_split_codes`)."""
+        if self.codes is None:
+            self.codes = _split_codes(self.prime_discs, self.genus)
+        return self.codes
 
     def verdict(self, p: int) -> tuple[str | None, int | None]:
         """(failed_at, root) at a candidate p (`candidates`) as the scan
@@ -278,6 +340,12 @@ class ConditionChecker:
         # (ii), necessary part: the genus signature of the prime above p
         if self.genus is not None and not self.genus.allows(p):
             return "ii", None
+        return self.ray_verdict(p)
+
+    def ray_verdict(self, p: int) -> tuple[str | None, int | None]:
+        """`verdict` at a candidate p that splits in K and passes the genus
+        prefilter: (ii) by the ray class of the prime above p, then (iii)
+        and (iv), with the root they use."""
         root = self._root(p)
         # (ii): the prime above p sits in the target ray class
         if self.ray.dlog_prime(p, root) != self.target:

@@ -12,8 +12,9 @@ exact element, ideals of L = Q(sqrt d, sqrt p) as the HNF of all products
 of basis elements, principal ideals of L as the HNF of one generator,
 square roots in L by the integer square root chain alone, with no residue
 test first, and the unit norm index of a quadratic field over Q by
-exponent lattices, and a scan candidate's
-conditions decided without genus characters. The library never calls them.
+exponent lattices, square roots mod p with the Tonelli-Shanks nonresidue
+found by linear scan, and a scan candidate's conditions decided without
+genus characters. The library never calls them.
 The square root stands on the library's quadratic square root. The ideal
 oracles stand on the library's `QIdeal`, `BqIdeal` and its HNF, division
 and ray principality
@@ -372,6 +373,56 @@ def ray_ideal_gens_by_products(field: QuadField, modulus, h: int):
             table, relations = bfs_closure(field, gens)
             if len(table) == h:
                 return tuple(gens), table, relations
+
+
+# ---------------------------------------------------------------------------
+# square roots mod p as the library took them before it found the
+# Tonelli-Shanks nonresidue by reciprocity
+
+
+def sqrt_mod_linear_scan(a: int, p: int) -> int | None:
+    """`exactmath.sqrt_mod` with the Tonelli-Shanks nonresidue for
+    p = 1 (mod 8) found by Euler's criterion on z = 3, 4, 5, ... in turn."""
+    a %= p
+    if a == 0:
+        return 0
+    if p == 2:
+        return a
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+        return r if r * r % p == a else None
+    if p % 8 == 5:
+        v = pow(2 * a, (p - 5) // 8, p)
+        r = a * v * (2 * a * v * v - 1) % p
+        return r if r * r % p == a else None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    h = pow(a, (q - 1) // 2, p)
+    x = a * h % p  # a^((q+1)/2)
+    t = x * h % p  # a^q, of order dividing 2^(s-1) exactly when a is a square
+    tt = t
+    for _ in range(s - 1):
+        tt = tt * tt % p
+    if tt != 1:
+        return None
+    z = 3  # 2 is a square mod p = 1 (mod 8)
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c = pow(z, q, p)
+    m = s
+    while t != 1:
+        i, tt = 0, t
+        while tt != 1:
+            tt = tt * tt % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        x = x * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import divisors, multiplicative_order, splitting_degree
+from oracles import divisors, multiplicative_order, splitting_degree, sqrt_mod_linear_scan
 from raycap import exactmath
 from raycap.exactmath import (
     PRIMALITY_LIMIT,
@@ -214,6 +214,17 @@ class TestSqrtMod:
                     assert r is not None and 0 <= r < p and r * r % p == a, (a, p)
                 else:
                     assert r is None, (a, p)
+
+    def test_least_nonresidue_matches_linear_scan(self):
+        """For p = 1 (mod 8) the Tonelli-Shanks nonresidue found by
+        reciprocity is the one the linear scan over z = 3, 4, ... finds, so
+        every root is the same: all such primes below 2*10^4, at residues,
+        nonresidues and 0."""
+        primes = [p for p in primes_up_to(2 * 10**4) if p % 8 == 1]
+        assert len(primes) == 556
+        for p in primes:
+            for a in (2, 3, 5, 7, 34, 136, 543, -7315, 10**9 + 7, p):
+                assert sqrt_mod(a, p) == sqrt_mod_linear_scan(a, p), (a, p)
 
 
 class TestCrt:

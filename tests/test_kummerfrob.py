@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from raycap import kummerfrob
-from raycap.capsearch import _scan_range
+from raycap.capsearch import _scan_range, find_principalizing_prime
 from raycap.errors import InputError
 from raycap.exactmath import kronecker, primes_up_to, sqrt_mod, squarefree_part
 from raycap.kummerfrob import (
@@ -529,3 +529,134 @@ class TestGenusPrefilter:
                 p=p, root=root, ok=False, failed_at="ii",
                 checks={"iv": True, "i": True, "ii": False},
             )
+
+
+def reference_scan(chk: ConditionChecker, lo: int, hi: int):
+    """`_scan_range` with every candidate decided by `reference_decide`."""
+    stats = {"scanned": 0, "rejected_i": 0, "rejected_ii": 0, "rejected_iii": 0}
+    for p in chk.candidates(lo, hi):
+        stats["scanned"] += 1
+        failed_at, _ = reference_decide(chk, p)
+        if failed_at is None:
+            return p, stats
+        stats[f"rejected_{failed_at}"] = stats.get(f"rejected_{failed_at}", 0) + 1
+    return None, stats
+
+
+def fresh_checker(d: int, m: int, bound: int) -> ConditionChecker:
+    """The checker for class 0 of the ray class group of Q(sqrt d) mod m,
+    ell = 2, n = 1, h = 0, with no split table yet."""
+    K = quadratic_field(d)
+    modulus = modulus_from_rational(K, m)
+    target = (0,) * ray_class_group(K, modulus).group.rank
+    return ConditionChecker(K, modulus, target, SearchParams(2, 1, 0, bound))
+
+
+class TestSplitTable:
+    """A scan decides its first `table_break_even` candidates by `verdict`
+    and the rest by one byte of the split table each; the table is built
+    only once the scan has decided that many, and every result is that of
+    `reference_decide`."""
+
+    @pytest.mark.parametrize("shift", [2, -1, 0, 1, 60])
+    def test_hand_over_keeps_the_hit_and_counters(self, shift):
+        """d = 1435 mod 3: D = -4 * 5 * -7 * 41, break-even 47, and hits at
+        the 115th and the 224th candidate. Scans start where the second hit
+        is the 2nd candidate, the one before the break-even, at it, the
+        first after it and far past it; each returns the reference's hit
+        and counters, and only the scans that go past the break-even build
+        the table."""
+        bound = 2 * 10**4
+        chk = fresh_checker(1435, 3, bound)
+        b = chk.table_break_even
+        assert (b, chk.prime_discs) == (47, [-4, 5, -7, 41]) and chk.genus is not None
+        stream = list(chk.candidates(3, bound))
+        hit = stream.index(reference_scan(chk, stream[115], bound)[0])
+        assert hit == 223
+        k = shift if shift == 2 else b + shift
+        lo = stream[hit - k + 1]
+        fresh = fresh_checker(1435, 3, bound)
+        got = _scan_range(fresh, lo, bound)
+        assert got == reference_scan(chk, lo, bound)
+        assert got[0] == stream[hit] and got[1]["scanned"] == k
+        assert (fresh.codes is None) == (k <= b)
+
+    def test_short_scans_build_no_table(self):
+        """A scan of 2 candidates without a hit, and an empty one."""
+        chk = fresh_checker(2030, 3, 2 * 10**4)
+        lo, hi = list(chk.candidates(1000, 2 * 10**4))[:2]
+        assert _scan_range(chk, lo, hi) == reference_scan(chk, lo, hi)
+        assert _scan_range(chk, 2000, 1000) == (None, reference_scan(chk, 2000, 1000)[1])
+        assert chk.codes is None
+
+    def test_a_built_table_decides_a_later_scan_from_its_start(self, monkeypatch):
+        """Once built, the table is the checker's; a later scan, such as the
+        next chunk of a parallel scan, calls `verdict` on no candidate."""
+        chk = fresh_checker(2030, 3, 5 * 10**4)
+        assert _scan_range(chk, 3, 20002) == reference_scan(chk, 3, 20002)
+        assert chk.codes is not None
+        monkeypatch.setattr(chk, "verdict", None)
+        assert _scan_range(chk, 20003, 5 * 10**4) == reference_scan(chk, 20003, 5 * 10**4)
+
+    def test_parallel_chunks_meet_the_switch(self):
+        """d = 2030 mod 3, no hit to 5*10^4: each of the three chunks holds
+        more candidates than the break-even 65, and the chunk sums are the
+        reference's counters."""
+        chk = fresh_checker(2030, 3, 5 * 10**4)
+        assert chk.table_break_even == 65
+        for lo, hi in [(3, 20002), (20003, 40002), (40003, 5 * 10**4)]:
+            assert sum(1 for _ in chk.candidates(lo, hi)) > 65
+        K, params = chk.field, chk.params
+        res = find_principalizing_prime(K, chk.modulus, chk.target, params, jobs=2)
+        want = reference_scan(chk, 3, params.bound)[1]
+        want["reason"] = f"no prime below {params.bound} passed all conditions"
+        assert res.status == "not_found" and res.stats == want
+
+    @pytest.mark.parametrize("d", [15015, 4849845, 9699690])
+    def test_table_never_outgrows_the_candidates_scanned(self, d):
+        """Fields with 6, 7 and 8 small prime discriminants: a scan builds
+        no table larger than _CANDIDATE_BYTES bytes per candidate it has
+        decided, so only D = 60060 gets one at bound 2*10^4."""
+        chk = fresh_checker(d, 1, 2 * 10**4)
+        got = _scan_range(chk, 3, 2 * 10**4)
+        assert got == reference_scan(chk, 3, 2 * 10**4)
+        assert chk.table_break_even * kummerfrob._CANDIDATE_BYTES >= abs(chk.field.D)
+        assert (chk.codes is not None) == (d == 15015)
+        if chk.codes is not None:
+            assert len(chk.codes) <= kummerfrob._CANDIDATE_BYTES * got[1]["scanned"]
+
+    def test_nine_characters_build_no_table(self):
+        ds = prime_discriminants(4 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23)
+        assert len(ds) == 9 and kummerfrob._table_break_even(ds) is None
+
+    def test_table_matches_kronecker_and_genus_on_every_residue(self):
+        """Real squarefree d < 400, moduli 1, 3 and 7 where prime to D,
+        every 2-power target: at every residue x prime to D the code is 0
+        when (D / x) = -1, else 1 when the genus filter rejects x, else 2;
+        at every candidate up to 3000 it is 0 exactly when Euler's criterion
+        says inert."""
+        tables = 0
+        for d in range(2, 400):
+            if squarefree_part(d) != d:
+                continue
+            K = quadratic_field(d)
+            D = K.D
+            for m in (1, 3, 7):
+                if math.gcd(m, D) != 1:
+                    continue
+                modulus = modulus_from_rational(K, m)
+                for target in ell_power_targets(ray_class_group(K, modulus).group, 2):
+                    chk = ConditionChecker(K, modulus, target, SearchParams(2, 1, 0, 3000))
+                    codes = chk.build_codes()
+                    assert len(codes) == abs(D)
+                    genus = chk.genus
+                    for x in range(1, abs(D)):
+                        if math.gcd(x, D) == 1:
+                            want = (0 if kronecker(D, x) == -1
+                                    else 1 if genus is not None and not genus.allows(x)
+                                    else 2)
+                            assert codes[x] == want, (d, m, target, x)
+                    for p in chk.candidates(3, 3000):
+                        assert (codes[p % abs(D)] == 0) == (pow(D, (p - 1) // 2, p) != 1), p
+                    tables += 1
+        assert tables > 500
