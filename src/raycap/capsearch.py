@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .errors import InputError, require
-from .exactmath import crt, is_prime, primes_in_progression
+from .exactmath import crt, is_prime, primes_in_progression, valuation
 from .kummerfrob import ConditionChecker, SearchParams
 from .quadfield import FIELD_CACHE_SIZE, Modulus, QuadField, _primitive_root, quadratic_field
 
@@ -234,7 +234,8 @@ def find_principalizing_prime(
             status="not_found",
             stats={
                 "reason": "character order unattainable: eps is an "
-                f"ell^{params.ell}-power beyond the height h = {checker.h}",
+                f"ell^{valuation(checker.eps_unit_exponent, params.ell)}-power beyond the"
+                f" height h = {checker.h}",
                 "eps_unit_exponent": checker.eps_unit_exponent,
             },
             params=params,

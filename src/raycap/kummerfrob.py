@@ -3,6 +3,10 @@
 A candidate prime p must split in the right Kummer-type extensions; at desk
 scale every criterion collapses to congruences on p and to residue characters
 chi(x) = x^((p-1)/ell^n) computed through a chosen square root of D mod p.
+Genus theory and Hilbert 90 decide most candidates without that root: genus
+characters read the ray class off p mod |D| where they tell every class
+apart, and at ell^n = 2 the eps-character is a Legendre symbol of the
+rational integer N(1 + eps).
 """
 from __future__ import annotations
 
@@ -123,14 +127,15 @@ class GenusFilter:
     With D = d_1 * ... * d_t, the genus signature sigma = ((d_i / N P))_i
     is a homomorphism on the narrow class group (Cox, Primes of the Form
     x^2 + ny^2, ch. 1). A principal (alpha) has sigma = 1 when N alpha > 0
-    and s = (sign d_i)_i when N alpha < 0, so a P in the ray class c has
-    sigma(P) in sigma(c) * {1, s}, where sigma(c) comes from the ideal
-    generators in an ambient word for c; the residue generators are
-    principal. On a split prime all coordinates multiply to 1, so the last
-    (largest) is dropped, and so is every coordinate whose conductor
-    exceeds GENUS_TABLE_LIMIT. `chars` holds (i, |d_i|, table) per kept
-    coordinate, table[x] = 1 when (d_i / x) = -1 for an odd prime x, and
-    `allowed` the kept bits of sigma(c) * {1, s}."""
+    and s = (sign d_i)_i when N alpha < 0, so sigma is a homomorphism from
+    the ray class group to signatures modulo {1, s}, and a P in the ray
+    class c has sigma(P) in sigma(c) * {1, s}. sigma(e_j) of a canonical
+    generator comes from the ideal generators in an ambient word for e_j;
+    the residue generators are principal. On a split prime all coordinates
+    multiply to 1, so the last (largest) is dropped, and so is every
+    coordinate whose conductor exceeds GENUS_TABLE_LIMIT. `chars` holds
+    (i, |d_i|, table) per kept coordinate, table[x] = 1 when (d_i / x) = -1
+    for an odd prime x, and `allowed` the kept bits of sigma(c) * {1, s}."""
 
     chars: tuple[tuple[int, int, bytes], ...] = dc_field(repr=False)
     allowed: frozenset
@@ -138,25 +143,38 @@ class GenusFilter:
     @staticmethod
     def build(
         ray: RayClassData, target: tuple[int, ...], ds: list[int]
-    ) -> "GenusFilter | None":
-        """The filter for primes in the class `target` of `ray`, whose field
-        has the prime discriminants ds, or None when it would pass every
-        split prime."""
+    ) -> tuple["GenusFilter | None", bool]:
+        """(filter, exact) for primes in the class `target` of `ray`, whose
+        field has the prime discriminants ds. The filter is None when it
+        would pass every split prime. exact says whether the kept bits of
+        sigma tell every ray class apart modulo {1, s}: then every invariant
+        is 2 and the kept bits of the sigma(e_j) are independent over F_2
+        together with those of s, and a split prime that the filter passes
+        lies in the target class."""
         kept = [i for i, d in enumerate(ds[:-1]) if abs(d) <= GENUS_TABLE_LIMIT]
-        group = ray.group
-        word = group.express(group.to_canonical, target)
-        sigma = 0
-        for P, e in zip(ray.ideal_gens, word):
-            if e % 2:
-                sigma ^= _genus_signature(ds, P.norm())
-        s = sum(1 << i for i, d in enumerate(ds) if d < 0)
         mask = sum(1 << i for i in kept)
-        allowed = frozenset({sigma & mask, (sigma ^ s) & mask})
+        s = sum(1 << i for i, d in enumerate(ds) if d < 0) & mask
+        group = ray.group
+        sigs = []
+        for j in range(group.rank):
+            word = group.express(group.to_canonical, [int(i == j) for i in range(group.rank)])
+            sigma = 0
+            for P, e in zip(ray.ideal_gens, word):
+                if e % 2:
+                    sigma ^= _genus_signature(ds, P.norm())
+            sigs.append(sigma & mask)
+        exact = (all(d == 2 for d in group.invariants)
+                 and _f2_rank([s, *sigs]) == len(sigs) + (s != 0))
+        # an odd-order generator has sigma in {1, s}, so only odd exponents count
+        sigma = 0
+        for sig, c in zip(sigs, target):
+            if c % 2:
+                sigma ^= sig
+        allowed = frozenset({sigma, sigma ^ s})
         if len(allowed) == 2 ** len(kept):
-            return None
-        return GenusFilter(
-            tuple((i, abs(ds[i]), _character_table(ds[i])) for i in kept), allowed
-        )
+            return None, exact
+        chars = tuple((i, abs(ds[i]), _character_table(ds[i])) for i in kept)
+        return GenusFilter(chars, allowed), exact
 
     def allows(self, p: int) -> bool:
         """Whether the split odd prime p, prime to D, has a signature in the
@@ -165,6 +183,19 @@ class GenusFilter:
         for i, m, table in self.chars:
             mask |= table[p % m] << i
         return mask in self.allowed
+
+
+def _f2_rank(vectors: list[int]) -> int:
+    """The rank over F_2 of bit vectors: each is reduced by the basis so
+    far, kept in descending order so that their leading bits differ."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return len(basis)
 
 
 def _character_table(d: int) -> bytes:
@@ -293,7 +324,13 @@ class ConditionChecker:
         # order ell^{n-h}, which is attainable only when h >= v_ell(k)
         self.iii_attainable = self.h >= valuation(self.eps_unit_exponent, params.ell)
         ds = prime_discriminants(field.D)
-        self.genus = GenusFilter.build(self.ray, self.target, ds)
+        # on a genus-exact field the prefilter alone decides (ii)
+        self.genus, self.genus_exact = GenusFilter.build(self.ray, self.target, ds)
+        # at ell^n = 2, (iii) asks that eps be a nonsquare at the prime P
+        # above p. N(eps) = 1, so eps = (1 + eps)^2 / c with c = N(1 + eps) =
+        # 2 + Tr eps (Hilbert 90): for p prime to c, eps is a square mod P
+        # exactly when c is a square mod p
+        self.norm_one_plus_eps = self.eps.trace() + 2 if params.ell**params.n == 2 else None
         # the split table (`build_codes`), built only by a long scan
         self.prime_discs = ds
         self.table_break_even = _table_break_even(ds)
@@ -330,9 +367,9 @@ class ConditionChecker:
     def verdict(self, p: int) -> tuple[str | None, int | None]:
         """(failed_at, root) at a candidate p (`candidates`) as the scan
         needs it: conditions (i')-(iv) in turn up to the first that fails,
-        failed_at None when all pass. root is None when (i') fails or when
-        the genus prefilter proves that (ii) fails; then no square root is
-        taken and no ray class looked up."""
+        failed_at None when all pass. root is None when none was taken: when
+        (i') fails, when the genus prefilter proves that (ii) fails, and on
+        the genus-exact fields at ell^n = 2 unless p | N(1 + eps)."""
         # (i'): p is in the cyclotomic progression and prime to D, so
         # Euler's criterion decides its split in K
         if pow(self.field.D, (p - 1) >> 1, p) != 1:
@@ -344,15 +381,25 @@ class ConditionChecker:
 
     def ray_verdict(self, p: int) -> tuple[str | None, int | None]:
         """`verdict` at a candidate p that splits in K and passes the genus
-        prefilter: (ii) by the ray class of the prime above p, then (iii)
-        and (iv), with the root they use."""
-        root = self._root(p)
+        prefilter: (ii) by the ray class of the prime above p unless the
+        field is genus-exact, then (iii) by a Legendre symbol at ell^n = 2
+        and p prime to N(1 + eps), else by the eps-character, and (iv);
+        with the root they took, or None."""
+        root = None
         # (ii): the prime above p sits in the target ray class
-        if self.ray.dlog_prime(p, root) != self.target:
-            return "ii", root
+        if not self.genus_exact:
+            root = self._root(p)
+            if self.ray.dlog_prime(p, root) != self.target:
+                return "ii", root
         # (iii): the eps-character has exact order ell^(n-h)
         params = self.params
-        _, ord_eps = residue_character(self.eps, p, params.ell, params.n, root)
+        c = self.norm_one_plus_eps
+        if c is not None and c % p:
+            ord_eps = 1 if pow(c % p, (p - 1) >> 1, p) == 1 else 2
+        else:
+            if root is None:
+                root = self._root(p)
+            _, ord_eps = residue_character(self.eps, p, params.ell, params.n, root)
         if ord_eps != params.ell ** (params.n - self.h):
             return "iii", root
         return (None if self.iv_ok else "iv"), root
@@ -367,16 +414,16 @@ class ConditionChecker:
         """Conditions (i')-(iv) at any integer p as a report. A `forbidden` p
         raises InputError, a p that is not prime or misses the cyclotomic
         congruence fails (i'), and a candidate gets `verdict`'s verdict and
-        root, taking the root of a prefilter rejection here. The report holds
-        each outcome up to the first failure and, past (ii), the eps and -1
-        characters."""
+        root, taking the root here past (i') when `verdict` took none. The
+        report holds each outcome up to the first failure and, past (ii),
+        the eps and -1 characters."""
         if self.forbidden(p):
             raise InputError(f"candidate {p} violates the coprimality precondition")
         params = self.params
         failed_at, root = "i", None
         if is_split_cyclotomic(p, params.ell, params.n):
             failed_at, root = self.verdict(p)
-            if root is None and failed_at == "ii":
+            if root is None and failed_at != "i":
                 root = self._root(p)
         rep = ConditionReport(p=p, root=root, ok=failed_at is None, failed_at=failed_at)
         rep.checks["iv"] = self.iv_ok

@@ -275,6 +275,19 @@ class TestEscalation:
         )
         assert len(attempts) == 1 and attempts[0].status == "found"
 
+    def test_unattainable_reason_names_the_unit_exponent(self):
+        """d = 10: the fundamental unit has norm -1, so eps = u^2 and its
+        character at n = 1 is trivial; the reason names ell^(v_ell(2)) =
+        ell^1."""
+        K = quadratic_field(10)
+        res = find_principalizing_prime(K, Modulus.trivial(K), (0,), SearchParams(2, 1, 0))
+        assert res.status == "not_found"
+        assert res.stats == {
+            "reason": "character order unattainable: eps is an ell^1-power beyond"
+            " the height h = 0",
+            "eps_unit_exponent": 2,
+        }
+
     def test_blocked_chain_records_every_n(self):
         # mod 3 the augmented unit is u^2, so n=1 is character-blocked; the
         # escalated n=2 run scans and is recorded even though nothing turns up

@@ -355,7 +355,7 @@ def _script_main(name: str):
     ("run_ambig_sweep", ["--disc-bound", "200", "--json"],
      "23fd43ceef354ac2e7949e54dd09658c1cd98e9d21b81e21c8fad73116f62503"),
     ("capitulation_table", ["--dmax", "100", "--json"],
-     "a873443c753e0c89c295e2b80da56f4a4cdf194686e778c67e44d5024382a4a3"),
+     "7336df31de8c627127534d428bc24ed80d97e892e2c044aad030c815f4d1cae4"),
     ("run_ambig_sweep", ["--disc-bound", "1000", "--json"],
      "c424e09adcd90a9aaa44dd429840cf6f30fb2de0df6af591bbe68e026996a431"),
 ])

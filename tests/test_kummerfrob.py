@@ -347,25 +347,36 @@ def ell_power_targets(group, ell: int):
             yield t
 
 
+def corpus_fields():
+    """(K, modulus) for real squarefree d < 300 and the moduli 1, 3, 7 and
+    15 where prime to D."""
+    for d in range(2, 300):
+        if squarefree_part(d) != d:
+            continue
+        K = quadratic_field(d)
+        for m in (1, 3, 7, 15):
+            if math.gcd(m, K.D) == 1:
+                yield K, modulus_from_rational(K, m)
+
+
 def assert_decides_as_reference(
     chk: ConditionChecker, bound: int, every_check: bool = True
 ) -> tuple[int, int]:
     """`verdict` and `check` against `reference_decide` on every scan
     candidate up to bound: `verdict` gives the same verdict and either the
-    same root or, for a prefilter rejection of (ii), None; `check` reports
-    the same verdict and root, on every candidate or only on the prefilter
-    rejections. Returns (candidates, prefilter rejections)."""
+    same root or None when it took none; `check` reports the same verdict
+    and root, on every candidate or only on those where `verdict`'s root is
+    None. Returns (candidates, prefilter rejections of (ii))."""
     seen = rejected = 0
     for p in chk.candidates(3, bound):
         want = reference_decide(chk, p)
         failed_at, root = chk.verdict(p)
         assert failed_at == want[0], p
-        prefiltered = root is None and failed_at == "ii"
-        assert prefiltered or root == want[1], p
-        if prefiltered or every_check:
+        assert root in (None, want[1]), p
+        if root is None or every_check:
             rep = chk.check(p)
             assert (rep.failed_at, rep.root) == want, p
-        rejected += prefiltered
+        rejected += root is None and failed_at == "ii"
         seen += 1
     return seen, rejected
 
@@ -405,26 +416,19 @@ class TestGenusPrefilter:
         D, ell = 2 and 3 (ell = 3 only off 3 | m), n = 1 and 2, every
         ell-power target, candidates up to 400."""
         cases = active = candidates = rejected = 0
-        for d in range(2, 300):
-            if squarefree_part(d) != d:
-                continue
-            K = quadratic_field(d)
-            for m in (1, 3, 7, 15):
-                if math.gcd(m, K.D) != 1:
+        for K, modulus in corpus_fields():
+            group = ray_class_group(K, modulus).group
+            for ell in (2, 3):
+                if modulus.norm() % ell == 0:
                     continue
-                modulus = modulus_from_rational(K, m)
-                group = ray_class_group(K, modulus).group
-                for ell in (2, 3):
-                    if m % ell == 0:
-                        continue
-                    for target in ell_power_targets(group, ell):
-                        for n in (1, 2):
-                            chk = ConditionChecker(K, modulus, target, SearchParams(ell, n, 0, 400))
-                            seen, dropped = assert_decides_as_reference(chk, 400, False)
-                            cases += 1
-                            active += chk.genus is not None
-                            candidates += seen
-                            rejected += dropped
+                for target in ell_power_targets(group, ell):
+                    for n in (1, 2):
+                        chk = ConditionChecker(K, modulus, target, SearchParams(ell, n, 0, 400))
+                        seen, dropped = assert_decides_as_reference(chk, 400, False)
+                        cases += 1
+                        active += chk.genus is not None
+                        candidates += seen
+                        rejected += dropped
         # the prefilter takes part: it is built for 3,828 of the 7,646
         # cases and decides 24,967 of the 190,758 candidates
         assert active > cases // 3
@@ -477,19 +481,15 @@ class TestGenusPrefilter:
         assert assert_decides_as_reference(chk, 2 * 10**4)[1] > 0
 
     def test_scan_takes_roots_and_ray_classes_only_past_the_prefilter(self, monkeypatch):
-        """d = 34, trivial modulus, class 0, bound 2*10^5: D = 8 * 17, and a
-        split p lies in a principal class only if (8 / p) = 1. The scan
-        takes a square root and a ray class lookup for exactly the split
-        candidates with (8 / p) = 1, under half of the 8,976; its counters
-        are unchanged."""
-        bound = 2 * 10**5
-        K = quadratic_field(34)
-        chk = ConditionChecker(K, Modulus.trivial(K), (0,), SearchParams(2, 1, 0, bound))
-        stream = list(chk.candidates(3, bound))
-        want = [reference_decide(chk, p) for p in stream]
-        allowed = [p for p, (f, _) in zip(stream, want) if f != "i" and kronecker(8, p) == 1]
-        # the class group has order 2 and the genus character is exact on it
-        assert allowed == [p for p, (f, _) in zip(stream, want) if f not in ("i", "ii")]
+        """Scans to 2*10^5 at ell^n = 2 with their counters pinned. d = 34,
+        trivial modulus, class 0: D = 8 * 17, the class group has order 2
+        and the genus character (8 / .) is exact on it, so the split
+        candidates it passes are those in the class, and the scan takes no
+        square root and no ray class lookup: (iii) is the Legendre symbol
+        of N(1 + eps) = 72. d = 543 mod 11, class (0, 0): the ray class
+        group (2, 10) is not genus-exact, and each split candidate the
+        prefilter passes takes one square root and one lookup, whose root
+        (iii) does not need."""
         calls = {"sqrt_mod": 0, "dlog_prime": 0}
 
         def counted(name, fn):
@@ -498,14 +498,34 @@ class TestGenusPrefilter:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(kummerfrob, "sqrt_mod", counted("sqrt_mod", sqrt_mod))
-        monkeypatch.setattr(
-            RayClassData, "dlog_prime", counted("dlog_prime", RayClassData.dlog_prime)
-        )
-        stats = {"scanned": 8976, "rejected_i": 4496, "rejected_ii": 2257, "rejected_iii": 2223}
-        assert _scan_range(chk, 3, bound) == (None, stats)
-        assert calls == {"sqrt_mod": len(allowed), "dlog_prime": len(allowed)}
-        assert len(allowed) < len(stream) // 2
+        bound = 2 * 10**5
+        for d, m, target, exact, stats in [
+            (34, 1, (0,), True,
+             {"scanned": 8976, "rejected_i": 4496, "rejected_ii": 2257, "rejected_iii": 2223}),
+            (543, 11, (0, 0), False,
+             {"scanned": 8976, "rejected_i": 4485, "rejected_ii": 4270, "rejected_iii": 221}),
+        ]:
+            K = quadratic_field(d)
+            chk = ConditionChecker(
+                K, modulus_from_rational(K, m), target, SearchParams(2, 1, 0, bound)
+            )
+            assert chk.genus_exact == exact
+            stream = list(chk.candidates(3, bound))
+            want = [reference_decide(chk, p) for p in stream]
+            survivors = [p for p, (f, _) in zip(stream, want) if f != "i" and chk.genus.allows(p)]
+            in_class = [p for p, (f, _) in zip(stream, want) if f not in ("i", "ii")]
+            assert (survivors == in_class) == exact
+            assert reference_scan(chk, 3, bound) == (None, stats)
+            with monkeypatch.context() as mp:
+                mp.setattr(kummerfrob, "sqrt_mod", counted("sqrt_mod", sqrt_mod))
+                mp.setattr(
+                    RayClassData, "dlog_prime", counted("dlog_prime", RayClassData.dlog_prime)
+                )
+                calls.update(sqrt_mod=0, dlog_prime=0)
+                assert _scan_range(chk, 3, bound) == (None, stats)
+            taken = 0 if exact else len(survivors)
+            assert calls == {"sqrt_mod": taken, "dlog_prime": taken}, d
+            assert len(survivors) < len(stream) // 2
 
     @pytest.mark.parametrize("d,m,pinned", [
         (34, 1, [(5, 1), (29, 7), (37, 5), (61, 21), (109, 38), (173, 84)]),
@@ -529,6 +549,97 @@ class TestGenusPrefilter:
                 p=p, root=root, ok=False, failed_at="ii",
                 checks={"iv": True, "i": True, "ii": False},
             )
+
+
+def brute_genus_exact(ray: RayClassData, ds: list[int]) -> bool:
+    """Whether no nonzero ray class has its kept genus signature bits in
+    {0, s}: each element is written on the ambient generators by
+    `group.express`, and its signature is the product of those of the
+    ideal generators with odd exponent."""
+    kept = [i for i, d in enumerate(ds[:-1]) if abs(d) <= kummerfrob.GENUS_TABLE_LIMIT]
+    mask = sum(1 << i for i in kept)
+    s = sum(1 << i for i, d in enumerate(ds) if d < 0)
+    group = ray.group
+    for g in group_elements(group):
+        if not any(g):
+            continue
+        sigma = 0
+        for P, e in zip(ray.ideal_gens, group.express(group.to_canonical, g)):
+            if e % 2:
+                sigma ^= kummerfrob._genus_signature(ds, P.norm())
+        if sigma & mask in (0, s & mask):
+            return False
+    return True
+
+
+class TestGenusExact:
+    """A genus-exact field decides (ii) by the genus prefilter alone, and
+    at ell^n = 2 (iii) is the Legendre symbol of N(1 + eps) = 2 + Tr eps
+    wherever p does not divide it; neither takes a square root."""
+
+    def test_corpus_flag_matches_brute_force(self):
+        """Real squarefree d < 300, moduli 1, 3, 7 and 15 where prime to
+        D: `genus_exact` is the brute-force injectivity of the genus map
+        modulo {1, s}; it holds for 213 of the 590 fields."""
+        exact = fields = 0
+        for K, modulus in corpus_fields():
+            ray = ray_class_group(K, modulus)
+            chk = ConditionChecker(K, modulus, (0,) * ray.group.rank, SearchParams(2, 1, 0))
+            assert chk.genus_exact == brute_genus_exact(ray, chk.prime_discs), (K.d, modulus)
+            exact += chk.genus_exact
+            fields += 1
+        assert 0 < exact < fields
+
+    @pytest.mark.parametrize("d,m,exact", [
+        (34, 1, True),
+        (105, 1, True),
+        (10, 1, True),
+        (543, 11, False),
+        (7315, 3, False),
+    ])
+    def test_pinned_fields(self, d, m, exact):
+        K = quadratic_field(d)
+        modulus = modulus_from_rational(K, m)
+        ray = ray_class_group(K, modulus)
+        chk = ConditionChecker(K, modulus, (0,) * ray.group.rank, SearchParams(2, 1, 0))
+        assert chk.genus_exact == brute_genus_exact(ray, chk.prime_discs) == exact
+
+    def test_legendre_symbol_is_the_eps_character_order(self):
+        """The corpus above, every split candidate p < 2*10^4 at ell^n = 2:
+        when p does not divide c = 2 + Tr eps, the eps-character at either
+        prime above p has order 1 exactly when (c / p) = 1. That is 326,290
+        candidates; 293 more divide c."""
+        bound = 2 * 10**4
+        checked = divides = 0
+        for K, modulus in corpus_fields():
+            rank = ray_class_group(K, modulus).group.rank
+            chk = ConditionChecker(K, modulus, (0,) * rank, SearchParams(2, 1, 0, bound))
+            c = chk.norm_one_plus_eps
+            assert c == chk.eps.trace() + 2
+            for p in chk.candidates(3, bound):
+                if kronecker(K.D, p) != 1:
+                    continue
+                if c % p == 0:
+                    divides += 1
+                    continue
+                r = sqrt_mod(K.D, p)
+                want = 1 if kronecker(c, p) == 1 else 2
+                for root in (r, p - r):
+                    assert residue_character(chk.eps, p, 2, 1, root)[1] == want, (K.d, p)
+                checked += 1
+        assert checked > 10**5 and divides > 0
+
+    def test_a_candidate_dividing_c_takes_the_root(self):
+        """d = 286, class 0: the field is genus-exact and 113 divides
+        c = 1,123,672, so (iii) at p = 113 takes the root and the
+        eps-character."""
+        K = quadratic_field(286)
+        chk = ConditionChecker(K, Modulus.trivial(K), (0,), SearchParams(2, 1, 0))
+        assert chk.genus_exact and chk.norm_one_plus_eps == 1123672 == 113 * 9944
+        want = reference_decide(chk, 113)
+        assert chk.verdict(113) == want == ("iii", 50)
+        rep = chk.check(113)
+        assert (rep.failed_at, rep.root) == want
 
 
 def reference_scan(chk: ConditionChecker, lo: int, hi: int):
