@@ -713,8 +713,9 @@ class CapitulationReport:
 
 
 def verify_certificate(cert) -> CapitulationReport:
-    """Re-check the search conditions, build L = K(sqrt p), and decide whether
-    the certified class becomes principal in the ray class group of L."""
+    """Re-check the search conditions and the cyclic field, build L = K(sqrt p),
+    and decide whether the certified class becomes principal in the ray class group of L."""
+    from .capsearch import CyclicFieldDesc, gaussian_period_min_poly
     from .kummerfrob import ConditionChecker, SearchParams, prime_above_from_root
 
     K = quadratic_field(cert.d)
@@ -742,11 +743,17 @@ def verify_certificate(cert) -> CapitulationReport:
             else "certificate data does not match the re-check"
         )
         return rep
-    if cert.ell**cert.n != 2:
+    degree = cert.ell**cert.n  # divides p - 1 once the conditions hold
+    F = CyclicFieldDesc(cert.p, degree, gaussian_period_min_poly(cert.p, degree))
+    if cert.cyclic_field != F:
+        rep.status = "invalid_certificate"
+        rep.detail = f"the cyclic field is not the degree {degree} field of conductor {cert.p}"
+        return rep
+    if degree != 2:
         rep.status = "unverified_composite"
         rep.detail = (
             f"direct verification only covers quadratic steps; "
-            f"degree {cert.ell**cert.n} certificate is recorded unverified"
+            f"degree {degree} certificate is recorded unverified"
         )
         return rep
 

@@ -1,19 +1,21 @@
 """Search for principalization primes and build the cyclic companion field.
 
 The companion field F of degree ell^n and conductor p is presented by the
-minimal polynomial of the Gaussian period eta = Tr(zeta_p) down to F. The
-polynomial is assembled by CRT across auxiliary primes Q = 1 mod p, where the
-periods become explicit sums of p-th roots of unity in F_Q.
+minimal polynomial of the Gaussian period eta = Tr(zeta_p) down to F, read
+by Newton's identities off the cyclotomic numbers of one pass over F_p.
 """
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import islice
+from operator import mul
 
 from .errors import InputError, require
-from .exactmath import crt, is_prime, primes_in_progression, valuation
+from .exactmath import is_prime, valuation
 from .kummerfrob import ConditionChecker, SearchParams
 from .quadfield import FIELD_CACHE_SIZE, Modulus, QuadField, _primitive_root, quadratic_field
 
@@ -29,43 +31,31 @@ def gaussian_period_min_poly(p: int, m: int) -> tuple[int, ...]:
         raise InputError(f"{p} is not prime")
     if m < 1 or (p - 1) % m:
         raise InputError(f"degree {m} does not divide p - 1 = {p - 1}")
-    if m == 1:
-        return (1, 1)  # eta = -1
-    R = (p - 1) // m
-    bound = (1 + R) ** m  # every |e_k(eta_0..eta_{m-1})| is below this
-    g = _primitive_root(p)
-    # exponent classes: cosets of <g^m> in (Z/p)^*
-    cosets = []
-    for j in range(m):
-        cosets.append([pow(g, j + i * m, p) for i in range(R)])
-    residues: list[list[int]] = []
-    moduli: list[int] = []
-    prod = 1
-    for Q in primes_in_progression(1, p, start=max(p + 1, 100)):
-        w = pow(_primitive_root(Q), (Q - 1) // p, Q)
-        periods = [sum(pow(w, a, Q) for a in coset) % Q for coset in cosets]
-        # poly = prod (T - eta_j) mod Q, low-to-high coefficients
-        poly = [1]
-        for eta in periods:
-            nxt = [0] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                nxt[i + 1] = (nxt[i + 1] + c) % Q
-                nxt[i] = (nxt[i] - c * eta) % Q
-            poly = nxt
-        residues.append(poly)
-        moduli.append(Q)
-        prod *= Q
-        if prod > 2 * bound:
-            break
-    coeffs = []
-    for k in range(m + 1):
-        c, M = crt([r[k] for r in residues], moduli)
-        if c > M // 2:
-            c -= M
-        coeffs.append(c)
-    require(coeffs[m] == 1, "the period polynomial is not monic")
-    require(coeffs[m - 1] == 1, "the periods do not sum to -1")
-    return tuple(coeffs)
+    f = (p - 1) // m
+    # ind[x] = log_g(x) mod m: x lies in the class C_ind[x] of eta_ind[x]
+    ind = bytearray(p) if m <= 256 else array("L", [0]) * p
+    g, x = _primitive_root(p), 1
+    for i in range(p - 1):
+        ind[x] = i % m
+        x = x * g % p
+    # eta_0 * eta_k = sum_j (k, j) eta_j + f [-1 in C_k], with the cyclotomic
+    # number (k, j) = #{x in C_k : x + 1 in C_j} and 1 = -sum_j eta_j
+    cyc = Counter(zip(ind[1 : p - 1], ind[2:]))
+    minus_one = ind[p - 1]
+    for k in range(m):
+        size = sum(cyc[k, j] for j in range(m)) + (k == minus_one)
+        require(size == f, f"the class C_{k} holds {size} residues, not {f}")
+    cols = [[cyc[k, j] - f * (k == minus_one) for k in range(m)] for j in range(m)]
+    # v = eta_0^k on the basis eta_j has the trace s_k = -sum(v), and Newton's
+    # identities k a_k = -sum_{i<k} a_i s_{k-i} give a_k, the coefficient of T^(m-k)
+    v, s, a = [-1] * m, [m], [1]
+    for k in range(1, m + 1):
+        v = [sum(map(mul, v, col)) for col in cols]
+        s.append(-sum(v))
+        q, r = divmod(-sum(a[i] * s[k - i] for i in range(k)), k)
+        require(r == 0, "a Newton division of the period power sums is not exact")
+        a.append(q)
+    return tuple(reversed(a))
 
 
 @dataclass(frozen=True)

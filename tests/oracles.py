@@ -13,8 +13,9 @@ of basis elements, principal ideals of L as the HNF of one generator,
 square roots in L by the integer square root chain alone, with no residue
 test first, and the unit norm index of a quadratic field over Q by
 exponent lattices, square roots mod p with the Tonelli-Shanks nonresidue
-found by linear scan, and a scan candidate's conditions decided without
-genus characters. The library never calls them.
+found by linear scan, a scan candidate's conditions decided without
+genus characters, and the Gaussian period polynomial by CRT across
+auxiliary primes. The library never calls them.
 The square root stands on the library's quadratic square root. The ideal
 oracles stand on the library's `QIdeal`, `BqIdeal` and its HNF, division
 and ray principality
@@ -23,8 +24,9 @@ ideal product, prime splitting and `class_key`, the rho walk on its
 residue factors' valuation and unit-part residue, the local value on their
 residues and discrete logs, the principal ideal of L on
 `BqIdeal.from_generators`, and the norm index on its residue systems and unit
-lattice, and the scan's reference decision on the checker's ray class
-group, unit and square root; the rest share no code with it.
+lattice, the scan's reference decision on the checker's ray class
+group, unit and square root, and the period polynomial on its primitive
+root, CRT and primes in progression; the rest share no code with it.
 """
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ from typing import Iterator, Sequence
 from raycap.abgroup import FiniteAbelianGroup, hnf_rows, solve_left
 from raycap.ambigcheck import _unit_lattice
 from raycap.biquad import BqElt, BqIdeal, sqrt_in_quadratic
-from raycap.exactmath import factor, power, sqrt_mod, valuation
-from raycap.errors import InvariantError
+from raycap.exactmath import crt, factor, is_prime, power, primes_in_progression, sqrt_mod, valuation
+from raycap.errors import InputError, InvariantError, require
 from raycap.kummerfrob import residue_character
 from raycap.quadfield import (
     QElt,
@@ -47,6 +49,7 @@ from raycap.quadfield import (
     RayClassData,
     _ideal_from_rows,
     _key_ideal,
+    _primitive_root,
     adjust_by_units,
     class_key,
     factor_prime,
@@ -675,3 +678,56 @@ def quadratic_norm_index(L: QuadField, m: int) -> int:
     over_em = 1 if m <= 2 else 2
     assert over_norms % over_em == 0
     return over_norms // over_em
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian period polynomial as the library built it before the
+# cyclotomic numbers: its coefficients mod auxiliary primes Q = 1 mod p,
+# where the periods are explicit sums of p-th roots of unity in F_Q, joined
+# by CRT under the bound (1 + R)^m
+
+
+def period_poly_by_crt(p: int, m: int) -> tuple[int, ...]:
+    """Coefficients (low to high, monic) of the minimal polynomial of the
+    degree-m Gaussian period for the prime p, with m dividing p - 1."""
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
+    if m < 1 or (p - 1) % m:
+        raise InputError(f"degree {m} does not divide p - 1 = {p - 1}")
+    if m == 1:
+        return (1, 1)  # eta = -1
+    R = (p - 1) // m
+    bound = (1 + R) ** m  # every |e_k(eta_0..eta_{m-1})| is below this
+    g = _primitive_root(p)
+    # exponent classes: cosets of <g^m> in (Z/p)^*
+    cosets = []
+    for j in range(m):
+        cosets.append([pow(g, j + i * m, p) for i in range(R)])
+    residues: list[list[int]] = []
+    moduli: list[int] = []
+    prod = 1
+    for Q in primes_in_progression(1, p, start=max(p + 1, 100)):
+        w = pow(_primitive_root(Q), (Q - 1) // p, Q)
+        periods = [sum(pow(w, a, Q) for a in coset) % Q for coset in cosets]
+        # poly = prod (T - eta_j) mod Q, low-to-high coefficients
+        poly = [1]
+        for eta in periods:
+            nxt = [0] * (len(poly) + 1)
+            for i, c in enumerate(poly):
+                nxt[i + 1] = (nxt[i + 1] + c) % Q
+                nxt[i] = (nxt[i] - c * eta) % Q
+            poly = nxt
+        residues.append(poly)
+        moduli.append(Q)
+        prod *= Q
+        if prod > 2 * bound:
+            break
+    coeffs = []
+    for k in range(m + 1):
+        c, M = crt([r[k] for r in residues], moduli)
+        if c > M // 2:
+            c -= M
+        coeffs.append(c)
+    require(coeffs[m] == 1, "the period polynomial is not monic")
+    require(coeffs[m - 1] == 1, "the periods do not sum to -1")
+    return tuple(coeffs)

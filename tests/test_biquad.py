@@ -41,7 +41,7 @@ from raycap.biquad import (
     unit_group,
     verify_certificate,
 )
-from raycap.capsearch import find_principalizing_prime
+from raycap.capsearch import CyclicFieldDesc, find_principalizing_prime
 from raycap.errors import InputError, InvariantError
 from raycap.exactmath import factor, is_prime, kronecker, primes_up_to
 from raycap.kummerfrob import SearchParams, prime_above_from_root
@@ -828,6 +828,11 @@ class TestVerifyCertificate:
             dataclasses.replace(cert, root=cert.root + 1),
             dataclasses.replace(cert, p=15),
             dataclasses.replace(cert, eps_character={"value": 1, "order": 1}),
+            # a cyclic field that is not the certificate's degree-2 field of
+            # conductor 5: a wrong polynomial, another conductor, another degree
+            dataclasses.replace(cert, cyclic_field=CyclicFieldDesc(5, 2, (7, 7, 1))),
+            dataclasses.replace(cert, cyclic_field=CyclicFieldDesc(13, 2, (-3, 1, 1))),
+            dataclasses.replace(cert, cyclic_field=CyclicFieldDesc(5, 4, (1, 1, 1, 1, 1))),
         ):
             rep = verify_certificate(bad)
             assert rep.status == "invalid_certificate"

@@ -1,7 +1,7 @@
 """Tests for Gaussian period polynomials and the principalization search."""
 import pytest
 
-from oracles import det_bareiss
+from oracles import det_bareiss, period_poly_by_crt
 from raycap.capsearch import (
     CandidateCertificate,
     CyclicFieldDesc,
@@ -17,10 +17,19 @@ from raycap.kummerfrob import SearchParams
 from raycap.quadfield import Modulus, modulus_from_rational, quadratic_field
 
 
-def primitive_root(p):
-    from raycap.quadfield import _primitive_root
+def order_by_walk(g: int, p: int) -> int:
+    """The multiplicative order of g mod p, by walking its powers."""
+    x, k = g % p, 1
+    while x != 1:
+        x, k = x * g % p, k + 1
+    return k
 
-    return _primitive_root(p)
+
+def primitive_root(p: int) -> int:
+    """The least generator of (Z/p)^*, by brute force: the oracle below must
+    not share the library's primitive root, which the period polynomial's
+    index table stands on."""
+    return next(g for g in range(1, p) if order_by_walk(g, p) == p - 1)
 
 
 def exact_period_poly(p: int, m: int) -> tuple[int, ...]:
@@ -108,7 +117,8 @@ class TestPeriodPolynomials:
             assert gaussian_period_min_poly(p, 2) == (-(p - 1) // 4, 1, 1)
 
     def test_full_degree_recovers_cyclotomic(self):
-        for p in (5, 7, 11, 13):
+        # at p = 263, m = 262 > 256 needs an index table wider than a byte
+        for p in (5, 7, 11, 13, 263):
             assert gaussian_period_min_poly(p, p - 1) == tuple([1] * p)
 
     def test_discriminant_shape(self):
@@ -131,21 +141,32 @@ class TestPeriodPolynomials:
         with pytest.raises(InputError):
             gaussian_period_min_poly(13, 5)
 
+    def test_matches_crt_construction(self):
+        # the auxiliary-prime CRT construction this one replaced, on all
+        # 1,144 pairs with p an odd prime below 1500 and m <= 12
+        pairs = [(p, m) for p in primes_up_to(1499)[1:] for m in range(1, 13) if (p - 1) % m == 0]
+        assert len(pairs) == 1144
+        for p, m in pairs:
+            assert gaussian_period_min_poly(p, m) == period_poly_by_crt(p, m), (p, m)
+
+    def test_primitive_root_generates(self):
+        from raycap.quadfield import _primitive_root
+
+        assert _primitive_root(2) == 1
+        for p in primes_up_to(4999)[1:]:
+            assert order_by_walk(_primitive_root(p), p) == p - 1, p
+
     def test_wrong_coefficients_raise_under_any_optimisation(self, monkeypatch):
-        """The monic and trace checks are raised, not asserted, so `python -O`
-        keeps them: a CRT that lands one off stops with exit 8."""
+        """The coset check is raised, not asserted, so `python -O` keeps it:
+        an index table walked from a non-generator stops with exit 8 (at
+        (13, 2), g = 4 would otherwise give (5, 1, 1) for (-3, 1, 1))."""
         from raycap import capsearch
 
-        real = capsearch.crt
-
-        def off_by_one(residues, moduli):
-            x, M = real(residues, moduli)
-            return (x + 1) % M, M
-
-        monkeypatch.setattr(capsearch, "crt", off_by_one)
-        with pytest.raises(InvariantError, match="monic") as err:
-            gaussian_period_min_poly(13, 4)
-        assert err.value.exit_code == 8
+        for p, m, g in ((13, 4, 3), (13, 2, 4)):
+            monkeypatch.setattr(capsearch, "_primitive_root", lambda q, g=g: g)
+            with pytest.raises(InvariantError, match="residues, not") as err:
+                gaussian_period_min_poly(p, m)
+            assert err.value.exit_code == 8
 
 
 class TestCyclicFieldDesc:

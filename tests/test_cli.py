@@ -250,6 +250,7 @@ class TestSearchAndVerify:
         ("modulus", [[5, 3, 1, 1], [5, 3, 2, 1]]),  # 3 is the prime below
         ("target", [1, 0]),  # Cl^m of Q(sqrt 34) mod 1 is Z/2
         ("target", []),
+        ("cyclic_field", {"p": 5, "degree": 2, "min_poly": [7, 7, 1]}),  # not eta's polynomial
     ])
     def test_crafted_certificate_is_invalid(self, capsys, tmp_path, key, value):
         # a well-formed, freshly stamped file whose contents do not fit
