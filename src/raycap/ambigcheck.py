@@ -373,18 +373,17 @@ def _direct_biquad(L: BiquadField, K: QuadField, m: Modulus) -> int:
         raise BudgetError(
             "direct ambiguous count needs a principal biquadratic field"
         )
-    m_L = extend_modulus(L, m)
-    R = l_residue_system(m_L)
-    k = len(R.factors)
-    rows = [[R.orders[i] if c == i else 0 for c in range(k)] for i in range(k)]
-    for u in [-L.one()] + list(unit_group(L).units):
-        rows.append(list(R.dlog(u)))
-    # the HNF spans the same lattice; unreduced unit rows make snf's entries
-    # grow to thousands of digits
-    quo = group_from_relations(hnf_rows(rows), tuple(f"r{i}" for i in range(k)))
+    R = l_residue_system(extend_modulus(L, m))
+    G = R.group
+    # (O_L/m_L)^* modulo the classes of the units; the HNF spans the same
+    # lattice, and unreduced unit rows make snf's entries grow to thousands
+    # of digits
+    units = [-L.one()] + list(unit_group(L).units)
+    rows = hnf_rows(G.stacked([R.vector(u) for u in units]))
+    quo = group_from_relations(rows, tuple(f"c{i}" for i in range(G.rank)))
 
     def class_vec(gamma):
-        return quo.dlog_ambient(R.dlog(gamma))
+        return quo.dlog_ambient(R.vector(gamma))
 
     vecs = []
     for Q in _ramified_biquad(L, K, m):

@@ -14,8 +14,8 @@ from functools import lru_cache, reduce
 from itertools import product
 
 from .abgroup import hnf_rows
-from .errors import InputError, InvariantError, require
-from .exactmath import factor, is_prime, kronecker, power, primes_up_to, roots_mod_p
+from .errors import InputError, require
+from .exactmath import is_prime, kronecker, power, primes_up_to, roots_mod_p
 from .quadfield import (
     FIELD_CACHE_SIZE,
     Modulus,
@@ -209,11 +209,14 @@ _MAX_GENS = 4
 class BqIdeal:
     """Integral ideal as the canonical HNF basis of its coordinate lattice.
     `gens`, when not empty, are coordinate 4-tuples that generate the ideal
-    over O_L; they shorten products and take no part in equality."""
+    over O_L; they shorten products. `residue_map`, set on the primes of
+    `primes_above`, is the map O_L -> O_L/Q that Q is the kernel of, as the
+    arguments of its `ResidueFactor`. Neither takes part in equality."""
 
     L: BiquadField
     rows: tuple[tuple[int, int, int, int], ...]
     gens: tuple[tuple[int, int, int, int], ...] = dc_field(default=(), compare=False)
+    residue_map: tuple | None = dc_field(default=None, compare=False)
 
     @staticmethod
     def _from_span(L: BiquadField, rows, gens=()) -> "BqIdeal":
@@ -305,35 +308,53 @@ def _w_elt(L: BiquadField, j: int) -> BqElt:
 
 def primes_above(L: BiquadField, p0: int) -> list[tuple[BqIdeal, int, int]]:
     """The primes of L over the rational prime p0 as (ideal, e, f) triples,
-    validated against e*f*g = 4 and the product decomposition."""
+    validated against e*f*g = 4 and the product decomposition. Each ideal
+    keeps the residue map read off the roots that build it: w_j goes to x
+    when w_j - x is one of its generators, and an inert w1, else an inert
+    w2, presents F_{p0^2}."""
     if not is_prime(p0):
         raise InputError(f"{p0} is not prime")
     ks = (L.k1, L.k2, L.k3)
     chis = tuple(kronecker(k.D, p0) for k in ks)
+    tu1, tu2 = (L.k1.t, L.k1.u), (L.k2.t, L.k2.u)
     out: list[tuple[BqIdeal, int, int]] = []
+
+    def w_minus(j: int, x: int) -> BqElt:
+        return _w_elt(L, j) - BqElt(L, x, 0, 0, 0)
+
+    def add(gens, e: int, tu, im1, im2) -> None:
+        """The prime (gens) with w1 -> im1 and w2 -> im2 in F_p0 when tu is
+        None, else in F_p0[w]/(w^2 - t*w - u) for (t, u) = tu."""
+        f = 1 if tu is None else 2
+        Q = BqIdeal.from_generators(L, gens)
+        require(Q.norm() == p0**f, "a prime of L over p has norm != p^f")
+        mul = _Fp2(p0, *tu).mul if tu else lambda x, y: x * y % p0
+        ims = ((1, 0) if tu else 1, im1, im2, mul(im1, im2))
+        out.append((BqIdeal(L, Q.rows, Q.gens, (p0, f, tu, ims)), e, f))
+
+    def other_inert(i: int, r: int):
+        """(tu, im1, im2) when w_i -> r and the other of w1, w2 is inert."""
+        return (tu2, (r, 0), (0, 1)) if i == 1 else (tu1, (0, 1), (r, 0))
+
     if 0 not in chis:
         split = [j for j in (1, 2, 3) if chis[j - 1] == 1]
         if len(split) == 3:
-            r1 = roots_mod_p(_minpoly(L.k1), p0)
-            r2 = roots_mod_p(_minpoly(L.k2), p0)
-            for x1 in r1:
-                for x2 in r2:
-                    Q = BqIdeal.from_generators(
-                        L, [p0, _w_elt(L, 1) - BqElt(L, x1, 0, 0, 0),
-                            _w_elt(L, 2) - BqElt(L, x2, 0, 0, 0)]
-                    )
-                    require(Q.norm() == p0, "a totally split prime has norm != p")
-                    out.append((Q, 1, 1))
+            for x1 in roots_mod_p(_minpoly(L.k1), p0):
+                for x2 in roots_mod_p(_minpoly(L.k2), p0):
+                    add([p0, w_minus(1, x1), w_minus(2, x2)], 1, None, x1, x2)
         else:
             # the product of the three characters is +1, so exactly one splits
             require(len(split) == 1, "the characters at p do not multiply to 1")
             j = split[0]
             for x in roots_mod_p(_minpoly(ks[j - 1]), p0):
-                Q = BqIdeal.from_generators(
-                    L, [p0, _w_elt(L, j) - BqElt(L, x, 0, 0, 0)]
-                )
-                require(Q.norm() == p0 * p0, "a degree-2 prime has norm != p^2")
-                out.append((Q, 1, 2))
+                if j < 3:
+                    add([p0, w_minus(j, x)], 1, *other_inert(j, x))
+                else:
+                    # w1 and w2 inert, w3 -> x: w2 = (w3 - t1 + w1) / (2 w1 - t1)
+                    fp2, t1 = _Fp2(p0, *tu1), L.k1.t
+                    inv = power((-t1 % p0, 2 % p0), p0 * p0 - 2, (1, 0), fp2.mul)
+                    im2 = fp2.mul(((x - t1) % p0, 1), inv)
+                    add([p0, w_minus(3, x)], 1, tu1, (0, 1), im2)
     else:
         # ramification: p0 divides exactly two of the three discriminants,
         # always including D3
@@ -345,17 +366,12 @@ def primes_above(L: BiquadField, p0: int) -> list[tuple[BqIdeal, int, int]]:
         require(kind == "ramified", "p divides D_a but does not ramify in k_a")
         P_a = facs[0][0]
         gens = [embed(L, g) for g in P_a.gen_pair()]
+        r = -P_a.b % p0  # w_a -> r, as P_a = [p0, b + w_a]
         if chis[c - 1] == 1:
             for x in roots_mod_p(_minpoly(ks[c - 1]), p0):
-                Q = BqIdeal.from_generators(
-                    L, gens + [_w_elt(L, c) - BqElt(L, x, 0, 0, 0)]
-                )
-                require(Q.norm() == p0, "a ramified degree-1 prime has norm != p")
-                out.append((Q, 2, 1))
+                add(gens + [w_minus(c, x)], 2, None, *((r, x) if a == 1 else (x, r)))
         else:
-            Q = BqIdeal.from_generators(L, gens)
-            require(Q.norm() == p0 * p0, "a ramified degree-2 prime has norm != p^2")
-            out.append((Q, 2, 2))
+            add(gens, 2, *other_inert(a, r))
     require(sum(e * f for _, e, f in out) == 4, "the primes above p have sum e*f != 4")
     prod = reduce(operator.mul, (Q**e for Q, e, _ in out))
     require(prod == BqIdeal.from_int(L, p0), "the product of Q^e over p is not p*O_L")
@@ -629,51 +645,11 @@ def is_principal(I: BqIdeal) -> BqElt | None:
 # residues mod an extended modulus, for the congruence condition on generators
 
 
-def _scan_root(Q: BqIdeal, j: int, p: int) -> int:
-    """The image of w_j in O_L/Q, for a w_j whose minimal polynomial splits mod p."""
-    L = Q.L
-    k = (L.k1, L.k2, L.k3)[j - 1]
-    w = _w_elt(L, j)
-    for x in roots_mod_p(_minpoly(k), p):
-        if Q.contains(w - BqElt(L, x, 0, 0, 0)):
-            return x
-    raise InvariantError("invariant failed: a subfield generator has no residue image")
-
-
-def _residue_factor(Q: BqIdeal) -> ResidueFactor:
-    """(O_L/Q)^* for one unramified-over-m prime Q; residue field F_p or
-    F_{p^2} presented through whichever of w1, w2 stays irreducible."""
-    L = Q.L
-    norm = Q.norm()
-    p = min(factor(norm))
-    if norm == p:
-        im1, im2 = _scan_root(Q, 1, p), _scan_root(Q, 2, p)
-        return ResidueFactor(p, 1, None, (1, im1, im2, im1 * im2 % p))
-    require(norm == p * p, "a residue prime's norm is neither p nor p^2")
-    chis = tuple(kronecker(k.D, p) for k in (L.k1, L.k2, L.k3))
-    if chis[0] == -1:
-        tu = (L.k1.t, L.k1.u)
-        im1 = (0, 1)
-        if chis[1] >= 0:
-            im2 = (_scan_root(Q, 2, p), 0)
-        else:
-            # both w1 and w2 inert: w3 has an integer image, and
-            # w2 = (w3 - t1 + w1) / (2 w1 - t1)
-            fp2 = _Fp2(p, *tu)
-            t1 = L.k1.t
-            num = ((_scan_root(Q, 3, p) - t1) % p, 1)
-            den = (-t1 % p, 2 % p)
-            im2 = fp2.mul(num, power(den, p * p - 2, (1, 0), fp2.mul))
-    else:
-        require(chis[1] == -1, "a degree-2 prime has neither w1 nor w2 inert")
-        tu = (L.k2.t, L.k2.u)
-        im1, im2 = (_scan_root(Q, 1, p), 0), (0, 1)
-    return ResidueFactor(p, 2, tu, ((1, 0), im1, im2, _Fp2(p, *tu).mul(im1, im2)))
-
-
 def l_residue_system(primes: tuple[BqIdeal, ...]) -> ResidueSystem:
-    """(O_L/m_L)^* as a product of cyclic factors, one per prime."""
-    return ResidueSystem([_residue_factor(Q) for Q in primes])
+    """(O_L/m_L)^* as a product of cyclic factors, one per prime, each from
+    the residue map that `primes_above` gave its prime."""
+    require(all(Q.residue_map for Q in primes), "a residue prime carries no residue map")
+    return ResidueSystem([ResidueFactor(*Q.residue_map) for Q in primes])
 
 
 def adjust_to_congruence(

@@ -401,16 +401,16 @@ def cmd_selftest(args) -> int:
     from raycap.capsearch import gaussian_period_min_poly
     from raycap.exactmath import kronecker, primes_in_progression
 
-    ok, tried = True, 0
+    ok, pairs = True, []
     small = list(takewhile(lambda p: p < 300, primes_in_progression(1, 4, start=5)))
-    while tried < 8:
+    for _ in range(8):
         p = rng.choice(small)
         q = rng.choice([q0 for q0 in range(3, 200) if is_prime(q0) and q0 != p])
         c0, c1, c2 = gaussian_period_min_poly(p, 2)
         splits = pow(q, (p - 1) // 2, p) == 1
         ok = ok and (kronecker(c1 * c1 - 4 * c2 * c0, q) == 1) == splits
-        tried += 1
-    record("period-splitting", ok)
+        pairs.append(f"({p},{q})")
+    record("period-splitting", ok, " ".join(pairs))
 
     # end-to-end capitulation for the flagship field
     from raycap.biquad import verify_certificate

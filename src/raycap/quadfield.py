@@ -714,18 +714,23 @@ class ResidueFactor:
             self.order, self.one, self.zero = p * p - 1, (1, 0), (0, 0)
             self.mul = _Fp2(p, *tu).mul
             self._columns = tuple(zip(*self.images))
-            self.gen = self._find_generator()
+            self.gen = self._find_generator(*tu)
 
-    def _find_generator(self):
+    def _find_generator(self, t: int, u: int):
+        """The first (x, y), y slowest, of order p^2 - 1. At a prime r of
+        p - 1, z^((p^2 - 1)/r) = N(z)^((p - 1)/r) for the norm
+        N(x + y*w) = x^2 + t*x*y - u*y^2 in F_p, an int power."""
+        p = self.p
         fs = list(factor(self.order))
-        for y in range(1, self.p):
-            for x in range(self.p):
-                cand = (x, y)
+        for y in range(1, p):
+            for x in range(p):
+                n = (x * x + t * x * y - u * y * y) % p
                 if all(
-                    power(cand, self.order // r, self.one, self.mul) != self.one
+                    pow(n, (p - 1) // r, p) != 1 if (p - 1) % r == 0 else
+                    power((x, y), self.order // r, self.one, self.mul) != self.one
                     for r in fs
                 ):
-                    return cand
+                    return x, y
         raise InvariantError("invariant failed: no generator found in F_p^2")
 
     def residue(self, z):

@@ -14,8 +14,9 @@ square roots in L by the integer square root chain alone, with no residue
 test first, and the unit norm index of a quadratic field over Q by
 exponent lattices, square roots mod p with the Tonelli-Shanks nonresidue
 found by linear scan, a scan candidate's conditions decided without
-genus characters, and the Gaussian period polynomial by CRT across
-auxiliary primes. The library never calls them.
+genus characters, the Gaussian period polynomial by CRT across
+auxiliary primes, and the residue factor of a prime of L found by scanning
+roots for membership. The library never calls them.
 The square root stands on the library's quadratic square root. The ideal
 oracles stand on the library's `QIdeal`, `BqIdeal` and its HNF, division
 and ray principality
@@ -25,8 +26,10 @@ residue factors' valuation and unit-part residue, the local value on their
 residues and discrete logs, the principal ideal of L on
 `BqIdeal.from_generators`, and the norm index on its residue systems and unit
 lattice, the scan's reference decision on the checker's ray class
-group, unit and square root, and the period polynomial on its primitive
-root, CRT and primes in progression; the rest share no code with it.
+group, unit and square root, the period polynomial on its primitive
+root, CRT and primes in progression, and the residue factor of L on
+`ResidueFactor`, `BqIdeal.contains` and the roots mod p; the rest share no
+code with it.
 """
 from __future__ import annotations
 
@@ -38,8 +41,18 @@ from typing import Iterator, Sequence
 
 from raycap.abgroup import FiniteAbelianGroup, hnf_rows, solve_left
 from raycap.ambigcheck import _unit_lattice
-from raycap.biquad import BqElt, BqIdeal, sqrt_in_quadratic
-from raycap.exactmath import crt, factor, is_prime, power, primes_in_progression, sqrt_mod, valuation
+from raycap.biquad import BqElt, BqIdeal, _minpoly, _w_elt, sqrt_in_quadratic
+from raycap.exactmath import (
+    crt,
+    factor,
+    is_prime,
+    kronecker,
+    power,
+    primes_in_progression,
+    roots_mod_p,
+    sqrt_mod,
+    valuation,
+)
 from raycap.errors import InputError, InvariantError, require
 from raycap.kummerfrob import residue_character
 from raycap.quadfield import (
@@ -47,6 +60,8 @@ from raycap.quadfield import (
     QIdeal,
     QuadField,
     RayClassData,
+    ResidueFactor,
+    _Fp2,
     _ideal_from_rows,
     _key_ideal,
     _primitive_root,
@@ -731,3 +746,51 @@ def period_poly_by_crt(p: int, m: int) -> tuple[int, ...]:
     require(coeffs[m] == 1, "the period polynomial is not monic")
     require(coeffs[m - 1] == 1, "the periods do not sum to -1")
     return tuple(coeffs)
+
+
+# the residue factor of a prime of L as the library built it before each
+# prime kept its residue map: the splitting of p decided again from the
+# Kronecker symbols, and each image of w_j found by trying every root of its
+# minimal polynomial for membership
+
+
+def _scan_root(Q: BqIdeal, j: int, p: int) -> int:
+    """The image of w_j in O_L/Q, for a w_j whose minimal polynomial splits mod p."""
+    L = Q.L
+    k = (L.k1, L.k2, L.k3)[j - 1]
+    w = _w_elt(L, j)
+    for x in roots_mod_p(_minpoly(k), p):
+        if Q.contains(w - BqElt(L, x, 0, 0, 0)):
+            return x
+    raise InvariantError("invariant failed: a subfield generator has no residue image")
+
+
+def l_residue_factor_by_scan(Q: BqIdeal) -> ResidueFactor:
+    """(O_L/Q)^* for one unramified-over-m prime Q; residue field F_p or
+    F_{p^2} presented through whichever of w1, w2 stays irreducible."""
+    L = Q.L
+    norm = Q.norm()
+    p = min(factor(norm))
+    if norm == p:
+        im1, im2 = _scan_root(Q, 1, p), _scan_root(Q, 2, p)
+        return ResidueFactor(p, 1, None, (1, im1, im2, im1 * im2 % p))
+    require(norm == p * p, "a residue prime's norm is neither p nor p^2")
+    chis = tuple(kronecker(k.D, p) for k in (L.k1, L.k2, L.k3))
+    if chis[0] == -1:
+        tu = (L.k1.t, L.k1.u)
+        im1 = (0, 1)
+        if chis[1] >= 0:
+            im2 = (_scan_root(Q, 2, p), 0)
+        else:
+            # both w1 and w2 inert: w3 has an integer image, and
+            # w2 = (w3 - t1 + w1) / (2 w1 - t1)
+            fp2 = _Fp2(p, *tu)
+            t1 = L.k1.t
+            num = ((_scan_root(Q, 3, p) - t1) % p, 1)
+            den = (-t1 % p, 2 % p)
+            im2 = fp2.mul(num, power(den, p * p - 2, (1, 0), fp2.mul))
+    else:
+        require(chis[1] == -1, "a degree-2 prime has neither w1 nor w2 inert")
+        tu = (L.k2.t, L.k2.u)
+        im1, im2 = (_scan_root(Q, 1, p), 0), (0, 1)
+    return ResidueFactor(p, 2, tu, ((1, 0), im1, im2, _Fp2(p, *tu).mul(im1, im2)))

@@ -15,6 +15,7 @@ from oracles import (
     bq_ideal_product,
     bq_principal,
     group_add,
+    l_residue_factor_by_scan,
     principal_ideal,
     sqrt_in_biquad_unfiltered,
 )
@@ -43,7 +44,7 @@ from raycap.biquad import (
 )
 from raycap.capsearch import CyclicFieldDesc, find_principalizing_prime
 from raycap.errors import InputError, InvariantError
-from raycap.exactmath import factor, is_prime, kronecker, primes_up_to
+from raycap.exactmath import factor, is_prime, kronecker, primes_up_to, squarefree_part
 from raycap.kummerfrob import SearchParams, prime_above_from_root
 from raycap.quadfield import (
     Modulus,
@@ -600,7 +601,9 @@ def _l_factors(d, p, p0):
 # (label, residue degree f, factors) for every way a factor is built: K primes
 # that split, stay inert (w = sqrt(d) and w = (1+sqrt(d))/2) or ramify; L
 # primes of degree one and of degree two presented through w1 or through w2,
-# or with both w1 and w2 inert; and p = 2 factors of order 1 on each side.
+# or with both w1 and w2 inert; ramified L primes where w1 (p0 | d) or w2
+# (p0 = p) maps to the double root of its minimal polynomial, of degree one
+# and two; and p = 2 factors of order 1 on each side.
 RESIDUE_CASES = [
     ("K split", 1, lambda: _k_factors(2, 7)),
     ("K inert, w = sqrt(2)", 2, lambda: _k_factors(2, 3)),
@@ -612,6 +615,10 @@ RESIDUE_CASES = [
     ("L w2 inert", 2, lambda: _l_factors(11, 181, 7)),
     ("L w1 and w2 inert", 2, lambda: _l_factors(6, 2837, 11)),
     ("L order 1 over 2", 1, lambda: _l_factors(17, 89, 2)),
+    ("L ramified in k1, degree one", 1, lambda: _l_factors(3, 13, 3)),
+    ("L ramified in k1, degree two", 2, lambda: _l_factors(3, 5, 3)),
+    ("L ramified in k2, degree one", 1, lambda: _l_factors(2, 17, 17)),
+    ("L ramified in k2, degree two", 2, lambda: _l_factors(2, 5, 5)),
 ]
 
 
@@ -666,6 +673,43 @@ class TestResidues:
                 assert 0 <= k < fac.order, label
                 assert fac.lift_power(k) == fac.residue(x), label
                 assert fac.dlog(x * y) == (k + fac.dlog(y)) % fac.order, label
+
+    def test_residue_maps_match_root_scan(self):
+        """Each prime of L keeps the map `primes_above` built it from; the
+        factor made from it equals the one found by deciding the splitting
+        again and scanning roots for membership, over every splitting shape:
+        real squarefree d < 40, p = 1 mod 4 below 110 and prime to d, and
+        every prime of L over p0 <= 60, over p and over the primes of d."""
+        ps = [p for p in primes_up_to(109) if p % 4 == 1]
+        shapes = set()
+        for d in (d for d in range(2, 40) if squarefree_part(d) == d):
+            for p in (p for p in ps if d % p):
+                L = biquad_field(d, p)
+                for p0 in sorted({*primes_up_to(60), p, *factor(d)}):
+                    above = primes_above(L, p0)
+                    shapes.add(tuple(sorted((e, f) for _, e, f in above)))
+                    for Q, _, _ in above:
+                        got = l_residue_system((Q,)).factors[0]
+                        want = l_residue_factor_by_scan(Q)
+                        assert (got.p, got.f, got.images, got.gen, got.order) == (
+                            want.p, want.f, want.images, want.gen, want.order
+                        ), (d, p, p0, Q.rows)
+        assert shapes == {((1, 1),) * 4, ((1, 2),) * 2, ((2, 1),) * 2, ((2, 2),)}
+
+    def test_ideal_without_residue_map_is_refused(self):
+        """Only `primes_above` gives a prime its residue map: the same ideal
+        rebuilt from its generators is equal, hashes alike and carries none,
+        and a residue system over it or over a product is refused with a
+        raised check that `python -O` keeps."""
+        L = biquad_field(3, 13)
+        Q = primes_above(L, 13)[0][0]
+        rebuilt = BqIdeal.from_generators(L, [BqElt(L, *g) for g in Q.gens])
+        assert Q.residue_map is not None and rebuilt.residue_map is None
+        assert rebuilt == Q and hash(rebuilt) == hash(Q)
+        for bad in (rebuilt, Q * Q):
+            with pytest.raises(InvariantError, match="residue map") as err:
+                l_residue_system((Q, bad))
+            assert err.value.exit_code == 8
 
     def test_vector_is_a_homomorphism_onto_group(self):
         # factor orders 4, 4, 6, 6 (5 and 7 split) are not in Smith form, so

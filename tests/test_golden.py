@@ -20,7 +20,8 @@ and two split primes (d = 595, m = 3*11), each with h > 1, so the residue
 part meets F_{p^2} residue fields, several factors at once and reduced
 ideals whose norms share a prime with the modulus. The two `selftest` runs
 pin the consistency battery at two seeds, whose period-splitting check
-draws its (p, q) pairs from the seed.
+draws its (p, q) pairs from the seed and records them, so the two pins
+differ.
 """
 import hashlib
 import importlib.util
@@ -80,9 +81,9 @@ GOLDEN = [
       "--bound", "20000"),
      3, "a78e4d6188f512b73fdf74ec06173f84d6f1e9bcf141f1561411c1f22b387900"),
     (("selftest", "--seed", "0"),
-     0, "81c4c7ebfa414069d0c619bb3ab4358f2ebf842e5397ce2018dd1eacc5e2722f"),
+     0, "f50628154ff229ba73aa8de1898ffe5204f0bb8fcea80eb5b67005b131daec91"),
     (("selftest", "--seed", "7"),
-     0, "81c4c7ebfa414069d0c619bb3ab4358f2ebf842e5397ce2018dd1eacc5e2722f"),
+     0, "fd1dd15807bec833da248603618e947a49fdf4f388af2f2f8c0c2c148d3180ce"),
 ]
 
 # Each entry is a `search ... --out cert` run, then `verify cert`, with the
@@ -120,6 +121,11 @@ def test_report_bytes(capsys, tmp_path, argv, exit_code, digest):
     code, got = json_digest(capsys, tmp_path, *argv, *extra)
     assert code == exit_code
     assert got == digest
+
+
+def test_selftest_pins_differ_by_seed():
+    pins = {argv: digest for argv, _, digest in GOLDEN if argv[0] == "selftest"}
+    assert len(pins) == 2 and len(set(pins.values())) == 2
 
 
 @pytest.mark.parametrize(
