@@ -274,7 +274,8 @@ class BqIdeal:
         return BqIdeal._from_span(L, rows, gens)
 
     def __pow__(self, k: int) -> "BqIdeal":
-        return power(self, k, BqIdeal.unit_ideal(self.L))
+        # `power` reads its identity only at k = 0
+        return power(self, k, BqIdeal.unit_ideal(self.L) if k == 0 else None)
 
     def scale(self, n: int) -> "BqIdeal":
         if n < 1:

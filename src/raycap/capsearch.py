@@ -151,7 +151,8 @@ def _scan_range(checker: ConditionChecker, lo: int, hi: int):
     Until the checker has a split table, candidates are decided by
     `ConditionChecker.verdict`; once the scan has decided its
     `table_break_even` of them, it builds the table, and each later
-    candidate costs one lookup, with only code 2 going on to `ray_verdict`.
+    candidate costs one lookup; codes 2 and 3 go on to the norm part of the
+    key, if the filter has one, and then to `ray_verdict`.
     Both paths give the same verdicts; a checker without a break-even
     (None) decides every candidate by `verdict`."""
     stats = dict.fromkeys(_SCAN_COUNTERS, 0)
@@ -168,12 +169,17 @@ def _scan_range(checker: ConditionChecker, lo: int, hi: int):
             return None, stats
     codes = checker.build_codes()
     size, ray_verdict = len(codes), checker.ray_verdict
-    tally = [0, 0, 0]  # candidates by code
+    genus = checker.genus
+    norms, modulus = (None, 1) if genus is None else (genus.norms, genus.modulus)
+    tally = [0, 0, 0, 0]  # candidates by code
     found = None
     for p in candidates:
         code = codes[p % size]
         tally[code] += 1
-        if code == 2:
+        if code > 1:
+            if norms and p % modulus not in norms[code - 2]:
+                stats["rejected_ii"] += 1
+                continue
             failed_at, _ = ray_verdict(p)
             if failed_at is None:
                 found = p

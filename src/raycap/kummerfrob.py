@@ -3,8 +3,9 @@
 A candidate prime p must split in the right Kummer-type extensions; at desk
 scale every criterion collapses to congruences on p and to residue characters
 chi(x) = x^((p-1)/ell^n) computed through a chosen square root of D mod p.
-Genus theory and Hilbert 90 decide most candidates without that root: genus
-characters read the ray class off p mod |D| where they tell every class
+Genus theory, the norm and Hilbert 90 decide most candidates without that
+root: the genus characters and p mod M, M the product of the odd primes
+below the modulus, read the ray class off p where they tell every class
 apart, and at ell^n = 2 the eps-character is a Legendre symbol of the
 rational integer N(1 + eps).
 """
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from itertools import filterfalse
 
+from .abgroup import snf
 from .errors import InputError, InvariantError
 from .exactmath import (factor, is_prime, kronecker, primes_1_mod, sqrt_mod, squarefree_part,
                         valuation)
@@ -122,80 +124,96 @@ def _genus_signature(ds: list[int], q: int) -> int:
 
 @dataclass(frozen=True)
 class GenusFilter:
-    """Which split primes can lie in a ray class, read off genus characters.
+    """Which split primes can lie in a ray class, read off the joint key
+    psi(P) = (sigma(P), N P mod M) of genus signature and norm.
 
     With D = d_1 * ... * d_t, the genus signature sigma = ((d_i / N P))_i
     is a homomorphism on the narrow class group (Cox, Primes of the Form
-    x^2 + ny^2, ch. 1). A principal (alpha) has sigma = 1 when N alpha > 0
-    and s = (sign d_i)_i when N alpha < 0, so sigma is a homomorphism from
-    the ray class group to signatures modulo {1, s}, and a P in the ray
-    class c has sigma(P) in sigma(c) * {1, s}. sigma(e_j) of a canonical
-    generator comes from the ideal generators in an ambient word for e_j;
-    the residue generators are principal. On a split prime all coordinates
-    multiply to 1, so the last (largest) is dropped, and so is every
-    coordinate whose conductor exceeds GENUS_TABLE_LIMIT. `chars` holds
-    (i, |d_i|, table) per kept coordinate, table[x] = 1 when (d_i / x) = -1
-    for an odd prime x, and `allowed` the kept bits of sigma(c) * {1, s}."""
+    x^2 + ny^2, ch. 1), and M is the product of the odd primes below m.
+    For alpha = 1 mod^x m, conj(alpha) = 1 too, m being conjugation-stable,
+    so N alpha = 1 mod M; and (alpha) has sigma = 1 when N alpha > 0 and
+    s = (sign d_i)_i when N alpha < 0. So psi is a homomorphism from the
+    ray class group to keys modulo the one joint flip (s, -1), and a P in
+    the ray class c has psi(P) in psi(c) * {1, (s, -1)}. psi(c) comes from
+    an ambient word for c: an ideal generator P_i contributes
+    (sigma(P_i), N P_i), and a residue generator x of (O/m)^* (1, N x),
+    which is (sigma, |N x|) up to the flip. On a split prime all
+    coordinates of sigma multiply to 1, so the last (largest) is dropped,
+    and so is every coordinate whose conductor exceeds GENUS_TABLE_LIMIT.
+    `chars` holds (i, |d_i|, table) per kept coordinate, table[x] = 1 when
+    (d_i / x) = -1 for an odd prime x, and `allowed` the kept bits of the
+    signatures in psi(c) * {1, (s, -1)}. `norms` is None when the norm
+    coordinate passes every residue, as for M = 1, where the filter reads
+    the signature alone; else norms[k] holds the residues mod `modulus`
+    that a key with the signature allowed[k] may have."""
 
     chars: tuple[tuple[int, int, bytes], ...] = dc_field(repr=False)
-    allowed: frozenset
+    allowed: tuple[int, ...]
+    norms: tuple[frozenset, ...] | None
+    modulus: int
 
     @staticmethod
     def build(
         ray: RayClassData, target: tuple[int, ...], ds: list[int]
     ) -> tuple["GenusFilter | None", bool]:
-        """(filter, exact) for primes in the class `target` of `ray`, whose
-        field has the prime discriminants ds. The filter is None when it
-        would pass every split prime. exact says whether the kept bits of
-        sigma tell every ray class apart modulo {1, s}: then every invariant
-        is 2 and the kept bits of the sigma(e_j) are independent over F_2
-        together with those of s, and a split prime that the filter passes
-        lies in the target class."""
+        """(filter, ray_exact) for primes in the class `target` of `ray`,
+        whose field has the prime discriminants ds. The filter is None when
+        it would pass every split prime. ray_exact says whether psi tells
+        every ray class apart modulo (s, -1): then a split prime that the
+        filter passes lies in the target class (`_ray_exact`)."""
         kept = [i for i, d in enumerate(ds[:-1]) if abs(d) <= GENUS_TABLE_LIMIT]
         mask = sum(1 << i for i in kept)
         s = sum(1 << i for i, d in enumerate(ds) if d < 0) & mask
-        group = ray.group
-        sigs = []
-        for j in range(group.rank):
-            word = group.express(group.to_canonical, [int(i == j) for i in range(group.rank)])
-            sigma = 0
-            for P, e in zip(ray.ideal_gens, word):
-                if e % 2:
-                    sigma ^= _genus_signature(ds, P.norm())
-            sigs.append(sigma & mask)
-        exact = (all(d == 2 for d in group.invariants)
-                 and _f2_rank([s, *sigs]) == len(sigs) + (s != 0))
-        # an odd-order generator has sigma in {1, s}, so only odd exponents count
-        sigma = 0
-        for sig, c in zip(sigs, target):
-            if c % 2:
-                sigma ^= sig
-        allowed = frozenset({sigma, sigma ^ s})
-        if len(allowed) == 2 ** len(kept):
+        odd = [q for q in ray.modulus.residue_chars() if q > 2]
+        M, phi = math.prod(odd), math.prod(q - 1 for q in odd)
+        res, group = ray.residue, ray.group
+        units = [[int(i == j) for j in range(len(res.factors))] for i in range(len(res.factors))]
+        ambient = [(_genus_signature(ds, P.norm()) & mask, P.norm() % M) for P in ray.ideal_gens]
+        ambient += [(0, res.crt_lift(e).norm() % M) for e in units]
+        exact = _ray_exact(ray, kept, [*ambient, (s, M - 1)])
+        sigma, n = 0, 1 % M
+        for (sig, norm), e in zip(ambient, group.express(group.to_canonical, target)):
+            sigma ^= sig * (e % 2)
+            n = n * pow(norm, e, M) % M
+        pairs = {sigma: {n}}
+        pairs.setdefault(sigma ^ s, set()).add(-n % M)
+        allowed = tuple(pairs)
+        norms = tuple(map(frozenset, pairs.values()))
+        if all(len(r) == phi for r in norms):
+            norms = None
+        if norms is None and len(allowed) == 2 ** len(kept):
             return None, exact
         chars = tuple((i, abs(ds[i]), _character_table(ds[i])) for i in kept)
-        return GenusFilter(chars, allowed), exact
+        return GenusFilter(chars, allowed, norms, M), exact
 
     def allows(self, p: int) -> bool:
-        """Whether the split odd prime p, prime to D, has a signature in the
-        allowed set."""
+        """Whether the split odd prime p, prime to D and to M, has a key in
+        the allowed set."""
         mask = 0
         for i, m, table in self.chars:
             mask |= table[p % m] << i
-        return mask in self.allowed
+        if mask not in self.allowed:
+            return False
+        return self.norms is None or p % self.modulus in self.norms[self.allowed.index(mask)]
 
 
-def _f2_rank(vectors: list[int]) -> int:
-    """The rank over F_2 of bit vectors: each is reduced by the basis so
-    far, kept in descending order so that their leading bits differ."""
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
+def _ray_exact(ray: RayClassData, kept: list[int], keys: list) -> bool:
+    """Whether psi is injective on the ray class group modulo the flip.
+    keys are the (sigma, n) of the ambient generators, which generate the
+    group, and the flip (s, -1) last; psi is injective exactly when they
+    generate a subgroup of order |Cl_m| * ord(flip) in F_2^kept x (Z/M)^*.
+    Each n is read by its discrete logs at the residue factors of m over
+    the odd primes q | M, which embed (Z/q)^*, so the keys lie in Z^w
+    modulo the diagonal `orders`, where their subgroup has the index
+    prod(snf diag) of the keys stacked on the relations."""
+    factors = [f for f in ray.residue.factors if f.p > 2]
+    orders = [2] * len(kept) + [f.order for f in factors]
+    rows = [[sigma >> i & 1 for i in kept] + [f.dlog(ray.field.elt(n)) for f in factors]
+            for sigma, n in keys]
+    flip = math.lcm(*(o // math.gcd(c, o) for c, o in zip(rows[-1], orders)))
+    rows += [[o * (i == j) for j in range(len(orders))] for i, o in enumerate(orders)]
+    index = math.prod(snf(rows).diag)
+    return math.prod(orders) // index == ray.group.order() * flip
 
 
 def _character_table(d: int) -> bytes:
@@ -234,11 +252,14 @@ def _table_break_even(ds: list[int]) -> int | None:
 
 def _split_codes(ds: list[int], genus: "GenusFilter | None") -> bytes:
     """codes[x] for x mod |D|, D = prod ds, at the residue x of an odd prime
-    p prime to D: 0 when p is inert in K, 1 when p splits but `genus` rejects
-    it, 2 when it splits and passes. Byte x first packs the t characters at
-    x, bit i from the i-th one's table (`_character_table`) repeated to
-    length |D|. (D / p) is their product, so an odd number of set bits means
-    inert, and `translate` maps each bit pattern to its code."""
+    p prime to D: 0 when p is inert in K, 1 when p splits but the signature
+    of the prime above it is not allowed by `genus`, 2 when it splits and
+    passes; when `genus` reads the norm too, 2 + k for the signature
+    genus.allowed[k], whose residues mod M are genus.norms[k]. Byte x first
+    packs the t characters at x, bit i from the i-th one's table
+    (`_character_table`) repeated to length |D|. (D / p) is their product,
+    so an odd number of set bits means inert, and `translate` maps each bit
+    pattern to its code."""
     size = abs(math.prod(ds))
     packed = 0
     for i, d in enumerate(ds):
@@ -246,8 +267,9 @@ def _split_codes(ds: list[int], genus: "GenusFilter | None") -> bytes:
     kept = 0 if genus is None else sum(1 << i for i, _, _ in genus.chars)
     code = bytes(
         0 if bin(bits).count("1") % 2
-        else 1 if genus is not None and (bits & kept) not in genus.allowed
-        else 2
+        else 2 if genus is None
+        else 1 if (bits & kept) not in genus.allowed
+        else 2 + genus.allowed.index(bits & kept) * (genus.norms is not None)
         for bits in range(256)
     )
     return packed.to_bytes(size, "little").translate(code)
@@ -324,8 +346,8 @@ class ConditionChecker:
         # order ell^{n-h}, which is attainable only when h >= v_ell(k)
         self.iii_attainable = self.h >= valuation(self.eps_unit_exponent, params.ell)
         ds = prime_discriminants(field.D)
-        # on a genus-exact field the prefilter alone decides (ii)
-        self.genus, self.genus_exact = GenusFilter.build(self.ray, self.target, ds)
+        # on a ray-exact field the prefilter alone decides (ii)
+        self.genus, self.ray_exact = GenusFilter.build(self.ray, self.target, ds)
         # at ell^n = 2, (iii) asks that eps be a nonsquare at the prime P
         # above p. N(eps) = 1, so eps = (1 + eps)^2 / c with c = N(1 + eps) =
         # 2 + Tr eps (Hilbert 90): for p prime to c, eps is a square mod P
@@ -358,8 +380,9 @@ class ConditionChecker:
 
     def build_codes(self) -> bytes:
         """The split table, built once: codes[p % |D|] at a candidate p is 0
-        when `verdict` fails (i'), 1 when its genus prefilter fails (ii), and
-        2 when `ray_verdict` decides (`_split_codes`)."""
+        when `verdict` fails (i'), 1 when the signature part of its prefilter
+        fails (ii), and 2 or more when the norm part, if any, and then
+        `ray_verdict` decide (`_split_codes`)."""
         if self.codes is None:
             self.codes = _split_codes(self.prime_discs, self.genus)
         return self.codes
@@ -368,26 +391,26 @@ class ConditionChecker:
         """(failed_at, root) at a candidate p (`candidates`) as the scan
         needs it: conditions (i')-(iv) in turn up to the first that fails,
         failed_at None when all pass. root is None when none was taken: when
-        (i') fails, when the genus prefilter proves that (ii) fails, and on
-        the genus-exact fields at ell^n = 2 unless p | N(1 + eps)."""
+        (i') fails, when the prefilter proves that (ii) fails, and on the
+        ray-exact fields at ell^n = 2 unless p | N(1 + eps)."""
         # (i'): p is in the cyclotomic progression and prime to D, so
         # Euler's criterion decides its split in K
         if pow(self.field.D, (p - 1) >> 1, p) != 1:
             return "i", None
-        # (ii), necessary part: the genus signature of the prime above p
+        # (ii), necessary part: the key of the prime above p
         if self.genus is not None and not self.genus.allows(p):
             return "ii", None
         return self.ray_verdict(p)
 
     def ray_verdict(self, p: int) -> tuple[str | None, int | None]:
-        """`verdict` at a candidate p that splits in K and passes the genus
+        """`verdict` at a candidate p that splits in K and passes the
         prefilter: (ii) by the ray class of the prime above p unless the
-        field is genus-exact, then (iii) by a Legendre symbol at ell^n = 2
+        field is ray-exact, then (iii) by a Legendre symbol at ell^n = 2
         and p prime to N(1 + eps), else by the eps-character, and (iv);
         with the root they took, or None."""
         root = None
         # (ii): the prime above p sits in the target ray class
-        if not self.genus_exact:
+        if not self.ray_exact:
             root = self._root(p)
             if self.ray.dlog_prime(p, root) != self.target:
                 return "ii", root

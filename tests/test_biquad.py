@@ -228,6 +228,17 @@ class TestIdeals:
         with pytest.raises(ValueError):
             BqIdeal.from_generators(L345, [BqElt(L345, 0, 0, 0, 0)])
 
+    def test_prime_powers_build_the_unit_ideal_only_at_zero(self, monkeypatch):
+        """P ** 0 is the unit ideal for each prime of L over 5; a positive
+        power is a product of P alone and builds no unit ideal."""
+        primes = [Q for Q, _, _ in primes_above(L345, 5)]
+        unit = BqIdeal.unit_ideal(L345)
+        squares = [Q * Q for Q in primes]
+        assert [Q**0 for Q in primes] == [unit] * len(primes)
+        monkeypatch.setattr(BqIdeal, "unit_ideal", None)
+        assert [Q**2 for Q in primes] == squares
+        assert [Q**1 for Q in primes] == primes
+
     def test_nonpositive_integers_rejected(self):
         I = bq_principal(BqElt(L345, 1, 1, 0, 1))
         for n in (0, -3):

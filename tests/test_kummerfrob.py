@@ -366,8 +366,10 @@ def assert_decides_as_reference(
     candidate up to bound: `verdict` gives the same verdict and either the
     same root or None when it took none; `check` reports the same verdict
     and root, on every candidate or only on those where `verdict`'s root is
-    None. Returns (candidates, prefilter rejections of (ii))."""
-    seen = rejected = 0
+    None. Returns (candidates, prefilter rejections of (ii), those of them
+    whose signature the filter allows, so that its norm part decides)."""
+    seen = rejected = by_norm = 0
+    genus = chk.genus
     for p in chk.candidates(3, bound):
         want = reference_decide(chk, p)
         failed_at, root = chk.verdict(p)
@@ -376,9 +378,11 @@ def assert_decides_as_reference(
         if root is None or every_check:
             rep = chk.check(p)
             assert (rep.failed_at, rep.root) == want, p
-        rejected += root is None and failed_at == "ii"
+        if root is None and failed_at == "ii":
+            rejected += 1
+            by_norm += signature(genus, p) in genus.allowed
         seen += 1
-    return seen, rejected
+    return seen, rejected, by_norm
 
 
 class TestGenusPrefilter:
@@ -415,7 +419,7 @@ class TestGenusPrefilter:
         """Real squarefree d < 300, moduli 1, 3, 7 and 15 where prime to
         D, ell = 2 and 3 (ell = 3 only off 3 | m), n = 1 and 2, every
         ell-power target, candidates up to 400."""
-        cases = active = candidates = rejected = 0
+        cases = active = candidates = rejected = by_norm = 0
         for K, modulus in corpus_fields():
             group = ray_class_group(K, modulus).group
             for ell in (2, 3):
@@ -424,15 +428,19 @@ class TestGenusPrefilter:
                 for target in ell_power_targets(group, ell):
                     for n in (1, 2):
                         chk = ConditionChecker(K, modulus, target, SearchParams(ell, n, 0, 400))
-                        seen, dropped = assert_decides_as_reference(chk, 400, False)
+                        seen, dropped, by_key = assert_decides_as_reference(chk, 400, False)
                         cases += 1
                         active += chk.genus is not None
                         candidates += seen
                         rejected += dropped
-        # the prefilter takes part: it is built for 3,828 of the 7,646
-        # cases and decides 24,967 of the 190,758 candidates
+                        by_norm += by_key
+        # the prefilter takes part: it is built for 7,170 of the 7,646
+        # cases (3,828 by the signature alone) and decides 69,988 of the
+        # 190,758 candidates (24,967); on the fields with a modulus its norm
+        # part decides 45,021 of them, whose signature it allows
         assert active > cases // 3
         assert rejected > candidates // 10
+        assert by_norm > 0
 
     @pytest.mark.parametrize("d,m,what", [
         (105, 1, "norm_two_generator"),
@@ -487,9 +495,11 @@ class TestGenusPrefilter:
         candidates it passes are those in the class, and the scan takes no
         square root and no ray class lookup: (iii) is the Legendre symbol
         of N(1 + eps) = 72. d = 543 mod 11, class (0, 0): the ray class
-        group (2, 10) is not genus-exact, and each split candidate the
-        prefilter passes takes one square root and one lookup, whose root
-        (iii) does not need."""
+        group (2, 10) is ray-exact, since the key (sigma, p mod 11) tells
+        its 20 classes apart modulo (s, -1), so it takes none either.
+        d = 7315 mod 3, class 0: the ray class group (2, 2, 2, 4) is not
+        ray-exact, and each split candidate the key passes takes one square
+        root and one lookup, whose root (iii) does not need."""
         calls = {"sqrt_mod": 0, "dlog_prime": 0}
 
         def counted(name, fn):
@@ -502,14 +512,16 @@ class TestGenusPrefilter:
         for d, m, target, exact, stats in [
             (34, 1, (0,), True,
              {"scanned": 8976, "rejected_i": 4496, "rejected_ii": 2257, "rejected_iii": 2223}),
-            (543, 11, (0, 0), False,
+            (543, 11, (0, 0), True,
              {"scanned": 8976, "rejected_i": 4485, "rejected_ii": 4270, "rejected_iii": 221}),
+            (7315, 3, (0, 0, 0, 0), False,
+             {"scanned": 8976, "rejected_i": 4523, "rejected_ii": 4344, "rejected_iii": 109}),
         ]:
             K = quadratic_field(d)
             chk = ConditionChecker(
                 K, modulus_from_rational(K, m), target, SearchParams(2, 1, 0, bound)
             )
-            assert chk.genus_exact == exact
+            assert chk.ray_exact == exact
             stream = list(chk.candidates(3, bound))
             want = [reference_decide(chk, p) for p in stream]
             survivors = [p for p, (f, _) in zip(stream, want) if f != "i" and chk.genus.allows(p)]
@@ -551,42 +563,91 @@ class TestGenusPrefilter:
             )
 
 
-def brute_genus_exact(ray: RayClassData, ds: list[int]) -> bool:
-    """Whether no nonzero ray class has its kept genus signature bits in
-    {0, s}: each element is written on the ambient generators by
-    `group.express`, and its signature is the product of those of the
-    ideal generators with odd exponent."""
+class TestKeyOnOtherModuli:
+    """The joint key on moduli that `corpus_fields` leaves out: a modulus
+    prime that ramifies in K, where the genus character at q and p mod q
+    read the same character (d = 21 mod 3, 35 mod 7); a composite M
+    (34 mod 15, 595 mod 33, and 21 mod 15 with 3 ramified); and m = 2 at
+    ell = 3, where the key has no norm part once 2 is dropped, alone and
+    beside 7 (5 mod 14). For every ell-power target and n = 1 and 2,
+    `verdict` and `check` decide every candidate up to 3000 as
+    `reference_decide`, and `ray_exact` is the brute-force injectivity."""
+
+    @pytest.mark.parametrize("d,m,ell", [
+        (21, 3, 2), (35, 7, 2), (34, 15, 2), (595, 33, 2), (21, 15, 2),
+        (35, 7, 3),
+        (5, 2, 3), (17, 2, 3), (3, 2, 3), (5, 14, 3),
+    ])
+    def test_matches_reference(self, d, m, ell):
+        K = quadratic_field(d)
+        modulus = modulus_from_rational(K, m)
+        ray = ray_class_group(K, modulus)
+        for target in ell_power_targets(ray.group, ell):
+            for n in (1, 2):
+                chk = ConditionChecker(K, modulus, target, SearchParams(ell, n, 0, 3000))
+                assert chk.ray_exact == brute_ray_exact(ray, chk.prime_discs)
+                assert_decides_as_reference(chk, 3000)
+
+
+def brute_ray_exact(ray: RayClassData, ds: list[int]) -> bool:
+    """Whether no nonzero ray class has the joint key (kept genus signature
+    bits, norm mod each odd prime q below m) in {(0, 1), (s, -1)}: each
+    element is written on the ambient generators by `group.express`. An
+    ideal generator P contributes (sigma(P), N P); the residue generator of
+    the factor at a prime Q over q, which is its generator g at Q and 1 at
+    the other primes of m, contributes (0, the norm of g down to F_q): g
+    when q splits, g^2 when Q is ramified, and x^2 + t*x*y - u*y^2 for
+    g = x + y*w when q is inert."""
+    K = ray.field
     kept = [i for i, d in enumerate(ds[:-1]) if abs(d) <= kummerfrob.GENUS_TABLE_LIMIT]
     mask = sum(1 << i for i in kept)
-    s = sum(1 << i for i, d in enumerate(ds) if d < 0)
+    s = sum(1 << i for i, d in enumerate(ds) if d < 0) & mask
+    qs = sorted(q for q in ray.modulus.residue_chars() if q > 2)
+
+    def gen_norm(f) -> int:
+        if f.f == 2:
+            x, y = f.gen
+            return (x * x + K.t * x * y - K.u * y * y) % f.p
+        return f.gen ** (2 if K.D % f.p == 0 else 1) % f.p
+
+    ambient = [(kummerfrob._genus_signature(ds, P.norm()), [P.norm() % q for q in qs])
+               for P in ray.ideal_gens]
+    ambient += [(0, [gen_norm(f) if f.p == q else 1 for q in qs]) for f in ray.residue.factors]
     group = ray.group
     for g in group_elements(group):
         if not any(g):
             continue
-        sigma = 0
-        for P, e in zip(ray.ideal_gens, group.express(group.to_canonical, g)):
+        sigma, norms = 0, [1] * len(qs)
+        for (sig, ns), e in zip(ambient, group.express(group.to_canonical, g)):
             if e % 2:
-                sigma ^= kummerfrob._genus_signature(ds, P.norm())
-        if sigma & mask in (0, s & mask):
+                sigma ^= sig
+            norms = [n * pow(x, e, q) % q for n, x, q in zip(norms, ns, qs)]
+        if (sigma & mask, norms) in ((0, [1] * len(qs)), (s, [q - 1 for q in qs])):
             return False
     return True
 
 
+def signature(genus: kummerfrob.GenusFilter, p: int) -> int:
+    """The kept genus signature bits of the prime above p."""
+    return sum(table[p % m] << i for i, m, table in genus.chars)
+
+
 class TestGenusExact:
-    """A genus-exact field decides (ii) by the genus prefilter alone, and
-    at ell^n = 2 (iii) is the Legendre symbol of N(1 + eps) = 2 + Tr eps
+    """A ray-exact field decides (ii) by the prefilter alone, and at
+    ell^n = 2 (iii) is the Legendre symbol of N(1 + eps) = 2 + Tr eps
     wherever p does not divide it; neither takes a square root."""
 
     def test_corpus_flag_matches_brute_force(self):
         """Real squarefree d < 300, moduli 1, 3, 7 and 15 where prime to
-        D: `genus_exact` is the brute-force injectivity of the genus map
-        modulo {1, s}; it holds for 213 of the 590 fields."""
+        D: `ray_exact` is the brute-force injectivity of the joint key
+        modulo (s, -1); it holds for 430 of the 590 fields, 213 of them by
+        the genus signature alone."""
         exact = fields = 0
         for K, modulus in corpus_fields():
             ray = ray_class_group(K, modulus)
             chk = ConditionChecker(K, modulus, (0,) * ray.group.rank, SearchParams(2, 1, 0))
-            assert chk.genus_exact == brute_genus_exact(ray, chk.prime_discs), (K.d, modulus)
-            exact += chk.genus_exact
+            assert chk.ray_exact == brute_ray_exact(ray, chk.prime_discs), (K.d, modulus)
+            exact += chk.ray_exact
             fields += 1
         assert 0 < exact < fields
 
@@ -594,7 +655,9 @@ class TestGenusExact:
         (34, 1, True),
         (105, 1, True),
         (10, 1, True),
-        (543, 11, False),
+        (543, 11, True),
+        (70, 13, True),
+        (595, 33, False),
         (7315, 3, False),
     ])
     def test_pinned_fields(self, d, m, exact):
@@ -602,7 +665,7 @@ class TestGenusExact:
         modulus = modulus_from_rational(K, m)
         ray = ray_class_group(K, modulus)
         chk = ConditionChecker(K, modulus, (0,) * ray.group.rank, SearchParams(2, 1, 0))
-        assert chk.genus_exact == brute_genus_exact(ray, chk.prime_discs) == exact
+        assert chk.ray_exact == brute_ray_exact(ray, chk.prime_discs) == exact
 
     def test_legendre_symbol_is_the_eps_character_order(self):
         """The corpus above, every split candidate p < 2*10^4 at ell^n = 2:
@@ -635,7 +698,7 @@ class TestGenusExact:
         eps-character."""
         K = quadratic_field(286)
         chk = ConditionChecker(K, Modulus.trivial(K), (0,), SearchParams(2, 1, 0))
-        assert chk.genus_exact and chk.norm_one_plus_eps == 1123672 == 113 * 9944
+        assert chk.ray_exact and chk.norm_one_plus_eps == 1123672 == 113 * 9944
         want = reference_decide(chk, 113)
         assert chk.verdict(113) == want == ("iii", 50)
         rep = chk.check(113)
@@ -743,9 +806,10 @@ class TestSplitTable:
     def test_table_matches_kronecker_and_genus_on_every_residue(self):
         """Real squarefree d < 400, moduli 1, 3 and 7 where prime to D,
         every 2-power target: at every residue x prime to D the code is 0
-        when (D / x) = -1, else 1 when the genus filter rejects x, else 2;
-        at every candidate up to 3000 it is 0 exactly when Euler's criterion
-        says inert."""
+        when (D / x) = -1, else 1 when the filter rejects the signature at
+        x, else 2 plus, when the filter reads the norm, the index of that
+        signature among the allowed ones; at every candidate up to 3000 it
+        is 0 exactly when Euler's criterion says inert."""
         tables = 0
         for d in range(2, 400):
             if squarefree_part(d) != d:
@@ -763,9 +827,11 @@ class TestSplitTable:
                     genus = chk.genus
                     for x in range(1, abs(D)):
                         if math.gcd(x, D) == 1:
+                            sig = None if genus is None else signature(genus, x)
                             want = (0 if kronecker(D, x) == -1
-                                    else 1 if genus is not None and not genus.allows(x)
-                                    else 2)
+                                    else 2 if genus is None
+                                    else 1 if sig not in genus.allowed
+                                    else 2 + genus.allowed.index(sig) * (genus.norms is not None))
                             assert codes[x] == want, (d, m, target, x)
                     for p in chk.candidates(3, 3000):
                         assert (codes[p % abs(D)] == 0) == (pow(D, (p - 1) // 2, p) != 1), p
