@@ -29,6 +29,7 @@ from raycap.quadfield import (
     QIdeal,
     descriptor,
     factor_prime,
+    modulus_from_rational,
     quadratic_field,
     ray_class_group,
 )
@@ -78,27 +79,24 @@ def _jobs(n: int) -> int:
 
 
 def _parse_modulus(field, spec: str) -> Modulus:
-    """Comma list of "p" (all primes above p) or "p.i" (the i-th, by key)."""
+    """Comma list of "m" (all primes above the squarefree m, as
+    `modulus_from_rational`) or "p.i" (the i-th above the prime p, by key)."""
     primes: list[QIdeal] = []
     for part in spec.split(","):
         part = part.strip()
         if part in ("", "1"):
             continue
-        if "." in part:
-            raw, idx = part.split(".", 1)
-            p0, i = _int(raw, "modulus entry"), _int(idx, "prime index")
-        else:
-            p0, i = _int(part, "modulus entry"), None
+        if "." not in part:
+            primes.extend(modulus_from_rational(field, _int(part, "modulus entry")).primes)
+            continue
+        raw, idx = part.split(".", 1)
+        p0, i = _int(raw, "modulus entry"), _int(idx, "prime index")
         if not is_prime(p0):
             raise InputError(f"modulus entry {part!r} is not prime")
-        _, data = factor_prime(field, p0)
-        data = sorted((I for I, _, _ in data), key=lambda I: I.key())
-        if i is None:
-            primes.extend(data)
-        elif 0 <= i < len(data):
-            primes.append(data[i])
-        else:
+        data = sorted((I for I, _, _ in factor_prime(field, p0)[1]), key=lambda I: I.key())
+        if not 0 <= i < len(data):
             raise InputError(f"no prime with index {i} above {p0}")
+        primes.append(data[i])
     deduped = {I.key(): I for I in primes}
     return Modulus(field, tuple(sorted(deduped.values(), key=lambda I: I.key())))
 
@@ -464,12 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--field", choices=["Q"], help="the rational field")
     group.add_argument("--d", type=int, help="squarefree d for Q(sqrt d)")
-    p.add_argument("--mod", default="1", help="modulus: m for Q, or p[,p.i,...]")
+    p.add_argument("--mod", default="1", help="modulus: m for Q, or m[,p.i,...] "
+                   "(all primes above a squarefree m, the i-th above a prime p)")
     p.set_defaults(func=cmd_rayclass)
 
     p = sub.add_parser("search", parents=[common], help="find a principalizing prime")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--mod", default="1")
+    p.add_argument("--mod", default="1", help="modulus: m[,p.i,...] (all primes "
+                   "above a squarefree m, the i-th above a prime p)")
     p.add_argument("--class", dest="cls", default="auto-2",
                    help="'auto-2' or comma exponent vector; a vector that starts "
                    "with '-' needs the '=' form (--class=-1,0), and --class= "

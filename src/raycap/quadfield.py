@@ -13,7 +13,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
 from .abgroup import FiniteAbelianGroup, group_from_relations, hnf_rows, xgcd
@@ -204,20 +204,8 @@ class QIdeal:
         return QIdeal(self.field, self.g, self.a, bb)
 
     def __mul__(self, o: "QIdeal") -> "QIdeal":
-        """Dirichlet composition on (a, B) with B = 2b + t, so that b + w
-        is (B + sqrt D)/2. With d1 = gcd(a1, a2) = x1*a1 + y1*a2 and
-        d = gcd(d1, s) = x2*d1 + z*s for s = (B1 + B2)/2, the primitive
-        parts multiply to d * [a1*a2/d^2, (B3 + sqrt D)/2] (Cohen, GTM 138,
-        section 5.4)."""
-        f = self.field
-        t = f.t
-        a1, a2 = self.a, o.a
-        B1, B2 = 2 * self.b + t, 2 * o.b + t
-        d1, x1, y1 = xgcd(a1, a2)
-        d, x2, z = xgcd(d1, (B1 + B2) // 2)
-        A = a1 * a2 // (d * d)
-        B3 = (x2 * (x1 * a1 * B2 + y1 * a2 * B1) + z * ((B1 * B2 + f.D) // 2)) // d
-        return QIdeal(f, self.g * o.g * d, A, ((B3 - t) // 2) % A)
+        """The product by `_compose`."""
+        return QIdeal(self.field, *_compose(self.field, self.key(), o.key()))
 
     def scale(self, n: int) -> "QIdeal":
         if n < 1:
@@ -225,7 +213,8 @@ class QIdeal:
         return QIdeal(self.field, self.g * n, self.a, self.b)
 
     def __pow__(self, e: int) -> "QIdeal":
-        return power(self, e, QIdeal.unit_ideal(self.field))
+        # `power` reads its identity only at e = 0
+        return power(self, e, QIdeal.unit_ideal(self.field) if e == 0 else None)
 
     def contains(self, z: QElt) -> bool:
         if z.x % self.g or z.y % self.g:
@@ -243,6 +232,26 @@ class QIdeal:
 
     def __repr__(self) -> str:
         return f"{self.g}*[{self.a}, {self.b}+w | d={self.field.d}]"
+
+
+def _compose(field: QuadField, I1: tuple[int, int, int],
+             I2: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The product of g1*[a1, b1 + w] and g2*[a2, b2 + w], any b_i mod a_i,
+    as a checked (g, a, b): Dirichlet composition on (a, B) with B = 2b + t,
+    so that b + w is (B + sqrt D)/2. With d1 = gcd(a1, a2) = x1*a1 + y1*a2
+    and d = gcd(d1, s) = x2*d1 + z*s for s = (B1 + B2)/2, the primitive
+    parts multiply to d * [a1*a2/d^2, (B3 + sqrt D)/2] (Cohen, GTM 138,
+    section 5.4)."""
+    (g1, a1, b1), (g2, a2, b2) = I1, I2
+    t = field.t
+    B1, B2 = 2 * b1 + t, 2 * b2 + t
+    d1, x1, y1 = xgcd(a1, a2)
+    d, x2, z = xgcd(d1, (B1 + B2) // 2)
+    a = a1 * a2 // (d * d)
+    B3 = (x2 * (x1 * a1 * B2 + y1 * a2 * B1) + z * ((B1 * B2 + field.D) // 2)) // d
+    b = ((B3 - t) // 2) % a
+    require((b * (b + t) - field.u) % a == 0, "a composed lattice is not an ideal")
+    return g1 * g2 * d, a, b
 
 
 def _ideal_from_rows(field: QuadField, rows) -> QIdeal:
@@ -500,20 +509,14 @@ class ClassGroupData:
 
 
 def _candidate_primes(field: QuadField) -> Iterator[QIdeal]:
-    """Non-inert primes in ascending rational order, one per split pair.
-    The bound comfortably dominates the Minkowski constant."""
-    bound = (field.isqrt_D // 2 if field.is_real else field.isqrt_D) + 2
+    """Non-inert primes in ascending rational order, one per split pair, up
+    to sqrt(D)/2 + 2 (above the Minkowski constant) in a real field. Every
+    imaginary class holds a reduced [a, b + w], 3a^2 <= |D|, whose prime
+    factors lie below sqrt(|D|/3): the closure drops any later prime."""
+    bound = (field.isqrt_D // 2 if field.is_real else math.isqrt(-field.D // 3)) + 2
     for p in primes_up_to(bound):
-        kind, data = factor_prime(field, p)
-        if kind == "inert":
-            continue
-        yield data[0][0]
-
-
-def _key_ideal(field: QuadField, key: tuple[int, int]) -> QIdeal:
-    """The reduced primitive ideal [a, b + w] that a class key names."""
-    a, B = key
-    return QIdeal(field, 1, a, ((B - field.t) // 2) % a)
+        if kronecker(field.D, p) != -1:
+            yield factor_prime(field, p)[1][0][0]
 
 
 def _coset_closure(
@@ -524,7 +527,7 @@ def _coset_closure(
     least exponent with [P]^e in H. A prime with e = 1 adds no class and is
     dropped; otherwise it becomes generator x_i, the cosets P^k * H for
     0 < k < e join the table, and the relation e*x_i - vec([P]^e) is kept.
-    Each new class costs one ideal product of reduced representatives and
+    Each new class costs one product of integer triples (`_compose`) and
     one reduction. The key of a real class comes from a memo, reduced
     (a, b) -> key, that `_class_cycle` fills a whole cycle at a time, so
     each class's rho-cycle is walked once however many products land on
@@ -533,24 +536,30 @@ def _coset_closure(
     rows): a k x k lower-triangular matrix, every diagonal entry > 1, whose
     diagonal multiplies to len(table)."""
     memo: dict[tuple[int, int], tuple[int, int]] = {}
+    t, real = field.t, field.is_real
 
-    def key_of(I: QIdeal) -> tuple[int, int]:
-        a, b, _ = _reduce_primitive(field, I.a, I.b)
+    def key_of(a: int, b: int) -> tuple[int, int]:
+        a, b, _ = _reduce_primitive(field, a, b)
+        if not real:
+            return a, _B_centered(a, 2 * b + t)  # `_class_cycle`'s key
         key = memo.get((a, b))
         if key is None:
             key, members = _class_cycle(field, a, b)
-            if field.is_real:
-                memo.update(((ak, bk), key) for ak, bk, _ in members)
+            memo.update(((ak, bk), key) for ak, bk, _ in members)
         return key
 
+    def times(key: tuple[int, int], P: tuple[int, int, int]) -> tuple[int, int]:
+        a, B = key
+        return key_of(*_compose(field, (1, a, (B - t) // 2), P)[1:])
+
     gens: list[QIdeal] = []
-    table = {key_of(QIdeal.unit_ideal(field)): ()}
+    table = {key_of(1, 0): ()}
     relations: list[list[int]] = []
     for P in primes:
-        i, base = len(gens), list(table)  # the keys of H, identity first
+        i, base, Pk = len(gens), list(table), P.key()  # the keys of H, identity first
         coset, e = base, 1
-        while (lead := key_of(_key_ideal(field, coset[0]) * P)) not in table:
-            coset = [lead] + [key_of(_key_ideal(field, c) * P) for c in coset[1:]]
+        while (lead := times(coset[0], Pk)) not in table:
+            coset = [lead] + [times(c, Pk) for c in coset[1:]]
             table.update((new, (*table[old], *[0] * (i - len(table[old])), e))
                          for old, new in zip(base, coset))
             e += 1
@@ -564,9 +573,10 @@ def _coset_closure(
 
 @lru_cache(maxsize=FIELD_CACHE_SIZE)
 def class_group(field: QuadField) -> ClassGroupData:
-    """Wide ideal class group via prime classes below the Minkowski bound,
-    presented by the k x k relation matrix of `_coset_closure` on the k
-    primes that each enlarge the subgroup before them. Each class's
+    """Wide ideal class group via the prime classes of `_candidate_primes`
+    (below sqrt(D)/2 + 2 in a real field, sqrt(|D|/3) + 2 in an imaginary
+    one), presented by the k x k relation matrix of `_coset_closure` on the
+    k primes that each enlarge the subgroup before them. Each class's
     rho-cycle is walked once, and the closure's table and rows are kept,
     so ray class groups read class sums off them instead of walking again.
 
@@ -951,24 +961,25 @@ def adjust_by_units(y, residue: ResidueSystem, units: Sequence):
 # ray class groups
 
 
-def _cofactor_residue(I: QIdeal, gens: Sequence[QIdeal], v: Sequence[int],
-                      residue: ResidueSystem):
-    """The residue part of I against the primes P_i of `gens`: with
-    C = prod conj(P_i)^(v_i) and I*C = (y) principal, dlog(y) - dlog_int(N C),
-    unreduced, since P_i * conj(P_i) = (N P_i); None when I*C is not
-    principal. y is never built: the steps of the walk of I*C = g*J to
-    [1, w] = mu*J fold into the local state of mu (`ResidueSystem.fold`;
-    nothing is folded for m = 1, whose part is empty), and y = g/mu."""
-    C = QIdeal.unit_ideal(I.field)
+def _cofactor_residue(field: QuadField, I: tuple[int, int, int], gens: Sequence[QIdeal],
+                      v: Sequence[int], residue: ResidueSystem):
+    """The residue part of the triple I against the primes P_i of `gens`:
+    with C = prod conj(P_i)^(v_i) and I*C = (y) principal, dlog(y) -
+    dlog_int(N C), unreduced, since P_i * conj(P_i) = (N P_i); None when
+    I*C is not principal. C and I*C = g*J are triples (`_compose`), and
+    y = g/mu is not built: the walk of J to [1, w] = mu*J folds into mu's
+    local state (`ResidueSystem.fold`; nothing for m = 1, whose part is empty)."""
+    mul = partial(_compose, field)
+    C = (1, 1, 0)
     for P, e in zip(gens, v):
         if e:
-            C = C * P.conj() ** e
-    J = I * C
-    a, b, steps = _reduce_primitive(J.field, J.a, J.b)
-    if _walk_to(J.field, a, b, steps, lambda a, _: a == 1) is None:
+            C = mul(C, power((P.g, P.a, (-P.b - field.t) % P.a), e, None, mul))
+    g, a, b = mul(I, C)
+    a, b, steps = _reduce_primitive(field, a, b)
+    if _walk_to(field, a, b, steps, lambda a, _: a == 1) is None:
         return None
-    logs = residue.dlogs(residue.fold(residue.one, steps), J.g) if residue.factors else ()
-    return tuple(map(operator.sub, logs, residue.dlog_int(C.norm())))
+    logs = residue.dlogs(residue.fold(residue.one, steps), g) if residue.factors else ()
+    return tuple(map(operator.sub, logs, residue.dlog_int(C[0] * C[0] * C[1])))
 
 
 @dataclass(frozen=True)
@@ -1015,7 +1026,7 @@ class RayClassData:
         factors in one fold. Without residue factors no multiplier is built and
         [I] = [R]. When R meets m, the walk goes on along R's rho-cycle to
         the first member coprime to m; only a class with no reduced ideal
-        coprime to m builds I and walks I*C_v to [1, w] (see
+        coprime to m walks I*C_v to [1, w] (see
         `_generator_vector`). Cohen, GTM 193, section 4.2, computes ray
         class logs through (O/m)^* in the same way."""
         f = self.field
@@ -1024,9 +1035,8 @@ class RayClassData:
         if not coprime(a, b):
             member = _walk_to(f, a, b, steps, coprime)
             if member is None:
-                I = QIdeal(f, g, a0, b0)
-                vec = self._generator_vector(I, self.ray_table[class_key(I)])
-                return self.group.dlog_ambient(vec)
+                vec = self.ray_table[_class_cycle(f, a, b)[0]]
+                return self.group.dlog_ambient(self._generator_vector((g, a0, b0), vec))
             a, b = member
         vec = self.vectors.get((a, b))
         if vec is None:
@@ -1034,11 +1044,11 @@ class RayClassData:
         res = self.residue
         return self._moved(vec, res.fold(res.one, steps), g, 1) if res.factors else vec
 
-    def _generator_vector(self, I: QIdeal, v: tuple[int, ...]) -> tuple[int, ...]:
-        """The ambient vector of [I] from its class vector v: v, then the
-        residue part of I against C_v = prod conj(P_i)^(v_i)
+    def _generator_vector(self, I: tuple[int, int, int], v: tuple[int, ...]) -> tuple[int, ...]:
+        """The ambient vector of [I], I = (g, a, b), from its class vector v:
+        v, then the residue part of I against C_v = prod conj(P_i)^(v_i)
         (`_cofactor_residue`) mod the factor orders."""
-        res = _cofactor_residue(I, self.ideal_gens, v, self.residue)
+        res = _cofactor_residue(self.field, I, self.ideal_gens, v, self.residue)
         require(res is not None, "the class vector's cofactor leaves a non-principal ideal")
         return v + tuple(r % o for r, o in zip(res, self.residue.orders))
 
@@ -1064,7 +1074,7 @@ class RayClassData:
         f = self.field
         key, members = _class_cycle(f, a, b)
         vec = self.group.dlog_ambient(
-            self._generator_vector(QIdeal(f, 1, a, b), self.ray_table[key])
+            self._generator_vector((1, a, b), self.ray_table[key])
         )
         res = self.residue
         mu = res.one if res.factors else None  # nothing is folded for m = 1
@@ -1154,13 +1164,15 @@ def ray_class_group(field: QuadField, modulus: Modulus) -> RayClassData:
     r, s = len(ideal_gens), len(residue.factors)
     labels = tuple(f"P{i}" for i in range(r)) + tuple(f"U{i}" for i in range(s))
     rows: list[list[int]] = []
+    mul = partial(_compose, field)
     for rel in cl_relations:
         # rel = pos - neg, and Jp * C = (alpha) for Jp = prod P_i^pos_i and
         # C = prod conj(P_i)^neg_i: rel less Jp's residue part is a relation
-        Jp = QIdeal.unit_ideal(field)
+        Jp = (1, 1, 0)
         for P, e in zip(ideal_gens, rel):
-            Jp = Jp * (P ** max(e, 0))
-        res = _cofactor_residue(Jp, ideal_gens, [max(-e, 0) for e in rel], residue)
+            if e > 0:
+                Jp = mul(Jp, power(P.key(), e, None, mul))
+        res = _cofactor_residue(field, Jp, ideal_gens, [max(-e, 0) for e in rel], residue)
         require(res is not None, "a harvested relation is not principal")
         rows.append(list(rel) + [-c for c in res])
     for u in unit_gens(field):

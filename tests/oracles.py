@@ -63,7 +63,6 @@ from raycap.quadfield import (
     ResidueFactor,
     _Fp2,
     _ideal_from_rows,
-    _key_ideal,
     _primitive_root,
     adjust_by_units,
     class_key,
@@ -348,6 +347,12 @@ def is_ray_principal(ray: RayClassData, I: QIdeal) -> QElt | None:
 # closure read class sums off the class group's table
 
 
+def key_ideal(field: QuadField, key: tuple[int, int]) -> QIdeal:
+    """The reduced primitive ideal [a, b + w] that a class key names."""
+    a, B = key
+    return QIdeal(field, 1, a, ((B - field.t) // 2) % a)
+
+
 def bfs_closure(field: QuadField, gens: Sequence[QIdeal]) -> tuple[dict, list[list[int]]]:
     """Breadth-first closure of the subgroup generated by the given prime
     classes: (table: key -> exponent vector, relation rows). Each class is
@@ -359,7 +364,7 @@ def bfs_closure(field: QuadField, gens: Sequence[QIdeal]) -> tuple[dict, list[li
     relations: list[list[int]] = []
     while frontier:
         key = frontier.popleft()
-        vec, rep = table[key], _key_ideal(field, key)
+        vec, rep = table[key], key_ideal(field, key)
         for i, P in enumerate(gens):
             jk = class_key(rep * P)
             nvec = list(vec)

@@ -96,8 +96,31 @@ class TestRayclass:
         assert err.startswith("budget exceeded: ") and err.count("\n") == 1
 
     def test_bad_modulus_entry(self, capsys):
-        code, _, _ = run(capsys, "rayclass", "--d", "3", "--mod", "15")
-        assert code == 2
+        for command in ("rayclass", "search"):
+            code, out, err = run(capsys, command, "--d", "3", "--mod", "9")
+            assert code == 2
+            assert out == ""
+            assert err == "error: modulus 9 is not squarefree\n"
+
+    @pytest.mark.parametrize("argv,m,primes", [
+        (("rayclass", "--d", "595"), "33", "3,11"),
+        (("search", "--d", "595", "--class", "0,0,0,0", "--h", "0", "--bound", "3000"),
+         "33", "3,11"),
+        (("search", "--d", "34", "--bound", "5000"), "15", "3,5"),
+    ])
+    def test_integer_modulus_is_its_prime_list(self, capsys, tmp_path, argv, m, primes):
+        """A squarefree integer entry stands for every prime above each of
+        its prime divisors, as in `ambig --mod`: --mod 33 prints the bytes
+        of --mod 3,11, and a found certificate is the same file."""
+        outs = []
+        for spec in (m, primes):
+            cert = tmp_path / f"cert-{spec}.json"
+            extra = ("--out", str(cert)) if argv[0] == "search" else ()
+            code, out, _ = run(capsys, *argv, *extra, "--mod", spec, "--json",
+                               "--cache-dir", str(tmp_path / spec))
+            outs.append((code, out, cert.read_bytes() if cert.exists() else None))
+        assert outs[0] == outs[1]
+        assert outs[0][0] in (0, 3)
 
     @pytest.mark.parametrize("argv", [
         ("rayclass", "--d", "5", "--mod", "1,x"),

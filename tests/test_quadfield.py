@@ -39,6 +39,7 @@ from raycap.quadfield import (
     _ray_ideal_gens,
     _reduce_primitive,
     _candidate_primes,
+    _compose,
     _coset_closure,
     _generates,
     aug_unit_data,
@@ -239,6 +240,27 @@ class TestIdeals:
         with pytest.raises(ValueError, match="not an ideal"):
             QIdeal(K, 1, 3, 0)
 
+    def test_prime_powers_build_the_unit_ideal_only_at_zero(self, monkeypatch):
+        """P ** 0 is the unit ideal for each prime of K over 2, 3 and 5; a
+        positive power is a product of P alone and builds no unit ideal."""
+        K = quadratic_field(-14)
+        primes = [P for p in (2, 3, 5) for P, _, _ in factor_prime(K, p)[1]]
+        unit = QIdeal.unit_ideal(K)
+        squares = [P * P for P in primes]
+        assert [P**0 for P in primes] == [unit] * len(primes)
+        monkeypatch.setattr(QIdeal, "unit_ideal", None)
+        assert [P**2 for P in primes] == squares
+        assert [P**1 for P in primes] == primes
+
+    def test_compose_checks_the_product(self):
+        """The integer product keeps the ideal check on what it returns: a
+        triple that is no ideal, [3, 0 + w] in Q(sqrt -5), composed with
+        the unit ideal raises under any optimisation."""
+        K = quadratic_field(-5)
+        assert _compose(K, (1, 3, 1), (1, 1, 0)) == (1, 3, 1)
+        with pytest.raises(InvariantError, match="not an ideal"):
+            _compose(K, (1, 3, 0), (1, 1, 0))
+
     def test_conj_product_is_norm(self):
         K = quadratic_field(-14)
         kind, data = factor_prime(K, 3)
@@ -343,6 +365,27 @@ class TestClassGroups:
         diag = math.prod(rels[i][i] for i in range(k))
         assert diag == class_group(K).h == len(table)
 
+    def test_imaginary_candidates_stop_below_sqrt_of_a_third(self):
+        """A reduced imaginary ideal has 3a^2 <= |D|, so the primes below
+        sqrt(|D|/3) generate Cl: for every imaginary fundamental D with
+        |D| <= 20000, the closure over the non-inert primes up to
+        sqrt(|D|) + 2, the earlier bound, gives class_group's generators,
+        table (in its order) and relations."""
+        checked = 0
+        for D in range(-3, -20001, -1):
+            if not is_fundamental(D):
+                continue
+            K = quadratic_field(D if D % 4 == 1 else D // 4)
+            wide = [factor_prime(K, p)[1][0][0] for p in primes_up_to(K.isqrt_D + 2)
+                    if kronecker(K.D, p) != -1]
+            gens, table, rels = _coset_closure(K, wide)
+            cl = class_group.__wrapped__(K)
+            assert cl.group.labels == tuple(f"P{P.entry()[0]}_{P.b}" for P in gens), D
+            assert list(cl.table.items()) == list(table.items()), D
+            assert cl.relations == tuple(map(tuple, rels)), D
+            checked += 1
+        assert checked == 6079
+
     @pytest.mark.parametrize("d,h", [(10**8 + 7, 1), (10**7 + 19, 7), (3999, 8)])
     def test_each_class_cycle_is_walked_once(self, monkeypatch, d, h):
         """The closure keys its products through a memo that a whole
@@ -381,7 +424,8 @@ class TestClassGroups:
     def test_dlog_additive_on_generator_products(self, d):
         K = quadratic_field(d)
         cl = ray_class_group(K, Modulus.trivial(K))
-        gens = list(itertools.islice(_candidate_primes(K), 8))
+        gens = [P for p in primes_up_to(60) for kind, data in [factor_prime(K, p)]
+                if kind != "inert" for P, _, _ in data][:8]
         for i, P in enumerate(gens):
             for Q in gens[i:]:
                 assert cl.dlog(P * Q) == group_add(cl.group, cl.dlog(P), cl.dlog(Q))
@@ -695,9 +739,9 @@ def count_cofactor_walks(monkeypatch):
     calls = []
     walk = quadfield._cofactor_residue
 
-    def counted(I, *args):
-        calls.append(I)
-        return walk(I, *args)
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
 
     monkeypatch.setattr(quadfield, "_cofactor_residue", counted)
     return calls
@@ -940,8 +984,8 @@ def test_cofactor_walk_matches_element_path(monkeypatch, d, m):
         ray.dlog(I)
     assert len(walks) > len(relations)
     contents = set()
-    for (I, gens, v, residue), got in walks:
-        want, g = element_residue_part(I, gens, v, residue)
+    for (field, I, gens, v, residue), got in walks:
+        want, g = element_residue_part(QIdeal(field, *I), gens, v, residue)
         assert got == want
         contents.add(g > 1)
     assert contents == {False, True}
