@@ -11,17 +11,12 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import islice
 from operator import mul
 
 from .errors import InputError, require
 from .exactmath import is_prime, valuation
-from .kummerfrob import ConditionChecker, SearchParams
+from .kummerfrob import SCAN_COUNTERS, ConditionChecker, SearchParams
 from .quadfield import FIELD_CACHE_SIZE, Modulus, QuadField, _primitive_root, quadratic_field
-
-# The scan's counters in the order its reports stamp them; "rejected_iv"
-# joins after them when first counted.
-_SCAN_COUNTERS = ("scanned", "rejected_i", "rejected_ii", "rejected_iii")
 
 
 def gaussian_period_min_poly(p: int, m: int) -> tuple[int, ...]:
@@ -146,59 +141,9 @@ class SearchResult:
         }
 
 
-def _scan_range(checker: ConditionChecker, lo: int, hi: int):
-    """(first passing prime in [lo, hi] or None, rejection statistics).
-    Until the checker has a split table, candidates are decided by
-    `ConditionChecker.verdict`; once the scan has decided its
-    `table_break_even` of them, it builds the table, and each later
-    candidate costs one lookup; codes 2 and 3 go on to the norm part of the
-    key, if the filter has one, and then to `ray_verdict`.
-    Both paths give the same verdicts; a checker without a break-even
-    (None) decides every candidate by `verdict`."""
-    stats = dict.fromkeys(_SCAN_COUNTERS, 0)
-    candidates = checker.candidates(lo, hi)
-    if checker.codes is None:
-        verdict = checker.verdict
-        for p in islice(candidates, checker.table_break_even):
-            stats["scanned"] += 1
-            failed_at, _ = verdict(p)
-            if failed_at is None:
-                return p, stats
-            _reject(stats, failed_at)
-        if stats["scanned"] != checker.table_break_even:
-            return None, stats
-    codes = checker.build_codes()
-    size, ray_verdict = len(codes), checker.ray_verdict
-    genus = checker.genus
-    norms, modulus = (None, 1) if genus is None else (genus.norms, genus.modulus)
-    tally = [0, 0, 0, 0]  # candidates by code
-    found = None
-    for p in candidates:
-        code = codes[p % size]
-        tally[code] += 1
-        if code > 1:
-            if norms and p % modulus not in norms[code - 2]:
-                stats["rejected_ii"] += 1
-                continue
-            failed_at, _ = ray_verdict(p)
-            if failed_at is None:
-                found = p
-                break
-            _reject(stats, failed_at)
-    stats["scanned"] += sum(tally)
-    stats["rejected_i"] += tally[0]
-    stats["rejected_ii"] += tally[1]
-    return found, stats
-
-
-def _reject(stats: dict, failed_at: str) -> None:
-    key = f"rejected_{failed_at}"
-    stats[key] = stats.get(key, 0) + 1
-
-
 def _chunk_worker(args) -> tuple[int | None, dict]:
     d, mod_desc, target, ell, n, h, bound, lo, hi = args
-    return _scan_range(_checker_cached(d, mod_desc, target, ell, n, h, bound), lo, hi)
+    return _checker_cached(d, mod_desc, target, ell, n, h, bound).scan(lo, hi)
 
 
 @lru_cache(maxsize=FIELD_CACHE_SIZE)
@@ -239,7 +184,7 @@ def find_principalizing_prime(
     if jobs > 1:
         found_p, stats = _parallel_scan(field, modulus, target, params, jobs, checker)
     else:
-        found_p, stats = _scan_range(checker, 3, params.bound)
+        found_p, stats = checker.scan(3, params.bound)
     if found_p is None:
         stats["reason"] = f"no prime below {params.bound} passed all conditions"
         return SearchResult(status="not_found", stats=stats, params=params)
@@ -279,7 +224,7 @@ def _parallel_scan(field, modulus, target, params, jobs, checker):
          params.h, params.bound, lo, hi)
         for lo, hi in ranges
     ]
-    total = dict.fromkeys(_SCAN_COUNTERS, 0)
+    total = dict.fromkeys(SCAN_COUNTERS, 0)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for (p, stats) in pool.map(_chunk_worker, args):
             for k, v in stats.items():

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from itertools import filterfalse
+from itertools import filterfalse, islice
 
 from .abgroup import snf
 from .errors import InputError, InvariantError
@@ -95,6 +95,10 @@ def h_K_constant(field, ell: int) -> dict:
         "h_K": mu_exp + layer_exp,
     }
 
+
+# The scan's counters in the order its reports stamp them; "rejected_iv"
+# joins after them when first counted.
+SCAN_COUNTERS = ("scanned", "rejected_i", "rejected_ii", "rejected_iii")
 
 # Genus characters whose conductor exceeds this stay out of the prefilter,
 # which bounds each residue table it keeps.
@@ -186,15 +190,14 @@ class GenusFilter:
         chars = tuple((i, abs(ds[i]), _character_table(ds[i])) for i in kept)
         return GenusFilter(chars, allowed, norms, M), exact
 
-    def allows(self, p: int) -> bool:
-        """Whether the split odd prime p, prime to D and to M, has a key in
-        the allowed set."""
-        mask = 0
-        for i, m, table in self.chars:
-            mask |= table[p % m] << i
+    def code(self, mask: int) -> int:
+        """The split table's code of a split odd prime, prime to D and to M,
+        whose kept signature bits are mask: 1 when mask is not allowed, else
+        2 plus, when the filter reads the norm, the index of mask in
+        `allowed`, whose residues mod `modulus` are norms[code - 2]."""
         if mask not in self.allowed:
-            return False
-        return self.norms is None or p % self.modulus in self.norms[self.allowed.index(mask)]
+            return 1
+        return 2 + self.allowed.index(mask) * (self.norms is not None)
 
 
 def _ray_exact(ray: RayClassData, kept: list[int], keys: list) -> bool:
@@ -232,8 +235,8 @@ def _character_table(d: int) -> bytes:
 # The split table's break-even, in bytes written at C speed. On a shared
 # 2-CPU x86-64 VM with Python 3.11 one byte took 2.5-3.6 ns, marking one
 # residue of a character table in Python about 117 ns (~32 bytes), and the
-# (i') power, genus loop and `forbidden` call that one lookup replaces
-# 1.7-2.0 us (~512 bytes).
+# (i') power and genus loop of `_code` that one lookup replaces, measured
+# with a `forbidden` call beside them, 1.7-2.0 us (~512 bytes).
 _MARK_BYTES = 32
 _CANDIDATE_BYTES = 512
 
@@ -252,26 +255,21 @@ def _table_break_even(ds: list[int]) -> int | None:
 
 def _split_codes(ds: list[int], genus: "GenusFilter | None") -> bytes:
     """codes[x] for x mod |D|, D = prod ds, at the residue x of an odd prime
-    p prime to D: 0 when p is inert in K, 1 when p splits but the signature
-    of the prime above it is not allowed by `genus`, 2 when it splits and
-    passes; when `genus` reads the norm too, 2 + k for the signature
-    genus.allowed[k], whose residues mod M are genus.norms[k]. Byte x first
-    packs the t characters at x, bit i from the i-th one's table
+    p prime to D: 0 when p is inert in K, 2 when it splits and there is no
+    `genus`, else `genus.code` of the signature of the prime above p. Byte
+    x first packs the t characters at x, bit i from the i-th one's table
     (`_character_table`) repeated to length |D|. (D / p) is their product,
-    so an odd number of set bits means inert, and `translate` maps each bit
-    pattern to its code."""
+    so an odd number of set bits means inert, and `translate` maps each of
+    the 2^t bit patterns to its code."""
     size = abs(math.prod(ds))
     packed = 0
     for i, d in enumerate(ds):
         packed |= int.from_bytes(_character_table(d) * (size // abs(d)), "little") << i
     kept = 0 if genus is None else sum(1 << i for i, _, _ in genus.chars)
     code = bytes(
-        0 if bin(bits).count("1") % 2
-        else 2 if genus is None
-        else 1 if (bits & kept) not in genus.allowed
-        else 2 + genus.allowed.index(bits & kept) * (genus.norms is not None)
-        for bits in range(256)
-    )
+        0 if bin(bits).count("1") % 2 else 2 if genus is None else genus.code(bits & kept)
+        for bits in range(1 << len(ds))
+    ).ljust(256, b"\0")
     return packed.to_bytes(size, "little").translate(code)
 
 
@@ -353,10 +351,10 @@ class ConditionChecker:
         # 2 + Tr eps (Hilbert 90): for p prime to c, eps is a square mod P
         # exactly when c is a square mod p
         self.norm_one_plus_eps = self.eps.trace() + 2 if params.ell**params.n == 2 else None
-        # the split table (`build_codes`), built only by a long scan
+        # the split table (`_split_codes`), built only by a long `scan`
         self.prime_discs = ds
-        self.table_break_even = _table_break_even(ds)
-        self.codes: bytes | None = None
+        self._break_even = _table_break_even(ds)
+        self._codes: bytes | None = None
         # the primes of 2 * ell * D * N(m): `forbidden` on the sieve's primes
         self.excluded = frozenset(
             {2, params.ell, *modulus.residue_chars(), *(abs(d) for d in ds if d % 2)}
@@ -378,36 +376,76 @@ class ConditionChecker:
         step = cyclotomic_step(self.params.ell, self.params.n)
         return filterfalse(self.excluded.__contains__, primes_1_mod(step, max(lo, 3), hi))
 
-    def build_codes(self) -> bytes:
-        """The split table, built once: codes[p % |D|] at a candidate p is 0
-        when `verdict` fails (i'), 1 when the signature part of its prefilter
-        fails (ii), and 2 or more when the norm part, if any, and then
-        `ray_verdict` decide (`_split_codes`)."""
-        if self.codes is None:
-            self.codes = _split_codes(self.prime_discs, self.genus)
-        return self.codes
+    def scan(self, lo: int, hi: int) -> tuple[int | None, dict]:
+        """(first prime in [lo, hi] that passes (i')-(iv) or None, the
+        counters `SCAN_COUNTERS`, then "rejected_iv" once counted). Each
+        candidate gets a code (`_split_codes`): until the checker has the
+        split table, from `_code`, and once a scan has decided its
+        `_break_even` candidates so, it builds the table, and each later
+        candidate's code is one lookup. Codes 0 and 1 only count; the
+        others go to `_decide`. A code depends on p mod |D| alone, so both
+        passes give the same verdicts; a checker without a break-even
+        (None) never builds the table."""
+        candidates = self.candidates(lo, hi)
+        stats = dict.fromkeys(SCAN_COUNTERS, 0)
+        tally = [0, 0, 0, 0]  # candidates by code
+        code_of, decide, found = self._code, self._decide, None
+        while True:
+            codes = self._codes
+            size = len(codes) if codes else 0
+            for p in candidates if codes else islice(candidates, self._break_even):
+                code = codes[p % size] if codes else code_of(p)
+                tally[code] += 1
+                if code > 1:
+                    failed_at, _ = decide(p, code)
+                    if failed_at is None:
+                        found = p
+                        break
+                    key = f"rejected_{failed_at}"
+                    stats[key] = stats.get(key, 0) + 1
+            if codes or found is not None or sum(tally) != self._break_even:
+                break
+            self._codes = _split_codes(self.prime_discs, self.genus)
+        stats["scanned"] += sum(tally)
+        stats["rejected_i"] += tally[0]
+        stats["rejected_ii"] += tally[1]
+        return found, stats
+
+    def _code(self, p: int) -> int:
+        """codes[p % |D|] of the split table at a candidate p, from p alone:
+        0 when Euler's criterion finds p inert in K (p is in the cyclotomic
+        progression and prime to D, so this decides (i')), else 2 without a
+        prefilter, else `GenusFilter.code` of the prime above p."""
+        if pow(self.field.D, (p - 1) >> 1, p) != 1:
+            return 0
+        genus = self.genus
+        if genus is None:
+            return 2
+        mask = 0
+        for i, m, table in genus.chars:
+            mask |= table[p % m] << i
+        return genus.code(mask)
 
     def verdict(self, p: int) -> tuple[str | None, int | None]:
         """(failed_at, root) at a candidate p (`candidates`) as the scan
-        needs it: conditions (i')-(iv) in turn up to the first that fails,
+        decides it: conditions (i')-(iv) in turn up to the first that fails,
         failed_at None when all pass. root is None when none was taken: when
         (i') fails, when the prefilter proves that (ii) fails, and on the
         ray-exact fields at ell^n = 2 unless p | N(1 + eps)."""
-        # (i'): p is in the cyclotomic progression and prime to D, so
-        # Euler's criterion decides its split in K
-        if pow(self.field.D, (p - 1) >> 1, p) != 1:
-            return "i", None
-        # (ii), necessary part: the key of the prime above p
-        if self.genus is not None and not self.genus.allows(p):
-            return "ii", None
-        return self.ray_verdict(p)
+        return self._decide(p, self._code(p))
 
-    def ray_verdict(self, p: int) -> tuple[str | None, int | None]:
-        """`verdict` at a candidate p that splits in K and passes the
-        prefilter: (ii) by the ray class of the prime above p unless the
-        field is ray-exact, then (iii) by a Legendre symbol at ell^n = 2
-        and p prime to N(1 + eps), else by the eps-character, and (iv);
-        with the root they took, or None."""
+    def _decide(self, p: int, code: int) -> tuple[str | None, int | None]:
+        """`verdict` at a candidate p with the split-table code `code`: (i')
+        fails at code 0, and the signature part of the prefilter (ii) at
+        code 1. Past them, the norm part of the prefilter, if any, then (ii)
+        by the ray class of the prime above p unless the field is ray-exact,
+        then (iii) by a Legendre symbol at ell^n = 2 and p prime to
+        N(1 + eps), else by the eps-character, and (iv)."""
+        if code < 2:
+            return ("ii" if code else "i"), None
+        genus = self.genus
+        if genus is not None and genus.norms and p % genus.modulus not in genus.norms[code - 2]:
+            return "ii", None
         root = None
         # (ii): the prime above p sits in the target ray class
         if not self.ray_exact:

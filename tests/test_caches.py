@@ -14,7 +14,6 @@ import pytest
 
 from raycap import ambigcheck, biquad, capsearch, quadfield
 from raycap.ambigcheck import ambig_case
-from raycap.capsearch import _scan_range
 from raycap.exactmath import squarefree_part
 from raycap.kummerfrob import ConditionChecker, SearchParams
 from raycap.quadfield import (
@@ -98,7 +97,7 @@ def test_checker_whose_ray_group_was_evicted_decides_as_a_fresh_one(d, m):
     params = SearchParams(2, 1, 0, 20000)
     rank = ray_class_group(K, modulus).group.rank
     old = ConditionChecker(K, modulus, (0,) * rank, params)
-    old_scan = _scan_range(old, 3, params.bound)
+    old_scan = old.scan(3, params.bound)
     assert old.ray.vectors
     _evict_ray_groups()
     rebuilt = ray_class_group(K, modulus)
@@ -106,6 +105,6 @@ def test_checker_whose_ray_group_was_evicted_decides_as_a_fresh_one(d, m):
     fresh = ConditionChecker(K, modulus, (0,) * rank, params)
     assert fresh.ray is rebuilt
     assert fresh.ray.group.to_canonical == old.ray.group.to_canonical
-    assert _scan_range(fresh, 3, params.bound) == old_scan == _scan_range(old, 3, params.bound)
+    assert fresh.scan(3, params.bound) == old_scan == old.scan(3, params.bound)
     candidates = [p for p in range(3, 3000) if not old.forbidden(p)]
     assert [old.check(p) for p in candidates] == [fresh.check(p) for p in candidates]

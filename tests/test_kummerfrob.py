@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from raycap import kummerfrob
-from raycap.capsearch import _scan_range, find_principalizing_prime
+from raycap.capsearch import find_principalizing_prime
 from raycap.errors import InputError
 from raycap.exactmath import kronecker, primes_up_to, sqrt_mod, squarefree_part
 from raycap.kummerfrob import (
@@ -255,9 +255,9 @@ class TestConditionChecker:
     def test_sieved_check_matches_full_check(self, d, m):
         """On every candidate p <= 2*10^4 of the checker's sieve, check(p),
         which tests primality and the congruence itself, reports the
-        verdict that the scan takes from `verdict` alone, and the root of
-        `verdict` or, for a prefilter rejection, the smaller square root of
-        D; both are those of `reference_decide`. The scan's counters equal
+        verdict of `verdict`, the scan's decision at a candidate, and the
+        root of `verdict` or, for a prefilter rejection, the smaller square
+        root of D; both are those of `reference_decide`. The scan's counters equal
         those of a loop over `check`."""
         K = quadratic_field(d)
         modulus = modulus_from_rational(K, m)
@@ -274,7 +274,7 @@ class TestConditionChecker:
             want["scanned"] += 1
             want[f"rejected_{rep.failed_at}"] += 1
         assert {"i", "ii"} <= seen
-        assert _scan_range(chk, 3, 2 * 10**4) == (None, want)
+        assert chk.scan(3, 2 * 10**4) == (None, want)
 
     @pytest.mark.parametrize("d,m", [(34, 1), (543, 11), (70, 13)])
     @pytest.mark.parametrize("ell,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -524,7 +524,7 @@ class TestGenusPrefilter:
             assert chk.ray_exact == exact
             stream = list(chk.candidates(3, bound))
             want = [reference_decide(chk, p) for p in stream]
-            survivors = [p for p, (f, _) in zip(stream, want) if f != "i" and chk.genus.allows(p)]
+            survivors = [p for p, (f, _) in zip(stream, want) if f != "i" and key_passes(chk.genus, p)]
             in_class = [p for p, (f, _) in zip(stream, want) if f not in ("i", "ii")]
             assert (survivors == in_class) == exact
             assert reference_scan(chk, 3, bound) == (None, stats)
@@ -534,7 +534,7 @@ class TestGenusPrefilter:
                     RayClassData, "dlog_prime", counted("dlog_prime", RayClassData.dlog_prime)
                 )
                 calls.update(sqrt_mod=0, dlog_prime=0)
-                assert _scan_range(chk, 3, bound) == (None, stats)
+                assert chk.scan(3, bound) == (None, stats)
             taken = 0 if exact else len(survivors)
             assert calls == {"sqrt_mod": taken, "dlog_prime": taken}, d
             assert len(survivors) < len(stream) // 2
@@ -632,6 +632,15 @@ def signature(genus: kummerfrob.GenusFilter, p: int) -> int:
     return sum(table[p % m] << i for i, m, table in genus.chars)
 
 
+def key_passes(genus: kummerfrob.GenusFilter, p: int) -> bool:
+    """Whether the key (signature, p mod M) of the prime above the split p
+    is one that `genus` allows."""
+    sig = signature(genus, p)
+    if sig not in genus.allowed:
+        return False
+    return genus.norms is None or p % genus.modulus in genus.norms[genus.allowed.index(sig)]
+
+
 class TestGenusExact:
     """A ray-exact field decides (ii) by the prefilter alone, and at
     ell^n = 2 (iii) is the Legendre symbol of N(1 + eps) = 2 + Tr eps
@@ -706,7 +715,8 @@ class TestGenusExact:
 
 
 def reference_scan(chk: ConditionChecker, lo: int, hi: int):
-    """`_scan_range` with every candidate decided by `reference_decide`."""
+    """`ConditionChecker.scan` with every candidate decided by
+    `reference_decide`."""
     stats = {"scanned": 0, "rejected_i": 0, "rejected_ii": 0, "rejected_iii": 0}
     for p in chk.candidates(lo, hi):
         stats["scanned"] += 1
@@ -727,8 +737,8 @@ def fresh_checker(d: int, m: int, bound: int) -> ConditionChecker:
 
 
 class TestSplitTable:
-    """A scan decides its first `table_break_even` candidates by `verdict`
-    and the rest by one byte of the split table each; the table is built
+    """A scan codes its first `_break_even` candidates by `_code` and the
+    rest by one byte of the split table each; the table is built
     only once the scan has decided that many, and every result is that of
     `reference_decide`."""
 
@@ -742,7 +752,7 @@ class TestSplitTable:
         the table."""
         bound = 2 * 10**4
         chk = fresh_checker(1435, 3, bound)
-        b = chk.table_break_even
+        b = chk._break_even
         assert (b, chk.prime_discs) == (47, [-4, 5, -7, 41]) and chk.genus is not None
         stream = list(chk.candidates(3, bound))
         hit = stream.index(reference_scan(chk, stream[115], bound)[0])
@@ -750,34 +760,34 @@ class TestSplitTable:
         k = shift if shift == 2 else b + shift
         lo = stream[hit - k + 1]
         fresh = fresh_checker(1435, 3, bound)
-        got = _scan_range(fresh, lo, bound)
+        got = fresh.scan(lo, bound)
         assert got == reference_scan(chk, lo, bound)
         assert got[0] == stream[hit] and got[1]["scanned"] == k
-        assert (fresh.codes is None) == (k <= b)
+        assert (fresh._codes is None) == (k <= b)
 
     def test_short_scans_build_no_table(self):
         """A scan of 2 candidates without a hit, and an empty one."""
         chk = fresh_checker(2030, 3, 2 * 10**4)
         lo, hi = list(chk.candidates(1000, 2 * 10**4))[:2]
-        assert _scan_range(chk, lo, hi) == reference_scan(chk, lo, hi)
-        assert _scan_range(chk, 2000, 1000) == (None, reference_scan(chk, 2000, 1000)[1])
-        assert chk.codes is None
+        assert chk.scan(lo, hi) == reference_scan(chk, lo, hi)
+        assert chk.scan(2000, 1000) == (None, reference_scan(chk, 2000, 1000)[1])
+        assert chk._codes is None
 
     def test_a_built_table_decides_a_later_scan_from_its_start(self, monkeypatch):
         """Once built, the table is the checker's; a later scan, such as the
-        next chunk of a parallel scan, calls `verdict` on no candidate."""
+        next chunk of a parallel scan, calls `_code` on no candidate."""
         chk = fresh_checker(2030, 3, 5 * 10**4)
-        assert _scan_range(chk, 3, 20002) == reference_scan(chk, 3, 20002)
-        assert chk.codes is not None
-        monkeypatch.setattr(chk, "verdict", None)
-        assert _scan_range(chk, 20003, 5 * 10**4) == reference_scan(chk, 20003, 5 * 10**4)
+        assert chk.scan(3, 20002) == reference_scan(chk, 3, 20002)
+        assert chk._codes is not None
+        monkeypatch.setattr(chk, "_code", None)
+        assert chk.scan(20003, 5 * 10**4) == reference_scan(chk, 20003, 5 * 10**4)
 
     def test_parallel_chunks_meet_the_switch(self):
         """d = 2030 mod 3, no hit to 5*10^4: each of the three chunks holds
         more candidates than the break-even 65, and the chunk sums are the
         reference's counters."""
         chk = fresh_checker(2030, 3, 5 * 10**4)
-        assert chk.table_break_even == 65
+        assert chk._break_even == 65
         for lo, hi in [(3, 20002), (20003, 40002), (40003, 5 * 10**4)]:
             assert sum(1 for _ in chk.candidates(lo, hi)) > 65
         K, params = chk.field, chk.params
@@ -792,16 +802,26 @@ class TestSplitTable:
         no table larger than _CANDIDATE_BYTES bytes per candidate it has
         decided, so only D = 60060 gets one at bound 2*10^4."""
         chk = fresh_checker(d, 1, 2 * 10**4)
-        got = _scan_range(chk, 3, 2 * 10**4)
+        got = chk.scan(3, 2 * 10**4)
         assert got == reference_scan(chk, 3, 2 * 10**4)
-        assert chk.table_break_even * kummerfrob._CANDIDATE_BYTES >= abs(chk.field.D)
-        assert (chk.codes is not None) == (d == 15015)
-        if chk.codes is not None:
-            assert len(chk.codes) <= kummerfrob._CANDIDATE_BYTES * got[1]["scanned"]
+        assert chk._break_even * kummerfrob._CANDIDATE_BYTES >= abs(chk.field.D)
+        assert (chk._codes is not None) == (d == 15015)
+        if chk._codes is not None:
+            assert len(chk._codes) <= kummerfrob._CANDIDATE_BYTES * got[1]["scanned"]
 
     def test_nine_characters_build_no_table(self):
+        """Fields with t = 9 prime discriminants, d = 2 * 3 * 5 * ... * 23
+        and 3 * 5 * ... * 23: the scan codes every candidate by `_code`,
+        builds no table, and returns the reference's hit and counters."""
         ds = prime_discriminants(4 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23)
         assert len(ds) == 9 and kummerfrob._table_break_even(ds) is None
+        for d, hit, scanned in [(223092870, None, 1122), (111546435, 13381, 781)]:
+            chk = fresh_checker(d, 1, 2 * 10**4)
+            assert len(chk.prime_discs) == 9 and chk._break_even is None
+            got = chk.scan(3, 2 * 10**4)
+            assert got == reference_scan(chk, 3, 2 * 10**4)
+            assert got[0] == hit and got[1]["scanned"] == scanned
+            assert chk._codes is None
 
     def test_table_matches_kronecker_and_genus_on_every_residue(self):
         """Real squarefree d < 400, moduli 1, 3 and 7 where prime to D,
@@ -809,7 +829,9 @@ class TestSplitTable:
         when (D / x) = -1, else 1 when the filter rejects the signature at
         x, else 2 plus, when the filter reads the norm, the index of that
         signature among the allowed ones; at every candidate up to 3000 it
-        is 0 exactly when Euler's criterion says inert."""
+        is 0 exactly when Euler's criterion says inert, and `_code` at p,
+        which reads p alone, is the code at p mod |D|: the equality that lets
+        one loop body serve both passes of a scan."""
         tables = 0
         for d in range(2, 400):
             if squarefree_part(d) != d:
@@ -822,7 +844,7 @@ class TestSplitTable:
                 modulus = modulus_from_rational(K, m)
                 for target in ell_power_targets(ray_class_group(K, modulus).group, 2):
                     chk = ConditionChecker(K, modulus, target, SearchParams(2, 1, 0, 3000))
-                    codes = chk.build_codes()
+                    codes = kummerfrob._split_codes(chk.prime_discs, chk.genus)
                     assert len(codes) == abs(D)
                     genus = chk.genus
                     for x in range(1, abs(D)):
@@ -835,5 +857,6 @@ class TestSplitTable:
                             assert codes[x] == want, (d, m, target, x)
                     for p in chk.candidates(3, 3000):
                         assert (codes[p % abs(D)] == 0) == (pow(D, (p - 1) // 2, p) != 1), p
+                        assert chk._code(p) == codes[p % abs(D)], p
                     tables += 1
         assert tables > 500
