@@ -211,12 +211,15 @@ class BqIdeal:
     `gens`, when not empty, are coordinate 4-tuples that generate the ideal
     over O_L; they shorten products. `residue_map`, set on the primes of
     `primes_above`, is the map O_L -> O_L/Q that Q is the kernel of, as the
-    arguments of its `ResidueFactor`. Neither takes part in equality."""
+    arguments of its `ResidueFactor`. `rel_norms`, set by `extend_ideal`,
+    holds N_{L/k_j} of the ideal for j = 1, 2, 3. None takes part in
+    equality."""
 
     L: BiquadField
     rows: tuple[tuple[int, int, int, int], ...]
     gens: tuple[tuple[int, int, int, int], ...] = dc_field(default=(), compare=False)
     residue_map: tuple | None = dc_field(default=None, compare=False)
+    rel_norms: tuple[QIdeal, QIdeal, QIdeal] | None = dc_field(default=None, compare=False)
 
     @staticmethod
     def _from_span(L: BiquadField, rows, gens=()) -> "BqIdeal":
@@ -381,12 +384,28 @@ def primes_above(L: BiquadField, p0: int) -> list[tuple[BqIdeal, int, int]]:
 
 
 def extend_ideal(L: BiquadField, I: QIdeal) -> BqIdeal:
-    """I * O_L for an ideal of one of the three quadratic subfields."""
-    if I.field not in (L.k1, L.k2, L.k3):
+    """I * O_L for an ideal I of one of the three quadratic subfields k_j,
+    with its relative norms: L = k_j * k_i is linearly disjoint over Q, so
+    N_{L/k_j}(I O_L) = I^2, and for i != j the involution fixing k_i acts
+    on k_j as its conjugation, so N_{L/k_i}(I O_L) = N(I) O_{k_i}."""
+    ks = (L.k1, L.k2, L.k3)
+    if I.field not in ks:
         raise ValueError("ideal does not live in a subfield of L")
     ext = BqIdeal.from_generators(L, [embed(L, g) for g in I.gen_pair()])
-    require(ext.norm() == I.norm() ** 2, "N(I*O_L) is not N(I)^2")
-    return ext
+    n = I.norm()
+    require(ext.norm() == n**2, "N(I*O_L) is not N(I)^2")
+    norms = tuple(I * I if k == I.field else QIdeal(k, n, 1, 0) for k in ks)
+    return BqIdeal(L, ext.rows, ext.gens, rel_norms=norms)
+
+
+def ramified_prime(L: BiquadField, P: QIdeal) -> BqIdeal:
+    """P O_L + P_2 O_L for a degree-one prime P of k1 over p = disc(k2), with
+    P_2 = [p, (p - 1)/2 + w2] = (sqrt p) the ramified prime of k2: the prime
+    of L over P, whose square is P O_L, built from the three generators
+    p, b + w1 and (p - 1)/2 + w2 without splitting p in L."""
+    p = L.p
+    P_2 = QIdeal(L.k2, 1, p, (p - 1) // 2)
+    return BqIdeal.from_generators(L, [embed(L, g) for g in (*P.gen_pair(), P_2.gen_pair()[1])])
 
 
 def _primes_over(L: BiquadField, q: QIdeal, above) -> list[tuple[BqIdeal, int, int]]:
@@ -476,15 +495,26 @@ def _square_test_primes(L: BiquadField) -> tuple[tuple[int, int, int, int], ...]
     return tuple(out)
 
 
+def _residue_signs(w: BqElt) -> tuple[int, int]:
+    """(zero, nonres): bit i of `zero` is set when w is 0 at the i-th
+    square-test prime, bit i of `nonres` when w is a nonzero non-residue
+    there. The residue map is a ring map onto F_q, so the signs of a product
+    are the XOR of its factors' signs wherever no factor is 0."""
+    zero = nonres = 0
+    for i, (q, r1, r2, r12) in enumerate(_square_test_primes(w.L)):
+        x = (w.a + w.b * r1 + w.c * r2 + w.e * r12) % q
+        if not x:
+            zero |= 1 << i
+        elif pow(x, q >> 1, q) != 1:
+            nonres |= 1 << i
+    return zero, nonres
+
+
 def _is_nonsquare_somewhere(w: BqElt) -> bool:
     """Whether w is a nonzero non-residue at one of the square-test primes,
     which proves it is not a square in L: a square maps to a square in every
     residue field F_q."""
-    for q, r1, r2, r12 in _square_test_primes(w.L):
-        x = (w.a + w.b * r1 + w.c * r2 + w.e * r12) % q
-        if x and pow(x, q >> 1, q) != 1:
-            return True
-    return False
+    return _residue_signs(w)[1] != 0
 
 
 def sqrt_in_biquad(w: BqElt) -> BqElt | None:
@@ -546,12 +576,24 @@ class UnitGroupData:
     index_q: int
 
 
-def _sign_unit_classes(L: BiquadField, units):
-    """((m1, m2, m3), (-1)^s * u1^m1 * u2^m2 * u3^m3) for the 16 patterns
-    in {0, 1}^4, s slowest: one representative of each class of
-    <-1, u1, u2, u3> modulo squares."""
+def _sign_unit_classes(L: BiquadField, units, base: BqElt | None = None):
+    """((m1, m2, m3), eta) with eta = (-1)^s * u1^m1 * u2^m2 * u3^m3 for the
+    patterns in {0, 1}^4, s slowest: one representative of each class of
+    <-1, u1, u2, u3> modulo squares. Only the classes for which base * eta
+    (eta alone when there is no base) is not proved a non-square by
+    `_residue_signs` are yielded; the signs of -1, the units and the base
+    are taken once, and a class's are their XOR."""
+    factors = (-L.one(), *units)
+    signs = [_residue_signs(x) for x in (*factors, L.one() if base is None else base)]
+    zero = reduce(operator.or_, (z for z, _ in signs))
     for s, *ms in product((0, 1), repeat=4):
-        eta = -L.one() if s else L.one()
+        nonres = signs[-1][1]
+        for m, (_, bits) in zip((s, *ms), signs):
+            if m:
+                nonres ^= bits
+        if nonres & ~zero:
+            continue
+        eta = factors[0] if s else L.one()
         for m, u in zip(ms, units):
             if m:
                 eta = eta * u
@@ -607,7 +649,10 @@ def intersect_subfield(P: BqIdeal, j: int) -> QIdeal:
 
 
 def relative_norm_ideal(I: BqIdeal, j: int) -> QIdeal:
-    """N_{L/k_j}(I) computed as (I * tau_j I) intersect k_j."""
+    """N_{L/k_j}(I): the one `extend_ideal` recorded, else computed as
+    (I * tau_j I) intersect k_j."""
+    if I.rel_norms is not None:
+        return I.rel_norms[j - 1]
     return intersect_subfield(I * I.conj(j), j)
 
 
@@ -617,7 +662,9 @@ def is_principal(I: BqIdeal) -> BqElt | None:
     The three relative norms must be principal, say (beta_j); then
     (beta1 beta2 beta3) = I^2 * (n) with n = N(I), so a generator gamma
     satisfies gamma^2 = unit * beta1 beta2 beta3 / n. Scanning the sixteen
-    unit square classes of E_L decides existence exactly."""
+    unit square classes of E_L decides existence exactly; the classes whose
+    product with b * n is a non-residue at a square-test prime are skipped
+    unbuilt. The first check also certifies recorded relative norms."""
     L = I.L
     n = I.norm()
     if I == BqIdeal.unit_ideal(L):
@@ -631,8 +678,9 @@ def is_principal(I: BqIdeal) -> BqElt | None:
         betas.append(beta)
     b = embed(L, betas[0]) * embed(L, betas[1]) * embed(L, betas[2])
     require(_generates((I * I).scale(n), b), "(beta1 beta2 beta3) != I^2 (N I)")
-    for _, w in _sign_unit_classes(L, unit_group(L).units):
-        eta = sqrt_in_biquad(w * b * n)
+    base = b * n
+    for _, w in _sign_unit_classes(L, unit_group(L).units, base):
+        eta = sqrt_in_biquad(w * base)
         if eta is None:
             continue
         gamma = eta.divide_int(n)
@@ -690,10 +738,10 @@ class CapitulationReport:
 
 
 def verify_certificate(cert) -> CapitulationReport:
-    """Re-check the search conditions and the cyclic field, build L = K(sqrt p),
-    and decide whether the certified class becomes principal in the ray class group of L."""
+    """Re-check the search conditions and the cyclic field, then hand the
+    quadratic step to `decide_capitulation`."""
     from .capsearch import CyclicFieldDesc, gaussian_period_min_poly
-    from .kummerfrob import ConditionChecker, SearchParams, prime_above_from_root
+    from .kummerfrob import ConditionChecker, SearchParams
 
     K = quadratic_field(cert.d)
     rep = CapitulationReport(status="", d=cert.d, p=cert.p)
@@ -733,11 +781,24 @@ def verify_certificate(cert) -> CapitulationReport:
             f"degree {degree} certificate is recorded unverified"
         )
         return rep
+    core = decide_capitulation(K, modulus, cert.p, cert.root)
+    core.checks = {**rep.checks, **core.checks}
+    return core
 
-    L = biquad_field(cert.d, cert.p)
-    p_K = prime_above_from_root(K, cert.p, cert.root)
+
+def decide_capitulation(K: QuadField, modulus: Modulus, p: int, root: int) -> CapitulationReport:
+    """The capitulation core: whether the prime of K over p named by `root`
+    becomes principal in L = K(sqrt p) with a generator that is 1 mod the
+    primes of L above the modulus. p must be a prime = 1 mod 4 that splits
+    in K; the report carries the status, the generator and the checks."""
+    from .kummerfrob import prime_above_from_root
+
+    rep = CapitulationReport(status="", d=K.d, p=p)
+    L = biquad_field(K.d, p)
+    p_K = prime_above_from_root(K, p, root)
     ext = extend_ideal(L, p_K)
-    q_L = next(Q for Q, e, _ in _primes_over(L, p_K, primes_above(L, cert.p)) if e == 2)
+    q_L = ramified_prime(L, p_K)
+    # with N(p_K O_L) = p^2 this gives N(q_L) = p, so q_L is prime
     rep.checks["ramified_square"] = q_L**2 == ext
     require(rep.checks["ramified_square"], "q_L^2 != p_K O_L")
 

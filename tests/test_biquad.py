@@ -2,6 +2,7 @@
 ideal decomposition, the Kubota unit index, norm-descent principality, and
 the end-to-end capitulation verdict."""
 import dataclasses
+import itertools
 import math
 import random
 
@@ -22,6 +23,8 @@ from oracles import (
 
 from raycap.biquad import (
     _is_nonsquare_somewhere,
+    _sign_unit_classes,
+    _square_test_primes,
     BqElt,
     BqIdeal,
     BiquadField,
@@ -29,6 +32,7 @@ from raycap.biquad import (
     as_k3,
     biquad_field,
     class_number,
+    decide_capitulation,
     embed,
     extend_ideal,
     extend_modulus,
@@ -36,6 +40,7 @@ from raycap.biquad import (
     is_principal,
     l_residue_system,
     primes_above,
+    ramified_prime,
     relative_norm_ideal,
     sqrt_in_biquad,
     sqrt_in_quadratic,
@@ -51,6 +56,7 @@ from raycap.quadfield import (
     QElt,
     class_group,
     factor_prime,
+    fundamental_unit,
     modulus_from_rational,
     quadratic_field,
     _generates,
@@ -420,6 +426,32 @@ class TestExtensions:
                 for P, _, _ in facs:
                     assert intersect_subfield(extend_ideal(L345, P), j) == P
 
+    # 2 ramifies in L for d = 34, 3 and 2543; p = 853 is the verified step of
+    # 2543 mod 7, whose k3 has discriminant 4 * 2543 * 853
+    @pytest.mark.parametrize("d,p", [(34, 5), (3, 13), (5, 29), (21, 17), (2543, 853)])
+    def test_recorded_relative_norms_match_the_hnf_route(self, d, p):
+        """The norms `extend_ideal` records in closed form, I^2 in the field
+        of I and N(I) O_{k_i} in the other two, equal (E * tau_j E) meet k_j
+        for every prime below 60 of k1, k2 and k3."""
+        L = biquad_field(d, p)
+        count = 0
+        for k in (L.k1, L.k2, L.k3):
+            for p0 in primes_up_to(59):
+                for P, _, _ in factor_prime(k, p0)[1]:
+                    E = extend_ideal(L, P)
+                    hnf = tuple(intersect_subfield(E * E.conj(j), j) for j in (1, 2, 3))
+                    assert E.rel_norms == hnf
+                    assert tuple(relative_norm_ideal(E, j) for j in (1, 2, 3)) == hnf
+                    count += 1
+        assert count > 60
+
+    def test_ideal_without_recorded_norms_takes_the_hnf_route(self):
+        P = factor_prime(L345.k1, 3)[1][0][0]
+        E = extend_ideal(L345, P)
+        bare = BqIdeal(L345, E.rows, E.gens)
+        assert bare == E and bare.rel_norms is None
+        assert [relative_norm_ideal(bare, j) for j in (1, 2, 3)] == list(E.rel_norms)
+
     def test_relative_norm_of_principal(self):
         z = BqElt(L345, 3, 1, -2, 1)
         I = bq_principal(z)
@@ -496,7 +528,11 @@ class TestSquareTestPrefilter:
         L = biquad_field(d, p)
         ideals = [Q for p0 in (2, 3, 7, 11, p) for Q, _, _ in primes_above(L, p0)]
         ideals += [Q * R for Q, R in zip(ideals, ideals[1:])]
+        ideals += [extend_ideal(L, P) for p0 in (3, 7, 11) for P, _, _ in factor_prime(L.k1, p0)[1]]
         with monkeypatch.context() as m:
+            # signs that prove nothing: every unit class is tried, by the
+            # square root alone
+            m.setattr(bq, "_residue_signs", lambda w: (0, 0))
             m.setattr(bq, "sqrt_in_biquad", sqrt_in_biquad_unfiltered)
             ref_units = bq.unit_group.__wrapped__(L)
             m.setattr(bq, "unit_group", lambda L: ref_units)
@@ -504,6 +540,35 @@ class TestSquareTestPrefilter:
         assert unit_group(L) == ref_units
         assert [is_principal(I) for I in ideals] == ref
         assert any(g is not None for g in ref)
+
+    @pytest.mark.parametrize("d,p", SQUARE_CORPUS)
+    def test_unit_classes_filtered_by_residues(self, d, p):
+        """`_sign_unit_classes` yields, in order, exactly the classes eta for
+        which base * eta is not a non-residue at a square-test prime, for
+        the subfield units and for a fundamental system, with no base, with
+        random bases and with bases that are 0 at one or all test primes."""
+        L = biquad_field(d, p)
+        rng = random.Random(d * p)
+        q0 = _square_test_primes(L)[0][0]
+        subfield = tuple(embed(L, fundamental_unit(k)) for k in (L.k1, L.k2, L.k3))
+        bases = [None, BqElt(L, 0, 0, 0, 0), BqElt(L, q0, 0, 0, 0)]
+        bases += [BqElt(L, *[rng.randint(-99, 99) for _ in range(4)]) for _ in range(12)]
+        bases += [BqElt(L, *[q0 * rng.randint(-99, 99) for _ in range(4)]) for _ in range(4)]
+        kept = 0
+        for units in (subfield, unit_group(L).units):
+            for base in bases:
+                every = []
+                for s, m1, m2, m3 in itertools.product((0, 1), repeat=4):
+                    eta = -L.one() if s else L.one()
+                    for m, u in zip((m1, m2, m3), units):
+                        eta = eta * u if m else eta
+                    every.append(([m1, m2, m3], eta))
+                want = [(ms, eta) for ms, eta in every
+                        if not _is_nonsquare_somewhere(eta if base is None else base * eta)]
+                got = list(_sign_unit_classes(L, units, base))
+                assert got == want
+                kept += len(got)
+        assert kept < 16 * 2 * len(bases)
 
     def test_non_squares_are_rejected_by_residues(self):
         rng = random.Random(20)
@@ -868,6 +933,32 @@ class TestVerifyCertificate:
         assert cert.p == 37
         rep = verify_certificate(cert)
         assert rep.status == "capitulates", rep.detail
+
+    def test_core_alone_matches_verify(self):
+        """`decide_capitulation` on (K, m, p, root) gives verify's status,
+        generator and checks but the re-checked search conditions."""
+        for d, q0, target in ((34, None, (1,)), (3, 5, (2,)), (6, 11, (10,)), (1011, None, (2,))):
+            cert = _certificate(d, q0, target, bound=30000)
+            K = quadratic_field(d)
+            core = decide_capitulation(K, Modulus.from_entries(K, cert.modulus), cert.p, cert.root)
+            rep = verify_certificate(cert)
+            assert rep.checks.pop("conditions") is True
+            assert core.as_dict() == rep.as_dict()
+
+    def test_ramified_prime_is_the_e2_prime_of_primes_above(self):
+        """q_L from p_K and the ramified prime of k2 is the prime of
+        `primes_above(L, p)` with e = 2 over p_K, for both primes of K over
+        p in every field of the golden verify batch."""
+        from test_golden import VERIFY_BATCH
+
+        for d, _, _, p, _ in VERIFY_BATCH:
+            L = biquad_field(d, p)
+            above = primes_above(L, p)
+            for P, _, _ in factor_prime(L.k1, p)[1]:
+                over = [Q for Q, e, _ in above
+                        if e == 2 and all(Q.contains(embed(L, g)) for g in P.gen_pair())]
+                assert over == [ramified_prime(L, P)]
+                assert ramified_prime(L, P) ** 2 == extend_ideal(L, P)
 
     def test_quartic_certificate_is_unverified(self):
         cert = _certificate(82, None, (2,), n=2, bound=10**4)

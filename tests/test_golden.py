@@ -32,11 +32,16 @@ from pathlib import Path
 import pytest
 
 from raycap.ambigcheck import ambig_case
-from raycap.biquad import biquad_field, primes_above
-from raycap.capsearch import find_principalizing_prime
+from raycap.biquad import biquad_field, primes_above, verify_certificate
+from raycap.capsearch import (
+    CandidateCertificate,
+    CyclicFieldDesc,
+    find_principalizing_prime,
+    gaussian_period_min_poly,
+)
 from raycap.cli import main
 from raycap.exactmath import primes_up_to, squarefree_part
-from raycap.kummerfrob import SearchParams
+from raycap.kummerfrob import ConditionChecker, SearchParams
 from raycap.report import canonical_json, certificate_from_dict, save_certificate
 from raycap.quadfield import (
     QuadField,
@@ -164,6 +169,54 @@ def test_crafted_p_verify_bytes(capsys, tmp_path, p, verify_code, verify_digest)
     save_certificate(cert_path, certificate_from_dict(data))
     code, got = json_digest(capsys, tmp_path, "verify", str(cert_path))
     assert (code, got) == (verify_code, verify_digest)
+
+
+def _crafted_certificate(d: int, m: int, target: tuple, p: int) -> CandidateCertificate:
+    """The n = 1 certificate at a chosen p, filled in from the condition
+    checker's report at p, so it does not depend on which hit a search
+    stamps first."""
+    K = quadratic_field(d)
+    modulus = modulus_from_rational(K, m)
+    checker = ConditionChecker(K, modulus, target, SearchParams(2, 1, 0, 10**5))
+    rep = checker.check(p)
+    assert rep.ok
+    return CandidateCertificate(
+        d=d, modulus=modulus.entries(), target=checker.target, ell=2, n=1,
+        h=checker.h, h_K=checker.h_K, p=p, root=rep.root,
+        eps_character=rep.checks["eps_character"],
+        minus_one_character=rep.checks["minus_one_character"],
+        bound=10**5, cyclic_field=CyclicFieldDesc(p, 2, gaussian_period_min_poly(p, 2)),
+    )
+
+
+# (d, m, target, p, status): each status the capitulation core reports, at
+# moduli 1 and 7 and with the generator adjusted through each presentation
+# of the residue fields of L: w1 inert (3 mod 5), w2 inert (11 mod 7) and
+# both inert (6 mod 11 at p = 2837, where no unit multiple is 1 mod m_L).
+VERIFY_BATCH = [
+    (34, 1, (1,), 5, "capitulates"),
+    (2001, 1, (1,), 37, "capitulates"),
+    (3787, 7, (3,), 13, "capitulates"),
+    (2543, 7, (0, 0, 3), 853, "capitulates"),
+    (3, 5, (2,), 109, "capitulates"),
+    (11, 7, (3,), 181, "capitulates"),
+    (1011, 1, (2,), 37, "failed"),
+    (4038, 1, (2,), 29, "failed"),
+    (2253, 7, (12,), 41, "failed_congruence"),
+    (6, 11, (10,), 2837, "failed_congruence"),
+]
+
+
+def test_verify_report_batch():
+    """The sha256 over `verify_certificate(...).as_dict()` for a fixed batch
+    of crafted certificates: a faster norm descent, prime of L or congruence
+    adjustment that moves any status, check or generator changes it."""
+    reports = [verify_certificate(_crafted_certificate(d, m, t, p)).as_dict()
+               for d, m, t, p, _ in VERIFY_BATCH]
+    assert [r["status"] for r in reports] == [s for *_, s in VERIFY_BATCH]
+    assert hashlib.sha256(canonical_json(reports).encode("ascii")).hexdigest() == (
+        "194564f297824db3662c938f0ee69c6748ede1d390a8e6d98a4d4982a7332b5b"
+    )
 
 
 # ---------------------------------------------------------------------------
