@@ -32,6 +32,7 @@ from .quadfield import (
     factor_prime,
     fundamental_unit,
     is_principal_with_generator,
+    prime_above_from_root,
     quadratic_field,
 )
 
@@ -296,10 +297,6 @@ class BqIdeal:
         return f"BqIdeal(norm={self.norm()})@{self.L!r}"
 
 
-def _minpoly(k: QuadField) -> list[int]:
-    return [-k.u, -k.t, 1]
-
-
 def _w_elt(L: BiquadField, j: int) -> BqElt:
     """w_j, with O_{k_j} = Z[w_j], in the coordinates of L."""
     if j == 1:
@@ -343,14 +340,14 @@ def primes_above(L: BiquadField, p0: int) -> list[tuple[BqIdeal, int, int]]:
     if 0 not in chis:
         split = [j for j in (1, 2, 3) if chis[j - 1] == 1]
         if len(split) == 3:
-            for x1 in roots_mod_p(_minpoly(L.k1), p0):
-                for x2 in roots_mod_p(_minpoly(L.k2), p0):
+            for x1 in roots_mod_p(L.k1.minpoly, p0):
+                for x2 in roots_mod_p(L.k2.minpoly, p0):
                     add([p0, w_minus(1, x1), w_minus(2, x2)], 1, None, x1, x2)
         else:
             # the product of the three characters is +1, so exactly one splits
             require(len(split) == 1, "the characters at p do not multiply to 1")
             j = split[0]
-            for x in roots_mod_p(_minpoly(ks[j - 1]), p0):
+            for x in roots_mod_p(ks[j - 1].minpoly, p0):
                 if j < 3:
                     add([p0, w_minus(j, x)], 1, *other_inert(j, x))
                 else:
@@ -372,7 +369,7 @@ def primes_above(L: BiquadField, p0: int) -> list[tuple[BqIdeal, int, int]]:
         gens = [embed(L, g) for g in P_a.gen_pair()]
         r = -P_a.b % p0  # w_a -> r, as P_a = [p0, b + w_a]
         if chis[c - 1] == 1:
-            for x in roots_mod_p(_minpoly(ks[c - 1]), p0):
+            for x in roots_mod_p(ks[c - 1].minpoly, p0):
                 add(gens + [w_minus(c, x)], 2, None, *((r, x) if a == 1 else (x, r)))
         else:
             add(gens, 2, *other_inert(a, r))
@@ -487,8 +484,8 @@ def _square_test_primes(L: BiquadField) -> tuple[tuple[int, int, int, int], ...]
     out = []
     for q in primes_up_to(1024)[1:]:
         if kronecker(L.k1.D, q) == 1 and kronecker(L.p, q) == 1:
-            r1 = roots_mod_p(_minpoly(L.k1), q)[0]
-            r2 = roots_mod_p(_minpoly(L.k2), q)[0]
+            r1 = roots_mod_p(L.k1.minpoly, q)[0]
+            r2 = roots_mod_p(L.k2.minpoly, q)[0]
             out.append((q, r1, r2, r1 * r2 % q))
             if len(out) == _SQUARE_TEST_PRIMES:
                 break
@@ -791,8 +788,6 @@ def decide_capitulation(K: QuadField, modulus: Modulus, p: int, root: int) -> Ca
     becomes principal in L = K(sqrt p) with a generator that is 1 mod the
     primes of L above the modulus. p must be a prime = 1 mod 4 that splits
     in K; the report carries the status, the generator and the checks."""
-    from .kummerfrob import prime_above_from_root
-
     rep = CapitulationReport(status="", d=K.d, p=p)
     L = biquad_field(K.d, p)
     p_K = prime_above_from_root(K, p, root)

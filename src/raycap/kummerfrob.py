@@ -22,10 +22,10 @@ from .exactmath import (factor, is_prime, kronecker, primes_1_mod, sqrt_mod, squ
 from .quadfield import (
     Modulus,
     QElt,
-    QIdeal,
     QuadField,
     RayClassData,
     aug_unit_data,
+    prime_above_from_root,  # kept importable from here
     ray_class_group,
 )
 
@@ -41,11 +41,6 @@ def is_split_cyclotomic(p: int, ell: int, n: int) -> bool:
     """Whether p is a prime that splits completely in Q(zeta_{ell^n}) with
     the ell^n-th roots of -1 adjoined (`cyclotomic_step`)."""
     return is_prime(p) and p != ell and (p - 1) % cyclotomic_step(ell, n) == 0
-
-
-def prime_above_from_root(field, p: int, root: int) -> QIdeal:
-    """The degree-one prime over p on which w maps to (t + root)/2 mod p."""
-    return QIdeal(field, 1, p, -field.w_mod(p, root) % p)
 
 
 def residue_character(

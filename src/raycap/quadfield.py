@@ -65,6 +65,10 @@ class QuadField:
     def is_real(self) -> bool:
         return self.d > 0
 
+    @cached_property
+    def minpoly(self) -> tuple[int, int, int]:
+        return (-self.u, -self.t, 1)  # w^2 - t*w - u, low to high for `roots_mod_p`
+
     def w_mod(self, p: int, root: int) -> int:
         """(t + root)/2 mod an odd p, halved by parity: the image of w at
         the degree-one prime over p that a root of D mod p picks."""
@@ -271,26 +275,38 @@ def _ideal_from_rows(field: QuadField, rows) -> QIdeal:
 def is_prime_ideal(I: QIdeal) -> bool:
     # [p, b+w] with p prime is always maximal (index-p ideal lattice);
     # p*O_K is prime exactly when p is inert
-    if I.g == 1 and is_prime(I.a):
-        return True
-    if I.a == 1 and is_prime(I.g):
-        return kronecker(I.field.D, I.g) == -1
-    return False
+    if I.g == 1:
+        return is_prime(I.a)
+    return I.a == 1 and is_prime(I.g) and not any(_prime_triples(I.field, (I.g,)))
+
+
+def _prime_triples(field: QuadField, primes: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """(1, p, b) for the first prime [p, b + w] over each p of `primes` that
+    is not inert in K, in the order given: w maps to the least root r of
+    w^2 - t*w - u mod p there, so b = -r mod p. The one place that splits p."""
+    for p in primes:
+        if kronecker(field.D, p) != -1:
+            yield 1, p, -roots_mod_p(field.minpoly, p)[0] % p
 
 
 def factor_prime(field: QuadField, p: int) -> tuple[str, list[tuple[QIdeal, int, int]]]:
-    """Splitting of p*O_K: ("split"|"inert"|"ramified", [(prime, e, f), ...])."""
+    """Splitting of p*O_K: ("split"|"inert"|"ramified", [(prime, e, f), ...]),
+    from `_prime_triples`' prime [p, b + w] and its conjugate, b' = -b - t
+    mod p; p ramifies when b' = b."""
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    k = kronecker(field.D, p)
-    if k == -1:
+    first = next(_prime_triples(field, (p,)), None)
+    if first is None:
         return "inert", [(QIdeal(field, p, 1, 0), 1, 2)]
-    roots = roots_mod_p([-field.u, -field.t, 1], p)  # w^2 - t w - u
-    if k == 1:
-        ideals = [QIdeal(field, 1, p, (-r) % p) for r in roots]
-        return "split", [(I, 1, 1) for I in ideals]
-    r = roots[0]  # double root at a ramified prime
-    return "ramified", [(QIdeal(field, 1, p, (-r) % p), 2, 1)]
+    P = QIdeal(field, *first)
+    if (Q := P.conj()) == P:
+        return "ramified", [(P, 2, 1)]
+    return "split", [(P, 1, 1), (Q, 1, 1)]
+
+
+def prime_above_from_root(field: QuadField, p: int, root: int) -> QIdeal:
+    """The degree-one prime over p on which w maps to (t + root)/2 mod p."""
+    return QIdeal(field, 1, p, -field.w_mod(p, root) % p)
 
 
 # ---------------------------------------------------------------------------
@@ -508,30 +524,28 @@ class ClassGroupData:
         return tuple(v)
 
 
-def _candidate_primes(field: QuadField) -> Iterator[QIdeal]:
-    """Non-inert primes in ascending rational order, one per split pair, up
-    to sqrt(D)/2 + 2 (above the Minkowski constant) in a real field. Every
-    imaginary class holds a reduced [a, b + w], 3a^2 <= |D|, whose prime
-    factors lie below sqrt(|D|/3): the closure drops any later prime."""
+def _candidate_primes(field: QuadField) -> Iterator[tuple[int, int, int]]:
+    """`_prime_triples` in ascending order up to sqrt(D)/2 + 2 (above the
+    Minkowski constant) in a real field. Every imaginary class holds a
+    reduced [a, b + w], 3a^2 <= |D|, whose prime factors lie below
+    sqrt(|D|/3): the closure drops any later prime."""
     bound = (field.isqrt_D // 2 if field.is_real else math.isqrt(-field.D // 3)) + 2
-    for p in primes_up_to(bound):
-        if kronecker(field.D, p) != -1:
-            yield factor_prime(field, p)[1][0][0]
+    return _prime_triples(field, primes_up_to(bound))
 
 
 def _coset_closure(
-    field: QuadField, primes: Iterable[QIdeal]
-) -> tuple[list[QIdeal], dict, list[list[int]]]:
-    """The subgroup generated by the given prime classes, grown one prime
-    at a time (Cohen, GTM 138, 5.4). With H the subgroup so far, e is the
-    least exponent with [P]^e in H. A prime with e = 1 adds no class and is
-    dropped; otherwise it becomes generator x_i, the cosets P^k * H for
-    0 < k < e join the table, and the relation e*x_i - vec([P]^e) is kept.
-    Each new class costs one product of integer triples (`_compose`) and
-    one reduction. The key of a real class comes from a memo, reduced
-    (a, b) -> key, that `_class_cycle` fills a whole cycle at a time, so
-    each class's rho-cycle is walked once however many products land on
-    it; an imaginary class has one reduced ideal, its key.
+    field: QuadField, primes: Iterable[tuple[int, int, int]]
+) -> tuple[list[tuple[int, int, int]], dict, list[list[int]]]:
+    """The subgroup generated by the classes of the given prime triples,
+    grown one prime at a time (Cohen, GTM 138, 5.4). With H the subgroup
+    so far, e is the least exponent with [P]^e in H. A prime with e = 1
+    adds no class and is dropped; otherwise it becomes generator x_i, the
+    cosets P^k * H for 0 < k < e join the table, and the relation
+    e*x_i - vec([P]^e) is kept. Each new class costs one product of integer
+    triples (`_compose`) and one reduction. The key of a real class comes
+    from a memo, reduced (a, b) -> key, that `_class_cycle` fills a whole
+    cycle at a time, so each class's rho-cycle is walked once however many
+    products land on it; an imaginary class has one reduced ideal, its key.
     Returns (generators, table: key -> exponent vector of length k, relation
     rows): a k x k lower-triangular matrix, every diagonal entry > 1, whose
     diagonal multiplies to len(table)."""
@@ -552,14 +566,14 @@ def _coset_closure(
         a, B = key
         return key_of(*_compose(field, (1, a, (B - t) // 2), P)[1:])
 
-    gens: list[QIdeal] = []
+    gens: list[tuple[int, int, int]] = []
     table = {key_of(1, 0): ()}
     relations: list[list[int]] = []
     for P in primes:
-        i, base, Pk = len(gens), list(table), P.key()  # the keys of H, identity first
+        i, base = len(gens), list(table)  # the keys of H, identity first
         coset, e = base, 1
-        while (lead := times(coset[0], Pk)) not in table:
-            coset = [lead] + [times(c, Pk) for c in coset[1:]]
+        while (lead := times(coset[0], P)) not in table:
+            coset = [lead] + [times(c, P) for c in coset[1:]]
             table.update((new, (*table[old], *[0] * (i - len(table[old])), e))
                          for old, new in zip(base, coset))
             e += 1
@@ -584,7 +598,7 @@ def class_group(field: QuadField) -> ClassGroupData:
     groups, biquadratic unit groups and the CLI read only `h`, and ray
     class groups read the table and rows besides."""
     gens, table, relations = _coset_closure(field, _candidate_primes(field))
-    labels = tuple(f"P{P.entry()[0]}_{P.b}" for P in gens)
+    labels = tuple(f"P{a}_{b}" for _, a, b in gens)
     group = group_from_relations(relations, labels)
     require(group.order() == len(table), "the relations do not present the closure")
     return ClassGroupData(field, group, table, tuple(map(tuple, relations)))
@@ -990,7 +1004,7 @@ class RayClassData:
     cl: ClassGroupData
     ideal_gens: tuple[QIdeal, ...]
     residue: ResidueSystem
-    ray_table: dict  # class_key -> exponent vector over ideal_gens
+    ray_table: dict  # class key -> exponent vector over ideal_gens
     unit_image_order: int
     # The lookup memo, filled by dlog and dropped with the group: reduced
     # primitive pair (a, b), coprime to m -> coordinates in `group` of
@@ -1009,9 +1023,8 @@ class RayClassData:
         return self._lookup(I.g, I.a, I.b)
 
     def dlog_prime(self, p: int, root: int) -> tuple[int, ...]:
-        """`dlog` of the prime over p, prime to N(m), on which w maps to
-        `w_mod(p, root)` for a root of D mod p (`prime_above_from_root`): the
-        scan's entry to the same lookup, which builds no ideal."""
+        """`dlog` of `prime_above_from_root(field, p, root)`, p prime to N(m),
+        on its triple: the scan's hot entry to the same lookup builds no ideal."""
         if math.gcd(p, self.modulus.norm()) != 1:
             raise InputError("prime is not coprime to the modulus")
         return self._lookup(1, p, -self.field.w_mod(p, root) % p)
@@ -1092,27 +1105,24 @@ class RayClassData:
 
 
 def _ray_ideal_gens(field: QuadField, modulus: Modulus, cl: ClassGroupData):
-    """Prime-ideal generators of Cl avoiding the modulus support: every
-    non-inert prime in ascending order, one per split pair, until their
-    classes generate Cl. Returns them with (table: key -> exponent vector
-    over them, relation rows) of their breadth-first closure
-    (`_vector_closure`)."""
+    """Prime-ideal generators of Cl off the modulus support: the
+    `_prime_triples` in ascending order, each keyed once, until their
+    classes generate Cl; with (table: key -> exponent vector over them,
+    relation rows) of their closure (`_vector_closure`), run afresh after
+    each prime: most fields stop at their first prime, where a tracker that
+    grows the subgroup coset by coset and closes once at the end is slower."""
     if cl.h == 1:
         return (), dict(cl.table), []
-    skip = frozenset(modulus.residue_chars())
+    skip = modulus.residue_chars()
     gens: list[QIdeal] = []
     vecs: list[tuple[int, ...]] = []
     limit = 1000 * max(abs(field.D), 100)
-    for p in primes_in_progression(1, 1, start=2):
+    primes = (p for p in primes_in_progression(1, 1, start=2) if p not in skip)
+    for _, p, b in _prime_triples(field, primes):
         if p > limit:
             break
-        if p in skip:
-            continue
-        kind, data = factor_prime(field, p)
-        if kind == "inert":
-            continue
-        gens.append(data[0][0])
-        vecs.append(cl.table[class_key(data[0][0])])
+        gens.append(QIdeal(field, 1, p, b))
+        vecs.append(cl.table[_class_cycle(field, *_reduce_primitive(field, p, b)[:2])[0]])
         table, relations = _vector_closure(cl, vecs)
         if len(table) == cl.h:
             return tuple(gens), table, relations

@@ -5,7 +5,8 @@ imaginary fields, synthetic abelian groups given by their invariants, the
 identity, sums and element list of a group in invariant-factor form, the
 cyclic complement of an element of an ell-group, ideals of K as the HNF of
 their generators' lattice, exact ideal division, ray-principal generators,
-ray generators closed by ideal products, real reduction by a rho walk that
+the splitting of p in K by the roots of w's minimal polynomial, ray
+generators closed by ideal products, real reduction by a rho walk that
 moves its multiplier at every step, with an exact multiplier num/den kept
 in lowest terms as a reference and a multiplier's local value read off the
 exact element, ideals of L = Q(sqrt d, sqrt p) as the HNF of all products
@@ -20,8 +21,9 @@ roots for membership. The library never calls them.
 The square root stands on the library's quadratic square root. The ideal
 oracles stand on the library's `QIdeal`, `BqIdeal` and its HNF, division
 and ray principality
-also on its ideal product and generator search, the ray generators on its
-ideal product, prime splitting and `class_key`, the rho walk on its
+also on its ideal product and generator search, the splitting on its
+`kronecker` and `roots_mod_p`, the ray generators on its ideal product and
+`class_key`, the rho walk on its
 residue factors' valuation and unit-part residue, the local value on their
 residues and discrete logs, the principal ideal of L on
 `BqIdeal.from_generators`, and the norm index on its residue systems and unit
@@ -41,7 +43,7 @@ from typing import Iterator, Sequence
 
 from raycap.abgroup import FiniteAbelianGroup, hnf_rows, solve_left
 from raycap.ambigcheck import _unit_lattice
-from raycap.biquad import BqElt, BqIdeal, _minpoly, _w_elt, sqrt_in_quadratic
+from raycap.biquad import BqElt, BqIdeal, _w_elt, sqrt_in_quadratic
 from raycap.exactmath import (
     crt,
     factor,
@@ -66,7 +68,6 @@ from raycap.quadfield import (
     _primitive_root,
     adjust_by_units,
     class_key,
-    factor_prime,
     is_principal_with_generator,
     modulus_from_rational,
     residue_system,
@@ -343,6 +344,27 @@ def is_ray_principal(ray: RayClassData, I: QIdeal) -> QElt | None:
 
 
 # ---------------------------------------------------------------------------
+# the splitting of p in K as the library found it before one helper split
+# each prime: the Kronecker symbol decides the kind, and each prime comes
+# from its own root of w^2 - t*w - u mod p
+
+
+def factor_prime_by_roots(field: QuadField, p: int) -> tuple[str, list[tuple[QIdeal, int, int]]]:
+    """("split"|"inert"|"ramified", [(prime, e, f), ...]) for p*O_K."""
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
+    k = kronecker(field.D, p)
+    if k == -1:
+        return "inert", [(QIdeal(field, p, 1, 0), 1, 2)]
+    roots = roots_mod_p([-field.u, -field.t, 1], p)  # w^2 - t w - u
+    if k == 1:
+        ideals = [QIdeal(field, 1, p, (-r) % p) for r in roots]
+        return "split", [(I, 1, 1) for I in ideals]
+    r = roots[0]  # double root at a ramified prime
+    return "ramified", [(QIdeal(field, 1, p, (-r) % p), 2, 1)]
+
+
+# ---------------------------------------------------------------------------
 # ray generators by ideal products, as the library chose them before its
 # closure read class sums off the class group's table
 
@@ -390,7 +412,7 @@ def ray_ideal_gens_by_products(field: QuadField, modulus, h: int):
     for p in itertools.count(2):
         if p in skip or not all(p % q for q in range(2, math.isqrt(p) + 1)):
             continue
-        kind, data = factor_prime(field, p)
+        kind, data = factor_prime_by_roots(field, p)
         if kind != "inert":
             gens.append(data[0][0])
             table, relations = bfs_closure(field, gens)
@@ -764,7 +786,7 @@ def _scan_root(Q: BqIdeal, j: int, p: int) -> int:
     L = Q.L
     k = (L.k1, L.k2, L.k3)[j - 1]
     w = _w_elt(L, j)
-    for x in roots_mod_p(_minpoly(k), p):
+    for x in roots_mod_p(k.minpoly, p):
         if Q.contains(w - BqElt(L, x, 0, 0, 0)):
             return x
     raise InvariantError("invariant failed: a subfield generator has no residue image")

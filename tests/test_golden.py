@@ -8,7 +8,10 @@ non-cyclic ray class group (Z/6 x Z/6), so a different SNF basis for the
 ray class group would pick a different class and a different prime.
 The real field d = 10^8 + 7 (h = 1, one principal cycle of about 6,500
 reduced ideals that hundreds of candidate primes land on) pins the class
-group's closure where every cycle is long.
+group's closure where every cycle is long. The imaginary fields
+d = -15015 (Cl = (2, 2, 2, 12)) and d = -5565 mod 11 pin ray class groups
+with four and five prime-ideal generators, chosen in ascending order off
+the modulus until their classes generate Cl.
 
 The two searches that use up their bound (exit 3) pin the scan counters:
 every candidate's rejection stage is counted in the stamped `stats`, so a
@@ -62,6 +65,10 @@ GOLDEN = [
      0, "9d9aefee48e423b7917f38c115a0cf4cd04ab75d2ef3cec1451d44d9fb3c2b08"),
     (("rayclass", "--d", "100000007", "--mod", "3"),
      0, "ced7e7720156a52601207946d5028d5f60cf7d33dec9eddea09a72575d1b90b7"),
+    (("rayclass", "--d", "-15015"),
+     0, "589bca2edeb66460e6f4232de9fdf643b532331b9be330784ab943050fa29a4f"),
+    (("rayclass", "--d", "-5565", "--mod", "11"),
+     0, "3e20160ee7aaf0cbc13728c9961f37c73de115bf3e9fe24b97d71a1026a478c8"),
     (("search", "--d", "51", "--mod", "7", "--class", "3,0", "--bound", "20000"),
      0, "42805b63c05a6f9479f12c203e68fc0a43be65a226d9bb2ffb8e3e6891564fe6"),
     (("ambig", "--L-disc", "-84", "--mod", "5"),

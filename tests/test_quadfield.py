@@ -18,6 +18,7 @@ from oracles import (
     analytic_class_number,
     divide_exact,
     exact_local_value,
+    factor_prime_by_roots,
     group_add,
     hnf_ideal,
     is_ray_principal,
@@ -30,7 +31,6 @@ from oracles import (
 from raycap import quadfield
 from raycap.errors import BudgetError, InputError, InvariantError
 from raycap.exactmath import kronecker, primes_up_to, sqrt_mod, squarefree_part
-from raycap.kummerfrob import prime_above_from_root
 from raycap.quadfield import (
     Modulus,
     QElt,
@@ -42,6 +42,7 @@ from raycap.quadfield import (
     _compose,
     _coset_closure,
     _generates,
+    _prime_triples,
     aug_unit_data,
     class_group,
     class_key,
@@ -50,6 +51,7 @@ from raycap.quadfield import (
     is_prime_ideal,
     is_principal_with_generator,
     modulus_from_rational,
+    prime_above_from_root,
     quadratic_field,
     ray_class_group,
     residue_system,
@@ -297,6 +299,27 @@ class TestIdeals:
         P = data[0][0]
         assert (P * P).key() == QIdeal(K, 2, 1, 0).key()
 
+    def test_splitting_matches_root_reference(self):
+        """`factor_prime` and `_prime_triples` against the reference that
+        takes each prime from its own root and the kind from the Kronecker
+        symbol, for every p < 2000: the fields cover 2 split (d = 17), 2
+        ramified (d = -1, 3, 34, ...), 2 inert (d = -3, 5), odd ramified
+        primes and |D| near 4*10^9."""
+        primes = primes_up_to(1999)
+        seen = set()
+        for d in (-1, -2, -3, -5, 2, 3, 5, 17, 34, 94, 10**9 + 7, -(10**9 + 7)):
+            K = quadratic_field(d)
+            firsts = []
+            for p in primes:
+                kind, data = factor_prime(K, p)
+                assert (kind, data) == factor_prime_by_roots(K, p), (d, p)
+                seen.add((kind, p == 2))
+                if kind != "inert":
+                    firsts.append(data[0][0].key())
+            assert list(_prime_triples(K, primes)) == firsts, d
+        assert seen == {(kind, two) for kind in ("split", "inert", "ramified")
+                        for two in (False, True)}
+
     def test_is_prime_ideal(self):
         K = quadratic_field(34)
         for p in (3, 5, 11):
@@ -376,11 +399,10 @@ class TestClassGroups:
             if not is_fundamental(D):
                 continue
             K = quadratic_field(D if D % 4 == 1 else D // 4)
-            wide = [factor_prime(K, p)[1][0][0] for p in primes_up_to(K.isqrt_D + 2)
-                    if kronecker(K.D, p) != -1]
+            wide = _prime_triples(K, primes_up_to(K.isqrt_D + 2))
             gens, table, rels = _coset_closure(K, wide)
             cl = class_group.__wrapped__(K)
-            assert cl.group.labels == tuple(f"P{P.entry()[0]}_{P.b}" for P in gens), D
+            assert cl.group.labels == tuple(f"P{a}_{b}" for _, a, b in gens), D
             assert list(cl.table.items()) == list(table.items()), D
             assert cl.relations == tuple(map(tuple, rels)), D
             checked += 1
