@@ -413,18 +413,26 @@ def _class_cycle(field: QuadField, a: int, b: int) -> tuple[tuple[int, int], lis
 
 def _steps_product(field: QuadField, steps) -> tuple[QElt, int]:
     """(num, den), unreduced, with num / den the product of the factors
-    (x + y*w) / den of `steps`: the exact multiplier of a walk. Both
-    products are taken as balanced trees, so a period of n steps costs
-    O(M(n) log n) instead of the n^2 of a running product."""
+    (x + y*w) / den of `steps`: the exact multiplier of a walk, for
+    `is_principal_with_generator`. Both products are taken as balanced
+    trees, so n steps cost O(M(n) log n) instead of the n^2 of a running
+    product."""
     return (_tree_product([QElt(field, x, y) for x, y, _ in steps], QElt(field, 1, 0)),
             _tree_product([e for *_, e in steps], 1))
 
 
-def _tree_product(xs: list, one):
+def _tree_product(xs: list, one, mul=operator.mul):
     """The product of `xs`, multiplied pairwise level by level."""
     while len(xs) > 1:
-        xs = [x * y for x, y in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1:]
+        xs = [mul(x, y) for x, y in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1:]
     return xs[0] if xs else one
+
+
+def _mat_mul(m: tuple, n: tuple) -> tuple:
+    """The product of 2x2 integer matrices, each flat as (a, b, c, d)."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def class_key(I: QIdeal) -> tuple[int, int]:
@@ -459,21 +467,27 @@ def _generates(I, z) -> bool:
 
 @lru_cache(maxsize=FIELD_CACHE_SIZE)
 def fundamental_unit(field: QuadField) -> QElt:
-    """Smallest unit > 1 of a real quadratic field."""
+    """Smallest unit > 1 of a real quadratic field, from one period of the
+    regular continued fraction of w = (t + sqrt(D))/2 (Cohen, GTM 138,
+    §5.7): the partial quotients a multiply, as matrices [[a, 1], [1, 0]],
+    to a matrix whose first column (h, k) gives h - k*w' = (h - k*t) + k*w."""
     if not field.is_real:
         raise InputError("fundamental unit requires a real field")
-    # O_K = [1, w] is reduced, and the steps once around its rho-cycle
-    # multiply to the multiplier of one period
-    steps = [(B + field.t, -2, 2 * a) for a, _, B in _class_cycle(field, 1, 0)[1]]
-    num, den = _steps_product(field, steps)
-    require(num.x % den == 0 and num.y % den == 0, "the period multiplier is not integral")
-    eps = QElt(field, num.x // den, num.y // den)
-    # |eps| < 1 along the contraction; the fundamental unit is a signed inverse
-    inv = QElt.exact_div(QElt(field, 1, 0), eps)
-    require(inv is not None, "the period multiplier is not a unit")
-    eps = inv if inv.sign_real() > 0 else -inv
-    require(abs(eps.norm()) == 1 and eps > QElt(field, 1, 0),
-            "the fundamental unit is not a unit greater than 1")
+    D, s = field.D, field.isqrt_D
+    # the complete quotient (P + sqrt(D))/Q, Q > 0 dividing D - P^2, starts
+    # at w and is w plus an integer again when Q is 2 again
+    P, Q, mats = field.t, 2, []
+    while not mats or Q != 2:
+        a = (P + s) // Q
+        mats.append((a, 1, 1, 0))
+        if len(mats) > _CYCLE_BOUND:
+            raise BudgetError("rho cycle failed to close")
+        P = a * Q - P
+        Q = (D - P * P) // Q
+    h, _, k, _ = _tree_product(mats, (1, 0, 0, 1), _mat_mul)
+    eps = QElt(field, h - k * field.t, k)
+    require(eps.norm() == (-1) ** len(mats) and eps > QElt(field, 1, 0),
+            "the fundamental unit is not a unit > 1 of norm -1 to the period")
     return eps
 
 
@@ -884,8 +898,8 @@ class ResidueSystem:
 
     def fold(self, state, steps):
         """The local state of a multiplier times each (x + y*w) / den of the
-        walks' `steps` (`QuadResidueFactor.fold`); only generators and units
-        form the element (`_steps_product`)."""
+        walks' `steps` (`QuadResidueFactor.fold`); only a generator forms
+        the element (`_steps_product`)."""
         if not steps:
             return state
         return tuple([f.fold(s, steps) for f, s in zip(self.factors, state)])

@@ -8,8 +8,9 @@ their generators' lattice, exact ideal division, ray-principal generators,
 the splitting of p in K by the roots of w's minimal polynomial, ray
 generators closed by ideal products, real reduction by a rho walk that
 moves its multiplier at every step, with an exact multiplier num/den kept
-in lowest terms as a reference and a multiplier's local value read off the
-exact element, ideals of L = Q(sqrt d, sqrt p) as the HNF of all products
+in lowest terms as a reference, the fundamental unit of a real field as the
+inverse of its rho cycle's step product and a multiplier's local value read
+off the exact element, ideals of L = Q(sqrt d, sqrt p) as the HNF of all products
 of basis elements, principal ideals of L as the HNF of one generator,
 square roots in L by the integer square root chain alone, with no residue
 test first, and the unit norm index of a quadratic field over Q by
@@ -23,7 +24,8 @@ oracles stand on the library's `QIdeal`, `BqIdeal` and its HNF, division
 and ray principality
 also on its ideal product and generator search, the splitting on its
 `kronecker` and `roots_mod_p`, the ray generators on its ideal product and
-`class_key`, the rho walk on its
+`class_key`, the fundamental unit on its rho cycle and step product, the
+rho walk on its
 residue factors' valuation and unit-part residue, the local value on their
 residues and discrete logs, the principal ideal of L on
 `BqIdeal.from_generators`, and the norm index on its residue systems and unit
@@ -64,8 +66,10 @@ from raycap.quadfield import (
     RayClassData,
     ResidueFactor,
     _Fp2,
+    _class_cycle,
     _ideal_from_rows,
     _primitive_root,
+    _steps_product,
     adjust_by_units,
     class_key,
     is_principal_with_generator,
@@ -603,6 +607,19 @@ def rho_orbit(field: QuadField, a: int, b: int, mult=None):
         if mult is not None:
             mult = mult.fold(((B + t, -2, 2 * a),))
         a, b = c, ((-B - t) // 2) % c
+
+
+def fundamental_unit_by_steps(field: QuadField) -> QElt:
+    """Smallest unit > 1 of a real quadratic field by the rho cycle of
+    O_K: the steps once around the cycle of the reduced [1, w] multiply to
+    num / den, a unit of absolute value below 1, and the fundamental unit
+    is its signed inverse."""
+    steps = [(B + field.t, -2, 2 * a) for a, _, B in _class_cycle(field, 1, 0)[1]]
+    num, den = _steps_product(field, steps)
+    require(num.x % den == 0 and num.y % den == 0, "the period multiplier is not integral")
+    inv = QElt.exact_div(QElt(field, 1, 0), QElt(field, num.x // den, num.y // den))
+    require(inv is not None, "the period multiplier is not a unit")
+    return inv if inv.sign_real() > 0 else -inv
 
 
 def is_reduced_real(field: QuadField, a: int, b: int) -> bool:

@@ -19,6 +19,7 @@ from oracles import (
     divide_exact,
     exact_local_value,
     factor_prime_by_roots,
+    fundamental_unit_by_steps,
     group_add,
     hnf_ideal,
     is_ray_principal,
@@ -39,6 +40,7 @@ from raycap.quadfield import (
     _ray_ideal_gens,
     _reduce_primitive,
     _candidate_primes,
+    _class_cycle,
     _compose,
     _coset_closure,
     _generates,
@@ -471,6 +473,18 @@ class TestUnits:
         X, Y = brute_pell(d)
         assert (u.trace(), u.y) == (X, Y) or (2 * u.x + u.y * K.t, u.y) == (X, Y)
         assert abs(u.norm()) == 1
+
+    def test_fundamental_unit_vs_step_product(self):
+        """The continued-fraction walk against the rho cycle's step product
+        it replaced, for every squarefree 2 <= d < 10^4 and d = 10^9 + 7;
+        the norm is -1 to the period, the length of the rho cycle of O_K."""
+        ds = [d for d in range(2, 10**4) if squarefree_part(d) == d] + [10**9 + 7]
+        assert len(ds) == 6083
+        for d in ds:
+            K = quadratic_field(d)
+            eps = fundamental_unit.__wrapped__(K)
+            assert eps == fundamental_unit_by_steps(K), d
+            assert eps.norm() == (-1) ** len(_class_cycle(K, 1, 0)[1]), d
 
     def test_unit_signs(self):
         u = fundamental_unit(quadratic_field(2))
