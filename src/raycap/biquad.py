@@ -482,8 +482,10 @@ def _square_test_primes(L: BiquadField) -> tuple[tuple[int, int, int, int], ...]
     quarter of all primes split completely; a field with fewer such q below
     1024 keeps fewer, which weakens the test but never makes it wrong."""
     out = []
+    D1, p = L.k1.D, L.p
     for q in primes_up_to(1024)[1:]:
-        if kronecker(L.k1.D, q) == 1 and kronecker(L.p, q) == 1:
+        # Euler's criterion: (D1 / q) = (p / q) = 1
+        if pow(D1 % q, q >> 1, q) == 1 and pow(p % q, q >> 1, q) == 1:
             r1 = roots_mod_p(L.k1.minpoly, q)[0]
             r2 = roots_mod_p(L.k2.minpoly, q)[0]
             out.append((q, r1, r2, r1 * r2 % q))

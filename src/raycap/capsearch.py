@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from operator import mul
@@ -213,6 +212,8 @@ def find_principalizing_prime(
 def _parallel_scan(field, modulus, target, params, jobs, checker):
     """Deterministic chunked scan: ranges are examined in ascending order and
     the first hit in the earliest hitting chunk wins."""
+    from concurrent.futures import ProcessPoolExecutor
+
     mod_desc = modulus.entries()
     chunk = max(20000, params.bound // (8 * jobs))
     ranges = [

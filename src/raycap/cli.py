@@ -12,7 +12,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from raycap.ambigcheck import (
     ambig_case,
@@ -334,6 +333,8 @@ def cmd_ambig(args) -> int:
             misses.append((i, case))
     if misses:
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 fresh = list(pool.map(_ambig_report_for, [c for _, c in misses]))
         else:

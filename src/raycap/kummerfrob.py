@@ -339,8 +339,11 @@ class ConditionChecker:
         # order ell^{n-h}, which is attainable only when h >= v_ell(k)
         self.iii_attainable = self.h >= valuation(self.eps_unit_exponent, params.ell)
         ds = prime_discriminants(field.D)
-        # on a ray-exact field the prefilter alone decides (ii)
-        self.genus, self.ray_exact = GenusFilter.build(self.ray, self.target, ds)
+        # no prefilter until the first `scan` or `verdict` builds it
+        # (`build_prefilter`); `check` decides without one
+        self.genus: GenusFilter | None = None
+        self.ray_exact = False
+        self._prefiltered = False
         # at ell^n = 2, (iii) asks that eps be a nonsquare at the prime P
         # above p. N(eps) = 1, so eps = (1 + eps)^2 / c with c = N(1 + eps) =
         # 2 + Tr eps (Hilbert 90): for p prime to c, eps is a square mod P
@@ -373,14 +376,16 @@ class ConditionChecker:
 
     def scan(self, lo: int, hi: int) -> tuple[int | None, dict]:
         """(first prime in [lo, hi] that passes (i')-(iv) or None, the
-        counters `SCAN_COUNTERS`, then "rejected_iv" once counted). Each
-        candidate gets a code (`_split_codes`): until the checker has the
-        split table, from `_code`, and once a scan has decided its
-        `_break_even` candidates so, it builds the table, and each later
-        candidate's code is one lookup. Codes 0 and 1 only count; the
-        others go to `_decide`. A code depends on p mod |D| alone, so both
-        passes give the same verdicts; a checker without a break-even
-        (None) never builds the table."""
+        counters `SCAN_COUNTERS`, then "rejected_iv" once counted), with the
+        prefilter built (`build_prefilter`). Each candidate gets a code
+        (`_split_codes`): until the checker has the split table, from
+        `_code`, and once a scan has decided its `_break_even` candidates
+        so, it builds the table, and each later candidate's code is one
+        lookup. Codes 0 and 1 only count; the others go to `_decide`. A
+        code depends on p mod |D| alone, so both passes give the same
+        verdicts; a checker without a break-even (None) never builds the
+        table."""
+        self.build_prefilter()
         candidates = self.candidates(lo, hi)
         stats = dict.fromkeys(SCAN_COUNTERS, 0)
         tally = [0, 0, 0, 0]  # candidates by code
@@ -406,6 +411,15 @@ class ConditionChecker:
         stats["rejected_ii"] += tally[1]
         return found, stats
 
+    def build_prefilter(self) -> None:
+        """Build the genus prefilter and the ray-exact flag
+        (`GenusFilter.build`) once. On a ray-exact field the prefilter alone
+        decides (ii). The prefilter only proves what the ray class lookup
+        finds, so every verdict and root is the same with or without it."""
+        if not self._prefiltered:
+            self.genus, self.ray_exact = GenusFilter.build(self.ray, self.target, self.prime_discs)
+            self._prefiltered = True
+
     def _code(self, p: int) -> int:
         """codes[p % |D|] of the split table at a candidate p, from p alone:
         0 when Euler's criterion finds p inert in K (p is in the cyclotomic
@@ -427,6 +441,7 @@ class ConditionChecker:
         failed_at None when all pass. root is None when none was taken: when
         (i') fails, when the prefilter proves that (ii) fails, and on the
         ray-exact fields at ell^n = 2 unless p | N(1 + eps)."""
+        self.build_prefilter()
         return self._decide(p, self._code(p))
 
     def _decide(self, p: int, code: int) -> tuple[str | None, int | None]:
@@ -470,15 +485,17 @@ class ConditionChecker:
         """Conditions (i')-(iv) at any integer p as a report. A `forbidden` p
         raises InputError, a p that is not prime or misses the cyclotomic
         congruence fails (i'), and a candidate gets `verdict`'s verdict and
-        root, taking the root here past (i') when `verdict` took none. The
-        report holds each outcome up to the first failure and, past (ii),
-        the eps and -1 characters."""
+        root, taking the root here past (i') when `verdict` took none. It
+        decides with the prefilter if one is built and builds none, so a
+        checker made for one `check` skips `GenusFilter.build`. The report
+        holds each outcome up to the first failure and, past (ii), the eps
+        and -1 characters."""
         if self.forbidden(p):
             raise InputError(f"candidate {p} violates the coprimality precondition")
         params = self.params
         failed_at, root = "i", None
         if is_split_cyclotomic(p, params.ell, params.n):
-            failed_at, root = self.verdict(p)
+            failed_at, root = self._decide(p, self._code(p))
             if root is None and failed_at != "i":
                 root = self._root(p)
         rep = ConditionReport(p=p, root=root, ok=failed_at is None, failed_at=failed_at)

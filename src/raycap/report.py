@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import platform
 import tempfile
 from functools import cache
 from pathlib import Path
@@ -47,6 +46,8 @@ def check_stamp(report: dict) -> bool:
 
 
 def toolchain_fingerprint() -> dict:
+    import platform
+
     return {
         "package": "raycap",
         "version": __version__,

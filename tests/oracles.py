@@ -1,37 +1,36 @@
 """Reference implementations that only the tests use: a fraction-free
 determinant, matrix products, multiplicative orders, divisor lists,
-splitting degrees of polynomials mod q, analytic class numbers of
-imaginary fields, synthetic abelian groups given by their invariants, the
-identity, sums and element list of a group in invariant-factor form, the
-cyclic complement of an element of an ell-group, ideals of K as the HNF of
-their generators' lattice, exact ideal division, ray-principal generators,
-the splitting of p in K by the roots of w's minimal polynomial, ray
-generators closed by ideal products, real reduction by a rho walk that
-moves its multiplier at every step, with an exact multiplier num/den kept
-in lowest terms as a reference, the fundamental unit of a real field as the
-inverse of its rho cycle's step product and a multiplier's local value read
-off the exact element, ideals of L = Q(sqrt d, sqrt p) as the HNF of all products
-of basis elements, principal ideals of L as the HNF of one generator,
-square roots in L by the integer square root chain alone, with no residue
-test first, and the unit norm index of a quadratic field over Q by
-exponent lattices, square roots mod p with the Tonelli-Shanks nonresidue
-found by linear scan, a scan candidate's conditions decided without
-genus characters, the Gaussian period polynomial by CRT across
-auxiliary primes, and the residue factor of a prime of L found by scanning
-roots for membership. The library never calls them.
+splitting degrees of polynomials mod q, analytic class numbers of imaginary
+fields, synthetic abelian groups given by their invariants, the identity,
+sums and element list of a group in invariant-factor form, the cyclic
+complement of an element of an ell-group, ideals of K as the HNF of their
+generators' lattice, exact ideal division, ray-principal generators, the
+splitting of p in K by the roots of w's minimal polynomial, ray generators
+closed by ideal products, real reduction by a rho walk that moves its
+multiplier at every step, with an exact multiplier num/den kept in lowest
+terms as a reference, the fundamental unit of a real field as the inverse of
+its rho cycle's step product and a multiplier's local value read off the
+exact element, ideals of L = Q(sqrt d, sqrt p) as the HNF of all products of
+basis elements, principal ideals of L as the HNF of one generator, square
+roots in L by the integer square root chain alone, with no residue test
+first, the square-test primes of L by Kronecker symbols, and the unit norm
+index of a quadratic field over Q by exponent lattices, square roots mod p
+with the Tonelli-Shanks nonresidue found by linear scan, a scan candidate's
+conditions decided without genus characters, the Gaussian period polynomial
+by CRT across auxiliary primes, and the residue factor of a prime of L found
+by scanning roots for membership. The library never calls them.
 The square root stands on the library's quadratic square root. The ideal
-oracles stand on the library's `QIdeal`, `BqIdeal` and its HNF, division
-and ray principality
-also on its ideal product and generator search, the splitting on its
-`kronecker` and `roots_mod_p`, the ray generators on its ideal product and
-`class_key`, the fundamental unit on its rho cycle and step product, the
-rho walk on its
+oracles stand on the library's `QIdeal`, `BqIdeal` and its HNF, division and
+ray principality also on its ideal product and generator search, the
+splitting on its `kronecker` and `roots_mod_p`, the square-test primes on
+the same two and `is_prime`, the ray generators on its ideal product and `class_key`, the
+fundamental unit on its rho cycle and step product, the rho walk on its
 residue factors' valuation and unit-part residue, the local value on their
 residues and discrete logs, the principal ideal of L on
-`BqIdeal.from_generators`, and the norm index on its residue systems and unit
-lattice, the scan's reference decision on the checker's ray class
-group, unit and square root, the period polynomial on its primitive
-root, CRT and primes in progression, and the residue factor of L on
+`BqIdeal.from_generators`, and the norm index on its residue systems and
+unit lattice, the scan's reference decision on the checker's ray class
+group, unit and square root, the period polynomial on its primitive root,
+CRT and primes in progression, and the residue factor of L on
 `ResidueFactor`, `BqIdeal.contains` and the roots mod p; the rest share no
 code with it.
 """
@@ -718,6 +717,23 @@ def sqrt_in_biquad_unfiltered(w: BqElt) -> BqElt | None:
                 if xi * xi == w:
                     return xi
     return None
+
+
+def square_test_primes_by_kronecker(L, count: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(q, r1, r2, r1*r2 mod q) for the first `count` odd primes q below
+    1024 with (D1 / q) = (p / q) = 1, D1 the discriminant of k1 = K: the
+    primes that split completely in L, each with a root of w1's and of w2's
+    minimal polynomial mod q, as the library chose them before it tested
+    the splitting by Euler's criterion."""
+    out = []
+    for q in range(3, 1024, 2):
+        if is_prime(q) and kronecker(L.k1.D, q) == 1 and kronecker(L.p, q) == 1:
+            r1 = roots_mod_p(L.k1.minpoly, q)[0]
+            r2 = roots_mod_p(L.k2.minpoly, q)[0]
+            out.append((q, r1, r2, r1 * r2 % q))
+            if len(out) == count:
+                break
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

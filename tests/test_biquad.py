@@ -19,6 +19,7 @@ from oracles import (
     l_residue_factor_by_scan,
     principal_ideal,
     sqrt_in_biquad_unfiltered,
+    square_test_primes_by_kronecker,
 )
 
 from raycap.biquad import (
@@ -582,6 +583,21 @@ class TestSquareTestPrefilter:
             rejected += _is_nonsquare_somewhere(w)
             assert sqrt_in_biquad(w) is None
         assert trials > 250 and rejected >= 0.95 * trials
+
+    def test_primes_match_the_kronecker_rule(self, certify_certificates):
+        """For the 317 fields L = K(sqrt p) of the certificates of the
+        `certify` population, the square-test primes that Euler's criterion picks are
+        the tuple of the Kronecker rule (`tests/oracles.py`), with all
+        _SQUARE_TEST_PRIMES of them found below 1024."""
+        import raycap.biquad as bq
+
+        fields = sorted({(c.d, c.p) for c in certify_certificates})
+        assert len(fields) == 317
+        for d, p in fields:
+            L = biquad_field(d, p)
+            got = _square_test_primes(L)
+            assert got == square_test_primes_by_kronecker(L, bq._SQUARE_TEST_PRIMES), (d, p)
+            assert len(got) == bq._SQUARE_TEST_PRIMES
 
 
 class TestUnits:

@@ -1,13 +1,18 @@
 """End-to-end runs of every subcommand through main(), checking exit codes
 against the documented table and output against independent expectations."""
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from raycap import capsearch, cli, quadfield
+import raycap
+from raycap import quadfield
 from raycap.capsearch import find_principalizing_prime
 from raycap.cli import main
 from raycap.exactmath import squarefree_part
@@ -392,8 +397,8 @@ class TestJobs:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(capsearch, "ProcessPoolExecutor", InProcessPool)
+        # `cli` and `capsearch` import the pool where they start one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         return sizes
 
@@ -415,6 +420,27 @@ class TestJobs:
         assert serial[0] == capped[0] == 0
         assert serial[1] == capped[1]
         assert pool_sizes == [2]
+
+
+class TestColdStart:
+    """A single-process command loads no process pool: importing the
+    command line and the modules that the benchmark's workers run leaves
+    `concurrent.futures`, `multiprocessing` and `platform` unloaded."""
+
+    def test_import_loads_no_pool(self):
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import raycap.cli, raycap.report, raycap.capsearch, raycap.ambigcheck, raycap.biquad\n"
+            "loaded = set(sys.modules) - before\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing', 'platform'} & loaded))\n"
+        )
+        src = str(Path(raycap.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "[]\n"
 
 
 class TestSelftest:

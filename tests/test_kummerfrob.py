@@ -369,6 +369,7 @@ def assert_decides_as_reference(
     None. Returns (candidates, prefilter rejections of (ii), those of them
     whose signature the filter allows, so that its norm part decides)."""
     seen = rejected = by_norm = 0
+    chk.build_prefilter()
     genus = chk.genus
     for p in chk.candidates(3, bound):
         want = reference_decide(chk, p)
@@ -485,6 +486,7 @@ class TestGenusPrefilter:
         modulus = modulus_from_rational(K, 3)
         target = (0,) * ray_class_group(K, modulus).group.rank
         chk = ConditionChecker(K, modulus, target, SearchParams(2, 1, 0, 2 * 10**4))
+        chk.build_prefilter()
         assert [(i, m) for i, m, _ in chk.genus.chars] == [(0, 4), (1, 5)]
         assert assert_decides_as_reference(chk, 2 * 10**4)[1] > 0
 
@@ -521,6 +523,7 @@ class TestGenusPrefilter:
             chk = ConditionChecker(
                 K, modulus_from_rational(K, m), target, SearchParams(2, 1, 0, bound)
             )
+            chk.build_prefilter()
             assert chk.ray_exact == exact
             stream = list(chk.candidates(3, bound))
             want = [reference_decide(chk, p) for p in stream]
@@ -585,6 +588,7 @@ class TestKeyOnOtherModuli:
         for target in ell_power_targets(ray.group, ell):
             for n in (1, 2):
                 chk = ConditionChecker(K, modulus, target, SearchParams(ell, n, 0, 3000))
+                chk.build_prefilter()
                 assert chk.ray_exact == brute_ray_exact(ray, chk.prime_discs)
                 assert_decides_as_reference(chk, 3000)
 
@@ -655,6 +659,7 @@ class TestGenusExact:
         for K, modulus in corpus_fields():
             ray = ray_class_group(K, modulus)
             chk = ConditionChecker(K, modulus, (0,) * ray.group.rank, SearchParams(2, 1, 0))
+            chk.build_prefilter()
             assert chk.ray_exact == brute_ray_exact(ray, chk.prime_discs), (K.d, modulus)
             exact += chk.ray_exact
             fields += 1
@@ -674,6 +679,7 @@ class TestGenusExact:
         modulus = modulus_from_rational(K, m)
         ray = ray_class_group(K, modulus)
         chk = ConditionChecker(K, modulus, (0,) * ray.group.rank, SearchParams(2, 1, 0))
+        chk.build_prefilter()
         assert chk.ray_exact == brute_ray_exact(ray, chk.prime_discs) == exact
 
     def test_legendre_symbol_is_the_eps_character_order(self):
@@ -707,11 +713,78 @@ class TestGenusExact:
         eps-character."""
         K = quadratic_field(286)
         chk = ConditionChecker(K, Modulus.trivial(K), (0,), SearchParams(2, 1, 0))
+        chk.build_prefilter()
         assert chk.ray_exact and chk.norm_one_plus_eps == 1123672 == 113 * 9944
         want = reference_decide(chk, 113)
         assert chk.verdict(113) == want == ("iii", 50)
         rep = chk.check(113)
         assert (rep.failed_at, rep.root) == want
+
+
+class TestPrefilterOnDemand:
+    """A checker builds the genus prefilter (`build_prefilter`) on its first
+    `scan` or `verdict`; `check` decides with whatever the checker holds and
+    builds none, so a checker made for one `check`, as verify makes it,
+    skips `GenusFilter.build`."""
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        builds = []
+        build = kummerfrob.GenusFilter.build
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(kummerfrob.GenusFilter, "build", staticmethod(counted))
+        return builds
+
+    def test_check_without_prefilter_reports_as_with_it(self, certify_certificates, monkeypatch):
+        """Over the certificates of the `certify` population: at the stamped
+        p and the 2,756 scan candidates below them, check(p) on a fresh
+        checker equals check(p) on a checker whose prefilter is built (ok,
+        failed_at, root and both characters), and the fresh checker still
+        holds no prefilter. The built prefilters are all active and 247 of
+        the 321 fields ray-exact, so the lookup and the prefilter both
+        decide."""
+        builds = self.count_builds(monkeypatch)
+        assert len(certify_certificates) == 321
+        exact = candidates = 0
+        for cert in certify_certificates:
+            K = quadratic_field(cert.d)
+            args = (K, Modulus.from_entries(K, cert.modulus), cert.target,
+                    SearchParams(cert.ell, cert.n, cert.h, cert.bound))
+            fresh, built = ConditionChecker(*args), ConditionChecker(*args)
+            built.build_prefilter()
+            assert built.genus is not None
+            exact += built.ray_exact
+            rep = fresh.check(cert.p)
+            assert rep == built.check(cert.p) and rep.ok and rep.root == cert.root
+            for p in fresh.candidates(3, cert.p - 1):
+                assert fresh.check(p) == built.check(p), (cert.d, cert.modulus, p)
+                candidates += 1
+            assert fresh.genus is None and fresh.ray_exact is False
+        assert exact == 247 and candidates == 2756
+        assert len(builds) == 321
+
+    def test_scan_and_verdict_build_it_once(self, monkeypatch):
+        """d = 7315 mod 3: `check` leaves the checker without a prefilter,
+        the first `verdict` builds it, and later verdicts and scans reuse
+        it; a fresh checker's first `scan` builds it too."""
+        builds = self.count_builds(monkeypatch)
+        chk = fresh_checker(7315, 3, 2 * 10**4)
+        assert chk.genus is None and chk.ray_exact is False
+        chk.check(1993)
+        assert builds == [] and chk.genus is None
+        chk.verdict(1993)
+        genus = chk.genus
+        assert len(builds) == 1 and genus is not None
+        chk.scan(3, 2 * 10**4)
+        chk.verdict(2017)
+        assert len(builds) == 1 and chk.genus is genus
+        other = fresh_checker(7315, 3, 2 * 10**4)
+        other.scan(3, 1000)
+        assert len(builds) == 2 and other.genus == genus
 
 
 def reference_scan(chk: ConditionChecker, lo: int, hi: int):
@@ -753,6 +826,7 @@ class TestSplitTable:
         bound = 2 * 10**4
         chk = fresh_checker(1435, 3, bound)
         b = chk._break_even
+        chk.build_prefilter()
         assert (b, chk.prime_discs) == (47, [-4, 5, -7, 41]) and chk.genus is not None
         stream = list(chk.candidates(3, bound))
         hit = stream.index(reference_scan(chk, stream[115], bound)[0])
@@ -844,6 +918,7 @@ class TestSplitTable:
                 modulus = modulus_from_rational(K, m)
                 for target in ell_power_targets(ray_class_group(K, modulus).group, 2):
                     chk = ConditionChecker(K, modulus, target, SearchParams(2, 1, 0, 3000))
+                    chk.build_prefilter()
                     codes = kummerfrob._split_codes(chk.prime_discs, chk.genus)
                     assert len(codes) == abs(D)
                     genus = chk.genus
