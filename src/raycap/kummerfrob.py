@@ -339,7 +339,7 @@ class ConditionChecker:
         # order ell^{n-h}, which is attainable only when h >= v_ell(k)
         self.iii_attainable = self.h >= valuation(self.eps_unit_exponent, params.ell)
         ds = prime_discriminants(field.D)
-        # no prefilter until the first `scan` or `verdict` builds it
+        # no prefilter until the first `scan` builds it
         # (`build_prefilter`); `check` decides without one
         self.genus: GenusFilter | None = None
         self.ray_exact = False
@@ -435,19 +435,15 @@ class ConditionChecker:
             mask |= table[p % m] << i
         return genus.code(mask)
 
-    def verdict(self, p: int) -> tuple[str | None, int | None]:
-        """(failed_at, root) at a candidate p (`candidates`) as the scan
-        decides it: conditions (i')-(iv) in turn up to the first that fails,
-        failed_at None when all pass. root is None when none was taken: when
-        (i') fails, when the prefilter proves that (ii) fails, and on the
-        ray-exact fields at ell^n = 2 unless p | N(1 + eps)."""
-        self.build_prefilter()
-        return self._decide(p, self._code(p))
-
     def _decide(self, p: int, code: int) -> tuple[str | None, int | None]:
-        """`verdict` at a candidate p with the split-table code `code`: (i')
-        fails at code 0, and the signature part of the prefilter (ii) at
-        code 1. Past them, the norm part of the prefilter, if any, then (ii)
+        """(failed_at, root) at a candidate p (`candidates`) with the
+        split-table code `code`, as the scan decides it: conditions
+        (i')-(iv) in turn up to the first that fails, failed_at None when
+        all pass; root None when none was taken: when (i') fails, when the
+        prefilter proves that (ii) fails, and on the ray-exact fields at
+        ell^n = 2 unless p | N(1 + eps). (i') fails at code 0, and the
+        signature part of the prefilter (ii) at code 1. Past them, the norm
+        part of the prefilter, if any, then (ii)
         by the ray class of the prime above p unless the field is ray-exact,
         then (iii) by a Legendre symbol at ell^n = 2 and p prime to
         N(1 + eps), else by the eps-character, and (iv)."""
@@ -484,8 +480,8 @@ class ConditionChecker:
     def check(self, p: int) -> ConditionReport:
         """Conditions (i')-(iv) at any integer p as a report. A `forbidden` p
         raises InputError, a p that is not prime or misses the cyclotomic
-        congruence fails (i'), and a candidate gets `verdict`'s verdict and
-        root, taking the root here past (i') when `verdict` took none. It
+        congruence fails (i'), and a candidate gets `_decide`'s verdict and
+        root, taking the root here past (i') when `_decide` took none. It
         decides with the prefilter if one is built and builds none, so a
         checker made for one `check` skips `GenusFilter.build`. The report
         holds each outcome up to the first failure and, past (ii), the eps

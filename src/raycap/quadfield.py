@@ -245,14 +245,20 @@ def _compose(field: QuadField, I1: tuple[int, int, int],
     so that b + w is (B + sqrt D)/2. With d1 = gcd(a1, a2) = x1*a1 + y1*a2
     and d = gcd(d1, s) = x2*d1 + z*s for s = (B1 + B2)/2, the primitive
     parts multiply to d * [a1*a2/d^2, (B3 + sqrt D)/2] (Cohen, GTM 138,
-    section 5.4)."""
+    section 5.4). When d1 = 1, y1 = a2^-1 mod a1 gives B3 = B1 mod a1 and
+    B2 mod a2 with no extended gcd; B3 is unique mod 2*a1*a2, so b is the
+    same."""
     (g1, a1, b1), (g2, a2, b2) = I1, I2
     t = field.t
     B1, B2 = 2 * b1 + t, 2 * b2 + t
-    d1, x1, y1 = xgcd(a1, a2)
-    d, x2, z = xgcd(d1, (B1 + B2) // 2)
-    a = a1 * a2 // (d * d)
-    B3 = (x2 * (x1 * a1 * B2 + y1 * a2 * B1) + z * ((B1 * B2 + field.D) // 2)) // d
+    if math.gcd(a1, a2) == 1:
+        y1a2 = pow(a2, -1, a1) * a2  # 0 when a1 = 1
+        d, a, B3 = 1, a1 * a2, B2 + y1a2 * (B1 - B2)
+    else:
+        d1, x1, y1 = xgcd(a1, a2)
+        d, x2, z = xgcd(d1, (B1 + B2) // 2)
+        a = a1 * a2 // (d * d)
+        B3 = (x2 * (x1 * a1 * B2 + y1 * a2 * B1) + z * ((B1 * B2 + field.D) // 2)) // d
     b = ((B3 - t) // 2) % a
     require((b * (b + t) - field.u) % a == 0, "a composed lattice is not an ideal")
     return g1 * g2 * d, a, b
@@ -989,6 +995,20 @@ def adjust_by_units(y, residue: ResidueSystem, units: Sequence):
 # ray class groups
 
 
+def _class_product(field: QuadField, residue: ResidueSystem):
+    """The product of triples that cofactor walks take: `_compose`, exact,
+    when the walk reads residues; for m = 1, whose walk asks only whether
+    the class is trivial, `_compose` then `_reduce_primitive` with g
+    dropped, so a power P^e keeps its operands reduced instead of growing
+    to norm N(P)^e."""
+    if residue.factors:
+        return partial(_compose, field)
+
+    def reduced(I, J):
+        return (1, *_reduce_primitive(field, *_compose(field, I, J)[1:])[:2])
+    return reduced
+
+
 def _cofactor_residue(field: QuadField, I: tuple[int, int, int], gens: Sequence[QIdeal],
                       v: Sequence[int], residue: ResidueSystem):
     """The residue part of the triple I against the primes P_i of `gens`:
@@ -996,8 +1016,9 @@ def _cofactor_residue(field: QuadField, I: tuple[int, int, int], gens: Sequence[
     dlog_int(N C), unreduced, since P_i * conj(P_i) = (N P_i); None when
     I*C is not principal. C and I*C = g*J are triples (`_compose`), and
     y = g/mu is not built: the walk of J to [1, w] = mu*J folds into mu's
-    local state (`ResidueSystem.fold`; nothing for m = 1, whose part is empty)."""
-    mul = partial(_compose, field)
+    local state (`ResidueSystem.fold`). For m = 1 the part is empty, and
+    C and I*C are taken up to class (`_class_product`)."""
+    mul = _class_product(field, residue)
     C = (1, 1, 0)
     for P, e in zip(gens, v):
         if e:
@@ -1006,7 +1027,9 @@ def _cofactor_residue(field: QuadField, I: tuple[int, int, int], gens: Sequence[
     a, b, steps = _reduce_primitive(field, a, b)
     if _walk_to(field, a, b, steps, lambda a, _: a == 1) is None:
         return None
-    logs = residue.dlogs(residue.fold(residue.one, steps), g) if residue.factors else ()
+    if not residue.factors:
+        return ()
+    logs = residue.dlogs(residue.fold(residue.one, steps), g)
     return tuple(map(operator.sub, logs, residue.dlog_int(C[0] * C[0] * C[1])))
 
 
@@ -1179,37 +1202,51 @@ def _vector_closure(
     return table, relations
 
 
+def _relation_residue(field: QuadField, rel: Sequence[int], gens: Sequence[QIdeal],
+                      residue: ResidueSystem) -> tuple[int, ...]:
+    """The residue part of the relation rel = pos - neg on the primes P_i
+    of `gens`: Jp * C = (alpha) for Jp = prod P_i^pos_i and
+    C = prod conj(P_i)^neg_i, so rel less Jp's residue part (by
+    `_cofactor_residue`) is a relation of Cl^m."""
+    mul = _class_product(field, residue)
+    Jp = (1, 1, 0)
+    for P, e in zip(gens, rel):
+        if e > 0:
+            Jp = mul(Jp, power(P.key(), e, None, mul))
+    res = _cofactor_residue(field, Jp, gens, [max(-e, 0) for e in rel], residue)
+    require(res is not None, "a harvested relation is not principal")
+    return res
+
+
 @lru_cache(maxsize=FIELD_CACHE_SIZE)
 def ray_class_group(field: QuadField, modulus: Modulus) -> RayClassData:
-    """Cl^m_K presented over prime-ideal generators and residue generators."""
+    """Cl^m_K presented over prime-ideal generators and residue generators:
+    the closure's relation rows, each with its residue part, the unit
+    images and the factor orders. For m = 1 the rows are the closure's
+    alone (the unit rows would be zero and never pivot, so the Smith form
+    is the same), and their principality is proved on the basis
+    `hnf_rows` of their lattice, one reduced walk per basis row: principal
+    products are closed under sums and inverses."""
     cl = class_group(field)
     ideal_gens, table, cl_relations = _ray_ideal_gens(field, modulus, cl)
     residue = residue_system(field, modulus)
     r, s = len(ideal_gens), len(residue.factors)
     labels = tuple(f"P{i}" for i in range(r)) + tuple(f"U{i}" for i in range(s))
-    rows: list[list[int]] = []
-    mul = partial(_compose, field)
-    for rel in cl_relations:
-        # rel = pos - neg, and Jp * C = (alpha) for Jp = prod P_i^pos_i and
-        # C = prod conj(P_i)^neg_i: rel less Jp's residue part is a relation
-        Jp = (1, 1, 0)
-        for P, e in zip(ideal_gens, rel):
-            if e > 0:
-                Jp = mul(Jp, power(P.key(), e, None, mul))
-        res = _cofactor_residue(field, Jp, ideal_gens, [max(-e, 0) for e in rel], residue)
-        require(res is not None, "a harvested relation is not principal")
-        rows.append(list(rel) + [-c for c in res])
-    for u in unit_gens(field):
-        rows.append([0] * r + list(residue.dlog(u)))
-    for i, o in enumerate(residue.orders):
-        rows.append([0] * r + [o if j == i else 0 for j in range(s)])
-    if r + s == 0:
-        rows = []
-    group = group_from_relations(rows, labels)
-    # unit image inside (O/m)^*, for the exact-sequence order identity
-    unit_image = residue.group.subgroup_order(
-        [residue.vector(u) for u in unit_gens(field)]
-    )
+    if not residue.factors:
+        for rel in hnf_rows(cl_relations):
+            _relation_residue(field, rel, ideal_gens, residue)
+        group = group_from_relations(cl_relations, labels)
+        unit_image = 1
+    else:
+        rows = [list(rel) + [-c for c in _relation_residue(field, rel, ideal_gens, residue)]
+                for rel in cl_relations]
+        units = unit_gens(field)
+        rows += [[0] * r + list(residue.dlog(u)) for u in units]
+        rows += [[0] * r + [o if j == i else 0 for j in range(s)]
+                 for i, o in enumerate(residue.orders)]
+        group = group_from_relations(rows, labels)
+        # unit image inside (O/m)^*, for the exact-sequence order identity
+        unit_image = residue.group.subgroup_order([residue.vector(u) for u in units])
     data = RayClassData(field, modulus, group, cl, ideal_gens, residue, table, unit_image)
     expected = cl.h * residue.order() // unit_image
     require(group.order() == expected, "the exact-sequence order identity fails")

@@ -4,7 +4,8 @@ splitting degrees of polynomials mod q, analytic class numbers of imaginary
 fields, synthetic abelian groups given by their invariants, the identity,
 sums and element list of a group in invariant-factor form, the cyclic
 complement of an element of an ell-group, ideals of K as the HNF of their
-generators' lattice, exact ideal division, ray-principal generators, the
+generators' lattice, exact ideal division, Dirichlet composition of
+integer triples by two extended gcds, ray-principal generators, the
 splitting of p in K by the roots of w's minimal polynomial, ray generators
 closed by ideal products, real reduction by a rho walk that moves its
 multiplier at every step, with an exact multiplier num/den kept in lowest
@@ -22,6 +23,7 @@ by scanning roots for membership. The library never calls them.
 The square root stands on the library's quadratic square root. The ideal
 oracles stand on the library's `QIdeal`, `BqIdeal` and its HNF, division and
 ray principality also on its ideal product and generator search, the
+composition on its `xgcd`, the
 splitting on its `kronecker` and `roots_mod_p`, the square-test primes on
 the same two and `is_prime`, the ray generators on its ideal product and `class_key`, the
 fundamental unit on its rho cycle and step product, the rho walk on its
@@ -42,7 +44,7 @@ from collections import deque
 from itertools import zip_longest
 from typing import Iterator, Sequence
 
-from raycap.abgroup import FiniteAbelianGroup, hnf_rows, solve_left
+from raycap.abgroup import FiniteAbelianGroup, hnf_rows, solve_left, xgcd
 from raycap.ambigcheck import _unit_lattice
 from raycap.biquad import BqElt, BqIdeal, _w_elt, sqrt_in_quadratic
 from raycap.exactmath import (
@@ -331,6 +333,22 @@ def divide_exact(I: QIdeal, J: QIdeal) -> QIdeal:
     if prod.g % n:
         raise ValueError("ideal does not divide")
     return QIdeal(I.field, prod.g // n, prod.a, prod.b)
+
+
+def compose_by_xgcd(field: QuadField, I1: tuple[int, int, int],
+                    I2: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The product of two (g, a, b) triples by Dirichlet composition with
+    both extended gcds always taken: d1 = gcd(a1, a2) = x1*a1 + y1*a2 and
+    d = gcd(d1, (B1 + B2)/2) = x2*d1 + z*(B1 + B2)/2, B_i = 2*b_i + t
+    (Cohen, GTM 138, section 5.4)."""
+    (g1, a1, b1), (g2, a2, b2) = I1, I2
+    t = field.t
+    B1, B2 = 2 * b1 + t, 2 * b2 + t
+    d1, x1, y1 = xgcd(a1, a2)
+    d, x2, z = xgcd(d1, (B1 + B2) // 2)
+    a = a1 * a2 // (d * d)
+    B3 = (x2 * (x1 * a1 * B2 + y1 * a2 * B1) + z * ((B1 * B2 + field.D) // 2)) // d
+    return g1 * g2 * d, a, ((B3 - t) // 2) % a
 
 
 def is_ray_principal(ray: RayClassData, I: QIdeal) -> QElt | None:

@@ -39,6 +39,14 @@ def disc_root_pair(D: int, p: int) -> tuple[int, int]:
     return min(r, p - r), max(r, p - r)
 
 
+def verdict(chk: ConditionChecker, p: int) -> tuple[str | None, int | None]:
+    """(failed_at, root) at a candidate p (`candidates`) as the scan decides
+    it: the prefilter built (`build_prefilter`), then `_decide(p, _code(p))`.
+    root is None when none was taken (see `_decide`)."""
+    chk.build_prefilter()
+    return chk._decide(p, chk._code(p))
+
+
 def count_roots_of_unity(p: int, k: int) -> int:
     """Brute count of solutions to x^k = 1 in F_p."""
     return sum(1 for x in range(1, p) if pow(x, k, p) == 1)
@@ -267,7 +275,7 @@ class TestConditionChecker:
         want = {"scanned": 0, "rejected_i": 0, "rejected_ii": 0, "rejected_iii": 0}
         for p in chk.candidates(3, 2 * 10**4):
             rep = chk.check(p)
-            failed_at, root = chk.verdict(p)
+            failed_at, root = verdict(chk, p)
             assert failed_at == rep.failed_at and root in (rep.root, None)
             assert (rep.failed_at, rep.root) == reference_decide(chk, p)
             seen.add(rep.failed_at)
@@ -373,7 +381,7 @@ def assert_decides_as_reference(
     genus = chk.genus
     for p in chk.candidates(3, bound):
         want = reference_decide(chk, p)
-        failed_at, root = chk.verdict(p)
+        failed_at, root = verdict(chk, p)
         assert failed_at == want[0], p
         assert root in (None, want[1]), p
         if root is None or every_check:
@@ -557,7 +565,7 @@ class TestGenusPrefilter:
         target = (0,) * ray_class_group(K, modulus).group.rank
         chk = ConditionChecker(K, modulus, target, SearchParams(2, 1, 0))
         for p, root in pinned:
-            assert chk.verdict(p) == ("ii", None)
+            assert verdict(chk, p) == ("ii", None)
             r = sqrt_mod(K.D, p)
             assert root == min(r, p - r)
             assert chk.check(p) == kummerfrob.ConditionReport(
@@ -716,14 +724,15 @@ class TestGenusExact:
         chk.build_prefilter()
         assert chk.ray_exact and chk.norm_one_plus_eps == 1123672 == 113 * 9944
         want = reference_decide(chk, 113)
-        assert chk.verdict(113) == want == ("iii", 50)
+        assert verdict(chk, 113) == want == ("iii", 50)
         rep = chk.check(113)
         assert (rep.failed_at, rep.root) == want
 
 
 class TestPrefilterOnDemand:
     """A checker builds the genus prefilter (`build_prefilter`) on its first
-    `scan` or `verdict`; `check` decides with whatever the checker holds and
+    `scan` or `verdict` (the helper above, which builds it as the scan
+    does); `check` decides with whatever the checker holds and
     builds none, so a checker made for one `check`, as verify makes it,
     skips `GenusFilter.build`."""
 
@@ -776,11 +785,11 @@ class TestPrefilterOnDemand:
         assert chk.genus is None and chk.ray_exact is False
         chk.check(1993)
         assert builds == [] and chk.genus is None
-        chk.verdict(1993)
+        verdict(chk, 1993)
         genus = chk.genus
         assert len(builds) == 1 and genus is not None
         chk.scan(3, 2 * 10**4)
-        chk.verdict(2017)
+        verdict(chk, 2017)
         assert len(builds) == 1 and chk.genus is genus
         other = fresh_checker(7315, 3, 2 * 10**4)
         other.scan(3, 1000)

@@ -16,6 +16,7 @@ from oracles import (
     LocalMult,
     Mult,
     analytic_class_number,
+    compose_by_xgcd,
     divide_exact,
     exact_local_value,
     factor_prime_by_roots,
@@ -30,6 +31,7 @@ from oracles import (
     smallest_prime_factors,
 )
 from raycap import quadfield
+from raycap.abgroup import hnf_rows
 from raycap.errors import BudgetError, InputError, InvariantError
 from raycap.exactmath import kronecker, primes_up_to, sqrt_mod, squarefree_part
 from raycap.quadfield import (
@@ -264,6 +266,33 @@ class TestIdeals:
         assert _compose(K, (1, 3, 1), (1, 1, 0)) == (1, 3, 1)
         with pytest.raises(InvariantError, match="not an ideal"):
             _compose(K, (1, 3, 0), (1, 1, 0))
+
+    @pytest.mark.parametrize("d", [-5, -14, -23, -1, -3, 34, 79, 5, 13, 7315])
+    def test_compose_matches_the_xgcd_path(self, d):
+        """`_compose`, which skips both extended gcds when gcd(a1, a2) = 1,
+        against the composition that always takes them: 600 random pairs
+        of products of small primes, their conjugates and the unit ideal,
+        each with a content g and a b shifted by a multiple of a, so that
+        coprime norms, a = 1 on either side and shared primes all occur."""
+        K = quadratic_field(d)
+        rng = random.Random(d)
+        primes = [P.key() for p in primes_up_to(60)
+                  for P, _, _ in factor_prime(K, p)[1] if P.g == 1]
+
+        def random_triple():
+            I = (rng.randint(1, 3), 1, 0)
+            for _ in range(rng.randint(0, 3)):
+                I = compose_by_xgcd(K, I, rng.choice(primes))
+            g, a, b = I
+            return g, a, b + a * rng.randint(-2, 2)
+
+        seen = set()
+        for _ in range(600):
+            I1, I2 = random_triple(), random_triple()
+            assert _compose(K, I1, I2) == compose_by_xgcd(K, I1, I2), (I1, I2)
+            seen.add("a = 1" if 1 in (I1[1], I2[1]) else
+                     "coprime" if math.gcd(I1[1], I2[1]) == 1 else "shared")
+        assert seen == {"a = 1", "coprime", "shared"}
 
     def test_conj_product_is_norm(self):
         K = quadratic_field(-14)
@@ -1025,6 +1054,89 @@ def test_cofactor_walk_matches_element_path(monkeypatch, d, m):
         assert got == want
         contents.add(g > 1)
     assert contents == {False, True}
+
+
+def trivial_modulus_fields():
+    """Every fundamental |D| <= 2000 with h > 1, then class groups of 2-rank
+    two to four, where the closure has several generators."""
+    ds = [D if D % 4 == 1 else D // 4
+          for D in itertools.chain(range(-3, -2001, -1), range(5, 2001)) if is_fundamental(D)]
+    fields = [quadratic_field(d) for d in ds + [-5565, -15015, -30030, 15015]]
+    return [K for K in fields if class_group(K).h > 1]
+
+
+def test_trivial_modulus_walks_the_relation_basis(monkeypatch):
+    """For m = 1 the relation loop takes one cofactor walk per row of
+    `hnf_rows` of the closure's relations, a basis of their lattice, and
+    hands the closure's rows, unchanged and with no unit rows, to the one
+    Smith form it runs, whose group is that of the rows with the zero unit
+    rows below them; (O/1)^* builds no group."""
+    built, make_group = [], quadfield.group_from_relations
+
+    def recorded_group(rows, labels):
+        built.append(([list(row) for row in rows], labels))
+        return make_group(rows, labels)
+
+    fields = trivial_modulus_fields()
+    monkeypatch.setattr(quadfield, "group_from_relations", recorded_group)
+    walks = count_cofactor_walks(monkeypatch)
+    rows = basis = most = 0
+    for K in fields:
+        modulus = Modulus.trivial(K)
+        relations = _ray_ideal_gens(K, modulus, class_group(K))[2]
+        built.clear()
+        walks.clear()
+        ray = ray_class_group.__wrapped__(K, modulus)
+        assert len(walks) == len(hnf_rows(relations)) == ray.n_ideal
+        assert built == [(relations, ray.group.labels)]
+        units = [[0] * ray.n_ideal for _ in unit_gens(K)]
+        assert make_group(relations + units, ray.group.labels) == ray.group
+        assert "group" not in ray.residue.__dict__ and ray.unit_image_order == 1
+        rows, basis, most = rows + len(relations), basis + len(walks), max(most, ray.n_ideal)
+    assert len(fields) > 800 and most >= 5
+    assert rows > 3 * basis
+
+
+@pytest.mark.parametrize("d", [-5, 34, -5565, 15015])
+def test_trivial_modulus_refuses_a_non_principal_relation(monkeypatch, d):
+    """A closure that also hands over the vector of a non-principal class
+    as a relation makes `ray_class_group` raise InvariantError (exit 8) for
+    m = 1: that row enlarges the lattice, so some basis row is not
+    principal, and its walk never meets [1, w]."""
+    K = quadratic_field(d)
+    ray_gens = quadfield._ray_ideal_gens
+
+    def with_bad_row(field, modulus, cl):
+        gens, table, relations = ray_gens(field, modulus, cl)
+        bad = next(vec for vec in table.values() if any(vec))
+        return gens, table, relations + [list(bad)]
+
+    monkeypatch.setattr(quadfield, "_ray_ideal_gens", with_bad_row)
+    with pytest.raises(InvariantError, match="harvested relation is not principal") as err:
+        ray_class_group.__wrapped__(K, Modulus.trivial(K))
+    assert err.value.exit_code == 8
+
+
+def test_trivial_modulus_of_a_large_imaginary_field(monkeypatch):
+    """Q(sqrt -(10^9+7)) mod 1: Cl = (26629) on the prime above 2, and the
+    prime above 3 has coordinate 11106 (both as recorded when P^26629 was
+    still built as an ideal of norm 2^26629). The one relation is proved by
+    one walk whose products all take reduced operands, a <= sqrt(|D|/3)."""
+    K = quadratic_field(-(10**9 + 7))
+    class_group(K)
+    sizes, compose = [], quadfield._compose
+
+    def recorded(field, I1, I2):
+        sizes.extend((I1[1], I2[1]))
+        return compose(field, I1, I2)
+
+    monkeypatch.setattr(quadfield, "_compose", recorded)
+    walks = count_cofactor_walks(monkeypatch)
+    ray = ray_class_group.__wrapped__(K, Modulus.trivial(K))
+    assert ray.group.invariants == (26629,)
+    assert [P.entry() for P in ray.ideal_gens] == [(2, 2, 0, 1)]
+    assert len(walks) == 1 and 3 * max(sizes) ** 2 <= -K.D
+    assert ray.dlog(factor_prime(K, 3)[1][0][0]) == (11106,)
 
 
 def _same_ray_generators(K, m):
