@@ -47,6 +47,8 @@ from raycap.quadfield import (
     QuadField,
     ResidueSystem,
     _primitive_root,
+    class_group,
+    class_key,
     factor_prime,
     fundamental_unit,
     modulus_from_rational,
@@ -354,18 +356,26 @@ def ambiguous_count_formula(L, K, m) -> int:
 
 
 def _direct_quadratic(L: QuadField, m: int) -> int:
-    m_L = modulus_from_rational(L, m)
-    ray = ray_class_group(L, m_L)
+    """For m = 1 the ray class group is Cl^1_L = Cl_L, which `class_group`
+    already presents, and the count is a subgroup order, the same on any
+    basis: each ramified prime's class is read off its table by class key,
+    and no second presentation of Cl_L is built."""
+    if m == 1:
+        cl = class_group(L)
+        group, class_of = cl.group, lambda P: cl.group.dlog_ambient(cl.table[class_key(P)])
+    else:
+        ray = ray_class_group(L, modulus_from_rational(L, m))
+        group, class_of = ray.group, ray.dlog
     vecs = []
     for p0 in sorted(factor(abs(L.D))):
         if m % p0 == 0:
             continue
         kind, data = factor_prime(L, p0)
         require(kind == "ramified", "a prime dividing D_L is not ramified")
-        vecs.append(ray.dlog(data[0][0]))
-    for a in rayclass_Q_generators(m):
+        vecs.append(class_of(data[0][0]))
+    for a in rayclass_Q_generators(m):  # empty for m <= 2, so `ray` is bound
         vecs.append(ray.class_of_principal(QElt(L, a, 0)))
-    return ray.group.subgroup_order(vecs)
+    return group.subgroup_order(vecs)
 
 
 def _direct_biquad(L: BiquadField, K: QuadField, m: Modulus) -> int:

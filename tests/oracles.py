@@ -15,11 +15,13 @@ exact element, ideals of L = Q(sqrt d, sqrt p) as the HNF of all products of
 basis elements, principal ideals of L as the HNF of one generator, square
 roots in L by the integer square root chain alone, with no residue test
 first, the square-test primes of L by Kronecker symbols, and the unit norm
-index of a quadratic field over Q by exponent lattices, square roots mod p
-with the Tonelli-Shanks nonresidue found by linear scan, a scan candidate's
-conditions decided without genus characters, the Gaussian period polynomial
-by CRT across auxiliary primes, and the residue factor of a prime of L found
-by scanning roots for membership. The library never calls them.
+index of a quadratic field over Q by exponent lattices, its ambiguous
+count at m = 1 in the ray class group of the trivial modulus, square roots
+mod p with the Tonelli-Shanks nonresidue found by linear scan, a scan
+candidate's conditions decided without genus characters, the Gaussian
+period polynomial by CRT across auxiliary primes, and the residue factor of
+a prime of L found by scanning roots for membership. The library never
+calls them.
 The square root stands on the library's quadratic square root. The ideal
 oracles stand on the library's `QIdeal`, `BqIdeal` and its HNF, division and
 ray principality also on its ideal product and generator search, the
@@ -30,9 +32,10 @@ fundamental unit on its rho cycle and step product, the rho walk on its
 residue factors' valuation and unit-part residue, the local value on their
 residues and discrete logs, the principal ideal of L on
 `BqIdeal.from_generators`, and the norm index on its residue systems and
-unit lattice, the scan's reference decision on the checker's ray class
-group, unit and square root, the period polynomial on its primitive root,
-CRT and primes in progression, and the residue factor of L on
+unit lattice, the trivial-modulus ambiguous count on its ray class group
+and prime splitting, the scan's reference decision on the checker's ray
+class group, unit and square root, the period polynomial on its primitive
+root, CRT and primes in progression, and the residue factor of L on
 `ResidueFactor`, `BqIdeal.contains` and the roots mod p; the rest share no
 code with it.
 """
@@ -73,8 +76,10 @@ from raycap.quadfield import (
     _steps_product,
     adjust_by_units,
     class_key,
+    factor_prime,
     is_principal_with_generator,
     modulus_from_rational,
+    ray_class_group,
     residue_system,
     unit_gens,
 )
@@ -771,6 +776,24 @@ def quadratic_norm_index(L: QuadField, m: int) -> int:
     over_em = 1 if m <= 2 else 2
     assert over_norms % over_em == 0
     return over_norms // over_em
+
+
+# ---------------------------------------------------------------------------
+# the direct ambiguous count over Q at m = 1 in the ray class group of the
+# trivial modulus: a second presentation of Cl_L, with its own generators,
+# SNF basis and lookups
+
+
+def ambiguous_count_by_ray_group(L: QuadField) -> int:
+    """Order of the subgroup of Cl^1_L generated by the ramified primes,
+    from the `dlog` of each in `ray_class_group(L, 1)`."""
+    ray = ray_class_group(L, modulus_from_rational(L, 1))
+    vecs = []
+    for p0 in sorted(factor(abs(L.D))):
+        kind, data = factor_prime(L, p0)
+        require(kind == "ramified", "a prime dividing D_L is not ramified")
+        vecs.append(ray.dlog(data[0][0]))
+    return ray.group.subgroup_order(vecs)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import det_bareiss, group_add, group_identity, quadratic_norm_index
+from oracles import (
+    ambiguous_count_by_ray_group,
+    det_bareiss,
+    group_add,
+    group_identity,
+    quadratic_norm_index,
+)
 from raycap import ambigcheck
 from raycap.ambigcheck import (
     AmbigReport,
@@ -328,6 +334,17 @@ class TestAmbiguousCounts:
         want = genus_expected(d)
         assert ambiguous_count_formula(field, None, 1) == want
         assert ambiguous_count_direct(field, None, 1) == want
+
+    def test_trivial_modulus_matches_the_ray_group_route(self):
+        """At m = 1 the direct side reads Cl_L; the ray class group of the
+        trivial modulus, built on its own generators and basis, gives the
+        same order for every field with |D_L| <= 2000."""
+        ds = fundamental_field_params(2000)
+        assert min(ds) < 0 < max(ds)
+        bad = [d for d in ds
+               if ambiguous_count_direct(quadratic_field(d), None, 1)
+               != ambiguous_count_by_ray_group(quadratic_field(d))]
+        assert bad == []
 
     @pytest.mark.parametrize(
         "d,m",

@@ -42,23 +42,49 @@ def _sweep_corpus(disc_bound: int) -> list[tuple]:
     return module.build_corpus(disc_bound, (3, 5, 7))
 
 
+def _assert_bounded() -> None:
+    for cache in BOUNDED:
+        info = cache.cache_info()
+        assert info.maxsize == FIELD_CACHE_SIZE
+        assert info.currsize <= FIELD_CACHE_SIZE
+
+
 def test_caches_stay_within_the_bound_over_a_sweep():
     """The disc-bound-1000 sweep corpus touches more than FIELD_CACHE_SIZE
-    fields (607, 302 of them real) and (field, modulus) pairs: from empty
-    caches, each field-level cache evicts instead of growing, and every
-    case still balances."""
+    fields (607, 302 of them real): from empty caches, the class group and
+    fundamental unit caches evict instead of growing, and every case still
+    balances. Its m = 1 quadratic cases read Cl_L and build no ray class
+    group, so the ray class groups of more fields are built after it, and
+    that cache evicts instead of growing too."""
     corpus = _sweep_corpus(1000)
     real = {c[1] for c in corpus if c[0] == "quad" and c[1] > 0}
     assert len(real) > FIELD_CACHE_SIZE
     for cache in BOUNDED:
         cache.cache_clear()
     assert all(ambig_case(c).equal for c in corpus)
-    for cache in BOUNDED:
-        info = cache.cache_info()
-        assert info.maxsize == FIELD_CACHE_SIZE
-        assert info.currsize <= FIELD_CACHE_SIZE
-    for cache in BOUNDED[:3]:
+    _assert_bounded()
+    for cache in (quadfield.class_group, quadfield.fundamental_unit):
         assert cache.cache_info().misses > FIELD_CACHE_SIZE
+    _evict_ray_groups()
+    _assert_bounded()
+    assert quadfield.ray_class_group.cache_info().misses > FIELD_CACHE_SIZE
+
+
+@pytest.mark.parametrize("d", [-1365, -4199, 1365, 3999])
+def test_trivial_modulus_case_builds_no_ray_class_group(d):
+    """A quad case with m = 1 reads the ramified classes off Cl_L (these
+    fields have h > 1 and 2-rank at least 2); one with m = 11 still builds
+    its ray class group, which a second call then finds cached."""
+    L = quadratic_field(d)
+    assert quadfield.class_group(L).h > 1
+    assert sum(c % 2 == 0 for c in quadfield.class_group(L).group.invariants) >= 2
+    quadfield.ray_class_group.cache_clear()
+    assert ambig_case(("quad", d, 1)).equal
+    assert quadfield.ray_class_group.cache_info().misses == 0
+    assert ambig_case(("quad", d, 11)).equal
+    assert quadfield.ray_class_group.cache_info().misses == 1
+    ray_class_group(L, modulus_from_rational(L, 11))
+    assert quadfield.ray_class_group.cache_info().misses == 1
 
 
 def test_rational_ray_data_runs_once_per_modulus():
