@@ -12,11 +12,13 @@ index taken on unit groups of elements that are 1 mod the respective moduli.
 `ambiguous_count_formula` evaluates that expression factor by factor, from
 discriminants and unit norms: it builds no prime of L, and over Q no
 residue system. `ambiguous_count_direct` computes the order of the subgroup
-of Cl^m(L) generated by ramified primes and extended K-ideals. Agreement
-across a corpus is the regression signal. The two routes share the base ray
-class group (`rayclass_Q` and its generators, or `ray_class_group`), and for
-a biquadratic step `unit_group`, `extend_modulus` and the residue system
-mod m_L inside the unit index. A fault in those would hit both sides alike.
+of Cl^m(L) generated by ramified primes and extended K-ideals; for L over
+Q with m = 1 that is the subgroup of Cl_L that `_coset_closure` grows from
+the ramified primes alone. Agreement across a corpus is the regression
+signal. The two routes share the base ray class group (`rayclass_Q` and
+its generators, or `ray_class_group`), and for a biquadratic step
+`unit_group`, `extend_modulus` and the residue system mod m_L inside the
+unit index. A fault in those would hit both sides alike.
 """
 from __future__ import annotations
 
@@ -46,9 +48,8 @@ from raycap.quadfield import (
     QElt,
     QuadField,
     ResidueSystem,
+    _coset_closure,
     _primitive_root,
-    class_group,
-    class_key,
     factor_prime,
     fundamental_unit,
     modulus_from_rational,
@@ -356,26 +357,23 @@ def ambiguous_count_formula(L, K, m) -> int:
 
 
 def _direct_quadratic(L: QuadField, m: int) -> int:
-    """For m = 1 the ray class group is Cl^1_L = Cl_L, which `class_group`
-    already presents, and the count is a subgroup order, the same on any
-    basis: each ramified prime's class is read off its table by class key,
-    and no second presentation of Cl_L is built."""
-    if m == 1:
-        cl = class_group(L)
-        group, class_of = cl.group, lambda P: cl.group.dlog_ambient(cl.table[class_key(P)])
-    else:
-        ray = ray_class_group(L, modulus_from_rational(L, m))
-        group, class_of = ray.group, ray.dlog
-    vecs = []
+    """For m = 1 the ray class group is Cl^1_L = Cl_L, and the count is the
+    order of the subgroup the ramified primes generate: `_coset_closure`
+    grows exactly that subgroup from their classes, one table entry per
+    class, so no presentation of Cl_L is built."""
+    ramified = []
     for p0 in sorted(factor(abs(L.D))):
         if m % p0 == 0:
             continue
         kind, data = factor_prime(L, p0)
         require(kind == "ramified", "a prime dividing D_L is not ramified")
-        vecs.append(class_of(data[0][0]))
-    for a in rayclass_Q_generators(m):  # empty for m <= 2, so `ray` is bound
-        vecs.append(ray.class_of_principal(QElt(L, a, 0)))
-    return group.subgroup_order(vecs)
+        ramified.append(data[0][0])
+    if m == 1:
+        return len(_coset_closure(L, [P.key() for P in ramified])[1])
+    ray = ray_class_group(L, modulus_from_rational(L, m))
+    vecs = [ray.dlog(P) for P in ramified]
+    vecs += [ray.class_of_principal(QElt(L, a, 0)) for a in rayclass_Q_generators(m)]
+    return ray.group.subgroup_order(vecs)
 
 
 def _direct_biquad(L: BiquadField, K: QuadField, m: Modulus) -> int:

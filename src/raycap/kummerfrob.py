@@ -25,7 +25,6 @@ from .quadfield import (
     QuadField,
     RayClassData,
     aug_unit_data,
-    prime_above_from_root,  # kept importable from here
     ray_class_group,
 )
 

@@ -33,11 +33,11 @@ from raycap.biquad import (
 )
 from raycap.capsearch import SearchParams, gaussian_period_min_poly, search_with_escalation
 from raycap.exactmath import is_prime
-from raycap.kummerfrob import prime_above_from_root
 from raycap.quadfield import (
     Modulus,
     class_group,
     modulus_from_rational,
+    prime_above_from_root,
     quadratic_field,
     ray_class_group,
     unit_gens,

@@ -336,10 +336,12 @@ class TestAmbiguousCounts:
         assert ambiguous_count_direct(field, None, 1) == want
 
     def test_trivial_modulus_matches_the_ray_group_route(self):
-        """At m = 1 the direct side reads Cl_L; the ray class group of the
-        trivial modulus, built on its own generators and basis, gives the
-        same order for every field with |D_L| <= 2000."""
-        ds = fundamental_field_params(2000)
+        """At m = 1 the direct side closes the ramified primes of L; the
+        ray class group of the trivial modulus, built on its own generators
+        and basis, gives the same order for every field with |D_L| <= 2000,
+        for d = 10^9 + 7 (a long principal cycle) and for d = -15015
+        (2-rank 4)."""
+        ds = fundamental_field_params(2000) + [10**9 + 7, -15015]
         assert min(ds) < 0 < max(ds)
         bad = [d for d in ds
                if ambiguous_count_direct(quadratic_field(d), None, 1)

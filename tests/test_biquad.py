@@ -51,7 +51,7 @@ from raycap.biquad import (
 from raycap.capsearch import CyclicFieldDesc, find_principalizing_prime
 from raycap.errors import InputError, InvariantError
 from raycap.exactmath import factor, is_prime, kronecker, primes_up_to, squarefree_part
-from raycap.kummerfrob import SearchParams, prime_above_from_root
+from raycap.kummerfrob import SearchParams
 from raycap.quadfield import (
     Modulus,
     QElt,
@@ -59,6 +59,7 @@ from raycap.quadfield import (
     factor_prime,
     fundamental_unit,
     modulus_from_rational,
+    prime_above_from_root,
     quadratic_field,
     _generates,
     is_principal_with_generator,

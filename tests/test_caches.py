@@ -51,11 +51,12 @@ def _assert_bounded() -> None:
 
 def test_caches_stay_within_the_bound_over_a_sweep():
     """The disc-bound-1000 sweep corpus touches more than FIELD_CACHE_SIZE
-    fields (607, 302 of them real): from empty caches, the class group and
-    fundamental unit caches evict instead of growing, and every case still
-    balances. Its m = 1 quadratic cases read Cl_L and build no ray class
-    group, so the ray class groups of more fields are built after it, and
-    that cache evicts instead of growing too."""
+    fields (607, 302 of them real): from empty caches, the fundamental unit
+    cache evicts instead of growing, and every case still balances. Its
+    m = 1 quadratic cases close the ramified primes of L and build neither
+    Cl_L nor a ray class group, so the ray class groups of more fields,
+    each on its class group, are built after it, and those two caches
+    evict instead of growing too."""
     corpus = _sweep_corpus(1000)
     real = {c[1] for c in corpus if c[0] == "quad" and c[1] > 0}
     assert len(real) > FIELD_CACHE_SIZE
@@ -63,24 +64,33 @@ def test_caches_stay_within_the_bound_over_a_sweep():
         cache.cache_clear()
     assert all(ambig_case(c).equal for c in corpus)
     _assert_bounded()
-    for cache in (quadfield.class_group, quadfield.fundamental_unit):
-        assert cache.cache_info().misses > FIELD_CACHE_SIZE
+    assert quadfield.fundamental_unit.cache_info().misses > FIELD_CACHE_SIZE
     _evict_ray_groups()
     _assert_bounded()
-    assert quadfield.ray_class_group.cache_info().misses > FIELD_CACHE_SIZE
+    for cache in (quadfield.class_group, quadfield.ray_class_group):
+        assert cache.cache_info().misses > FIELD_CACHE_SIZE
 
 
 @pytest.mark.parametrize("d", [-1365, -4199, 1365, 3999])
-def test_trivial_modulus_case_builds_no_ray_class_group(d):
-    """A quad case with m = 1 reads the ramified classes off Cl_L (these
-    fields have h > 1 and 2-rank at least 2); one with m = 11 still builds
-    its ray class group, which a second call then finds cached."""
+def test_trivial_modulus_case_builds_no_ray_class_group(d, monkeypatch):
+    """A quad case with m = 1 closes the ramified primes of L (these fields
+    have h > 1 and 2-rank at least 2): it builds neither Cl_L nor a ray
+    class group and keys no class by `class_key`. One with m = 11 still
+    builds its ray class group, which a second call then finds cached."""
     L = quadratic_field(d)
     assert quadfield.class_group(L).h > 1
     assert sum(c % 2 == 0 for c in quadfield.class_group(L).group.invariants) >= 2
+    keyed = []
+    for module in (quadfield, ambigcheck):
+        if hasattr(module, "class_key"):
+            monkeypatch.setattr(module, "class_key",
+                                lambda I, key=module.class_key: keyed.append(I) or key(I))
+    quadfield.class_group.cache_clear()
     quadfield.ray_class_group.cache_clear()
     assert ambig_case(("quad", d, 1)).equal
+    assert quadfield.class_group.cache_info().misses == 0
     assert quadfield.ray_class_group.cache_info().misses == 0
+    assert keyed == []
     assert ambig_case(("quad", d, 11)).equal
     assert quadfield.ray_class_group.cache_info().misses == 1
     ray_class_group(L, modulus_from_rational(L, 11))
@@ -89,7 +99,8 @@ def test_trivial_modulus_case_builds_no_ray_class_group(d):
 
 def test_rational_ray_data_runs_once_per_modulus():
     """The formula side's `rayclass_Q` and the direct side's
-    `rayclass_Q_generators` read one cached entry per m."""
+    `rayclass_Q_generators` read one cached entry per m; an m = 1 direct
+    side reads no generators."""
     ambigcheck._rational_ray_data.cache_clear()
     moduli = (1, 3, 5, 7, 15, 21, 105)
     for m in moduli:
@@ -97,7 +108,7 @@ def test_rational_ray_data_runs_once_per_modulus():
             assert ambig_case(("quad", d, m)).equal
     info = ambigcheck._rational_ray_data.cache_info()
     assert info.misses == len(moduli)
-    assert info.hits == 2 * 3 * len(moduli) - len(moduli)
+    assert info.hits == 2 * 3 * len(moduli) - len(moduli) - 3
 
 
 def _evict_ray_groups() -> None:

@@ -24,7 +24,9 @@ part meets F_{p^2} residue fields, several factors at once and reduced
 ideals whose norms share a prime with the modulus. The two `selftest` runs
 pin the consistency battery at two seeds, whose period-splitting check
 draws its (p, q) pairs from the seed and records them, so the two pins
-differ.
+differ. The last two `ambig` runs take the trivial modulus, whose direct
+count closes the ramified primes of L: d = -15015 (2-rank 4, direct 16)
+and D_L = 4 * (10^9 + 7), a real field with a long principal cycle.
 """
 import hashlib
 import importlib.util
@@ -96,6 +98,10 @@ GOLDEN = [
      0, "f50628154ff229ba73aa8de1898ffe5204f0bb8fcea80eb5b67005b131daec91"),
     (("selftest", "--seed", "7"),
      0, "fd1dd15807bec833da248603618e947a49fdf4f388af2f2f8c0c2c148d3180ce"),
+    (("ambig", "--L-disc", "-15015"),
+     0, "97dc31b3c9832d692168a58e33f3582c6116072b99481c44767e775cd7e36098"),
+    (("ambig", "--L-disc", "4000000028"),
+     0, "0d5d90881d5afffaaba37fd9b858684faa68ba8d99a6c20a7bd6260740a23b1f"),
 ]
 
 # Each entry is a `search ... --out cert` run, then `verify cert`, with the

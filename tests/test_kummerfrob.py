@@ -14,7 +14,6 @@ from raycap.kummerfrob import (
     SearchParams,
     h_K_constant,
     is_split_cyclotomic,
-    prime_above_from_root,
     prime_discriminants,
     residue_character,
 )
@@ -25,6 +24,7 @@ from raycap.quadfield import (
     fundamental_unit,
     is_prime_ideal,
     modulus_from_rational,
+    prime_above_from_root,
     quadratic_field,
     ray_class_group,
 )
