@@ -151,20 +151,12 @@ class BqElt:
         raise ValueError("j must be 1, 2 or 3")
 
     def rel_norm(self, j: int) -> QElt:
-        """z * tau_j(z) as an element of k_j."""
-        L = self.L
-        t2, u2 = L.k2.t, L.k2.u
-        A, B = self._split()
-        if j == 1:
-            return A * A + A * B * t2 - B * B * u2
-        if j == 2:
-            r = A.norm() + u2 * B.norm()
-            s = (A * B.conj()).trace() + t2 * B.norm()
-            return QElt(L.k2, r, s)
+        """z * tau_j(z) as an element of k_j: a + b*w1 for j = 1, a + c*w2
+        for j = 2."""
+        z = self * self.tau(j)
         if j == 3:
-            P = self * self.tau(3)
-            return as_k3(P)
-        raise ValueError("j must be 1, 2 or 3")
+            return as_k3(z)
+        return QElt(self.L.k1, z.a, z.b) if j == 1 else QElt(self.L.k2, z.a, z.c)
 
     def norm(self) -> int:
         return self.rel_norm(1).norm()
@@ -426,45 +418,52 @@ def extend_modulus(L: BiquadField, m: Modulus) -> tuple[BqIdeal, ...]:
 # exact square roots
 
 
-def sqrt_in_quadratic(theta: QElt) -> QElt | None:
-    """rho in O_K with rho^2 = theta, or None. Writing theta = (U + V sqrt D)/2
-    and rho = (X + Y sqrt D)/2, the numbers X^2 and D Y^2 are the roots of
-    z^2 - 2Uz + DV^2, so everything reduces to integer square detection."""
-    K = theta.field
-    D, t = K.D, K.t
-    if theta.is_zero():
-        return QElt(K, 0, 0)
-    U = 2 * theta.x + theta.y * t
-    V = theta.y
-    n4 = U * U - D * V * V  # 4*N(theta)
-    if n4 < 0:
-        return None
-    r = math.isqrt(n4)
-    if r * r != n4:
+def _isqrt_exact(n: int) -> int | None:
+    """The square root of n when n is the square of an integer, else None."""
+    r = math.isqrt(n) if n >= 0 else -1
+    return r if r * r == n else None
+
+
+def _div_int(x: int, n: int) -> int | None:
+    q, r = divmod(x, n)
+    return None if r else q
+
+
+def _div_k1(z: QElt, n: int) -> QElt | None:
+    return None if z.x % n or z.y % n else QElt(z.field, z.x // n, z.y // n)
+
+
+def _sqrt_by_norm(theta, field, U, V, D: int, t: int, sqrt, divide, join):
+    """rho = (X + Y sqrt D)/2 with rho^2 = theta = (U + V sqrt D)/2, or None,
+    over a base ring with exact `sqrt` and `divide`; `join(field, (X - Y t)/2,
+    Y)` builds rho. X^2 and D Y^2 are the roots U + r and U - r, in one order
+    or the other, of z^2 - 2Uz + D V^2, with r^2 = U^2 - D V^2."""
+    r = sqrt(U * U - V * V * D)
+    if r is None:
         return None
     for X2, DY2 in ((U + r, U - r), (U - r, U + r)):
-        if X2 < 0:
+        Y2 = divide(DY2, D)
+        X = None if Y2 is None else sqrt(X2)
+        Y = None if X is None else sqrt(Y2)
+        if Y is None:
             continue
-        X = math.isqrt(X2)
-        if X * X != X2:
-            continue
-        if DY2 % D:
-            continue
-        Y2 = DY2 // D
-        if Y2 < 0:
-            continue
-        Y = math.isqrt(Y2)
-        if Y * Y != Y2:
-            continue
-        for sy in (Y, -Y) if Y else (0,):
-            if X * sy != V:
-                continue
-            if (X - sy * t) % 2:
-                continue
-            rho = QElt(K, (X - sy * t) // 2, sy)
-            if rho * rho == theta:
-                return rho
+        for sx in (X, -X):
+            for sy in (Y, -Y):
+                if sx * sy != V:
+                    continue
+                A = divide(sx - sy * t, 2)
+                if A is not None:
+                    rho = join(field, A, sy)
+                    if rho * rho == theta:
+                        return rho
     return None
+
+
+def sqrt_in_quadratic(theta: QElt) -> QElt | None:
+    """rho in O_K with rho^2 = theta, or None: `_sqrt_by_norm` over Z."""
+    K = theta.field
+    U = 2 * theta.x + theta.y * K.t
+    return _sqrt_by_norm(theta, K, U, theta.y, K.D, K.t, _isqrt_exact, _div_int, QElt)
 
 
 # Degree-one primes of L that `sqrt_in_biquad` tests a candidate at before any
@@ -517,48 +516,17 @@ def _is_nonsquare_somewhere(w: BqElt) -> bool:
 
 
 def sqrt_in_biquad(w: BqElt) -> BqElt | None:
-    """xi in O_L with xi^2 = w, or None. Complete: the k1-norm of a square is
-    a square in k1, which pins down X^2 and p Y^2 for xi = (X + Y sqrt p)/2
-    up to the two root assignments tried below. A non-residue at a
-    square-test prime rejects w before any integer square root."""
+    """xi in O_L with xi^2 = w, or None: `_sqrt_by_norm` over k1 on
+    w = A + B w2, with t2 = 1 as p = 1 mod 4. Complete, since the k1-norm of
+    a square is a square in k1. A non-residue at a square-test prime rejects
+    w before any integer square root."""
     L = w.L
-    k1, p = L.k1, L.k2.D
-    t2 = L.k2.t
     if w.is_zero():
         return BqElt(L, 0, 0, 0, 0)
     if _is_nonsquare_somewhere(w):
         return None
     A, B = w._split()
-    U = A + A + B * t2
-    V = B
-    theta = U * U - V * V * p
-    R = sqrt_in_quadratic(theta)
-    if R is None:
-        return None
-    for Rs in (R, -R):
-        X2 = U + Rs
-        X = sqrt_in_quadratic(X2)
-        if X is None:
-            continue
-        rem = U - Rs
-        if rem.x % p or rem.y % p:
-            continue
-        Y2 = QElt(k1, rem.x // p, rem.y // p)
-        Y = sqrt_in_quadratic(Y2)
-        if Y is None:
-            continue
-        for sx in (X, -X):
-            for sy in (Y, -Y):
-                if sx * sy != V:
-                    continue
-                diff = sx - sy * t2
-                if diff.x % 2 or diff.y % 2:
-                    continue
-                A0 = QElt(k1, diff.x // 2, diff.y // 2)
-                xi = BqElt._join(L, A0, sy)
-                if xi * xi == w:
-                    return xi
-    return None
+    return _sqrt_by_norm(w, L, A + A + B, B, L.p, 1, sqrt_in_quadratic, _div_k1, BqElt._join)
 
 
 # ---------------------------------------------------------------------------

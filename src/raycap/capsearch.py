@@ -241,7 +241,6 @@ def search_with_escalation(
     target: tuple[int, ...],
     params: SearchParams,
     n_max: int | None = None,
-    jobs: int = 1,
 ) -> list[SearchResult]:
     """Run the search at params.n, escalating n upward until a certificate
     appears or n_max is passed. Every attempt is kept in the record."""
@@ -250,7 +249,7 @@ def search_with_escalation(
     n = params.n
     while n <= n_max:
         pn = SearchParams(params.ell, n, params.h, params.bound)
-        res = find_principalizing_prime(field, modulus, target, pn, jobs=jobs)
+        res = find_principalizing_prime(field, modulus, target, pn)
         attempts.append(res)
         if res.status == "found":
             break

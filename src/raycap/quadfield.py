@@ -442,8 +442,7 @@ def _mat_mul(m: tuple, n: tuple) -> tuple:
 
 
 def class_key(I: QIdeal) -> tuple[int, int]:
-    """Canonical key for the (wide) ideal class of I. No library code calls
-    it; the tests key classes by it, and the benchmark's tracer counts it."""
+    """Canonical key for the (wide) ideal class of I."""
     return _class_cycle(I.field, *_reduce_primitive(I.field, I.a, I.b)[:2])[0]
 
 
@@ -588,19 +587,22 @@ def _coset_closure(
         return key_of(*_compose(field, (1, a, (B - t) // 2), P)[1:])
 
     gens: list[tuple[int, int, int]] = []
-    table = {key_of(1, 0): ()}
+    identity = key_of(1, 0)
+    table = {identity: ()}
     relations: list[list[int]] = []
     for P in primes:
+        if (lead := times(identity, P)) in table:
+            continue  # e = 1: H is not copied for a prime whose class it holds
         i, base = len(gens), list(table)  # the keys of H, identity first
         coset, e = base, 1
-        while (lead := times(coset[0], P)) not in table:
+        while lead not in table:
             coset = [lead] + [times(c, P) for c in coset[1:]]
             table.update((new, (*table[old], *[0] * (i - len(table[old])), e))
                          for old, new in zip(base, coset))
             e += 1
-        if e > 1:
-            gens.append(P)
-            relations.append([-c for c in table[lead]] + [0] * (i - len(table[lead])) + [e])
+            lead = times(coset[0], P)
+        gens.append(P)
+        relations.append([-c for c in table[lead]] + [0] * (i - len(table[lead])) + [e])
     k = len(gens)
     table = {key: vec + (0,) * (k - len(vec)) for key, vec in table.items()}
     return gens, table, [row + [0] * (k - len(row)) for row in relations]
@@ -978,8 +980,6 @@ def adjust_by_units(y, residue: ResidueSystem, units: Sequence):
     """y * prod u_i^c_i with residue 1 at every factor, or None when the
     unit images cannot reach the class of 1/y. Each c_i is reduced mod the
     order of u_i's image."""
-    if not residue.factors:
-        return y
     group = residue.group
     uvecs = [residue.vector(u) for u in units]
     coeffs = group.express(uvecs, group.scale(-1, residue.vector(y)))
@@ -1001,7 +1001,13 @@ def _class_product(field: QuadField, residue: ResidueSystem):
     when the walk reads residues; for m = 1, whose walk asks only whether
     the class is trivial, `_compose` then `_reduce_primitive` with g
     dropped, so a power P^e keeps its operands reduced instead of growing
-    to norm N(P)^e."""
+    to norm N(P)^e. For m != 1 the product stays exact, because the walk of
+    the exact product to [1, w] fixes the generator a relation gets. A
+    reduced product, each step's multiplier folded into the residue state,
+    can reach a unit multiple of it instead (-alpha for alpha); its residue
+    moves the relation by a unit row, and with it the Smith basis whose
+    coordinates targets and certificates name. That moved 94 of the 1,444
+    cases of `test_ray_class_coordinates`, 92 of them imaginary."""
     if residue.factors:
         return partial(_compose, field)
 
@@ -1160,7 +1166,7 @@ def _ray_ideal_gens(field: QuadField, modulus: Modulus, cl: ClassGroupData):
         if p > limit:
             break
         gens.append(QIdeal(field, 1, p, b))
-        vecs.append(cl.table[_class_cycle(field, *_reduce_primitive(field, p, b)[:2])[0]])
+        vecs.append(cl.table[class_key(gens[-1])])
         table, relations = _vector_closure(cl, vecs)
         if len(table) == cl.h:
             return tuple(gens), table, relations

@@ -4,33 +4,33 @@ splitting degrees of polynomials mod q, analytic class numbers of imaginary
 fields, synthetic abelian groups given by their invariants, the identity,
 sums and element list of a group in invariant-factor form, the cyclic
 complement of an element of an ell-group, ideals of K as the HNF of their
-generators' lattice, exact ideal division, Dirichlet composition of
-integer triples by two extended gcds, ray-principal generators, the
-splitting of p in K by the roots of w's minimal polynomial, ray generators
-closed by ideal products, real reduction by a rho walk that moves its
-multiplier at every step, with an exact multiplier num/den kept in lowest
-terms as a reference, the fundamental unit of a real field as the inverse of
-its rho cycle's step product and a multiplier's local value read off the
-exact element, ideals of L = Q(sqrt d, sqrt p) as the HNF of all products of
-basis elements, principal ideals of L as the HNF of one generator, square
-roots in L by the integer square root chain alone, with no residue test
-first, the square-test primes of L by Kronecker symbols, and the unit norm
-index of a quadratic field over Q by exponent lattices, its ambiguous
-count at m = 1 in the ray class group of the trivial modulus, square roots
-mod p with the Tonelli-Shanks nonresidue found by linear scan, a scan
-candidate's conditions decided without genus characters, the Gaussian
-period polynomial by CRT across auxiliary primes, and the residue factor of
-a prime of L found by scanning roots for membership. The library never
-calls them.
-The square root stands on the library's quadratic square root. The ideal
-oracles stand on the library's `QIdeal`, `BqIdeal` and its HNF, division and
-ray principality also on its ideal product and generator search, the
-composition on its `xgcd`, the
-splitting on its `kronecker` and `roots_mod_p`, the square-test primes on
-the same two and `is_prime`, the ray generators on its ideal product and `class_key`, the
-fundamental unit on its rho cycle and step product, the rho walk on its
-residue factors' valuation and unit-part residue, the local value on their
-residues and discrete logs, the principal ideal of L on
+generators' lattice, exact ideal division, Dirichlet composition of integer
+triples by two extended gcds, ray-principal generators, the splitting of p
+in K by the roots of w's minimal polynomial, ray generators closed by ideal
+products, real reduction by a rho walk that moves its multiplier at every
+step, with an exact multiplier num/den kept in lowest terms as a reference,
+the fundamental unit of a real field as the inverse of its rho cycle's step
+product and a multiplier's local value read off the exact element, ideals
+of L = Q(sqrt d, sqrt p) as the HNF of all products of basis elements,
+principal ideals of L as the HNF of one generator, square roots in K by
+integer square roots and in L by that chain alone, with no residue test
+first, relative norms of L in closed form, the square-test primes of L by
+Kronecker symbols, and the unit norm index of a quadratic field over Q by
+exponent lattices, its ambiguous count at m = 1 in the ray class group of
+the trivial modulus, square roots mod p with the Tonelli-Shanks nonresidue
+found by linear scan, a scan candidate's conditions decided without genus
+characters, the Gaussian period polynomial by CRT across auxiliary primes,
+and the residue factor of a prime of L found by scanning roots for
+membership. The library never calls them.
+The square roots and closed-form norms stand on the library's element
+arithmetic alone. The ideal oracles stand on the library's `QIdeal`,
+`BqIdeal` and its HNF, division and ray principality also on its ideal
+product and generator search, the composition on its `xgcd`, the splitting
+on its `kronecker` and `roots_mod_p`, the square-test primes on the same
+two and `is_prime`, the ray generators on its ideal product and
+`class_key`, the fundamental unit on its rho cycle and step product, the
+rho walk on its residue factors' valuation and unit-part residue, the local
+value on their residues and discrete logs, the principal ideal of L on
 `BqIdeal.from_generators`, and the norm index on its residue systems and
 unit lattice, the trivial-modulus ambiguous count on its ray class group
 and prime splitting, the scan's reference decision on the checker's ray
@@ -49,7 +49,7 @@ from typing import Iterator, Sequence
 
 from raycap.abgroup import FiniteAbelianGroup, hnf_rows, solve_left, xgcd
 from raycap.ambigcheck import _unit_lattice
-from raycap.biquad import BqElt, BqIdeal, _w_elt, sqrt_in_quadratic
+from raycap.biquad import BqElt, BqIdeal, _w_elt
 from raycap.exactmath import (
     crt,
     factor,
@@ -704,6 +704,63 @@ def bq_contains(I: BqIdeal, z: BqElt) -> bool:
     return solve_left([list(r) for r in I.rows], list(z.coords())) is not None
 
 
+def sqrt_in_quadratic_by_integers(theta: QElt) -> QElt | None:
+    """rho in O_K with rho^2 = theta, or None, as the library found it
+    before one norm descent served K and L: writing theta = (U + V sqrt D)/2
+    and rho = (X + Y sqrt D)/2, X^2 and D Y^2 are the roots of
+    z^2 - 2Uz + DV^2, tried in the same order with X >= 0."""
+    K = theta.field
+    D, t = K.D, K.t
+    if theta.is_zero():
+        return QElt(K, 0, 0)
+    U = 2 * theta.x + theta.y * t
+    V = theta.y
+    n4 = U * U - D * V * V  # 4*N(theta)
+    if n4 < 0:
+        return None
+    r = math.isqrt(n4)
+    if r * r != n4:
+        return None
+    for X2, DY2 in ((U + r, U - r), (U - r, U + r)):
+        if X2 < 0:
+            continue
+        X = math.isqrt(X2)
+        if X * X != X2:
+            continue
+        if DY2 % D:
+            continue
+        Y2 = DY2 // D
+        if Y2 < 0:
+            continue
+        Y = math.isqrt(Y2)
+        if Y * Y != Y2:
+            continue
+        for sy in (Y, -Y) if Y else (0,):
+            if X * sy != V:
+                continue
+            if (X - sy * t) % 2:
+                continue
+            rho = QElt(K, (X - sy * t) // 2, sy)
+            if rho * rho == theta:
+                return rho
+    return None
+
+
+def rel_norm_closed_form(z: BqElt, j: int) -> QElt:
+    """N_{L/k_j}(z) for j = 1, 2 from z = A + B w2, A and B in k1, in the
+    closed forms the library used before it read z * tau_j(z):
+    A^2 + t2 AB - u2 B^2 in k1, and N(A) + u2 N(B) + (Tr(A conj B) + t2 N(B)) w2
+    in k2."""
+    L = z.L
+    t2, u2 = L.k2.t, L.k2.u
+    A, B = QElt(L.k1, z.a, z.b), QElt(L.k1, z.c, z.e)
+    if j == 1:
+        return A * A + A * B * t2 - B * B * u2
+    r = A.norm() + u2 * B.norm()
+    s = (A * B.conj()).trace() + t2 * B.norm()
+    return QElt(L.k2, r, s)
+
+
 def sqrt_in_biquad_unfiltered(w: BqElt) -> BqElt | None:
     """xi in O_L with xi^2 = w, or None, by the k1-norm descent alone: the
     library's square root before it tested residues at split primes first,
@@ -716,17 +773,17 @@ def sqrt_in_biquad_unfiltered(w: BqElt) -> BqElt | None:
     A, B = QElt(k1, w.a, w.b), QElt(k1, w.c, w.e)
     U = A + A + B * t2
     V = B
-    R = sqrt_in_quadratic(U * U - V * V * p)
+    R = sqrt_in_quadratic_by_integers(U * U - V * V * p)
     if R is None:
         return None
     for Rs in (R, -R):
-        X = sqrt_in_quadratic(U + Rs)
+        X = sqrt_in_quadratic_by_integers(U + Rs)
         if X is None:
             continue
         rem = U - Rs
         if rem.x % p or rem.y % p:
             continue
-        Y = sqrt_in_quadratic(QElt(k1, rem.x // p, rem.y // p))
+        Y = sqrt_in_quadratic_by_integers(QElt(k1, rem.x // p, rem.y // p))
         if Y is None:
             continue
         for sx in (X, -X):

@@ -2,6 +2,7 @@
 and against independent oracles: brute-force (Z/m)^* / {+-1} arithmetic for
 the rational ray group, and the genus-theory closed form 2^(t-1) / 2^(t-2)
 for the m = 1 quadratic cases."""
+import itertools
 import json
 import math
 
@@ -40,7 +41,7 @@ from raycap.biquad import (
     unit_group,
 )
 from raycap.errors import BudgetError, InputError, InvariantError
-from raycap.exactmath import factor
+from raycap.exactmath import factor, squarefree_part
 from raycap.quadfield import (
     QElt,
     class_group,
@@ -378,6 +379,30 @@ class TestAmbiguousCounts:
         assert report.equal, report.as_dict()
         assert report.degree == 2
         assert report.formula >= 1
+
+    def test_biquad_identity_over_a_sub_grid(self):
+        """Every squarefree 1 < d < 30, prime p = 1 mod 4 below 42 and prime
+        to d, j = 1, 2, 3 and m = 1, 3, 7, 11: each case agrees, or raises
+        BudgetError because h(L) > 1, where the direct side has no count.
+        Both sides reach `unit_group`, whose index search runs
+        `sqrt_in_biquad`, and the direct side `is_principal`."""
+        agree = budget = 0
+        for d in range(2, 30):
+            if squarefree_part(d) != d:
+                continue
+            for p in (5, 13, 17, 29, 37, 41):
+                if d % p == 0:
+                    continue
+                for j, mods in itertools.product((1, 2, 3), ((), (3,), (7,), (11,))):
+                    try:
+                        report = ambig_case(("biquad", d, p, j, mods))
+                    except BudgetError:
+                        assert class_number(biquad_field(d, p)) > 1, (d, p)
+                        budget += 1
+                        continue
+                    assert report.equal, report.as_dict()
+                    agree += 1
+        assert (agree, budget) == (864, 276)
 
     @pytest.mark.parametrize("p", [5, 13, 17])
     def test_biquad_ramification_from_discriminants(self, p):

@@ -18,7 +18,9 @@ from oracles import (
     group_add,
     l_residue_factor_by_scan,
     principal_ideal,
+    rel_norm_closed_form,
     sqrt_in_biquad_unfiltered,
+    sqrt_in_quadratic_by_integers,
     square_test_primes_by_kronecker,
 )
 
@@ -161,12 +163,20 @@ class TestEltArithmetic:
             assert (x * y).tau(j) == x.tau(j) * y.tau(j)
         assert x.tau(1).tau(2) == x.tau(3)
 
-    @given(belt(L345))
-    def test_relative_norms_match_involution_products(self, x):
-        for j in (1, 2, 3):
-            nj = x.rel_norm(j)
-            assert nj.field == (L345.k1, L345.k2, L345.k3)[j - 1]
-            assert embed(L345, nj) == x * x.tau(j)
+    @given(st.data())
+    def test_relative_norms_match_involution_products(self, data):
+        """In each field of ORACLE_FIELDS, with t1 = 0 and t1 = 1: N_{L/k_j}(x)
+        lies in k_j, embeds as x * tau_j(x) and, for j = 1, 2, equals the
+        closed form (`tests/oracles.py`)."""
+        for dp in ORACLE_FIELDS:
+            L = biquad_field(*dp)
+            x = data.draw(belt(L))
+            for j in (1, 2, 3):
+                nj = x.rel_norm(j)
+                assert nj.field == (L.k1, L.k2, L.k3)[j - 1]
+                assert embed(L, nj) == x * x.tau(j)
+                if j < 3:
+                    assert nj == rel_norm_closed_form(x, j)
 
     @given(belt(L345), belt(L345))
     def test_norm_multiplicative(self, x, y):
@@ -483,6 +493,17 @@ class TestSquareRoots:
             z = QElt(K, x, y)
             r = sqrt_in_quadratic(z * z)
             assert r is not None and r * r == z * z
+
+    @given(qcoord, qcoord)
+    def test_quadratic_root_is_the_integer_routes(self, x, y):
+        """The very root of the integer route (`tests/oracles.py`), not just
+        some root, for squares, zero and non-squares, in real and imaginary
+        fields with t = 0 and t = 1."""
+        for d in (34, 5, -5, -1, -3, 2, 13):
+            K = quadratic_field(d)
+            z = QElt(K, x, y)
+            for w in (z * z, -(z * z), z, z + QElt(K, 1, 0), QElt(K, 0, 0)):
+                assert sqrt_in_quadratic(w) == sqrt_in_quadratic_by_integers(w), (d, w)
 
     @given(qcoord, qcoord)
     def test_quadratic_rejections_are_sound(self, x, y):
