@@ -20,12 +20,7 @@ from raycap.capsearch import SearchParams, search_with_escalation
 from raycap.cli import _resolve_target
 from raycap.errors import InputError
 from raycap.exactmath import squarefree_part
-from raycap.quadfield import (
-    Modulus,
-    modulus_from_rational,
-    quadratic_field,
-    ray_class_group,
-)
+from raycap.quadfield import modulus_from_rational, quadratic_field, ray_class_group
 from raycap.report import canonical_json, stamp
 
 
@@ -38,7 +33,7 @@ def order_two_target(ray) -> tuple[int, ...] | None:
 
 def run_case(d: int, mod: int, bound: int, n: int, n_max: int) -> dict | None:
     K = quadratic_field(d)
-    m = modulus_from_rational(K, mod) if mod > 1 else Modulus(K, ())
+    m = modulus_from_rational(K, mod)
     ray = ray_class_group(K, m)
     target = order_two_target(ray)
     if target is None:

@@ -14,7 +14,7 @@ import argparse
 import sys
 from math import gcd
 
-from raycap.ambigcheck import ambig_sweep, fundamental_field_params
+from raycap.ambigcheck import ambig_case, fundamental_field_params
 from raycap.quadfield import quadratic_field
 from raycap.report import canonical_json, stamp
 
@@ -52,7 +52,7 @@ def main(argv=None) -> int:
 
     mods = tuple(int(t) for t in args.mods.split(",") if t.strip())
     cases = build_corpus(args.disc_bound, mods)
-    reports = ambig_sweep(cases)
+    reports = [ambig_case(c) for c in cases]
 
     bad = [r for r in reports if not r.equal]
     if args.json:

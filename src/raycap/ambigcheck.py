@@ -61,7 +61,6 @@ from raycap.quadfield import (
 __all__ = [
     "AmbigReport",
     "ambig_case",
-    "ambig_sweep",
     "ambiguous_count_direct",
     "ambiguous_count_formula",
     "fundamental_field_params",
@@ -131,10 +130,6 @@ def rayclass_Q_generators(m: int) -> tuple[int, ...]:
 # exact discrete logs in real quadratic unit groups
 
 
-def _embed_ge(a: QElt, b: QElt) -> bool:
-    return (a - b).sign_real() >= 0
-
-
 def unit_dlog(field: QuadField, w: QElt) -> tuple[int, int]:
     """(s, a) with w = (-1)^s * eps^a for the fundamental unit eps.
 
@@ -157,7 +152,7 @@ def unit_dlog(field: QuadField, w: QElt) -> tuple[int, int]:
     if w.sign_real() < 0:
         s, w = 1, -w
     inv = False
-    if not _embed_ge(w, one):  # 0 < w < 1: flip to w^-1 = conj(w)*N(w)
+    if one > w:  # 0 < w < 1: flip to w^-1 = conj(w)*N(w)
         inv = True
         w = w.conj() * w.norm()
         if w.sign_real() < 0:
@@ -165,12 +160,12 @@ def unit_dlog(field: QuadField, w: QElt) -> tuple[int, int]:
             s ^= 1
     # binary ladder: largest power of eps not exceeding w, then descend
     powers = [eps]
-    while _embed_ge(w, powers[-1] * powers[-1]):
+    while not powers[-1] * powers[-1] > w:
         powers.append(powers[-1] * powers[-1])
     a, cur = 0, one
     for k in range(len(powers) - 1, -1, -1):
         step = cur * powers[k]
-        if _embed_ge(w, step):
+        if not step > w:
             cur = step
             a += 1 << k
     if cur != w:
@@ -457,11 +452,6 @@ def ambig_case(case: tuple) -> AmbigReport:
         formula=_assemble(h, d_inf, es, idx),
         direct=ambiguous_count_direct(L, K, m),
     )
-
-
-def ambig_sweep(cases) -> list[AmbigReport]:
-    """Reports for each case, in input order.  Callers check .equal."""
-    return [ambig_case(tuple(c)) for c in cases]
 
 
 def fundamental_field_params(disc_bound: int) -> list[int]:

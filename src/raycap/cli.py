@@ -70,8 +70,8 @@ def _int(text: str, what: str) -> int:
 
 
 def _jobs(n: int) -> int:
-    """Worker count for --jobs: at least 1, capped at the CPU count, since a
-    process pool forks every worker at once."""
+    """Worker count for `search --jobs`: at least 1, capped at the CPU count,
+    since the scan's process pool forks every worker at once."""
     if n < 1:
         raise InputError(f"--jobs must be at least 1, not {n}")
     return min(n, os.cpu_count() or 1)
@@ -202,7 +202,6 @@ def cmd_search(args) -> int:
     target = _resolve_target(args.cls, ray)
     params = SearchParams(args.l, args.n, args.h, args.bound)
 
-    cache = ReportCache(args.cache_dir)
     key = {
         "op": "search",
         "d": field.d,
@@ -213,16 +212,11 @@ def cmd_search(args) -> int:
         "h": args.h,
         "bound": args.bound,
     }
-    cached = cache.get(key)
-    if cached is not None:
-        payload = cached["payload"]
-        report = cached
-    else:
-        res = find_principalizing_prime(field, modulus, target, params, jobs=jobs)
-        payload = res.as_dict()
-        report = stamp("search", payload)
-        cache.put(key, report)
-
+    report = ReportCache(args.cache_dir).report(
+        key, "search",
+        lambda: find_principalizing_prime(field, modulus, target, params, jobs=jobs).as_dict(),
+    )
+    payload = report["payload"]
     status = payload["status"]
     if status == "found":
         cert = certificate_from_dict(payload["certificate"])
@@ -295,12 +289,7 @@ DEFAULT_SWEEP: tuple = tuple(
 )
 
 
-def _ambig_report_for(case: tuple) -> dict:
-    return stamp("ambig", ambig_case(case).as_dict())
-
-
 def cmd_ambig(args) -> int:
-    jobs = _jobs(args.jobs)
     if args.sweep:
         if args.sweep != "default":
             raise InputError("the only built-in sweep is 'default'")
@@ -322,26 +311,14 @@ def cmd_ambig(args) -> int:
     else:
         raise InputError("need --L-disc, --biquad, or --sweep")
 
+    # every report is built before the first line is printed, so a case
+    # that raises prints nothing
     cache = ReportCache(args.cache_dir)
-    reports: list[dict | None] = [None] * len(cases)
-    misses: list[tuple[int, tuple]] = []
-    for i, case in enumerate(cases):
-        hit = cache.get({"op": "ambig", "case": list(case)})
-        if hit is not None:
-            reports[i] = hit
-        else:
-            misses.append((i, case))
-    if misses:
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                fresh = list(pool.map(_ambig_report_for, [c for _, c in misses]))
-        else:
-            fresh = [_ambig_report_for(c) for _, c in misses]
-        for (i, case), rep in zip(misses, fresh):
-            cache.put({"op": "ambig", "case": list(case)}, rep)
-            reports[i] = rep
+    reports = [
+        cache.report({"op": "ambig", "case": list(case)}, "ambig",
+                     lambda: ambig_case(case).as_dict())
+        for case in cases
+    ]
 
     all_equal = True
     for rep in reports:
@@ -455,8 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine output")
-    common.add_argument("--cache-dir", default=None, help="report cache location")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rayclass", parents=[common], help="print a ray class group")
@@ -479,8 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1, help="cyclic degree exponent")
     p.add_argument("--h", type=int, default=None, help="power height (default: h_K)")
     p.add_argument("--bound", type=int, default=10**6)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="scan worker processes")
     p.add_argument("--out", default=None, help="certificate path")
+    p.add_argument("--cache-dir", default=None, help="report cache location")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", parents=[common], help="re-verify a certificate")
@@ -499,10 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which quadratic subfield is K (biquad only)")
     p.add_argument("--mod", default="1", help="modulus integer (rational primes)")
     p.add_argument("--sweep", default=None, help="'default' for the built-in corpus")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--cache-dir", default=None, help="report cache location")
     p.set_defaults(func=cmd_ambig)
 
     p = sub.add_parser("selftest", parents=[common], help="quick consistency battery")
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p.set_defaults(func=cmd_selftest)
     return parser
 

@@ -175,6 +175,15 @@ class ReportCache:
             return None  # torn or stale write: recompute
         return data
 
+    def report(self, key: dict, kind: str, compute) -> dict:
+        """The cached report for `key`; on a miss, `stamp(kind, compute())`,
+        stored before it is returned."""
+        report = self.get(key)
+        if report is None:
+            report = stamp(kind, compute())
+            self.put(key, report)
+        return report
+
     def put(self, key: dict, report: dict) -> None:
         path = self.path_for(key)
         atomic_write_text(path, canonical_json(report) + "\n")

@@ -24,7 +24,6 @@ from raycap.ambigcheck import (
     _ramified_biquad,
     _unit_lattice,
     ambig_case,
-    ambig_sweep,
     ambiguous_count_direct,
     ambiguous_count_formula,
     fundamental_field_params,
@@ -489,7 +488,7 @@ class TestAmbiguousCounts:
 class TestSweep:
     def test_order_and_params_preserved(self):
         cases = [("quad", -5, 1), ("quad", 2, 7), ("biquad", 2, 5, 1, (11,))]
-        reports = ambig_sweep(cases)
+        reports = [ambig_case(c) for c in cases]
         assert [r.params for r in reports] == [
             ("quad", -5, 1),
             ("quad", 2, 7),
@@ -498,8 +497,8 @@ class TestSweep:
         assert all(r.equal for r in reports)
 
     def test_reports_are_deterministic(self):
-        a = ambig_sweep([("quad", -21, 21)])[0]
-        b = ambig_sweep([("quad", -21, 21)])[0]
+        a = ambig_case(("quad", -21, 21))
+        b = ambig_case(("quad", -21, 21))
         assert a == b
         assert json.dumps(a.as_dict(), sort_keys=True) == json.dumps(
             b.as_dict(), sort_keys=True

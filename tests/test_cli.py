@@ -120,9 +120,9 @@ class TestRayclass:
         outs = []
         for spec in (m, primes):
             cert = tmp_path / f"cert-{spec}.json"
-            extra = ("--out", str(cert)) if argv[0] == "search" else ()
-            code, out, _ = run(capsys, *argv, *extra, "--mod", spec, "--json",
-                               "--cache-dir", str(tmp_path / spec))
+            extra = (("--out", str(cert), "--cache-dir", str(tmp_path / spec))
+                     if argv[0] == "search" else ())
+            code, out, _ = run(capsys, *argv, *extra, "--mod", spec, "--json")
             outs.append((code, out, cert.read_bytes() if cert.exists() else None))
         assert outs[0] == outs[1]
         assert outs[0][0] in (0, 3)
@@ -369,16 +369,14 @@ class TestAmbig:
 
 
 class TestJobs:
-    """--jobs on `search` and `ambig`: below 1 exits 2, above the CPU count
-    is capped. The pool is an in-process stand-in that records its size,
-    so no test starts a worker process."""
+    """--jobs on `search`, the one subcommand with a process pool: below 1
+    exits 2, above the CPU count is capped. The pool is an in-process
+    stand-in that records its size, so no test starts a worker process."""
 
     @staticmethod
     def argv(command, tmp_path, *extra):
-        if command == "search":
-            return ("search", "--d", "34", "--mod", "1", "--bound", "20000",
-                    "--out", str(tmp_path / "cert.json"), *extra)
-        return ("ambig", "--L-disc", "-20", "--mod", "3", *extra)
+        return (command, "--d", "34", "--mod", "1", "--bound", "20000",
+                "--out", str(tmp_path / "cert.json"), *extra)
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
@@ -397,12 +395,12 @@ class TestJobs:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        # `cli` and `capsearch` import the pool where they start one
+        # `capsearch` imports the pool where it starts one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         return sizes
 
-    @pytest.mark.parametrize("command", ["search", "ambig"])
+    @pytest.mark.parametrize("command", ["search"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_below_one_exits_two(self, capsys, tmp_path, pool_sizes, command, jobs):
         code, out, err = run(capsys, *self.argv(command, tmp_path, "--jobs", jobs))
@@ -411,7 +409,7 @@ class TestJobs:
         assert err == f"error: --jobs must be at least 1, not {jobs}\n"
         assert pool_sizes == []
 
-    @pytest.mark.parametrize("command", ["search", "ambig"])
+    @pytest.mark.parametrize("command", ["search"])
     def test_capped_at_cpu_count(self, capsys, tmp_path, pool_sizes, command):
         serial = run(capsys, *self.argv(command, tmp_path, "--json",
                                         "--cache-dir", str(tmp_path / "serial")))
@@ -565,7 +563,7 @@ def _argv(draw, tmp_path):
             "--base": draw(st.sampled_from(["1", "2", "3"])),
             "--mod": draw(st.sampled_from(["1", "3", "7", "11"])),
         }
-    if command != "rayclass" and draw(st.booleans()):
+    if command == "search" and draw(st.booleans()):
         opts["--jobs"] = "1"
     mutation = draw(st.sampled_from(["none", "value", "drop", "unknown"]))
     name = draw(st.sampled_from(sorted(opts)))
@@ -592,6 +590,35 @@ def _exit_code(argv) -> int:
         return main(argv)
     except SystemExit as exc:  # argparse rejects the argv itself
         return exc.code
+
+
+@pytest.mark.parametrize("command,options", [
+    ("rayclass", set()),
+    ("search", {"--jobs", "--cache-dir"}),
+    ("verify", set()),
+    ("ambig", {"--cache-dir"}),
+    ("selftest", {"--seed"}),
+])
+def test_help_lists_only_the_options_read(capsys, command, options):
+    """--jobs is on `search` alone, --cache-dir on the two subcommands that
+    cache reports, --seed on `selftest`; --json is on every one."""
+    assert _exit_code([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--json" in out
+    assert {o for o in ("--jobs", "--cache-dir", "--seed") if o in out} == options
+
+
+@pytest.mark.parametrize("argv", [
+    ("ambig", "--L-disc", "-20", "--jobs", "2"),
+    ("rayclass", "--d", "-5", "--seed", "1"),
+    ("verify", "cert.json", "--cache-dir", "d"),
+    ("selftest", "--cache-dir", "d"),
+], ids=lambda argv: " ".join(argv))
+def test_option_the_subcommand_does_not_read_exits_two(capsys, argv):
+    assert _exit_code(list(argv)) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
 
 
 @settings(max_examples=150, deadline=None,

@@ -26,7 +26,8 @@ pin the consistency battery at two seeds, whose period-splitting check
 draws its (p, q) pairs from the seed and records them, so the two pins
 differ. The last two `ambig` runs take the trivial modulus, whose direct
 count closes the ramified primes of L: d = -15015 (2-rank 4, direct 16)
-and D_L = 4 * (10^9 + 7), a real field with a long principal cycle.
+and D_L = 4 * (10^9 + 7), a real field with a long principal cycle. The
+default sweep pins all 86 of its reports, one line each, in input order.
 """
 import hashlib
 import importlib.util
@@ -36,6 +37,7 @@ from pathlib import Path
 
 import pytest
 
+from raycap import cli
 from raycap.ambigcheck import ambig_case
 from raycap.biquad import biquad_field, primes_above, verify_certificate
 from raycap.capsearch import (
@@ -102,6 +104,8 @@ GOLDEN = [
      0, "97dc31b3c9832d692168a58e33f3582c6116072b99481c44767e775cd7e36098"),
     (("ambig", "--L-disc", "4000000028"),
      0, "0d5d90881d5afffaaba37fd9b858684faa68ba8d99a6c20a7bd6260740a23b1f"),
+    (("ambig", "--sweep", "default"),
+     0, "a5b150551f9f1fb43daf8c817a55419cb16c135e16e647b0af7ad566b080207c"),
 ]
 
 # Each entry is a `search ... --out cert` run, then `verify cert`, with the
@@ -126,7 +130,8 @@ SEARCH_VERIFY = [
 ]
 
 def json_digest(capsys, tmp_path, *argv) -> tuple[int, str]:
-    code = main([*argv, "--json", "--cache-dir", str(tmp_path / "cache")])
+    cache = ("--cache-dir", str(tmp_path / "cache")) if argv[0] in ("search", "ambig") else ()
+    code = main([*argv, "--json", *cache])
     out = capsys.readouterr().out
     return code, hashlib.sha256(out.encode("ascii")).hexdigest()
 
@@ -139,6 +144,27 @@ def test_report_bytes(capsys, tmp_path, argv, exit_code, digest):
     code, got = json_digest(capsys, tmp_path, *argv, *extra)
     assert code == exit_code
     assert got == digest
+
+
+WARM = [g for g in GOLDEN if g[0][:3] in {
+    ("ambig", "--sweep", "default"), ("search", "--d", "51"), ("search", "--d", "543")}]
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", WARM, ids=[" ".join(a) for a, _, _ in WARM])
+def test_warm_cache_replays_the_pinned_bytes(capsys, tmp_path, monkeypatch, argv,
+                                             exit_code, digest):
+    """A second run into the same cache directory replays every report:
+    it computes nothing and prints the pinned bytes again, for a sweep of
+    86 reports, a search that finds a prime and one that exits 3."""
+    extra = ("--out", str(tmp_path / "cert.json")) if argv[0] == "search" else ()
+    assert json_digest(capsys, tmp_path, *argv, *extra) == (exit_code, digest)
+
+    def computed(*args, **kwargs):
+        raise AssertionError("a warm run computed a report")
+
+    monkeypatch.setattr(cli, "ambig_case", computed)
+    monkeypatch.setattr(cli, "find_principalizing_prime", computed)
+    assert json_digest(capsys, tmp_path, *argv, *extra) == (exit_code, digest)
 
 
 def test_selftest_pins_differ_by_seed():
