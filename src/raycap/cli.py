@@ -372,13 +372,11 @@ def cmd_selftest(args) -> int:
     # period polynomial splitting vs the residue character prediction: a
     # quadratic splits mod an odd q prime to its discriminant exactly when
     # the discriminant is a square mod q
-    from itertools import takewhile
-
     from raycap.capsearch import gaussian_period_min_poly
-    from raycap.exactmath import kronecker, primes_in_progression
+    from raycap.exactmath import kronecker, primes_1_mod
 
     ok, pairs = True, []
-    small = list(takewhile(lambda p: p < 300, primes_in_progression(1, 4, start=5)))
+    small = list(primes_1_mod(4, 5, 299))
     for _ in range(8):
         p = rng.choice(small)
         q = rng.choice([q0 for q0 in range(3, 200) if is_prime(q0) and q0 != p])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+from array import array
 from functools import lru_cache
 from itertools import compress
 from typing import Iterator, Sequence
@@ -152,55 +153,46 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     return primes[:bisect.bisect_right(primes, limit)]
 
 
-def primes_in_progression(a: int, mod: int, start: int = 2) -> Iterator[int]:
-    """Primes p ≡ a (mod mod) with p >= start, ascending. Requires gcd(a, mod) = 1
-    (otherwise at most one prime exists and we still find it)."""
-    if mod < 1:
-        raise ValueError(f"modulus must be positive, got {mod}")
-    a %= mod
-    p = max(start, 2)
-    # align p with the residue class, then step by mod
-    p += (a - p) % mod
-    while True:
-        if is_prime(p):
-            yield p
-        p += mod
-
-
 _SIEVE_SEGMENT = 1 << 16  # progression slots per segment of primes_1_mod
 
 
 def primes_1_mod(step: int, lo: int, hi: int) -> Iterator[int]:
-    """Primes p ≡ 1 (mod step) with lo <= p <= hi, ascending, by a segmented
-    sieve over the progression itself. Slot k stands for first + k*step;
-    each prime q <= sqrt(hi) not dividing step strikes its multiples from
-    q*q on, which lie q slots apart. Memory is O(segment + sqrt(hi))
-    whatever the range: no list of the range's primes is ever built."""
+    """Primes p ≡ 1 (mod step) with lo <= p <= hi, ascending, read off
+    sieved segments of the progression itself. Slot k stands for 1 + k*step
+    and segment j for the slots [j*size, (j+1)*size), where size is
+    _SIEVE_SEGMENT, or the power of two that covers the slots up to hi when
+    that is fewer, so a range below one segment sieves less than twice its
+    slots. Each segment is sieved once per process and kept in a bounded
+    cache (`_segment`), so a second scan of a range sieves nothing, and no
+    list of the range's primes is ever built."""
     if step < 1:
         raise ValueError(f"modulus must be positive, got {step}")
-    lo = max(lo, 2)
-    first = lo + (1 - lo) % step
-    if first > hi:
+    first, last = max(0, -((1 - lo) // step)), (hi - 1) // step
+    if first > last:
         return
-    count = (hi - first) // step + 1
-    # per sieving prime: the first slot (from slot 0) it strikes
-    strikes = []
-    for q in primes_up_to(math.isqrt(hi)):
-        if step % q == 0:
-            continue  # q never divides 1 + k*step
-        k0 = -first * pow(step, -1, q) % q  # first + k0*step ≡ 0 (mod q)
-        k_sq = max(0, -((first - q * q) // step))  # first slot >= q*q
-        strikes.append((q, k_sq + (k0 - k_sq) % q))
-    segment = _SIEVE_SEGMENT
-    for base in range(0, count, segment):
-        size = min(segment, count - base)
-        flags = bytearray(b"\x01") * size
-        for q, k in strikes:
-            off = k - base if k >= base else (k - base) % q
-            if off < size:
-                flags[off::q] = bytes((size - 1 - off) // q + 1)
-        start = first + base * step
-        yield from compress(range(start, start + size * step, step), flags)
+    size = min(_SIEVE_SEGMENT, 1 << last.bit_length())
+    for j in range(first // size, last // size + 1):
+        primes = _segment(step, size, j)
+        yield from primes[bisect.bisect_left(primes, lo):bisect.bisect_right(primes, hi)]
+
+
+@lru_cache(maxsize=8)
+def _segment(step: int, size: int, j: int) -> array:
+    """The primes among the slots [j*size, (j+1)*size) of the progression
+    1 + k*step, ascending, as array('Q'): each prime q <= sqrt of the
+    segment's top that does not divide step strikes its multiples from q*q
+    on, which lie q slots apart."""
+    base = 1 + j * size * step
+    top = base + (size - 1) * step
+    flags = bytearray(b"\x01") * size
+    if j == 0:
+        flags[0] = 0  # the slot of 1
+    for q in primes_up_to(math.isqrt(top)):
+        if step % q:  # else q never divides 1 + k*step
+            k = max(0, -((base - q * q) // step))  # the first slot >= q*q
+            k += (-base * pow(step, -1, q) - k) % q  # on to the first that q divides
+            flags[k::q] = bytes(len(range(k, size, q)))
+    return array("Q", compress(range(base, top + 1, step), flags))
 
 
 def kronecker(a: int, n: int) -> int:

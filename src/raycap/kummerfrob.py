@@ -7,7 +7,8 @@ Genus theory, the norm and Hilbert 90 decide most candidates without that
 root: the genus characters and p mod M, M the product of the odd primes
 below the modulus, read the ray class off p where they tell every class
 apart, and at ell^n = 2 the eps-character is a Legendre symbol of the
-rational integer N(1 + eps).
+rational integer N(1 + eps), whose squarefree kernel divides 2D: on those
+fields the split table, one byte per residue mod |D|, decides (iii) too.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import filterfalse, islice
 
 from .abgroup import snf
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, require
 from .exactmath import (factor, is_prime, kronecker, primes_1_mod, sqrt_mod, squarefree_part,
                         valuation)
 from .quadfield import (
@@ -247,24 +248,32 @@ def _table_break_even(ds: list[int]) -> int | None:
     return -(-cost // _CANDIDATE_BYTES)
 
 
-def _split_codes(ds: list[int], genus: "GenusFilter | None") -> bytes:
+# The split table's code of a candidate that fails (iii) (`_split_codes`).
+FAILS_III = 4
+
+
+def _split_codes(ds: list[int], genus: "GenusFilter | None", fold: int | None = None) -> bytes:
     """codes[x] for x mod |D|, D = prod ds, at the residue x of an odd prime
     p prime to D: 0 when p is inert in K, 2 when it splits and there is no
-    `genus`, else `genus.code` of the signature of the prime above p. Byte
-    x first packs the t characters at x, bit i from the i-th one's table
-    (`_character_table`) repeated to length |D|. (D / p) is their product,
-    so an odd number of set bits means inert, and `translate` maps each of
-    the 2^t bit patterns to its code."""
+    `genus`, else `genus.code` of the signature of the prime above p; with
+    a `fold` (`ConditionChecker._fold_iii`), a code 2 becomes FAILS_III
+    where the characters of its bits multiply to +1. Byte x first packs the
+    t characters at x, bit i from the i-th one's table (`_character_table`)
+    repeated to length |D|. (D / p) is their product, so an odd number of
+    set bits means inert, and `translate` maps each of the 2^t bit patterns
+    to its code."""
     size = abs(math.prod(ds))
     packed = 0
     for i, d in enumerate(ds):
         packed |= int.from_bytes(_character_table(d) * (size // abs(d)), "little") << i
     kept = 0 if genus is None else sum(1 << i for i, _, _ in genus.chars)
-    code = bytes(
-        0 if bin(bits).count("1") % 2 else 2 if genus is None else genus.code(bits & kept)
-        for bits in range(1 << len(ds))
-    ).ljust(256, b"\0")
-    return packed.to_bytes(size, "little").translate(code)
+
+    def code(bits: int) -> int:
+        c = 0 if bits.bit_count() % 2 else 2 if genus is None else genus.code(bits & kept)
+        return FAILS_III if c == 2 and fold is not None and (bits & fold).bit_count() % 2 == 0 else c
+
+    table = bytes(map(code, range(1 << len(ds)))).ljust(256, b"\0")
+    return packed.to_bytes(size, "little").translate(table)
 
 
 @dataclass(frozen=True)
@@ -380,14 +389,16 @@ class ConditionChecker:
         (`_split_codes`): until the checker has the split table, from
         `_code`, and once a scan has decided its `_break_even` candidates
         so, it builds the table, and each later candidate's code is one
-        lookup. Codes 0 and 1 only count; the others go to `_decide`. A
-        code depends on p mod |D| alone, so both passes give the same
+        lookup. Codes 0 and 1, and FAILS_III where the table folds in (iii)
+        (`_fold_iii`), only count; the others go to `_decide`. A code
+        depends on p mod |D| alone, and `_decide` rejects at (iii) every
+        candidate that the fold does, so both passes give the same
         verdicts; a checker without a break-even (None) never builds the
         table."""
         self.build_prefilter()
         candidates = self.candidates(lo, hi)
         stats = dict.fromkeys(SCAN_COUNTERS, 0)
-        tally = [0, 0, 0, 0]  # candidates by code
+        tally = [0] * (FAILS_III + 1)  # candidates by code
         code_of, decide, found = self._code, self._decide, None
         while True:
             codes = self._codes
@@ -395,7 +406,7 @@ class ConditionChecker:
             for p in candidates if codes else islice(candidates, self._break_even):
                 code = codes[p % size] if codes else code_of(p)
                 tally[code] += 1
-                if code > 1:
+                if 1 < code < FAILS_III:
                     failed_at, _ = decide(p, code)
                     if failed_at is None:
                         found = p
@@ -404,11 +415,36 @@ class ConditionChecker:
                     stats[key] = stats.get(key, 0) + 1
             if codes or found is not None or sum(tally) != self._break_even:
                 break
-            self._codes = _split_codes(self.prime_discs, self.genus)
+            self._codes = _split_codes(self.prime_discs, self.genus, self._fold_iii())
         stats["scanned"] += sum(tally)
         stats["rejected_i"] += tally[0]
         stats["rejected_ii"] += tally[1]
+        stats["rejected_iii"] += tally[FAILS_III]
         return found, stats
+
+    def _fold_iii(self) -> int | None:
+        """The bits of the split table's characters whose product is (c / p),
+        c = N(1 + eps), at every candidate p prime to c; None where the table
+        cannot decide (iii) (`_split_codes`). It can at ell^n = 2 on a
+        ray-exact field whose prefilter has no norm part, where code 2 passes
+        (ii). c(c - 4) = (eps - eps')^2 = D f^2 and gcd(c, c - 4) | 4, so the
+        squarefree kernel s of c divides 2D; for p = 1 mod 4, (q / p) =
+        (q* / p) for odd q, and (2 / p) = (+-8 / p) when D has that character.
+        At p | c, eps = -1 at both primes above p, a square, so (iii) fails."""
+        genus, c = self.genus, self.norm_one_plus_eps
+        if c is None or not self.ray_exact or genus is not None and genus.norms is not None:
+            return None
+        s, bits, eight = 2 ** (valuation(c, 2) % 2), 0, None
+        for i, d in enumerate(self.prime_discs):
+            if d % 2 == 0:
+                eight = i if d != -4 else None
+            elif valuation(c, abs(d)) % 2:
+                s, bits = s * abs(d), bits | 1 << i
+        root = math.isqrt(c // s)
+        require(root * root * s == c, "N(1 + eps) is not a square times primes of 2D")
+        if s % 2 == 0:
+            return None if eight is None else bits | 1 << eight
+        return bits
 
     def build_prefilter(self) -> None:
         """Build the genus prefilter and the ray-exact flag

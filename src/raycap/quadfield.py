@@ -24,7 +24,7 @@ from .exactmath import (
     is_prime,
     kronecker,
     power,
-    primes_in_progression,
+    primes_1_mod,
     primes_up_to,
     roots_mod_p,
     squarefree_part,
@@ -1161,10 +1161,8 @@ def _ray_ideal_gens(field: QuadField, modulus: Modulus, cl: ClassGroupData):
     gens: list[QIdeal] = []
     vecs: list[tuple[int, ...]] = []
     limit = 1000 * max(abs(field.D), 100)
-    primes = (p for p in primes_in_progression(1, 1, start=2) if p not in skip)
+    primes = (p for p in primes_1_mod(1, 2, limit) if p not in skip)
     for _, p, b in _prime_triples(field, primes):
-        if p > limit:
-            break
         gens.append(QIdeal(field, 1, p, b))
         vecs.append(cl.table[class_key(gens[-1])])
         table, relations = _vector_closure(cl, vecs)

@@ -1,5 +1,6 @@
 """Reference implementations that only the tests use: a fraction-free
 determinant, matrix products, multiplicative orders, divisor lists,
+primes in an arithmetic progression by a primality test on each member,
 splitting degrees of polynomials mod q, analytic class numbers of imaginary
 fields, synthetic abelian groups given by their invariants, the identity,
 sums and element list of a group in invariant-factor form, the cyclic
@@ -34,10 +35,10 @@ value on their residues and discrete logs, the principal ideal of L on
 `BqIdeal.from_generators`, and the norm index on its residue systems and
 unit lattice, the trivial-modulus ambiguous count on its ray class group
 and prime splitting, the scan's reference decision on the checker's ray
-class group, unit and square root, the period polynomial on its primitive
-root, CRT and primes in progression, and the residue factor of L on
-`ResidueFactor`, `BqIdeal.contains` and the roots mod p; the rest share no
-code with it.
+class group, unit and square root, the primes in progression on
+`is_prime`, the period polynomial on its primitive root, CRT and those
+primes, and the residue factor of L on `ResidueFactor`, `BqIdeal.contains`
+and the roots mod p; the rest share no code with it.
 """
 from __future__ import annotations
 
@@ -56,7 +57,6 @@ from raycap.exactmath import (
     is_prime,
     kronecker,
     power,
-    primes_in_progression,
     roots_mod_p,
     sqrt_mod,
     valuation,
@@ -177,6 +177,20 @@ def divisors(n: int) -> list[int]:
     for p, k in factor(n).items():
         out = [d * p**i for d in out for i in range(k + 1)]
     return sorted(out)
+
+
+def primes_in_progression(a: int, mod: int, start: int = 2) -> Iterator[int]:
+    """Primes p ≡ a (mod mod) with p >= start, ascending, by `is_prime` on
+    every member: the reference for the library's progression sieve. With
+    gcd(a, mod) > 1 at most one prime exists, and it is still found."""
+    if mod < 1:
+        raise ValueError(f"modulus must be positive, got {mod}")
+    p = max(start, 2)
+    p += (a - p) % mod  # align p with the residue class, then step by mod
+    while True:
+        if is_prime(p):
+            yield p
+        p += mod
 
 
 def multiplicative_order(a: int, m: int, group_exponent: int | None = None) -> int:

@@ -94,7 +94,8 @@ class TestRayclass:
         # lies past that bound
         for cached in (quadfield.class_group, quadfield.ray_class_group):
             cached.cache_clear()
-        monkeypatch.setattr(quadfield, "primes_in_progression", lambda *a, **k: iter([100003]))
+        monkeypatch.setattr(quadfield, "primes_1_mod",
+                            lambda step, lo, hi: (p for p in (100003,) if lo <= p <= hi))
         code, out, err = run(capsys, "rayclass", "--d", "-5", "--mod", "3")
         assert code == 6
         assert out == ""

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import divisors, multiplicative_order, splitting_degree, sqrt_mod_linear_scan
+from oracles import (
+    divisors,
+    multiplicative_order,
+    primes_in_progression,
+    splitting_degree,
+    sqrt_mod_linear_scan,
+)
 from raycap import exactmath
 from raycap.exactmath import (
     PRIMALITY_LIMIT,
@@ -18,7 +24,6 @@ from raycap.exactmath import (
     kronecker,
     power,
     primes_1_mod,
-    primes_in_progression,
     primes_up_to,
     roots_mod_p,
     sqrt_mod,
@@ -157,6 +162,47 @@ class TestProgressionSieve:
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
             list(primes_1_mod(0, 1, 100))
+
+    def test_second_scan_sieves_nothing(self):
+        """A scan to 5*10^5 sieves two full segments of 2^16 slots; scanning
+        it again, or any range within them at that segment size, is read off
+        the cache with no further miss."""
+        exactmath._segment.cache_clear()
+        got = list(primes_1_mod(4, 3, 5 * 10**5))
+        misses = exactmath._segment.cache_info().misses
+        assert misses == 2 and got == [p for p in primes_up_to(5 * 10**5) if p % 4 == 1]
+        assert list(primes_1_mod(4, 3, 5 * 10**5)) == got
+        assert list(primes_1_mod(4, 1000, 3 * 10**5)) == [p for p in got if 1000 <= p <= 3 * 10**5]
+        assert exactmath._segment.cache_info().misses == misses
+
+    def test_short_range_sieves_less_than_twice_its_slots(self):
+        """A range of 5,000 slots (p <= 2*10^4, step 4) sieves one segment
+        of 8,192 slots, and the range up to 65537 = 1 + 2^16 at step 2^16,
+        whose last slot is slot 1, one of 2 slots."""
+        exactmath._segment.cache_clear()
+        assert list(primes_1_mod(4, 3, 2 * 10**4)) == progression_reference(4, 3, 2 * 10**4)
+        assert list(primes_1_mod(1 << 16, 2, 65537)) == [65537]
+        assert exactmath._segment.cache_info().misses == 2
+        assert exactmath._segment(4, 1 << 13, 0)[-1] < 4 * (1 << 13)
+        assert list(exactmath._segment(1 << 16, 2, 0)) == [65537]
+        assert exactmath._segment.cache_info().misses == 2
+
+    def test_cache_stays_within_its_bound(self):
+        """Forty segments of 64 slots: the cache keeps at most its bound of
+        them, and the primes are those of the reference."""
+        exactmath._segment.cache_clear()
+        hi = 40 * 64 * 8
+        with mock.patch.object(exactmath, "_SIEVE_SEGMENT", 64):
+            got = list(primes_1_mod(8, 3, hi))
+        info = exactmath._segment.cache_info()
+        assert info.misses == 40 and info.currsize == info.maxsize == 8
+        assert got == progression_reference(8, 3, hi)
+
+    @pytest.mark.parametrize("lo,hi", [(-5, 1), (0, 2), (2, 3), (2, 10**5), (1000, 140000)])
+    def test_step_one_is_every_prime(self, lo, hi):
+        """Step 1 lists every prime: those of `primes_up_to` from lo on,
+        across the segment edge at 65,537 for the last range."""
+        assert list(primes_1_mod(1, lo, hi)) == [p for p in primes_up_to(hi) if p >= lo]
 
 
 class TestKronecker:

@@ -1,5 +1,6 @@
 """Tests for split criteria, residue characters, the genus prefilter and
 the condition checker."""
+import functools
 import math
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 from raycap import kummerfrob
 from raycap.capsearch import find_principalizing_prime
 from raycap.errors import InputError
-from raycap.exactmath import kronecker, primes_up_to, sqrt_mod, squarefree_part
+from raycap.exactmath import factor, kronecker, primes_up_to, sqrt_mod, squarefree_part, valuation
 from raycap.kummerfrob import (
     ConditionChecker,
     SearchParams,
@@ -21,6 +22,7 @@ from raycap.quadfield import (
     Modulus,
     QElt,
     RayClassData,
+    aug_unit_data,
     fundamental_unit,
     is_prime_ideal,
     modulus_from_rational,
@@ -944,3 +946,190 @@ class TestSplitTable:
                         assert chk._code(p) == codes[p % abs(D)], p
                     tables += 1
         assert tables > 500
+
+
+def kernel_at_2D(c: int, D: int) -> int:
+    """The product s of the primes of 2D at which c has odd valuation,
+    asserting that c / s is a square: then s is the squarefree kernel of c."""
+    s = math.prod(q for q in {2, *factor(abs(D))} if valuation(c, q) % 2)
+    r = math.isqrt(c // s)
+    assert r * r * s == c, (c, D)
+    return s
+
+
+def s_character(ds: list[int], s: int):
+    """x -> (s / p) at the candidates p = x mod |D|, p = 1 mod 4, D = prod
+    ds, as a product of Kronecker symbols of the prime discriminants at x:
+    (q* / x) for each odd q | s and (+-8 / x) for 2 | s. None when 2 | s and
+    D has no +-8 discriminant, as (2 / p) is then no character mod |D|."""
+    picked = [d for d in ds if d % 2 and s % d == 0]
+    if s % 2 == 0:
+        eight = [d for d in ds if d in (8, -8)]
+        if not eight:
+            return None
+        picked += eight
+    return lambda x: math.prod(kronecker(d, x) for d in picked)
+
+
+def fold_errors(chk: ConditionChecker, codes: bytes) -> list[int]:
+    """The residues x prime to D at which `codes` is not the table a scan
+    of chk should build: the unfolded one (`_split_codes` without a fold),
+    with each code 2 at an x where (s / x) = 1 turned into FAILS_III on a
+    ray-exact field at ell^n = 2 whose prefilter has no norm part and
+    where (s / .) is a character mod |D|; elsewhere nothing changes."""
+    ds, genus, D = chk.prime_discs, chk.genus, chk.field.D
+    unfolded = kummerfrob._split_codes(ds, genus)
+    chi = None
+    if chk.norm_one_plus_eps is not None and chk.ray_exact and (genus is None or genus.norms is None):
+        chi = s_character(ds, kernel_at_2D(chk.norm_one_plus_eps, D))
+    want = unfolded if chi is None else bytes(
+        kummerfrob.FAILS_III if code == 2 and chi(x) == 1 else code
+        for x, code in enumerate(unfolded)
+    )
+    return [x for x in range(abs(D)) if math.gcd(x, D) == 1 and codes[x] != want[x]]
+
+
+def fold_bits(chk: ConditionChecker) -> int:
+    """The fold of chk's table computed as if its field could fold: the bits
+    of the characters picked by `s_character`."""
+    s = kernel_at_2D(chk.norm_one_plus_eps, chk.field.D)
+    picked = [s % d == 0 if d % 2 else s % 2 == 0 and d != -4 for d in chk.prime_discs]
+    return sum(1 << i for i, bit in enumerate(picked) if bit)
+
+
+def new_code_errors(chk: ConditionChecker, codes: bytes, bound: int) -> list[int]:
+    """The candidates p <= bound with FAILS_III in `codes` whose
+    `reference_decide` verdict is not (iii)."""
+    size = len(codes)
+    return [p for p in chk.candidates(3, bound)
+            if codes[p % size] == kummerfrob.FAILS_III and reference_decide(chk, p)[0] != "iii"]
+
+
+class TestFoldedTable:
+    """At ell^n = 2 on a ray-exact field whose prefilter has no norm part,
+    a split candidate of code 2 passes (ii), and (iii) asks (c / p) = -1,
+    c = N(1 + eps). The squarefree kernel s of c divides 2D, so (s / p) is
+    a product of the table's characters, and the table gives the codes 2
+    where it is +1 the count-only code FAILS_III."""
+
+    BOUND = 2 * 10**4
+
+    @staticmethod
+    @functools.cache
+    def corpus() -> list:
+        """(checker, its folded table) for class 0 of every field of
+        `corpus_fields`, with the prefilter built; made once for the tests
+        below, which only read them."""
+        out = []
+        for K, modulus in corpus_fields():
+            rank = ray_class_group(K, modulus).group.rank
+            chk = ConditionChecker(K, modulus, (0,) * rank,
+                                   SearchParams(2, 1, 0, TestFoldedTable.BOUND))
+            chk.build_prefilter()
+            out.append((chk, kummerfrob._split_codes(chk.prime_discs, chk.genus, chk._fold_iii())))
+        return out
+
+    def test_kernel_divides_twice_the_discriminant(self):
+        """Real squarefree d < 2000, moduli 1, 3 and 7 where prime to D:
+        c = 2 + Tr eps of the unit that the checker takes has
+        c(c - 4) = (eps - eps')^2 = D f^2, and c is a square times a divisor
+        s of 2D."""
+        fields = 0
+        for d in range(2, 2000):
+            if squarefree_part(d) != d:
+                continue
+            K = quadratic_field(d)
+            for m in (1, 3, 7):
+                if math.gcd(m, K.D) != 1:
+                    continue
+                eps, _ = aug_unit_data(K, modulus_from_rational(K, m))
+                c = eps.trace() + 2
+                f2, rest = divmod(c * (c - 4), K.D)
+                assert rest == 0 and math.isqrt(f2) ** 2 == f2, (d, m)
+                assert (2 * K.D) % kernel_at_2D(c, K.D) == 0, (d, m)
+                fields += 1
+        assert fields == 3186
+
+    def test_fold_turns_code_two_where_the_kernel_character_is_one(self):
+        """On the corpus, the folded table is the unfolded one except at the
+        code 2 of a ray-exact field without a norm part, where it is
+        FAILS_III exactly where (s / x) = 1. 165 of the 590 fields fold,
+        and on 37 of them 2 | s is read off the +-8 character; 48 more are
+        ray-exact without a norm part, but have 2 | s and no +-8 character."""
+        folded = by_eight = 0
+        for chk, codes in self.corpus():
+            assert fold_errors(chk, codes) == [], (chk.field.d, chk.modulus)
+            fold = chk._fold_iii()
+            if fold is not None:
+                folded += 1
+                by_eight += kernel_at_2D(chk.norm_one_plus_eps, chk.field.D) % 2 == 0
+        assert (folded, by_eight) == (165, 37)
+
+    def test_new_code_fails_iii_by_reference(self):
+        """On the folded fields of the corpus, every candidate below 2*10^4
+        with the code FAILS_III has `reference_decide` (iii); and on every
+        field every candidate p | c that passes (ii) fails (iii), d = 286
+        and p = 113 among them, which gets FAILS_III."""
+        new = divides = 0
+        for chk, codes in self.corpus():
+            if chk._fold_iii() is not None:
+                assert new_code_errors(chk, codes, self.BOUND) == [], chk.field.d
+                new += sum(codes[p % len(codes)] == kummerfrob.FAILS_III
+                           for p in chk.candidates(3, self.BOUND))
+            for p in chk.candidates(3, self.BOUND):
+                if chk.norm_one_plus_eps % p == 0:
+                    failed_at, _ = reference_decide(chk, p)
+                    assert failed_at in ("i", "ii", "iii"), (chk.field.d, p)
+                    divides += failed_at == "iii"
+            if (chk.field.d, chk.modulus.norm()) == (286, 1):
+                D = chk.field.D
+                assert chk.norm_one_plus_eps % 113 == 0 and codes[113 % abs(D)] == kummerfrob.FAILS_III
+                assert reference_decide(chk, 113)[0] == "iii"
+        assert new > 10**4 and divides > 0
+
+    def test_scan_builds_the_folded_table(self):
+        """d = 66, the field of the pinned CI scan: c = 132 = 4 * 33, whose
+        kernel 33 is read off the characters of -3 and -11. A scan to
+        2*10^5 builds the folded table and counts 2,202 rejections of (iii),
+        as the parent of the fold did, calling `_decide` on none of them."""
+        chk = fresh_checker(66, 1, 2 * 10**5)
+        assert chk.norm_one_plus_eps == 132 and chk.prime_discs == [-3, 8, -11]
+        calls = []
+        decide = chk._decide
+        chk._decide = lambda p, code: calls.append(p) or decide(p, code)
+        found, stats = chk.scan(3, 2 * 10**5)
+        assert chk._fold_iii() == 0b101 and fold_errors(chk, chk._codes) == []
+        assert found is None and stats == {"scanned": 8977, "rejected_i": 4535,
+                                           "rejected_ii": 2240, "rejected_iii": 2202}
+        assert len(calls) <= chk._break_even
+
+    def test_mutations_are_caught(self):
+        """Three wrong folds, each caught on the corpus: the parity of the
+        kernel character flipped, caught on all 165 folded fields; its +-8
+        bit dropped, caught on the 13 of the 37 fields with 2 | s where the
+        +-8 character is not constant on the codes 2; and a fold on the 204
+        ray-exact fields with a norm part where it changes the table, which
+        `new_code_errors` also catches, on the first three, as (ii)
+        rejections counted at (iii)."""
+        flipped = dropped = normed = by_reference = 0
+        swap = {2: kummerfrob.FAILS_III, kummerfrob.FAILS_III: 2}
+        for chk, codes in self.corpus():
+            ds, genus, fold = chk.prime_discs, chk.genus, chk._fold_iii()
+            if fold is not None:
+                mutant = bytes(swap.get(code, code) for code in codes)
+                assert fold_errors(chk, mutant), chk.field.d
+                flipped += 1
+                eight = [i for i, d in enumerate(ds) if d in (8, -8) and fold >> i & 1]
+                if eight:
+                    mutant = kummerfrob._split_codes(ds, genus, fold & ~(1 << eight[0]))
+                    dropped += bool(fold_errors(chk, mutant))
+            elif chk.ray_exact and genus is not None and genus.norms is not None:
+                if s_character(ds, kernel_at_2D(chk.norm_one_plus_eps, chk.field.D)) is None:
+                    continue
+                mutant = kummerfrob._split_codes(ds, genus, fold_bits(chk))
+                if mutant != codes:
+                    assert fold_errors(chk, mutant), chk.field.d
+                    normed += 1
+                    if by_reference < 3:
+                        by_reference += bool(new_code_errors(chk, mutant, 5000))
+        assert (flipped, dropped, normed, by_reference) == (165, 13, 204, 3)
