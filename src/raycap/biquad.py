@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache, reduce
 from itertools import product
 
@@ -705,9 +705,10 @@ class CapitulationReport:
 
 
 def verify_certificate(cert) -> CapitulationReport:
-    """Re-check the search conditions and the cyclic field, then hand the
-    quadratic step to `decide_capitulation`."""
-    from .capsearch import CyclicFieldDesc, gaussian_period_min_poly
+    """Rebuild the certificate from its (d, modulus, target, ell, n, h,
+    bound, p) with the search's builder, compare the whole record, then
+    hand the quadratic step to `decide_capitulation`."""
+    from .capsearch import certificate_at
     from .kummerfrob import ConditionChecker, SearchParams
 
     K = quadratic_field(cert.d)
@@ -722,22 +723,19 @@ def verify_certificate(cert) -> CapitulationReport:
     except InputError as err:
         rep.status, rep.detail = "invalid_certificate", str(err)
         return rep
-    rep.checks["conditions"] = (
-        check.ok
-        and check.root == cert.root
-        and check.checks.get("eps_character") == cert.eps_character
-    )
+    if not check.ok:
+        rep.checks["conditions"] = False
+        rep.status = "invalid_certificate"
+        rep.detail = f"condition re-check failed at ({check.failed_at})"
+        return rep
+    rebuilt = certificate_at(checker, check)
+    rep.checks["conditions"] = replace(rebuilt, cyclic_field=cert.cyclic_field) == cert
     if not rep.checks["conditions"]:
         rep.status = "invalid_certificate"
-        rep.detail = (
-            f"condition re-check failed at ({check.failed_at})"
-            if not check.ok
-            else "certificate data does not match the re-check"
-        )
+        rep.detail = "certificate data does not match the re-check"
         return rep
-    degree = cert.ell**cert.n  # divides p - 1 once the conditions hold
-    F = CyclicFieldDesc(cert.p, degree, gaussian_period_min_poly(cert.p, degree))
-    if cert.cyclic_field != F:
+    degree = rebuilt.cyclic_field.degree
+    if rebuilt.cyclic_field != cert.cyclic_field:
         rep.status = "invalid_certificate"
         rep.detail = f"the cyclic field is not the degree {degree} field of conductor {cert.p}"
         return rep

@@ -14,7 +14,7 @@ from operator import mul
 
 from .errors import InputError, require
 from .exactmath import is_prime, valuation
-from .kummerfrob import SCAN_COUNTERS, ConditionChecker, SearchParams
+from .kummerfrob import SCAN_COUNTERS, ConditionChecker, ConditionReport, SearchParams
 from .quadfield import FIELD_CACHE_SIZE, Modulus, QuadField, _primitive_root, quadratic_field
 
 
@@ -121,6 +121,56 @@ class CandidateCertificate:
             "cyclic_field": self.cyclic_field.as_dict(),
         }
 
+    @staticmethod
+    def from_dict(data: dict) -> "CandidateCertificate":
+        """The certificate that `as_dict` wrote; InputError if a field is
+        missing or not an integer where one is due."""
+        try:
+            cf = data["cyclic_field"]
+            return CandidateCertificate(
+                d=int(data["d"]),
+                modulus=tuple(tuple(int(x) for x in t) for t in data["modulus"]),
+                target=tuple(int(x) for x in data["target"]),
+                ell=int(data["ell"]),
+                n=int(data["n"]),
+                h=int(data["h"]),
+                h_K=int(data["h_K"]),
+                p=int(data["p"]),
+                root=int(data["root"]),
+                eps_character=dict(data["eps_character"]),
+                minus_one_character=dict(data["minus_one_character"]),
+                bound=int(data["bound"]),
+                cyclic_field=CyclicFieldDesc(
+                    int(cf["p"]), int(cf["degree"]), tuple(int(c) for c in cf["min_poly"])
+                ),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed certificate data: {exc}") from exc
+
+
+def certificate_at(checker: ConditionChecker, rep: ConditionReport) -> CandidateCertificate:
+    """The certificate of `checker`'s passing report `rep`, with the cyclic
+    field of degree ell^n and conductor rep.p: the one record that search
+    stamps and that verify rebuilds to compare."""
+    require(rep.ok, f"no certificate at {rep.p}: the conditions fail at ({rep.failed_at})")
+    params = checker.params
+    degree = params.ell**params.n
+    return CandidateCertificate(
+        d=checker.field.d,
+        modulus=checker.modulus.entries(),
+        target=checker.target,
+        ell=params.ell,
+        n=params.n,
+        h=checker.h,
+        h_K=checker.h_K,
+        p=rep.p,
+        root=rep.root,
+        eps_character=rep.eps_character,
+        minus_one_character=rep.minus_one_character,
+        bound=params.bound,
+        cyclic_field=CyclicFieldDesc(rep.p, degree, gaussian_period_min_poly(rep.p, degree)),
+    )
+
 
 @dataclass
 class SearchResult:
@@ -187,25 +237,7 @@ def find_principalizing_prime(
     if found_p is None:
         stats["reason"] = f"no prime below {params.bound} passed all conditions"
         return SearchResult(status="not_found", stats=stats, params=params)
-    rep = checker.check(found_p)  # the report of the hit alone
-    degree = params.ell**params.n
-    cert = CandidateCertificate(
-        d=field.d,
-        modulus=modulus.entries(),
-        target=checker.target,
-        ell=params.ell,
-        n=params.n,
-        h=checker.h,
-        h_K=checker.h_K,
-        p=found_p,
-        root=rep.root,
-        eps_character=rep.checks["eps_character"],
-        minus_one_character=rep.checks["minus_one_character"],
-        bound=params.bound,
-        cyclic_field=CyclicFieldDesc(
-            found_p, degree, gaussian_period_min_poly(found_p, degree)
-        ),
-    )
+    cert = certificate_at(checker, checker.check(found_p))
     return SearchResult(status="found", certificate=cert, stats=stats, params=params)
 
 

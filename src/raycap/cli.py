@@ -19,7 +19,7 @@ from raycap.ambigcheck import (
     rayclass_Q,
     rayclass_Q_generators,
 )
-from raycap.capsearch import SearchResult, find_principalizing_prime
+from raycap.capsearch import CandidateCertificate, SearchResult, find_principalizing_prime
 from raycap.errors import BudgetError, InputError, RaycapError
 from raycap.exactmath import factor, is_prime
 from raycap.kummerfrob import SearchParams
@@ -35,7 +35,6 @@ from raycap.quadfield import (
 from raycap.report import (
     ReportCache,
     canonical_json,
-    certificate_from_dict,
     load_certificate,
     save_certificate,
     stamp,
@@ -219,7 +218,7 @@ def cmd_search(args) -> int:
     payload = report["payload"]
     status = payload["status"]
     if status == "found":
-        cert = certificate_from_dict(payload["certificate"])
+        cert = CandidateCertificate.from_dict(payload["certificate"])
         out = args.out or f"cert-d{field.d}-n{cert.n}.json"
         save_certificate(out, cert)
         _emit(
@@ -256,7 +255,7 @@ def cmd_search(args) -> int:
 def cmd_verify(args) -> int:
     from raycap.biquad import verify_certificate
 
-    cert, _ = load_certificate(args.certificate)
+    cert = CandidateCertificate.from_dict(load_certificate(args.certificate)[0])
     rep = verify_certificate(cert)
     payload = rep.as_dict()
     if args.update:
@@ -290,11 +289,13 @@ DEFAULT_SWEEP: tuple = tuple(
 
 
 def cmd_ambig(args) -> int:
+    if args.base is not None and args.biquad is None:
+        raise InputError("--base names the base field of --biquad only")
     if args.sweep:
-        if args.sweep != "default":
-            raise InputError("the only built-in sweep is 'default'")
+        if args.mod is not None:
+            raise InputError("--mod does not apply to --sweep: each case names its modulus")
         cases = list(DEFAULT_SWEEP)
-    elif args.biquad:
+    elif args.biquad is not None:
         dp = [_int(x, "--biquad entry") for x in args.biquad.split(",")]
         if len(dp) != 2:
             raise InputError("--biquad wants 'd,p'")
@@ -304,12 +305,10 @@ def cmd_ambig(args) -> int:
             for x in (args.mod or "1").split(",")
             if x.strip() not in ("", "1")
         )
-        cases = [("biquad", d, p, args.base, mods)]
-    elif args.L_disc is not None:
+        cases = [("biquad", d, p, args.base or 1, mods)]
+    else:
         d = _d_from_disc(args.L_disc)
         cases = [("quad", d, _parse_rational_modulus(args.mod or "1"))]
-    else:
-        raise InputError("need --L-disc, --biquad, or --sweep")
 
     # every report is built before the first line is printed, so a case
     # that raises prints nothing
@@ -464,15 +463,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ambig", parents=[common], help="ambiguous count identity")
-    p.add_argument("--L-disc", type=int, default=None,
-                   help="fundamental discriminant of quadratic L")
-    p.add_argument("--biquad", default=None,
-                   help="'d,p' for Q(sqrt d, sqrt p); a negative d needs the "
-                   "'=' form, --biquad=-5,7")
-    p.add_argument("--base", type=int, default=1, choices=[1, 2, 3],
-                   help="which quadratic subfield is K (biquad only)")
-    p.add_argument("--mod", default="1", help="modulus integer (rational primes)")
-    p.add_argument("--sweep", default=None, help="'default' for the built-in corpus")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--L-disc", type=int, default=None,
+                       help="fundamental discriminant of quadratic L")
+    group.add_argument("--biquad", default=None,
+                       help="'d,p' for Q(sqrt d, sqrt p); a negative d needs the "
+                       "'=' form, --biquad=-5,7")
+    group.add_argument("--sweep", choices=["default"], default=None,
+                       help="the built-in corpus")
+    p.add_argument("--base", type=int, default=None, choices=[1, 2, 3],
+                   help="which quadratic subfield is K (--biquad only, default 1)")
+    p.add_argument("--mod", default=None,
+                   help="modulus integer (rational primes; default 1, not with --sweep)")
     p.add_argument("--cache-dir", default=None, help="report cache location")
     p.set_defaults(func=cmd_ambig)
 

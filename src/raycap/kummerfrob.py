@@ -301,9 +301,13 @@ class SearchParams:
 class ConditionReport:
     p: int
     root: int | None
-    ok: bool
     failed_at: str | None  # "i" | "ii" | "iii" | "iv" | None
-    checks: dict = dc_field(default_factory=dict)
+    eps_character: dict | None = None  # {"value", "order"}, past (ii)
+    minus_one_character: dict | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.failed_at is None
 
 
 class ConditionChecker:
@@ -519,8 +523,7 @@ class ConditionChecker:
         root, taking the root here past (i') when `_decide` took none. It
         decides with the prefilter if one is built and builds none, so a
         checker made for one `check` skips `GenusFilter.build`. The report
-        holds each outcome up to the first failure and, past (ii), the eps
-        and -1 characters."""
+        holds the first failure and, past (ii), the eps and -1 characters."""
         if self.forbidden(p):
             raise InputError(f"candidate {p} violates the coprimality precondition")
         params = self.params
@@ -529,14 +532,10 @@ class ConditionChecker:
             failed_at, root = self._decide(p, self._code(p))
             if root is None and failed_at != "i":
                 root = self._root(p)
-        rep = ConditionReport(p=p, root=root, ok=failed_at is None, failed_at=failed_at)
-        rep.checks["iv"] = self.iv_ok
-        for cond in ("i", "ii"):
-            rep.checks[cond] = failed_at != cond
-            if failed_at == cond:
-                return rep
-        for name, eta in (("eps", self.eps), ("minus_one", self.field.elt(-1, 0))):
+        if failed_at in ("i", "ii"):
+            return ConditionReport(p, root, failed_at)
+        chars = []
+        for eta in (self.eps, self.field.elt(-1, 0)):
             c, order = residue_character(eta, p, params.ell, params.n, root)
-            rep.checks[f"{name}_character"] = {"value": c, "order": order}
-        rep.checks["iii"] = failed_at != "iii"
-        return rep
+            chars.append({"value": c, "order": order})
+        return ConditionReport(p, root, failed_at, *chars)

@@ -646,10 +646,6 @@ class Modulus:
             seen.add(q.key())
 
     @staticmethod
-    def trivial(field: QuadField) -> "Modulus":
-        return Modulus(field, ())
-
-    @staticmethod
     def from_entries(field: QuadField, entries) -> "Modulus":
         """The modulus that `entries()` wrote, checked: each entry must be
         (p, a, b, g) for a prime g*[a, b + w] in normal form, p the rational

@@ -1,4 +1,4 @@
-"""Canonical JSON reports, certificate files, and a content-addressed cache.
+"""Canonical JSON reports, certificate file envelopes, and a content-addressed cache.
 
 Every artifact is a stamped envelope {schema, kind, payload, sha256} where
 the digest covers the canonical serialization of the first three fields.
@@ -15,7 +15,6 @@ from functools import cache
 from pathlib import Path
 
 from raycap import __version__
-from raycap.capsearch import CandidateCertificate, CyclicFieldDesc
 from raycap.errors import InputError
 
 SCHEMA = "rc-1"
@@ -68,35 +67,8 @@ def source_digest() -> str:
 # certificate files
 
 
-def certificate_from_dict(d: dict) -> CandidateCertificate:
-    try:
-        cf = d["cyclic_field"]
-        return CandidateCertificate(
-            d=int(d["d"]),
-            modulus=tuple(tuple(int(x) for x in t) for t in d["modulus"]),
-            target=tuple(int(x) for x in d["target"]),
-            ell=int(d["ell"]),
-            n=int(d["n"]),
-            h=int(d["h"]),
-            h_K=int(d["h_K"]),
-            p=int(d["p"]),
-            root=int(d["root"]),
-            eps_character=dict(d["eps_character"]),
-            minus_one_character=dict(d["minus_one_character"]),
-            bound=int(d["bound"]),
-            cyclic_field=CyclicFieldDesc(
-                p=int(cf["p"]),
-                degree=int(cf["degree"]),
-                min_poly=tuple(int(c) for c in cf["min_poly"]),
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed certificate data: {exc}") from exc
-
-
-def certificate_report(
-    cert: CandidateCertificate, verification: dict | None = None
-) -> dict:
+def certificate_report(cert, verification: dict | None = None) -> dict:
+    """The stamped file envelope of a certificate (`as_dict`'s record)."""
     payload = {
         "certificate": cert.as_dict(),
         "verification": verification,
@@ -105,15 +77,15 @@ def certificate_report(
     return stamp("certificate", payload)
 
 
-def save_certificate(
-    path: str | Path, cert: CandidateCertificate, verification: dict | None = None
-) -> dict:
+def save_certificate(path: str | Path, cert, verification: dict | None = None) -> dict:
     report = certificate_report(cert, verification)
     atomic_write_text(Path(path), canonical_json(report) + "\n")
     return report
 
 
-def load_certificate(path: str | Path) -> tuple[CandidateCertificate, dict]:
+def load_certificate(path: str | Path) -> tuple[dict, dict]:
+    """The certificate record of a stamped certificate file, for
+    `CandidateCertificate.from_dict`, and the whole envelope."""
     try:
         data = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
@@ -125,7 +97,7 @@ def load_certificate(path: str | Path) -> tuple[CandidateCertificate, dict]:
     payload = data["payload"]
     if not isinstance(payload, dict) or not isinstance(payload.get("certificate"), dict):
         raise InputError("certificate file holds no certificate object")
-    return certificate_from_dict(payload["certificate"]), data
+    return payload["certificate"], data
 
 
 # ---------------------------------------------------------------------------

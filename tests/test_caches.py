@@ -118,7 +118,7 @@ def _evict_ray_groups() -> None:
     while built < FIELD_CACHE_SIZE:
         if squarefree_part(d) == d:
             K = quadratic_field(d)
-            ray_class_group(K, Modulus.trivial(K))
+            ray_class_group(K, Modulus(K, ()))
             built += 1
         d -= 1
 

@@ -193,7 +193,7 @@ class TestSearch:
     def test_flagship_certificate(self):
         K = quadratic_field(34)
         res = find_principalizing_prime(
-            K, Modulus.trivial(K), (1,), SearchParams(2, 1, bound=10**4)
+            K, Modulus(K, ()), (1,), SearchParams(2, 1, bound=10**4)
         )
         assert res.status == "found"
         c = res.certificate
@@ -207,7 +207,7 @@ class TestSearch:
         for d in (15, 35, 39, 51, 55, 91, 95):
             K = quadratic_field(d)
             res = find_principalizing_prime(
-                K, Modulus.trivial(K), (1,), SearchParams(2, 1, bound=10**5)
+                K, Modulus(K, ()), (1,), SearchParams(2, 1, bound=10**5)
             )
             assert res.status == "found", d
 
@@ -217,7 +217,7 @@ class TestSearch:
         # conductor-8 layer
         K = quadratic_field(34)
         res = find_principalizing_prime(
-            K, Modulus.trivial(K), (1,), SearchParams(2, 2, bound=100)
+            K, Modulus(K, ()), (1,), SearchParams(2, 2, bound=100)
         )
         assert res.status == "power_blocked"
         assert res.hint["conductor"] == 8
@@ -227,7 +227,7 @@ class TestSearch:
         # d=10 has a norm -1 unit: eps = u^2 blocks condition (iii) at h=0
         K = quadratic_field(10)
         res = find_principalizing_prime(
-            K, Modulus.trivial(K), (1,), SearchParams(2, 1, bound=10**5)
+            K, Modulus(K, ()), (1,), SearchParams(2, 1, bound=10**5)
         )
         assert res.status == "not_found"
         assert "scanned" not in res.stats
@@ -236,7 +236,7 @@ class TestSearch:
     def test_not_found_within_bound(self):
         K = quadratic_field(34)
         res = find_principalizing_prime(
-            K, Modulus.trivial(K), (1,), SearchParams(2, 1, bound=4)
+            K, Modulus(K, ()), (1,), SearchParams(2, 1, bound=4)
         )
         assert res.status == "not_found"
         assert "reason" in res.stats
@@ -244,7 +244,7 @@ class TestSearch:
     def test_quartic_certificate(self):
         K = quadratic_field(82)
         res = find_principalizing_prime(
-            K, Modulus.trivial(K), (2,), SearchParams(2, 2, bound=10**4)
+            K, Modulus(K, ()), (2,), SearchParams(2, 2, bound=10**4)
         )
         assert res.status == "found"
         assert res.certificate.p == 241
@@ -253,7 +253,7 @@ class TestSearch:
 
     def test_deterministic(self):
         K = quadratic_field(34)
-        args = (K, Modulus.trivial(K), (1,), SearchParams(2, 1, bound=10**4))
+        args = (K, Modulus(K, ()), (1,), SearchParams(2, 1, bound=10**4))
         assert (
             find_principalizing_prime(*args).as_dict()
             == find_principalizing_prime(*args).as_dict()
@@ -261,7 +261,7 @@ class TestSearch:
 
     def test_parallel_agrees_with_serial(self):
         K = quadratic_field(34)
-        m = Modulus.trivial(K)
+        m = Modulus(K, ())
         params = SearchParams(2, 1, bound=2000)
         serial = find_principalizing_prime(K, m, (1,), params)
         parallel = find_principalizing_prime(K, m, (1,), params, jobs=2)
@@ -292,7 +292,7 @@ class TestEscalation:
     def test_single_attempt_when_found(self):
         K = quadratic_field(34)
         attempts = search_with_escalation(
-            K, Modulus.trivial(K), (1,), SearchParams(2, 1, bound=10**4)
+            K, Modulus(K, ()), (1,), SearchParams(2, 1, bound=10**4)
         )
         assert len(attempts) == 1 and attempts[0].status == "found"
 
@@ -301,7 +301,7 @@ class TestEscalation:
         character at n = 1 is trivial; the reason names ell^(v_ell(2)) =
         ell^1."""
         K = quadratic_field(10)
-        res = find_principalizing_prime(K, Modulus.trivial(K), (0,), SearchParams(2, 1, 0))
+        res = find_principalizing_prime(K, Modulus(K, ()), (0,), SearchParams(2, 1, 0))
         assert res.status == "not_found"
         assert res.stats == {
             "reason": "character order unattainable: eps is an ell^1-power beyond"

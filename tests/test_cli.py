@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 
 import raycap
 from raycap import quadfield
-from raycap.capsearch import find_principalizing_prime
+from raycap.biquad import verify_certificate
+from raycap.capsearch import CandidateCertificate, find_principalizing_prime
 from raycap.cli import main
 from raycap.exactmath import squarefree_part
 from raycap.kummerfrob import SearchParams
 from raycap.quadfield import Modulus, quadratic_field
 from raycap.report import (
     canonical_json,
-    certificate_from_dict,
     check_stamp,
     save_certificate,
     stamp,
@@ -280,14 +280,21 @@ class TestSearchAndVerify:
         ("target", [1, 0]),  # Cl^m of Q(sqrt 34) mod 1 is Z/2
         ("target", []),
         ("cyclic_field", {"p": 5, "degree": 2, "min_poly": [7, 7, 1]}),  # not eta's polynomial
+        # fields the conditions do not read: verify rebuilds the whole record
+        ("h_K", 7),  # h_K of Q(sqrt 34) at ell = 2 is 2
+        ("minus_one_character", {"value": 12345, "order": 7}),
+        ("target", [3]),  # the class (1,) of Cl^m = Z/2, unreduced
     ])
     def test_crafted_certificate_is_invalid(self, capsys, tmp_path, key, value):
         # a well-formed, freshly stamped file whose contents do not fit
         cert_path = tmp_path / "c.json"
         run(capsys, "search", "--d", "34", "--mod", "1", "--out", str(cert_path))
         data = json.loads(cert_path.read_text())["payload"]["certificate"]
+        assert data[key] != value
         data[key] = value
-        save_certificate(cert_path, certificate_from_dict(data))
+        cert = CandidateCertificate.from_dict(data)
+        assert verify_certificate(cert).status == "invalid_certificate"
+        save_certificate(cert_path, cert)
         code, out, _ = run(capsys, "verify", "--json", str(cert_path))
         assert code == 2
         assert json.loads(out)["payload"]["status"] == "invalid_certificate"
@@ -355,12 +362,14 @@ class TestAmbig:
         assert code == 2
 
     def test_unknown_sweep_name(self, capsys):
-        code, _, _ = run(capsys, "ambig", "--sweep", "everything")
-        assert code == 2
+        assert _exit_code(["ambig", "--sweep", "everything"]) == 2
+        assert "invalid choice: 'everything'" in capsys.readouterr().err
 
     def test_no_case_given(self, capsys):
-        code, _, _ = run(capsys, "ambig")
-        assert code == 2
+        assert _exit_code(["ambig"]) == 2
+        assert "one of the arguments --L-disc --biquad --sweep is required" in (
+            capsys.readouterr().err
+        )
 
     def test_cold_and_warm_runs_identical(self, capsys):
         code1, out1, _ = run(capsys, "ambig", "--L-disc", "-20", "--mod", "3", "--json")
@@ -620,6 +629,30 @@ def test_option_the_subcommand_does_not_read_exits_two(capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ambig", "--L-disc", "-20", "--biquad", "2,5"),
+    ("ambig", "--L-disc", "-20", "--sweep", "default"),
+], ids=lambda argv: " ".join(argv))
+def test_two_ambig_cases_exit_two(capsys, argv):
+    """--L-disc, --biquad and --sweep each name the cases; ambig takes one."""
+    assert _exit_code(list(argv)) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {argv[-2]}: not allowed with argument --L-disc" in out.err
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("ambig", "--sweep", "default", "--mod", "7"),
+     "--mod does not apply to --sweep: each case names its modulus"),
+    (("ambig", "--L-disc", "-20", "--base", "3"),
+     "--base names the base field of --biquad only"),
+], ids=["--sweep with --mod", "--L-disc with --base"])
+def test_ambig_option_the_case_does_not_read_exits_two(capsys, argv, err):
+    assert _exit_code(list(argv)) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {err}\n")
 
 
 @settings(max_examples=150, deadline=None,

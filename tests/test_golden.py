@@ -40,16 +40,11 @@ import pytest
 from raycap import cli
 from raycap.ambigcheck import ambig_case
 from raycap.biquad import biquad_field, primes_above, verify_certificate
-from raycap.capsearch import (
-    CandidateCertificate,
-    CyclicFieldDesc,
-    find_principalizing_prime,
-    gaussian_period_min_poly,
-)
+from raycap.capsearch import CandidateCertificate, certificate_at, find_principalizing_prime
 from raycap.cli import main
 from raycap.exactmath import primes_up_to, squarefree_part
 from raycap.kummerfrob import ConditionChecker, SearchParams
-from raycap.report import canonical_json, certificate_from_dict, save_certificate
+from raycap.report import canonical_json, save_certificate
 from raycap.quadfield import (
     QuadField,
     factor_prime,
@@ -205,7 +200,7 @@ def test_crafted_p_verify_bytes(capsys, tmp_path, p, verify_code, verify_digest)
     assert code == 0
     data = json.loads(cert_path.read_text())["payload"]["certificate"]
     data["p"] = p
-    save_certificate(cert_path, certificate_from_dict(data))
+    save_certificate(cert_path, CandidateCertificate.from_dict(data))
     code, got = json_digest(capsys, tmp_path, "verify", str(cert_path))
     assert (code, got) == (verify_code, verify_digest)
 
@@ -217,15 +212,7 @@ def _crafted_certificate(d: int, m: int, target: tuple, p: int) -> CandidateCert
     K = quadratic_field(d)
     modulus = modulus_from_rational(K, m)
     checker = ConditionChecker(K, modulus, target, SearchParams(2, 1, 0, 10**5))
-    rep = checker.check(p)
-    assert rep.ok
-    return CandidateCertificate(
-        d=d, modulus=modulus.entries(), target=checker.target, ell=2, n=1,
-        h=checker.h, h_K=checker.h_K, p=p, root=rep.root,
-        eps_character=rep.checks["eps_character"],
-        minus_one_character=rep.checks["minus_one_character"],
-        bound=10**5, cyclic_field=CyclicFieldDesc(p, 2, gaussian_period_min_poly(p, 2)),
-    )
+    return certificate_at(checker, checker.check(p))
 
 
 # (d, m, target, p, status): each status the capitulation core reports, at

@@ -206,18 +206,18 @@ class TestSearchParams:
 class TestConditionChecker:
     def test_flagship_accepts_5(self):
         K = quadratic_field(34)
-        chk = ConditionChecker(K, Modulus.trivial(K), (1,), SearchParams(2, 1))
+        chk = ConditionChecker(K, Modulus(K, ()), (1,), SearchParams(2, 1))
         assert chk.h_K == 2 and chk.h == 0
         assert chk.iv_ok and chk.iii_attainable
         rep = chk.check(5)
         assert rep.ok and rep.failed_at is None
         assert rep.root == 1
-        assert rep.checks["eps_character"] == {"value": 4, "order": 2}
-        assert rep.checks["minus_one_character"] == {"value": 1, "order": 1}
+        assert rep.eps_character == {"value": 4, "order": 2}
+        assert rep.minus_one_character == {"value": 1, "order": 1}
 
     def test_flagship_rejections(self):
         K = quadratic_field(34)
-        chk = ConditionChecker(K, Modulus.trivial(K), (1,), SearchParams(2, 1))
+        chk = ConditionChecker(K, Modulus(K, ()), (1,), SearchParams(2, 1))
         rep13 = chk.check(13)  # 136 is a non-residue mod 13
         assert not rep13.ok and rep13.failed_at == "i"
         rep89 = chk.check(89)  # splits and is 1 mod 8, but p_K is principal
@@ -225,7 +225,7 @@ class TestConditionChecker:
 
     def test_forbidden_inputs(self):
         K = quadratic_field(34)
-        chk = ConditionChecker(K, Modulus.trivial(K), (1,), SearchParams(2, 1))
+        chk = ConditionChecker(K, Modulus(K, ()), (1,), SearchParams(2, 1))
         assert chk.forbidden(2) and chk.forbidden(17)
         assert not chk.forbidden(5)
         with pytest.raises(InputError):
@@ -235,14 +235,14 @@ class TestConditionChecker:
         # d=10: fundamental unit 3+sqrt(10) has norm -1, so eps = u^2 and the
         # quadratic character of eps can never have order 2
         K = quadratic_field(10)
-        chk = ConditionChecker(K, Modulus.trivial(K), (1,), SearchParams(2, 1))
+        chk = ConditionChecker(K, Modulus(K, ()), (1,), SearchParams(2, 1))
         assert chk.eps_unit_exponent == 2
         assert not chk.iii_attainable
 
     def test_imaginary_field_rejected(self):
         K = quadratic_field(-5)
         with pytest.raises(InputError):
-            ConditionChecker(K, Modulus.trivial(K), (1,), SearchParams(2, 1))
+            ConditionChecker(K, Modulus(K, ()), (1,), SearchParams(2, 1))
 
     def test_modulus_must_avoid_ell(self):
         K = quadratic_field(34)
@@ -253,13 +253,13 @@ class TestConditionChecker:
     def test_target_must_have_ell_power_order(self):
         K = quadratic_field(34)
         with pytest.raises(InputError):
-            ConditionChecker(K, Modulus.trivial(K), (1,), SearchParams(3, 1))
+            ConditionChecker(K, Modulus(K, ()), (1,), SearchParams(3, 1))
 
     @pytest.mark.parametrize("target", [(), (1, 0)])
     def test_target_length_must_match_the_group(self, target):
         K = quadratic_field(34)  # Cl^m = Z/2 for the trivial modulus
         with pytest.raises(InputError):
-            ConditionChecker(K, Modulus.trivial(K), target, SearchParams(2, 1))
+            ConditionChecker(K, Modulus(K, ()), target, SearchParams(2, 1))
 
     @pytest.mark.parametrize("d,m", [(34, 1), (543, 11), (70, 13), (595, 33), (7315, 3)])
     def test_sieved_check_matches_full_check(self, d, m):
@@ -333,17 +333,14 @@ class TestConditionChecker:
                 assert (rep.failed_at, rep.root) == reference_decide(chk, p), p
                 verdicts += rep.failed_at != "i"
             else:
-                assert rep == kummerfrob.ConditionReport(
-                    p=p, root=None, ok=False, failed_at="i",
-                    checks={"iv": chk.iv_ok, "i": False},
-                ), p
+                assert rep == kummerfrob.ConditionReport(p=p, root=None, failed_at="i"), p
         divisors = {q for q in range(3, 3001) if K.D % q == 0 or modulus.norm() % q == 0}
         assert refused == 6 + len(divisors | {ell} - {2})
         assert verdicts > 0
 
     def test_flagship_prime_passes(self):
         K = quadratic_field(34)
-        rep = ConditionChecker(K, Modulus.trivial(K), (1,), SearchParams(2, 1)).check(5)
+        rep = ConditionChecker(K, Modulus(K, ()), (1,), SearchParams(2, 1)).check(5)
         assert rep.ok and rep.p == 5
 
 
@@ -560,7 +557,7 @@ class TestGenusPrefilter:
     def test_check_reports_prefilter_rejections_in_full(self, d, m, pinned):
         """check(p) for primes the prefilter rejects reports as it did
         before the prefilter: failed_at "ii", the root min(r, p - r) of the
-        square root r of D, and the checks {iv, i, ii}. Roots recorded from
+        square root r of D, and no characters. Roots recorded from
         the checker without the prefilter, class 0."""
         K = quadratic_field(d)
         modulus = modulus_from_rational(K, m)
@@ -570,10 +567,7 @@ class TestGenusPrefilter:
             assert verdict(chk, p) == ("ii", None)
             r = sqrt_mod(K.D, p)
             assert root == min(r, p - r)
-            assert chk.check(p) == kummerfrob.ConditionReport(
-                p=p, root=root, ok=False, failed_at="ii",
-                checks={"iv": True, "i": True, "ii": False},
-            )
+            assert chk.check(p) == kummerfrob.ConditionReport(p=p, root=root, failed_at="ii")
 
 
 class TestKeyOnOtherModuli:
@@ -722,7 +716,7 @@ class TestGenusExact:
         c = 1,123,672, so (iii) at p = 113 takes the root and the
         eps-character."""
         K = quadratic_field(286)
-        chk = ConditionChecker(K, Modulus.trivial(K), (0,), SearchParams(2, 1, 0))
+        chk = ConditionChecker(K, Modulus(K, ()), (0,), SearchParams(2, 1, 0))
         chk.build_prefilter()
         assert chk.ray_exact and chk.norm_one_plus_eps == 1123672 == 113 * 9944
         want = reference_decide(chk, 113)

@@ -476,7 +476,7 @@ class TestClassGroups:
     @pytest.mark.parametrize("d", [-21, -30, -1999, -4199, 82, 145, 3999])
     def test_dlog_additive_on_generator_products(self, d):
         K = quadratic_field(d)
-        cl = ray_class_group(K, Modulus.trivial(K))
+        cl = ray_class_group(K, Modulus(K, ()))
         gens = [P for p in primes_up_to(60) for kind, data in [factor_prime(K, p)]
                 if kind != "inert" for P, _, _ in data][:8]
         for i, P in enumerate(gens):
@@ -485,7 +485,7 @@ class TestClassGroups:
 
     def test_dlog_is_homomorphism(self):
         K = quadratic_field(-21)
-        cl = ray_class_group(K, Modulus.trivial(K))
+        cl = ray_class_group(K, Modulus(K, ()))
         ps = [factor_prime(K, p)[1][0][0] for p in (5, 11, 13)]
         for P in ps:
             for Q in ps:
@@ -698,7 +698,7 @@ class TestRayClassGroups:
     def test_trivial_modulus_recovers_class_group(self):
         for d in (-23, 34, 79, -21, -30, -1999, -4199, 82, 145, 3999):
             K = quadratic_field(d)
-            ray = ray_class_group(K, Modulus.trivial(K))
+            ray = ray_class_group(K, Modulus(K, ()))
             assert ray.group.invariants == class_group(K).group.invariants
 
     def test_ray_dlog_homomorphism(self):
@@ -734,7 +734,7 @@ class TestRayClassGroups:
 
     def test_nontrivial_class_blocks(self):
         K = quadratic_field(34)
-        ray = ray_class_group(K, Modulus.trivial(K))
+        ray = ray_class_group(K, Modulus(K, ()))
         P = factor_prime(K, 3)[1][0][0]
         assert is_ray_principal(ray, P) is None
         g = is_ray_principal(ray, P * P)
@@ -858,7 +858,7 @@ def test_trivial_modulus_builds_no_multiplier(monkeypatch, d):
     the exact product, not even the cofactor walk of a memo miss."""
     K = quadratic_field(d)
     ideals = query_ideals(K, 1, 12)
-    ray = ray_class_group.__wrapped__(K, Modulus.trivial(K))
+    ray = ray_class_group.__wrapped__(K, Modulus(K, ()))
     want = [ray.group.dlog_ambient(reference_ambient_vector(ray, I)) for I in ideals]
     assert ray.residue.factors == [] and ray.residue.one == ()
 
@@ -966,7 +966,7 @@ def test_wrong_generator_raises_under_any_optimisation(monkeypatch):
         ray.dlog(P)
     with pytest.raises(InvariantError, match="harvested relation"):
         L = quadratic_field(79)
-        ray_class_group.__wrapped__(L, Modulus.trivial(L))
+        ray_class_group.__wrapped__(L, Modulus(L, ()))
 
 
 # real and imaginary fields (w^2 = w + u too); inert modulus primes, two
@@ -1082,7 +1082,7 @@ def test_trivial_modulus_walks_the_relation_basis(monkeypatch):
     walks = count_cofactor_walks(monkeypatch)
     rows = basis = most = 0
     for K in fields:
-        modulus = Modulus.trivial(K)
+        modulus = Modulus(K, ())
         relations = _ray_ideal_gens(K, modulus, class_group(K))[2]
         built.clear()
         walks.clear()
@@ -1113,7 +1113,7 @@ def test_trivial_modulus_refuses_a_non_principal_relation(monkeypatch, d):
 
     monkeypatch.setattr(quadfield, "_ray_ideal_gens", with_bad_row)
     with pytest.raises(InvariantError, match="harvested relation is not principal") as err:
-        ray_class_group.__wrapped__(K, Modulus.trivial(K))
+        ray_class_group.__wrapped__(K, Modulus(K, ()))
     assert err.value.exit_code == 8
 
 
@@ -1132,7 +1132,7 @@ def test_trivial_modulus_of_a_large_imaginary_field(monkeypatch):
 
     monkeypatch.setattr(quadfield, "_compose", recorded)
     walks = count_cofactor_walks(monkeypatch)
-    ray = ray_class_group.__wrapped__(K, Modulus.trivial(K))
+    ray = ray_class_group.__wrapped__(K, Modulus(K, ()))
     assert ray.group.invariants == (26629,)
     assert [P.entry() for P in ray.ideal_gens] == [(2, 2, 0, 1)]
     assert len(walks) == 1 and 3 * max(sizes) ** 2 <= -K.D
@@ -1279,10 +1279,10 @@ def test_prime_entry_matches_dlog_and_reference(d, m):
 class TestAugUnit:
     def test_trivial_modulus(self):
         K = quadratic_field(2)
-        eps = aug_unit_data(K, Modulus.trivial(K))[0]
+        eps = aug_unit_data(K, Modulus(K, ()))[0]
         assert eps == K.elt(3, 2)  # (1+sqrt2)^2, norm +1
         K34 = quadratic_field(34)
-        eps34 = aug_unit_data(K34, Modulus.trivial(K34))[0]
+        eps34 = aug_unit_data(K34, Modulus(K34, ()))[0]
         assert eps34 == K34.elt(35, 6)
 
     def test_mod_7(self):
@@ -1317,4 +1317,4 @@ class TestAugUnit:
     def test_imaginary_rejected(self):
         K = quadratic_field(-1)
         with pytest.raises(InputError):
-            aug_unit_data(K, Modulus.trivial(K))
+            aug_unit_data(K, Modulus(K, ()))

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from raycap.capsearch import find_principalizing_prime
+from raycap.capsearch import CandidateCertificate, find_principalizing_prime
 from raycap.errors import InputError
 from raycap.kummerfrob import SearchParams
 from raycap.quadfield import Modulus, quadratic_field
@@ -12,7 +12,6 @@ from raycap.report import (
     ReportCache,
     atomic_write_text,
     canonical_json,
-    certificate_from_dict,
     check_stamp,
     load_certificate,
     save_certificate,
@@ -76,7 +75,7 @@ class TestCertificateFiles:
         report = save_certificate(path, flagship_certificate)
         assert check_stamp(report)
         cert, data = load_certificate(path)
-        assert cert == flagship_certificate
+        assert CandidateCertificate.from_dict(cert) == flagship_certificate
         assert data == report
 
     def test_verification_block_persisted(self, tmp_path, flagship_certificate):
@@ -86,7 +85,7 @@ class TestCertificateFiles:
         assert data["payload"]["verification"] == {"status": "x"}
 
     def test_from_dict_matches_as_dict(self, flagship_certificate):
-        assert certificate_from_dict(flagship_certificate.as_dict()) == flagship_certificate
+        assert CandidateCertificate.from_dict(flagship_certificate.as_dict()) == flagship_certificate
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
@@ -109,7 +108,7 @@ class TestCertificateFiles:
 
     def test_malformed_certificate_payload(self):
         with pytest.raises(InputError):
-            certificate_from_dict({"d": 34})
+            CandidateCertificate.from_dict({"d": 34})
 
 
 class TestCache:
