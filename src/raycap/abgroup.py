@@ -35,8 +35,6 @@ class SNF:
     diag: tuple[int, ...]
     U: tuple[tuple[int, ...], ...] | None
     V: tuple[tuple[int, ...], ...]
-    nrows: int
-    ncols: int
 
 
 def snf(m: Sequence[Sequence[int]], with_u: bool = False) -> SNF:
@@ -134,8 +132,6 @@ def snf(m: Sequence[Sequence[int]], with_u: bool = False) -> SNF:
         diag,
         None if u is None else tuple(map(tuple, u)),
         tuple(map(tuple, v)),
-        nr,
-        nc,
     )
 
 
@@ -143,13 +139,13 @@ def solve_left(m: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] |
     """An integer row x with x @ M = target, or None."""
     s = snf(m, with_u=True)
     u = vec_mat(list(target), [list(r) for r in s.V])
-    w = [0] * s.nrows
-    for j in range(s.ncols):
+    w = [0] * len(m)
+    for j in range(len(s.V)):
         d = s.diag[j] if j < len(s.diag) else 0
         if d != 0:
             if u[j] % d != 0:
                 return None
-            if j < s.nrows:
+            if j < len(m):
                 w[j] = u[j] // d
         elif u[j] != 0:
             return None
@@ -211,8 +207,7 @@ class FiniteAbelianGroup:
     """
 
     invariants: tuple[int, ...]
-    labels: tuple[str, ...]
-    to_canonical: tuple[tuple[int, ...], ...]  # len(labels) x k
+    to_canonical: tuple[tuple[int, ...], ...]  # n ambient generators x k
 
     @property
     def rank(self) -> int:
@@ -229,7 +224,7 @@ class FiniteAbelianGroup:
 
     def dlog_ambient(self, exponents: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of prod(gen_i ^ exponents_i)."""
-        if len(exponents) != len(self.labels):
+        if len(exponents) != len(self.to_canonical):
             raise ValueError("exponent vector has the wrong length")
         return self.reduce(vec_mat(list(exponents), [list(r) for r in self.to_canonical]))
 
@@ -273,12 +268,10 @@ class FiniteAbelianGroup:
 
 
 def group_from_relations(
-    relations: Iterable[Sequence[int]], labels: Sequence[str]
+    relations: Iterable[Sequence[int]], n: int
 ) -> FiniteAbelianGroup:
     """Z^n modulo the row span of `relations`. Raises if the quotient is
     infinite, since everything downstream expects finite groups."""
-    labels = tuple(labels)
-    n = len(labels)
     rows = [list(r) for r in relations]
     if any(len(r) != n for r in rows):
         raise ValueError("relation width disagrees with generator count")
@@ -291,5 +284,5 @@ def group_from_relations(
     kept = [i for i in range(n) if diag[i] != 1]
     invariants = tuple(diag[i] for i in kept)
     to_canon = tuple(tuple(s.V[i][j] % diag[j] for j in kept) for i in range(n))
-    return FiniteAbelianGroup(invariants, labels, to_canon)
+    return FiniteAbelianGroup(invariants, to_canon)
 

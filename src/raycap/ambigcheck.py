@@ -9,8 +9,8 @@ inside Cl^m(L) form a subgroup whose order has a closed formula:
 with d_inf the local degrees at the infinite places of K, e_P the
 ramification indices at finite primes of K coprime to m, and the denominator
 index taken on unit groups of elements that are 1 mod the respective moduli.
-`ambiguous_count_formula` evaluates that expression factor by factor, from
-discriminants and unit norms: it builds no prime of L, and over Q no
+`ambig_case` evaluates that expression factor by factor (`_formula_parts`),
+from discriminants and unit norms: it builds no prime of L, and over Q no
 residue system. `ambiguous_count_direct` computes the order of the subgroup
 of Cl^m(L) generated by ramified primes and extended K-ideals; for L over
 Q with m = 1 that is the subgroup of Cl_L that `_coset_closure` grows from
@@ -62,7 +62,6 @@ __all__ = [
     "AmbigReport",
     "ambig_case",
     "ambiguous_count_direct",
-    "ambiguous_count_formula",
     "fundamental_field_params",
     "norm_index_units",
     "rayclass_Q",
@@ -82,7 +81,7 @@ def _rational_ray_data(m: int) -> tuple[FiniteAbelianGroup, tuple[int, ...]]:
     if m < 1:
         raise InputError("modulus integer must be positive")
     if m <= 2:
-        return group_from_relations([], ()), ()
+        return group_from_relations([], 0), ()
     # (generator mod q, its order, exponent of -1 over it, q) per factor
     local: list[tuple[int, int, int, int]] = []
     for p, k in sorted(factor(m).items()):
@@ -109,7 +108,7 @@ def _rational_ray_data(m: int) -> tuple[FiniteAbelianGroup, tuple[int, ...]]:
     n = len(local)
     rows = [[orders[i] if j == i else 0 for j in range(n)] for i in range(n)]
     rows.append(list(minus))
-    group = group_from_relations(rows, tuple(f"g{i}" for i in range(n)))
+    group = group_from_relations(rows, n)
     return group, tuple(lifted)
 
 
@@ -346,11 +345,6 @@ def _assemble(h: int, d_inf, es, idx: int) -> int:
     return value
 
 
-def ambiguous_count_formula(L, K, m) -> int:
-    """Closed-form order of the ambiguous-ideal class subgroup of Cl^m_L."""
-    return _assemble(*_formula_parts(L, K, m))
-
-
 def _direct_quadratic(L: QuadField, m: int) -> int:
     """For m = 1 the ray class group is Cl^1_L = Cl_L, and the count is the
     order of the subgroup the ramified primes generate: `_coset_closure`
@@ -383,7 +377,7 @@ def _direct_biquad(L: BiquadField, K: QuadField, m: Modulus) -> int:
     # of digits
     units = [-L.one()] + list(unit_group(L).units)
     rows = hnf_rows(G.stacked([R.vector(u) for u in units]))
-    quo = group_from_relations(rows, tuple(f"c{i}" for i in range(G.rank)))
+    quo = group_from_relations(rows, G.rank)
 
     def class_vec(gamma):
         return quo.dlog_ambient(R.vector(gamma))

@@ -508,22 +508,15 @@ def _residue_signs(w: BqElt) -> tuple[int, int]:
     return zero, nonres
 
 
-def _is_nonsquare_somewhere(w: BqElt) -> bool:
-    """Whether w is a nonzero non-residue at one of the square-test primes,
-    which proves it is not a square in L: a square maps to a square in every
-    residue field F_q."""
-    return _residue_signs(w)[1] != 0
-
-
 def sqrt_in_biquad(w: BqElt) -> BqElt | None:
     """xi in O_L with xi^2 = w, or None: `_sqrt_by_norm` over k1 on
     w = A + B w2, with t2 = 1 as p = 1 mod 4. Complete, since the k1-norm of
-    a square is a square in k1. A non-residue at a square-test prime rejects
-    w before any integer square root."""
+    a square is a square in k1. A non-residue at a square-test prime (no
+    square is one) rejects w before any integer square root."""
     L = w.L
     if w.is_zero():
         return BqElt(L, 0, 0, 0, 0)
-    if _is_nonsquare_somewhere(w):
+    if _residue_signs(w)[1]:
         return None
     A, B = w._split()
     return _sqrt_by_norm(w, L, A + A + B, B, L.p, 1, sqrt_in_quadratic, _div_k1, BqElt._join)
@@ -538,7 +531,6 @@ class UnitGroupData:
     """A fundamental system for E_L: the subfield units corrected by the
     square roots that exist in L (index q over the naive product)."""
 
-    L: BiquadField
     units: tuple[BqElt, BqElt, BqElt]
     index_q: int
 
@@ -584,7 +576,7 @@ def unit_group(L: BiquadField) -> UnitGroupData:
                 changed = True
                 break
     require(all(u.is_unit() for u in basis), "a unit group generator is not a unit")
-    return UnitGroupData(L, tuple(basis), q)
+    return UnitGroupData(tuple(basis), q)
 
 
 def class_number(L: BiquadField) -> int:
@@ -713,6 +705,9 @@ def verify_certificate(cert) -> CapitulationReport:
 
     K = quadratic_field(cert.d)
     rep = CapitulationReport(status="", d=cert.d, p=cert.p)
+    if cert.p > cert.bound:
+        rep.status, rep.detail = "invalid_certificate", f"p exceeds the bound {cert.bound}"
+        return rep
     try:
         modulus = Modulus.from_entries(K, cert.modulus)
         checker = ConditionChecker(

@@ -73,7 +73,7 @@ class CyclicFieldDesc:
         }
 
 
-def power_adjustment_hint(field: QuadField, ell: int, h: int) -> dict:
+def power_adjustment_hint(ell: int, h: int) -> dict:
     """What to adjoin when the target misses the ell^h-th powers: the degree
     ell^h real cyclotomic layer, and the congruence auxiliary primes must
     satisfy to split in it."""
@@ -215,7 +215,7 @@ def find_principalizing_prime(
     if not checker.iv_ok:
         return SearchResult(
             status="power_blocked",
-            hint=power_adjustment_hint(field, params.ell, checker.h),
+            hint=power_adjustment_hint(params.ell, checker.h),
             stats={"reason": f"target is not an ell^{checker.h}-th power"},
             params=params,
         )
@@ -231,7 +231,7 @@ def find_principalizing_prime(
             params=params,
         )
     if jobs > 1:
-        found_p, stats = _parallel_scan(field, modulus, target, params, jobs, checker)
+        found_p, stats = _parallel_scan(checker, jobs)
     else:
         found_p, stats = checker.scan(3, params.bound)
     if found_p is None:
@@ -241,19 +241,19 @@ def find_principalizing_prime(
     return SearchResult(status="found", certificate=cert, stats=stats, params=params)
 
 
-def _parallel_scan(field, modulus, target, params, jobs, checker):
+def _parallel_scan(checker: ConditionChecker, jobs: int):
     """Deterministic chunked scan: ranges are examined in ascending order and
     the first hit in the earliest hitting chunk wins."""
     from concurrent.futures import ProcessPoolExecutor
 
-    mod_desc = modulus.entries()
+    params, mod_desc = checker.params, checker.modulus.entries()
     chunk = max(20000, params.bound // (8 * jobs))
     ranges = [
         (lo, min(lo + chunk - 1, params.bound))
         for lo in range(3, params.bound + 1, chunk)
     ]
     args = [
-        (field.d, mod_desc, tuple(checker.target), params.ell, params.n,
+        (checker.field.d, mod_desc, tuple(checker.target), params.ell, params.n,
          params.h, params.bound, lo, hi)
         for lo, hi in ranges
     ]

@@ -144,9 +144,6 @@ class QElt:
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    def is_unit(self) -> bool:
-        return abs(self.norm()) == 1
-
     def sign_real(self) -> int:
         """Sign under x + y*w -> x + y*(t + sqrt(d))/2, real fields only."""
         if not self.field.is_real:
@@ -621,8 +618,7 @@ def class_group(field: QuadField) -> ClassGroupData:
     groups, biquadratic unit groups and the CLI read only `h`, and ray
     class groups read the table and rows besides."""
     gens, table, relations = _coset_closure(field, _candidate_primes(field))
-    labels = tuple(f"P{a}_{b}" for _, a, b in gens)
-    group = group_from_relations(relations, labels)
+    group = group_from_relations(relations, len(gens))
     require(group.order() == len(table), "the relations do not present the closure")
     return ClassGroupData(field, group, table, tuple(map(tuple, relations)))
 
@@ -933,7 +929,7 @@ class ResidueSystem:
         rows = [
             [o if i == j else 0 for j in range(n)] for i, o in enumerate(self.orders)
         ]
-        return group_from_relations(rows, tuple(f"r{i}" for i in range(n)))
+        return group_from_relations(rows, n)
 
     def vector(self, z) -> tuple[int, ...]:
         """The class of z, a unit mod m, in `group`."""
@@ -1232,11 +1228,10 @@ def ray_class_group(field: QuadField, modulus: Modulus) -> RayClassData:
     ideal_gens, table, cl_relations = _ray_ideal_gens(field, modulus, cl)
     residue = residue_system(field, modulus)
     r, s = len(ideal_gens), len(residue.factors)
-    labels = tuple(f"P{i}" for i in range(r)) + tuple(f"U{i}" for i in range(s))
     if not residue.factors:
         for rel in hnf_rows(cl_relations):
             _relation_residue(field, rel, ideal_gens, residue)
-        group = group_from_relations(cl_relations, labels)
+        group = group_from_relations(cl_relations, r)
         unit_image = 1
     else:
         rows = [list(rel) + [-c for c in _relation_residue(field, rel, ideal_gens, residue)]
@@ -1245,7 +1240,7 @@ def ray_class_group(field: QuadField, modulus: Modulus) -> RayClassData:
         rows += [[0] * r + list(residue.dlog(u)) for u in units]
         rows += [[0] * r + [o if j == i else 0 for j in range(s)]
                  for i, o in enumerate(residue.orders)]
-        group = group_from_relations(rows, labels)
+        group = group_from_relations(rows, r + s)
         # unit image inside (O/m)^*, for the exact-sequence order identity
         unit_image = residue.group.subgroup_order([residue.vector(u) for u in units])
     data = RayClassData(field, modulus, group, cl, ideal_gens, residue, table, unit_image)

@@ -67,18 +67,14 @@ def source_digest() -> str:
 # certificate files
 
 
-def certificate_report(cert, verification: dict | None = None) -> dict:
-    """The stamped file envelope of a certificate (`as_dict`'s record)."""
+def save_certificate(path: str | Path, cert, verification: dict | None = None) -> dict:
+    """Write the stamped file envelope of a certificate (`as_dict`'s record)."""
     payload = {
         "certificate": cert.as_dict(),
         "verification": verification,
         "toolchain": toolchain_fingerprint(),
     }
-    return stamp("certificate", payload)
-
-
-def save_certificate(path: str | Path, cert, verification: dict | None = None) -> dict:
-    report = certificate_report(cert, verification)
+    report = stamp("certificate", payload)
     atomic_write_text(Path(path), canonical_json(report) + "\n")
     return report
 

@@ -138,8 +138,7 @@ def group_from_invariants(ds: Sequence[int]) -> FiniteAbelianGroup:
             raise ValueError("invariants must form a divisibility chain")
     k = len(ds)
     eye = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-    labels = tuple(f"g{i}" for i in range(k))
-    return FiniteAbelianGroup(ds, labels, eye)
+    return FiniteAbelianGroup(ds, eye)
 
 
 def cyclic_complement(

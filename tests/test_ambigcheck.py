@@ -20,12 +20,12 @@ from oracles import (
 from raycap import ambigcheck
 from raycap.ambigcheck import (
     AmbigReport,
+    _assemble,
     _formula_parts,
     _ramified_biquad,
     _unit_lattice,
     ambig_case,
     ambiguous_count_direct,
-    ambiguous_count_formula,
     fundamental_field_params,
     norm_index_units,
     rayclass_Q,
@@ -48,6 +48,12 @@ from raycap.quadfield import (
     modulus_from_rational,
     quadratic_field,
 )
+
+
+def ambiguous_count_formula(L, K, m) -> int:
+    """The closed-form count, assembled from its factors as `ambig_case`
+    assembles it."""
+    return _assemble(*_formula_parts(L, K, m))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from oracles import (
 )
 
 from raycap.biquad import (
-    _is_nonsquare_somewhere,
+    _residue_signs,
     _sign_unit_classes,
     _square_test_primes,
     BqElt,
@@ -587,7 +587,7 @@ class TestSquareTestPrefilter:
                         eta = eta * u if m else eta
                     every.append(([m1, m2, m3], eta))
                 want = [(ms, eta) for ms, eta in every
-                        if not _is_nonsquare_somewhere(eta if base is None else base * eta)]
+                        if not _residue_signs(eta if base is None else base * eta)[1]]
                 got = list(_sign_unit_classes(L, units, base))
                 assert got == want
                 kept += len(got)
@@ -602,7 +602,7 @@ class TestSquareTestPrefilter:
             if sqrt_in_biquad_unfiltered(w) is not None:
                 continue
             trials += 1
-            rejected += _is_nonsquare_somewhere(w)
+            rejected += _residue_signs(w)[1] != 0
             assert sqrt_in_biquad(w) is None
         assert trials > 250 and rejected >= 0.95 * trials
 
@@ -1020,6 +1020,15 @@ class TestVerifyCertificate:
         ):
             rep = verify_certificate(bad)
             assert rep.status == "invalid_certificate"
+
+    def test_p_above_the_bound_is_refused(self):
+        """A search stamps only a p at or below its bound, so a certificate
+        whose p exceeds it is refused before any condition is re-checked."""
+        cert = _certificate(34, None, (1,), bound=100)
+        assert verify_certificate(dataclasses.replace(cert, bound=5)).status == "capitulates"
+        rep = verify_certificate(dataclasses.replace(cert, bound=3))
+        assert (rep.status, rep.detail) == ("invalid_certificate", "p exceeds the bound 3")
+        assert rep.checks == {}
 
     def test_wrong_generator_raises_under_any_optimisation(self, monkeypatch):
         """The final re-checks are raised, not asserted: `python -O` keeps

@@ -180,12 +180,12 @@ class TestCyclicFieldDesc:
 
 class TestPowerAdjustmentHint:
     def test_two_adic_layer(self):
-        hint = power_adjustment_hint(quadratic_field(34), 2, 1)
+        hint = power_adjustment_hint(2, 1)
         assert hint["conductor"] == 8 and hint["degree"] == 2
         assert hint["prime_condition"] == "q = 1 mod 8"
 
     def test_odd_layer(self):
-        hint = power_adjustment_hint(quadratic_field(5), 3, 1)
+        hint = power_adjustment_hint(3, 1)
         assert hint["conductor"] == 9 and hint["degree"] == 3
 
 

@@ -28,6 +28,15 @@ differ. The last two `ambig` runs take the trivial modulus, whose direct
 count closes the ramified primes of L: d = -15015 (2-rank 4, direct 16)
 and D_L = 4 * (10^9 + 7), a real field with a long principal cycle. The
 default sweep pins all 86 of its reports, one line each, in input order.
+
+`LARGE` pins the big inputs: ambig and rayclass of D = -100000000003
+(h = 31,057), rayclass of d = 10^9 + 7 and 10^10 + 19 mod 3 and of
+d = -(10^9 + 7) mod 3 and mod 1, and the scans to 2*10^5 of d = 66,
+543 mod 11 and 595 mod 3*11 and to 2*10^4 of the t = 9 fields
+d = 223092870 and 111546435. Those five scans and the d = 34 scan to 2*10^5
+must print their pinned bytes with `--jobs 2` too. The 2543 mod 7
+search and verify, the sweeps to disc bound 3000 and 10000 and the period
+polynomials of conductor about 10^6 are pinned beside their kin below.
 """
 import hashlib
 import importlib.util
@@ -40,7 +49,12 @@ import pytest
 from raycap import cli
 from raycap.ambigcheck import ambig_case
 from raycap.biquad import biquad_field, primes_above, verify_certificate
-from raycap.capsearch import CandidateCertificate, certificate_at, find_principalizing_prime
+from raycap.capsearch import (
+    CandidateCertificate,
+    certificate_at,
+    find_principalizing_prime,
+    gaussian_period_min_poly,
+)
 from raycap.cli import main
 from raycap.exactmath import primes_up_to, squarefree_part
 from raycap.kummerfrob import ConditionChecker, SearchParams
@@ -108,7 +122,10 @@ GOLDEN = [
 # residue; the three others adjust the generator to be 1 mod m_L through
 # each way of presenting the residue fields of L: w1 inert (d = 3, the unit
 # adjustment changes the generator), w2 inert (d = 11), and both inert
-# (d = 6, where no unit multiple is 1 mod m_L and verify exits 5).
+# (d = 6, where no unit multiple is 1 mod m_L and verify exits 5). The
+# last, 2543 mod 7 at p = 853 (a ray class group of rank three), runs the
+# verifier's ideal products over generators, closed-form relative norms of
+# the extended ideal and unit square classes chosen by residues.
 SEARCH_VERIFY = [
     (("--d", "34", "--mod", "1"),
      0, "9ebb47ed12aba8eef9bc7700144facd26e4943aa50e08e8c411ad9aed6dbd63f",
@@ -122,7 +139,53 @@ SEARCH_VERIFY = [
     (("--d", "6", "--mod", "11", "--class", "10", "--bound", "20000"),
      0, "579d74982d4bc344915a33bb672eacca00e4a570ebb346455d961740f4fa7cff",
      5, "df0eea5d3beaba06e9d825f83ee41a24b6270b1b0f12f82df279a4e7208b6b1f"),
+    (("--d", "2543", "--mod", "7", "--bound", "100000"),
+     0, "d3836a07b3f248a800b0001428d489733f7eaa577cec3330305886bc86c0f7a3",
+     0, "0dfa0f9127796b99c88a8a2474b56d100d8b41fa88b3ef9d2f8b94f3dec674e8"),
 ]
+
+# What each large input exercises: for D = -100000000003 (h = 31,057) the
+# closure of its one ramified prime's class (ambig) and a closure table
+# copied only for the primes that enlarge it (rayclass); for the real
+# fields a unit from one long continued-fraction period; for -(10^9 + 7)
+# mod 3 the relation P^h as an exact ideal of norm 2^26629. The scans take
+# a genus-exact field whose split table folds (iii) in (66), a ray-exact
+# one with a norm part (543 mod 11), one that is not ray-exact (595 mod
+# 3*11) and two whose t = 9 prime discriminants are too many for the split
+# table's byte.
+LARGE = [
+    (("ambig", "--L-disc", "-100000000003"),
+     0, "48c8ead53b2405cbb3fa5968cc346cab41b74319d14f383e72abe1deffad73e1"),
+    (("rayclass", "--d", "-100000000003"),
+     0, "f29dd76c91d6fc0702e2e088019be0c90216b4564acc36a835f79baa0cef5d4e"),
+    (("rayclass", "--d", "1000000007", "--mod", "3"),
+     0, "c29ebb3435d975a78530817ea99a7807113fadbc2a580a5b9a4a40ee5540a209"),
+    (("rayclass", "--d", "10000000019", "--mod", "3"),
+     0, "70a0ef753b3d3bb4ed762cfa18918f789b1944e08abb298749c4ef53c83ca8b9"),
+    (("rayclass", "--d", "-1000000007", "--mod", "3"),
+     0, "599066990d91420a018ae5c31fd4e42a60070e365d7c569a43c4ddaef86b5ce5"),
+    (("rayclass", "--d", "-1000000007"),
+     0, "dd70698692aed38a00109b44109e8b2677be0721acc5e54e3ae9169106c968af"),
+    (("search", "--d", "66", "--mod", "1", "--class", "0", "--h", "0",
+      "--bound", "200000"),
+     3, "5e60816096c74a9ed9782f7341dc96ae63221a449ac9805e8ed0da6e790f9d34"),
+    (("search", "--d", "543", "--mod", "11", "--class", "0,0", "--h", "0",
+      "--bound", "200000"),
+     3, "4487b1b0cf118deb8589dd39d0246eda0454729bc907cf45b00e52a44d548de9"),
+    (("search", "--d", "595", "--mod", "3,11", "--class", "0,0,0,0", "--h", "0",
+      "--bound", "200000"),
+     0, "739c92ab4035679d93650cb903494e4da97533eb9d428cfeffb563b883dd9923"),
+    (("search", "--d", "223092870", "--bound", "20000"),
+     3, "4c62f5a3cf6a315ea90bcf38972777e8fd084643b5673beabc08719c85e63e73"),
+    (("search", "--d", "111546435", "--bound", "20000"),
+     0, "134c2edeada4aecc9d2aeae850839802e4795c4df63230b1726f90bd64333136"),
+]
+
+# The six scans that a process pool must leave byte for byte as they are:
+# those to 2*10^5 and the two t = 9 scans, the only ones without --mod.
+PARALLEL = [g for g in GOLDEN + LARGE
+            if g[0][0] == "search" and (g[0][-1] == "200000" or "--mod" not in g[0])]
+
 
 def json_digest(capsys, tmp_path, *argv) -> tuple[int, str]:
     cache = ("--cache-dir", str(tmp_path / "cache")) if argv[0] in ("search", "ambig") else ()
@@ -132,7 +195,7 @@ def json_digest(capsys, tmp_path, *argv) -> tuple[int, str]:
 
 
 @pytest.mark.parametrize(
-    "argv,exit_code,digest", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN]
+    "argv,exit_code,digest", GOLDEN + LARGE, ids=[" ".join(a) for a, _, _ in GOLDEN + LARGE]
 )
 def test_report_bytes(capsys, tmp_path, argv, exit_code, digest):
     extra = ("--out", str(tmp_path / "cert.json")) if argv[0] == "search" else ()
@@ -159,6 +222,16 @@ def test_warm_cache_replays_the_pinned_bytes(capsys, tmp_path, monkeypatch, argv
 
     monkeypatch.setattr(cli, "ambig_case", computed)
     monkeypatch.setattr(cli, "find_principalizing_prime", computed)
+    assert json_digest(capsys, tmp_path, *argv, *extra) == (exit_code, digest)
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", PARALLEL,
+                         ids=[" ".join(a) for a, _, _ in PARALLEL])
+def test_parallel_scan_prints_the_serial_bytes(capsys, tmp_path, argv, exit_code, digest):
+    """`--jobs 2` starts a real pool of two processes, each scanning its
+    chunks with a checker of its own; the earliest hitting chunk wins, so
+    the report is the serial scan's, counters included."""
+    extra = ("--out", str(tmp_path / "cert.json"), "--jobs", "2")
     assert json_digest(capsys, tmp_path, *argv, *extra) == (exit_code, digest)
 
 
@@ -443,8 +516,23 @@ def _script_main(name: str):
      "7336df31de8c627127534d428bc24ed80d97e892e2c044aad030c815f4d1cae4"),
     ("run_ambig_sweep", ["--disc-bound", "1000", "--json"],
      "c424e09adcd90a9aaa44dd429840cf6f30fb2de0df6af591bbe68e026996a431"),
+    ("run_ambig_sweep", ["--disc-bound", "3000", "--json"],
+     "0b8dbf4b00aa578ae9cf382831d7f1c195a0e11ae1b130beb5a2c527b84e3aa8"),
+    ("run_ambig_sweep", ["--disc-bound", "10000", "--json"],
+     "8c791a6b6cc29fd27b74f900f7ff9a5d0df426672041cecb18236e8139ec5f52"),
 ])
 def test_script_output_bytes(capsys, script, argv, digest):
     assert _script_main(script)(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_period_polynomial_bytes():
+    """The minimal polynomials of the Gaussian periods of degree 2, 4 and 8
+    and conductor 999983, 1000033 and 1000193, printed as one list: their
+    coefficients must not move."""
+    g = gaussian_period_min_poly
+    out = f"{[g(999983, 2), g(1000033, 4), g(1000193, 8)]}\n"
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "48f1d99098a6ec47be2bae1e7068775ac1e03a073bb03a4abd331161151ba52f"
+    )
