@@ -57,6 +57,7 @@ from raycap.quadfield import (
     ray_class_group,
     unit_gens,
 )
+from raycap.report import plain
 
 __all__ = [
     "AmbigReport",
@@ -280,18 +281,7 @@ class AmbigReport:
         return self.formula == self.direct
 
     def as_dict(self) -> dict:
-        return {
-            "extension": self.extension,
-            "params": list(self.params),
-            "base_ray_order": self.base_ray_order,
-            "local_degrees": list(self.local_degrees),
-            "ramified_e": list(self.ramified_e),
-            "degree": self.degree,
-            "norm_index": self.norm_index,
-            "formula": self.formula,
-            "direct": self.direct,
-            "equal": self.equal,
-        }
+        return plain(self, equal=self.equal)
 
 
 def _is_biquad_step(L, K, m) -> bool:

@@ -35,6 +35,7 @@ from .quadfield import (
     prime_above_from_root,
     quadratic_field,
 )
+from .report import plain
 
 
 @dataclass(frozen=True)
@@ -686,14 +687,7 @@ class CapitulationReport:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "d": self.d,
-            "p": self.p,
-            "generator": list(self.generator) if self.generator else None,
-            "checks": self.checks,
-            "detail": self.detail,
-        }
+        return plain(self)
 
 
 def verify_certificate(cert) -> CapitulationReport:

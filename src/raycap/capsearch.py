@@ -14,8 +14,10 @@ from operator import mul
 
 from .errors import InputError, require
 from .exactmath import is_prime, valuation
-from .kummerfrob import SCAN_COUNTERS, ConditionChecker, ConditionReport, SearchParams
+from .kummerfrob import (SCAN_COUNTERS, ConditionChecker, ConditionReport, SearchParams,
+                         cyclotomic_step)
 from .quadfield import FIELD_CACHE_SIZE, Modulus, QuadField, _primitive_root, quadratic_field
+from .report import plain
 
 
 def gaussian_period_min_poly(p: int, m: int) -> tuple[int, ...]:
@@ -65,19 +67,14 @@ class CyclicFieldDesc:
         return self.p ** (self.degree - 1)
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "degree": self.degree,
-            "min_poly": list(self.min_poly),
-            "disc": self.disc,
-        }
+        return plain(self, disc=self.disc)
 
 
 def power_adjustment_hint(ell: int, h: int) -> dict:
     """What to adjoin when the target misses the ell^h-th powers: the degree
     ell^h real cyclotomic layer, and the congruence auxiliary primes must
     satisfy to split in it."""
-    conductor = 4 * 2**h if ell == 2 else ell ** (h + 1)
+    conductor = cyclotomic_step(ell, h + 1)
     return {
         "ell": ell,
         "h": h,
@@ -105,21 +102,7 @@ class CandidateCertificate:
     cyclic_field: CyclicFieldDesc
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "modulus": [list(t) for t in self.modulus],
-            "target": list(self.target),
-            "ell": self.ell,
-            "n": self.n,
-            "h": self.h,
-            "h_K": self.h_K,
-            "p": self.p,
-            "root": self.root,
-            "eps_character": self.eps_character,
-            "minus_one_character": self.minus_one_character,
-            "bound": self.bound,
-            "cyclic_field": self.cyclic_field.as_dict(),
-        }
+        return plain(self)
 
     @staticmethod
     def from_dict(data: dict) -> "CandidateCertificate":

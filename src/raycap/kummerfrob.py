@@ -234,6 +234,8 @@ def _character_table(d: int) -> bytes:
 # with a `forbidden` call beside them, 1.7-2.0 us (~512 bytes).
 _MARK_BYTES = 32
 _CANDIDATE_BYTES = 512
+# The largest |D| with a split table, whose build peaks near 3.5 * |D| bytes.
+SPLIT_TABLE_LIMIT = 1 << 26
 
 
 def _table_break_even(ds: list[int]) -> int | None:
@@ -241,10 +243,11 @@ def _table_break_even(ds: list[int]) -> int | None:
     of the prime discriminants ds pays for itself: the table marks
     sum |d_i| / 2 residues and writes t * |D| bytes, so it is never larger
     than _CANDIDATE_BYTES bytes per candidate already decided. None when
-    t > 8 characters do not fit in a byte."""
-    if len(ds) > 8:
+    t > 8 characters do not fit in a byte or |D| > SPLIT_TABLE_LIMIT."""
+    size = abs(math.prod(ds))
+    if len(ds) > 8 or size > SPLIT_TABLE_LIMIT:
         return None
-    cost = _MARK_BYTES * sum(abs(d) // 2 for d in ds) + len(ds) * abs(math.prod(ds))
+    cost = _MARK_BYTES * sum(abs(d) // 2 for d in ds) + len(ds) * size
     return -(-cost // _CANDIDATE_BYTES)
 
 

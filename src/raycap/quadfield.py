@@ -22,7 +22,6 @@ from .exactmath import (
     crt,
     factor,
     is_prime,
-    kronecker,
     power,
     primes_1_mod,
     primes_up_to,
@@ -284,12 +283,12 @@ def is_prime_ideal(I: QIdeal) -> bool:
 
 
 def _prime_triples(field: QuadField, primes: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-    """(1, p, b) for the first prime [p, b + w] over each p of `primes` that
-    is not inert in K, in the order given: w maps to the least root r of
-    w^2 - t*w - u mod p there, so b = -r mod p. The one place that splits p."""
+    """(1, p, b) for the first prime [p, b + w] over each p of `primes` not
+    inert in K (w^2 - t*w - u has a root mod p), in the order given: w maps
+    to the least root r there, so b = -r mod p. The one place that splits p."""
     for p in primes:
-        if kronecker(field.D, p) != -1:
-            yield 1, p, -roots_mod_p(field.minpoly, p)[0] % p
+        if roots := roots_mod_p(field.minpoly, p):
+            yield 1, p, -roots[0] % p
 
 
 def factor_prime(field: QuadField, p: int) -> tuple[str, list[tuple[QIdeal, int, int]]]:

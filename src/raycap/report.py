@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import tempfile
+from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
@@ -25,6 +26,19 @@ CACHE_MAX_ENTRIES = 4096
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def plain(record, **derived) -> dict:
+    """The JSON values of a dataclass record, field by field, then the
+    `derived` entries: tuples become lists all the way down, a nested record
+    serializes through its own `as_dict`, and a dict is kept as it is."""
+    return {**{f.name: _plain(getattr(record, f.name)) for f in fields(record)}, **derived}
+
+
+def _plain(value):
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value.as_dict() if hasattr(value, "as_dict") else value
 
 
 def _digest(body: dict) -> str:
@@ -144,11 +158,11 @@ class ReportCache:
         return data
 
     def report(self, key: dict, kind: str, compute) -> dict:
-        """The cached report for `key`; on a miss, `stamp(kind, compute())`,
-        stored before it is returned."""
+        """The cached report for `key`; on a miss, `stamp(kind, compute())`
+        stored and returned as it reads back, the JSON values of a hit."""
         report = self.get(key)
         if report is None:
-            report = stamp(kind, compute())
+            report = json.loads(canonical_json(stamp(kind, compute())))
             self.put(key, report)
         return report
 

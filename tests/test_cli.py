@@ -655,6 +655,30 @@ def test_ambig_option_the_case_does_not_read_exits_two(capsys, argv, err):
     assert (out.out, out.err) == ("", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("ambig", "--biquad", "3,5", "--mod", "7"),
+    ("ambig", "--L-disc", "-84", "--mod", "5"),
+    ("search", "--d", "34", "--mod", "1", "--class", "0", "--h", "0", "--bound", "2000"),
+    ("search", "--d", "51", "--mod", "7", "--class", "3,0", "--bound", "20000"),
+], ids=lambda argv: " ".join(argv))
+def test_warm_cache_prints_the_cold_lines(capsys, tmp_path, monkeypatch, argv):
+    """The human output of a replayed report is the fresh one's, byte for
+    byte: an ambig case whose modulus is a tuple, an --L-disc case, a
+    search that exits 3 with its counters and one that finds a prime."""
+    argv = [*argv, "--cache-dir", str(tmp_path / "cache")]
+    if argv[0] == "search":
+        argv += ["--out", str(tmp_path / "cert.json")]
+    cold = run(capsys, *argv)
+
+    def computed(*args, **kwargs):
+        raise AssertionError("a warm run computed a report")
+
+    monkeypatch.setattr(raycap.cli, "ambig_case", computed)
+    monkeypatch.setattr(raycap.cli, "find_principalizing_prime", computed)
+    assert run(capsys, *argv) == cold
+    assert cold[0] in (0, 3) and cold[2] == ""
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())

@@ -888,6 +888,19 @@ class TestSplitTable:
         if chk._codes is not None:
             assert len(chk._codes) <= kummerfrob._CANDIDATE_BYTES * got[1]["scanned"]
 
+    def test_a_field_past_the_size_limit_builds_no_table(self, monkeypatch):
+        """d = 2030 mod 3, |D| = 8120: at SPLIT_TABLE_LIMIT = |D| the
+        break-even is still 65, and one below it the checker has none, so a
+        scan to 5*10^4 codes every candidate by `_code`, builds no table,
+        and returns the reference's counters."""
+        monkeypatch.setattr(kummerfrob, "SPLIT_TABLE_LIMIT", 8120)
+        assert fresh_checker(2030, 3, 5 * 10**4)._break_even == 65
+        monkeypatch.setattr(kummerfrob, "SPLIT_TABLE_LIMIT", 8119)
+        chk = fresh_checker(2030, 3, 5 * 10**4)
+        assert abs(chk.field.D) == 8120 and chk._break_even is None
+        assert chk.scan(3, 5 * 10**4) == reference_scan(chk, 3, 5 * 10**4)
+        assert chk._codes is None
+
     def test_nine_characters_build_no_table(self):
         """Fields with t = 9 prime discriminants, d = 2 * 3 * 5 * ... * 23
         and 3 * 5 * ... * 23: the scan codes every candidate by `_code`,
