@@ -1,9 +1,13 @@
 """Exact integer and modular arithmetic: primality, factoring, sieves,
 Kronecker symbols, square roots and quadratic roots mod p, and CRT.
 
-Everything here is deterministic: primality is decided by a fixed
-Miller-Rabin witness set that is exact below 2**64, and inputs outside
-that range are rejected instead of being answered probabilistically.
+Everything here is deterministic: primality is decided by trial division
+by the primes up to 47, which settles every n < 53**2, and then by
+Miller-Rabin with the shortest prefix of the first twelve prime bases that
+is proven for n's size (the bounds of Jaeschke, Math. Comp. 61 (1993);
+Jiang and Deng, Math. Comp. 83 (2014); Sorenson and Webster, Math. Comp. 86
+(2017)), all twelve being exact below 2**64. Inputs outside that range are
+rejected instead of being answered probabilistically.
 """
 from __future__ import annotations
 
@@ -19,10 +23,22 @@ from .errors import InputError, InvariantError
 
 PRIMALITY_LIMIT = 1 << 64
 
-# Exact for all n < 2**64 (Sorenson-Webster verified witness set).
+# The first twelve prime bases. _MR_PSI[k - 1] is psi_k of OEIS A014233, the
+# least strong pseudoprime to the first k of them (Jaeschke, Math. Comp. 61
+# (1993) for k <= 8; Jiang and Deng, Math. Comp. 83 (2014) for k = 9, 10, 11),
+# so the first k bases decide every n < psi_k, and the shortest proven prefix
+# for n has bisect_right(_MR_PSI, n) + 1 bases. psi_12 > 2**64 (Sorenson and
+# Webster, Math. Comp. 86 (2017)) is not listed: all twelve decide the rest.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PSI = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+           3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+           3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+           3_825_123_056_546_413_051)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# A composite with no prime factor up to 47 is at least 53**2, so below this
+# a number that trial division by _SMALL_PRIMES leaves whole is 1 or a prime.
+_TRIAL_LIMIT = 53 * 53
 
 
 class PrimalityRangeError(InputError, ValueError):
@@ -40,10 +56,12 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < _TRIAL_LIMIT:
+        return True
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:bisect.bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -97,11 +115,13 @@ def factor(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
+    if n < _TRIAL_LIMIT:  # 1 or a prime above 47, the largest factor
+        if n > 1:
+            out[n] = 1
+        return out
+    stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

@@ -36,37 +36,29 @@ FIELD_CACHE_SIZE = 256
 
 @dataclass(frozen=True)
 class QuadField:
-    """Q(sqrt(d)). Equality and hashing look at d alone; D, t, u and
-    isqrt_D are computed once per instance (they sit on every arithmetic
-    path, isqrt_D on every rho step)."""
+    """Q(sqrt(d)). Equality and hashing look at d alone. The discriminant D,
+    t and u with w^2 = t*w + u, isqrt_D = floor(sqrt(|D|)) and minpoly, the
+    coefficients of w^2 - t*w - u low to high for `roots_mod_p`, are set
+    once in `__post_init__` (they sit on every arithmetic path, isqrt_D on
+    every rho step) and travel with a pickled field."""
 
     d: int
+    D: int = dc_field(init=False, compare=False)
+    t: int = dc_field(init=False, compare=False)
+    u: int = dc_field(init=False, compare=False)
+    isqrt_D: int = dc_field(init=False, compare=False)
+    minpoly: tuple[int, int, int] = dc_field(init=False, compare=False)
 
-    @cached_property
-    def D(self) -> int:
-        return self.d if self.d % 4 == 1 else 4 * self.d
-
-    @cached_property
-    def t(self) -> int:
-        # w^2 = t*w + u
-        return self.D % 2
-
-    @cached_property
-    def u(self) -> int:
-        return (self.D - self.t) // 4
-
-    @cached_property
-    def isqrt_D(self) -> int:
-        """floor(sqrt(|D|))."""
-        return math.isqrt(abs(self.D))
+    def __post_init__(self) -> None:
+        D = self.d if self.d % 4 == 1 else 4 * self.d
+        t = D % 2
+        u = (D - t) // 4
+        # frozen, so the instance dict is filled directly
+        self.__dict__.update(D=D, t=t, u=u, isqrt_D=math.isqrt(abs(D)), minpoly=(-u, -t, 1))
 
     @property
     def is_real(self) -> bool:
         return self.d > 0
-
-    @cached_property
-    def minpoly(self) -> tuple[int, int, int]:
-        return (-self.u, -self.t, 1)  # w^2 - t*w - u, low to high for `roots_mod_p`
 
     def w_mod(self, p: int, root: int) -> int:
         """(t + root)/2 mod an odd p, halved by parity: the image of w at

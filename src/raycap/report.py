@@ -115,17 +115,26 @@ def load_certificate(path: str | Path) -> tuple[dict, dict]:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    """Write `text` to a temporary file beside `path`, then move it over
+    `path`. A `path` that is a directory, or whose directory cannot be made
+    or written to (one under a regular file, say), is bad input: the
+    InputError names the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        if isinstance(exc, IsADirectoryError):
+            raise InputError(f"cannot write {path}: {exc}") from exc
         raise
 
 

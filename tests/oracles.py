@@ -1,16 +1,17 @@
 """Reference implementations that only the tests use: a fraction-free
-determinant, matrix products, multiplicative orders, divisor lists,
-primes in an arithmetic progression by a primality test on each member,
-splitting degrees of polynomials mod q, analytic class numbers of imaginary
-fields, synthetic abelian groups given by their invariants, the identity,
-sums and element list of a group in invariant-factor form, the cyclic
-complement of an element of an ell-group, ideals of K as the HNF of their
-generators' lattice, exact ideal division, Dirichlet composition of integer
-triples by two extended gcds, ray-principal generators, the splitting of p
-in K by the roots of w's minimal polynomial, ray generators closed by ideal
-products, real reduction by a rho walk that moves its multiplier at every
-step, with an exact multiplier num/den kept in lowest terms as a reference,
-the fundamental unit of a real field as the inverse of its rho cycle's step
+determinant, matrix products, multiplicative orders, divisor lists, strong
+probable primes and primality by Miller-Rabin on all twelve bases, primes
+in an arithmetic progression by a primality test on each member, splitting
+degrees of polynomials mod q, analytic class numbers of imaginary fields,
+synthetic abelian groups given by their invariants, the identity, sums and
+element list of a group in invariant-factor form, the cyclic complement of
+an element of an ell-group, ideals of K as the HNF of their generators'
+lattice, exact ideal division, Dirichlet composition of integer triples by
+two extended gcds, ray-principal generators, the splitting of p in K by the
+roots of w's minimal polynomial, ray generators closed by ideal products,
+real reduction by a rho walk that moves its multiplier at every step, with
+an exact multiplier num/den kept in lowest terms as a reference, the
+fundamental unit of a real field as the inverse of its rho cycle's step
 product and a multiplier's local value read off the exact element, ideals
 of L = Q(sqrt d, sqrt p) as the HNF of all products of basis elements,
 principal ideals of L as the HNF of one generator, square roots in K by
@@ -176,6 +177,30 @@ def divisors(n: int) -> list[int]:
     for p, k in factor(n).items():
         out = [d * p**i for d in out for i in range(k + 1)]
     return sorted(out)
+
+
+def is_strong_probable_prime(n: int, a: int) -> bool:
+    """Odd n > a passes the Miller-Rabin test to base a: with
+    n - 1 = d*2^s, d odd, a^d = 1 or a^(d*2^r) = -1 mod n for some r < s."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 1 << r, n) == n - 1 for r in range(1, s))
+
+
+def is_prime_by_twelve_bases(n: int) -> bool:
+    """Primality of 0 <= n < 2**64 by Miller-Rabin on all of the first
+    twelve prime bases, whatever n's size, after division by the bases
+    alone: the reference for the library's graded base prefixes."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    return all(is_strong_probable_prime(n, a) for a in bases)
 
 
 def primes_in_progression(a: int, mod: int, start: int = 2) -> Iterator[int]:

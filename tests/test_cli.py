@@ -679,6 +679,31 @@ def test_warm_cache_prints_the_cold_lines(capsys, tmp_path, monkeypatch, argv):
     assert cold[0] in (0, 3) and cold[2] == ""
 
 
+@pytest.mark.parametrize("argv,option", [
+    (("ambig", "--L-disc", "-20"), "--cache-dir"),
+    (("search", "--d", "51", "--mod", "7", "--class", "3,0", "--bound", "20000"), "--cache-dir"),
+    (("search", "--d", "51", "--mod", "7", "--class", "3,0", "--bound", "20000"), "--out"),
+], ids=lambda x: x if isinstance(x, str) else " ".join(x))
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_path_under_a_regular_file_exits_two_with_one_line(capsys, tmp_path, argv, option, under):
+    """A --cache-dir or --out whose directory would sit at or under a
+    regular file exits 2 with one line naming the path, not a traceback."""
+    blocker = tmp_path / "notadir"
+    blocker.write_text("")
+    path = blocker / under / ("cert.json" if option == "--out" else "")
+    code, out, err = run(capsys, *argv, option, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1
+
+
+def test_out_naming_a_directory_exits_two_with_one_line(capsys, tmp_path):
+    argv = ("search", "--d", "51", "--mod", "7", "--class", "3,0", "--bound", "20000")
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())

@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+import random
 from unittest import mock
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     divisors,
+    is_prime_by_twelve_bases,
+    is_strong_probable_prime,
     multiplicative_order,
     primes_in_progression,
     splitting_degree,
@@ -45,9 +48,11 @@ def brute_primes(limit):
 
 class TestIsPrime:
     def test_against_sieve(self):
-        want = set(brute_primes(20000))
-        for n in range(20000):
-            assert is_prime(n) == (n in want)
+        """is_prime agrees with the library's sieve below 2**20, and that
+        sieve with a plain one below 20,000."""
+        primes = exactmath._sieve(1 << 20)
+        assert [p for p in primes if p <= 20000] == brute_primes(20000)
+        assert [n for n in range(1 << 20) if is_prime(n)] == list(primes)
 
     def test_known_large_primes(self):
         assert is_prime(2**61 - 1)
@@ -58,6 +63,51 @@ class TestIsPrime:
         with pytest.raises(PrimalityRangeError):
             is_prime(PRIMALITY_LIMIT)
         assert not is_prime(PRIMALITY_LIMIT - 1)  # 2**64 - 1 = 3*5*17*257*641*...
+
+    # psi_k of OEIS A014233 for k = 1..11, the least strong pseudoprime to
+    # the first k prime bases, with its factors
+    PSI = [
+        (2047, (23, 89)),
+        (1373653, (829, 1657)),
+        (25326001, (2251, 11251)),
+        (3215031751, (151, 751, 28351)),
+        (2152302898747, (6763, 10627, 29947)),
+        (3474749660383, (1303, 16927, 157543)),
+        (341550071728321, (10670053, 32010157)),
+        (341550071728321, (10670053, 32010157)),
+        (3825123056546413051, (149491, 747451, 34233211)),
+        (3825123056546413051, (149491, 747451, 34233211)),
+        (3825123056546413051, (149491, 747451, 34233211)),
+    ]
+
+    @pytest.mark.parametrize("k,psi,factors", [(k, *e) for k, e in enumerate(PSI, 1)])
+    def test_each_psi_is_composite(self, k, psi, factors):
+        """psi_k is composite, its factors multiply back to it, yet it
+        passes the first k bases, where the table's k-base band ends; and
+        is_prime calls it composite. A table that stopped at psi_9 would
+        test psi_9 = psi_11 with 10 bases and call it prime."""
+        assert math.prod(factors) == psi and all(f > 1 for f in factors)
+        assert all(is_strong_probable_prime(psi, a) for a in exactmath._MR_WITNESSES[:k])
+        assert exactmath._MR_PSI[k - 1] == psi
+        assert not is_prime(psi)
+
+    def test_agrees_with_twelve_bases_on_seeded_numbers(self):
+        """20,000 odd n < 2**64 drawn with every bit length from 12 to 64,
+        so each band of the base table is met, and every n within 50 of a
+        bound, against Miller-Rabin on all twelve bases."""
+        rng = random.Random(20231)
+        ns = [rng.getrandbits(rng.randint(12, 64)) | 1 for _ in range(20000)]
+        ns += [psi + e for psi, _ in self.PSI for e in range(-50, 51)]
+        got = [is_prime(n) for n in ns]
+        assert got == [is_prime_by_twelve_bases(n) for n in ns]
+        assert sum(got) > 1000
+
+    def test_agrees_with_twelve_bases_on_products_of_two_primes_near_2_to_32(self):
+        primes = [p for p in range(2**32 - 4000, 2**32) if is_prime_by_twelve_bases(p)]
+        assert len(primes) > 150
+        products = [p * q for p, q in itertools.combinations(primes, 2)]
+        assert max(products) < PRIMALITY_LIMIT
+        assert not any(is_prime(n) for n in products)
 
 
 class TestFactor:
@@ -82,6 +132,16 @@ class TestFactor:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factor(0)
+
+    def test_every_n_below_10_to_5(self):
+        """Every factorization below 10**5, a cofactor below 53**2 left by
+        trial division among them, multiplies back to n over primes in
+        ascending order."""
+        primes = set(exactmath._sieve(1 << 17))
+        for n in range(1, 10**5):
+            f = factor(n)
+            assert math.prod(p**k for p, k in f.items()) == n
+            assert list(f) == sorted(f) and primes.issuperset(f) and 0 not in f.values()
 
 
 def test_valuation():

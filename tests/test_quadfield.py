@@ -7,6 +7,7 @@ machinery is trusted twice.
 import collections
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -175,6 +176,22 @@ class TestFieldBasics:
         z = K.elt(3, 4) * K.elt(-2, 7)
         assert z.exact_div(K.elt(-2, 7)) == K.elt(3, 4)
         assert K.elt(1, 0).exact_div(K.elt(2, 0)) is None
+
+    def test_constants_equality_hash_and_pickle(self):
+        """For every |d| < 500 the five constants set at construction are
+        the closed forms; two fields of one d are equal with one hash, and
+        a pickle round trip keeps equality and D."""
+        for d in range(-499, 500):
+            K = QuadField(d)
+            D = d if d % 4 == 1 else 4 * d
+            t = D % 2
+            u = (D - t) // 4
+            assert (K.D, K.t, K.u, K.isqrt_D, K.minpoly) == (
+                D, t, u, math.isqrt(abs(D)), (-u, -t, 1))
+            assert K == QuadField(d) and hash(K) == hash(QuadField(d))
+            assert K != QuadField(d + 1)
+            back = pickle.loads(pickle.dumps(K))
+            assert back == K and back.D == D and hash(back) == hash(K)
 
 
 def hnf_product(I, J):
