@@ -14,7 +14,6 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from array import array
 from functools import lru_cache
 from itertools import compress
 from typing import Iterator, Sequence
@@ -173,35 +172,47 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     return primes[:bisect.bisect_right(primes, limit)]
 
 
-_SIEVE_SEGMENT = 1 << 16  # progression slots per segment of primes_1_mod
+_SIEVE_SEGMENT = 1 << 16  # progression slots per sieved segment
 
 
 def primes_1_mod(step: int, lo: int, hi: int) -> Iterator[int]:
-    """Primes p ≡ 1 (mod step) with lo <= p <= hi, ascending, read off
-    sieved segments of the progression itself. Slot k stands for 1 + k*step
-    and segment j for the slots [j*size, (j+1)*size), where size is
-    _SIEVE_SEGMENT, or the power of two that covers the slots up to hi when
-    that is fewer, so a range below one segment sieves less than twice its
-    slots. Each segment is sieved once per process and kept in a bounded
-    cache (`_segment`), so a second scan of a range sieves nothing, and no
-    list of the range's primes is ever built."""
+    """Primes p ≡ 1 (mod step) with lo <= p <= hi, ascending: the flagged
+    slots of `progression_flags`, one segment at a time, so no list of the
+    range's primes is ever built."""
+    for k, flags in progression_flags(step, lo, hi, _SIEVE_SEGMENT):
+        yield from compress(range(1 + k * step, 1 + (k + len(flags)) * step, step), flags)
+
+
+def progression_flags(step: int, lo: int, hi: int, chunk: int) -> Iterator[tuple[int, bytes]]:
+    """The primes p ≡ 1 (mod step) with lo <= p <= hi as flags over the
+    slots of the progression: pairs (k, flags), ascending, with flags[i] = 1
+    when slot k + i, the integer 1 + (k + i)*step, is such a prime and 0
+    otherwise. The pieces cover the range's slots, and none holds more than
+    `chunk` slots or crosses a multiple of `chunk` or a segment: segment j
+    is the slots [j*size, (j+1)*size), where size is _SIEVE_SEGMENT, or the
+    power of two that covers the slots up to hi when that is fewer, so a
+    range below one segment sieves less than twice its slots. Each segment
+    is sieved once per process and kept in a bounded cache (`_segment`), so
+    a second scan of a range sieves nothing."""
     if step < 1:
         raise ValueError(f"modulus must be positive, got {step}")
-    first, last = max(0, -((1 - lo) // step)), (hi - 1) // step
-    if first > last:
+    k, last = max(0, -((1 - lo) // step)), (hi - 1) // step
+    if k > last:
         return
     size = min(_SIEVE_SEGMENT, 1 << last.bit_length())
-    for j in range(first // size, last // size + 1):
-        primes = _segment(step, size, j)
-        yield from primes[bisect.bisect_left(primes, lo):bisect.bisect_right(primes, hi)]
+    while k <= last:
+        j = k // size
+        end = min(last + 1, (j + 1) * size, (k // chunk + 1) * chunk)
+        yield k, _segment(step, size, j)[k - j * size:end - j * size]
+        k = end
 
 
 @lru_cache(maxsize=8)
-def _segment(step: int, size: int, j: int) -> array:
-    """The primes among the slots [j*size, (j+1)*size) of the progression
-    1 + k*step, ascending, as array('Q'): each prime q <= sqrt of the
-    segment's top that does not divide step strikes its multiples from q*q
-    on, which lie q slots apart."""
+def _segment(step: int, size: int, j: int) -> bytes:
+    """flags[i] = 1 when slot j*size + i of the progression 1 + k*step is
+    prime and 0 otherwise: each prime q <= sqrt of the segment's top that
+    does not divide step strikes its multiples from q*q on, which lie q
+    slots apart."""
     base = 1 + j * size * step
     top = base + (size - 1) * step
     flags = bytearray(b"\x01") * size
@@ -212,7 +223,7 @@ def _segment(step: int, size: int, j: int) -> array:
             k = max(0, -((base - q * q) // step))  # the first slot >= q*q
             k += (-base * pow(step, -1, q) - k) % q  # on to the first that q divides
             flags[k::q] = bytes(len(range(k, size, q)))
-    return array("Q", compress(range(base, top + 1, step), flags))
+    return bytes(flags)
 
 
 def kronecker(a: int, n: int) -> int:

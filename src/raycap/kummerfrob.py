@@ -8,7 +8,8 @@ root: the genus characters and p mod M, M the product of the odd primes
 below the modulus, read the ray class off p where they tell every class
 apart, and at ell^n = 2 the eps-character is a Legendre symbol of the
 rational integer N(1 + eps), whose squarefree kernel divides 2D: on those
-fields the split table, one byte per residue mod |D|, decides (iii) too.
+fields the scan's chunk codes, read off the characters of the prime
+discriminants of D, decide (iii) too.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from itertools import filterfalse, islice
 
 from .abgroup import snf
 from .errors import InputError, InvariantError, require
-from .exactmath import (factor, is_prime, kronecker, primes_1_mod, sqrt_mod, squarefree_part,
-                        valuation)
+from .exactmath import (factor, is_prime, kronecker, primes_1_mod, progression_flags, sqrt_mod,
+                        squarefree_part, valuation)
 from .quadfield import (
     Modulus,
     QElt,
@@ -171,7 +172,9 @@ class GenusFilter:
         ambient += [(0, res.crt_lift(e).norm() % M) for e in units]
         exact = _ray_exact(ray, kept, [*ambient, (s, M - 1)])
         sigma, n = 0, 1 % M
-        for (sig, norm), e in zip(ambient, group.express(group.to_canonical, target)):
+        # a zero target, as every scan's, is the zero word
+        coeffs = group.express(group.to_canonical, target) if any(target) else ()
+        for (sig, norm), e in zip(ambient, coeffs):
             sigma ^= sig * (e % 2)
             n = n * pow(norm, e, M) % M
         pairs = {sigma: {n}}
@@ -186,7 +189,7 @@ class GenusFilter:
         return GenusFilter(chars, allowed, norms, M), exact
 
     def code(self, mask: int) -> int:
-        """The split table's code of a split odd prime, prime to D and to M,
+        """The scan's code of a split odd prime, prime to D and to M,
         whose kept signature bits are mask: 1 when mask is not allowed, else
         2 plus, when the filter reads the norm, the index of mask in
         `allowed`, whose residues mod `modulus` are norms[code - 2]."""
@@ -227,56 +230,74 @@ def _character_table(d: int) -> bytes:
     return bytes(table)
 
 
-# The split table's break-even, in bytes written at C speed. On a shared
-# 2-CPU x86-64 VM with Python 3.11 one byte took 2.5-3.6 ns, marking one
-# residue of a character table in Python about 117 ns (~32 bytes), and the
-# (i') power and genus loop of `_code` that one lookup replaces, measured
-# with a `forbidden` call beside them, 1.7-2.0 us (~512 bytes).
+# The scan's break-even, in bytes written at C speed. On a shared 2-CPU
+# x86-64 VM with Python 3.11 one byte took 2.5-3.6 ns, marking one residue of
+# a character table in Python about 117 ns (~32 bytes), and the (i') power
+# and genus loop of `_code` that one chunk code replaces, measured with a
+# `forbidden` call beside them, 1.7-2.0 us (~512 bytes).
 _MARK_BYTES = 32
 _CANDIDATE_BYTES = 512
-# The largest |D| with a split table, whose build peaks near 3.5 * |D| bytes.
+# The largest |d_i| whose character table a scan builds; the table and its
+# slot row (`_slot_row`) hold |d_i| bytes each.
 SPLIT_TABLE_LIMIT = 1 << 26
+# Progression slots a scan codes at once, each a byte of every row.
+SCAN_CHUNK = 1 << 13
 
 
 def _table_break_even(ds: list[int]) -> int | None:
-    """How many candidates a scan decides one by one before the split table
-    of the prime discriminants ds pays for itself: the table marks
-    sum |d_i| / 2 residues and writes t * |D| bytes, so it is never larger
-    than _CANDIDATE_BYTES bytes per candidate already decided. None when
-    t > 8 characters do not fit in a byte or |D| > SPLIT_TABLE_LIMIT."""
-    size = abs(math.prod(ds))
-    if len(ds) > 8 or size > SPLIT_TABLE_LIMIT:
+    """How many candidates a scan decides one by one before it codes the
+    rest of its range by chunks (`ConditionChecker.scan`): the character
+    tables of the prime discriminants ds mark sum |d_i| / 2 residues, and a
+    chunk writes t bytes per slot, so building codes never costs more than
+    _CANDIDATE_BYTES bytes per candidate already decided, even when the
+    first chunk holds the hit. None when t > 8 characters do not fit in a
+    byte or some |d_i| > SPLIT_TABLE_LIMIT."""
+    if len(ds) > 8 or max(map(abs, ds)) > SPLIT_TABLE_LIMIT:
         return None
-    cost = _MARK_BYTES * sum(abs(d) // 2 for d in ds) + len(ds) * size
+    cost = _MARK_BYTES * sum(abs(d) // 2 for d in ds) + len(ds) * SCAN_CHUNK
     return -(-cost // _CANDIDATE_BYTES)
 
 
-# The split table's code of a candidate that fails (iii) (`_split_codes`).
+def _slot_row(table: bytes, step: int) -> bytes:
+    """row[k] = table[(1 + k*step) % m], m = len(table), for k < m +
+    SCAN_CHUNK - 1: the table in the order of the progression's slots, so
+    the SCAN_CHUNK slots from k are row[k % m:][:SCAN_CHUNK]. With s = step
+    mod m (or m), k*s = q*m + r for r < m and q < s, so the slots of one q
+    read the table turned to start at 1 from r = -q*m mod s on, s apart:
+    s strided slices of m bytes in all, never step copies of the table."""
+    m = len(table)
+    s = step % m or m
+    turned = table[1:] + table[:1]
+    row = b"".join(turned[-q * m % s::s] for q in range(s))
+    extra = SCAN_CHUNK - 1
+    return row * (extra // m + 1) + row[:extra % m]
+
+
+# The code of a candidate that fails (iii) (`_split_codes`), and of a slot
+# that holds no candidate (`ConditionChecker._chunk_codes`).
 FAILS_III = 4
+NO_CANDIDATE = 255
+_UNFLAGGED = bytes.maketrans(b"\0\1", bytes([NO_CANDIDATE, 0]))  # sieve flag -> code mask
+_DECIDED = bytes(1 < c < FAILS_III for c in range(256))
 
 
 def _split_codes(ds: list[int], genus: "GenusFilter | None", fold: int | None = None) -> bytes:
-    """codes[x] for x mod |D|, D = prod ds, at the residue x of an odd prime
-    p prime to D: 0 when p is inert in K, 2 when it splits and there is no
-    `genus`, else `genus.code` of the signature of the prime above p; with
-    a `fold` (`ConditionChecker._fold_iii`), a code 2 becomes FAILS_III
-    where the characters of its bits multiply to +1. Byte x first packs the
-    t characters at x, bit i from the i-th one's table (`_character_table`)
-    repeated to length |D|. (D / p) is their product, so an odd number of
-    set bits means inert, and `translate` maps each of the 2^t bit patterns
-    to its code."""
-    size = abs(math.prod(ds))
-    packed = 0
-    for i, d in enumerate(ds):
-        packed |= int.from_bytes(_character_table(d) * (size // abs(d)), "little") << i
+    """The code map of the prime discriminants ds: codes[bits] is the code
+    of an odd prime p prime to D = prod ds whose characters (d_i / p) are -1
+    at the set bits i of bits (bit i from the i-th `_character_table`): 0
+    when p is inert in K, as (D / p) is their product and bits has an odd
+    number of them, 2 when it splits and there is no `genus`, else
+    `genus.code` of the signature of the prime above p; with a `fold`
+    (`ConditionChecker._fold_iii`), a code 2 becomes FAILS_III where the
+    characters of its bits multiply to +1. Patterns past 2^t map to 0, so a
+    chunk of packed bytes `translate`s to its codes."""
     kept = 0 if genus is None else sum(1 << i for i, _, _ in genus.chars)
 
     def code(bits: int) -> int:
         c = 0 if bits.bit_count() % 2 else 2 if genus is None else genus.code(bits & kept)
         return FAILS_III if c == 2 and fold is not None and (bits & fold).bit_count() % 2 == 0 else c
 
-    table = bytes(map(code, range(1 << len(ds)))).ljust(256, b"\0")
-    return packed.to_bytes(size, "little").translate(table)
+    return bytes(map(code, range(1 << len(ds)))).ljust(256, b"\0")
 
 
 @dataclass(frozen=True)
@@ -364,14 +385,18 @@ class ConditionChecker:
         # 2 + Tr eps (Hilbert 90): for p prime to c, eps is a square mod P
         # exactly when c is a square mod p
         self.norm_one_plus_eps = self.eps.trace() + 2 if params.ell**params.n == 2 else None
-        # the split table (`_split_codes`), built only by a long `scan`
+        # the chunk codes' rows and code map (`_chunk_codes`), built only by
+        # a long `scan`
         self.prime_discs = ds
         self._break_even = _table_break_even(ds)
-        self._codes: bytes | None = None
+        self._rows: list[tuple[int, bytes]] | None = None
+        self._code_map = b""
         # the primes of 2 * ell * D * N(m): `forbidden` on the sieve's primes
         self.excluded = frozenset(
             {2, params.ell, *modulus.residue_chars(), *(abs(d) for d in ds if d % 2)}
         )
+        self.step = cyclotomic_step(params.ell, params.n)
+        self.excluded_slots = [(p - 1) // self.step for p in self.excluded if p % self.step == 1]
 
     def forbidden(self, p: int) -> bool:
         """Primes excluded by the preconditions: p | 2 * ell * D * N(m)."""
@@ -386,52 +411,95 @@ class ConditionChecker:
         """The primes in [lo, hi] that condition (i') can pass, ascending:
         proved prime by a sieve over the progression of its cyclotomic
         congruence, and not `forbidden`."""
-        step = cyclotomic_step(self.params.ell, self.params.n)
-        return filterfalse(self.excluded.__contains__, primes_1_mod(step, max(lo, 3), hi))
+        return filterfalse(self.excluded.__contains__, primes_1_mod(self.step, max(lo, 3), hi))
 
     def scan(self, lo: int, hi: int) -> tuple[int | None, dict]:
         """(first prime in [lo, hi] that passes (i')-(iv) or None, the
         counters `SCAN_COUNTERS`, then "rejected_iv" once counted), with the
         prefilter built (`build_prefilter`). Each candidate gets a code
-        (`_split_codes`): until the checker has the split table, from
-        `_code`, and once a scan has decided its `_break_even` candidates
-        so, it builds the table, and each later candidate's code is one
-        lookup. Codes 0 and 1, and FAILS_III where the table folds in (iii)
-        (`_fold_iii`), only count; the others go to `_decide`. A code
-        depends on p mod |D| alone, and `_decide` rejects at (iii) every
-        candidate that the fold does, so both passes give the same
-        verdicts; a checker without a break-even (None) never builds the
-        table."""
+        (`_split_codes`): until the checker has its rows, from `_code`, and
+        once a scan has decided its `_break_even` candidates so, it builds
+        them and codes the rest of its range, and every later scan the whole
+        of its own, SCAN_CHUNK slots at a time (`_chunk_codes`). Codes 0 and
+        1, and FAILS_III where the code map folds in (iii) (`_fold_iii`),
+        only count; the others go to `_decide` in ascending order, and a hit
+        stops every counter at it. A code depends on p mod each |d_i| alone,
+        and `_decide` rejects at (iii) every candidate that the fold does, so
+        both passes give the same verdicts; a checker without a break-even
+        (None) never builds the rows."""
         self.build_prefilter()
-        candidates = self.candidates(lo, hi)
         stats = dict.fromkeys(SCAN_COUNTERS, 0)
         tally = [0] * (FAILS_III + 1)  # candidates by code
-        code_of, decide, found = self._code, self._decide, None
-        while True:
-            codes = self._codes
-            size = len(codes) if codes else 0
-            for p in candidates if codes else islice(candidates, self._break_even):
-                code = codes[p % size] if codes else code_of(p)
+        decide, found = self._decide, None
+
+        def hit(p: int, code: int) -> bool:
+            failed_at, _ = decide(p, code)
+            if failed_at is not None:
+                key = f"rejected_{failed_at}"
+                stats[key] = stats.get(key, 0) + 1
+            return failed_at is None
+
+        if self._rows is None:
+            for p in islice(self.candidates(lo, hi), self._break_even):
+                code = self._code(p)
                 tally[code] += 1
-                if 1 < code < FAILS_III:
-                    failed_at, _ = decide(p, code)
-                    if failed_at is None:
-                        found = p
+                if 1 < code < FAILS_III and hit(p, code):
+                    found = p
+                    break
+            if found is None and sum(tally) == self._break_even:
+                lo = p + 1
+                self._build_rows()
+        if self._rows is not None and found is None:
+            step = self.step
+            for k, flags in progression_flags(step, max(lo, 3), hi, SCAN_CHUNK):
+                codes = self._chunk_codes(k, flags)
+                marks = codes.translate(_DECIDED)
+                end, j = len(codes), marks.find(1)
+                while j >= 0:
+                    if hit(1 + (k + j) * step, codes[j]):
+                        found, end = 1 + (k + j) * step, j + 1
                         break
-                    key = f"rejected_{failed_at}"
-                    stats[key] = stats.get(key, 0) + 1
-            if codes or found is not None or sum(tally) != self._break_even:
-                break
-            self._codes = _split_codes(self.prime_discs, self.genus, self._fold_iii())
+                    j = marks.find(1, j + 1)
+                for code in range(FAILS_III + 1):
+                    tally[code] += codes.count(code, 0, end)
+                if found is not None:
+                    break
         stats["scanned"] += sum(tally)
         stats["rejected_i"] += tally[0]
         stats["rejected_ii"] += tally[1]
         stats["rejected_iii"] += tally[FAILS_III]
         return found, stats
 
+    def _build_rows(self) -> None:
+        """The rows of `_chunk_codes`: each prime discriminant's character
+        table, shared with `GenusFilter.chars` where the prefilter keeps it,
+        in slot order (`_slot_row`), and the code map (`_split_codes`)."""
+        kept = {i: table for i, _, table in self.genus.chars} if self.genus else {}
+        self._rows = [(abs(d), _slot_row(kept.get(i) or _character_table(d), self.step))
+                      for i, d in enumerate(self.prime_discs)]
+        self._code_map = _split_codes(self.prime_discs, self.genus, self._fold_iii())
+
+    def _chunk_codes(self, k: int, flags: bytes) -> bytes:
+        """The codes of the slots k, k + 1, ... of the progression, flags[i]
+        = 1 where slot k + i holds a prime (`progression_flags`): codes[i] is
+        `_code` of the candidate 1 + (k + i)*step there, and NO_CANDIDATE
+        where flags has 0 or the prime is excluded. Byte i packs the t
+        characters at slot k + i, bit i from the i-th row, and the packed
+        bytes `translate` through the code map."""
+        n, packed = len(flags), 0
+        for i, (m, row) in enumerate(self._rows):
+            start = k % m
+            packed |= int.from_bytes(row[start:start + n], "little") << i
+        codes = int.from_bytes(packed.to_bytes(n, "little").translate(self._code_map), "little")
+        codes |= int.from_bytes(flags.translate(_UNFLAGGED), "little")
+        for x in self.excluded_slots:
+            if 0 <= x - k < n:
+                codes |= NO_CANDIDATE << 8 * (x - k)
+        return codes.to_bytes(n, "little")
+
     def _fold_iii(self) -> int | None:
-        """The bits of the split table's characters whose product is (c / p),
-        c = N(1 + eps), at every candidate p prime to c; None where the table
+        """The bits of the code map's characters whose product is (c / p),
+        c = N(1 + eps), at every candidate p prime to c; None where the codes
         cannot decide (iii) (`_split_codes`). It can at ell^n = 2 on a
         ray-exact field whose prefilter has no norm part, where code 2 passes
         (ii). c(c - 4) = (eps - eps')^2 = D f^2 and gcd(c, c - 4) | 4, so the
@@ -463,7 +531,7 @@ class ConditionChecker:
             self._prefiltered = True
 
     def _code(self, p: int) -> int:
-        """codes[p % |D|] of the split table at a candidate p, from p alone:
+        """The code of a candidate p (`_split_codes`), from p alone, unfolded:
         0 when Euler's criterion finds p inert in K (p is in the cyclotomic
         progression and prime to D, so this decides (i')), else 2 without a
         prefilter, else `GenusFilter.code` of the prime above p."""
@@ -479,7 +547,7 @@ class ConditionChecker:
 
     def _decide(self, p: int, code: int) -> tuple[str | None, int | None]:
         """(failed_at, root) at a candidate p (`candidates`) with the
-        split-table code `code`, as the scan decides it: conditions
+        code `code`, as the scan decides it: conditions
         (i')-(iv) in turn up to the first that fails, failed_at None when
         all pass; root None when none was taken: when (i') fails, when the
         prefilter proves that (ii) fails, and on the ray-exact fields at

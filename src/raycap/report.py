@@ -168,9 +168,15 @@ class ReportCache:
 
     def report(self, key: dict, kind: str, compute) -> dict:
         """The cached report for `key`; on a miss, `stamp(kind, compute())`
-        stored and returned as it reads back, the JSON values of a hit."""
+        stored and returned as it reads back, the JSON values of a hit. The
+        cache directory is made before `compute` runs, so one that cannot
+        be made is bad input at once, not after the computation."""
         report = self.get(key)
         if report is None:
+            try:
+                self.root.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise InputError(f"cannot write {self.root}: {exc}") from exc
             report = json.loads(canonical_json(stamp(kind, compute())))
             self.put(key, report)
         return report

@@ -243,8 +243,8 @@ class TestProgressionSieve:
         assert list(primes_1_mod(4, 3, 2 * 10**4)) == progression_reference(4, 3, 2 * 10**4)
         assert list(primes_1_mod(1 << 16, 2, 65537)) == [65537]
         assert exactmath._segment.cache_info().misses == 2
-        assert exactmath._segment(4, 1 << 13, 0)[-1] < 4 * (1 << 13)
-        assert list(exactmath._segment(1 << 16, 2, 0)) == [65537]
+        assert len(exactmath._segment(4, 1 << 13, 0)) == 1 << 13
+        assert exactmath._segment(1 << 16, 2, 0) == b"\x00\x01"
         assert exactmath._segment.cache_info().misses == 2
 
     def test_cache_stays_within_its_bound(self):
@@ -257,6 +257,33 @@ class TestProgressionSieve:
         info = exactmath._segment.cache_info()
         assert info.misses == 40 and info.currsize == info.maxsize == 8
         assert got == progression_reference(8, 3, hi)
+
+    @given(
+        st.sampled_from([4, 8, 3, 9]),
+        st.integers(-10, 40000),
+        st.integers(-200, 40000),
+        st.sampled_from([1, 7, 64, 1 << 13, 1 << 16]),
+        st.sampled_from([1, 5, 1 << 10, 1 << 13]),
+    )
+    @example(4, 3, 4 * 3 * (1 << 13), 1 << 16, 1 << 13)  # three whole chunks of one segment
+    @example(8, 3, 8 * 200, 64, 1 << 13)  # chunks cut at each segment
+    def test_flags_cover_the_range_in_aligned_pieces(self, step, lo, width, segment, chunk):
+        """`progression_flags` tiles the range's slots in ascending pieces
+        of at most `chunk` slots that cross no multiple of `chunk` and no
+        segment, and its flags mark the primes of `progression_reference`."""
+        hi = lo + width
+        with mock.patch.object(exactmath, "_SIEVE_SEGMENT", segment):
+            pieces = list(exactmath.progression_flags(step, lo, hi, chunk))
+            size = min(segment, 1 << max((hi - 1) // step, 0).bit_length())
+        slots = [k + i for k, flags in pieces for i in range(len(flags))]
+        assert slots == list(range(max(0, -((1 - lo) // step)), (hi - 1) // step + 1))
+        for k, flags in pieces:
+            last = k + len(flags) - 1
+            assert 0 < len(flags) <= chunk
+            assert k // chunk == last // chunk and k // size == last // size
+        primes = [1 + (k + i) * step for k, flags in pieces for i, f in enumerate(flags) if f]
+        assert set(b"".join(flags for _, flags in pieces)) <= {0, 1}
+        assert primes == progression_reference(step, lo, hi)
 
     @pytest.mark.parametrize("lo,hi", [(-5, 1), (0, 2), (2, 3), (2, 10**5), (1000, 140000)])
     def test_step_one_is_every_prime(self, lo, hi):

@@ -33,7 +33,8 @@ default sweep pins all 86 of its reports, one line each, in input order.
 (h = 31,057), rayclass of d = 10^9 + 7 and 10^10 + 19 mod 3 and of
 d = -(10^9 + 7) mod 3 and mod 1, and the scans to 2*10^5 of d = 66,
 543 mod 11 and 595 mod 3*11 and to 2*10^4 of the t = 9 fields
-d = 223092870 and 111546435. Those five scans and the d = 34 scan to 2*10^5
+d = 223092870 and 111546435, and the scan to 10^7 of d = 40000197. Of
+those, the first five scans and the d = 34 scan to 2*10^5
 must print their pinned bytes with `--jobs 2` too. The 2543 mod 7
 search and verify, the sweeps to disc bound 3000 and 10000 and the period
 polynomials of conductor about 10^6 are pinned beside their kin below.
@@ -149,10 +150,11 @@ SEARCH_VERIFY = [
 # copied only for the primes that enlarge it (rayclass); for the real
 # fields a unit from one long continued-fraction period; for -(10^9 + 7)
 # mod 3 the relation P^h as an exact ideal of norm 2^26629. The scans take
-# a genus-exact field whose split table folds (iii) in (66), a ray-exact
+# a genus-exact field whose code map folds (iii) in (66), a ray-exact
 # one with a norm part (543 mod 11), one that is not ray-exact (595 mod
-# 3*11) and two whose t = 9 prime discriminants are too many for the split
-# table's byte.
+# 3*11), two whose t = 9 prime discriminants are too many for a code's
+# byte, and d = 40000197 = 3 * 23 * 579713 to 10^7, whose |D| of 4*10^7
+# would make a residue table 40 MB while its character tables hold 0.6 MB.
 LARGE = [
     (("ambig", "--L-disc", "-100000000003"),
      0, "48c8ead53b2405cbb3fa5968cc346cab41b74319d14f383e72abe1deffad73e1"),
@@ -179,6 +181,9 @@ LARGE = [
      3, "4c62f5a3cf6a315ea90bcf38972777e8fd084643b5673beabc08719c85e63e73"),
     (("search", "--d", "111546435", "--bound", "20000"),
      0, "134c2edeada4aecc9d2aeae850839802e4795c4df63230b1726f90bd64333136"),
+    (("search", "--d", "40000197", "--mod", "1", "--class", "0", "--h", "0",
+      "--bound", "10000000"),
+     3, "393757367715db325d894625ecebe1cc3fe796a82f3e9114a69f64e861126b84"),
 ]
 
 # The six scans that a process pool must leave byte for byte as they are:

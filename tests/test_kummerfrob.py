@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 from raycap import kummerfrob
 from raycap.capsearch import find_principalizing_prime
 from raycap.errors import InputError
-from raycap.exactmath import factor, kronecker, primes_up_to, sqrt_mod, squarefree_part, valuation
+from raycap.exactmath import (factor, kronecker, primes_up_to, progression_flags, sqrt_mod,
+                              squarefree_part, valuation)
 from raycap.kummerfrob import (
     ConditionChecker,
     SearchParams,
@@ -814,35 +815,73 @@ def fresh_checker(d: int, m: int, bound: int) -> ConditionChecker:
     return ConditionChecker(K, modulus, target, SearchParams(2, 1, 0, bound))
 
 
+def row_bytes(chk: ConditionChecker) -> int:
+    """The bytes the checker's slot rows hold (`_build_rows`)."""
+    return sum(len(row) for _, row in chk._rows)
+
+
+def folded(chk: ConditionChecker, x: int, code: int) -> int:
+    """`code` at a candidate of residue x with the fold of chk applied:
+    FAILS_III for a code 2 where the characters (d_i / x) of the fold's
+    bits (`_fold_iii`) multiply to +1."""
+    fold = chk._fold_iii()
+    if code != 2 or fold is None:
+        return code
+    picked = [d for i, d in enumerate(chk.prime_discs) if fold >> i & 1]
+    return kummerfrob.FAILS_III if math.prod(kronecker(d, x) for d in picked) == 1 else code
+
+
+def assert_chunk_codes(chk: ConditionChecker, lo: int, hi: int) -> int:
+    """Over [lo, hi], chunk by chunk as a scan reads it, every slot's chunk
+    code is `_code` of its candidate, folded where chk folds (`folded`),
+    and NO_CANDIDATE where the slot holds no prime or an excluded one.
+    Returns the number of candidates."""
+    step, seen = chk.step, 0
+    for k, flags in progression_flags(step, max(lo, 3), hi, kummerfrob.SCAN_CHUNK):
+        codes = chk._chunk_codes(k, flags)
+        assert len(codes) == len(flags)
+        for j, code in enumerate(codes):
+            p = 1 + (k + j) * step
+            if flags[j] and p not in chk.excluded:
+                assert code == folded(chk, p, chk._code(p)), (chk.field.d, p)
+                seen += 1
+            else:
+                assert code == kummerfrob.NO_CANDIDATE, (chk.field.d, p)
+    return seen
+
+
 class TestSplitTable:
-    """A scan codes its first `_break_even` candidates by `_code` and the
-    rest by one byte of the split table each; the table is built
-    only once the scan has decided that many, and every result is that of
-    `reference_decide`."""
+    """A scan codes its first `_break_even` candidates by `_code`, then
+    builds its rows and codes the rest SCAN_CHUNK slots at a time
+    (`_chunk_codes`); the rows are built only once the scan has decided
+    that many, and every result is that of `reference_decide`."""
 
     @pytest.mark.parametrize("shift", [2, -1, 0, 1, 60])
     def test_hand_over_keeps_the_hit_and_counters(self, shift):
-        """d = 1435 mod 3: D = -4 * 5 * -7 * 41, break-even 47, and hits at
-        the 115th and the 224th candidate. Scans start where the second hit
+        """d = 1435 mod 3: D = -4 * 5 * -7 * 41, break-even 66 (the marks
+        of the four character tables, 27 * 32 bytes, and a chunk of 4 bytes
+        per slot, 32,768 bytes, at 512 bytes a candidate), and hits at the
+        1,403rd and the 1,537th candidate. Scans start where the second hit
         is the 2nd candidate, the one before the break-even, at it, the
-        first after it and far past it; each returns the reference's hit
-        and counters, and only the scans that go past the break-even build
-        the table."""
-        bound = 2 * 10**4
+        first after it and far past it; each returns the reference's hit and
+        counters, and only the scans that go past the break-even build the
+        rows."""
+        bound = 3 * 10**4
         chk = fresh_checker(1435, 3, bound)
         b = chk._break_even
         chk.build_prefilter()
-        assert (b, chk.prime_discs) == (47, [-4, 5, -7, 41]) and chk.genus is not None
+        assert (b, chk.prime_discs) == (66, [-4, 5, -7, 41]) and chk.genus is not None
         stream = list(chk.candidates(3, bound))
-        hit = stream.index(reference_scan(chk, stream[115], bound)[0])
-        assert hit == 223
+        assert reference_decide(chk, stream[1402])[0] is None
+        hit = stream.index(reference_scan(chk, stream[1403], bound)[0])
+        assert hit == 1536
         k = shift if shift == 2 else b + shift
         lo = stream[hit - k + 1]
         fresh = fresh_checker(1435, 3, bound)
         got = fresh.scan(lo, bound)
         assert got == reference_scan(chk, lo, bound)
         assert got[0] == stream[hit] and got[1]["scanned"] == k
-        assert (fresh._codes is None) == (k <= b)
+        assert (fresh._rows is None) == (k <= b)
 
     def test_short_scans_build_no_table(self):
         """A scan of 2 candidates without a hit, and an empty one."""
@@ -850,25 +889,25 @@ class TestSplitTable:
         lo, hi = list(chk.candidates(1000, 2 * 10**4))[:2]
         assert chk.scan(lo, hi) == reference_scan(chk, lo, hi)
         assert chk.scan(2000, 1000) == (None, reference_scan(chk, 2000, 1000)[1])
-        assert chk._codes is None
+        assert chk._rows is None
 
     def test_a_built_table_decides_a_later_scan_from_its_start(self, monkeypatch):
-        """Once built, the table is the checker's; a later scan, such as the
+        """Once built, the rows are the checker's; a later scan, such as the
         next chunk of a parallel scan, calls `_code` on no candidate."""
         chk = fresh_checker(2030, 3, 5 * 10**4)
         assert chk.scan(3, 20002) == reference_scan(chk, 3, 20002)
-        assert chk._codes is not None
+        assert chk._rows is not None
         monkeypatch.setattr(chk, "_code", None)
         assert chk.scan(20003, 5 * 10**4) == reference_scan(chk, 20003, 5 * 10**4)
 
     def test_parallel_chunks_meet_the_switch(self):
         """d = 2030 mod 3, no hit to 5*10^4: each of the three chunks holds
-        more candidates than the break-even 65, and the chunk sums are the
+        more candidates than the break-even 66, and the chunk sums are the
         reference's counters."""
         chk = fresh_checker(2030, 3, 5 * 10**4)
-        assert chk._break_even == 65
+        assert chk._break_even == 66
         for lo, hi in [(3, 20002), (20003, 40002), (40003, 5 * 10**4)]:
-            assert sum(1 for _ in chk.candidates(lo, hi)) > 65
+            assert sum(1 for _ in chk.candidates(lo, hi)) > 66
         K, params = chk.field, chk.params
         res = find_principalizing_prime(K, chk.modulus, chk.target, params, jobs=2)
         want = reference_scan(chk, 3, params.bound)[1]
@@ -877,34 +916,46 @@ class TestSplitTable:
 
     @pytest.mark.parametrize("d", [15015, 4849845, 9699690])
     def test_table_never_outgrows_the_candidates_scanned(self, d):
-        """Fields with 6, 7 and 8 small prime discriminants: a scan builds
-        no table larger than _CANDIDATE_BYTES bytes per candidate it has
-        decided, so only D = 60060 gets one at bound 2*10^4."""
+        """Fields with 6, 7 and 8 small prime discriminants, whose |D| of
+        60,060, 4,849,845 and 38,798,760 bytes the old residue table held: a
+        scan builds rows only after deciding `_break_even` candidates, whose
+        _CANDIDATE_BYTES bytes each pay for the character tables' marks and
+        a chunk of t bytes per slot, and cover the rows it then holds, the
+        sum of |d_i| plus t * (SCAN_CHUNK - 1) bytes. Their break-evens are
+        98, 115 and 131, and at bound 2*10^4 the first two get rows; the
+        third hits at its 104th candidate and builds none."""
         chk = fresh_checker(d, 1, 2 * 10**4)
         got = chk.scan(3, 2 * 10**4)
         assert got == reference_scan(chk, 3, 2 * 10**4)
-        assert chk._break_even * kummerfrob._CANDIDATE_BYTES >= abs(chk.field.D)
-        assert (chk._codes is not None) == (d == 15015)
-        if chk._codes is not None:
-            assert len(chk._codes) <= kummerfrob._CANDIDATE_BYTES * got[1]["scanned"]
+        ds, b = chk.prime_discs, chk._break_even
+        assert (len(ds), b) == {15015: (6, 98), 4849845: (7, 115), 9699690: (8, 131)}[d]
+        marks = kummerfrob._MARK_BYTES * sum(abs(x) // 2 for x in ds)
+        assert b * kummerfrob._CANDIDATE_BYTES >= marks + len(ds) * kummerfrob.SCAN_CHUNK
+        assert (chk._rows is not None) == (d != 9699690)
+        if chk._rows is not None:
+            assert row_bytes(chk) == sum(map(abs, ds)) + len(ds) * (kummerfrob.SCAN_CHUNK - 1)
+            assert row_bytes(chk) <= kummerfrob._CANDIDATE_BYTES * b
+            assert b < got[1]["scanned"]
+        else:
+            assert got[1]["scanned"] == 104 < b
 
     def test_a_field_past_the_size_limit_builds_no_table(self, monkeypatch):
-        """d = 2030 mod 3, |D| = 8120: at SPLIT_TABLE_LIMIT = |D| the
-        break-even is still 65, and one below it the checker has none, so a
-        scan to 5*10^4 codes every candidate by `_code`, builds no table,
-        and returns the reference's counters."""
-        monkeypatch.setattr(kummerfrob, "SPLIT_TABLE_LIMIT", 8120)
-        assert fresh_checker(2030, 3, 5 * 10**4)._break_even == 65
-        monkeypatch.setattr(kummerfrob, "SPLIT_TABLE_LIMIT", 8119)
+        """d = 2030 mod 3, D = 5 * -7 * -8 * 29: at SPLIT_TABLE_LIMIT = 29,
+        its largest |d_i|, the break-even is still 66, and one below it the
+        checker has none, so a scan to 5*10^4 codes every candidate by
+        `_code`, builds no rows, and returns the reference's counters."""
+        monkeypatch.setattr(kummerfrob, "SPLIT_TABLE_LIMIT", 29)
+        assert fresh_checker(2030, 3, 5 * 10**4)._break_even == 66
+        monkeypatch.setattr(kummerfrob, "SPLIT_TABLE_LIMIT", 28)
         chk = fresh_checker(2030, 3, 5 * 10**4)
-        assert abs(chk.field.D) == 8120 and chk._break_even is None
+        assert chk.prime_discs == [5, -7, -8, 29] and chk._break_even is None
         assert chk.scan(3, 5 * 10**4) == reference_scan(chk, 3, 5 * 10**4)
-        assert chk._codes is None
+        assert chk._rows is None
 
     def test_nine_characters_build_no_table(self):
         """Fields with t = 9 prime discriminants, d = 2 * 3 * 5 * ... * 23
         and 3 * 5 * ... * 23: the scan codes every candidate by `_code`,
-        builds no table, and returns the reference's hit and counters."""
+        builds no rows, and returns the reference's hit and counters."""
         ds = prime_discriminants(4 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23)
         assert len(ds) == 9 and kummerfrob._table_break_even(ds) is None
         for d, hit, scanned in [(223092870, None, 1122), (111546435, 13381, 781)]:
@@ -913,46 +964,129 @@ class TestSplitTable:
             got = chk.scan(3, 2 * 10**4)
             assert got == reference_scan(chk, 3, 2 * 10**4)
             assert got[0] == hit and got[1]["scanned"] == scanned
-            assert chk._codes is None
+            assert chk._rows is None
 
-    def test_table_matches_kronecker_and_genus_on_every_residue(self):
-        """Real squarefree d < 400, moduli 1, 3 and 7 where prime to D,
-        every 2-power target: at every residue x prime to D the code is 0
-        when (D / x) = -1, else 1 when the filter rejects the signature at
-        x, else 2 plus, when the filter reads the norm, the index of that
-        signature among the allowed ones; at every candidate up to 3000 it
-        is 0 exactly when Euler's criterion says inert, and `_code` at p,
-        which reads p alone, is the code at p mod |D|: the equality that lets
-        one loop body serve both passes of a scan."""
-        tables = 0
+    @staticmethod
+    def grid():
+        """(checker, D) for real squarefree d < 400, moduli 1, 3 and 7
+        where prime to D, and every 2-power target, ell = 2, n = 1."""
         for d in range(2, 400):
             if squarefree_part(d) != d:
                 continue
             K = quadratic_field(d)
-            D = K.D
             for m in (1, 3, 7):
-                if math.gcd(m, D) != 1:
+                if math.gcd(m, K.D) != 1:
                     continue
                 modulus = modulus_from_rational(K, m)
                 for target in ell_power_targets(ray_class_group(K, modulus).group, 2):
-                    chk = ConditionChecker(K, modulus, target, SearchParams(2, 1, 0, 3000))
-                    chk.build_prefilter()
-                    codes = kummerfrob._split_codes(chk.prime_discs, chk.genus)
-                    assert len(codes) == abs(D)
-                    genus = chk.genus
-                    for x in range(1, abs(D)):
-                        if math.gcd(x, D) == 1:
-                            sig = None if genus is None else signature(genus, x)
-                            want = (0 if kronecker(D, x) == -1
-                                    else 2 if genus is None
-                                    else 1 if sig not in genus.allowed
-                                    else 2 + genus.allowed.index(sig) * (genus.norms is not None))
-                            assert codes[x] == want, (d, m, target, x)
-                    for p in chk.candidates(3, 3000):
-                        assert (codes[p % abs(D)] == 0) == (pow(D, (p - 1) // 2, p) != 1), p
-                        assert chk._code(p) == codes[p % abs(D)], p
-                    tables += 1
+                    yield ConditionChecker(K, modulus, target, SearchParams(2, 1, 0, 3000)), K.D
+
+    def test_table_matches_kronecker_and_genus_on_every_residue(self):
+        """On the grid, with the rows built: at every slot k of a chunk that
+        starts at slot 10^5 + 7 and covers |D| slots, flagged as a prime,
+        whose residue x = 1 + 4k mod |D| is prime to D, the code is 0 when
+        (D / x) = -1, else 1 when the filter rejects the signature at x,
+        else 2 plus, when the filter reads the norm, the index of that
+        signature among the allowed ones, folded where the field folds
+        (`folded`, `TestFoldedTable`); those slots meet every residue
+        x = 1 mod gcd(4, D) prime to D, the residues of every candidate. At
+        every candidate up to 3000 the code is `_code` at p, which reads p
+        alone, and 0 exactly when Euler's criterion says inert: the
+        equality that lets the two passes of a scan agree."""
+        tables = 0
+        for chk, D in self.grid():
+            chk.build_prefilter()
+            chk._build_rows()
+            genus, k0 = chk.genus, 10**5 + 7
+            codes = chk._chunk_codes(k0, b"\x01" * abs(D))
+            seen = set()
+            for k in range(k0, k0 + abs(D)):
+                x = (1 + 4 * k) % abs(D)
+                if math.gcd(x, D) == 1:
+                    sig = None if genus is None else signature(genus, x)
+                    want = (0 if kronecker(D, x) == -1
+                            else 2 if genus is None
+                            else 1 if sig not in genus.allowed
+                            else 2 + genus.allowed.index(sig) * (genus.norms is not None))
+                    assert codes[k - k0] == folded(chk, x, want), (chk.field.d, chk.target, x)
+                    seen.add(x)
+            g = math.gcd(4, D)
+            assert seen == {x for x in range(abs(D)) if math.gcd(x, D) == 1 and x % g == 1 % g}
+            assert assert_chunk_codes(chk, 3, 3000) > 0
+            for p in chk.candidates(3, 3000):
+                assert (chk._code(p) == 0) == (pow(D, (p - 1) // 2, p) != 1), p
+            tables += 1
         assert tables > 500
+
+    def test_zero_target_takes_the_zero_word(self):
+        """`GenusFilter.build` folds the key of a zero target, as every
+        scan's, from no coefficients; on the grid, `express` finds the zero
+        word for each zero target too, so both give sigma = 0 and n = 1."""
+        zeros = 0
+        for chk, _ in self.grid():
+            group = chk.ray.group
+            if not any(chk.target):
+                zero_word = [0] * len(group.to_canonical)
+                assert group.express(group.to_canonical, chk.target) == zero_word
+                zeros += 1
+        assert zeros == 635
+
+    @pytest.mark.parametrize("ell,n,d,m", [(2, 1, 1435, 3), (2, 2, 2030, 3), (3, 1, 1435, 1),
+                                           (3, 2, 2030, 1)])
+    def test_chunk_codes_cross_chunk_and_segment_edges(self, ell, n, d, m):
+        """Steps 4, 8, 3 and 9: from a start that is no slot, across the
+        chunk edges at multiples of 2^13 slots and the segment edge at slot
+        2^16, every chunk code is `_code` of its candidate; a scan from that
+        start on a checker whose rows are built returns the reference's hit
+        and counters."""
+        K = quadratic_field(d)
+        modulus = modulus_from_rational(K, m)
+        target = (0,) * ray_class_group(K, modulus).group.rank
+        step = ell**n if ell > 2 else 2 ** (n + 1)
+        lo, hi = 1 + 55000 * step + 2, 1 + 75000 * step
+        chk = ConditionChecker(K, modulus, target, SearchParams(ell, n, 0, hi))
+        assert chk.step == step and chk._break_even is not None
+        chk.build_prefilter()
+        chk._build_rows()
+        edges = {k for k, _ in progression_flags(step, lo, hi, kummerfrob.SCAN_CHUNK)}
+        assert {57344, 65536, 73728} < edges
+        assert assert_chunk_codes(chk, lo, hi) > 1000
+        assert chk.scan(lo, hi) == reference_scan(chk, lo, hi)
+
+    def test_a_hit_in_mid_chunk_stops_every_counter(self):
+        """d = 1435 mod 3 with its rows built: its first hit lies inside a
+        chunk whose later candidates include inert ones, signature
+        rejections and further candidates for `_decide`, and the scan's
+        counters are the reference's, which stop at the hit."""
+        bound = 2 * 10**4
+        chk = fresh_checker(1435, 3, bound)
+        chk.build_prefilter()
+        chk._build_rows()
+        found, stats = chk.scan(3, bound)
+        assert (found, stats) == reference_scan(chk, 3, bound)
+        k, flags = next(progression_flags(4, 3, bound, kummerfrob.SCAN_CHUNK))
+        codes = chk._chunk_codes(k, flags)
+        after = set(codes[(found - 1) // 4 + 1 - k:])
+        assert {0, 1, 2} <= after and found < 1 + 4 * (k + len(flags) - 1)
+        assert stats["scanned"] < sum(c != kummerfrob.NO_CANDIDATE for c in codes)
+
+    def test_an_excluded_prime_in_a_chunk_is_not_counted(self):
+        """d = 1435 mod 13: the primes 5 and 41 of D and 13 of the modulus
+        are 1 mod 4 and flagged by the sieve, but a scan with rows built
+        gives them NO_CANDIDATE, so its counters are the reference's, which
+        `candidates` keeps them out of."""
+        chk = fresh_checker(1435, 13, 2 * 10**4)
+        chk.build_prefilter()
+        chk._build_rows()
+        assert {5, 13, 41} <= chk.excluded
+        k, flags = next(progression_flags(4, 3, 2000, kummerfrob.SCAN_CHUNK))
+        codes = chk._chunk_codes(k, flags)
+        for q in (5, 13, 41):
+            slot = (q - 1) // 4 - k
+            assert flags[slot] == 1 and codes[slot] == kummerfrob.NO_CANDIDATE
+        got = chk.scan(3, 2000)
+        assert got == reference_scan(chk, 3, 2000)
+        assert got[1]["scanned"] == sum(flags[: (2000 - 1) // 4 - k + 1]) - 3
 
 
 def kernel_at_2D(c: int, D: int) -> int:
@@ -978,14 +1112,27 @@ def s_character(ds: list[int], s: int):
     return lambda x: math.prod(kronecker(d, x) for d in picked)
 
 
+def residue_table(ds: list[int], code_map: bytes) -> bytes:
+    """The code map (`_split_codes`) read by residue: table[x], for x mod
+    |D|, D = prod ds, is code_map at the pattern of the characters of ds at
+    x, the code a scan gives each candidate p = x mod |D|. Byte x packs bit
+    i from the i-th `_character_table` repeated to length |D|."""
+    size = abs(math.prod(ds))
+    packed = 0
+    for i, d in enumerate(ds):
+        packed |= int.from_bytes(kummerfrob._character_table(d) * (size // abs(d)), "little") << i
+    return packed.to_bytes(size, "little").translate(code_map)
+
+
 def fold_errors(chk: ConditionChecker, codes: bytes) -> list[int]:
-    """The residues x prime to D at which `codes` is not the table a scan
-    of chk should build: the unfolded one (`_split_codes` without a fold),
+    """The residues x prime to D at which `codes` (`residue_table`) is not
+    what a scan of chk should read: the unfolded one (`_split_codes`
+    without a fold),
     with each code 2 at an x where (s / x) = 1 turned into FAILS_III on a
     ray-exact field at ell^n = 2 whose prefilter has no norm part and
     where (s / .) is a character mod |D|; elsewhere nothing changes."""
     ds, genus, D = chk.prime_discs, chk.genus, chk.field.D
-    unfolded = kummerfrob._split_codes(ds, genus)
+    unfolded = residue_table(ds, kummerfrob._split_codes(ds, genus))
     chi = None
     if chk.norm_one_plus_eps is not None and chk.ray_exact and (genus is None or genus.norms is None):
         chi = s_character(ds, kernel_at_2D(chk.norm_one_plus_eps, D))
@@ -1016,15 +1163,15 @@ class TestFoldedTable:
     """At ell^n = 2 on a ray-exact field whose prefilter has no norm part,
     a split candidate of code 2 passes (ii), and (iii) asks (c / p) = -1,
     c = N(1 + eps). The squarefree kernel s of c divides 2D, so (s / p) is
-    a product of the table's characters, and the table gives the codes 2
-    where it is +1 the count-only code FAILS_III."""
+    a product of the characters of the prime discriminants, and the code
+    map gives the codes 2 where it is +1 the count-only code FAILS_III."""
 
     BOUND = 2 * 10**4
 
     @staticmethod
     @functools.cache
     def corpus() -> list:
-        """(checker, its folded table) for class 0 of every field of
+        """(checker, its folded `residue_table`) for class 0 of every field of
         `corpus_fields`, with the prefilter built; made once for the tests
         below, which only read them."""
         out = []
@@ -1033,7 +1180,9 @@ class TestFoldedTable:
             chk = ConditionChecker(K, modulus, (0,) * rank,
                                    SearchParams(2, 1, 0, TestFoldedTable.BOUND))
             chk.build_prefilter()
-            out.append((chk, kummerfrob._split_codes(chk.prime_discs, chk.genus, chk._fold_iii())))
+            ds = chk.prime_discs
+            code_map = kummerfrob._split_codes(ds, chk.genus, chk._fold_iii())
+            out.append((chk, residue_table(ds, code_map)))
         return out
 
     def test_kernel_divides_twice_the_discriminant(self):
@@ -1097,15 +1246,17 @@ class TestFoldedTable:
     def test_scan_builds_the_folded_table(self):
         """d = 66, the field of the pinned CI scan: c = 132 = 4 * 33, whose
         kernel 33 is read off the characters of -3 and -11. A scan to
-        2*10^5 builds the folded table and counts 2,202 rejections of (iii),
-        as the parent of the fold did, calling `_decide` on none of them."""
+        2*10^5 builds the folded code map and counts 2,202 rejections of
+        (iii), as the parent of the fold did, calling `_decide` on none of
+        them."""
         chk = fresh_checker(66, 1, 2 * 10**5)
         assert chk.norm_one_plus_eps == 132 and chk.prime_discs == [-3, 8, -11]
         calls = []
         decide = chk._decide
         chk._decide = lambda p, code: calls.append(p) or decide(p, code)
         found, stats = chk.scan(3, 2 * 10**5)
-        assert chk._fold_iii() == 0b101 and fold_errors(chk, chk._codes) == []
+        assert chk._fold_iii() == 0b101
+        assert fold_errors(chk, residue_table(chk.prime_discs, chk._code_map)) == []
         assert found is None and stats == {"scanned": 8977, "rejected_i": 4535,
                                            "rejected_ii": 2240, "rejected_iii": 2202}
         assert len(calls) <= chk._break_even
@@ -1128,12 +1279,13 @@ class TestFoldedTable:
                 flipped += 1
                 eight = [i for i, d in enumerate(ds) if d in (8, -8) and fold >> i & 1]
                 if eight:
-                    mutant = kummerfrob._split_codes(ds, genus, fold & ~(1 << eight[0]))
+                    dropped_map = kummerfrob._split_codes(ds, genus, fold & ~(1 << eight[0]))
+                    mutant = residue_table(ds, dropped_map)
                     dropped += bool(fold_errors(chk, mutant))
             elif chk.ray_exact and genus is not None and genus.norms is not None:
                 if s_character(ds, kernel_at_2D(chk.norm_one_plus_eps, chk.field.D)) is None:
                     continue
-                mutant = kummerfrob._split_codes(ds, genus, fold_bits(chk))
+                mutant = residue_table(ds, kummerfrob._split_codes(ds, genus, fold_bits(chk)))
                 if mutant != codes:
                     assert fold_errors(chk, mutant), chk.field.d
                     normed += 1

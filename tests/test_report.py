@@ -1,6 +1,7 @@
 """Stamped JSON envelopes, certificate files, and the content cache."""
 import json
 import os
+import re
 
 import pytest
 
@@ -119,6 +120,20 @@ class TestCache:
         assert cache.get(key) is None
         cache.put(key, report)
         assert cache.get(key) == report
+
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_unwritable_directory_is_refused_before_computing(self, tmp_path, under):
+        """A cache directory at or under a regular file is bad input on a
+        miss before `compute` runs, and names the directory."""
+        blocker = tmp_path / "notadir"
+        blocker.write_text("")
+        root = blocker / under
+
+        def compute():
+            pytest.fail("compute ran before the cache directory was made")
+
+        with pytest.raises(InputError, match=f"^cannot write {re.escape(str(root))}: "):
+            ReportCache(root).report({"op": "demo"}, "demo", compute)
 
     def test_distinct_keys_distinct_files(self, tmp_path):
         cache = ReportCache(tmp_path)
