@@ -6,12 +6,16 @@ ambient elements. Everything is exact: the column transform V is updated
 with each column operation, so no rational arithmetic ever appears. The
 row transform U is rows x rows, far larger than a tall relation matrix
 itself, so `snf` builds it only when asked; only `solve_left` reads it.
+An index, such as a subgroup's, is the product of HNF pivots
+(`lattice_index`), which needs no transform at all.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .errors import require
 
 Matrix = list[list[int]]
 
@@ -197,6 +201,17 @@ def hnf_rows(m: Sequence[Sequence[int]]) -> list[list[int]]:
     return h[:row]
 
 
+def lattice_index(rows: Sequence[Sequence[int]]) -> int:
+    """[Z^n : L] for the lattice L the rows span in Z^n, n their width: the
+    product of the pivots of `hnf_rows`, which equals prod(snf(rows).diag)
+    and builds no transform. Raises when L has rank below n, where the
+    index is infinite."""
+    n = len(rows[0]) if rows else 0
+    h = hnf_rows(rows)
+    require(len(h) == n, "a lattice has infinite index")
+    return math.prod(h[i][i] for i in range(n))
+
+
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Finite abelian group in invariant-factor coordinates.
@@ -248,11 +263,9 @@ class FiniteAbelianGroup:
         return rows
 
     def subgroup_order(self, gens: Sequence[Sequence[int]]) -> int:
-        """Order of the subgroup generated by the given elements."""
-        if self.rank == 0:
-            return 1
-        quotient = math.prod(snf(self.stacked(gens)).diag)
-        return self.order() // quotient
+        """Order of the subgroup generated by the given elements: |G| over
+        the index of the lattice they span with the relations d_i * e_i."""
+        return self.order() // lattice_index(self.stacked(gens))
 
     def express(
         self, gens: Sequence[Sequence[int]], y: Sequence[int]

@@ -10,11 +10,13 @@ with d_inf the local degrees at the infinite places of K, e_P the
 ramification indices at finite primes of K coprime to m, and the denominator
 index taken on unit groups of elements that are 1 mod the respective moduli.
 `ambig_case` evaluates that expression factor by factor (`_formula_parts`),
-from discriminants and unit norms: it builds no prime of L, and over Q no
-residue system. `ambiguous_count_direct` computes the order of the subgroup
-of Cl^m(L) generated by ramified primes and extended K-ideals; for L over
-Q with m = 1 that is the subgroup of Cl_L that `_coset_closure` grows from
-the ramified primes alone. Agreement across a corpus is the regression
+from discriminants and unit norms: it builds no prime of L, and over Q
+neither a residue system nor a unit, since N(eps) is read off the period
+of w's continued fraction. `ambiguous_count_direct` computes the
+order of the subgroup of Cl^m(L) generated by ramified primes and extended
+K-ideals; for L over Q the ramified primes are integer triples, and with
+m = 1 that is the subgroup of Cl_L that `_coset_closure` grows from those
+triples alone. Agreement across a corpus is the regression
 signal. The two routes share the base ray class group (`rayclass_Q` and
 its generators, or `ray_class_group`), and for a biquadratic step
 `unit_group`, `extend_modulus` and the residue system mod m_L inside the
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from raycap.abgroup import FiniteAbelianGroup, group_from_relations, hnf_rows
+from raycap.abgroup import FiniteAbelianGroup, group_from_relations, hnf_rows, lattice_index
 from raycap.biquad import (
     BiquadField,
     _primes_over,
@@ -46,12 +48,15 @@ from raycap.quadfield import (
     FIELD_CACHE_SIZE,
     Modulus,
     QElt,
+    QIdeal,
     QuadField,
     ResidueSystem,
     _coset_closure,
+    _prime_triples,
     _primitive_root,
     factor_prime,
     fundamental_unit,
+    fundamental_unit_norm,
     modulus_from_rational,
     quadratic_field,
     ray_class_group,
@@ -200,11 +205,9 @@ def _unit_lattice(residue: ResidueSystem, units) -> list[list[int]]:
 
 def _quotient_order(sub_rows: list[list[int]]) -> int:
     """|E_K / H| for E_K = <-1, eps> of a real quadratic K, with H given by
-    rows over that basis: the product of the pivots of the HNF of H and the
-    relation (-1)^2 = 1."""
-    h = hnf_rows([[2, 0]] + [list(r) for r in sub_rows])
-    require(len(h) == 2, "the unit subgroup has infinite index")
-    return h[0][0] * h[1][1]
+    rows over that basis: the index of the lattice of H and the relation
+    (-1)^2 = 1."""
+    return lattice_index([[2, 0], *sub_rows])
 
 
 def norm_index_units(L, K, m) -> int:
@@ -214,14 +217,15 @@ def norm_index_units(L, K, m) -> int:
     biquadratic with K one of its quadratic subfields and m a Modulus of K.
     Over Q the index is read off the unit norms: E^m_Q = {+-1} only for
     m = 1, and a unit that is 1 mod m_L has norm 1 mod m, so the index is 1
-    for m > 1; for m = 1 it is 1 when L is real with N(eps) = -1, else 2.
+    for m > 1; for m = 1 it is 1 when L is real with N(eps) = -1, else 2,
+    and `fundamental_unit_norm` gives that sign without building eps.
     Over K it is |E_K / N| / |E_K / E^m_K| on the basis (-1, eps_K), with N
     the norms of the exponent lattice of E^{m_L}_L over (-1, units of L).
     """
     if not _is_biquad_step(L, K, m):
         if m > 1:
             return 1
-        return 1 if L.is_real and fundamental_unit(L).norm() == -1 else 2
+        return 1 if L.is_real and fundamental_unit_norm(L) == -1 else 2
     j = (L.k1, L.k2, L.k3).index(K) + 1
     U = unit_group(L)
     lgens = [-L.one()] + list(U.units)
@@ -336,21 +340,22 @@ def _assemble(h: int, d_inf, es, idx: int) -> int:
 
 
 def _direct_quadratic(L: QuadField, m: int) -> int:
-    """For m = 1 the ray class group is Cl^1_L = Cl_L, and the count is the
-    order of the subgroup the ramified primes generate: `_coset_closure`
-    grows exactly that subgroup from their classes, one table entry per
-    class, so no presentation of Cl_L is built."""
-    ramified = []
-    for p0 in sorted(factor(abs(L.D))):
-        if m % p0 == 0:
-            continue
-        kind, data = factor_prime(L, p0)
-        require(kind == "ramified", "a prime dividing D_L is not ramified")
-        ramified.append(data[0][0])
+    """The ramified primes of L over the p0 | D_L prime to m, as triples
+    (1, p0, b) from `_prime_triples`; [p0, b + w] is its own conjugate, so
+    p0 ramifies, exactly when 2b + t = 0 mod p0. For m = 1 the count is the
+    order of the subgroup of Cl^1_L = Cl_L they generate, which
+    `_coset_closure` grows from the triples, one table entry per class, with
+    no ideal and no presentation of Cl_L built. For m > 1 the ray class
+    group's `dlog` reads one ideal per triple."""
+    primes = [p0 for p0 in sorted(factor(abs(L.D))) if m % p0]
+    ramified = list(_prime_triples(L, primes))
+    require([p0 for _, p0, _ in ramified] == primes
+            and all((2 * b + L.t) % p0 == 0 for _, p0, b in ramified),
+            "a prime dividing D_L is not ramified")
     if m == 1:
-        return len(_coset_closure(L, [P.key() for P in ramified])[1])
+        return len(_coset_closure(L, ramified)[1])
     ray = ray_class_group(L, modulus_from_rational(L, m))
-    vecs = [ray.dlog(P) for P in ramified]
+    vecs = [ray.dlog(QIdeal(L, *P)) for P in ramified]
     vecs += [ray.class_of_principal(QElt(L, a, 0)) for a in rayclass_Q_generators(m)]
     return ray.group.subgroup_order(vecs)
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from itertools import filterfalse, islice
 
-from .abgroup import snf
+from .abgroup import lattice_index
 from .errors import InputError, InvariantError, require
 from .exactmath import (factor, is_prime, kronecker, primes_1_mod, progression_flags, sqrt_mod,
                         squarefree_part, valuation)
@@ -206,15 +206,14 @@ def _ray_exact(ray: RayClassData, kept: list[int], keys: list) -> bool:
     Each n is read by its discrete logs at the residue factors of m over
     the odd primes q | M, which embed (Z/q)^*, so the keys lie in Z^w
     modulo the diagonal `orders`, where their subgroup has the index
-    prod(snf diag) of the keys stacked on the relations."""
+    `lattice_index` of the keys stacked on the relations."""
     factors = [f for f in ray.residue.factors if f.p > 2]
     orders = [2] * len(kept) + [f.order for f in factors]
     rows = [[sigma >> i & 1 for i in kept] + [f.dlog(ray.field.elt(n)) for f in factors]
             for sigma, n in keys]
     flip = math.lcm(*(o // math.gcd(c, o) for c, o in zip(rows[-1], orders)))
     rows += [[o * (i == j) for j in range(len(orders))] for i, o in enumerate(orders)]
-    index = math.prod(snf(rows).diag)
-    return math.prod(orders) // index == ray.group.order() * flip
+    return math.prod(orders) // lattice_index(rows) == ray.group.order() * flip
 
 
 def _character_table(d: int) -> bytes:

@@ -459,30 +459,45 @@ def _generates(I, z) -> bool:
 # fundamental unit and class group
 
 
-@lru_cache(maxsize=FIELD_CACHE_SIZE)
-def fundamental_unit(field: QuadField) -> QElt:
-    """Smallest unit > 1 of a real quadratic field, from one period of the
-    regular continued fraction of w = (t + sqrt(D))/2 (Cohen, GTM 138,
-    §5.7): the partial quotients a multiply, as matrices [[a, 1], [1, 0]],
-    to a matrix whose first column (h, k) gives h - k*w' = (h - k*t) + k*w."""
+def _period_quotients(field: QuadField) -> Iterator[int]:
+    """The partial quotients of one period of the regular continued fraction
+    of w = (t + sqrt(D))/2 in a real field (Cohen, GTM 138, §5.7). The
+    complete quotient (P + sqrt(D))/Q, Q > 0 dividing D - P^2, starts at w
+    and is w plus an integer again when Q is 2 again."""
     if not field.is_real:
         raise InputError("fundamental unit requires a real field")
     D, s = field.D, field.isqrt_D
-    # the complete quotient (P + sqrt(D))/Q, Q > 0 dividing D - P^2, starts
-    # at w and is w plus an integer again when Q is 2 again
-    P, Q, mats = field.t, 2, []
-    while not mats or Q != 2:
+    P, Q, k = field.t, 2, 0
+    while not k or Q != 2:
         a = (P + s) // Q
-        mats.append((a, 1, 1, 0))
-        if len(mats) > _CYCLE_BOUND:
+        yield a
+        k += 1
+        if k > _CYCLE_BOUND:
             raise BudgetError("rho cycle failed to close")
         P = a * Q - P
         Q = (D - P * P) // Q
+
+
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
+def fundamental_unit(field: QuadField) -> QElt:
+    """Smallest unit > 1 of a real quadratic field: the partial quotients a
+    of `_period_quotients` multiply, as matrices [[a, 1], [1, 0]], to a
+    matrix whose first column (h, k) gives h - k*w' = (h - k*t) + k*w. Its
+    norm is (-1)^(period length), which `fundamental_unit_norm` reads
+    without building the unit."""
+    mats = [(a, 1, 1, 0) for a in _period_quotients(field)]
     h, _, k, _ = _tree_product(mats, (1, 0, 0, 1), _mat_mul)
     eps = QElt(field, h - k * field.t, k)
     require(eps.norm() == (-1) ** len(mats) and eps > QElt(field, 1, 0),
             "the fundamental unit is not a unit > 1 of norm -1 to the period")
     return eps
+
+
+def fundamental_unit_norm(field: QuadField) -> int:
+    """N(eps) = (-1)^k of a real field, k the period length of w's
+    continued fraction: the sign `fundamental_unit` checks on every unit it
+    builds, counted here without multiplying the quotients."""
+    return -1 if len(list(_period_quotients(field))) % 2 else 1
 
 
 def torsion_unit(field: QuadField) -> tuple[QElt, int]:

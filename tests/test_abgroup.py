@@ -17,10 +17,12 @@ from oracles import (
 from raycap.abgroup import (
     group_from_relations,
     hnf_rows,
+    lattice_index,
     snf,
     solve_left,
     vec_mat,
 )
+from raycap.errors import InvariantError
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -111,6 +113,44 @@ class TestHNF:
         base = hnf_rows(m + shuffled)
         assert hnf_rows(m + m) == hnf_rows(m)
         assert base == hnf_rows(m)  # duplicated rows span the same lattice
+
+
+def _seeded_full_rank(n: int):
+    """Full-rank n-column rows: a nonzero diagonal seed, random rows, each
+    row shuffled into place, then row additions, which keep the lattice."""
+    return st.tuples(
+        st.lists(st.integers(1, 12), min_size=n, max_size=n),
+        st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=3),
+        st.randoms(use_true_random=False),
+    ).map(lambda t: _mix([[d * (i == j) for j in range(n)] for i, d in enumerate(t[0])]
+                         + t[1], t[2]))
+
+
+def _mix(rows, rng):
+    rng.shuffle(rows)
+    for _ in range(len(rows)):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        if i != j:
+            k = rng.randint(-3, 3)
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+class TestLatticeIndex:
+    @given(st.integers(0, 4).flatmap(_seeded_full_rank))
+    def test_equals_the_smith_diagonal_product(self, rows):
+        assert lattice_index(rows) == math.prod(snf(rows).diag)
+
+    def test_zero_columns_and_known(self):
+        assert lattice_index([]) == lattice_index([[], []]) == 1
+        assert lattice_index([[2, 4], [4, 2]]) == 12
+        assert group_from_relations([], 0).subgroup_order([(), ()]) == 1
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [2, 4]], [[0, 0]], [[3, 0, 1]]])
+    def test_rank_deficient_lattice_raises(self, rows):
+        with pytest.raises(InvariantError, match="infinite index") as err:
+            lattice_index(rows)
+        assert err.value.exit_code == 8
 
 
 class TestKernelAndSolve:

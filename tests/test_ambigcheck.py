@@ -5,6 +5,10 @@ for the m = 1 quadratic cases."""
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +52,9 @@ from raycap.quadfield import (
     modulus_from_rational,
     quadratic_field,
 )
+
+
+RAMIFIED = "a prime dividing D_L is not ramified"
 
 
 def ambiguous_count_formula(L, K, m) -> int:
@@ -447,6 +454,52 @@ class TestAmbiguousCounts:
         with pytest.raises(InvariantError, match="not principal") as err:
             ambiguous_count_direct(L, L.k1, modulus_from_rational(L.k1, 7))
         assert err.value.exit_code == 8
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_a_triple_that_is_not_its_own_conjugate_raises(self, monkeypatch, m):
+        """The quadratic direct side reads the ramified primes as triples
+        (1, p0, b) and requires 2b + t = 0 mod p0 of each, the test that
+        the prime is its own conjugate: handed the prime over 5 with b one
+        off, it raises (exit 8) before the closure or the ray group reads
+        the triple."""
+        real = ambigcheck._prime_triples
+        monkeypatch.setattr(ambigcheck, "_prime_triples", lambda K, ps: [
+            (g, p, (b + (p == 5)) % p) for g, p, b in real(K, ps)])
+        with pytest.raises(InvariantError, match=RAMIFIED) as err:
+            ambiguous_count_direct(quadratic_field(-5), None, m)
+        assert err.value.exit_code == 8
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_a_prime_of_the_discriminant_without_a_triple_raises(self, monkeypatch, m):
+        """A p0 | D_L that gives no triple, as an inert prime gives none,
+        fails the same check."""
+        real = ambigcheck._prime_triples
+        monkeypatch.setattr(ambigcheck, "_prime_triples", lambda K, ps: [
+            T for T in real(K, ps) if T[1] != 5])
+        with pytest.raises(InvariantError, match=RAMIFIED):
+            ambiguous_count_direct(quadratic_field(-5), None, m)
+
+    def test_the_ramification_check_survives_python_O(self):
+        """The check is raised, not asserted: a `python -O` process handed
+        the same bad triple raises it too."""
+        code = (
+            "import raycap.ambigcheck as ac\n"
+            "from raycap.errors import InvariantError\n"
+            "from raycap.quadfield import quadratic_field\n"
+            "real = ac._prime_triples\n"
+            "ac._prime_triples = lambda K, ps: [(g, p, (b + (p == 5)) % p)"
+            " for g, p, b in real(K, ps)]\n"
+            "try:\n"
+            "    ac.ambiguous_count_direct(quadratic_field(-5), None, 1)\n"
+            "except InvariantError as e:\n"
+            "    print(__debug__, e.exit_code, e)\n"
+        )
+        src = str(Path(ambigcheck.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == f"False 8 invariant failed: {RAMIFIED}\n"
 
     @pytest.mark.parametrize("j", [0, 4, -1])
     def test_bad_subfield_index_is_an_input_error(self, j):

@@ -22,6 +22,7 @@ from raycap.quadfield import (
     modulus_from_rational,
     quadratic_field,
     ray_class_group,
+    unit_gens,
 )
 
 BOUNDED = [
@@ -51,9 +52,12 @@ def _assert_bounded() -> None:
 
 def test_caches_stay_within_the_bound_over_a_sweep():
     """The disc-bound-1000 sweep corpus touches more than FIELD_CACHE_SIZE
-    fields (607, 302 of them real): from empty caches, the fundamental unit
-    cache evicts instead of growing, and every case still balances. Its
-    m = 1 quadratic cases close the ramified primes of L and build neither
+    fields (607, 302 of them real): from empty caches every case balances
+    and no cache grows past the bound. Its m = 1 quadratic cases read
+    N(eps) off the period of w and build no unit, so the units of its real
+    fields are built after it, by `unit_gens`: the fundamental unit cache
+    evicts instead of growing, and an evicted unit is rebuilt the same.
+    Those m = 1 cases close the ramified primes of L and build neither
     Cl_L nor a ray class group, so the ray class groups of more fields,
     each on its class group, are built after it, and those two caches
     evict instead of growing too."""
@@ -64,7 +68,13 @@ def test_caches_stay_within_the_bound_over_a_sweep():
         cache.cache_clear()
     assert all(ambig_case(c).equal for c in corpus)
     _assert_bounded()
+    first = quadratic_field(min(real))
+    units = unit_gens(first)
+    for d in sorted(real):
+        unit_gens(quadratic_field(d))
+    _assert_bounded()
     assert quadfield.fundamental_unit.cache_info().misses > FIELD_CACHE_SIZE
+    assert unit_gens(first) == units
     _evict_ray_groups()
     _assert_bounded()
     for cache in (quadfield.class_group, quadfield.ray_class_group):

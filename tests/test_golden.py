@@ -525,6 +525,8 @@ def _script_main(name: str):
      "0b8dbf4b00aa578ae9cf382831d7f1c195a0e11ae1b130beb5a2c527b84e3aa8"),
     ("run_ambig_sweep", ["--disc-bound", "10000", "--json"],
      "8c791a6b6cc29fd27b74f900f7ff9a5d0df426672041cecb18236e8139ec5f52"),
+    ("run_ambig_sweep", ["--disc-bound", "30000", "--json"],
+     "fe7e322d07873a12f60247e826a26985a57ae7242b57e0ad6901c89f7aabaf0c"),
 ])
 def test_script_output_bytes(capsys, script, argv, digest):
     assert _script_main(script)(argv) == 0

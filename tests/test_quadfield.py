@@ -53,6 +53,7 @@ from raycap.quadfield import (
     class_key,
     factor_prime,
     fundamental_unit,
+    fundamental_unit_norm,
     is_prime_ideal,
     is_principal_with_generator,
     modulus_from_rational,
@@ -530,6 +531,21 @@ class TestUnits:
             eps = fundamental_unit.__wrapped__(K)
             assert eps == fundamental_unit_by_steps(K), d
             assert eps.norm() == (-1) ** len(_class_cycle(K, 1, 0)[1]), d
+
+    def test_unit_norm_from_the_period(self):
+        """`fundamental_unit_norm` reads (-1)^(period length) and builds no
+        unit: the norm of the unit built, for every real squarefree d < 5000
+        and d = 10^9 + 7."""
+        ds = [d for d in range(2, 5000) if squarefree_part(d) == d] + [10**9 + 7]
+        signs = collections.Counter()
+        for d in ds:
+            K = quadratic_field(d)
+            sign = fundamental_unit_norm(K)
+            assert sign == fundamental_unit.__wrapped__(K).norm(), d
+            signs[sign] += 1
+        assert signs[-1] and signs[1]
+        with pytest.raises(InputError):
+            fundamental_unit_norm(quadratic_field(-5))
 
     def test_unit_signs(self):
         u = fundamental_unit(quadratic_field(2))
@@ -1195,7 +1211,9 @@ def test_ray_generators_match_product_closure_noncyclic(d, m):
     lambda K: class_key(QIdeal.unit_ideal(K)),
     lambda K: is_principal_with_generator(factor_prime(K, 3)[1][0][0]),
     lambda K: fundamental_unit.__wrapped__(K),
-], ids=["class_key", "is_principal_with_generator", "fundamental_unit"])
+    fundamental_unit_norm,
+], ids=["class_key", "is_principal_with_generator", "fundamental_unit",
+        "fundamental_unit_norm"])
 def test_cycle_walks_are_bounded(monkeypatch, walk):
     """Q(sqrt 94) has h = 1 and a rho-cycle of 16 reduced ideals, and the
     walk from a prime above 3 meets [1, w] six steps in; a walk that runs
