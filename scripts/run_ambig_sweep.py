@@ -46,7 +46,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--disc-bound", type=int, default=200)
     ap.add_argument("--mods", default="3,5,7",
-                    help="comma list of odd prime moduli for the second layer")
+                    help="comma list of odd moduli for the second layer")
     ap.add_argument("--json", action="store_true", help="stamped JSON instead of a table")
     args = ap.parse_args(argv)
 

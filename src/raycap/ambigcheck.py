@@ -16,11 +16,14 @@ of w's continued fraction. `ambiguous_count_direct` computes the
 order of the subgroup of Cl^m(L) generated by ramified primes and extended
 K-ideals; for L over Q the ramified primes are integer triples, and with
 m = 1 that is the subgroup of Cl_L that `_coset_closure` grows from those
-triples alone. Agreement across a corpus is the regression
-signal. The two routes share the base ray class group (`rayclass_Q` and
-its generators, or `ray_class_group`), and for a biquadratic step
-`unit_group`, `extend_modulus` and the residue system mod m_L inside the
-unit index. A fault in those would hit both sides alike.
+triples alone. For m > 1 over Q the same closure gives the image in Cl_L,
+and the rest of the order is read in (O_L/m)^* modulo the units, so no
+class group and no ray class group of L is built. Agreement across a
+corpus is the regression signal. The two routes share the rational ray
+class data (`rayclass_Q` and its generators), and for a biquadratic step
+the base `ray_class_group`, `unit_group`, `extend_modulus` and the residue
+system mod m_L inside the unit index. A fault in those would hit both
+sides alike.
 """
 from __future__ import annotations
 
@@ -54,12 +57,14 @@ from raycap.quadfield import (
     _coset_closure,
     _prime_triples,
     _primitive_root,
+    _relation_residue,
     factor_prime,
     fundamental_unit,
     fundamental_unit_norm,
     modulus_from_rational,
     quadratic_field,
     ray_class_group,
+    residue_system,
     unit_gens,
 )
 from raycap.report import plain
@@ -342,22 +347,38 @@ def _assemble(h: int, d_inf, es, idx: int) -> int:
 def _direct_quadratic(L: QuadField, m: int) -> int:
     """The ramified primes of L over the p0 | D_L prime to m, as triples
     (1, p0, b) from `_prime_triples`; [p0, b + w] is its own conjugate, so
-    p0 ramifies, exactly when 2b + t = 0 mod p0. For m = 1 the count is the
-    order of the subgroup of Cl^1_L = Cl_L they generate, which
-    `_coset_closure` grows from the triples, one table entry per class, with
-    no ideal and no presentation of Cl_L built. For m > 1 the ray class
-    group's `dlog` reads one ideal per triple."""
+    p0 ramifies, exactly when 2b + t = 0 mod p0. `_coset_closure` grows the
+    subgroup H-bar of Cl_L they generate from the triples, with no ideal
+    and no presentation of Cl_L built; for m = 1 the count is its order.
+
+    For m > 1 the subgroup H of Cl^m_L that the primes and the (a) of
+    `rayclass_Q_generators` generate has order |H-bar| times that of its
+    part in the kernel (O_L/m)^*/im E_L of Cl^m_L -> Cl_L (Cohen, GTM 193,
+    ch. 4). That part is generated by the residues of the a and of one
+    generator per basis row of the primes' relation lattice: the closure's
+    rows, and (-vec, 1) for each prime it drops, vec read off its table.
+    Its order is the index of <units, factor orders> over the lattice with
+    those residues added; no ray class group is built."""
     primes = [p0 for p0 in sorted(factor(abs(L.D))) if m % p0]
     ramified = list(_prime_triples(L, primes))
     require([p0 for _, p0, _ in ramified] == primes
             and all((2 * b + L.t) % p0 == 0 for _, p0, b in ramified),
             "a prime dividing D_L is not ramified")
+    gens, table, relations, dropped = _coset_closure(L, ramified)
     if m == 1:
-        return len(_coset_closure(L, ramified)[1])
-    ray = ray_class_group(L, modulus_from_rational(L, m))
-    vecs = [ray.dlog(QIdeal(L, *P)) for P in ramified]
-    vecs += [ray.class_of_principal(QElt(L, a, 0)) for a in rayclass_Q_generators(m)]
-    return ray.group.subgroup_order(vecs)
+        return len(table)
+    n = len(dropped)
+    rows = [row + [0] * n for row in relations]
+    rows += [[-c for c in table[key]] + [int(j == i) for j in range(n)]
+             for i, (_, key) in enumerate(dropped)]
+    ideals = [QIdeal(L, *P) for P in gens + [P for P, _ in dropped]]
+    residue = residue_system(L, modulus_from_rational(L, m))
+    s = len(residue.orders)
+    units = [[o * (j == i) for j in range(s)] for i, o in enumerate(residue.orders)]
+    units += [residue.dlog(u) for u in unit_gens(L)]
+    kernel = [_relation_residue(L, rel, ideals, residue) for rel in hnf_rows(rows)]
+    kernel += [residue.dlog_int(a) for a in rayclass_Q_generators(m)]
+    return len(table) * lattice_index(units) // lattice_index(units + kernel)
 
 
 def _direct_biquad(L: BiquadField, K: QuadField, m: Modulus) -> int:

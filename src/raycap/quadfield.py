@@ -570,8 +570,9 @@ def _coset_closure(
     cycle at a time, so each class's rho-cycle is walked once however many
     products land on it; an imaginary class has one reduced ideal, its key.
     Returns (generators, table: key -> exponent vector of length k, relation
-    rows): a k x k lower-triangular matrix, every diagonal entry > 1, whose
-    diagonal multiplies to len(table)."""
+    rows, dropped): the rows a k x k lower-triangular matrix, every diagonal
+    entry > 1, whose diagonal multiplies to len(table), and `dropped` the
+    (prime, key of its class) of each prime with e = 1, in the order given."""
     memo: dict[tuple[int, int], tuple[int, int]] = {}
     t, real = field.t, field.is_real
 
@@ -593,9 +594,11 @@ def _coset_closure(
     identity = key_of(1, 0)
     table = {identity: ()}
     relations: list[list[int]] = []
+    dropped: list[tuple[tuple[int, int, int], tuple[int, int]]] = []
     for P in primes:
         if (lead := times(identity, P)) in table:
-            continue  # e = 1: H is not copied for a prime whose class it holds
+            dropped.append((P, lead))  # e = 1: H is not copied for it
+            continue
         i, base = len(gens), list(table)  # the keys of H, identity first
         coset, e = base, 1
         while lead not in table:
@@ -608,7 +611,7 @@ def _coset_closure(
         relations.append([-c for c in table[lead]] + [0] * (i - len(table[lead])) + [e])
     k = len(gens)
     table = {key: vec + (0,) * (k - len(vec)) for key, vec in table.items()}
-    return gens, table, [row + [0] * (k - len(row)) for row in relations]
+    return gens, table, [row + [0] * (k - len(row)) for row in relations], dropped
 
 
 @lru_cache(maxsize=FIELD_CACHE_SIZE)
@@ -623,7 +626,7 @@ def class_group(field: QuadField) -> ClassGroupData:
     The SNF basis of this group is seen nowhere outside it: ray class
     groups, biquadratic unit groups and the CLI read only `h`, and ray
     class groups read the table and rows besides."""
-    gens, table, relations = _coset_closure(field, _candidate_primes(field))
+    gens, table, relations, _ = _coset_closure(field, _candidate_primes(field))
     group = group_from_relations(relations, len(gens))
     require(group.order() == len(table), "the relations do not present the closure")
     return ClassGroupData(field, group, table, tuple(map(tuple, relations)))
@@ -1139,11 +1142,6 @@ class RayClassData:
             if mu is not None:
                 mu = res.fold(mu, ((B + f.t, -2, 2 * ak),))
         return vec
-
-    def class_of_principal(self, z: QElt) -> tuple[int, ...]:
-        """Ray class of the principal ideal (z), z coprime to m."""
-        vec = (0,) * self.n_ideal + self.residue.dlog(z)
-        return self.group.dlog_ambient(vec)
 
 
 def _ray_ideal_gens(field: QuadField, modulus: Modulus, cl: ClassGroupData):

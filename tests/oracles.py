@@ -50,7 +50,7 @@ from itertools import zip_longest
 from typing import Iterator, Sequence
 
 from raycap.abgroup import FiniteAbelianGroup, hnf_rows, solve_left, xgcd
-from raycap.ambigcheck import _unit_lattice
+from raycap.ambigcheck import _unit_lattice, rayclass_Q_generators
 from raycap.biquad import BqElt, BqIdeal, _w_elt
 from raycap.exactmath import (
     crt,
@@ -874,20 +874,29 @@ def quadratic_norm_index(L: QuadField, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the direct ambiguous count over Q at m = 1 in the ray class group of the
-# trivial modulus: a second presentation of Cl_L, with its own generators,
-# SNF basis and lookups
+# the direct ambiguous count over Q in the ray class group of m: a second
+# presentation of Cl^m_L, with its own generators, SNF basis and lookups
 
 
-def ambiguous_count_by_ray_group(L: QuadField) -> int:
-    """Order of the subgroup of Cl^1_L generated by the ramified primes,
-    from the `dlog` of each in `ray_class_group(L, 1)`."""
-    ray = ray_class_group(L, modulus_from_rational(L, 1))
+def ray_class_of_principal(ray: RayClassData, z: QElt) -> tuple[int, ...]:
+    """The ray class of the principal ideal (z), z coprime to m: the residue
+    of z on the residue generators of `ray.group`."""
+    return ray.group.dlog_ambient((0,) * ray.n_ideal + ray.residue.dlog(z))
+
+
+def ambiguous_count_by_ray_group(L: QuadField, m: int = 1) -> int:
+    """Order of the subgroup of Cl^m_L generated by the ramified primes
+    prime to m and the (a) of `rayclass_Q_generators(m)`, from the `dlog`
+    of each prime and the residue of each a in `ray_class_group(L, m)`."""
+    ray = ray_class_group(L, modulus_from_rational(L, m))
     vecs = []
     for p0 in sorted(factor(abs(L.D))):
+        if m % p0 == 0:
+            continue
         kind, data = factor_prime(L, p0)
         require(kind == "ramified", "a prime dividing D_L is not ramified")
         vecs.append(ray.dlog(data[0][0]))
+    vecs += [ray_class_of_principal(ray, QElt(L, a, 0)) for a in rayclass_Q_generators(m)]
     return ray.group.subgroup_order(vecs)
 
 

@@ -361,6 +361,29 @@ class TestAmbiguousCounts:
                != ambiguous_count_by_ray_group(quadratic_field(d))]
         assert bad == []
 
+    def test_modulus_matches_the_ray_group_route(self):
+        """For m > 1 the direct side reads the kernel part of its count in
+        (O_L/m)^* and builds no ray class group; the subgroup of the ray
+        class group of m that the ramified primes and the (a) generate has
+        the same order for every field with |D_L| <= 600 and each m, m
+        sharing primes with D_L or not."""
+        ds = fundamental_field_params(600)
+        moduli = (3, 5, 7, 11, 15, 21, 105)
+        assert len(ds) * len(moduli) == 2562
+        bad = [(d, m) for d in ds for m in moduli
+               if ambiguous_count_direct(quadratic_field(d), None, m)
+               != ambiguous_count_by_ray_group(quadratic_field(d), m)]
+        assert bad == []
+
+    @pytest.mark.parametrize("d,m,count", [(-1, 3, 2), (-3, 5, 4)])
+    def test_a_prime_the_closure_drops_keeps_its_relation(self, d, m, count):
+        """In Q(sqrt -1) and Q(sqrt -3) the one ramified prime is principal,
+        so the closure drops it; its generator's residue still enlarges the
+        kernel part, through the row (-vec, 1) of the dropped prime."""
+        L = quadratic_field(d)
+        assert ambiguous_count_direct(L, None, m) == count
+        assert ambiguous_count_by_ray_group(L, m) == count
+
     @pytest.mark.parametrize(
         "d,m",
         [(-5, 5), (-5, 15), (10, 5), (34, 17), (15, 15), (21, 7), (-21, 21),

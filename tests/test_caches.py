@@ -57,7 +57,7 @@ def test_caches_stay_within_the_bound_over_a_sweep():
     N(eps) off the period of w and build no unit, so the units of its real
     fields are built after it, by `unit_gens`: the fundamental unit cache
     evicts instead of growing, and an evicted unit is rebuilt the same.
-    Those m = 1 cases close the ramified primes of L and build neither
+    Its quadratic cases close the ramified primes of L and build neither
     Cl_L nor a ray class group, so the ray class groups of more fields,
     each on its class group, are built after it, and those two caches
     evict instead of growing too."""
@@ -85,8 +85,9 @@ def test_caches_stay_within_the_bound_over_a_sweep():
 def test_trivial_modulus_case_builds_no_ray_class_group(d, monkeypatch):
     """A quad case with m = 1 closes the ramified primes of L (these fields
     have h > 1 and 2-rank at least 2): it builds neither Cl_L nor a ray
-    class group and keys no class by `class_key`. One with m = 11 still
-    builds its ray class group, which a second call then finds cached."""
+    class group and keys no class by `class_key`. One with m = 11 runs the
+    same closure and reads the rest of its count in (O_L/m)^*, so it builds
+    neither group and keys no class either."""
     L = quadratic_field(d)
     assert quadfield.class_group(L).h > 1
     assert sum(c % 2 == 0 for c in quadfield.class_group(L).group.invariants) >= 2
@@ -102,9 +103,9 @@ def test_trivial_modulus_case_builds_no_ray_class_group(d, monkeypatch):
     assert quadfield.ray_class_group.cache_info().misses == 0
     assert keyed == []
     assert ambig_case(("quad", d, 11)).equal
-    assert quadfield.ray_class_group.cache_info().misses == 1
-    ray_class_group(L, modulus_from_rational(L, 11))
-    assert quadfield.ray_class_group.cache_info().misses == 1
+    assert quadfield.class_group.cache_info().misses == 0
+    assert quadfield.ray_class_group.cache_info().misses == 0
+    assert keyed == []
 
 
 def test_rational_ray_data_runs_once_per_modulus():

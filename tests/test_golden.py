@@ -30,14 +30,17 @@ and D_L = 4 * (10^9 + 7), a real field with a long principal cycle. The
 default sweep pins all 86 of its reports, one line each, in input order.
 
 `LARGE` pins the big inputs: ambig and rayclass of D = -100000000003
-(h = 31,057), rayclass of d = 10^9 + 7 and 10^10 + 19 mod 3 and of
+(h = 31,057), ambig of D = -(10^9 + 7) mod 5, whose direct count reads
+its kernel part in (O_L/5)^* and builds no ray class group, rayclass of d = 10^9 + 7 and 10^10 + 19 mod 3 and of
 d = -(10^9 + 7) mod 3 and mod 1, and the scans to 2*10^5 of d = 66,
 543 mod 11 and 595 mod 3*11 and to 2*10^4 of the t = 9 fields
 d = 223092870 and 111546435, and the scan to 10^7 of d = 40000197. Of
 those, the first five scans and the d = 34 scan to 2*10^5
 must print their pinned bytes with `--jobs 2` too. The 2543 mod 7
-search and verify, the sweeps to disc bound 3000 and 10000 and the period
-polynomials of conductor about 10^6 are pinned beside their kin below.
+search and verify, the sweeps to disc bound 3000, 10000 and 30000, the
+sweep to disc bound 200 over the composite moduli 15, 21 and 35 besides
+five primes, and the period polynomials of conductor about 10^6 are
+pinned beside their kin below.
 """
 import hashlib
 import importlib.util
@@ -158,6 +161,8 @@ SEARCH_VERIFY = [
 LARGE = [
     (("ambig", "--L-disc", "-100000000003"),
      0, "48c8ead53b2405cbb3fa5968cc346cab41b74319d14f383e72abe1deffad73e1"),
+    (("ambig", "--L-disc", "-1000000007", "--mod", "5"),
+     0, "27671c80bd23d5aa201ebb0130bfae6d7dcc6c76ebd4cdc8b289df14266bab5d"),
     (("rayclass", "--d", "-100000000003"),
      0, "f29dd76c91d6fc0702e2e088019be0c90216b4564acc36a835f79baa0cef5d4e"),
     (("rayclass", "--d", "1000000007", "--mod", "3"),
@@ -527,6 +532,8 @@ def _script_main(name: str):
      "8c791a6b6cc29fd27b74f900f7ff9a5d0df426672041cecb18236e8139ec5f52"),
     ("run_ambig_sweep", ["--disc-bound", "30000", "--json"],
      "fe7e322d07873a12f60247e826a26985a57ae7242b57e0ad6901c89f7aabaf0c"),
+    ("run_ambig_sweep", ["--disc-bound", "200", "--mods", "3,5,7,11,13,15,21,35", "--json"],
+     "cd5f81ce5288de7918c2518167c00854a0a7198655e0489dd5578f5921a21c79"),
 ])
 def test_script_output_bytes(capsys, script, argv, digest):
     assert _script_main(script)(argv) == 0
