@@ -12,18 +12,19 @@ index taken on unit groups of elements that are 1 mod the respective moduli.
 `ambig_case` evaluates that expression factor by factor (`_formula_parts`),
 from discriminants and unit norms: it builds no prime of L, and over Q
 neither a residue system nor a unit, since N(eps) is read off the period
-of w's continued fraction. `ambiguous_count_direct` computes the
-order of the subgroup of Cl^m(L) generated by ramified primes and extended
-K-ideals; for L over Q the ramified primes are integer triples, and with
-m = 1 that is the subgroup of Cl_L that `_coset_closure` grows from those
-triples alone. For m > 1 over Q the same closure gives the image in Cl_L,
+of w's continued fraction, or is 1 when a prime 3 mod 4 divides D.
+`ambiguous_count_direct` computes the order of the subgroup of Cl^m(L)
+generated by ramified primes and extended K-ideals; for L over Q the
+ramified primes are integer triples, and with m = 1 that is the subgroup
+of Cl_L that `_ramified_closure` grows from those triples alone, one class
+key per class. For m > 1 over Q the same closure gives the image in Cl_L,
 and the rest of the order is read in (O_L/m)^* modulo the units, so no
-class group and no ray class group of L is built. Agreement across a
-corpus is the regression signal. The two routes share the rational ray
-class data (`rayclass_Q` and its generators), and for a biquadratic step
-the base `ray_class_group`, `unit_group`, `extend_modulus` and the residue
-system mod m_L inside the unit index. A fault in those would hit both
-sides alike.
+class group and no ray class group of L is built. Agreement across a corpus is the regression signal. The two
+routes share the field's factorization of D (`QuadField.factor_D`), the
+rational ray class data (`rayclass_Q` and its generators), and for a
+biquadratic step the base `ray_class_group`, `unit_group`,
+`extend_modulus` and the residue system mod m_L inside the unit index. A
+fault in those would hit both sides alike.
 """
 from __future__ import annotations
 
@@ -54,8 +55,7 @@ from raycap.quadfield import (
     QIdeal,
     QuadField,
     ResidueSystem,
-    _coset_closure,
-    _prime_triples,
+    _class_keys,
     _primitive_root,
     _relation_residue,
     factor_prime,
@@ -223,14 +223,17 @@ def norm_index_units(L, K, m) -> int:
     Over Q the index is read off the unit norms: E^m_Q = {+-1} only for
     m = 1, and a unit that is 1 mod m_L has norm 1 mod m, so the index is 1
     for m > 1; for m = 1 it is 1 when L is real with N(eps) = -1, else 2,
-    and `fundamental_unit_norm` gives that sign without building eps.
+    and `fundamental_unit_norm` gives that sign without building eps. It
+    is not asked when a prime p = 3 mod 4 divides D_L: x^2 - D*y^2 = -4
+    would make -1 a square mod p, so N(eps) = 1.
     Over K it is |E_K / N| / |E_K / E^m_K| on the basis (-1, eps_K), with N
     the norms of the exponent lattice of E^{m_L}_L over (-1, units of L).
     """
     if not _is_biquad_step(L, K, m):
         if m > 1:
             return 1
-        return 1 if L.is_real and fundamental_unit_norm(L) == -1 else 2
+        return 1 if L.is_real and all(p % 4 != 3 for p in L.factor_D) \
+            and fundamental_unit_norm(L) == -1 else 2
     j = (L.k1, L.k2, L.k3).index(K) + 1
     U = unit_group(L)
     lgens = [-L.one()] + list(U.units)
@@ -255,7 +258,7 @@ def _ramified_biquad(L: BiquadField, K: QuadField, m: Modulus):
     """A prime Q of L over each prime P of K coprime to m with e_P(L/K) = 2,
     read off the primes of L."""
     out = []
-    for p0 in sorted(factor(L.k3.D)):
+    for p0 in L.k3.factor_D:
         above = primes_above(L, p0)
         for P, eK, _ in factor_prime(K, p0)[1]:
             over = _primes_over(L, P, above)
@@ -325,13 +328,13 @@ def _formula_parts(L, K, m):
         h = ray_class_group(K, m).group.order()
         d_inf = (1, 1)  # K real, L totally real: both places stay real
         es = tuple(
-            2 for p0 in factor(L.k3.D) if K.D % p0
+            2 for p0 in L.k3.factor_D if K.D % p0
             for P, _, _ in factor_prime(K, p0)[1] if m.coprime_to(P)
         )
     else:
         h = rayclass_Q(m).order()
         d_inf = (1,) if L.is_real else (2,)
-        es = tuple(2 for p0 in factor(abs(L.D)) if m % p0)
+        es = tuple(2 for p0 in L.factor_D if m % p0)
     return h, d_inf, es, norm_index_units(L, K, m)
 
 
@@ -344,32 +347,75 @@ def _assemble(h: int, d_inf, es, idx: int) -> int:
     return value
 
 
+def _ramified_b(L: QuadField, n: int) -> int:
+    """b with [n, b + w] the product of the ramified primes over the p0 | n,
+    for n a squarefree divisor of D_L, in closed form: w^2 - t*w - u has
+    the double root t/2 mod each odd p0 | D_L, so b = -t/2 mod an odd n,
+    and at an even n (then t = 0) b = 0 mod n/2 and b = u mod 2."""
+    return L.u % 2 * n // 2 if n % 2 == 0 else L.t * (n - 1) // 2
+
+
+def _ramified_triples(L: QuadField, primes):
+    """The prime (1, p0, b) over each ramified p0 of `primes`."""
+    for p0 in primes:
+        yield 1, p0, _ramified_b(L, p0)
+
+
+def _ramified_closure(L: QuadField, ramified):
+    """(generators, table, dropped) for the subgroup H of Cl_L that the
+    ramified triples generate, grown with no ideal product: P^2 = (p0), so
+    a prime P_i whose class is not in H doubles it, with the relation
+    2*x_i. `table` maps the key of each class of H to j, the class being
+    that of [n_j, b + w] with n_j the product of the p0 of the generators
+    named by the bits of j, and b from `_ramified_b`; `dropped` holds the
+    (triple, class key) of each prime whose class H already held. Each
+    class costs one key (`_class_keys`)."""
+    key_of = _class_keys(L)
+    table = {key_of(1, 0): 0}
+    norms, gens, dropped = [1], [], []  # norms[j] = n_j
+    for P in ramified:
+        _, p0, b = P
+        if (lead := key_of(p0, b)) in table:
+            dropped.append((P, lead))
+            continue
+        bit = table[lead] = len(norms)
+        norms += [n * p0 for n in norms]
+        table.update((key_of(n, _ramified_b(L, n)), j)
+                     for j, n in enumerate(norms[bit + 1:], bit + 1))
+        require(len(table) == len(norms), "a ramified prime's coset meets the subgroup")
+        gens.append(P)
+    return gens, table, dropped
+
+
 def _direct_quadratic(L: QuadField, m: int) -> int:
-    """The ramified primes of L over the p0 | D_L prime to m, as triples
-    (1, p0, b) from `_prime_triples`; [p0, b + w] is its own conjugate, so
-    p0 ramifies, exactly when 2b + t = 0 mod p0. `_coset_closure` grows the
-    subgroup H-bar of Cl_L they generate from the triples, with no ideal
-    and no presentation of Cl_L built; for m = 1 the count is its order.
+    """The ramified primes of L over the p0 | D_L prime to m, read off the
+    field's factorization of D_L, as the triples (1, p0, b) of
+    `_ramified_triples`. The check that [p0, b + w] is a prime that is its
+    own conjugate, p0 | N(b + w) = b^2 + t*b - u and p0 | 2b + t, holds
+    exactly when p0 | D_L. `_ramified_closure` grows the subgroup H-bar of
+    Cl_L they generate from the triples, with no ideal and no
+    presentation of Cl_L built; for m = 1 the count is its order.
 
     For m > 1 the subgroup H of Cl^m_L that the primes and the (a) of
     `rayclass_Q_generators` generate has order |H-bar| times that of its
     part in the kernel (O_L/m)^*/im E_L of Cl^m_L -> Cl_L (Cohen, GTM 193,
     ch. 4). That part is generated by the residues of the a and of one
-    generator per basis row of the primes' relation lattice: the closure's
-    rows, and (-vec, 1) for each prime it drops, vec read off its table.
+    generator per basis row of the primes' relation lattice: 2*x_i for each
+    generator, and (-vec, 1) for each prime the closure drops, vec the bits
+    of its class's j.
     Its order is the index of <units, factor orders> over the lattice with
     those residues added; no ray class group is built."""
-    primes = [p0 for p0 in sorted(factor(abs(L.D))) if m % p0]
-    ramified = list(_prime_triples(L, primes))
-    require([p0 for _, p0, _ in ramified] == primes
-            and all((2 * b + L.t) % p0 == 0 for _, p0, b in ramified),
+    t, u = L.t, L.u
+    ramified = list(_ramified_triples(L, [p0 for p0 in L.factor_D if m % p0]))
+    require(all((b * (b + t) - u) % p0 == 0 == (2 * b + t) % p0
+                for _, p0, b in ramified),
             "a prime dividing D_L is not ramified")
-    gens, table, relations, dropped = _coset_closure(L, ramified)
+    gens, table, dropped = _ramified_closure(L, ramified)
     if m == 1:
         return len(table)
-    n = len(dropped)
-    rows = [row + [0] * n for row in relations]
-    rows += [[-c for c in table[key]] + [int(j == i) for j in range(n)]
+    k, n = len(gens), len(dropped)
+    rows = [[2 * (j == i) for j in range(k + n)] for i in range(k)]
+    rows += [[-(table[key] >> j & 1) for j in range(k)] + [int(j == i) for j in range(n)]
              for i, (_, key) in enumerate(dropped)]
     ideals = [QIdeal(L, *P) for P in gens + [P for P, _ in dropped]]
     residue = residue_system(L, modulus_from_rational(L, m))

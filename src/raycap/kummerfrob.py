@@ -20,11 +20,10 @@ from itertools import filterfalse, islice
 from .abgroup import lattice_index
 from .errors import InputError, InvariantError, require
 from .exactmath import (factor, is_prime, kronecker, primes_1_mod, progression_flags, sqrt_mod,
-                        squarefree_part, valuation)
+                        valuation)
 from .quadfield import (
     Modulus,
     QElt,
-    QuadField,
     RayClassData,
     aug_unit_data,
     ray_class_group,
@@ -78,12 +77,10 @@ def h_K_constant(field, ell: int) -> dict:
         mu_exp = 2 if d == -1 else 1
     elif ell == 3 and d == -3:
         mu_exp = 1
-    layer_exp = 0
-    if ell == 2 and d != 2:
-        # K(sqrt 2)/K is unramified everywhere iff the biquadratic field
-        # Q(sqrt d, sqrt 2) has discriminant D_d^2
-        if 8 * QuadField(squarefree_part(2 * d)).D == field.D:
-            layer_exp = 1
+    # K(sqrt 2)/K is unramified everywhere iff the biquadratic field
+    # Q(sqrt d, sqrt 2) has discriminant D_d^2, i.e. D_{2d} = D_d / 8:
+    # that is d = 2 mod 8 with d != 2 (then d/2 = 1 mod 4 and D_d = 4d)
+    layer_exp = int(ell == 2 and d % 8 == 2 and d != 2)
     return {
         "ell": ell,
         "mu_exponent": mu_exp,

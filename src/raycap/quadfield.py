@@ -14,6 +14,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache, partial
+from itertools import starmap
 from typing import Iterable, Iterator, Sequence
 
 from .abgroup import FiniteAbelianGroup, group_from_relations, hnf_rows, xgcd
@@ -26,7 +27,6 @@ from .exactmath import (
     primes_1_mod,
     primes_up_to,
     roots_mod_p,
-    squarefree_part,
 )
 
 # Entries kept by each per-field LRU cache (class and ray class groups with
@@ -40,7 +40,8 @@ class QuadField:
     t and u with w^2 = t*w + u, isqrt_D = floor(sqrt(|D|)) and minpoly, the
     coefficients of w^2 - t*w - u low to high for `roots_mod_p`, are set
     once in `__post_init__` (they sit on every arithmetic path, isqrt_D on
-    every rho step) and travel with a pickled field."""
+    every rho step) and travel with a pickled field. `factor_D`, the
+    factorization of |D|, is computed on first use and kept."""
 
     d: int
     D: int = dc_field(init=False, compare=False)
@@ -55,6 +56,17 @@ class QuadField:
         u = (D - t) // 4
         # frozen, so the instance dict is filled directly
         self.__dict__.update(D=D, t=t, u=u, isqrt_D=math.isqrt(abs(D)), minpoly=(-u, -t, 1))
+
+    @property
+    def factor_D(self) -> dict[int, int]:
+        """{p: v_p(D)} over the primes of |D|, ascending, kept in the
+        instance dict after the first read."""
+        if (out := self.__dict__.get("_factor_D")) is None:
+            out = factor(abs(self.D))
+            require(math.prod(starmap(pow, out.items())) == abs(self.D),
+                    "the factors of D do not multiply back to |D|")
+            self.__dict__["_factor_D"] = out
+        return out
 
     @property
     def is_real(self) -> bool:
@@ -74,11 +86,15 @@ class QuadField:
 
 
 def quadratic_field(d: int) -> QuadField:
+    """Q(sqrt(d)) for a squarefree d, read off the factorization of D that
+    the field keeps: D = d or 4d, so d is squarefree exactly when
+    v_2(D) <= 3 and every odd prime divides D once."""
     if d in (0, 1):
         raise InputError(f"d = {d} does not define a quadratic field")
-    if squarefree_part(d) != d:
+    field = QuadField(d)
+    if any(k > (3 if p == 2 else 1) for p, k in field.factor_D.items()):
         raise InputError(f"d = {d} is not squarefree")
-    return QuadField(d)
+    return field
 
 
 def _sign_plus_root(x: int, y: int, d: int) -> int:
@@ -556,6 +572,26 @@ def _candidate_primes(field: QuadField) -> Iterator[tuple[int, int, int]]:
     return _prime_triples(field, primes_up_to(bound))
 
 
+def _class_keys(field: QuadField):
+    """key_of(a, b): the class key of [a, b + w] (`_class_cycle`'s) after one
+    reduction. In a real field the key comes from a memo, reduced
+    (a, b, B) -> key, that `_class_cycle` fills a whole cycle at a time, so
+    each class's rho-cycle is walked once however many ideals land on it;
+    an imaginary class has one reduced ideal, its key."""
+    memo: dict[tuple[int, int, int], tuple[int, int]] = {}
+    t, s, real = field.t, field.isqrt_D, field.is_real
+
+    def key_of(a: int, b: int) -> tuple[int, int]:
+        a, b, _ = _reduce_primitive(field, a, b)
+        if not real:
+            return a, _B_centered(a, 2 * b + t)  # `_class_cycle`'s key
+        if (key := memo.get((a, b, s - (s - 2 * b - t) % (2 * a)))) is None:
+            key, members = _class_cycle(field, a, b)
+            memo.update(dict.fromkeys(members, key))
+        return key
+    return key_of
+
+
 def _coset_closure(
     field: QuadField, primes: Iterable[tuple[int, int, int]]
 ) -> tuple[list[tuple[int, int, int]], dict, list[list[int]]]:
@@ -565,26 +601,11 @@ def _coset_closure(
     adds no class and is dropped; otherwise it becomes generator x_i, the
     cosets P^k * H for 0 < k < e join the table, and the relation
     e*x_i - vec([P]^e) is kept. Each new class costs one product of integer
-    triples (`_compose`) and one reduction. The key of a real class comes
-    from a memo, reduced (a, b) -> key, that `_class_cycle` fills a whole
-    cycle at a time, so each class's rho-cycle is walked once however many
-    products land on it; an imaginary class has one reduced ideal, its key.
-    Returns (generators, table: key -> exponent vector of length k, relation
-    rows, dropped): the rows a k x k lower-triangular matrix, every diagonal
-    entry > 1, whose diagonal multiplies to len(table), and `dropped` the
-    (prime, key of its class) of each prime with e = 1, in the order given."""
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
-    t, real = field.t, field.is_real
-
-    def key_of(a: int, b: int) -> tuple[int, int]:
-        a, b, _ = _reduce_primitive(field, a, b)
-        if not real:
-            return a, _B_centered(a, 2 * b + t)  # `_class_cycle`'s key
-        key = memo.get((a, b))
-        if key is None:
-            key, members = _class_cycle(field, a, b)
-            memo.update(((ak, bk), key) for ak, bk, _ in members)
-        return key
+    triples (`_compose`) and one key (`_class_keys`). Returns (generators,
+    table: key -> exponent vector of length k, relation rows): the rows a
+    k x k lower-triangular matrix, every diagonal entry > 1, whose diagonal
+    multiplies to len(table)."""
+    t, key_of = field.t, _class_keys(field)
 
     def times(key: tuple[int, int], P: tuple[int, int, int]) -> tuple[int, int]:
         a, B = key
@@ -594,11 +615,9 @@ def _coset_closure(
     identity = key_of(1, 0)
     table = {identity: ()}
     relations: list[list[int]] = []
-    dropped: list[tuple[tuple[int, int, int], tuple[int, int]]] = []
     for P in primes:
         if (lead := times(identity, P)) in table:
-            dropped.append((P, lead))  # e = 1: H is not copied for it
-            continue
+            continue  # e = 1: H is not copied for it
         i, base = len(gens), list(table)  # the keys of H, identity first
         coset, e = base, 1
         while lead not in table:
@@ -611,7 +630,7 @@ def _coset_closure(
         relations.append([-c for c in table[lead]] + [0] * (i - len(table[lead])) + [e])
     k = len(gens)
     table = {key: vec + (0,) * (k - len(vec)) for key, vec in table.items()}
-    return gens, table, [row + [0] * (k - len(row)) for row in relations], dropped
+    return gens, table, [row + [0] * (k - len(row)) for row in relations]
 
 
 @lru_cache(maxsize=FIELD_CACHE_SIZE)
@@ -626,7 +645,7 @@ def class_group(field: QuadField) -> ClassGroupData:
     The SNF basis of this group is seen nowhere outside it: ray class
     groups, biquadratic unit groups and the CLI read only `h`, and ray
     class groups read the table and rows besides."""
-    gens, table, relations, _ = _coset_closure(field, _candidate_primes(field))
+    gens, table, relations = _coset_closure(field, _candidate_primes(field))
     group = group_from_relations(relations, len(gens))
     require(group.order() == len(table), "the relations do not present the closure")
     return ClassGroupData(field, group, table, tuple(map(tuple, relations)))

@@ -2,7 +2,8 @@
 determinant, matrix products, multiplicative orders, divisor lists, strong
 probable primes and primality by Miller-Rabin on all twelve bases, primes
 in an arithmetic progression by a primality test on each member, splitting
-degrees of polynomials mod q, analytic class numbers of imaginary fields,
+degrees of polynomials mod q, analytic class numbers of imaginary fields
+and, with the unit from their own continued fraction, of real ones,
 synthetic abelian groups given by their invariants, the identity, sums and
 element list of a group in invariant-factor form, the cyclic complement of
 an element of an ell-group, ideals of K as the HNF of their generators'
@@ -324,13 +325,10 @@ def smallest_prime_factors(n: int) -> list[int]:
     return spf
 
 
-def analytic_class_number(D: int, spf: list[int]) -> int:
-    """h = -(w/(2|D|)) * sum_{0<a<|D|} (D/a) * a for a fundamental D < 0,
-    w the number of roots of unity (6 at D = -3, 4 at D = -4, else 2), with
-    spf a smallest-prime-factor table past |D|. The Kronecker character
-    comes from Euler's criterion on primes, extended multiplicatively, so
-    it shares no code with the library."""
-    n = -D
+def _kronecker_table(D: int, spf: list[int]) -> list[int]:
+    """(D/a) for 0 <= a < |D|, from Euler's criterion on primes extended
+    multiplicatively, with spf a smallest-prime-factor table past |D|."""
+    n = abs(D)
     chi = [0, 1] + [0] * (n - 2)
     for a in range(2, n):
         p = spf[a]
@@ -341,10 +339,61 @@ def analytic_class_number(D: int, spf: list[int]) -> int:
         else:
             r = pow(D, (p - 1) // 2, p)
             chi[a] = 0 if r == 0 else (1 if r == 1 else -1)
+    return chi
+
+
+def analytic_class_number(D: int, spf: list[int]) -> int:
+    """h = -(w/(2|D|)) * sum_{0<a<|D|} (D/a) * a for a fundamental D < 0,
+    w the number of roots of unity (6 at D = -3, 4 at D = -4, else 2), with
+    spf a smallest-prime-factor table past |D|. The Kronecker character
+    comes from Euler's criterion on primes, extended multiplicatively, so
+    it shares no code with the library."""
+    n = -D
+    chi = _kronecker_table(D, spf)
     total = sum(chi[a] * a for a in range(1, n)) * {-3: 3, -4: 2}.get(D, 1)
     if total % n:
         raise ArithmeticError(f"the class number sum is not divisible by |D| = {n}")
     return -total // n
+
+
+def fundamental_unit_by_convergents(D: int) -> tuple[int, int]:
+    """(p, q) of the first convergent p/q of (s + sqrt(D))/2, s = D mod 2,
+    with p^2 - s*p*q - (D - s)/4 * q^2 = +-1, for a fundamental D > 0: the
+    fundamental unit is p - q*(s - sqrt(D))/2. The expansion runs on
+    (P + sqrt(D))/Q in integers, and no library code is called."""
+    s, r = D % 2, math.isqrt(D)
+    u = (D - s) // 4
+    P, Q = s, 2
+    p0, q0, p1, q1 = 1, 0, 0, 1  # convergents k - 1 and k - 2
+    while True:
+        a = (P + r) // Q
+        p0, q0, p1, q1 = a * p0 + p1, a * q0 + q1, p0, q0
+        if abs(p0 * p0 - s * p0 * q0 - u * q0 * q0) == 1:
+            return p0, q0
+        P = a * Q - P
+        Q = (D - P * P) // Q
+
+
+def real_class_number(D: int, spf: list[int]) -> int:
+    """h of a real field of fundamental D > 0 by Dirichlet's formula,
+    h * log(eps) = -sum_{0<a<D/2} (D/a) * log(sin(pi*a/D)), with the
+    character of `analytic_class_number` and eps from
+    `fundamental_unit_by_convergents`. log(eps) is read off the integer
+    2^64 * 2*eps = 2^64 * (2p - s*q + q*sqrt(D)), its root an integer
+    square root scaled by 2^64: unscaled, 2*eps = 2 + 2*sqrt(2) at D = 8
+    would read 2 + 2, and h would round from 1.27. The quotient must lie
+    within 0.1 of an integer."""
+    chi = _kronecker_table(D, spf)
+    p, q = fundamental_unit_by_convergents(D)
+    scale = 1 << 64
+    two_eps = (2 * p - D % 2 * q) * scale + math.isqrt(q * q * D * scale * scale)
+    log_eps = math.log(two_eps) - math.log(2 * scale)
+    total = -math.fsum(chi[a] * math.log(math.sin(math.pi * a / D))
+                       for a in range(1, (D + 1) // 2) if chi[a])
+    h = total / log_eps
+    if abs(h - round(h)) > 0.1:
+        raise ArithmeticError(f"Dirichlet's formula gives h = {h} at D = {D}")
+    return round(h)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from oracles import (
     group_identity,
     quadratic_norm_index,
 )
-from raycap import ambigcheck
+from raycap import ambigcheck, exactmath
 from raycap.ambigcheck import (
     AmbigReport,
     _assemble,
@@ -47,7 +47,12 @@ from raycap.errors import BudgetError, InputError, InvariantError
 from raycap.exactmath import factor, squarefree_part
 from raycap.quadfield import (
     QElt,
+    QIdeal,
+    QuadField,
+    _coset_closure,
+    _prime_triples,
     class_group,
+    class_key,
     fundamental_unit,
     modulus_from_rational,
     quadratic_field,
@@ -206,6 +211,25 @@ class TestNormIndexUnits:
         field = quadratic_field(d)
         want = 1 if fundamental_unit(field).norm() == -1 else 2
         assert norm_index_units(field, None, 1) == want
+
+    def test_a_prime_3_mod_4_in_D_skips_the_period(self, monkeypatch):
+        """For every real squarefree d < 5000 the m = 1 index is 1 exactly
+        when the unit built has norm -1, and the period is walked
+        (`fundamental_unit_norm`) only for the fields with no prime
+        p = 3 mod 4 dividing D: with one, N(eps) = 1."""
+        walked, walk = [], ambigcheck.fundamental_unit_norm
+        monkeypatch.setattr(ambigcheck, "fundamental_unit_norm",
+                            lambda L: walked.append(L.d) or walk(L))
+        expected = []
+        for d in range(2, 5000):
+            if squarefree_part(d) != d:
+                continue
+            L = quadratic_field(d)
+            want = 1 if fundamental_unit.__wrapped__(L).norm() == -1 else 2
+            assert norm_index_units(L, None, 1) == want, d
+            if all(p % 4 != 3 for p in factor(L.D)):
+                expected.append(d)
+        assert walked == expected and len(expected) == 778
 
     @pytest.mark.parametrize("d", [-1, -2, -3, -5, -6, -7])
     def test_imaginary_trivial_modulus_is_two(self, d):
@@ -480,27 +504,37 @@ class TestAmbiguousCounts:
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_a_triple_that_is_not_its_own_conjugate_raises(self, monkeypatch, m):
-        """The quadratic direct side reads the ramified primes as triples
-        (1, p0, b) and requires 2b + t = 0 mod p0 of each, the test that
-        the prime is its own conjugate: handed the prime over 5 with b one
-        off, it raises (exit 8) before the closure or the ray group reads
-        the triple."""
-        real = ambigcheck._prime_triples
-        monkeypatch.setattr(ambigcheck, "_prime_triples", lambda K, ps: [
-            (g, p, (b + (p == 5)) % p) for g, p, b in real(K, ps)])
+        """The quadratic direct side builds the ramified primes as closed-form
+        triples (1, p0, b) and requires p0 | N(b + w) and p0 | 2b + t of
+        each, the test that [p0, b + w] is a prime that is its own
+        conjugate: handed the prime over 5 with b one off, it raises
+        (exit 8) before the closure or the residues read the triple."""
+        real = ambigcheck._ramified_triples
+        monkeypatch.setattr(ambigcheck, "_ramified_triples", lambda L, ps: [
+            (g, p, (b + (p == 5)) % p) for g, p, b in real(L, ps)])
         with pytest.raises(InvariantError, match=RAMIFIED) as err:
             ambiguous_count_direct(quadratic_field(-5), None, m)
         assert err.value.exit_code == 8
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_a_prime_of_the_discriminant_without_a_triple_raises(self, monkeypatch, m):
-        """A p0 | D_L that gives no triple, as an inert prime gives none,
-        fails the same check."""
-        real = ambigcheck._prime_triples
-        monkeypatch.setattr(ambigcheck, "_prime_triples", lambda K, ps: [
-            T for T in real(K, ps) if T[1] != 5])
-        with pytest.raises(InvariantError, match=RAMIFIED):
+        """A p0 | D_L whose triple is built at a listed prime that does not
+        divide D_L (3 in place of 5) fails the same check."""
+        real = ambigcheck._ramified_triples
+        monkeypatch.setattr(ambigcheck, "_ramified_triples", lambda L, ps: real(
+            L, [3 if p == 5 else p for p in ps]))
+        with pytest.raises(InvariantError, match=RAMIFIED) as err:
             ambiguous_count_direct(quadratic_field(-5), None, m)
+        assert err.value.exit_code == 8
+
+    def test_a_listed_two_of_an_odd_discriminant_raises(self, monkeypatch):
+        """At p0 = 2 the norm test alone is not enough: in Q(sqrt 17),
+        D = 1 mod 8, the triple (1, 2, u mod 2) has even norm b^2 + b - u,
+        since 2 splits; p0 | 2b + t = 1 fails, so the check raises."""
+        real = ambigcheck._ramified_triples
+        monkeypatch.setattr(ambigcheck, "_ramified_triples", lambda L, ps: real(L, [2, *ps]))
+        with pytest.raises(InvariantError, match=RAMIFIED):
+            ambiguous_count_direct(quadratic_field(17), None, 1)
 
     def test_the_ramification_check_survives_python_O(self):
         """The check is raised, not asserted: a `python -O` process handed
@@ -509,9 +543,9 @@ class TestAmbiguousCounts:
             "import raycap.ambigcheck as ac\n"
             "from raycap.errors import InvariantError\n"
             "from raycap.quadfield import quadratic_field\n"
-            "real = ac._prime_triples\n"
-            "ac._prime_triples = lambda K, ps: [(g, p, (b + (p == 5)) % p)"
-            " for g, p, b in real(K, ps)]\n"
+            "real = ac._ramified_triples\n"
+            "ac._ramified_triples = lambda L, ps: [(g, p, (b + (p == 5)) % p)"
+            " for g, p, b in real(L, ps)]\n"
             "try:\n"
             "    ac.ambiguous_count_direct(quadratic_field(-5), None, 1)\n"
             "except InvariantError as e:\n"
@@ -523,6 +557,72 @@ class TestAmbiguousCounts:
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, check=True).stdout
         assert out == f"False 8 invariant failed: {RAMIFIED}\n"
+
+    def test_closed_form_triples_are_the_root_search_triples(self):
+        """Each closed-form ramified triple is the triple `_prime_triples`
+        finds by its root search, for every p0 | D_L with |D_L| <= 4000."""
+        checked = 0
+        for d in fundamental_field_params(4000):
+            L = QuadField(d)
+            primes = list(factor(abs(L.D)))
+            assert list(ambigcheck._ramified_triples(L, primes)) == list(
+                _prime_triples(L, primes)), d
+            checked += len(primes)
+        assert checked == 5145
+
+    def test_the_ramified_closure_is_the_coset_closure(self):
+        """`_ramified_closure`, which takes no ideal product, gives the
+        generators, the table (j read as the bits of an exponent vector)
+        and the rows 2*x_i that `_coset_closure` grows from the same
+        ramified triples by products, for every field with |D_L| <= 4000,
+        and each prime it drops with the `class_key` of its class, a class
+        of the table."""
+        drops = 0
+        for d in fundamental_field_params(4000):
+            L = quadratic_field(d)
+            ramified = list(ambigcheck._ramified_triples(L, L.factor_D))
+            gens, table, dropped = ambigcheck._ramified_closure(L, ramified)
+            k = len(gens)
+            vecs = {key: tuple(j >> i & 1 for i in range(k)) for key, j in table.items()}
+            rows = [[2 * (j == i) for j in range(k)] for i in range(k)]
+            assert (gens, vecs, rows) == _coset_closure(L, ramified), d
+            assert [P for P, _ in dropped] == [P for P in ramified if P not in gens], d
+            for P, key in dropped:
+                assert key == class_key(QIdeal(L, *P)) and key in table, d
+            drops += len(dropped)
+        assert drops == 3232
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_a_coset_that_meets_the_subgroup_raises(self, monkeypatch, m):
+        """P^2 = (p0) makes each new coset of the ramified closure disjoint
+        from the subgroup; keys that put the product over 2 * 5 on the
+        principal class, as a faulty reduction would, fail that check
+        (exit 8) in Q(sqrt -5)."""
+        monkeypatch.setattr(ambigcheck, "_class_keys", lambda L: lambda a, b: (
+            a if a in (2, 5) else 1, 0))
+        with pytest.raises(InvariantError, match="coset meets the subgroup") as err:
+            ambiguous_count_direct(quadratic_field(-5), None, m)
+        assert err.value.exit_code == 8
+
+    @pytest.mark.parametrize("d", [-5, 10])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_a_quadratic_case_factors_its_discriminant_once(self, monkeypatch, d, m):
+        """`quadratic_field` validates d from the field's factorization of
+        |D_L|, and both sides of the count read that one factorization:
+        `factor` runs once on |D_L| and never on |d|, for an imaginary and
+        a real L, with and without a modulus."""
+        D = abs(d if d % 4 == 1 else 4 * d)
+        real, calls = exactmath.factor, []
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("raycap") and getattr(module, "factor", None) is real:
+                monkeypatch.setattr(module, "factor", counting)
+        assert ambig_case(("quad", d, m)).equal
+        assert [n for n in calls if n in (abs(d), D)] == [D]
 
     @pytest.mark.parametrize("j", [0, 4, -1])
     def test_bad_subfield_index_is_an_input_error(self, j):

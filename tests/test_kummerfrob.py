@@ -22,6 +22,7 @@ from raycap.kummerfrob import (
 from raycap.quadfield import (
     Modulus,
     QElt,
+    QuadField,
     RayClassData,
     aug_unit_data,
     fundamental_unit,
@@ -183,6 +184,21 @@ class TestHKConstant:
         row = h_K_constant(quadratic_field(34), 2)
         assert row["h_K"] == row["mu_exponent"] + row["layer_exponent"]
         assert row["ell"] == 2
+
+    def test_layer_exponent_by_congruence_matches_the_discriminants(self):
+        """The K(sqrt 2) layer exponent is 1 exactly when d = 2 mod 8 and
+        d != 2: for every squarefree |d| < 2*10^4 it agrees with the rule
+        it replaced, that Q(sqrt d, sqrt 2) has discriminant D_d^2, i.e.
+        8 * D(squarefree part of 2d) = D_d."""
+        checked = ones = 0
+        for d in range(-19999, 20000):
+            if d in (0, 1) or squarefree_part(d) != d:
+                continue
+            K = QuadField(d)
+            layer = int(d != 2 and 8 * QuadField(squarefree_part(2 * d)).D == K.D)
+            assert h_K_constant(K, 2)["layer_exponent"] == layer, d
+            checked, ones = checked + 1, ones + layer
+        assert checked > 24000 and ones > 1500
 
 
 class TestSearchParams:

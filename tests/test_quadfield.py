@@ -29,13 +29,14 @@ from oracles import (
     principal_ideal,
     ray_class_of_principal,
     ray_ideal_gens_by_products,
+    real_class_number,
     reduce_real_by_orbit,
     smallest_prime_factors,
 )
 from raycap import quadfield
 from raycap.abgroup import hnf_rows
 from raycap.errors import BudgetError, InputError, InvariantError
-from raycap.exactmath import kronecker, primes_up_to, sqrt_mod, squarefree_part
+from raycap.exactmath import factor, kronecker, primes_up_to, sqrt_mod, squarefree_part
 from raycap.quadfield import (
     Modulus,
     QElt,
@@ -127,6 +128,43 @@ class TestFieldBasics:
         for bad in (0, 1, 4, 12, -8, 18):
             with pytest.raises(InputError):
                 quadratic_field(bad)
+
+    def test_validation_matches_the_squarefree_part(self):
+        """`quadratic_field` reads squarefreeness off the factorization of
+        D; for |d| < 3000 it accepts exactly the d with squarefree_part(d)
+        = d and raises the same message as before for every other d."""
+        for d in range(-2999, 3000):
+            if d in (0, 1):
+                expected = f"d = {d} does not define a quadratic field"
+            elif squarefree_part(d) != d:
+                expected = f"d = {d} is not squarefree"
+            else:
+                assert quadratic_field(d).d == d
+                continue
+            with pytest.raises(InputError) as err:
+                quadratic_field(d)
+            assert str(err.value) == expected
+
+    def test_cached_factorization_is_the_factorization_of_D(self):
+        """The factorization of |D| a field keeps is `factor`'s, for every
+        squarefree |d| < 5000 and for d = 10^9 + 7, and a second read
+        returns the kept dict."""
+        ds = [d for d in range(-4999, 5000)
+              if d not in (0, 1) and squarefree_part(d) == d] + [10**9 + 7]
+        for d in ds:
+            K = quadratic_field(d)
+            assert K.factor_D == factor(abs(K.D)), d
+            assert K.factor_D is K.factor_D
+            assert list(K.factor_D) == sorted(K.factor_D)
+        assert quadratic_field(10**9 + 7).factor_D == {2: 2, 10**9 + 7: 1}
+
+    def test_a_factorization_that_misses_D_raises(self, monkeypatch):
+        """The product check on the kept factorization is raised, not
+        asserted (exit 8)."""
+        monkeypatch.setattr(quadfield, "factor", lambda n: {2: 1})
+        with pytest.raises(InvariantError, match="multiply back") as err:
+            QuadField(-5).factor_D
+        assert err.value.exit_code == 8
 
     def test_omega_relation(self):
         for d in (-1, -3, 2, 5, 34, -23):
@@ -425,12 +463,27 @@ class TestClassGroups:
             checked += 1
         assert checked > 800
 
+    def test_real_class_numbers_by_dirichlets_formula(self):
+        """class_group(K).h of every real K = Q(sqrt d), squarefree d < 3000,
+        against Dirichlet's analytic formula: a third check that shares
+        nothing with the closure, the rho cycles or `_period_quotients`
+        (the oracle's unit comes from its own continued fraction)."""
+        spf = smallest_prime_factors(4 * 3000)
+        checked = 0
+        for d in range(2, 3000):
+            if squarefree_part(d) != d:
+                continue
+            K = quadratic_field(d)
+            assert class_group(K).h == real_class_number(K.D, spf), d
+            checked += 1
+        assert checked == 1823
+
     @pytest.mark.parametrize("d", [-5, -21, -30, -1999, -20011, 10, 82, 145, 3999])
     def test_relation_matrix_is_square_lower_triangular(self, d):
         """k x k on the primes that enlarge the closure: each diagonal entry
         is the index it adds, so none is 1."""
         K = quadratic_field(d)
-        gens, table, rels, _ = _coset_closure(K, _candidate_primes(K))
+        gens, table, rels = _coset_closure(K, _candidate_primes(K))
         k = len(gens)
         assert len(rels) == k and all(len(row) == k for row in rels)
         assert all(rels[i][j] == 0 for i in range(k) for j in range(i + 1, k))
@@ -450,7 +503,7 @@ class TestClassGroups:
                 continue
             K = quadratic_field(D if D % 4 == 1 else D // 4)
             wide = _prime_triples(K, primes_up_to(K.isqrt_D + 2))
-            _, table, rels, _ = _coset_closure(K, wide)
+            _, table, rels = _coset_closure(K, wide)
             cl = class_group.__wrapped__(K)
             assert list(cl.table.items()) == list(table.items()), D
             assert cl.relations == tuple(map(tuple, rels)), D
