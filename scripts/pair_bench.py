@@ -14,8 +14,12 @@ interpreter's path and the checkout's path all move `peak_rss_mb`, so both
 sides pay them equally. Checkouts at paths of equal length compare best.
 
 For each end-to-end metric of the change's BENCHMARK.json it prints the
-median of each side, the interquartile range of the parent's runs and how
-many pairs each side won; a tie counts for neither. It exits 1 if a run
+median of each side, the interquartile range of the parent's runs, how
+many pairs each side won (a tie counts for neither) and a verdict: "gain"
+when the change won at least 9 in 10 of the pairs and its median is better
+than the parent's by more than the parent's IQR, "worse" when its median
+is worse than the parent's by more than the metric's `bound` (a fraction
+of the parent's median), else "even/unresolved". It exits 1 if a run
 fails or reports an incorrect or failed op.
 """
 from __future__ import annotations
@@ -72,6 +76,17 @@ def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
     }
 
 
+def verdict(s: dict, better: str, bound: float) -> str:
+    """"gain", "worse" or "even/unresolved" for the summary `s` of a metric
+    whose better side is `better` and whose bound is `bound`."""
+    gap = (s["change_median"] - s["parent_median"]) * (1 if better == "higher" else -1)
+    if 10 * s["change_won"] >= 9 * s["pairs"] and gap > s["parent_iqr"]:
+        return "gain"
+    if -gap > bound * abs(s["parent_median"]):
+        return "worse"
+    return "even/unresolved"
+
+
 def format_row(name: str, s: dict) -> str:
     return (f"{name}: parent {s['parent_median']:.6g} -> change {s['change_median']:.6g}"
             f" (parent IQR {s['parent_iqr']:.4g}; change won {s['change_won']}/{s['pairs']},"
@@ -90,6 +105,7 @@ def main(argv=None) -> int:
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     values: dict[str, list[tuple[float, float]]] = {name: [] for name in better}
     for i in range(args.pairs):
         seed = args.seed + i
@@ -106,7 +122,8 @@ def main(argv=None) -> int:
         for name in better:
             values[name].append((got["parent"][name]["value"], got["change"][name]["value"]))
     for name, pairs in values.items():
-        print(format_row(name, summarize(pairs, better[name])))
+        s = summarize(pairs, better[name])
+        print(f"{format_row(name, s)}: {verdict(s, better[name], bound[name])}")
     return 0
 
 

@@ -18,13 +18,15 @@ generated by ramified primes and extended K-ideals; for L over Q the
 ramified primes are integer triples, and with m = 1 that is the subgroup
 of Cl_L that `_ramified_closure` grows from those triples alone, one class
 key per class. For m > 1 over Q the same closure gives the image in Cl_L,
-and the rest of the order is read in (O_L/m)^* modulo the units, so no
-class group and no ray class group of L is built. Agreement across a corpus is the regression signal. The two
-routes share the field's factorization of D (`QuadField.factor_D`), the
-rational ray class data (`rayclass_Q` and its generators), and for a
-biquadratic step the base `ray_class_group`, `unit_group`,
-`extend_modulus` and the residue system mod m_L inside the unit index. A
-fault in those would hit both sides alike.
+and the rest of the order is read in (O_L/m)^* modulo the units from
+closed-form residues of the primes' relations, so no relation matrix, no
+class group and no ray class group of L is built. Agreement across a
+corpus is the regression signal. The two routes share the field's
+factorization of D (`QuadField.factor_D`), the rational ray class data
+(`rayclass_Q` and its generators), and for a biquadratic step the base
+`ray_class_group`, `unit_group`, `extend_modulus` and the residue system
+mod m_L inside the unit index, whose residue fields (`_residue_field`)
+are cached across K and L. A fault in those would hit both sides alike.
 """
 from __future__ import annotations
 
@@ -52,12 +54,11 @@ from raycap.quadfield import (
     FIELD_CACHE_SIZE,
     Modulus,
     QElt,
-    QIdeal,
     QuadField,
     ResidueSystem,
     _class_keys,
+    _cofactor_residue,
     _primitive_root,
-    _relation_residue,
     factor_prime,
     fundamental_unit,
     fundamental_unit_norm,
@@ -400,11 +401,13 @@ def _direct_quadratic(L: QuadField, m: int) -> int:
     `rayclass_Q_generators` generate has order |H-bar| times that of its
     part in the kernel (O_L/m)^*/im E_L of Cl^m_L -> Cl_L (Cohen, GTM 193,
     ch. 4). That part is generated by the residues of the a and of one
-    generator per basis row of the primes' relation lattice: 2*x_i for each
-    generator, and (-vec, 1) for each prime the closure drops, vec the bits
-    of its class's j.
+    generator per relation of the primes, read in closed form: P_i^2 = (p0)
+    for a generator P_i, and a dropped P whose class has bits j makes
+    P * prod P_i (i in j) = [N, b + w] principal, N = p0 * n_j, its
+    generator's residue read by one `_cofactor_residue` walk. The relation
+    also takes off the residue of n_j = prod p0_i, a sum of generator rows.
     Its order is the index of <units, factor orders> over the lattice with
-    those residues added; no ray class group is built."""
+    those residues added; no relation matrix and no ray class group is built."""
     t, u = L.t, L.u
     ramified = list(_ramified_triples(L, [p0 for p0 in L.factor_D if m % p0]))
     require(all((b * (b + t) - u) % p0 == 0 == (2 * b + t) % p0
@@ -413,16 +416,16 @@ def _direct_quadratic(L: QuadField, m: int) -> int:
     gens, table, dropped = _ramified_closure(L, ramified)
     if m == 1:
         return len(table)
-    k, n = len(gens), len(dropped)
-    rows = [[2 * (j == i) for j in range(k + n)] for i in range(k)]
-    rows += [[-(table[key] >> j & 1) for j in range(k)] + [int(j == i) for j in range(n)]
-             for i, (_, key) in enumerate(dropped)]
-    ideals = [QIdeal(L, *P) for P in gens + [P for P, _ in dropped]]
     residue = residue_system(L, modulus_from_rational(L, m))
     s = len(residue.orders)
     units = [[o * (j == i) for j in range(s)] for i, o in enumerate(residue.orders)]
     units += [residue.dlog(u) for u in unit_gens(L)]
-    kernel = [_relation_residue(L, rel, ideals, residue) for rel in hnf_rows(rows)]
+    kernel = [residue.dlog_int(p0) for _, p0, _ in gens]
+    for (_, p0, _), key in dropped:
+        N = p0 * math.prod(P[1] for i, P in enumerate(gens) if table[key] >> i & 1)
+        res = _cofactor_residue(L, (1, N, _ramified_b(L, N)), (), (), residue)
+        require(res is not None, "a dropped ramified prime's product has no generator")
+        kernel.append(res)
     kernel += [residue.dlog_int(a) for a in rayclass_Q_generators(m)]
     return len(table) * lattice_index(units) // lattice_index(units + kernel)
 
@@ -512,13 +515,11 @@ def ambig_case(case: tuple) -> AmbigReport:
 
 def fundamental_field_params(disc_bound: int) -> list[int]:
     """All squarefree d != 1 with fundamental |disc| <= disc_bound, sorted
-    by |disc| then sign."""
+    by |disc| then sign. D is d when d = 1 mod 4 and 4d otherwise, so a d
+    whose |D| is past the bound is dropped before it is factored."""
     out = []
     for d in range(-disc_bound, disc_bound + 1):
-        if d in (0, 1) or squarefree_part(d) != d:
-            continue
-        D = QuadField(d).D
-        if abs(D) <= disc_bound:
+        D = d if d % 4 == 1 else 4 * d
+        if abs(D) <= disc_bound and d not in (0, 1) and squarefree_part(d) == d:
             out.append((abs(D), -(D > 0), d))
     return [d for _, _, d in sorted(out)]
-

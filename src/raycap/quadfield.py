@@ -30,7 +30,8 @@ from .exactmath import (
 )
 
 # Entries kept by each per-field LRU cache (class and ray class groups with
-# their lookup memos, units, the scan's checkers); an evicted entry rebuilds equal.
+# their lookup memos, units, residue fields, the scan's checkers); an evicted
+# entry rebuilds equal.
 FIELD_CACHE_SIZE = 256
 
 
@@ -759,6 +760,35 @@ def _primitive_root(p: int) -> int:
         g += 1
 
 
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _residue_field(p: int, tu: tuple[int, int] | None):
+    """(order, one, mul, gen, (s, baby, giant)) of F_p, tu None, or of
+    F_p[w]/(w^2 - t*w - u), (t, u) = tu mod p, shared by every residue
+    factor over it, of K or of L: gen is the least primitive root, or the
+    first (x, y), y slowest, of order p^2 - 1, where at a prime r of p - 1
+    z^((p^2 - 1)/r) = N(z)^((p - 1)/r), N(x + y*w) = x^2 + t*x*y - u*y^2;
+    baby maps gen^j to j < s = isqrt(order) + 1 and giant is gen^-s."""
+    if tu is None:
+        order, one, gen = p - 1, 1, _primitive_root(p) % p
+        mul = lambda A, B: A * B % p
+    else:
+        (t, u), order, one = tu, p * p - 1, (1, 0)
+        mul, fs = _Fp2(p, t, u).mul, list(factor(order))
+
+        def primitive(x: int, y: int) -> bool:
+            n = (x * x + t * x * y - u * y * y) % p
+            return all(pow(n, (p - 1) // r, p) != 1 if (p - 1) % r == 0
+                       else power((x, y), order // r, one, mul) != one for r in fs)
+        gen = next(((x, y) for y in range(1, p) for x in range(p) if primitive(x, y)), None)
+        require(gen is not None, "no generator found in F_p^2")
+    s = math.isqrt(order) + 1
+    baby, cur = {}, one
+    for j in range(s):
+        baby.setdefault(cur, j)
+        cur = mul(cur, gen)
+    return order, one, mul, gen, (s, baby, power(gen, -s % order, one, mul))
+
+
 class ResidueFactor:
     """(O/Q)^* for one prime Q of K or of L, as a cyclic group with a
     generator and discrete logs.
@@ -767,38 +797,18 @@ class ResidueFactor:
     F_{p^2} presented as F_p[w]/(w^2 - t*w - u) with (t, u) = tu (f = 2;
     residues are pairs (x, y) for x + y*w). `images` are the residues of the
     ring's integral basis, in the order of `coords()`, so an element's
-    residue is the combination of its coordinates with them."""
+    residue is the combination of its coordinates with them. The field's
+    order, generator and discrete-log steps are `_residue_field`'s."""
 
     def __init__(
         self, p: int, f: int, tu: tuple[int, int] | None, images: Sequence
     ):
         self.p, self.f, self.images = p, f, tuple(images)
-        if f == 1:
-            self.order, self.one, self.zero = p - 1, 1, 0
-            self.mul = lambda A, B: A * B % p
-            self.gen = _primitive_root(p) % p
-        else:
-            self.order, self.one, self.zero = p * p - 1, (1, 0), (0, 0)
-            self.mul = _Fp2(p, *tu).mul
+        key = None if f == 1 else (tu[0] % p, tu[1] % p)
+        self.order, self.one, self.mul, self.gen, self._steps = _residue_field(p, key)
+        self.zero = 0 if f == 1 else (0, 0)
+        if f == 2:
             self._columns = tuple(zip(*self.images))
-            self.gen = self._find_generator(*tu)
-
-    def _find_generator(self, t: int, u: int):
-        """The first (x, y), y slowest, of order p^2 - 1. At a prime r of
-        p - 1, z^((p^2 - 1)/r) = N(z)^((p - 1)/r) for the norm
-        N(x + y*w) = x^2 + t*x*y - u*y^2 in F_p, an int power."""
-        p = self.p
-        fs = list(factor(self.order))
-        for y in range(1, p):
-            for x in range(p):
-                n = (x * x + t * x * y - u * y * y) % p
-                if all(
-                    pow(n, (p - 1) // r, p) != 1 if (p - 1) % r == 0 else
-                    power((x, y), self.order // r, self.one, self.mul) != self.one
-                    for r in fs
-                ):
-                    return x, y
-        raise InvariantError("invariant failed: no generator found in F_p^2")
 
     def residue(self, z):
         p, c = self.p, z.coords()
@@ -811,18 +821,6 @@ class ResidueFactor:
 
     def is_unit_residue(self, z) -> bool:
         return self.residue(z) != self.zero
-
-    @cached_property
-    def _steps(self):
-        """(s, {gen^j: j for j < s}, gen^-s) with s = isqrt(order) + 1: the
-        baby steps and the giant step of every discrete log here."""
-        s = math.isqrt(self.order) + 1
-        baby = {}
-        cur = self.one
-        for j in range(s):
-            baby.setdefault(cur, j)
-            cur = self.mul(cur, self.gen)
-        return s, baby, power(self.gen, -s % self.order, self.one, self.mul)
 
     def dlog(self, z) -> int:
         return self.dlog_residue(self.residue(z))

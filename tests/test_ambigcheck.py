@@ -22,6 +22,7 @@ from oracles import (
     quadratic_norm_index,
 )
 from raycap import ambigcheck, exactmath
+from raycap.abgroup import hnf_rows, lattice_index
 from raycap.ambigcheck import (
     AmbigReport,
     _assemble,
@@ -51,21 +52,56 @@ from raycap.quadfield import (
     QuadField,
     _coset_closure,
     _prime_triples,
+    _relation_residue,
     class_group,
     class_key,
     fundamental_unit,
     modulus_from_rational,
     quadratic_field,
+    residue_system,
+    unit_gens,
 )
 
 
 RAMIFIED = "a prime dividing D_L is not ramified"
+NO_GENERATOR = "a dropped ramified prime's product has no generator"
+
+
+def _run_python_O(code: str) -> str:
+    """The stdout of `code` run by `python -O` on this checkout's library."""
+    src = str(Path(ambigcheck.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
 
 
 def ambiguous_count_formula(L, K, m) -> int:
     """The closed-form count, assembled from its factors as `ambig_case`
     assembles it."""
     return _assemble(*_formula_parts(L, K, m))
+
+
+def kernel_index_by_relation_hnf(L, m: int) -> tuple[int, int]:
+    """(lattice_index(units + kernel), primes dropped) of the m > 1
+    quadratic direct side, its kernel read from the relations of the
+    ramified primes: the rows 2*x_i of the closure's generators and
+    (-vec, 1) of each prime it drops, vec the bits of its class's j, their
+    `hnf_rows` basis and one `_relation_residue` walk per basis row."""
+    ramified = list(ambigcheck._ramified_triples(L, [p0 for p0 in L.factor_D if m % p0]))
+    gens, table, dropped = ambigcheck._ramified_closure(L, ramified)
+    k, n = len(gens), len(dropped)
+    rows = [[2 * (j == i) for j in range(k + n)] for i in range(k)]
+    rows += [[-(table[key] >> j & 1) for j in range(k)] + [int(j == i) for j in range(n)]
+             for i, (_, key) in enumerate(dropped)]
+    ideals = [QIdeal(L, *P) for P in gens + [P for P, _ in dropped]]
+    residue = residue_system(L, modulus_from_rational(L, m))
+    s = len(residue.orders)
+    units = [[o * (j == i) for j in range(s)] for i, o in enumerate(residue.orders)]
+    units += [residue.dlog(u) for u in unit_gens(L)]
+    kernel = [_relation_residue(L, rel, ideals, residue) for rel in hnf_rows(rows)]
+    kernel += [residue.dlog_int(a) for a in rayclass_Q_generators(m)]
+    return lattice_index(units + kernel), n
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +439,58 @@ class TestAmbiguousCounts:
     def test_a_prime_the_closure_drops_keeps_its_relation(self, d, m, count):
         """In Q(sqrt -1) and Q(sqrt -3) the one ramified prime is principal,
         so the closure drops it; its generator's residue still enlarges the
-        kernel part, through the row (-vec, 1) of the dropped prime."""
+        kernel part (without it, Q(sqrt -1) mod 3 counts 1)."""
         L = quadratic_field(d)
         assert ambiguous_count_direct(L, None, m) == count
         assert ambiguous_count_by_ray_group(L, m) == count
+
+    def test_closed_form_kernel_spans_the_relation_lattice(self, monkeypatch):
+        """The closed-form kernel rows (the residue of p0 per closure
+        generator, that of the generator of [p0 * n_j, b + w] per dropped
+        prime) span, with the units, the lattice of the residues of the
+        `hnf_rows` basis of the primes' relations: lattice_index(units +
+        kernel), and so the count, agree for every field with |D_L| <= 4000
+        and each m, m sharing primes with D_L or not."""
+        real, seen = ambigcheck.lattice_index, []
+        monkeypatch.setattr(ambigcheck, "lattice_index",
+                            lambda rows: seen.append(real(rows)) or seen[-1])
+        ds, moduli = fundamental_field_params(4000), (3, 5, 7, 11, 15, 21, 105)
+        bad, dropping = [], 0
+        for d in ds:
+            L = quadratic_field(d)
+            for m in moduli:
+                ambiguous_count_direct(L, None, m)
+                index, drops = kernel_index_by_relation_hnf(L, m)
+                dropping += drops > 0
+                if seen[-1] != index:
+                    bad.append((d, m))
+        assert bad == []
+        assert (len(ds) * len(moduli), dropping) == (17031, 14545)
+
+    def test_a_dropped_product_without_a_generator_raises(self, monkeypatch):
+        """A dropped prime's product with the primes of its class is
+        principal, and the walk that reads its generator's residue must
+        find one: a walk that finds none raises (exit 8) with its own
+        message."""
+        monkeypatch.setattr(ambigcheck, "_cofactor_residue", lambda *args: None)
+        assert ambiguous_count_direct(quadratic_field(-1), None, 1) == 1
+        with pytest.raises(InvariantError, match=NO_GENERATOR) as err:
+            ambiguous_count_direct(quadratic_field(-1), None, 3)
+        assert err.value.exit_code == 8
+
+    def test_the_generator_check_survives_python_O(self):
+        """The same fault in a `python -O` process raises the same check."""
+        code = (
+            "import raycap.ambigcheck as ac\n"
+            "from raycap.errors import InvariantError\n"
+            "from raycap.quadfield import quadratic_field\n"
+            "ac._cofactor_residue = lambda *args: None\n"
+            "try:\n"
+            "    ac.ambiguous_count_direct(quadratic_field(-1), None, 3)\n"
+            "except InvariantError as e:\n"
+            "    print(__debug__, e.exit_code, e)\n"
+        )
+        assert _run_python_O(code) == f"False 8 invariant failed: {NO_GENERATOR}\n"
 
     @pytest.mark.parametrize(
         "d,m",
@@ -551,12 +635,7 @@ class TestAmbiguousCounts:
             "except InvariantError as e:\n"
             "    print(__debug__, e.exit_code, e)\n"
         )
-        src = str(Path(ambigcheck.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        assert out == f"False 8 invariant failed: {RAMIFIED}\n"
+        assert _run_python_O(code) == f"False 8 invariant failed: {RAMIFIED}\n"
 
     def test_closed_form_triples_are_the_root_search_triples(self):
         """Each closed-form ramified triple is the triple `_prime_triples`
@@ -709,6 +788,20 @@ class TestFundamentalParams:
             -3, -1, 5, -7, 2, -2, -11, 3, 13, -15, 17, -19, -5, 21, -23,
             6, -6, 7, 29, -31, 33, -35, 37, -39, 10, -10,
         ]
+
+    @pytest.mark.parametrize("bound", [120, 1000, 5000])
+    def test_equals_the_enumeration_that_factors_every_d(self, bound):
+        """Dropping a d = 2, 3 mod 4 with 4|d| past the bound before it is
+        factored keeps the list of the enumeration that factors every d in
+        [-bound, bound] and reads D off its field."""
+        old = []
+        for d in range(-bound, bound + 1):
+            if d in (0, 1) or squarefree_part(d) != d:
+                continue
+            D = QuadField(d).D
+            if abs(D) <= bound:
+                old.append((abs(D), -(D > 0), d))
+        assert fundamental_field_params(bound) == [d for _, _, d in sorted(old)]
 
     def test_matches_brute_enumeration(self):
         brute = set()

@@ -1,8 +1,9 @@
 """The per-field caches are bounded LRUs, and eviction changes no answer.
 
 Class groups, ray class groups (with their lookup memos), fundamental units,
-biquadratic unit groups, the parallel scan's checkers and the rational ray
-class groups are each cached for at most `FIELD_CACHE_SIZE` keys. An evicted entry is rebuilt with the
+biquadratic unit groups, the parallel scan's checkers, the rational ray
+class groups and the residue fields' generators and discrete-log tables
+are each cached for at most `FIELD_CACHE_SIZE` keys. An evicted entry is rebuilt with the
 same SNF basis, and a `ConditionChecker` keeps its own reference to its ray
 class group, so a checker whose group left the cache decides every
 candidate as a fresh one does.
@@ -32,6 +33,7 @@ BOUNDED = [
     biquad.unit_group,
     capsearch._checker_cached,
     ambigcheck._rational_ray_data,
+    quadfield._residue_field,
 ]
 
 

@@ -38,3 +38,38 @@ def test_row_names_every_figure():
     row = pair_bench.format_row("op_p50_ms", pair_bench.summarize(PAIRS, "lower"))
     assert row == ("op_p50_ms: parent 0.0715 -> change 0.0635 (parent IQR 0.00525;"
                    " change won 7/10, parent won 2/10)")
+
+
+# ten pairs the change wins 9 times, by a median gap of 0.01 against a
+# parent IQR of 0.0025 (inclusive quartiles 0.06925 and 0.07175)
+GAIN = [(0.070, 0.060), (0.071, 0.061), (0.072, 0.062), (0.069, 0.059),
+        (0.068, 0.058), (0.073, 0.063), (0.070, 0.060), (0.071, 0.061),
+        (0.069, 0.059), (0.072, 0.075)]
+
+
+def test_a_change_that_wins_nine_pairs_beyond_the_iqr_is_a_gain():
+    s = pair_bench.summarize(GAIN, "lower")
+    assert (s["change_won"], s["change_median"], s["parent_median"]) == (
+        9, pytest.approx(0.0605), pytest.approx(0.0705))
+    assert s["parent_iqr"] == pytest.approx(0.0025)
+    assert pair_bench.verdict(s, "lower", 0.25) == "gain"
+
+
+def test_eight_wins_or_a_gap_within_the_iqr_is_unresolved():
+    # PAIRS: the change wins 7 of 10 by a gap beyond the parent's IQR
+    assert pair_bench.verdict(pair_bench.summarize(PAIRS, "lower"), "lower", 0.25) \
+        == "even/unresolved"
+    # 9 wins, but by a gap of 0.001 against the parent's IQR of 0.0025
+    narrow = [(p, c + 0.009 * (c < p)) for p, c in GAIN]
+    s = pair_bench.summarize(narrow, "lower")
+    assert s["change_won"] == 9 and s["parent_median"] - s["change_median"] < s["parent_iqr"]
+    assert pair_bench.verdict(s, "lower", 0.25) == "even/unresolved"
+
+
+def test_a_median_worse_by_more_than_the_bound_is_worse():
+    # for a higher-is-better metric the same pairs are a loss of 14%: worse
+    # than a 10% bound, within a 25% one
+    s = pair_bench.summarize(GAIN, "higher")
+    assert s["parent_won"] == 9
+    assert pair_bench.verdict(s, "higher", 0.10) == "worse"
+    assert pair_bench.verdict(s, "higher", 0.25) == "even/unresolved"

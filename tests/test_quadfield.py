@@ -35,6 +35,7 @@ from oracles import (
 )
 from raycap import quadfield
 from raycap.abgroup import hnf_rows
+from raycap.biquad import biquad_field, embed, extend_modulus, l_residue_system
 from raycap.errors import BudgetError, InputError, InvariantError
 from raycap.exactmath import factor, kronecker, primes_up_to, sqrt_mod, squarefree_part
 from raycap.quadfield import (
@@ -754,6 +755,43 @@ class TestResidues:
         ray = ray_class_group(K, modulus_from_rational(K, 13))
         with pytest.raises(ValueError):
             ray.residue.dlog(K.elt(13, 0))
+
+    def test_factors_over_one_residue_field_share_its_generator_and_table(self, monkeypatch):
+        """A residue field's order, generator and discrete-log steps depend
+        on p and (t, u) mod p alone. Over 3, inert in K = Q(sqrt 2) and in
+        Q(sqrt 5) and split in Q(sqrt 7), the factor of K and the two of
+        L = Q(sqrt 2, sqrt 5) over it, which present F_9 by K's w, share
+        one entry; the factor of Q(sqrt 5), (t, u) = (1, 1) against K's
+        (0, 2), and the F_3 of Q(sqrt 7) have their own. Each gives the
+        discrete logs of a factor built without the cache."""
+        quadfield._residue_field.cache_clear()
+        L = biquad_field(2, 5)
+        K = L.k1
+
+        def build():
+            """(factor over 3, the element x + y*w of its ring) of each field."""
+            out = [(f, K.elt) for f in residue_system(K, modulus_from_rational(K, 3)).factors]
+            out += [(f, lambda x, y: embed(L, K.elt(x, y))) for f in l_residue_system(
+                extend_modulus(L, modulus_from_rational(K, 3))).factors]
+            for F in (quadratic_field(5), quadratic_field(7)):
+                out += [(f, F.elt) for f in residue_system(F, modulus_from_rational(F, 3)).factors]
+            return out
+
+        cached = build()
+        with monkeypatch.context() as mp:
+            mp.setattr(quadfield, "_residue_field", quadfield._residue_field.__wrapped__)
+            fresh = build()
+        fs = [f for f, _ in cached]
+        assert [f.f for f in fs] == [2, 2, 2, 2, 1, 1]
+        assert fs[0]._steps is fs[1]._steps is fs[2]._steps
+        assert len({id(f._steps) for f in fs}) == 3
+        assert quadfield._residue_field.cache_info().misses == 3
+        pairs = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+        for (f, elt), (g, _) in zip(cached, fresh, strict=True):
+            assert g._steps is not f._steps and (g.gen, g.order) == (f.gen, f.order)
+            zs = [z for z in (elt(x, y) for x, y in pairs) if f.is_unit_residue(z)]
+            assert len(zs) >= 54
+            assert [f.dlog(z) for z in zs] == [g.dlog(z) for z in zs]
 
 
 class TestRayClassGroups:
