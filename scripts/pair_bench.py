@@ -7,11 +7,12 @@ Pair i runs `bench/run.py --workload W --seed SEED+i --seconds S --trace 0`
 in each checkout, one after the other, with S the `run_seconds` of the
 change's BENCHMARK.json. The parent goes first in even pairs and the
 change first in odd ones, so a drift of the machine's speed falls on both
-sides alike. Before every run the checkout's `__pycache__`
-directories are removed, and every run starts with PYTHONDONTWRITEBYTECODE=1
-from the resolved interpreter path, not a shim: compiling the sources, the
-interpreter's path and the checkout's path all move `peak_rss_mb`, so both
-sides pay them equally. Checkouts at paths of equal length compare best.
+sides alike. Before every run the checkout is copied, without `.git` and
+`__pycache__`, to one fixed directory made for the invocation, and the run
+starts there with PYTHONDONTWRITEBYTECODE=1 from the resolved interpreter
+path, not a shim: compiling the sources, the interpreter's path and the
+checkout's path (even its name at equal length) all move `peak_rss_mb`,
+so both sides run from the same path and pay them equally.
 
 For each end-to-end metric of the change's BENCHMARK.json it prints the
 median of each side, the interquartile range of the parent's runs, how
@@ -31,23 +32,21 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
 
 
-def clear_bytecode(root: Path) -> None:
-    for cache in list(root.rglob("__pycache__")):
-        shutil.rmtree(cache, ignore_errors=True)
-
-
-def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `bench/run.py` run in `root`; its JSON result line."""
-    clear_bytecode(root)
+def run_side(root: Path, run_dir: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One `bench/run.py` run of the checkout `root`, copied to `run_dir`
+    and run there; its JSON result line."""
+    shutil.rmtree(run_dir, ignore_errors=True)
+    shutil.copytree(root, run_dir, ignore=shutil.ignore_patterns(".git", "__pycache__"))
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [os.path.realpath(sys.executable), "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    out = subprocess.run(cmd, cwd=run_dir, env=env, capture_output=True, text=True)
     if out.returncode != 0:
         raise RuntimeError(f"{root}: exit {out.returncode}\n{out.stderr}")
     result = json.loads(out.stdout.splitlines()[-1])
@@ -107,20 +106,24 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     values: dict[str, list[tuple[float, float]]] = {name: [] for name in better}
-    for i in range(args.pairs):
-        seed = args.seed + i
-        got = {}
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            try:
-                got[side] = run_side(roots[side], args.workload, seed, seconds)["metrics"]
-            except RuntimeError as exc:
-                print(exc, file=sys.stderr)
-                return 1
-        print(f"pair {i + 1} seed {seed}: " + ", ".join(
-            f"{name} {got['parent'][name]['value']:.6g}/{got['change'][name]['value']:.6g}"
-            for name in better), flush=True)
-        for name in better:
-            values[name].append((got["parent"][name]["value"], got["change"][name]["value"]))
+    with tempfile.TemporaryDirectory(prefix="pair_bench-") as tmp:
+        run_dir = Path(tmp) / "checkout"  # both sides run from this one path
+        for i in range(args.pairs):
+            seed = args.seed + i
+            got = {}
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                try:
+                    got[side] = run_side(roots[side], run_dir, args.workload, seed,
+                                         seconds)["metrics"]
+                except RuntimeError as exc:
+                    print(exc, file=sys.stderr)
+                    return 1
+            print(f"pair {i + 1} seed {seed}: " + ", ".join(
+                f"{name} {got['parent'][name]['value']:.6g}/{got['change'][name]['value']:.6g}"
+                for name in better), flush=True)
+            for name in better:
+                values[name].append((got["parent"][name]["value"],
+                                     got["change"][name]["value"]))
     for name, pairs in values.items():
         s = summarize(pairs, better[name])
         print(f"{format_row(name, s)}: {verdict(s, better[name], bound[name])}")

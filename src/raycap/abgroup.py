@@ -253,28 +253,17 @@ class FiniteAbelianGroup:
         """Whether y lies in the subgroup of k-th powers."""
         return all(c % math.gcd(k, d) == 0 for c, d in zip(self.reduce(y), self.invariants))
 
-    def stacked(self, gens: Sequence[Sequence[int]]) -> Matrix:
-        """The reduced gens above the group's relations d_i * e_i."""
-        rows = [list(self.reduce(g)) for g in gens]
-        rows += [
-            [d if i == j else 0 for j in range(self.rank)]
-            for i, d in enumerate(self.invariants)
-        ]
-        return rows
-
-    def subgroup_order(self, gens: Sequence[Sequence[int]]) -> int:
-        """Order of the subgroup generated by the given elements: |G| over
-        the index of the lattice they span with the relations d_i * e_i."""
-        return self.order() // lattice_index(self.stacked(gens))
-
     def express(
         self, gens: Sequence[Sequence[int]], y: Sequence[int]
     ) -> list[int] | None:
         """Coefficients c with sum c_j gens_j == y, or None when y is not in
-        the span. Coefficients are not unique; any valid witness is fine."""
+        the span: a solution over the reduced gens above the relations
+        d_i * e_i. Coefficients are not unique; any valid witness is fine."""
         if self.rank == 0:
             return [0] * len(gens)
-        x = solve_left(self.stacked(gens), list(self.reduce(y)))
+        rows = [list(self.reduce(g)) for g in gens]
+        rows += [[d * (i == j) for j in range(self.rank)] for i, d in enumerate(self.invariants)]
+        x = solve_left(rows, list(self.reduce(y)))
         if x is None:
             return None
         return x[: len(gens)]

@@ -23,10 +23,12 @@ closed-form residues of the primes' relations, so no relation matrix, no
 class group and no ray class group of L is built. Agreement across a
 corpus is the regression signal. The two routes share the field's
 factorization of D (`QuadField.factor_D`), the rational ray class data
-(`rayclass_Q` and its generators), and for a biquadratic step the base
-`ray_class_group`, `unit_group`, `extend_modulus` and the residue system
-mod m_L inside the unit index, whose residue fields (`_residue_field`)
-are cached across K and L. A fault in those would hit both sides alike.
+(`rayclass_Q` and its generators), and for a biquadratic step
+`class_group(K)`, the units of K and L, `extend_modulus` and the residue
+systems mod m and m_L with their `kernel` and `image_order`, whose
+residue fields (`_residue_field`) are cached across K and L; the formula
+side builds no ray class group. A fault in those would hit both sides
+alike; the README names the test that checks each a third way.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from raycap.abgroup import FiniteAbelianGroup, group_from_relations, hnf_rows, lattice_index
+from raycap.abgroup import FiniteAbelianGroup, group_from_relations, lattice_index
 from raycap.biquad import (
     BiquadField,
     _primes_over,
@@ -55,10 +57,10 @@ from raycap.quadfield import (
     Modulus,
     QElt,
     QuadField,
-    ResidueSystem,
     _class_keys,
     _cofactor_residue,
     _primitive_root,
+    class_group,
     factor_prime,
     fundamental_unit,
     fundamental_unit_norm,
@@ -163,12 +165,9 @@ def unit_dlog(field: QuadField, w: QElt) -> tuple[int, int]:
     if w.sign_real() < 0:
         s, w = 1, -w
     inv = False
-    if one > w:  # 0 < w < 1: flip to w^-1 = conj(w)*N(w)
+    if one > w:  # 0 < w < 1: flip to w^-1 = conj(w)*N(w), again > 0
         inv = True
         w = w.conj() * w.norm()
-        if w.sign_real() < 0:
-            w = -w  # N(w) = -1 flips the sign back
-            s ^= 1
     # binary ladder: largest power of eps not exceeding w, then descend
     powers = [eps]
     while not powers[-1] * powers[-1] > w:
@@ -187,33 +186,13 @@ def unit_dlog(field: QuadField, w: QElt) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# congruence-unit lattices and the norm index
+# the unit index
 
 
-def _unit_lattice(residue: ResidueSystem, units) -> list[list[int]]:
-    """Exponent lattice, over `units`, of the units that are 1 mod the
-    modulus of `residue`: the kernel of their classes in (O/m)^*.
-
-    The HNF of [classes | I] above [relations | 0] ends in the rows whose
-    class part is zero, and those span the kernel. An SNF with its row
-    transform finds the same lattice, but on some small unit matrices its
-    entries grow to thousands of digits."""
-    r = len(units)
-    if not residue.factors:  # trivial modulus: every unit is 1 mod m
-        return [[1 if j == i else 0 for j in range(r)] for i in range(r)]
-    s = residue.group.rank
-    stacked = residue.group.stacked([residue.vector(u) for u in units])
-    rows = [row + [int(i == j) for j in range(r)] for i, row in enumerate(stacked)]
-    kernel = [h[s:] for h in hnf_rows(rows) if not any(h[:s])]
-    require(len(kernel) == r, "the unit kernel is not of full rank")
-    return kernel
-
-
-def _quotient_order(sub_rows: list[list[int]]) -> int:
-    """|E_K / H| for E_K = <-1, eps> of a real quadratic K, with H given by
-    rows over that basis: the index of the lattice of H and the relation
-    (-1)^2 = 1."""
-    return lattice_index([[2, 0], *sub_rows])
+def _unit_image(K: QuadField, m: Modulus) -> int:
+    """|E_K / E^m_K|, the order of the image of the units in (O_K/m)^*."""
+    R = residue_system(K, m)
+    return R.image_order([R.dlog(u) for u in unit_gens(K)])
 
 
 def norm_index_units(L, K, m) -> int:
@@ -227,8 +206,10 @@ def norm_index_units(L, K, m) -> int:
     and `fundamental_unit_norm` gives that sign without building eps. It
     is not asked when a prime p = 3 mod 4 divides D_L: x^2 - D*y^2 = -4
     would make -1 a square mod p, so N(eps) = 1.
-    Over K it is |E_K / N| / |E_K / E^m_K| on the basis (-1, eps_K), with N
-    the norms of the exponent lattice of E^{m_L}_L over (-1, units of L).
+    Over K it is |E_K / N| / |E_K / E^m_K|. N is spanned by the norms of
+    the `kernel` of (-1, units of L) mod m_L, as rows over (-1, eps_K), and
+    |E_K / N| is the index of their lattice with (-1)^2 = 1; |E_K / E^m_K|
+    is the order of the units' image in (O_K/m)^*.
     """
     if not _is_biquad_step(L, K, m):
         if m > 1:
@@ -238,15 +219,15 @@ def norm_index_units(L, K, m) -> int:
     j = (L.k1, L.k2, L.k3).index(K) + 1
     U = unit_group(L)
     lgens = [-L.one()] + list(U.units)
-    lattice = _unit_lattice(l_residue_system(extend_modulus(L, m)), lgens)
+    lattice = l_residue_system(extend_modulus(L, m)).kernel(lgens)
     # relative norms of the generators, expressed over (-1, eps_K)
     norm_logs = [(0, 0)] + [unit_dlog(K, v.rel_norm(j)) for v in U.units]
     norm_rows = [
         [sum(a * v[c] for a, v in zip(row, norm_logs)) for c in range(2)]
         for row in lattice
     ]
-    over_norms = _quotient_order(norm_rows)
-    over_em = _quotient_order(_unit_lattice(ray_class_group(K, m).residue, unit_gens(K)))
+    over_norms = lattice_index([[2, 0], *norm_rows])
+    over_em = _unit_image(K, m)
     require(over_norms % over_em == 0, "the norm subgroup is not inside E^m_K")
     return over_norms // over_em
 
@@ -324,9 +305,11 @@ def _formula_parts(L, K, m):
 
     A prime p0 | D3 ramifies in L with e = 2, and no other prime does, so
     e_P(L/K) = 2 exactly for the primes P of K over a p0 | D3 with p0 not
-    dividing D_K (for L quadratic over Q, D3 = D_L and D_K = 1)."""
+    dividing D_K (for L quadratic over Q, D3 = D_L and D_K = 1). Over K,
+    |Cl^m_K| = h_K * |(O_K/m)^*| / |im E_K| by the exact sequence, which
+    `ray_class_group` checks; no ray class group is built here."""
     if _is_biquad_step(L, K, m):
-        h = ray_class_group(K, m).group.order()
+        h = class_group(K).h * residue_system(K, m).order() // _unit_image(K, m)
         d_inf = (1, 1)  # K real, L totally real: both places stay real
         es = tuple(
             2 for p0 in L.k3.factor_D if K.D % p0
@@ -406,8 +389,9 @@ def _direct_quadratic(L: QuadField, m: int) -> int:
     P * prod P_i (i in j) = [N, b + w] principal, N = p0 * n_j, its
     generator's residue read by one `_cofactor_residue` walk. The relation
     also takes off the residue of n_j = prod p0_i, a sum of generator rows.
-    Its order is the index of <units, factor orders> over the lattice with
-    those residues added; no relation matrix and no ray class group is built."""
+    Its order is that of the image of the units and those residues over
+    that of the units (`ResidueSystem.image_order`); no relation matrix and
+    no ray class group is built."""
     t, u = L.t, L.u
     ramified = list(_ramified_triples(L, [p0 for p0 in L.factor_D if m % p0]))
     require(all((b * (b + t) - u) % p0 == 0 == (2 * b + t) % p0
@@ -417,9 +401,7 @@ def _direct_quadratic(L: QuadField, m: int) -> int:
     if m == 1:
         return len(table)
     residue = residue_system(L, modulus_from_rational(L, m))
-    s = len(residue.orders)
-    units = [[o * (j == i) for j in range(s)] for i, o in enumerate(residue.orders)]
-    units += [residue.dlog(u) for u in unit_gens(L)]
+    units = [residue.dlog(u) for u in unit_gens(L)]
     kernel = [residue.dlog_int(p0) for _, p0, _ in gens]
     for (_, p0, _), key in dropped:
         N = p0 * math.prod(P[1] for i, P in enumerate(gens) if table[key] >> i & 1)
@@ -427,41 +409,34 @@ def _direct_quadratic(L: QuadField, m: int) -> int:
         require(res is not None, "a dropped ramified prime's product has no generator")
         kernel.append(res)
     kernel += [residue.dlog_int(a) for a in rayclass_Q_generators(m)]
-    return len(table) * lattice_index(units) // lattice_index(units + kernel)
+    return len(table) * residue.image_order(units + kernel) // residue.image_order(units)
 
 
 def _direct_biquad(L: BiquadField, K: QuadField, m: Modulus) -> int:
+    """At h(L) = 1, Cl^m_L is (O_L/m_L)^* modulo the units, so the count is
+    the order of the image of the units and of the generators of the
+    ramified primes and the extended Cl^m_K over that of the units."""
     if class_number(L) != 1:
         raise BudgetError(
             "direct ambiguous count needs a principal biquadratic field"
         )
     R = l_residue_system(extend_modulus(L, m))
-    G = R.group
-    # (O_L/m_L)^* modulo the classes of the units; the HNF spans the same
-    # lattice, and unreduced unit rows make snf's entries grow to thousands
-    # of digits
-    units = [-L.one()] + list(unit_group(L).units)
-    rows = hnf_rows(G.stacked([R.vector(u) for u in units]))
-    quo = group_from_relations(rows, G.rank)
-
-    def class_vec(gamma):
-        return quo.dlog_ambient(R.vector(gamma))
-
-    vecs = []
+    units = [R.dlog(u) for u in [-L.one(), *unit_group(L).units]]
+    gens = []
     for Q in _ramified_biquad(L, K, m):
         gamma = is_principal(Q)
         require(gamma is not None, "a ramified prime is not principal at h(L) = 1")
-        vecs.append(class_vec(gamma))
+        gens.append(R.dlog(gamma))
     ray_K = ray_class_group(K, m)
     for P in ray_K.ideal_gens:
         gamma = is_principal(extend_ideal(L, P))
         require(gamma is not None, "an extended ideal is not principal at h(L) = 1")
-        vecs.append(class_vec(gamma))
-    for i in range(len(ray_K.residue.factors)):
-        e_i = [1 if c == i else 0 for c in range(len(ray_K.residue.factors))]
-        z = ray_K.residue.crt_lift(e_i)
-        vecs.append(class_vec(embed(L, z)))
-    return quo.subgroup_order(vecs)
+        gens.append(R.dlog(gamma))
+    k = len(ray_K.residue.factors)
+    for i in range(k):
+        z = ray_K.residue.crt_lift([int(c == i) for c in range(k)])
+        gens.append(R.dlog(embed(L, z)))
+    return R.image_order(units + gens) // R.image_order(units)
 
 
 def ambiguous_count_direct(L, K, m) -> int:

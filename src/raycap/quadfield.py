@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import starmap
 from typing import Iterable, Iterator, Sequence
 
-from .abgroup import FiniteAbelianGroup, group_from_relations, hnf_rows, xgcd
+from .abgroup import FiniteAbelianGroup, group_from_relations, hnf_rows, lattice_index, xgcd
 from .errors import BudgetError, InputError, InvariantError, require
 from .exactmath import (
     crt,
@@ -909,11 +909,11 @@ class QuadResidueFactor(ResidueFactor):
 
 class ResidueSystem:
     """(O/m)^* as a product of cyclic factors with discrete logs. `dlog`
-    gives the exponents over the factors' generators, and `vector` the
-    coordinates in `group`, the product in invariant-factor form. `field`
-    is set for a modulus of K, where dlog_int and crt_lift build elements
-    and a multiplier is known by its local state at each factor (`one`,
-    `fold`, `dlogs`)."""
+    gives the exponents over the factors' generators, and subgroups are
+    read in those coordinates, modulo the factor orders (`kernel`,
+    `image_order`). `field` is set for a modulus of K, where dlog_int and
+    crt_lift build elements and a multiplier is known by its local state
+    at each factor (`one`, `fold`, `dlogs`)."""
 
     def __init__(
         self, factors: Sequence[ResidueFactor], field: QuadField | None = None
@@ -949,17 +949,28 @@ class ResidueSystem:
     def is_unit(self, z) -> bool:
         return all(f.is_unit_residue(z) for f in self.factors)
 
-    @cached_property
-    def group(self) -> FiniteAbelianGroup:
-        n = len(self.orders)
-        rows = [
-            [o if i == j else 0 for j in range(n)] for i, o in enumerate(self.orders)
-        ]
-        return group_from_relations(rows, n)
+    def _stacked(self, rows, pad: int = 0) -> list[list[int]]:
+        """`rows` above the relations orders[i] * e_i, padded by `pad` zeros."""
+        width = len(self.orders) + pad
+        return [*map(list, rows), *([o * (i == j) for j in range(width)]
+                                    for i, o in enumerate(self.orders))]
 
-    def vector(self, z) -> tuple[int, ...]:
-        """The class of z, a unit mod m, in `group`."""
-        return self.group.dlog_ambient(self.dlog(z))
+    def kernel(self, elements) -> list[list[int]]:
+        """HNF basis of the c with prod z_i^c_i = 1 mod m, z = `elements`:
+        the rows of the HNF of [dlogs | I] above [relations | 0] with zero
+        log part. An SNF with its row transform finds the same lattice, but
+        on some small unit matrices its entries grow to thousands of digits."""
+        r, s = len(elements), len(self.orders)
+        rows = [[*self.dlog(z), *(int(i == j) for j in range(r))] for i, z in enumerate(elements)]
+        kernel = [h[s:] for h in hnf_rows(self._stacked(rows, r)) if not any(h[:s])]
+        require(len(kernel) == r, "the unit kernel is not of full rank")
+        return kernel
+
+    def image_order(self, logs) -> int:
+        """Order of the subgroup generated by the units mod m whose
+        discrete logs are `logs`: |(O/m)^*| over the index of the lattice
+        they span with the relations."""
+        return self.order() // lattice_index(self._stacked(logs))
 
     def crt_lift(self, exps: Sequence[int]) -> QElt:
         """An element of O_K congruent to gen_i^exps[i] at factor i, for all i."""
@@ -997,10 +1008,11 @@ def residue_system(field: QuadField, modulus: Modulus) -> ResidueSystem:
 def adjust_by_units(y, residue: ResidueSystem, units: Sequence):
     """y * prod u_i^c_i with residue 1 at every factor, or None when the
     unit images cannot reach the class of 1/y. Each c_i is reduced mod the
-    order of u_i's image."""
-    group = residue.group
-    uvecs = [residue.vector(u) for u in units]
-    coeffs = group.express(uvecs, group.scale(-1, residue.vector(y)))
+    order of u_i's image. The images are read in (O/m)^* in invariant-factor
+    form, whose basis fixes `express`'s witness and so the multiple."""
+    group = group_from_relations(residue._stacked([]), len(residue.orders))
+    uvecs = [group.dlog_ambient(residue.dlog(u)) for u in units]
+    coeffs = group.express(uvecs, group.scale(-1, group.dlog_ambient(residue.dlog(y))))
     if coeffs is None:
         return None
     out = y
@@ -1257,13 +1269,11 @@ def ray_class_group(field: QuadField, modulus: Modulus) -> RayClassData:
     else:
         rows = [list(rel) + [-c for c in _relation_residue(field, rel, ideal_gens, residue)]
                 for rel in cl_relations]
-        units = unit_gens(field)
-        rows += [[0] * r + list(residue.dlog(u)) for u in units]
-        rows += [[0] * r + [o if j == i else 0 for j in range(s)]
-                 for i, o in enumerate(residue.orders)]
+        unit_logs = [residue.dlog(u) for u in unit_gens(field)]
+        rows += [[0] * r + row for row in residue._stacked(unit_logs)]
         group = group_from_relations(rows, r + s)
         # unit image inside (O/m)^*, for the exact-sequence order identity
-        unit_image = residue.group.subgroup_order([residue.vector(u) for u in units])
+        unit_image = residue.image_order(unit_logs)
     data = RayClassData(field, modulus, group, cl, ideal_gens, residue, table, unit_image)
     expected = cl.h * residue.order() // unit_image
     require(group.order() == expected, "the exact-sequence order identity fails")
@@ -1279,5 +1289,5 @@ def aug_unit_data(field: QuadField, modulus: Modulus) -> tuple[QElt, int]:
     k0 = 1 if u.norm() == 1 else 2
     base = u**k0
     residue = ray_class_group(field, modulus).residue
-    e = residue.group.element_order(residue.vector(base))
+    e = residue.image_order([residue.dlog(base)])
     return base**e, k0 * e

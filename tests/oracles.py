@@ -4,8 +4,10 @@ probable primes and primality by Miller-Rabin on all twelve bases, primes
 in an arithmetic progression by a primality test on each member, splitting
 degrees of polynomials mod q, analytic class numbers of imaginary fields
 and, with the unit from their own continued fraction, of real ones,
-synthetic abelian groups given by their invariants, the identity, sums and
-element list of a group in invariant-factor form, the cyclic complement of
+synthetic abelian groups given by their invariants, the identity, sums,
+element list and subgroup orders of a group in invariant-factor form, the
+image and relations of units mod m by a breadth-first search of their
+residues, the cyclic complement of
 an element of an ell-group, ideals of K as the HNF of their generators'
 lattice, exact ideal division, Dirichlet composition of integer triples by
 two extended gcds, ray-principal generators, the splitting of p in K by the
@@ -19,7 +21,7 @@ principal ideals of L as the HNF of one generator, square roots in K by
 integer square roots and in L by that chain alone, with no residue test
 first, relative norms of L in closed form, the square-test primes of L by
 Kronecker symbols, and the unit norm index of a quadratic field over Q by
-exponent lattices, its ambiguous count at m = 1 in the ray class group of
+that search, its ambiguous count at m = 1 in the ray class group of
 the trivial modulus, square roots mod p with the Tonelli-Shanks nonresidue
 found by linear scan, a scan candidate's conditions decided without genus
 characters, the Gaussian period polynomial by CRT across auxiliary primes,
@@ -34,8 +36,9 @@ two and `is_prime`, the ray generators on its ideal product and
 `class_key`, the fundamental unit on its rho cycle and step product, the
 rho walk on its residue factors' valuation and unit-part residue, the local
 value on their residues and discrete logs, the principal ideal of L on
-`BqIdeal.from_generators`, and the norm index on its residue systems and
-unit lattice, the trivial-modulus ambiguous count on its ray class group
+`BqIdeal.from_generators`, the subgroup orders on `lattice_index`, the
+search of units mod m and the norm index on the residue factors' residues
+and products alone, the trivial-modulus ambiguous count on its ray class group
 and prime splitting, the scan's reference decision on the checker's ray
 class group, unit and square root, the primes in progression on
 `is_prime`, the period polynomial on its primitive root, CRT and those
@@ -50,8 +53,8 @@ from collections import deque
 from itertools import zip_longest
 from typing import Iterator, Sequence
 
-from raycap.abgroup import FiniteAbelianGroup, hnf_rows, solve_left, xgcd
-from raycap.ambigcheck import _unit_lattice, rayclass_Q_generators
+from raycap.abgroup import FiniteAbelianGroup, hnf_rows, lattice_index, solve_left, xgcd
+from raycap.ambigcheck import rayclass_Q_generators
 from raycap.biquad import BqElt, BqIdeal, _w_elt
 from raycap.exactmath import (
     crt,
@@ -128,6 +131,41 @@ def group_add(G: FiniteAbelianGroup, y1: Sequence[int], y2: Sequence[int]) -> tu
 
 def group_elements(G: FiniteAbelianGroup) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(d) for d in G.invariants))
+
+
+def subgroup_order(G: FiniteAbelianGroup, gens: Sequence[Sequence[int]]) -> int:
+    """Order of the subgroup of G that `gens` generate: |G| over the index
+    of the lattice they span with the relations d_i * e_i."""
+    rows = [list(G.reduce(g)) for g in gens]
+    rows += [[d * (i == j) for j in range(G.rank)] for i, d in enumerate(G.invariants)]
+    return G.order() // lattice_index(rows)
+
+
+def unit_closure(residue, elements) -> tuple[dict, list[list[int]]]:
+    """(image, relations) of `elements`, units mod m, by a breadth-first
+    search of their products' residues at the factors of `residue`,
+    multiplied by each factor's own product, with no discrete log. `image`
+    maps each residue tuple reached to the exponent vector over `elements`
+    that first reached it, so its length is the order of the subgroup they
+    generate in (O/m)^*. A product that reaches a listed tuple gives the
+    difference of the two vectors as a relation; these Schreier rows span
+    the lattice of exponent vectors whose product is 1 mod m."""
+    factors = residue.factors
+    gens = [tuple(f.residue(z) for f in factors) for z in elements]
+    one = tuple(f.one for f in factors)
+    image, frontier, relations = {one: (0,) * len(gens)}, deque([one]), []
+    while frontier:
+        x = frontier.popleft()
+        for i, g in enumerate(gens):
+            y = tuple(f.mul(a, b) for f, a, b in zip(factors, x, g))
+            vec = list(image[x])
+            vec[i] += 1
+            if y not in image:
+                image[y] = tuple(vec)
+                frontier.append(y)
+            elif any(rel := [a - b for a, b in zip(vec, image[y])]):
+                relations.append(rel)
+    return image, relations
 
 
 def group_from_invariants(ds: Sequence[int]) -> FiniteAbelianGroup:
@@ -909,11 +947,11 @@ def square_test_primes_by_kronecker(L, count: int) -> tuple[tuple[int, int, int,
 
 def quadratic_norm_index(L: QuadField, m: int) -> int:
     """(E^m_Q : N_{L/Q}(E^{m_L}_L)) over E_Q = <-1>: the exponent lattice of
-    the units of L that are 1 mod m_L (the kernel of their classes in
-    (O_L/m_L)^*), pushed down by the unit norms (-1)^s, against E^m_Q,
-    which is E_Q when -1 = 1 mod m (m <= 2) and trivial otherwise."""
+    the units of L that are 1 mod m_L (the relations of `unit_closure`),
+    pushed down by the unit norms (-1)^s, against E^m_Q, which is E_Q when
+    -1 = 1 mod m (m <= 2) and trivial otherwise."""
     ug = unit_gens(L)
-    lattice = _unit_lattice(residue_system(L, modulus_from_rational(L, m)), ug)
+    _, lattice = unit_closure(residue_system(L, modulus_from_rational(L, m)), ug)
     signs = [0 if u.norm() == 1 else 1 for u in ug]
     norm_rows = [[sum(a * s for a, s in zip(row, signs))] for row in lattice]
     over_norms = hnf_rows([[2]] + norm_rows)[0][0]
@@ -946,7 +984,7 @@ def ambiguous_count_by_ray_group(L: QuadField, m: int = 1) -> int:
         require(kind == "ramified", "a prime dividing D_L is not ramified")
         vecs.append(ray.dlog(data[0][0]))
     vecs += [ray_class_of_principal(ray, QElt(L, a, 0)) for a in rayclass_Q_generators(m)]
-    return ray.group.subgroup_order(vecs)
+    return subgroup_order(ray.group, vecs)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from oracles import (
     multiplicative_order,
     smallest_prime_factors,
     splitting_degree,
+    unit_closure,
 )
 from raycap.ambigcheck import ambig_case, fundamental_field_params, rayclass_Q
 from raycap.biquad import (
@@ -152,7 +153,7 @@ def _run_ray_order_identity():
         K = quadratic_field(d)
         ray = ray_class_group(K, modulus_from_rational(K, m))
         res = ray.residue
-        img = res.group.subgroup_order([res.vector(u) for u in unit_gens(K)])
+        img = len(unit_closure(res, unit_gens(K))[0])
         if ray.group.order() * img != ray.cl.h * res.order():
             quad_fail.append((d, m))
         if img != ray.unit_image_order:

@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 from oracles import (
     ambiguous_count_by_ray_group,
     det_bareiss,
-    group_add,
-    group_identity,
     quadratic_norm_index,
 )
 from raycap import ambigcheck, exactmath
@@ -28,7 +26,6 @@ from raycap.ambigcheck import (
     _assemble,
     _formula_parts,
     _ramified_biquad,
-    _unit_lattice,
     ambig_case,
     ambiguous_count_direct,
     fundamental_field_params,
@@ -50,6 +47,7 @@ from raycap.quadfield import (
     QElt,
     QIdeal,
     QuadField,
+    ResidueSystem,
     _coset_closure,
     _prime_triples,
     _relation_residue,
@@ -165,6 +163,19 @@ class TestRayclassQ:
     def test_matches_brute_prime_powers(self, m):
         # squarefree is all the callers need, but the construction is general
         self._check_against_brute(m)
+
+    def test_a_primitive_root_that_is_one_mod_p_squared_moves_by_p(self):
+        """For p = 40487 the least primitive root, 5, has 5^(p-1) = 1 mod
+        p^2, so it generates no (Z/p^2)^*; the generator is 5 + p, which
+        has order phi(p^2) there."""
+        p = 40487
+        phi = p * (p - 1)
+        assert [all(pow(g, (p - 1) // q, p) != 1 for q in factor(p - 1))
+                for g in (2, 3, 4, 5)] == [False, False, False, True]
+        assert pow(5, p - 1, p * p) == 1
+        assert rayclass_Q(p * p).invariants == (819578341,) == (phi // 2,)
+        assert rayclass_Q_generators(p * p) == (40492,)
+        assert all(pow(40492, phi // q, p * p) != 1 for q in factor(phi))
 
     def _check_against_brute(self, m):
         group = rayclass_Q(m)
@@ -292,19 +303,20 @@ class TestNormIndexUnits:
         # above their relations grows its entries to thousands of digits
         L = biquad_field(10, 29)
         res = l_residue_system(extend_modulus(L, modulus_from_rational(L.k1, 143)))
-        G = res.group
         units = [-L.one()] + list(unit_group(L).units)
-        vecs = [res.vector(u) for u in units]
-        lattice = _unit_lattice(res, units)
+        logs = [res.dlog(u) for u in units]
+        lattice = res.kernel(units)
         for row in lattice:
-            image = [sum(a * v[c] for a, v in zip(row, vecs)) for c in range(G.rank)]
-            assert G.reduce(image) == group_identity(G)
-        # the index of the kernel is the order of the image, found by brute force
-        seen, frontier = {group_identity(G)}, [group_identity(G)]
+            assert all(sum(a * v[c] for a, v in zip(row, logs)) % o == 0
+                       for c, o in enumerate(res.orders))
+        # the index of the kernel is the order of the image, found by brute
+        # force on the logs mod the factor orders
+        one = (0,) * len(res.orders)
+        seen, frontier = {one}, [one]
         while frontier:
             x = frontier.pop()
-            for v in vecs:
-                y = group_add(G, x, v)
+            for v in logs:
+                y = tuple((a + b) % o for a, b, o in zip(x, v, res.orders))
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)
@@ -449,20 +461,29 @@ class TestAmbiguousCounts:
         generator, that of the generator of [p0 * n_j, b + w] per dropped
         prime) span, with the units, the lattice of the residues of the
         `hnf_rows` basis of the primes' relations: lattice_index(units +
-        kernel), and so the count, agree for every field with |D_L| <= 4000
-        and each m, m sharing primes with D_L or not."""
-        real, seen = ambigcheck.lattice_index, []
-        monkeypatch.setattr(ambigcheck, "lattice_index",
-                            lambda rows: seen.append(real(rows)) or seen[-1])
+        kernel), read off the logs that the direct side hands to
+        `ResidueSystem.image_order`, and so the count, agree for every
+        field with |D_L| <= 4000 and each m, m sharing primes with D_L or
+        not."""
+        real, seen = ResidueSystem.image_order, []
+
+        def recorded(residue, logs):
+            seen.append((residue.orders, [list(row) for row in logs]))
+            return real(residue, logs)
+
+        monkeypatch.setattr(ResidueSystem, "image_order", recorded)
         ds, moduli = fundamental_field_params(4000), (3, 5, 7, 11, 15, 21, 105)
         bad, dropping = [], 0
         for d in ds:
             L = quadratic_field(d)
             for m in moduli:
+                seen.clear()
                 ambiguous_count_direct(L, None, m)
+                orders, logs = max(seen, key=lambda call: len(call[1]))
+                units = [[o * (j == i) for j in range(len(orders))] for i, o in enumerate(orders)]
                 index, drops = kernel_index_by_relation_hnf(L, m)
                 dropping += drops > 0
-                if seen[-1] != index:
+                if lattice_index(units + logs) != index:
                     bad.append((d, m))
         assert bad == []
         assert (len(ds) * len(moduli), dropping) == (17031, 14545)

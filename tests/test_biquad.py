@@ -15,13 +15,13 @@ from oracles import (
     bq_ideal_conj,
     bq_ideal_product,
     bq_principal,
-    group_add,
     l_residue_factor_by_scan,
     principal_ideal,
     rel_norm_closed_form,
     sqrt_in_biquad_unfiltered,
     sqrt_in_quadratic_by_integers,
     square_test_primes_by_kronecker,
+    unit_closure,
 )
 
 from raycap.biquad import (
@@ -52,7 +52,8 @@ from raycap.biquad import (
 )
 from raycap.capsearch import CyclicFieldDesc, find_principalizing_prime
 from raycap.errors import InputError, InvariantError
-from raycap.exactmath import factor, is_prime, kronecker, primes_up_to, squarefree_part
+from raycap.abgroup import hnf_rows, lattice_index
+from raycap.exactmath import factor, is_prime, kronecker, power, primes_up_to, squarefree_part
 from raycap.kummerfrob import SearchParams
 from raycap.quadfield import (
     Modulus,
@@ -66,6 +67,7 @@ from raycap.quadfield import (
     _generates,
     is_principal_with_generator,
     residue_system,
+    unit_gens,
 )
 
 L345 = biquad_field(34, 5)
@@ -826,8 +828,9 @@ class TestResidues:
             assert err.value.exit_code == 8
 
     def test_vector_is_a_homomorphism_onto_group(self):
-        # factor orders 4, 4, 6, 6 (5 and 7 split) are not in Smith form, so
-        # the factor exponents of dlog are not coordinates in `group`
+        # factor orders 4, 4, 6, 6 (5 and 7 split) are not in Smith form:
+        # dlog's exponents are read mod each factor's order, in no
+        # invariant-factor basis
         rng = random.Random(11)
         K, Ki, L = quadratic_field(29), quadratic_field(-6), biquad_field(11, 29)
         cases = [
@@ -837,25 +840,67 @@ class TestResidues:
              lambda *c: BqElt(L, *c), 4),
         ]
         for res, make, n in cases:
-            G = res.group
-            assert res.group is G
             assert any(b % a for a, b in zip(res.orders, res.orders[1:]))
-            assert G.order() == res.order()
+            assert math.prod(res.orders) == res.order()
+            k = len(res.orders)
+            relations = [[o * (i == j) for j in range(k)] for i, o in enumerate(res.orders)]
             images = []
             while len(images) < 30:
                 x = make(*[rng.randint(-40, 40) for _ in range(n)])
                 y = make(*[rng.randint(-40, 40) for _ in range(n)])
                 if not (res.is_unit(x) and res.is_unit(y)):
                     continue
-                vx, vy = res.vector(x), res.vector(y)
-                assert vx == G.reduce(vx) and len(vx) == G.rank
-                assert res.vector(x * y) == group_add(G, vx, vy)
+                vx, vy = res.dlog(x), res.dlog(y)
+                assert len(vx) == k and all(0 <= c < o for c, o in zip(vx, res.orders))
+                assert res.dlog(x * y) == tuple(
+                    (a + b) % o for a, b, o in zip(vx, vy, res.orders))
                 images.append(vx)
             if res.field is not None:  # the factor generators lift into K
-                k = len(res.orders)
-                images = [res.vector(res.crt_lift([int(i == j) for j in range(k)]))
+                images = [res.dlog(res.crt_lift([int(i == j) for j in range(k)]))
                           for i in range(k)]
-            assert G.subgroup_order(images) == G.order()
+                assert images == [tuple(int(i == j) for j in range(k)) for i in range(k)]
+            # onto: the images span Z^k modulo the factor orders
+            assert lattice_index([*images, *relations]) == 1
+
+    @pytest.mark.parametrize("which", ["K", "L"])
+    def test_kernel_and_image_order_match_a_breadth_first_search(self, which):
+        """`kernel` and `image_order` against `unit_closure`, which lists
+        the products of the elements by their residues: the image's length
+        is `image_order` of their logs, and the HNF of its relations is
+        `kernel`, whose rows each multiply out to 1 at every factor. Small
+        residue systems of real and imaginary K, and of L, over split,
+        inert and ramified primes, with units and random units mod m."""
+        rng = random.Random(50)
+        systems = []
+        if which == "K":
+            for d, m in [(29, 35), (-6, 35), (2, 7), (-1, 3), (5, 5), (13, 1), (-3, 21)]:
+                K = quadratic_field(d)
+                systems.append((residue_system(K, modulus_from_rational(K, m)),
+                                unit_gens(K), lambda *c, K=K: K.elt(*c), 2))
+        else:
+            for d, p, m in [(11, 29, 35), (2, 5, 3), (6, 5, 7), (10, 29, 11)]:
+                L = biquad_field(d, p)
+                systems.append((l_residue_system(extend_modulus(L, modulus_from_rational(L.k1, m))),
+                                [-L.one(), *unit_group(L).units],
+                                lambda *c, L=L: BqElt(L, *c), 4))
+        for res, units, make, n in systems:
+            for _ in range(4):
+                elements = list(units)
+                while len(elements) < len(units) + rng.randint(0, 2):
+                    z = make(*[rng.randint(-30, 30) for _ in range(n)])
+                    if res.is_unit(z):
+                        elements.append(z)
+                image, relations = unit_closure(res, elements)
+                assert res.image_order([res.dlog(z) for z in elements]) == len(image)
+                kernel = res.kernel(elements)
+                assert kernel == hnf_rows(relations)
+                for row in kernel:
+                    product = [f.one for f in res.factors]
+                    for z, c in zip(elements, row):
+                        for i, f in enumerate(res.factors):
+                            product[i] = f.mul(product[i], power(
+                                f.residue(z), c % f.order, f.one, f.mul))
+                    assert product == [f.one for f in res.factors]
 
     def test_order_one_factor_adjusts_without_hanging(self):
         # every prime of L over 2 has residue field F_2 here, so each factor

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through main(), checking exit codes
 against the documented table and output against independent expectations."""
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import raycap
 from raycap import quadfield
+from test_golden import GOLDEN
 from raycap.biquad import verify_certificate
 from raycap.capsearch import CandidateCertificate, find_principalizing_prime
 from raycap.cli import main
@@ -653,6 +655,39 @@ def test_ambig_option_the_case_does_not_read_exits_two(capsys, argv, err):
     assert _exit_code(list(argv)) == 2
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("rayclass", "--d", "5", "--mod", "9.0"), "modulus entry '9.0' is not prime"),
+    (("rayclass", "--d", "5", "--mod", "5.3"), "no prime with index 3 above 5"),
+    (("rayclass", "--field", "Q", "--mod", "0"), "modulus must be a positive integer"),
+    (("ambig", "--L-disc", "20"), "20 is not a fundamental discriminant"),
+], ids=lambda x: x if isinstance(x, str) else " ".join(x))
+def test_bad_value_exits_two_with_its_line(capsys, argv, err):
+    """A prime selector on a composite or past the primes above p, a
+    rational modulus below 1 and 4*5 as a discriminant each exit 2 with one
+    line naming the fault."""
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+def test_tampered_cache_entry_is_recomputed_and_rewritten(capsys, tmp_path, monkeypatch):
+    """A cached report whose stamp no longer checks is a miss: the case is
+    computed again, printed with the bytes that tests/test_golden.py pins,
+    and written over the tampered entry."""
+    argv = ("ambig", "--L-disc", "-84", "--mod", "5")
+    digest = next(d for a, _, d in GOLDEN if a == argv)
+    argv += ("--json", "--cache-dir", str(tmp_path / "cache"))
+    code, out, err = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
+    entry, = (tmp_path / "cache").glob("*.json")
+    written = entry.read_bytes()
+    report = json.loads(written)
+    report["payload"]["direct"] += 1
+    entry.write_text(canonical_json(report) + "\n")
+    calls, real = [], raycap.cli.ambig_case
+    monkeypatch.setattr(raycap.cli, "ambig_case", lambda case: calls.append(case) or real(case))
+    assert run(capsys, *argv) == (0, out, "")
+    assert len(calls) == 1 and entry.read_bytes() == written
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,9 @@
 """The summary that scripts/pair_bench.py prints for alternating benchmark
-pairs, on fixed numbers (the benchmark itself is not run here)."""
+pairs, on fixed numbers, and the directory each side runs from (the
+benchmark itself is not run here)."""
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -73,3 +76,27 @@ def test_a_median_worse_by_more_than_the_bound_is_worse():
     assert s["parent_won"] == 9
     assert pair_bench.verdict(s, "higher", 0.10) == "worse"
     assert pair_bench.verdict(s, "higher", 0.25) == "even/unresolved"
+
+
+def test_both_sides_run_from_one_fixed_path(tmp_path, monkeypatch):
+    """Each run copies its checkout, without `.git` and `__pycache__`, to
+    the same directory and runs there, so the two sides' paths, which move
+    `peak_rss_mb`, are equal however their checkouts are named."""
+    runs = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        runs.append((Path(cwd), sorted(str(p.relative_to(cwd)) for p in Path(cwd).rglob("*")),
+                     (Path(cwd) / "side").read_text()))
+        line = {"correct": True, "failed": 0, "metrics": {}}
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(line) + "\n", "")
+
+    monkeypatch.setattr(pair_bench.subprocess, "run", fake_run)
+    run_dir = tmp_path / "run" / "checkout"
+    for name in ("P0", "change-with-a-longer-name"):
+        root = tmp_path / name
+        for sub in ("bench", ".git", "src/__pycache__"):
+            (root / sub).mkdir(parents=True)
+        (root / "side").write_text(name)
+        assert pair_bench.run_side(root, run_dir, "ambig", 1, 0.5)["correct"]
+    assert runs == [(run_dir, ["bench", "side", "src"], "P0"),
+                    (run_dir, ["bench", "side", "src"], "change-with-a-longer-name")]

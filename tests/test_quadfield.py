@@ -33,7 +33,7 @@ from oracles import (
     reduce_real_by_orbit,
     smallest_prime_factors,
 )
-from raycap import quadfield
+from raycap import abgroup, quadfield
 from raycap.abgroup import hnf_rows
 from raycap.biquad import biquad_field, embed, extend_modulus, l_residue_system
 from raycap.errors import BudgetError, InputError, InvariantError
@@ -1194,8 +1194,8 @@ def test_trivial_modulus_walks_the_relation_basis(monkeypatch):
     `hnf_rows` of the closure's relations, a basis of their lattice, and
     hands the closure's rows, unchanged and with no unit rows, to the one
     Smith form it runs, whose group is that of the rows with the zero unit
-    rows below them; (O/1)^* builds no group."""
-    built, make_group = [], quadfield.group_from_relations
+    rows below them; (O/1)^* takes no Smith form of its own."""
+    built, make_group, smith, real_snf = [], quadfield.group_from_relations, [], abgroup.snf
 
     def recorded_group(rows, n):
         built.append(([list(row) for row in rows], n))
@@ -1203,6 +1203,7 @@ def test_trivial_modulus_walks_the_relation_basis(monkeypatch):
 
     fields = trivial_modulus_fields()
     monkeypatch.setattr(quadfield, "group_from_relations", recorded_group)
+    monkeypatch.setattr(abgroup, "snf", lambda *a, **k: smith.append(a) or real_snf(*a, **k))
     walks = count_cofactor_walks(monkeypatch)
     rows = basis = most = 0
     for K in fields:
@@ -1210,12 +1211,13 @@ def test_trivial_modulus_walks_the_relation_basis(monkeypatch):
         relations = _ray_ideal_gens(K, modulus, class_group(K))[2]
         built.clear()
         walks.clear()
+        smith.clear()
         ray = ray_class_group.__wrapped__(K, modulus)
         assert len(walks) == len(hnf_rows(relations)) == ray.n_ideal
-        assert built == [(relations, ray.n_ideal)]
+        assert built == [(relations, ray.n_ideal)] and len(smith) == 1
         units = [[0] * ray.n_ideal for _ in unit_gens(K)]
         assert make_group(relations + units, ray.n_ideal) == ray.group
-        assert "group" not in ray.residue.__dict__ and ray.unit_image_order == 1
+        assert ray.unit_image_order == 1
         rows, basis, most = rows + len(relations), basis + len(walks), max(most, ray.n_ideal)
     assert len(fields) > 800 and most >= 5
     assert rows > 3 * basis
@@ -1444,3 +1446,19 @@ class TestAugUnit:
         K = quadratic_field(-1)
         with pytest.raises(InputError):
             aug_unit_data(K, Modulus(K, ()))
+
+    def test_ray_group_and_unit_take_one_smith_form(self, monkeypatch):
+        """With class_group(K) cached, ray_class_group(K, 7) and
+        aug_unit_data of Q(sqrt 2543) take one Smith form, the ray class
+        group's: the unit image and the unit's order are read off HNF
+        pivots in the residue factors' coordinates (`image_order`)."""
+        K = quadratic_field(2543)
+        m = modulus_from_rational(K, 7)
+        class_group(K)
+        ray_class_group.cache_clear()
+        smith, real_snf = [], abgroup.snf
+        monkeypatch.setattr(abgroup, "snf", lambda *a, **k: smith.append(a) or real_snf(*a, **k))
+        ray = ray_class_group(K, m)
+        eps, k = aug_unit_data(K, m)
+        assert len(smith) == 1 and ray.unit_image_order > 1
+        assert not any(ray.residue.dlog(eps)) and eps.norm() == 1 and k == 1
