@@ -14,7 +14,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache, partial
-from itertools import starmap
+from itertools import repeat, starmap
 from typing import Iterable, Iterator, Sequence
 
 from .abgroup import FiniteAbelianGroup, group_from_relations, hnf_rows, lattice_index, xgcd
@@ -394,6 +394,9 @@ def _reduce_primitive(field: QuadField, a: int, b: int):
 
 
 _CYCLE_BOUND = 10**6  # rho steps before a cycle walk gives up
+# Reduced ideals that one field's class-key memo (`_class_keys`) may hold;
+# d = 10^12 + 39 (h = 3) holds 1,597,180.
+_MEMO_BOUND = 4 * 10**6
 
 
 def _walk_to(field: QuadField, a: int, b: int, steps: list, meets):
@@ -422,6 +425,23 @@ def _class_cycle(field: QuadField, a: int, b: int) -> tuple[tuple[int, int], lis
     return min((a, B) for a, _, B in members), members
 
 
+def _cycle_key(field: QuadField, a: int, b: int, packed: list | None = None) -> tuple[int, int]:
+    """`_class_cycle`'s key for the reduced [a, b + w], the least (a_k, B_k)
+    kept as the rho-cycle streams past, with no member list. When `packed`
+    is given, each member's a_k*a_k + b_k is appended to it once: the walk
+    ends on [a, b + w] again, so its first step is left out."""
+    if not field.is_real:
+        return a, _B_centered(a, 2 * b + field.t)
+    walk = _rho_cycle(field, a, b)
+    ka, _, kB = next(walk)
+    for ak, bk, B in walk:
+        if packed is not None:
+            packed.append(ak * ak + bk)
+        if ak < ka or (ak == ka and B < kB):
+            ka, kB = ak, B
+    return ka, kB
+
+
 def _steps_product(field: QuadField, steps) -> tuple[QElt, int]:
     """(num, den), unreduced, with num / den the product of the factors
     (x + y*w) / den of `steps`: the exact multiplier of a walk, for
@@ -448,7 +468,7 @@ def _mat_mul(m: tuple, n: tuple) -> tuple:
 
 def class_key(I: QIdeal) -> tuple[int, int]:
     """Canonical key for the (wide) ideal class of I."""
-    return _class_cycle(I.field, *_reduce_primitive(I.field, I.a, I.b)[:2])[0]
+    return _cycle_key(I.field, *_reduce_primitive(I.field, I.a, I.b)[:2])
 
 
 def is_principal_with_generator(I: QIdeal) -> QElt | None:
@@ -575,20 +595,26 @@ def _candidate_primes(field: QuadField) -> Iterator[tuple[int, int, int]]:
 
 def _class_keys(field: QuadField):
     """key_of(a, b): the class key of [a, b + w] (`_class_cycle`'s) after one
-    reduction. In a real field the key comes from a memo, reduced
-    (a, b, B) -> key, that `_class_cycle` fills a whole cycle at a time, so
-    each class's rho-cycle is walked once however many ideals land on it;
-    an imaginary class has one reduced ideal, its key."""
-    memo: dict[tuple[int, int, int], tuple[int, int]] = {}
-    t, s, real = field.t, field.isqrt_D, field.is_real
+    reduction. In a real field the key comes from a memo that `_cycle_key`
+    fills a whole cycle at a time, so each class's rho-cycle is walked once
+    however many ideals land on it. The memo names each reduced [a, b + w]
+    by the one int a*a + b, distinct for distinct pairs since 0 <= b < a
+    puts it in [a^2, (a + 1)^2), and holds at most _MEMO_BOUND of them (a
+    BudgetError past it). An imaginary class has one reduced ideal, its key."""
+    memo: dict[int, tuple[int, int]] = {}
+    t, real = field.t, field.is_real
 
     def key_of(a: int, b: int) -> tuple[int, int]:
         a, b, _ = _reduce_primitive(field, a, b)
         if not real:
-            return a, _B_centered(a, 2 * b + t)  # `_class_cycle`'s key
-        if (key := memo.get((a, b, s - (s - 2 * b - t) % (2 * a)))) is None:
-            key, members = _class_cycle(field, a, b)
-            memo.update(dict.fromkeys(members, key))
+            return a, _B_centered(a, 2 * b + t)  # `_cycle_key`'s
+        if (key := memo.get(a * a + b)) is None:
+            packed: list[int] = []
+            key = _cycle_key(field, a, b, packed)
+            if len(memo) + len(packed) > _MEMO_BOUND:
+                raise BudgetError(
+                    f"the class-key memo would hold more than {_MEMO_BOUND} reduced ideals")
+            memo.update(zip(packed, repeat(key)))
         return key
     return key_of
 
@@ -1122,7 +1148,7 @@ class RayClassData:
         if not coprime(a, b):
             member = _walk_to(f, a, b, steps, coprime)
             if member is None:
-                vec = self.ray_table[_class_cycle(f, a, b)[0]]
+                vec = self.ray_table[_cycle_key(f, a, b)]
                 return self.group.dlog_ambient(self._generator_vector((g, a0, b0), vec))
             a, b = member
         vec = self.vectors.get((a, b))

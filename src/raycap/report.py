@@ -7,7 +7,6 @@ on content agree on bytes, which is what the determinism checks compare.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -42,6 +41,8 @@ def _plain(value):
 
 
 def _digest(body: dict) -> str:
+    import hashlib  # loads OpenSSL: only a process that stamps pays for it
+
     return hashlib.sha256(canonical_json(body).encode("ascii")).hexdigest()
 
 
@@ -71,6 +72,8 @@ def toolchain_fingerprint() -> dict:
 @cache
 def source_digest() -> str:
     """sha256 over the library's own source files, name and bytes."""
+    import hashlib
+
     h = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())

@@ -90,6 +90,18 @@ class TestRayclass:
         assert out == ""
         assert err == "budget exceeded: rho cycle failed to close\n"
 
+    def test_class_key_memo_budget_exits_six_with_one_line(self, capsys, monkeypatch):
+        # Q(sqrt 3999) has h = 8 with 68 reduced ideals over its cycles: a
+        # memo bound of 67 stops its class group
+        for cached in (quadfield.class_group, quadfield.ray_class_group):
+            cached.cache_clear()
+        monkeypatch.setattr(quadfield, "_MEMO_BOUND", 67)
+        code, out, err = run(capsys, "rayclass", "--d", "3999", "--json")
+        assert code == 6
+        assert out == ""
+        assert err == ("budget exceeded: the class-key memo would hold more than"
+                       " 67 reduced ideals\n")
+
     def test_generator_prime_bound_exits_six_with_one_line(self, capsys, monkeypatch):
         # Q(sqrt -5) has h = 2; the ray generators are searched among the
         # primes below 1000*max(|D|, 100) = 10^5, and the only prime offered
@@ -433,24 +445,29 @@ class TestJobs:
 
 
 class TestColdStart:
-    """A single-process command loads no process pool: importing the
-    command line and the modules that the benchmark's workers run leaves
-    `concurrent.futures`, `multiprocessing` and `platform` unloaded."""
+    """A single-process command loads no process pool and no OpenSSL:
+    importing the command line and the modules that the benchmark's
+    workers run leaves `concurrent.futures`, `multiprocessing`, `platform`,
+    `hashlib` and `_hashlib` unloaded. `hashlib` loads at the first stamp,
+    whose digest is the one this process computes."""
 
     def test_import_loads_no_pool(self):
+        payload = {"d": 34, "found": [37, 0]}
         code = (
             "import sys\n"
             "before = set(sys.modules)\n"
             "import raycap.cli, raycap.report, raycap.capsearch, raycap.ambigcheck, raycap.biquad\n"
             "loaded = set(sys.modules) - before\n"
-            "print(sorted({'concurrent.futures', 'multiprocessing', 'platform'} & loaded))\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing', 'platform', 'hashlib',\n"
+            "              '_hashlib'} & loaded))\n"
+            f"print(raycap.report.stamp('probe', {payload!r})['sha256'])\n"
         )
         src = str(Path(raycap.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
-        assert out == "[]\n"
+        assert out == f"[]\n{stamp('probe', payload)['sha256']}\n"
 
 
 class TestSelftest:

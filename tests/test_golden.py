@@ -189,6 +189,9 @@ LARGE = [
     (("search", "--d", "40000197", "--mod", "1", "--class", "0", "--h", "0",
       "--bound", "10000000"),
      3, "393757367715db325d894625ecebe1cc3fe796a82f3e9114a69f64e861126b84"),
+    # d = 10^12 + 39: h = 3, three rho-cycles of 1,597,180 reduced ideals in all
+    (("rayclass", "--d", "1000000000039"),
+     0, "dd5fefaeb4c7d74b1ed629e8f4c06b2fa96e1fd6e701fff6fec311fcbf4963ae"),
 ]
 
 # The six scans that a process pool must leave byte for byte as they are:

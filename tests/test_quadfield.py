@@ -528,6 +528,34 @@ class TestClassGroups:
         assert class_group.__wrapped__(quadratic_field(d)).h == h
         assert len(walks) == h
 
+    @pytest.mark.parametrize("d", [3999, 10**7 + 19, 10**8 + 7])
+    def test_packed_memo_names_each_reduced_ideal_once(self, monkeypatch, d):
+        """The class-key memo names a reduced [a, b + w] by a*a + b. Every
+        reduced ideal on the cycles of [1, w] and of the first ten prime
+        ideals, which meet every class here, reads back the key that
+        `class_key` walks afresh and that `_class_cycle` takes as the least
+        (a, B) of the whole member list. The memo after `class_group`
+        holds one int per reduced ideal: a bound of the summed cycle
+        lengths builds the group, one less raises BudgetError."""
+        K = quadratic_field(d)
+        cycles = {}
+        for g, p, b in [(1, 1, 0), *itertools.islice(_candidate_primes(K), 10)]:
+            key, members = _class_cycle(K, *_reduce_primitive(K, p, b)[:2])
+            assert key == class_key(QIdeal(K, g, p, b))
+            cycles[key] = members
+        key_of = quadfield._class_keys(K)
+        for key, members in cycles.items():
+            assert key_of(*members[-1][:2]) == key  # fills this cycle's entries
+        for key, members in cycles.items():
+            assert all(key_of(a, b) == key for a, b, _ in members), d
+        assert len(cycles) == class_group(K).h
+        size = sum(map(len, cycles.values()))
+        monkeypatch.setattr(quadfield, "_MEMO_BOUND", size)
+        assert class_group.__wrapped__(K).h == len(cycles)
+        monkeypatch.setattr(quadfield, "_MEMO_BOUND", size - 1)
+        with pytest.raises(BudgetError, match=f"more than {size - 1} reduced ideals"):
+            class_group.__wrapped__(K)
+
     @pytest.mark.parametrize("d", [-5, -21, -1365, -4199, -5565, -30030, 145, 1365, 3999])
     def test_normal_form_is_the_table_representative(self, d):
         """Idempotent on the table's vectors, blind to any multiple of a
