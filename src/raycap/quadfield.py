@@ -330,18 +330,21 @@ def _B_centered(a: int, B0: int) -> int:
 
 
 def _rho_cycle(field: QuadField, a: int, b: int):
-    """The rho-cycle of the reduced real [a, b+w] (Cohen, GTM 138, ch. 5),
-    once around and back to [a, b+w], as (a_k, b_k, B_k): B_k, the
-    representative of 2b_k + t mod 2a_k in (s - 2a_k, s], s = floor(sqrt(D)),
-    gives the step out of [a_k, b_k+w], by the factor (B_k - sqrt(D))/(2a_k),
-    that is (x + y*w)/den = ((B_k + t) - 2w)/(2a_k)."""
+    """The reduced ideals of the class of the reduced [a, b+w], each once
+    and itself first, as (a_k, b_k, B_k) (Cohen, GTM 138, 5.4 and 5.8). An
+    imaginary class has one, with B = 2b + t centred in (-a, a]. A real
+    class is the rho-cycle: B_k, the representative of 2b_k + t mod 2a_k in
+    (s - 2a_k, s], s = floor(sqrt(D)), gives the step out of [a_k, b_k+w]
+    to the next member, by the factor (B_k - sqrt(D))/(2a_k), that is
+    (x + y*w)/den = ((B_k + t) - 2w)/(2a_k)."""
+    if not field.is_real:
+        yield a, b, _B_centered(a, 2 * b + field.t)
+        return
     D, t, s = field.D, field.t, field.isqrt_D
     a0, b0, steps = a, b, 0
     while True:
         B = s - ((s - 2 * b - t) % (2 * a))
         yield a, b, B
-        if steps and a == a0 and b == b0:
-            return
         steps += 1
         if steps > _CYCLE_BOUND:
             raise BudgetError("rho cycle failed to close")
@@ -349,6 +352,8 @@ def _rho_cycle(field: QuadField, a: int, b: int):
         if c == 0:  # the hot loop of every walk: no call when the check passes
             raise InvariantError("invariant failed: a rho step met a norm-zero form")
         a, b = c, ((-B - t) // 2) % c
+        if a == a0 and b == b0:
+            return
 
 
 def _reduce_primitive(field: QuadField, a: int, b: int):
@@ -394,17 +399,25 @@ def _reduce_primitive(field: QuadField, a: int, b: int):
 
 
 _CYCLE_BOUND = 10**6  # rho steps before a cycle walk gives up
-# Reduced ideals that one field's class-key memo (`_class_keys`) may hold;
-# d = 10^12 + 39 (h = 3) holds 1,597,180.
+# Reduced ideals that one memo of them (`_class_keys`, `RayClassData.vectors`)
+# may hold; d = 10^12 + 39 (h = 3) has 1,597,180.
 _MEMO_BOUND = 4 * 10**6
 
 
+def _memo_add(memo: dict, keys: list[int], values: Iterable, name: str) -> None:
+    """memo.update(zip(keys, values)) for new reduced ideals [a, b + w],
+    each named by the int a*a + b, distinct for distinct pairs since
+    0 <= b < a puts it in [a^2, (a + 1)^2); a BudgetError when the memo
+    would pass _MEMO_BOUND."""
+    if len(memo) + len(keys) > _MEMO_BOUND:
+        raise BudgetError(f"the {name} memo would hold more than {_MEMO_BOUND} reduced ideals")
+    memo.update(zip(keys, values))
+
+
 def _walk_to(field: QuadField, a: int, b: int, steps: list, meets):
-    """The first (a_k, b_k) with meets(a_k, b_k) on the rho-cycle of the
-    reduced [a, b+w], itself first, the factors of the steps to it appended
-    to `steps`; None if none does. An imaginary class has one member."""
-    if not field.is_real:
-        return (a, b) if meets(a, b) else None
+    """The first (a_k, b_k) with meets(a_k, b_k) among the `_rho_cycle`
+    members of the reduced [a, b+w], the factors of the steps to it
+    appended to `steps`; None if none does."""
     t = field.t
     for ak, bk, B in _rho_cycle(field, a, b):
         if meets(ak, bk):
@@ -413,28 +426,12 @@ def _walk_to(field: QuadField, a: int, b: int, steps: list, meets):
     return None
 
 
-def _class_cycle(field: QuadField, a: int, b: int) -> tuple[tuple[int, int], list[tuple]]:
-    """(class key, the reduced ideals of the class as (a, b, B)) for the
-    reduced [a, b+w], itself first: B as in `_rho_cycle` in a real field,
-    centered in (-a, a] in an imaginary one, whose class has one reduced
-    ideal."""
-    if field.is_real:
-        members = list(_rho_cycle(field, a, b))[:-1]  # the walk ends where it began
-    else:
-        members = [(a, b, _B_centered(a, 2 * b + field.t))]
-    return min((a, B) for a, _, B in members), members
-
-
 def _cycle_key(field: QuadField, a: int, b: int, packed: list | None = None) -> tuple[int, int]:
-    """`_class_cycle`'s key for the reduced [a, b + w], the least (a_k, B_k)
-    kept as the rho-cycle streams past, with no member list. When `packed`
-    is given, each member's a_k*a_k + b_k is appended to it once: the walk
-    ends on [a, b + w] again, so its first step is left out."""
-    if not field.is_real:
-        return a, _B_centered(a, 2 * b + field.t)
-    walk = _rho_cycle(field, a, b)
-    ka, _, kB = next(walk)
-    for ak, bk, B in walk:
+    """The class key of the reduced [a, b + w]: the least (a_k, B_k) of its
+    class's `_rho_cycle`, kept as the members stream past. When `packed`
+    is given, each member's a_k*a_k + b_k is appended to it."""
+    ka, kB = a + 1, 0  # beaten by the first member, [a, b + w] itself
+    for ak, bk, B in _rho_cycle(field, a, b):
         if packed is not None:
             packed.append(ak * ak + bk)
         if ak < ka or (ak == ka and B < kB):
@@ -594,27 +591,21 @@ def _candidate_primes(field: QuadField) -> Iterator[tuple[int, int, int]]:
 
 
 def _class_keys(field: QuadField):
-    """key_of(a, b): the class key of [a, b + w] (`_class_cycle`'s) after one
-    reduction. In a real field the key comes from a memo that `_cycle_key`
-    fills a whole cycle at a time, so each class's rho-cycle is walked once
-    however many ideals land on it. The memo names each reduced [a, b + w]
-    by the one int a*a + b, distinct for distinct pairs since 0 <= b < a
-    puts it in [a^2, (a + 1)^2), and holds at most _MEMO_BOUND of them (a
-    BudgetError past it). An imaginary class has one reduced ideal, its key."""
+    """key_of(a, b): the class key of [a, b + w] (`_cycle_key`'s) after one
+    reduction. In a real field it comes from a memo of reduced ideals
+    (`_memo_add`) that `_cycle_key` fills a whole cycle at a time, so each
+    class's rho-cycle is walked once however many ideals land on it."""
     memo: dict[int, tuple[int, int]] = {}
     t, real = field.t, field.is_real
 
     def key_of(a: int, b: int) -> tuple[int, int]:
         a, b, _ = _reduce_primitive(field, a, b)
-        if not real:
-            return a, _B_centered(a, 2 * b + t)  # `_cycle_key`'s
+        if not real:  # `_cycle_key`'s, inline on this hot path
+            return a, _B_centered(a, 2 * b + t)
         if (key := memo.get(a * a + b)) is None:
             packed: list[int] = []
             key = _cycle_key(field, a, b, packed)
-            if len(memo) + len(packed) > _MEMO_BOUND:
-                raise BudgetError(
-                    f"the class-key memo would hold more than {_MEMO_BOUND} reduced ideals")
-            memo.update(zip(packed, repeat(key)))
+            _memo_add(memo, packed, repeat(key), "class-key")
         return key
     return key_of
 
@@ -1107,8 +1098,8 @@ class RayClassData:
     ray_table: dict  # class key -> exponent vector over ideal_gens
     unit_image_order: int
     # The lookup memo, filled by dlog and dropped with the group: reduced
-    # primitive pair (a, b), coprime to m -> coordinates in `group` of
-    # [a, b + w]. A miss fills the whole rho-cycle of the reduced ideal.
+    # [a, b + w] coprime to m, named as `_memo_add` names it -> coordinates
+    # in `group`. A miss fills the coprime members of its class (`_fill`).
     vectors: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -1136,12 +1127,11 @@ class RayClassData:
         [I] = [R] + [(g / mu)]. [R] comes from the memo; [(g / mu)] is the
         class of the residue of g/mu, read off the local state of mu at the
         primes of m (`ResidueSystem.fold`), which takes on the walks' step
-        factors in one fold. Without residue factors no multiplier is built and
-        [I] = [R]. When R meets m, the walk goes on along R's rho-cycle to
-        the first member coprime to m; only a class with no reduced ideal
-        coprime to m walks I*C_v to [1, w] (see
-        `_generator_vector`). Cohen, GTM 193, section 4.2, computes ray
-        class logs through (O/m)^* in the same way."""
+        factors in one fold. Without residue factors no multiplier is built
+        and [I] = [R]. When R meets m, the walk goes on to the first member
+        of R's class coprime to m; only a class with none walks I*C_v to
+        [1, w] (`_generator_vector`). Cohen, GTM 193, section 4.2, computes
+        ray class logs through (O/m)^* in the same way."""
         f = self.field
         a, b, steps = _reduce_primitive(f, a0, b0)
         coprime = self.modulus.coprime_to_primitive
@@ -1151,7 +1141,7 @@ class RayClassData:
                 vec = self.ray_table[_cycle_key(f, a, b)]
                 return self.group.dlog_ambient(self._generator_vector((g, a0, b0), vec))
             a, b = member
-        vec = self.vectors.get((a, b))
+        vec = self.vectors.get(a * a + b)
         if vec is None:
             vec = self._fill(a, b)
         res = self.residue
@@ -1180,32 +1170,33 @@ class RayClassData:
         )
 
     def _fill(self, a: int, b: int) -> tuple[int, ...]:
-        """Memoize the coordinates of each ideal coprime to m in the cycle
-        of the reduced R0 = [a, b + w], itself coprime to m, and return
-        R0's. R0's come through one cofactor walk; each member R_k = mu_k*R0
-        then gets [R0] + [(mu_k)]."""
-        f = self.field
-        key, members = _class_cycle(f, a, b)
-        vec = self.group.dlog_ambient(
-            self._generator_vector((1, a, b), self.ray_table[key])
-        )
-        res = self.residue
-        mu = res.one if res.factors else None  # nothing is folded for m = 1
-        for ak, bk, B in members:  # R0 itself first, with mu_0 = 1
-            if self.modulus.coprime_to_primitive(ak, bk):
-                self.vectors[ak, bk] = vec if mu is None else self._moved(vec, mu, 1, -1)
-            if mu is not None:
+        """Memoize the coordinates of each ideal coprime to m among the
+        reduced ideals of the class of R0 = [a, b + w], itself coprime to m,
+        and return R0's, which come through one cofactor walk. For m = 1
+        every member gets R0's, from the walk that finds the key; otherwise
+        a second walk folds each step, and R_k = mu_k*R0 gets [R0] + [(mu_k)]."""
+        f, res = self.field, self.residue
+        packed: list[int] = []
+        key = _cycle_key(f, a, b, packed)
+        vec = self.group.dlog_ambient(self._generator_vector((1, a, b), self.ray_table[key]))
+        vecs = repeat(vec)
+        if res.factors:
+            packed, vecs, mu = [], [], res.one
+            for ak, bk, B in _rho_cycle(f, a, b):  # R0 itself first, with mu_0 = 1
+                if self.modulus.coprime_to_primitive(ak, bk):
+                    packed.append(ak * ak + bk)
+                    vecs.append(self._moved(vec, mu, 1, -1))
                 mu = res.fold(mu, ((B + f.t, -2, 2 * ak),))
+        _memo_add(self.vectors, packed, vecs, "ray")
         return vec
 
 
 def _ray_ideal_gens(field: QuadField, modulus: Modulus, cl: ClassGroupData):
     """Prime-ideal generators of Cl off the modulus support: the
     `_prime_triples` in ascending order, each keyed once, until their
-    classes generate Cl; with (table: key -> exponent vector over them,
-    relation rows) of their closure (`_vector_closure`), run afresh after
-    each prime: most fields stop at their first prime, where a tracker that
-    grows the subgroup coset by coset and closes once at the end is slower."""
+    table vectors and Cl's relation rows span Z^k; with (table: key ->
+    exponent vector over them, relation rows) of their closure
+    (`_vector_closure`), run once on the final list."""
     if cl.h == 1:
         return (), dict(cl.table), []
     skip = modulus.residue_chars()
@@ -1216,9 +1207,8 @@ def _ray_ideal_gens(field: QuadField, modulus: Modulus, cl: ClassGroupData):
     for _, p, b in _prime_triples(field, primes):
         gens.append(QIdeal(field, 1, p, b))
         vecs.append(cl.table[class_key(gens[-1])])
-        table, relations = _vector_closure(cl, vecs)
-        if len(table) == cl.h:
-            return tuple(gens), table, relations
+        if lattice_index([*vecs, *cl.relations]) == 1:
+            return tuple(gens), *_vector_closure(cl, vecs)
     raise BudgetError(f"no primes below {limit} generate the class group away from m")
 
 

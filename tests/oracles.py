@@ -15,9 +15,11 @@ roots of w's minimal polynomial, ray generators closed by ideal products,
 real reduction by a rho walk that moves its multiplier at every step, with
 an exact multiplier num/den kept in lowest terms as a reference, the
 fundamental unit of a real field as the inverse of its rho cycle's step
-product and a multiplier's local value read off the exact element, ideals
-of L = Q(sqrt d, sqrt p) as the HNF of all products of basis elements,
-principal ideals of L as the HNF of one generator, square roots in K by
+product, a class's reduced ideals listed with its key, the 2-rank and
+Redei's 4-rank of a class group by genus theory, with their own factoring
+and Kronecker symbol, and a multiplier's local value read off the exact
+element, ideals of L = Q(sqrt d, sqrt p) as the HNF of all products of
+basis elements, principal ideals of L as the HNF of one generator, square roots in K by
 integer square roots and in L by that chain alone, with no residue test
 first, relative norms of L in closed form, the square-test primes of L by
 Kronecker symbols, and the unit norm index of a quadratic field over Q by
@@ -33,8 +35,9 @@ arithmetic alone. The ideal oracles stand on the library's `QIdeal`,
 product and generator search, the composition on its `xgcd`, the splitting
 on its `kronecker` and `roots_mod_p`, the square-test primes on the same
 two and `is_prime`, the ray generators on its ideal product and
-`class_key`, the fundamental unit on its rho cycle and step product, the
-rho walk on its residue factors' valuation and unit-part residue, the local
+`class_key`, the fundamental unit and the class listing on its rho cycle,
+the unit also on its step product, the rho walk on its residue factors'
+valuation and unit-part residue, the local
 value on their residues and discrete logs, the principal ideal of L on
 `BqIdeal.from_generators`, the subgroup orders on `lattice_index`, the
 search of units mod m and the norm index on the residue factors' residues
@@ -75,9 +78,9 @@ from raycap.quadfield import (
     RayClassData,
     ResidueFactor,
     _Fp2,
-    _class_cycle,
     _ideal_from_rows,
     _primitive_root,
+    _rho_cycle,
     _steps_product,
     adjust_by_units,
     class_key,
@@ -435,6 +438,53 @@ def real_class_number(D: int, spf: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# genus theory: the 2-rank and Redei's 4-rank of the narrow class group
+
+
+def _distinct_prime_factors(n: int) -> list[int]:
+    """The primes dividing n >= 1, ascending, by trial division."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + [n] * (n > 1)
+
+
+def _prime_symbol(a: int, p: int) -> int:
+    """The Kronecker symbol (a/p) for a prime p: by a mod 8 at p = 2, by
+    Euler's criterion otherwise."""
+    if a % p == 0:
+        return 0
+    if p == 2:
+        return 1 if a % 8 in (1, 7) else -1
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def redei_ranks(D: int) -> tuple[int, int]:
+    """(2-rank, 4-rank) of the narrow class group of the fundamental
+    discriminant D (Redei 1934; Stevenhagen 1995). D is the product of t
+    prime discriminants d_i: p* = +-p = 1 mod 4 for each odd p | D, and
+    D / prod p* (-4, 8 or -8) for p = 2. The 2-rank is t - 1. The Redei
+    matrix over F_2 has entry (i, j), i != j, 1 when (d_j / p_i) = -1, p_i
+    the prime of d_i, and each row sums to 0; the 4-rank is t - 1 less its
+    rank."""
+    odd = [(p, p if p % 4 == 1 else -p) for p in _distinct_prime_factors(abs(D)) if p != 2]
+    pairs = odd if D % 2 else [(2, D // math.prod(d for _, d in odd)), *odd]
+    basis: list[int] = []  # rows as bit masks, each reduced by those before
+    for i, (p, _) in enumerate(pairs):
+        bits = [int(j != i and _prime_symbol(d, p) == -1) for j, (_, d) in enumerate(pairs)]
+        row = sum(b << j for j, b in enumerate(bits)) | (sum(bits) % 2) << i
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+    return len(pairs) - 1, len(pairs) - 1 - len(basis)
+
+
+# ---------------------------------------------------------------------------
 # ideals of K by lattice HNF, the product the library had before composition
 
 
@@ -756,12 +806,19 @@ def rho_orbit(field: QuadField, a: int, b: int, mult=None):
         a, b = c, ((-B - t) // 2) % c
 
 
+def class_cycle(field: QuadField, a: int, b: int) -> tuple[tuple[int, int], list[tuple]]:
+    """(class key, the reduced ideals of the class as (a, b, B)) for the
+    reduced [a, b + w], itself first: the least (a_k, B_k) of the list."""
+    members = list(_rho_cycle(field, a, b))
+    return min((a, B) for a, _, B in members), members
+
+
 def fundamental_unit_by_steps(field: QuadField) -> QElt:
     """Smallest unit > 1 of a real quadratic field by the rho cycle of
     O_K: the steps once around the cycle of the reduced [1, w] multiply to
     num / den, a unit of absolute value below 1, and the fundamental unit
     is its signed inverse."""
-    steps = [(B + field.t, -2, 2 * a) for a, _, B in _class_cycle(field, 1, 0)[1]]
+    steps = [(B + field.t, -2, 2 * a) for a, _, B in _rho_cycle(field, 1, 0)]
     num, den = _steps_product(field, steps)
     require(num.x % den == 0 and num.y % den == 0, "the period multiplier is not integral")
     inv = QElt.exact_div(QElt(field, 1, 0), QElt(field, num.x // den, num.y // den))

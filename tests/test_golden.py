@@ -34,7 +34,8 @@ default sweep pins all 86 of its reports, one line each, in input order.
 its kernel part in (O_L/5)^* and builds no ray class group, rayclass of d = 10^9 + 7 and 10^10 + 19 mod 3 and of
 d = -(10^9 + 7) mod 3 and mod 1, and the scans to 2*10^5 of d = 66,
 543 mod 11 and 595 mod 3*11 and to 2*10^4 of the t = 9 fields
-d = 223092870 and 111546435, and the scan to 10^7 of d = 40000197. Of
+d = 223092870 and 111546435, the scan to 10^7 of d = 40000197, and the
+scan to 2000 of d = 10^11 + 3, whose ray lookups fill a long cycle. Of
 those, the first five scans and the d = 34 scan to 2*10^5
 must print their pinned bytes with `--jobs 2` too. The 2543 mod 7
 search and verify, the sweeps to disc bound 3000, 10000 and 30000, the
@@ -192,6 +193,11 @@ LARGE = [
     # d = 10^12 + 39: h = 3, three rho-cycles of 1,597,180 reduced ideals in all
     (("rayclass", "--d", "1000000000039"),
      0, "dd5fefaeb4c7d74b1ed629e8f4c06b2fa96e1fd6e701fff6fec311fcbf4963ae"),
+    # d = 10^11 + 3: h = 5, ray generators over 2, 3 and 7; the scan's lookups
+    # fill all five cycles, 356,382 reduced ideals (71,938 principal); p = 181
+    (("search", "--d", "100000000003", "--mod", "1", "--class", "0", "--h", "0",
+      "--bound", "2000"),
+     0, "882eb527d43a9bbdf7384b147f25cfff145c8482e5a7e2ff9d8ae24ecaf42d2a"),
 ]
 
 # The six scans that a process pool must leave byte for byte as they are:

@@ -7,8 +7,12 @@ machinery is trusted twice.
 import collections
 import itertools
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,10 +21,12 @@ from oracles import (
     LocalMult,
     Mult,
     analytic_class_number,
+    class_cycle,
     compose_by_xgcd,
     divide_exact,
     exact_local_value,
     factor_prime_by_roots,
+    fundamental_unit_by_convergents,
     fundamental_unit_by_steps,
     group_add,
     hnf_ideal,
@@ -30,6 +36,7 @@ from oracles import (
     ray_class_of_principal,
     ray_ideal_gens_by_products,
     real_class_number,
+    redei_ranks,
     reduce_real_by_orbit,
     smallest_prime_factors,
 )
@@ -45,8 +52,8 @@ from raycap.quadfield import (
     QuadField,
     _ray_ideal_gens,
     _reduce_primitive,
+    _rho_cycle,
     _candidate_primes,
-    _class_cycle,
     _compose,
     _coset_closure,
     _generates,
@@ -439,6 +446,30 @@ class TestClassGroups:
     def test_known_structures(self, d, invs):
         assert class_group(quadratic_field(d)).group.invariants == invs
 
+    def test_two_and_four_ranks_match_redei(self):
+        """`class_group`'s invariants against genus theory and Redei's
+        matrix (`oracles.redei_ranks`, which shares no code with it): as
+        many even invariants as the 2-rank, as many divisible by 4 as the
+        4-rank, on every imaginary squarefree |d| < 5000 and every real
+        squarefree d < 5000 with N(eps) = -1, where the wide class group is
+        the narrow one."""
+        seen = collections.Counter()
+        for d in range(-4999, 5000):
+            D = d if d % 4 == 1 else 4 * d
+            if d in (0, 1) or not is_fundamental(D):
+                continue
+            if D > 0:
+                x, y = fundamental_unit_by_convergents(D)
+                if x * x - D % 2 * x * y - D // 4 * y * y == 1:
+                    continue
+            invs = class_group(quadratic_field(d)).group.invariants
+            ranks = redei_ranks(D)
+            assert ranks == (sum(e % 2 == 0 for e in invs), sum(e % 4 == 0 for e in invs)), d
+            seen[d > 0] += 1
+            seen[d > 0, ranks[1]] += 1
+        assert (seen[False], seen[True]) == (3042, 648)
+        assert seen[False, 2] == 24 and seen[True, 2] == 1  # 4-rank 2 on both sides
+
     @given(
         st.sampled_from([-5, -14, -23, 10, 34, 79]),
         st.integers(-8, 8),
@@ -533,14 +564,14 @@ class TestClassGroups:
         """The class-key memo names a reduced [a, b + w] by a*a + b. Every
         reduced ideal on the cycles of [1, w] and of the first ten prime
         ideals, which meet every class here, reads back the key that
-        `class_key` walks afresh and that `_class_cycle` takes as the least
+        `class_key` walks afresh and that `oracles.class_cycle` takes as the least
         (a, B) of the whole member list. The memo after `class_group`
         holds one int per reduced ideal: a bound of the summed cycle
         lengths builds the group, one less raises BudgetError."""
         K = quadratic_field(d)
         cycles = {}
         for g, p, b in [(1, 1, 0), *itertools.islice(_candidate_primes(K), 10)]:
-            key, members = _class_cycle(K, *_reduce_primitive(K, p, b)[:2])
+            key, members = class_cycle(K, *_reduce_primitive(K, p, b)[:2])
             assert key == class_key(QIdeal(K, g, p, b))
             cycles[key] = members
         key_of = quadfield._class_keys(K)
@@ -555,6 +586,26 @@ class TestClassGroups:
         monkeypatch.setattr(quadfield, "_MEMO_BOUND", size - 1)
         with pytest.raises(BudgetError, match=f"more than {size - 1} reduced ideals"):
             class_group.__wrapped__(K)
+
+    def test_rho_cycle_yields_each_reduced_ideal_once(self):
+        """An imaginary class has one reduced ideal, which `_rho_cycle`
+        yields alone with B centred in (-a, a]. A real class is its
+        rho-cycle, from the start on, with no member twice; the principal
+        cycle has the length (-1)^length = N(eps) of `fundamental_unit_norm`
+        on every real squarefree d < 5000."""
+        for d in (-1, -3, -5, -14, -23, -1365, -4199):
+            K = quadratic_field(d)
+            for g, p, b in [(1, 1, 0), *itertools.islice(_candidate_primes(K), 8)]:
+                a, b, _ = _reduce_primitive(K, p, b)
+                (member,) = _rho_cycle(K, a, b)
+                B = member[2]
+                assert member[:2] == (a, b) and -a < B <= a and (B - 2 * b - K.t) % (2 * a) == 0
+        for d in range(2, 5000):
+            if squarefree_part(d) == d:
+                K = quadratic_field(d)
+                members = [(a, b) for a, b, _ in _rho_cycle(K, 1, 0)]
+                assert members[0] == (1, 0) and len(set(members)) == len(members), d
+                assert (-1) ** len(members) == fundamental_unit_norm(K), d
 
     @pytest.mark.parametrize("d", [-5, -21, -1365, -4199, -5565, -30030, 145, 1365, 3999])
     def test_normal_form_is_the_table_representative(self, d):
@@ -613,7 +664,7 @@ class TestUnits:
             K = quadratic_field(d)
             eps = fundamental_unit.__wrapped__(K)
             assert eps == fundamental_unit_by_steps(K), d
-            assert eps.norm() == (-1) ** len(_class_cycle(K, 1, 0)[1]), d
+            assert eps.norm() == (-1) ** len(class_cycle(K, 1, 0)[1]), d
 
     def test_unit_norm_from_the_period(self):
         """`fundamental_unit_norm` reads (-1)^(period length) and builds no
@@ -924,6 +975,14 @@ def query_ideals(K, m, count):
     return out + [primes[0].scale(2)]
 
 
+def memo_pairs(ray):
+    """The ray memo's entries as ((a, b), coordinates), its key a*a + b
+    read back: 0 <= b < a puts it in [a^2, (a + 1)^2)."""
+    for key, vec in ray.vectors.items():
+        a = math.isqrt(key)
+        yield (a, key - a * a), vec
+
+
 @pytest.mark.parametrize(
     "d,m", [(34, 1), (34, 7), (79, 1), (79, 5), (-5, 1), (-5, 7), (-23, 1),
             (-14, 11), (142, 1), (142, 3), (65, 7), (-23, 3)]
@@ -944,7 +1003,7 @@ def test_memoized_ambient_vector_matches_reference(d, m):
         for I in ideals:
             assert cold.dlog(I) == group.dlog_ambient(want[I])
     assert cold.vectors
-    for (a, b), vec in cold.vectors.items():
+    for (a, b), vec in memo_pairs(cold):
         R = QIdeal(K, 1, a, b)
         assert vec == group.dlog_ambient(reference_ambient_vector(cold, R))
     if K.is_real:  # a miss stores whole cycles, not just the reduced ideal
@@ -986,7 +1045,7 @@ def test_warm_queries_walk_no_generator(monkeypatch, d, m):
     want = [ray.group.dlog_ambient(reference_ambient_vector(ray, I)) for I in ideals]
     blocked = [
         I for I in ideals
-        if all(math.gcd(a, m) > 1 for a, *_ in quadfield._class_cycle(
+        if all(math.gcd(a, m) > 1 for a, *_ in class_cycle(
             K, *quadfield._reduce_primitive(K, I.a, I.b)[:2])[1])
     ]
     calls = count_cofactor_walks(monkeypatch)
@@ -1040,7 +1099,7 @@ def test_modulus_prime_in_the_reduced_ideal_takes_a_generator(monkeypatch):
     for _ in range(2):
         assert [ray.dlog(I) for I in ideals] == want
     assert len(calls) == 2 * len(ideals)
-    assert all(a % 3 for a, _ in ray.vectors)
+    assert all(a % 3 for (a, _), _ in memo_pairs(ray))
 
 
 @pytest.mark.parametrize("d,p", [(-5, 3), (-14, 3), (79, 3), (-5, 7), (79, 5)])
@@ -1059,10 +1118,10 @@ def test_one_prime_of_a_split_pair_in_the_modulus(d, p):
         assert ray.dlog(I) == ray.group.dlog_ambient(reference_ambient_vector(ray, I))
     with pytest.raises(InputError, match="not coprime"):
         ray.dlog(Q)
-    for (a, b), vec in ray.vectors.items():
+    for (a, b), vec in memo_pairs(ray):
         R = QIdeal(K, 1, a, b)
         assert vec == ray.group.dlog_ambient(reference_ambient_vector(ray, R))
-    assert any(a % p == 0 for a, _ in ray.vectors) == (d != -5)
+    assert any(a % p == 0 for (a, _), _ in memo_pairs(ray)) == (d != -5)
 
 
 @pytest.mark.parametrize("d", [-14, -5, 79])
@@ -1327,6 +1386,73 @@ def test_ray_generators_match_product_closure_noncyclic(d, m):
     """Class groups of 2-rank 2 to 5 beyond the corpus, which take two to
     seven primes."""
     assert _same_ray_generators(quadratic_field(d), m) >= 2
+
+
+@pytest.mark.parametrize("d,m", [(-5565, 1), (-30030, 1), (15015, 1), (-1365, 11),
+                                 (1365, 13), (-4199, 13), (3999, 13)])
+def test_ray_generators_close_once(monkeypatch, d, m):
+    """`ray_class_group` tests each prime's vector by a lattice index and
+    runs `_vector_closure` once, on the final list of two or more primes;
+    that list, the closure's table and its rows are the product closure's."""
+    closures = []
+    closure = quadfield._vector_closure
+    monkeypatch.setattr(quadfield, "_vector_closure",
+                        lambda cl, vecs: closures.append(len(vecs)) or closure(cl, vecs))
+    K = quadratic_field(d)
+    ray = ray_class_group.__wrapped__(K, modulus_from_rational(K, m))
+    assert closures == [ray.n_ideal] and ray.n_ideal >= 2
+    closures.clear()
+    assert _same_ray_generators(K, m) == ray.n_ideal and closures == [ray.n_ideal]
+
+
+def first_dlog_fill(d, m):
+    """A cold ray class group of Q(sqrt d) mod m, and the number of
+    entries its memo holds after one dlog of a prime above 3."""
+    K = quadratic_field(d)
+    class_group(K)  # its own memo is built before any bound moves
+    ray = ray_class_group.__wrapped__(K, modulus_from_rational(K, m))
+    ray.dlog(factor_prime(K, 3)[1][0][0])
+    return ray, len(ray.vectors)
+
+
+@pytest.mark.parametrize("d,m", [(34, 1), (34, 7), (79, 1), (79, 5), (-23, 1), (-23, 5)])
+def test_ray_memo_is_bounded(monkeypatch, d, m):
+    """The ray memo holds at most _MEMO_BOUND reduced ideals, by the same
+    check as the class-key memo: a fill that would pass it raises
+    BudgetError (exit 6) and leaves the memo as it was."""
+    _, size = first_dlog_fill(d, m)
+    assert size >= 1 and (size > 1) == (d > 0)
+    monkeypatch.setattr(quadfield, "_MEMO_BOUND", size)
+    assert len(first_dlog_fill(d, m)[0].vectors) == size
+    monkeypatch.setattr(quadfield, "_MEMO_BOUND", size - 1)
+    with pytest.raises(BudgetError, match=f"the ray memo would hold more than {size - 1} ") as err:
+        first_dlog_fill(d, m)
+    assert err.value.exit_code == 6
+
+
+def test_ray_memo_bound_survives_python_O():
+    """The memo bound is raised, not asserted: a `python -O` process stops
+    at it for m = 1 and for m = 7."""
+    code = (
+        "from raycap import quadfield as q\n"
+        "from raycap.errors import BudgetError\n"
+        "K = q.quadratic_field(34)\n"
+        "q.class_group(K)\n"
+        "q._MEMO_BOUND = 1\n"
+        "for m in (1, 7):\n"
+        "    ray = q.ray_class_group(K, q.modulus_from_rational(K, m))\n"
+        "    try:\n"
+        "        ray.dlog(q.factor_prime(K, 3)[1][0][0])\n"
+        "    except BudgetError as e:\n"
+        "        print(__debug__, m, e.exit_code, e, len(ray.vectors))\n"
+    )
+    src = str(Path(quadfield.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    line = "the ray memo would hold more than 1 reduced ideals"
+    assert out == f"False 1 6 {line} 0\nFalse 7 6 {line} 0\n"
 
 
 @pytest.mark.parametrize("walk", [
